@@ -2,8 +2,8 @@
 
 Drives the Zipf(s=1.1) hot-key workload of ``repro.bench.fig_elasticity``
 (24-user closed loop, 4 shards, bounded per-shard capacity, periodic GC)
-twice — static consistent-hash placement vs ``elastic=True`` — and pins
-the tentpole properties:
+twice — ``without="elastic"`` (static consistent-hash placement) vs
+``current`` — and pins the tentpole properties:
 
 - elastic throughput >= 1.4x static on the identical request series;
 - median latency falls;

@@ -1,15 +1,16 @@
 """DAAL fast-path ablation: tail caching + batched chain reads (§4.4).
 
 Runs the Figure-13-style single-item read/write loop (pre-grown 20-row
-chain, calibrated virtual latency) under each fast-path flag setting and
-reports per-operation latency, store round trips, and request-unit
-dollar cost. The headline claim this file gates:
+chain, calibrated virtual latency) on ``current`` ("on") and with
+``without="fastpath"`` ("off") and reports per-operation latency, store
+round trips, and request-unit dollar cost. The headline claim this file
+gates:
 
-    tail_cache ON cuts the per-op store *requests* — specifically the
+    the fast path cuts the per-op store *requests* — specifically the
     metered ``query`` count of skeleton traversals — by at least 40%
-    versus OFF on the hot loop.
+    on the hot loop.
 
-A second table ablates ``batch_reads`` on the transaction commit path
+A second table runs the same pair on the transaction commit path
 (shadow-tail fetches and GC liveness checks coalesce into
 ``batch_get`` round trips).
 """
@@ -29,15 +30,15 @@ WRITES = 60
 TXNS = 12
 
 
-def _flags(tail_cache: bool, batch_reads: bool) -> BeldiConfig:
-    return BeldiConfig(gc_t=1e12, tail_cache=tail_cache,
-                       batch_reads=batch_reads)
+def _config(fastpath: bool, **knobs) -> BeldiConfig:
+    return BeldiConfig(gc_t=1e12,
+                       without=None if fastpath else "fastpath", **knobs)
 
 
-def run_hot_loop(tail_cache: bool, seed: int = 41) -> dict:
+def run_hot_loop(fastpath: bool, seed: int = 41) -> dict:
     """The fig13-style loop: READS reads + WRITES writes of one item."""
     runtime = BeldiRuntime(seed=seed, latency_scale=1.0,
-                           config=_flags(tail_cache, False))
+                           config=_config(fastpath))
     read_rec, write_rec = LatencyRecorder(), LatencyRecorder()
 
     def handler(ctx, payload):
@@ -74,17 +75,15 @@ def run_hot_loop(tail_cache: bool, seed: int = 41) -> dict:
     }
 
 
-def run_txn_commits(tail_cache: bool, batch_reads: bool,
-                    seed: int = 17) -> dict:
+def run_txn_commits(fastpath: bool, seed: int = 17) -> dict:
     """TXNS multi-key transactions; counts commit-path round trips.
 
     ``row_log_capacity=1`` plus two writes per key makes every shadow
     chain span multiple rows, so the commit phase has real tail fetches
     to coalesce (single-row shadows ride along with the index query).
     """
-    config = _flags(tail_cache, batch_reads)
-    config.row_log_capacity = 1
-    runtime = BeldiRuntime(seed=seed, latency_scale=1.0, config=config)
+    runtime = BeldiRuntime(seed=seed, latency_scale=1.0,
+                           config=_config(fastpath, row_log_capacity=1))
 
     def transfer(ctx, payload):
         with ctx.transaction() as tx:
@@ -125,8 +124,7 @@ def run_txn_commits(tail_cache: bool, batch_reads: bool,
 def test_fastpath_ablation(benchmark):
     def run_all():
         hot = {on: run_hot_loop(on) for on in (False, True)}
-        txn = {(tc, br): run_txn_commits(tc, br)
-               for tc in (False, True) for br in (False, True)}
+        txn = {on: run_txn_commits(on) for on in (False, True)}
         return hot, txn
 
     hot, txn = benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -146,14 +144,13 @@ def test_fastpath_ablation(benchmark):
     text = format_table(
         f"Fast-path ablation — fig13-style loop ({READS}r+{WRITES}w, "
         f"{ROWS}-row DAAL)",
-        ["tail_cache", "queries", "round trips", "req/op", "read p50",
+        ["fastpath", "queries", "round trips", "req/op", "read p50",
          "write p50", "$/op"], rows)
 
     rows = []
-    for (tc, br), r in sorted(txn.items()):
+    for on, r in sorted(txn.items()):
         rows.append([
-            "on" if tc else "off",
-            "on" if br else "off",
+            "on" if on else "off",
             r["queries"],
             r["gets"],
             r["batch_gets"],
@@ -161,17 +158,16 @@ def test_fastpath_ablation(benchmark):
         ])
     text += "\n" + format_table(
         f"Fast-path ablation — {TXNS} 3-key transactions (commit path)",
-        ["tail_cache", "batch_reads", "queries", "gets", "batch_gets",
-         "round trips"], rows)
+        ["fastpath", "queries", "gets", "batch_gets", "round trips"],
+        rows)
     emit("fastpath_ablation", text)
     emit_json("fastpath_ablation",
               hot_loop={"on" if on else "off": r
                         for on, r in hot.items()},
-              txn_commits={f"tc={'on' if tc else 'off'},"
-                           f"br={'on' if br else 'off'}": r
-                           for (tc, br), r in sorted(txn.items())})
+              txn_commits={"tc=on,br=on" if on else "tc=off,br=off": r
+                           for on, r in sorted(txn.items())})
 
-    # Acceptance: tail cache ON cuts traversal queries by >= 40% on the
+    # Acceptance: the fast path cuts traversal queries by >= 40% on the
     # hot loop (it eliminates nearly all of them).
     assert hot[True]["queries"] <= 0.6 * hot[False]["queries"], (
         f"queries on={hot[True]['queries']} off={hot[False]['queries']}")
@@ -183,11 +179,7 @@ def test_fastpath_ablation(benchmark):
     # is strictly cheaper in request dollars.
     assert hot[True]["dollars_per_op"] < hot[False]["dollars_per_op"]
 
-    # batch_reads coalesces commit-path reads into batch_get round trips
-    # without changing the query budget of the tail cache setting.
-    assert txn[(True, True)]["batch_gets"] > 0
-    assert txn[(True, True)]["round_trips"] <= txn[(True, False)][
-        "round_trips"]
-    # Both flags together dominate the seed configuration.
-    assert txn[(True, True)]["round_trips"] < txn[(False, False)][
-        "round_trips"]
+    # The fast path coalesces commit-path reads into batch_get round
+    # trips and dominates the seed configuration.
+    assert txn[True]["batch_gets"] > 0
+    assert txn[True]["round_trips"] < txn[False]["round_trips"]

@@ -64,7 +64,7 @@ def _daal_op_loop(n_users: int = 16, requests_per_user: int = 125) -> dict:
     runtime = BeldiRuntime(
         seed=7, latency_scale=1.0, config=BeldiConfig(gc_t=1e12),
         platform_config=PlatformConfig(concurrency_limit=400),
-        shards=1, elastic=False)
+        shards=1)
 
     def profile(ctx, payload):
         uid = payload["user"]

@@ -5,11 +5,11 @@ incident/fault-free at a sub-knee open-loop rate, with shard 0 dark for
 20% of the measured window — and gates the PR's three claims:
 
 - arrivals *during* the outage complete at >= 3x the goodput of the
-  flags-off run (retry/backoff + breaker + post-heal completion vs raw
-  ``UnavailableError`` propagation);
+  ``without="resilience"`` run (retry/backoff + breaker + post-heal
+  completion vs raw ``UnavailableError`` propagation);
 - the post-recovery phase drains: its p99 stays within a small multiple
   of the fault-free p99 instead of smearing across the rest of the run;
-- fault-free, the layer costs nothing: $/op within 10% of flags-off
+- fault-free, the layer costs nothing: $/op within 10% of the ablation
   (bit-for-bit identical in practice) and zero failed requests.
 
 ``RESILIENCE_RATE`` / ``RESILIENCE_DURATION_MS`` shrink the run for CI
@@ -38,7 +38,7 @@ def test_resilience_figure():
     incident = runs["incident"]
     raw = runs["raw"]
 
-    # The incident actually bit the flags-off run: mid-window arrivals
+    # The incident actually bit the ablated run: mid-window arrivals
     # failed raw, and enough survived on the healthy shard that the
     # ratio below measures recovery, not division noise.
     assert sum(raw["phases"]["during"]["failed"].values()) > 0, (

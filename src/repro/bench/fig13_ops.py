@@ -67,14 +67,12 @@ def _build_runtime(mode: str, seed: int):
         runtime = BaselineRuntime(seed=seed, latency_scale=1.0)
     else:
         # Figures 13/25 reproduce the paper's measurements of the
-        # un-optimized protocol; the §4.4 fast path and the async/batched
-        # I/O layer are benchmarked separately
+        # un-optimized protocol (the ``paper`` profile); the §4.4 fast
+        # path and the async/batched I/O layer are benchmarked separately
         # (benchmarks/test_fastpath_ablation.py, test_async_io.py).
         runtime = BeldiRuntime(
             seed=seed, latency_scale=1.0,
-            config=BeldiConfig(gc_t=1e12, tail_cache=False,
-                               batch_reads=False, async_io=False,
-                               batch_log_writes=False))
+            config=BeldiConfig(profile="paper", gc_t=1e12))
     return runtime
 
 
@@ -144,11 +142,8 @@ def traversal_ablation(chain_lengths=(2, 10, 25, 50),
     results = {}
     for rows in chain_lengths:
         runtime = BeldiRuntime(seed=seed, latency_scale=1.0,
-                               config=BeldiConfig(gc_t=1e12,
-                                                  tail_cache=False,
-                                                  batch_reads=False,
-                                                  async_io=False,
-                                                  batch_log_writes=False))
+                               config=BeldiConfig(profile="paper",
+                                                  gc_t=1e12))
         env = runtime.create_env("bench", tables=["kv"])
         table = env.data_table("kv")
         _pre_grow_chain(runtime.store, table, KEY, rows,

@@ -36,15 +36,14 @@ def _build(app_name: str, mode: str, seed: int, concurrency: int,
             seed=seed, latency_scale=1.0,
             platform_config=_platform_config(concurrency))
     elif mode == "beldi":
-        # Seed-faithful figure: every post-paper optimization (fast path,
-        # async/batched I/O) pinned off; those are gated by their own
-        # ablation benches. ``config_overrides`` lets ablation gates flip
-        # individual knobs (e.g. ``observability``) on this exact setup.
+        # Seed-faithful figure: the ``paper`` profile; the post-paper
+        # features are gated by their own ablation benches.
+        # ``config_overrides`` lets ablation gates flip individual knobs
+        # (e.g. ``observability``) on this exact setup.
         runtime = BeldiRuntime(
             seed=seed, latency_scale=1.0,
-            config=BeldiConfig(gc_t=1e12, ic_restart_delay=1e12,
-                               tail_cache=False, batch_reads=False,
-                               async_io=False, batch_log_writes=False,
+            config=BeldiConfig(profile="paper", gc_t=1e12,
+                               ic_restart_delay=1e12,
                                **(config_overrides or {})),
             platform_config=_platform_config(concurrency))
     else:

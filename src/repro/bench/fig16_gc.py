@@ -38,13 +38,12 @@ def gc_timeseries(gc_period_ms: Optional[float],
     mode:
         ``"daal"`` or ``"crosstable"`` storage.
     """
-    # Seed-faithful figure: post-paper optimizations (fast path,
-    # async/batched I/O) pinned off so the GC cost curves match §7.3.
+    # Seed-faithful figure: the ``paper`` profile, so the GC cost curves
+    # match §7.3.
     runtime = BeldiRuntime(
         seed=seed, latency_scale=1.0,
-        config=BeldiConfig(gc_t=gc_t_ms, ic_restart_delay=1e12,
-                           tail_cache=False, batch_reads=False,
-                           async_io=False, batch_log_writes=False),
+        config=BeldiConfig(profile="paper", gc_t=gc_t_ms,
+                           ic_restart_delay=1e12),
         platform_config=PlatformConfig(concurrency_limit=100))
 
     def writer(ctx, payload):

@@ -7,19 +7,15 @@ txn's inventory decrements), commits, then fans out
 ``N_LEAVES`` parallel leaf invocations (the notify/hydrate edges of the
 travel workflow). The commit's shadow flushes and lock releases, the
 cross-shard fan-outs, and the parallel-invoke log claims are exactly the
-hot paths the ``async_io``/``batch_log_writes`` flags target, so the
-four flag settings separate cleanly:
+hot paths the ``async_io`` feature targets, so ``current`` (``on-on``)
+and ``without="async_io"`` (``off-off``) separate cleanly:
 
-``async_io``
-    overlaps the commit fan-out (flushes/releases pay ``max`` instead of
-    the sum) — the big p50 win;
-``batch_log_writes``
-    coalesces the N parallel-invoke claims into one ``BatchWriteItem``
-    round trip — fewer requests at identical write units.
+- overlap of the commit fan-out (flushes/releases pay ``max`` instead of
+  the sum) — the big p50 win;
+- the N parallel-invoke claims coalesced into one ``BatchWriteItem``
+  round trip — fewer requests at identical write units.
 
-Run at nonzero virtual latency; with both flags off the numbers are
-bit-for-bit the sequential PR 3 model (pinned separately by
-``tests/core/test_async_io_flags.py``). ``$/op`` must stay flat: both
+Run at nonzero virtual latency. ``$/op`` must stay flat: both
 optimizations change round-trip counts and timing, never billed units.
 """
 
@@ -34,26 +30,20 @@ N_KEYS = 8
 N_LEAVES = 3
 REQUESTS = 12
 
-CONFIGS = {
-    "off-off": dict(async_io=False, batch_log_writes=False),
-    "async-only": dict(async_io=True, batch_log_writes=False),
-    "batch-only": dict(async_io=False, batch_log_writes=True),
-    "on-on": dict(async_io=True, batch_log_writes=True),
-}
+#: point name -> the ``BeldiConfig.without`` it runs under.
+CONFIGS = {"off-off": "async_io", "on-on": None}
 
 
 def _keys() -> list[str]:
     return [f"item-{i:04d}" for i in range(N_KEYS)]
 
 
-def build_runtime(async_io: bool, batch_log_writes: bool,
-                  shards: int = SHARDS, replicas: int = 1,
+def build_runtime(without=None, shards: int = SHARDS, replicas: int = 1,
                   read_consistency: str = "strong",
                   seed: int = 29) -> BeldiRuntime:
     runtime = BeldiRuntime(
         seed=seed, latency_scale=1.0,
-        config=BeldiConfig(gc_t=1e12, async_io=async_io,
-                           batch_log_writes=batch_log_writes),
+        config=BeldiConfig(gc_t=1e12, without=without),
         shards=shards, replicas=replicas,
         read_consistency=read_consistency)
 
@@ -73,9 +63,8 @@ def build_runtime(async_io: bool, batch_log_writes: bool,
     return runtime
 
 
-def run_point(name: str, async_io: bool, batch_log_writes: bool,
-              **kwargs) -> dict:
-    runtime = build_runtime(async_io, batch_log_writes, **kwargs)
+def run_point(name: str, without=None, **kwargs) -> dict:
+    runtime = build_runtime(without, **kwargs)
     dollars_before = runtime.store.metering.dollar_cost()
     result = run_closed_loop(
         runtime, "book",
@@ -103,8 +92,8 @@ def run_point(name: str, async_io: bool, batch_log_writes: bool,
 
 
 def run_ablation(**kwargs) -> list[dict]:
-    return [run_point(name, **dict(spec, **kwargs))
-            for name, spec in CONFIGS.items()]
+    return [run_point(name, without, **kwargs)
+            for name, without in CONFIGS.items()]
 
 
 def ablation_table(points: list[dict]) -> str:
@@ -122,7 +111,7 @@ def ablation_table(points: list[dict]) -> str:
     return format_table(
         f"Async I/O ablation — {REQUESTS} booking txns x {N_KEYS} keys "
         f"+ {N_LEAVES} parallel leaves, shards={SHARDS}",
-        ["flags", "done", "p50 ms", "p99 ms", "$/op", "round trips",
+        ["config", "done", "p50 ms", "p99 ms", "$/op", "round trips",
          "batch writes"], rows)
 
 

@@ -8,7 +8,7 @@ assumption the way production traffic does: the same closed-loop
 key drawn from a Zipf(s≈1.1) popularity distribution over a shared key
 population. Static consistent hashing pins the hottest chains to
 whatever shard their hash picked; that shard's ``ServiceCapacity`` queue
-saturates and caps the fleet. With ``elastic=True`` the hot-shard
+saturates and caps the fleet. With the ``elastic`` feature the hot-shard
 detector observes the skew mid-run and live-migrates the hottest DAAL
 chains to underloaded shards (``repro/kvstore/rebalance.py``), after
 which the same offered load spreads over all nodes.
@@ -52,7 +52,7 @@ def build_runtime(elastic: bool, seed: int = SEED,
         seed=seed, latency_scale=1.0,
         config=BeldiConfig(
             gc_t=1200.0,
-            elastic=elastic,
+            without=None if elastic else "elastic",
             # The skew is visible within a few hundred routed ops; act
             # early so the recovered throughput dominates the run.
             elastic_check_every=32,

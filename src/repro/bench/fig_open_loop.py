@@ -50,8 +50,7 @@ def build_runtime(seed: int = 11) -> tuple[BeldiRuntime, str,
         seed=seed, latency_scale=1.0,
         config=BeldiConfig(gc_t=1e12),
         platform_config=PlatformConfig(concurrency_limit=400),
-        shards=SHARDS, shard_capacity=SHARD_CAPACITY,
-        replicas=REPLICAS, elastic=True)
+        shards=SHARDS, shard_capacity=SHARD_CAPACITY, replicas=REPLICAS)
 
     def profile(ctx, payload):
         uid = payload["user"]

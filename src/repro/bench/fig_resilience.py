@@ -10,7 +10,7 @@ run        timeline     what it shows
 incident   on           retries + breaker ride out the window
 baseline   on           the outage-free reference curve
 raw        off          every shard-0 touch dies raw mid-window
-raw-clean  off          the flags-off cost reference
+raw-clean  off          the without="resilience" cost reference
 ========= ============ ==========================================
 
 Goodput and latency are sliced **by arrival phase** (pre / during /
@@ -23,7 +23,7 @@ open-loop driver exists for. The gates
 - goodput for arrivals *during* the outage: resilience on >= 3x off;
 - post-recovery p99 bounded by a small multiple of the fault-free p99
   (the backlog must drain, not smear into the rest of the run);
-- fault-free $/op with the layer on within 10% of flags-off (it is
+- fault-free $/op with the layer on within 10% of the layer off (it is
   bit-for-bit identical, so this is an equality in practice).
 
 ``RESILIENCE_RATE`` / ``RESILIENCE_DURATION_MS`` shrink the run for CI
@@ -75,7 +75,9 @@ def build_runtime(seed: int = 11, resilience: bool = True,
     knobs = RESILIENCE_KNOBS if resilience else {}
     runtime = BeldiRuntime(
         seed=seed, latency_scale=1.0,
-        config=BeldiConfig(gc_t=1e12, resilience=resilience, **knobs),
+        config=BeldiConfig(gc_t=1e12,
+                           without=None if resilience else "resilience",
+                           **knobs),
         platform_config=PlatformConfig(concurrency_limit=2_000),
         shards=SHARDS, fault_timeline=timeline)
 

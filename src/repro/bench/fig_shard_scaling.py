@@ -37,14 +37,14 @@ SHARD_CAPACITY = 2  # servers per store node
 
 def build_runtime(n_shards: int, n_users: int, seed: int,
                   capacity: int) -> BeldiRuntime:
-    # elastic=False: this figure measures *static* consistent-hash
+    # without="elastic": this figure measures *static* consistent-hash
     # placement under uniform per-user keys — the baseline the
     # elasticity figure (fig_elasticity) is judged against.
     runtime = BeldiRuntime(
         seed=seed, latency_scale=1.0,
-        config=BeldiConfig(gc_t=1e12),
+        config=BeldiConfig(gc_t=1e12, without="elastic"),
         platform_config=PlatformConfig(concurrency_limit=400),
-        shards=n_shards, shard_capacity=capacity, elastic=False)
+        shards=n_shards, shard_capacity=capacity)
 
     def profile(ctx, payload):
         uid = payload["user"]

@@ -43,8 +43,12 @@ def write_bench_json(name: str, payload: dict,
     benchmark trajectory; see ROADMAP).
 
     ``payload`` is augmented with the git revision; keys are sorted and
-    non-finite floats nulled so files diff cleanly. ``BENCH_JSON_DIR``
-    overrides the output directory (CI artifact staging).
+    non-finite floats nulled so files diff cleanly. An existing file
+    whose body differs from the new one in ``git_rev`` alone is left
+    untouched, so ``git_rev`` is the revision at which the numbers last
+    changed and re-running a bench does not dirty the tree.
+    ``BENCH_JSON_DIR`` overrides the output directory (CI artifact
+    staging).
     """
     target = directory or pathlib.Path(
         os.environ.get("BENCH_JSON_DIR", REPO_ROOT))
@@ -53,9 +57,22 @@ def write_bench_json(name: str, payload: dict,
     body.setdefault("bench", name)
     body.setdefault("git_rev", git_rev())
     path = target / f"BENCH_{name}.json"
-    path.write_text(json.dumps(_json_safe(body), indent=2,
-                               sort_keys=True) + "\n")
+    body = _json_safe(body)
+    if not _same_but_for_rev(path, body):
+        path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def _same_but_for_rev(path: pathlib.Path, body: dict) -> bool:
+    """Does ``path`` already hold ``body``, ``git_rev`` aside?"""
+    try:
+        old = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return False
+    if not isinstance(old, dict):
+        return False
+    return ({k: v for k, v in old.items() if k != "git_rev"}
+            == {k: v for k, v in body.items() if k != "git_rev"})
 
 
 def format_table(title: str, columns: Sequence[str],

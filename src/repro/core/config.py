@@ -4,11 +4,99 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+PROFILES = ("current", "paper")
+#: What ``without`` may ablate from the ``current`` profile.
+FEATURES = ("fastpath", "async_io", "elastic", "resilience")
+
 
 @dataclass
 class BeldiConfig:
     """Tuning parameters for the Beldi runtime.
 
+    profile / without:
+        *Which system runs.* ``profile="current"`` (the default) is
+        everything this repository has built on top of the paper's
+        protocols; ``profile="paper"`` is the seed-faithful Beldi the
+        paper figures (fig13/14/15/16/25/26, costs) measure. ``without``
+        names at most one feature to ablate from ``current`` — the
+        "full system minus one optimisation" comparison the remaining
+        gates consume — and is rejected with ``paper``. That is the whole
+        reachable set: ``paper``, ``current`` and four single-feature
+        ablations (``docs/architecture.md`` lists what each turns on and
+        which gate consumes it). The features, and the read-only
+        predicate protocol code consults for each:
+
+        ``"fastpath"`` (:attr:`has_fastpath`)
+            §4.4 fast path. The tail cache remembers each item's tail
+            row (and each logged operation's position) so
+            reads/writes/locks go straight to the tail with one
+            conditional get/update, falling back to the full skeleton
+            traversal only when the cached row proves stale; the
+            runtime's intent-status cache lets re-delivered instances
+            skip the intent-table read once locally resolved; and N-row
+            read fans (transaction commit/abort shadow-tail fetches, GC
+            liveness point-checks) coalesce into single
+            :meth:`~repro.kvstore.KVStore.batch_get` round trips.
+            Without it: the seed's query-per-operation,
+            one-get-per-row behavior exactly.
+        ``"async_io"`` (:attr:`has_async_io`)
+            Overlapped and batched store I/O (``docs/async_io.md``).
+            Independent round trips overlap instead of serializing
+            their virtual latency: the transaction commit's shadow
+            flushes and lock releases fan out concurrently (pay ``max``
+            instead of the sum), sharded ``batch_get``/``batch_write``
+            fan-outs and the cross-shard transaction's per-shard rounds
+            overlap, and replica groups ship multi-row commits as one
+            batched boat per follower. Idempotent log writes coalesce
+            into :meth:`~repro.kvstore.KVStore.batch_write` round trips:
+            the parallel-invoke prepare phase claims its N invoke-log
+            entries in one batch (callee ids derive deterministically
+            from ``(instance id, step)`` so unconditional batched claims
+            commute; see ``repro/core/invoke.py``), and the GC's
+            log-entry, row, and lock-set deletions batch DynamoDB-style
+            (25-item requests, ``UnprocessedItems`` retries).
+            Conditional log writes — the read log's serialization point,
+            single invoke claims — are **never** batched:
+            ``BatchWriteItem`` has no conditions, and those conditions
+            are what replay determinism rests on. Overlap is purely a
+            *when*, never a *what*: table contents, operation counts,
+            and request units are untouched, so every exactly-once
+            argument survives verbatim. Without it: the sequential,
+            one-write-per-row latency model.
+        ``"elastic"`` (:attr:`has_elastic`)
+            Hot-shard elasticity (``docs/sharding.md``): a runtime that
+            builds its own multi-shard store tracks per-key heat and
+            per-shard routed-op counts, and when one shard's share of
+            the observation window exceeds ``elastic_load_ratio`` times
+            the mean, live-migrates the hottest DAAL chains (with their
+            shadow twins) to underloaded shards via
+            :class:`~repro.kvstore.rebalance.ChainMigrator`, installing
+            forwarding entries in the hash ring. Below the trigger the
+            detector is pure counter arithmetic — no randomness,
+            latency, or store traffic — so a balanced (or single-shard,
+            or sub-``elastic_min_window``) workload reproduces the
+            static placement bit-for-bit (pinned by
+            ``tests/core/test_profiles.py``). Without it: static
+            consistent-hash placement.
+        ``"resilience"`` (:attr:`has_resilience`)
+            Client-side fault recovery (``repro.resilience``,
+            ``docs/resilience.md``): every env's store facade gains
+            bounded retries with capped exponential backoff +
+            deterministic jitter for the injected-environment errors
+            (``ThrottledError``, ``UnavailableError`` — both raised
+            before any table effect, so retries are idempotent-safe), a
+            per-endpoint circuit breaker (trip → fast-fail → half-open
+            probe), per-request deadlines, and degraded reads: a strong
+            ``get`` of a *data* table whose endpoint is dark (leader
+            outage) is served at eventual consistency from a live
+            follower instead of failing. Protocol tables (intent,
+            read/invoke logs, lock sets, shadows) never degrade — the
+            DAAL's correctness reads stay strong, always. The retry
+            path only activates when a fault actually fires — jitter
+            draws come from a dedicated ``child("resilience")`` stream —
+            so a fault-free run is bit-for-bit identical either way.
+            Without it: raw propagation — a single escaped throttle
+            kills the request.
     row_log_capacity:
         ``N`` — max write-log entries per linked-DAAL row. In DynamoDB this
         is derived from the 400 KB row cap and the value size; it is the
@@ -30,19 +118,6 @@ class BeldiConfig:
     gc_page_limit:
         Max intent-table records processed per GC run (Appendix A's
         bounded-collection refinement); ``None`` disables paging.
-    tail_cache:
-        §4.4 fast path: remember each item's tail row (and each logged
-        operation's position) so reads/writes/locks go straight to the
-        tail with one conditional get/update, falling back to the full
-        skeleton traversal only when the cached row proves stale. Also
-        enables the runtime's intent-status cache (re-delivered instances
-        skip the intent-table read once locally resolved). Off reproduces
-        the seed's query-per-operation behavior exactly.
-    batch_reads:
-        Coalesce N-row read fans (transaction commit/abort shadow-tail
-        fetches, GC liveness point-checks) into single
-        :meth:`~repro.kvstore.KVStore.batch_get` round trips. Off
-        reproduces the seed's one-get-per-row behavior exactly.
     read_consistency:
         Default consistency for reads that *declare* they tolerate
         bounded staleness — :meth:`BeldiContext.read_eventual` and the
@@ -53,45 +128,6 @@ class BeldiConfig:
         Correctness-critical reads — the DAAL protocol, transaction
         commit, lock probes, liveness point-checks — ignore this knob
         and stay strong, always.
-    async_io:
-        Overlap independent store round trips instead of serializing
-        their virtual latency: the transaction commit's shadow flushes
-        and lock releases fan out concurrently (pay ``max`` instead of
-        the sum), sharded ``batch_get``/``batch_write`` fan-outs and the
-        cross-shard transaction's per-shard rounds overlap, and replica
-        groups ship multi-row commits as one batched boat per follower.
-        Purely a *when*, never a *what*: table contents, operation
-        counts, and request units are untouched, so every exactly-once
-        argument survives verbatim (pinned by the crash sweep's
-        ``fastpath-on-async`` variant). Off reproduces the sequential
-        latency model bit-for-bit.
-    batch_log_writes:
-        Coalesce idempotent log writes into
-        :meth:`~repro.kvstore.KVStore.batch_write` round trips — the
-        write-side twin of ``batch_reads``: the parallel-invoke prepare
-        phase claims its N invoke-log entries in one batch (callee ids
-        derive deterministically from ``(instance id, step)`` so
-        unconditional batched claims commute; see
-        ``repro/core/invoke.py``), and the GC's log-entry, row, and
-        lock-set deletions batch DynamoDB-style (25-item requests,
-        ``UnprocessedItems`` retries). Conditional log writes — the read
-        log's serialization point, single invoke claims — are **never**
-        batched: ``BatchWriteItem`` has no conditions, and those
-        conditions are what replay determinism rests on. Off reproduces
-        the one-write-per-row behavior exactly.
-    elastic:
-        Hot-shard elasticity (``docs/sharding.md``): on a sharded store
-        the runtime tracks per-key heat and per-shard routed-op counts,
-        and when one shard's share of the observation window exceeds
-        ``elastic_load_ratio`` times the mean, live-migrates the hottest
-        DAAL chains (with their shadow twins) to underloaded shards via
-        :class:`~repro.kvstore.rebalance.ChainMigrator`, installing
-        forwarding entries in the hash ring. Below the trigger the
-        detector is pure counter arithmetic — no randomness, latency,
-        or store traffic — so a balanced (or single-shard, or
-        sub-``elastic_min_window``) workload reproduces the static
-        placement bit-for-bit (pinned by
-        ``tests/core/test_elasticity_flags.py``).
     elastic_check_every / elastic_min_window / elastic_load_ratio /
     elastic_max_moves / elastic_tolerance:
         Detector tuning: evaluate every N logged operations; only act
@@ -114,20 +150,6 @@ class BeldiConfig:
         object is even constructed, reproducing the pre-observability
         code paths bit-for-bit. Same seed + schedule ⇒ byte-identical
         exported trace (``docs/observability.md``).
-    resilience:
-        Client-side fault recovery (``repro.resilience``,
-        ``docs/resilience.md``): every env's store facade gains bounded
-        retries with capped exponential backoff + deterministic jitter
-        for the injected-environment errors (``ThrottledError``,
-        ``UnavailableError`` — both raised before any table effect, so
-        retries are idempotent-safe), a per-endpoint circuit breaker
-        (trip → fast-fail → half-open probe), per-request deadlines,
-        and degraded reads. The retry path only activates when a fault
-        actually fires — jitter draws come from a dedicated
-        ``child("resilience")`` stream — so a fault-free run is
-        bit-for-bit identical with the flag off (golden-pinned). Off
-        reproduces the raw-propagation behavior exactly: a single
-        escaped throttle still kills the request.
     retry_max_attempts / retry_base_backoff / retry_max_backoff /
     retry_jitter:
         The retry schedule: at most ``retry_max_attempts`` tries per
@@ -139,12 +161,6 @@ class BeldiConfig:
         endpoint open its breaker; while open, calls fast-fail without
         paying a store round trip until a half-open probe succeeds
         after ``breaker_cooldown`` virtual ms.
-    degraded_reads:
-        When a strong ``get`` of a *data* table finds its endpoint dark
-        (leader outage), serve the read at eventual consistency from a
-        live follower instead of failing. Protocol tables (intent,
-        read/invoke logs, lock sets, shadows) never degrade — the
-        DAAL's correctness reads stay strong, always.
     request_deadline:
         Per-request budget in virtual ms (``None`` = unlimited).
         Measured from each invocation's start — an IC re-run gets a
@@ -154,6 +170,8 @@ class BeldiConfig:
         and exactly-once survives.
     """
 
+    profile: str = "current"
+    without: str | None = None
     row_log_capacity: int = 8
     gc_t: float = 60_000.0
     ic_restart_delay: float = 30_000.0
@@ -162,24 +180,49 @@ class BeldiConfig:
     lock_retry_backoff: float = 10.0
     lock_retry_limit: int = 500
     gc_page_limit: int | None = None
-    tail_cache: bool = True
-    batch_reads: bool = True
     read_consistency: str = "strong"
-    async_io: bool = True
-    batch_log_writes: bool = True
-    elastic: bool = True
     elastic_check_every: int = 64
     elastic_min_window: int = 2500
     elastic_load_ratio: float = 1.5
     elastic_max_moves: int = 8
     elastic_tolerance: float = 0.2
     observability: bool = False
-    resilience: bool = True
     retry_max_attempts: int = 6
     retry_base_backoff: float = 10.0
     retry_max_backoff: float = 2_000.0
     retry_jitter: float = 0.5
     breaker_threshold: int = 5
     breaker_cooldown: float = 500.0
-    degraded_reads: bool = True
     request_deadline: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.profile not in PROFILES:
+            raise ValueError(
+                f"profile must be one of {PROFILES}, got {self.profile!r}")
+        if self.without is not None and self.without not in FEATURES:
+            raise ValueError(
+                f"without must be None or one of {FEATURES}, "
+                f"got {self.without!r}")
+        if self.without is not None and self.profile != "current":
+            raise ValueError(
+                f"without={self.without!r} ablates one feature from "
+                f"'current'; profile {self.profile!r} has none to remove")
+
+    def _has(self, feature: str) -> bool:
+        return self.profile == "current" and self.without != feature
+
+    @property
+    def has_fastpath(self) -> bool:
+        return self._has("fastpath")
+
+    @property
+    def has_async_io(self) -> bool:
+        return self._has("async_io")
+
+    @property
+    def has_elastic(self) -> bool:
+        return self._has("elastic")
+
+    @property
+    def has_resilience(self) -> bool:
+        return self._has("resilience")

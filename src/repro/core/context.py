@@ -63,11 +63,9 @@ class BeldiContext:
 
     @property
     def tail_cache(self):
-        """The runtime's §4.4 chain-position cache, or ``None`` when the
-        ``tail_cache`` flag is off (seed behavior)."""
-        if not getattr(self.config, "tail_cache", False):
-            return None
-        return getattr(self.runtime, "tail_cache", None)
+        """The runtime's §4.4 chain-position cache, or ``None`` without
+        the ``fastpath`` feature (seed behavior)."""
+        return self.env.tail_cache
 
     @property
     def obs(self):
@@ -160,8 +158,7 @@ class BeldiContext:
         if self.in_txn_execute():
             return self.read(table, key)
         from repro.kvstore.metering import normalize_consistency
-        consistency = normalize_consistency(
-            getattr(self.config, "read_consistency", "strong"))
+        consistency = normalize_consistency(self.config.read_consistency)
         if self.env.storage_mode == "crosstable":
             from repro.core import crosstable
             value = crosstable.flat_read_op(

@@ -133,7 +133,8 @@ def load_skeleton(store: KVStore, table: str, key: Any,
     columns = [path("RowId"), path("NextRow")]
     if cache is not None:
         # The tail's log size rides along for the cache; omitted on the
-        # seed path so flags-off byte accounting matches the seed exactly.
+        # seed path so the ``paper`` profile's byte accounting matches the
+        # seed exactly.
         columns.append(path("LogSize"))
     if probe_log_key is not None:
         columns.append(path("RecentWrites", probe_log_key))

@@ -128,14 +128,14 @@ def make_garbage_collector(runtime, env: BeldiEnv):
         now = runtime.kernel.now
         t_bound = runtime.config.gc_t
         store = env.store
-        cache = (runtime.tail_cache
-                 if runtime.config.tail_cache else None)
-        batch = runtime.config.batch_reads
-        # Batched deletions (batch_log_writes): every GC deletion is
+        # Fast path (a cache to consult): tails via the env's cache,
+        # liveness point-checks batched into one batch_get.
+        cache = env.tail_cache
+        # Batched deletions (the async_io feature): every GC deletion is
         # unconditional and idempotent, so DynamoDB-style BatchWriteItem
         # coalescing (25-item requests, unprocessed-item retries) is
         # always sound here — only the round-trip count changes.
-        batch_writes = getattr(runtime.config, "batch_log_writes", False)
+        batch_writes = runtime.config.has_async_io
         stats = {"stamped": 0, "recycled_intents": 0, "log_entries": 0,
                  "pruned_entries": 0, "disconnected": 0, "deleted_rows": 0,
                  "shadow_chains": 0, "locksets": 0, "migrations": 0}
@@ -146,7 +146,7 @@ def make_garbage_collector(runtime, env: BeldiEnv):
         # flipped) before collecting anything, so the chain walk below
         # never meets a half-moved item. Live moves (still latched) are
         # left alone.
-        elasticity = getattr(runtime, "elasticity", None)
+        elasticity = runtime.elasticity
         if elasticity is not None:
             from repro.kvstore.rebalance import recover_stale_migrations
             stats["migrations"] = recover_stale_migrations(
@@ -211,14 +211,13 @@ def make_garbage_collector(runtime, env: BeldiEnv):
                 for key in daal.all_keys(store, table):
                     _collect_chain(store, table, key, liveness, now,
                                    t_bound, stats, cache=cache,
-                                   batch=batch,
                                    batch_writes=batch_writes)
                 shadow = env.shadow_table(short)
                 _collect_shadows(store, shadow, liveness, now, t_bound,
-                                 stats, cache=cache, batch=batch,
+                                 stats, cache=cache,
                                  batch_writes=batch_writes)
 
-        # Lock sets die with their owning instance. (Flags off keeps the
+        # Lock sets die with their owning instance. (Unbatched keeps the
         # seed's check-then-delete interleaving so op order — and
         # therefore every latency/fault draw — is untouched.)
         lockset_scan = store.scan(env.lockset_table)
@@ -264,8 +263,7 @@ def _delete_keys(store, table: str, keys, batch_writes: bool) -> None:
 
 def _collect_chain(store, table: str, key: Any, liveness: _Liveness,
                    now: float, t_bound: float, stats: dict,
-                   cache=None, batch: bool = False,
-                   batch_writes: bool = False) -> None:
+                   cache=None, batch_writes: bool = False) -> None:
     """Phases 4-5 for one item's chain."""
     result = store.query(table, key)
     rows = {row["RowId"]: row for row in result.items}
@@ -279,7 +277,7 @@ def _collect_chain(store, table: str, key: Any, liveness: _Liveness,
         seen.add(cursor)
         chain.append(rows[cursor])
         cursor = rows[cursor].get("NextRow")
-    if batch:
+    if cache is not None:
         # Settle every unknown writer in one batched point-check before
         # the per-entry pruning walk issues singleton gets. Only the
         # reachable chain's entries are consulted below — orphan rows'
@@ -356,8 +354,7 @@ def _stamp_dangle(store, table: str, key: Any, row: dict,
 
 def _collect_shadows(store, shadow_table: str, liveness: _Liveness,
                      now: float, t_bound: float, stats: dict,
-                     cache=None, batch: bool = False,
-                     batch_writes: bool = False) -> None:
+                     cache=None, batch_writes: bool = False) -> None:
     """Collect whole shadow chains once every writer (and the owning
     instance) is gone; head and tail are deleted too (§6.2)."""
     for key in daal.all_keys(store, shadow_table):
@@ -368,7 +365,7 @@ def _collect_shadows(store, shadow_table: str, liveness: _Liveness,
         for row in rows:
             writers |= _entry_instances(row)
             owner = row.get("OwnerInstance", owner)
-        if batch:
+        if cache is not None:
             liveness.prefetch(writers | ({owner} if owner else set()))
         if owner is not None and liveness.is_live(owner):
             continue

@@ -167,7 +167,7 @@ def _derived_callee_id(instance_id: str, step: int) -> str:
 
 
 def prepare_parallel_invokes(ctx, calls: list) -> list:
-    """Phase 1 for a parallel fan-out, coalesced (``batch_log_writes``).
+    """Phase 1 for a parallel fan-out, coalesced (``async_io`` feature).
 
     The seed path claims N invoke-log entries with N conditional puts —
     N sequential round trips whose only job is to pin each step's callee
@@ -189,7 +189,7 @@ def prepare_parallel_invokes(ctx, calls: list) -> list:
     any dispatch, preserving the entry-before-invoke invariant the
     callback handler relies on.
     """
-    if not getattr(ctx.config, "batch_log_writes", False) or len(calls) < 2:
+    if not ctx.config.has_async_io or len(calls) < 2:
         return [prepare_invoke(ctx, callee, payload)
                 for callee, payload in calls]
     prepared = []
@@ -232,8 +232,8 @@ def parallel_invoke_op(ctx, calls: list) -> list:
 
     Steps and invoke-log entries are allocated sequentially first, so
     re-executions replay the identical log keys regardless of completion
-    order; only the deliveries run concurrently. With
-    ``batch_log_writes`` the N entry claims coalesce into one
+    order; only the deliveries run concurrently. With the
+    ``async_io`` feature the N entry claims coalesce into one
     ``batch_write`` round trip (see :func:`prepare_parallel_invokes`).
     A TxnAborted from any branch is re-raised after all branches join
     (locks held by the survivors stay consistent for the abort

@@ -23,7 +23,7 @@ Cases are probed in transition-graph order (states with no incoming edges
 first), so a failed conditional write soundly eliminates its case even
 under concurrent mutation.
 
-A note on the async/batched-I/O flags (``docs/async_io.md``): the log
+A note on the ``async_io`` feature (``docs/async_io.md``): the log
 writes issued here are **deliberately never** deferred or coalesced. A
 read's conditional read-log put is the serialization point replay
 determinism rests on — it must land before any later effect that could

@@ -81,18 +81,18 @@ class BeldiRuntime:
                  replication_lag_scale: float = 1.0,
                  store_faults: Optional[FaultPolicy] = None,
                  fault_timeline=None,
-                 async_io: Optional[bool] = None,
-                 batch_log_writes: Optional[bool] = None,
-                 elastic: Optional[bool] = None,
                  observability: Optional[bool] = None,
-                 resilience: Optional[bool] = None,
                  env_prefix: str = "") -> None:
         """``shards > 1`` partitions storage across that many simulated
         store nodes behind a :class:`~repro.kvstore.ShardedStore` — each
         node with its own latency stream, fault domain, metering, and
-        (with ``shard_capacity``) bounded service parallelism. The
-        default is the seed's single store; an explicit ``store``
-        overrides the knobs.
+        (with ``shard_capacity``) bounded service parallelism. With the
+        ``elastic`` feature (:class:`BeldiConfig`) the runtime also
+        watches per-shard load on the store it built and live-migrates
+        hot DAAL chains (``docs/sharding.md``). The default is the
+        seed's single store; an explicit ``store`` overrides the knobs,
+        and a runtime handed its store builds no elasticity controller
+        — the store's builder owns the one controller.
 
         ``replicas > 1`` wraps every shard in a
         :class:`~repro.kvstore.ReplicaGroup` of one leader plus
@@ -123,27 +123,6 @@ class BeldiRuntime:
         probabilistic background weather, the timeline is a scripted
         incident.
 
-        ``resilience`` overrides :attr:`BeldiConfig.resilience`
-        (default *on*): the retry/backoff/deadline/breaker layer
-        (``repro.resilience``, ``docs/resilience.md``) wrapped around
-        every env's store facade. Fault-free it makes no draws, no
-        sleeps, and no extra store traffic, so goldens are bit-for-bit
-        identical either way.
-
-        ``async_io``/``batch_log_writes`` override the corresponding
-        :class:`BeldiConfig` flags (both default *on* there): overlapped
-        store round trips and coalesced idempotent log writes. With both
-        ``False`` the runtime reproduces the sequential-I/O behavior
-        bit-for-bit (pinned by ``tests/core/test_async_io_flags.py``).
-
-        ``elastic`` overrides :attr:`BeldiConfig.elastic` (default *on*):
-        on a multi-shard store the runtime watches per-shard load and
-        live-migrates hot DAAL chains between shards when skew exceeds
-        the configured load ratio (``docs/sharding.md``). Single-shard
-        runtimes have nothing to balance; and below the detector's
-        trigger thresholds an elastic runtime is bit-for-bit the static
-        one (pinned by ``tests/core/test_elasticity_flags.py``).
-
         ``observability`` overrides :attr:`BeldiConfig.observability`
         (default *off*): virtual-time tracing + unified metrics
         (``repro.obs``, ``docs/observability.md``). Pure recording —
@@ -160,20 +139,13 @@ class BeldiRuntime:
                     f"read_consistency must be 'strong' or 'eventual', "
                     f"got {read_consistency!r}")
             overrides["read_consistency"] = read_consistency
-        if async_io is not None:
-            overrides["async_io"] = bool(async_io)
-        if batch_log_writes is not None:
-            overrides["batch_log_writes"] = bool(batch_log_writes)
-        if elastic is not None:
-            overrides["elastic"] = bool(elastic)
         if observability is not None:
             overrides["observability"] = bool(observability)
-        if resilience is not None:
-            overrides["resilience"] = bool(resilience)
         if overrides:
             # Copy before overriding: the caller may share one config
             # across runtimes, and the overrides are per-runtime.
             self.config = dataclasses.replace(self.config, **overrides)
+        async_io = self.config.has_async_io
         latency = LatencyModel(self.rand.child("latency"),
                                scale=latency_scale)
         if shards < 1:
@@ -212,13 +184,11 @@ class BeldiRuntime:
                         self.rand.child(f"repl-latency-shard{i}")),
                     faults=store_faults,
                     lag_scale=replication_lag_scale,
-                    async_io=self.config.async_io))
-            self.store = ReplicatedStore(groups,
-                                         async_io=self.config.async_io)
+                    async_io=async_io))
+            self.store = ReplicatedStore(groups, async_io=async_io)
         elif shards > 1:
             self.store = ShardedStore(
-                [build_node(i) for i in range(shards)],
-                async_io=self.config.async_io)
+                [build_node(i) for i in range(shards)], async_io=async_io)
         else:
             self.store = KVStore(
                 time_source=KernelTimeSource(self.kernel),
@@ -227,19 +197,29 @@ class BeldiRuntime:
         if fault_timeline is not None:
             self._install_timeline(self.store, fault_timeline)
         self.fault_timeline = fault_timeline
+        #: §4.4 fast path: chain-position memory shared by every SSF this
+        #: runtime hosts. Always constructed; only with the ``fastpath``
+        #: feature is it handed to the envs, whose ``tail_cache`` is
+        #: what every layer consults.
+        self.tail_cache = TailCache()
         #: Hot-shard elasticity (docs/sharding.md): a detector+migrator
-        #: pair on multi-shard stores. ``None`` when the flag is off or
-        #: there is nothing to balance — every elastic hook then costs
-        #: one attribute check.
+        #: pair on the multi-shard store this runtime built. ``None``
+        #: without the feature, with nothing to balance, or on a store
+        #: handed in (its builder's controller is the only one) — every
+        #: elastic hook then costs one attribute check.
         self.elasticity = None
-        if (self.config.elastic
+        if (self.config.has_elastic and store is None
                 and isinstance(self.store, ShardedStore)
                 and self.store.n_shards > 1):
             from repro.kvstore.rebalance import (ChainMigrator,
                                                  ElasticityController)
-            migrator = ChainMigrator(self.store,
-                                     async_io=self.config.async_io,
-                                     on_moved=self._chain_moved)
+            # A moved chain starts cold on purpose: the cached row ids
+            # stay valid (the copy is verbatim and routing follows the
+            # forward), but the next operation re-validates placement
+            # through a full probe rather than trusting memory across a
+            # reshard.
+            migrator = ChainMigrator(self.store, async_io=async_io,
+                                     on_moved=self.tail_cache.note_migrated)
             self.elasticity = ElasticityController(
                 self.store, migrator,
                 check_every=self.config.elastic_check_every,
@@ -261,7 +241,7 @@ class BeldiRuntime:
             if getattr(self.kernel, "tracer", None) is None:
                 self.kernel.tracer = self.obs.tracer
         #: Retry/backoff/deadline/breaker layer (``repro.resilience``).
-        #: ``None`` when the flag is off; otherwise one shared
+        #: ``None`` without the feature; otherwise one shared
         #: :class:`~repro.resilience.ResilienceState` plus one shared
         #: :class:`~repro.resilience.ResilientStore` facade handed to
         #: every env this runtime creates. ``runtime.store`` stays the
@@ -269,7 +249,7 @@ class BeldiRuntime:
         #: beneath the wrapper.
         self.resilience = None
         self._resilient_store = None
-        if self.config.resilience:
+        if self.config.has_resilience:
             from repro.resilience import (ResilienceState, ResilientStore,
                                           RetryPolicy)
             self.resilience = ResilienceState(
@@ -281,9 +261,8 @@ class BeldiRuntime:
                 breaker_threshold=self.config.breaker_threshold,
                 breaker_cooldown=self.config.breaker_cooldown,
                 obs=self.obs)
-            self._resilient_store = ResilientStore(
-                self.store, self.resilience,
-                degraded_reads=self.config.degraded_reads)
+            self._resilient_store = ResilientStore(self.store,
+                                                   self.resilience)
         self.platform = platform or ServerlessPlatform(
             self.kernel, rand=self.rand.child("platform"),
             latency=latency, config=platform_config)
@@ -296,10 +275,6 @@ class BeldiRuntime:
         self.envs: dict[str, BeldiEnv] = {}
         self.ssfs: dict[str, SSFDefinition] = {}
         self.collector_handles: list[dict] = []
-        #: §4.4 fast path: chain-position memory shared by every SSF this
-        #: runtime hosts. Always constructed; the ``tail_cache`` config
-        #: flag decides whether any layer consults it.
-        self.tail_cache = TailCache()
         #: Locally resolved intents: instance id -> {"ret", "caller"}.
         #: Lets re-delivered/duplicate invocations skip the intent-table
         #: read entirely. Only ever populated *after* mark_done succeeds,
@@ -324,31 +299,19 @@ class BeldiRuntime:
             for member in getattr(node, "nodes", ()):
                 member.timeline = timeline
 
-    # -- elasticity ------------------------------------------------------------
-    def _chain_moved(self, table: str, key: Any) -> None:
-        """A chain migrated between shards: drop its remembered tail.
-
-        The cached row ids themselves stay valid (the copy is verbatim
-        and routing follows the forward), but a moved chain starts cold
-        on purpose — the next operation re-validates placement through a
-        full probe rather than trusting memory across a reshard.
-        """
-        if self.config.tail_cache:
-            self.tail_cache.note_migrated(table, key)
-
     # -- registration ----------------------------------------------------------
     def create_env(self, name: str, tables: Iterable[str] = (),
                    storage_mode: str = "daal") -> BeldiEnv:
         """Create a sovereignty domain (one intent/log/table set, §2.2)."""
         if name in self.envs:
             raise ValueError(f"env {name!r} already exists")
-        # Envs see the resilient facade (when the flag is on); the raw
+        # Envs see the resilient facade (when there is one); the raw
         # store stays at ``runtime.store`` for benches and substrates.
         env_store = self._resilient_store or self.store
         env = BeldiEnv(env_store, self.config, self.env_prefix + name,
                        tables, storage_mode=storage_mode,
                        tail_cache=(self.tail_cache
-                                   if self.config.tail_cache else None))
+                                   if self.config.has_fastpath else None))
         self.envs[name] = env
         return env
 
@@ -432,7 +395,7 @@ class BeldiRuntime:
     def _remember_done(self, instance_id: str, ret: Any,
                        caller: Optional[dict]) -> None:
         """Record a locally resolved intent (bounded FIFO eviction)."""
-        if not self.config.tail_cache:
+        if not self.config.has_fastpath:
             return
         if len(self._intent_cache) >= self._intent_cache_limit:
             for stale in list(self._intent_cache)[
@@ -480,19 +443,19 @@ class BeldiRuntime:
         is_async = bool(payload.get("async"))
         caller = payload.get("caller")
         txn_payload = payload.get("txn")
-        if self.config.tail_cache:
-            # Intent-status fast path: this runtime already saw the
-            # instance complete, so the duplicate delivery can be answered
-            # (and the caller re-notified) without touching the store.
-            cached = self._intent_cache.get(instance_id)
-            if cached is not None:
-                self.tail_cache.stats.intent_hits += 1
-                if is_async:
-                    return None
-                if cached.get("caller"):
-                    self._issue_callback(platform_ctx, cached["caller"],
-                                         instance_id, cached["ret"])
-                return cached["ret"]
+        # Intent-status fast path (the cache only fills with the
+        # ``fastpath`` feature): this runtime already saw the instance
+        # complete, so the duplicate delivery can be answered (and the
+        # caller re-notified) without touching the store.
+        cached = self._intent_cache.get(instance_id)
+        if cached is not None:
+            self.tail_cache.stats.intent_hits += 1
+            if is_async:
+                return None
+            if cached.get("caller"):
+                self._issue_callback(platform_ctx, cached["caller"],
+                                     instance_id, cached["ret"])
+            return cached["ret"]
         if is_async:
             # Fig. 20 stub: run only if registered and unfinished.
             intent = intents.get_intent(env, instance_id)
@@ -604,11 +567,7 @@ class BeldiRuntime:
         mode = txn_payload.get("mode")
         if mode not in (COMMIT, ABORT):
             raise ValueError(f"bad txn_signal mode {mode!r}")
-        resolve_local(env, txn_payload["id"], mode,
-                      cache=(self.tail_cache
-                             if self.config.tail_cache else None),
-                      batch=self.config.batch_reads,
-                      async_io=self.config.async_io)
+        resolve_local(env, txn_payload["id"], mode)
         # Recurse using a minimal context (no intent bookkeeping needed:
         # signals are at-least-once and idempotent).
         intent = intents.get_intent(env, instance_id) or {

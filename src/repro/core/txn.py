@@ -188,22 +188,20 @@ def tx_cond_write(ctx, short: str, key: Any, value: Any,
 # Commit / abort protocol
 # ---------------------------------------------------------------------------
 
-def resolve_local(env: BeldiEnv, txn_id: str, mode: str,
-                  cache=None, batch: bool = False,
-                  async_io: bool = False) -> dict:
+def resolve_local(env: BeldiEnv, txn_id: str, mode: str) -> dict:
     """Phase 2, local part: flush shadows (commit) and release locks.
 
     Idempotent and at-least-once: every step is conditioned on
     ``LockOwner.Id == txn_id``, which the first successful flush/release
     clears. A crashed resolver simply re-runs and skips finished keys.
 
-    Fast paths: with ``cache`` the tail lookups (shadow reads, flushes,
-    releases) go through the §4.4 position memory; with ``batch`` the
+    With the ``fastpath`` feature the tail lookups (shadow reads,
+    flushes, releases) go through the env's §4.4 position memory and the
     N shadow-tail fetches coalesce into one ``batch_get`` round trip —
     single-row shadow chains (the common case) need no extra read at
     all, their head row from the index query already carries the value.
-    With ``async_io`` the per-item flushes (and, separately, the lock
-    releases) fan out under an :func:`~repro.kvstore.overlap` scope:
+    With the ``async_io`` feature the per-item flushes (and, separately,
+    the lock releases) fan out under an :func:`~repro.kvstore.overlap` scope:
     each item's flush is one sequential branch (its internal
     read-retry-update chain still serializes), distinct items pay
     ``max`` instead of the sum. Sound because every branch touches a
@@ -213,18 +211,19 @@ def resolve_local(env: BeldiEnv, txn_id: str, mode: str,
     """
     obs = getattr(env.store, "obs", None)
     if obs is None:
-        return _resolve_local(env, txn_id, mode, cache, batch, async_io)
+        return _resolve_local(env, txn_id, mode)
     with obs.tracer.span("txn.resolve", cat="txn", mode=mode,
                          txn=txn_id):
-        stats = _resolve_local(env, txn_id, mode, cache, batch, async_io)
+        stats = _resolve_local(env, txn_id, mode)
     obs.metrics.inc("txn.flushed", stats["flushed"])
     obs.metrics.inc("txn.released", stats["released"])
     return stats
 
 
-def _resolve_local(env: BeldiEnv, txn_id: str, mode: str,
-                   cache, batch: bool, async_io: bool) -> dict:
+def _resolve_local(env: BeldiEnv, txn_id: str, mode: str) -> dict:
     store = env.store
+    cache = env.tail_cache
+    async_io = env.config.has_async_io
     stats = {"flushed": 0, "released": 0}
     if mode == COMMIT:
         for short in env.table_names():
@@ -237,7 +236,7 @@ def _resolve_local(env: BeldiEnv, txn_id: str, mode: str,
                     chains[row["Key"]] = row.get("OrigKey")
                     head_rows[row["Key"]] = row
             finals = _shadow_finals(store, shadow, sorted(chains),
-                                    head_rows, cache, batch)
+                                    head_rows, cache)
             with overlap(store, enabled=async_io) as scope:
                 for skey, orig_key in sorted(chains.items()):
                     final = finals[skey]
@@ -260,12 +259,12 @@ def _resolve_local(env: BeldiEnv, txn_id: str, mode: str,
     return stats
 
 
-def _shadow_finals(store, shadow: str, skeys, head_rows: dict,
-                   cache, batch: bool) -> dict:
-    """Resolve every shadow chain's tail value; one batched round trip
-    for the multi-row chains when ``batch`` is on."""
+def _shadow_finals(store, shadow: str, skeys, head_rows: dict, cache) -> dict:
+    """Resolve every shadow chain's tail value; on the fast path (a
+    ``cache`` to consult) one batched round trip for the multi-row
+    chains."""
     finals: dict = {}
-    if not batch:
+    if cache is None:
         for skey in skeys:
             finals[skey] = daal.tail_value(store, shadow, skey,
                                            cache=cache)
@@ -283,7 +282,7 @@ def _shadow_finals(store, shadow: str, skeys, head_rows: dict,
         return finals
     tail_ids: dict = {}
     for skey in pending:
-        entry = cache.tail_of(shadow, skey) if cache is not None else None
+        entry = cache.tail_of(shadow, skey)
         if entry is not None:
             tail_ids[skey] = entry.row_id
         else:
@@ -298,8 +297,7 @@ def _shadow_finals(store, shadow: str, skeys, head_rows: dict,
         if row is None or "NextRow" in row:
             # Cached tail went stale between resolution and fetch; evict
             # and fall back to the sound traversal for this key.
-            if cache is not None:
-                cache.forget(shadow, skey)
+            cache.forget(shadow, skey)
             finals[skey] = daal.tail_value(store, shadow, skey,
                                            cache=cache)
         else:
@@ -357,9 +355,7 @@ def finish_transaction(ctx, commit: bool) -> str:
     mode = COMMIT if commit and not txn.aborted else ABORT
     with ctx.trace(f"txn.finish:{mode}", cat="txn", txn=txn.txn_id):
         ctx.crash_point(f"txn:{txn.txn_id}:resolving:{mode}")
-        resolve_local(ctx.env, txn.txn_id, mode, cache=ctx.tail_cache,
-                      batch=getattr(ctx.config, "batch_reads", False),
-                      async_io=getattr(ctx.config, "async_io", False))
+        resolve_local(ctx.env, txn.txn_id, mode)
         ctx.crash_point(f"txn:{txn.txn_id}:resolved-local")
         propagate_signal(ctx, ctx.instance_id, txn.payload(mode))
         ctx.crash_point(f"txn:{txn.txn_id}:propagated")

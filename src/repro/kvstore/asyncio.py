@@ -44,7 +44,7 @@ The model composes with the rest of the simulation:
 Correctness does not depend on overlap: latency is additive, never
 causal (see ``repro/sim/latency.py``), so collapsing sleeps changes when
 virtual time passes, not what the store contains. The exhaustive
-crash-point sweep runs with the flag on to pin that down.
+crash-point sweep runs with overlap on to pin that down.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def _time_sources(store) -> list:
 def overlap(store, enabled: bool = True) -> Iterator:
     """Open an overlap scope over every node behind ``store``.
 
-    With ``enabled=False`` (the flags-off configuration) this yields a
+    With ``enabled=False`` (no ``async_io`` feature) this yields a
     no-op scope and every store operation sleeps synchronously, exactly
     as without this module. With an outer scope already active on the
     store's time sources, the new scope nests (folds on exit) instead of

@@ -74,7 +74,7 @@ read/invoke logs (keyed by instance id) route by their own keys and need
 no movement; the chain's embedded ``LockOwner`` markers and write-log
 entries travel inside the rows.
 
-The exhaustive crash sweep's ``fastpath-on-elastic`` variant forces a
+The exhaustive crash sweep's ``current-repl3`` variant forces a
 migration mid-request and re-runs the workflow once per crash point —
 including the points inside the migration itself — asserting
 exactly-once effects, atomicity, a residue-free store, and (via

@@ -4,10 +4,10 @@ The layer between Beldi's protocols and the store substrate that turns
 *injected-environment* failures (throttles, scheduled outages — see
 :mod:`repro.kvstore.faults`) into bounded retries, fast-fails, and
 degraded reads instead of dead requests. Everything is behind
-``BeldiConfig.resilience`` (default on) and deterministic: jitter draws
-from a dedicated seeded child stream only when a retry actually fires,
-so the fault-free path is bit-for-bit identical with the flag off
-(golden-pinned). See ``docs/resilience.md``.
+``BeldiConfig``'s ``resilience`` feature (on in the ``current`` profile)
+and deterministic: jitter draws from a dedicated seeded child stream
+only when a retry actually fires, so the fault-free path is bit-for-bit
+identical without it (golden-pinned). See ``docs/resilience.md``.
 """
 
 from repro.resilience.policy import CircuitBreaker, RetryPolicy

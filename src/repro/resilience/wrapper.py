@@ -17,8 +17,7 @@ tests exercise:
 - per-request deadlines (a retry never sleeps past the deadline — it
   raises ``DeadlineExceeded`` instead, leaving the intent for the IC),
 - degraded reads (a strong ``get`` of a *data* table that finds the
-  leader dark may fall back to an eventual read of a live follower
-  when ``BeldiConfig.degraded_reads`` allows).
+  leader dark falls back to an eventual read of a live follower).
 
 Inside an async-I/O overlap scope the wrapper is inert (scope bodies
 may not yield, so no retry sleeps): the operation runs directly and
@@ -46,11 +45,9 @@ _NO_BREAKER = object()
 class ResilientStore:
     """Store facade with retry/backoff/deadline/breaker semantics."""
 
-    def __init__(self, inner, state: ResilienceState,
-                 degraded_reads: bool = True) -> None:
+    def __init__(self, inner, state: ResilienceState) -> None:
         self._inner = inner
         self._state = state
-        self._degraded_reads = degraded_reads
         self._time = inner.time_sources()[0]
         self._sharded = hasattr(inner, "shard_for")
 
@@ -145,7 +142,7 @@ class ResilientStore:
     def get(self, table: str, key: Any, projection=None,
             consistency: Optional[str] = None):
         degraded = None
-        if (self._degraded_reads and consistency in (None, "strong")
+        if (consistency in (None, "strong")
                 and not table.endswith(_PROTOCOL_SUFFIXES)):
             degraded = lambda: self._inner.get(  # noqa: E731
                 table, key, projection=projection, consistency="eventual")

@@ -53,23 +53,19 @@ MOVIE_PREFIX = "movie:"
 
 # The deepest topology (mirrors the single-request elastic sweep):
 # 2 shards, 3 replicas per shard, leader crashes on store ops, hot-shard
-# elasticity with hair-trigger thresholds, all fast-path flags on.
-DEEP_FLAGS = dict(tail_cache=True, batch_reads=True,
-                  async_io=True, batch_log_writes=True,
-                  elastic=True, elastic_check_every=2,
-                  elastic_min_window=8, elastic_load_ratio=1.01,
-                  elastic_max_moves=4, elastic_tolerance=0.0,
+# elasticity with hair-trigger thresholds, on the ``current`` profile.
+DEEP_FLAGS = dict(elastic_check_every=2, elastic_min_window=8,
+                  elastic_load_ratio=1.01, elastic_max_moves=4,
+                  elastic_tolerance=0.0,
                   shards=2, replicas=3, leader_crash=0.02,
                   read_consistency="eventual", observability=True)
 
 # Exploration topology: same sharding + elasticity (the conflict sites we
 # perturb), but single replicas and no injected leader crashes so one run
 # is cheap enough to afford hundreds of schedules per CI job.
-LIGHT_FLAGS = dict(tail_cache=True, batch_reads=True,
-                   async_io=True, batch_log_writes=True,
-                   elastic=True, elastic_check_every=2,
-                   elastic_min_window=8, elastic_load_ratio=1.01,
-                   elastic_max_moves=4, elastic_tolerance=0.0,
+LIGHT_FLAGS = dict(elastic_check_every=2, elastic_min_window=8,
+                   elastic_load_ratio=1.01, elastic_max_moves=4,
+                   elastic_tolerance=0.0,
                    shards=2, observability=True)
 
 
@@ -165,15 +161,11 @@ def build_harness(flags: dict, schedule=None,
                           latency_scale=0.0,
                           read_consistency=read_consistency,
                           store_faults=store_faults)
-    # The movie runtime rides on the travel runtime's store. Its own
-    # elasticity stays off (one controller per store); its envs are
-    # namespaced so same-named envs do not adopt each other's tables.
-    movie_config = BeldiConfig(ic_restart_delay=200.0, gc_t=GC_T,
-                               lock_retry_backoff=5.0,
-                               lock_retry_limit=500,
-                               **dict(flags, elastic=False))
+    # The movie runtime rides on the travel runtime's store (whose one
+    # elasticity controller is travel's); its envs are namespaced so
+    # same-named envs do not adopt each other's tables.
     movie = BeldiRuntime(kernel=kernel, seed=seed + MOVIE_SEED_OFFSET,
-                         config=movie_config, store=travel.store,
+                         config=config, store=travel.store,
                          latency_scale=0.0,
                          read_consistency=read_consistency,
                          env_prefix="mv.")

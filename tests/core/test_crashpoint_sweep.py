@@ -16,8 +16,9 @@ recover, and asserting:
    gone: crashes leave no permanent residue.
 
 Swept over the travel-booking transaction and the movie-review workflow,
-with the §4.4 fast-path flags both on and off — the cache layer must not
-change crash semantics anywhere in the crash space.
+under both profiles (``paper``, ``current``) — nothing built on top of
+the paper's protocols may change crash semantics anywhere in the crash
+space.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ RECOVERY_SLICE = 500.0
 RECOVERY_HORIZON = 40_000.0
 
 # ``shards``/``replicas``/``leader_crash``/``latency_scale`` are runtime
-# knobs, not BeldiConfig flags. The sharded sweep proves the commit
+# knobs, not BeldiConfig fields. The sharded sweep proves the commit
 # protocol's shadow writes stay atomic when they span shard boundaries;
 # the replicated sweep additionally crashes shard *leaders* out from
 # under the workflow (``leader_crash_probability`` on every leader-routed
@@ -49,54 +50,31 @@ RECOVERY_HORIZON = 40_000.0
 # nonzero anyway. ``read_consistency`` rides along to exercise the GC's
 # eventual first-pass scan under crash + failover recovery.
 #
-# The legacy variants pin ``async_io``/``batch_log_writes`` (and, since
-# the elasticity PR, ``elastic``) **off** so they keep sweeping exactly
-# the PR 3 code paths; ``fastpath-on-async`` turns the I/O optimizations
-# on at the deepest topology (sharded, replicated, leader crashes,
-# eventual reads) — overlapped commit fan-outs, batched GC deletions and
-# all — and must be just as exactly-once, atomic, and residue-free at
-# every point.
+# ``paper`` sweeps the seed protocol, ``current`` everything on top of it
+# (tail cache, batched reads, overlapped commit fan-outs, batched GC
+# deletions and parallel-invoke claims); both must be just as
+# exactly-once, atomic, and residue-free at every point.
 #
-# ``fastpath-on-elastic`` additionally turns hot-shard elasticity on
-# with hair-trigger detector thresholds (any 16-op window over a 1.01
-# load ratio), which forces live chain migrations *mid-request* — the
-# recording run captures the migration protocol's own crash points
+# ``current-repl3`` is the deepest topology, and additionally gives the
+# elasticity detector hair-trigger thresholds (any 8-op window over a
+# 1.01 load ratio), which forces live chain migrations *mid-request* —
+# the recording run captures the migration protocol's own crash points
 # (``migrate:start/prepared/committed/done``) inside whatever SSF
 # invocation tripped the detector, and the sweep then crashes each of
 # them. Recovery is the durable migration record: the GC (or the next
 # attempt) rolls the move forward or back, and ``assert_store_clean``
 # additionally demands zero placement residue and no mid-phase records.
-FLAG_SETTINGS = {
-    "fastpath-on": dict(tail_cache=True, batch_reads=True,
-                        async_io=False, batch_log_writes=False,
-                        elastic=False),
-    "fastpath-off": dict(tail_cache=False, batch_reads=False,
-                         async_io=False, batch_log_writes=False,
-                         elastic=False),
-    "fastpath-on-shards2": dict(tail_cache=True, batch_reads=True,
-                                async_io=False, batch_log_writes=False,
-                                elastic=False, shards=2),
-    "fastpath-on-repl3": dict(tail_cache=True, batch_reads=True,
-                              async_io=False, batch_log_writes=False,
-                              elastic=False,
-                              shards=2, replicas=3, leader_crash=0.02,
-                              read_consistency="eventual"),
-    "fastpath-on-async": dict(tail_cache=True, batch_reads=True,
-                              async_io=True, batch_log_writes=True,
-                              elastic=False,
-                              shards=2, replicas=3, leader_crash=0.02,
-                              read_consistency="eventual"),
-    "fastpath-on-elastic": dict(tail_cache=True, batch_reads=True,
-                                async_io=True, batch_log_writes=True,
-                                elastic=True, elastic_check_every=2,
-                                elastic_min_window=8,
-                                elastic_load_ratio=1.01,
-                                elastic_max_moves=4,
-                                elastic_tolerance=0.0,
-                                shards=2, replicas=3, leader_crash=0.02,
-                                read_consistency="eventual"),
+SETTINGS = {
+    "paper": dict(profile="paper"),
+    "current": dict(),
+    "current-shards2": dict(shards=2),
+    "current-repl3": dict(elastic_check_every=2, elastic_min_window=8,
+                          elastic_load_ratio=1.01, elastic_max_moves=4,
+                          elastic_tolerance=0.0,
+                          shards=2, replicas=3, leader_crash=0.02,
+                          read_consistency="eventual"),
 }
-UNSHARDED_SETTINGS = [name for name, flags in FLAG_SETTINGS.items()
+UNSHARDED_SETTINGS = [name for name, flags in SETTINGS.items()
                       if "shards" not in flags]
 
 
@@ -304,7 +282,7 @@ def assert_store_clean(runtime) -> None:
 
 def sweep(scenario_name: str, flags_name: str) -> None:
     scenario = SCENARIOS[scenario_name]
-    flags = FLAG_SETTINGS[flags_name]
+    flags = SETTINGS[flags_name]
     points, baseline_result = record_crash_space(scenario, flags)
     assert baseline_result.get("ok"), "crash-free run must succeed"
     failures = []
@@ -346,8 +324,8 @@ def sweep(scenario_name: str, flags_name: str) -> None:
         assert total_failovers > len(points), (
             f"only {total_failovers} leader failovers across "
             f"{len(points)} swept runs")
-    if flags.get("elastic"):
-        # The elastic sweep is only meaningful if chains actually moved
+    if "elastic_load_ratio" in flags:
+        # The hair-trigger sweep is only meaningful if chains actually moved
         # mid-request — the recording run must have reached the
         # migration protocol's own crash points, and the swept re-runs
         # must have performed (or recovered) migrations throughout.
@@ -358,7 +336,7 @@ def sweep(scenario_name: str, flags_name: str) -> None:
             f"{len(points)} swept runs")
 
 
-@pytest.mark.parametrize("flags_name", sorted(FLAG_SETTINGS))
+@pytest.mark.parametrize("flags_name", sorted(SETTINGS))
 def test_travel_reserve_crash_sweep(flags_name):
     sweep("travel-reserve", flags_name)
 
@@ -374,7 +352,7 @@ def test_sharded_sweep_actually_crosses_shards():
     co-locate on one shard — pin that property so a routing change
     cannot silently turn the sharded sweep into a single-shard one."""
     scenario = SCENARIOS["travel-reserve"]
-    runtime, app = scenario.build(FLAG_SETTINGS["fastpath-on-shards2"])
+    runtime, app = scenario.build(SETTINGS["current-shards2"])
     store = runtime.store
     touched = {
         store.shard_for(app.envs["reserve_hotel"].data_table("inventory"),

@@ -133,12 +133,12 @@ def test_deadline_bounded_run_stays_exactly_once():
     assert total_aborts >= 0  # aborts allowed, never required
 
 
-def test_resilience_off_still_recovers_via_collector():
-    """Flag off, nemesis on: clients die raw, but Beldi's own IC-based
-    recovery still converges to the exactly-once state."""
+def test_without_resilience_still_recovers_via_collector():
+    """No resilience layer, nemesis on: clients die raw, but Beldi's own
+    IC-based recovery still converges to the exactly-once state."""
     timeline = FaultTimeline().outage(0.0, 100.0, shards=0)
     h = dst.run_one(dict(dst.LIGHT_FLAGS, timeline=timeline,
-                         resilience=False))
+                         without="resilience"))
     assert h.travel.resilience is None
 
 

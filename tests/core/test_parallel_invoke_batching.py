@@ -1,6 +1,6 @@
 """The batched parallel-invoke claim path, swept through every crash.
 
-``batch_log_writes`` replaces the N conditional invoke-log puts of a
+The ``async_io`` feature replaces the N conditional invoke-log puts of a
 parallel fan-out with one unconditional ``batch_write`` of
 *deterministic* entries (callee ids derived from ``(instance id,
 step)``). The soundness argument — overwrites commute, an erased
@@ -8,7 +8,7 @@ step)``). The soundness argument — overwrites commute, an erased
 kind of claim that needs a crash sweep, so this file enumerates every
 crash point of a fan-out workflow and re-runs it once per point with
 ``CrashOnce`` + intent-collector recovery, asserting exactly-once
-effects both with the flag on and off.
+effects both on ``current`` and with ``without="async_io"``.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ N_BRANCHES = 3
 RECOVERY_HORIZON = 40_000.0
 
 
-def build_runtime(batch_log_writes: bool) -> BeldiRuntime:
+def build_runtime(without=None) -> BeldiRuntime:
     runtime = BeldiRuntime(
         seed=SEED,
         config=BeldiConfig(gc_t=1e12, ic_restart_delay=200.0,
-                           batch_log_writes=batch_log_writes))
+                           without=without))
 
     def fan(ctx, payload):
         results = ctx.parallel_invoke(
@@ -86,23 +86,23 @@ def check_effects(runtime, client_ok: bool) -> None:
         assert counters == [1] * N_BRANCHES
 
 
-@pytest.mark.parametrize("batch_log_writes", [False, True])
-def test_fan_out_crash_sweep(batch_log_writes):
-    runtime = build_runtime(batch_log_writes)
+@pytest.mark.parametrize("without", [None, "async_io"])
+def test_fan_out_crash_sweep(without):
+    runtime = build_runtime(without)
     recording = RecordingPolicy()
     runtime.platform.crash_policy = recording
     result = runtime.run_workflow("fan", None)
     assert result["ok"] and result["results"] == [1] * N_BRANCHES
     points = recording.unique_points()
     runtime.kernel.shutdown()
-    if batch_log_writes:
+    if without is None:
         # The batched claim's own crash points must be in the space.
         assert any(tag.startswith("pinvoke:") for _, _, tag in points)
     assert len(points) > 15, "suspiciously small crash space"
 
     failures = []
     for function, index, tag in points:
-        runtime = build_runtime(batch_log_writes)
+        runtime = build_runtime(without)
         runtime.platform.crash_policy = CrashOnce(
             function, tag, invocation_index=index)
         try:
@@ -123,7 +123,7 @@ def test_fan_out_crash_sweep(batch_log_writes):
 
 def test_batched_claims_are_deterministic_and_coalesced():
     """One batch_write claims all N entries with derivable callee ids."""
-    runtime = build_runtime(batch_log_writes=True)
+    runtime = build_runtime()
     result = runtime.run_workflow("fan", None)
     assert result["ok"]
     env = runtime.envs["fan"]
@@ -137,8 +137,8 @@ def test_batched_claims_are_deterministic_and_coalesced():
     runtime.kernel.shutdown()
 
 
-def test_flag_off_keeps_conditional_claims():
-    runtime = build_runtime(batch_log_writes=False)
+def test_without_async_io_keeps_conditional_claims():
+    runtime = build_runtime(without="async_io")
     result = runtime.run_workflow("fan", None)
     assert result["ok"]
     assert "batch_write" not in runtime.store.metering.ops

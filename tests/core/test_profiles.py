@@ -1,0 +1,139 @@
+"""The configuration contract: two profiles plus single-feature ablations.
+
+``BeldiConfig`` reaches exactly six configurations — ``paper``,
+``current``, and ``current`` without one of ``fastpath`` / ``async_io`` /
+``elastic`` / ``resilience``. Everything else is rejected at
+construction, including every retired per-feature boolean.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.apps.travel import TravelReservationApp
+from repro.core import BeldiConfig, BeldiRuntime
+from repro.core.config import FEATURES
+
+SEED = 5
+RETIRED_FIELDS = ("tail_cache", "batch_reads", "async_io",
+                  "batch_log_writes", "elastic", "resilience",
+                  "degraded_reads")
+RETIRED_RUNTIME_KWARGS = ("async_io", "batch_log_writes", "elastic",
+                          "resilience")
+
+
+def _features(config: BeldiConfig) -> set:
+    return {feature for feature in FEATURES
+            if getattr(config, f"has_{feature}")}
+
+
+def test_default_is_the_current_profile_with_everything_on():
+    assert BeldiConfig() == BeldiConfig(profile="current")
+    assert _features(BeldiConfig()) == set(FEATURES)
+
+
+def test_paper_profile_has_no_feature():
+    assert _features(BeldiConfig(profile="paper")) == set()
+
+
+@pytest.mark.parametrize("feature", FEATURES)
+def test_without_removes_exactly_one_feature(feature):
+    assert (_features(BeldiConfig(without=feature))
+            == set(FEATURES) - {feature})
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(profile="seed"), dict(profile=None), dict(without="tail_cache"),
+    dict(without=("fastpath", "async_io")),
+    dict(profile="paper", without="fastpath")])
+def test_anything_outside_the_six_is_rejected(kwargs):
+    with pytest.raises(ValueError):
+        BeldiConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field", RETIRED_FIELDS)
+def test_retired_fields_are_gone(field):
+    with pytest.raises(TypeError):
+        BeldiConfig(**{field: False})
+    assert not hasattr(BeldiConfig(), field)
+
+
+@pytest.mark.parametrize("kwarg", RETIRED_RUNTIME_KWARGS)
+def test_retired_runtime_kwargs_are_gone(kwarg):
+    with pytest.raises(TypeError):
+        BeldiRuntime(seed=SEED, **{kwarg: False})
+
+
+def _table_rows(runtime) -> dict:
+    store = runtime.store
+    tables = []
+    for env in runtime.envs.values():
+        tables += env.log_table_names()
+        for short in env.table_names():
+            tables += [env.data_table(short), env.shadow_table(short)]
+    return {table: sorted(repr(sorted(row.items()))
+                          for row in store.scan(table).items)
+            for table in tables}
+
+
+def _balanced_run(without, shards, replicas, read_consistency):
+    """The travel reservation + search of the sharding figures: far
+    below ``elastic_min_window``, so there is nothing to rebalance."""
+    runtime = BeldiRuntime(
+        seed=SEED, latency_scale=1.0,
+        config=BeldiConfig(gc_t=1e12, without=without),
+        shards=shards, replicas=replicas,
+        read_consistency=read_consistency)
+    app = TravelReservationApp(seed=SEED, n_hotels=2, n_flights=2,
+                               rooms_per_hotel=2, seats_per_flight=2,
+                               n_users=1)
+    app.register(runtime)
+    app.seed_data(runtime)
+    reserved = runtime.run_workflow(
+        "frontend", {"action": "reserve", "user": "user-0000",
+                     "hotel": "hotel-0000", "flight": "flight-0001"})
+    runtime.run_workflow("frontend", {"action": "search", "cell": 3})
+    assert reserved.get("ok")
+    runtime.kernel.shutdown()
+    return runtime
+
+
+@pytest.mark.parametrize("topology", [(2, 1, None), (4, 1, None),
+                                      (2, 3, "eventual")])
+def test_idle_elasticity_changes_nothing(topology):
+    """Armed-and-idle is bit-for-bit static placement: below its trigger
+    the controller is pure arithmetic — no randomness, no latency, no
+    store traffic."""
+    elastic = _balanced_run(None, *topology)
+    static = _balanced_run("elastic", *topology)
+    assert elastic.kernel.now == static.kernel.now
+    assert (elastic.store.metering.snapshot()
+            == static.store.metering.snapshot())
+    assert _table_rows(elastic) == _table_rows(static)
+    # The machinery was armed...
+    assert elastic.store.heat  # heat tracking did run
+    assert elastic.elasticity.rebalances == 0
+    assert elastic.elasticity.migrator.stats.migrations == 0
+    assert elastic.store.ring.forwards == {}
+    # ...and without the feature there is none: no controller, no heat
+    # books, no meta table.
+    assert static.elasticity is None
+    assert static.store.heat is None
+    assert "__migrations__" not in static.store.table_names()
+
+
+def test_single_shard_has_no_controller():
+    runtime = BeldiRuntime(seed=SEED, shards=1)
+    assert runtime.elasticity is None
+    runtime.kernel.shutdown()
+
+
+def test_one_controller_per_store():
+    """A runtime handed its store builds no second controller (and no
+    second migrator) on it; the store's builder owns the only one."""
+    owner = BeldiRuntime(seed=SEED, shards=2)
+    guest = BeldiRuntime(kernel=owner.kernel, seed=SEED + 1,
+                         store=owner.store, env_prefix="guest.")
+    assert owner.elasticity is not None
+    assert guest.elasticity is None
+    owner.kernel.shutdown()

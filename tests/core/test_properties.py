@@ -278,10 +278,10 @@ class TestGCInterleavingProperties:
 
     @given(n_writers=st.integers(2, 4), per_writer=st.integers(2, 5),
            seed=st.integers(0, 2_000),
-           tail_cache=st.booleans())
+           without=st.sampled_from([None, "fastpath"]))
     @settings(**FAST)
     def test_orphans_from_append_races_are_reclaimed(
-            self, n_writers, per_writer, seed, tail_cache):
+            self, n_writers, per_writer, seed, without):
         """Concurrent writers with capacity-1 rows force an append race
         on nearly every write; racing losers orphan their candidates.
         After the writers finish and the GC horizon passes: every orphan
@@ -295,8 +295,7 @@ class TestGCInterleavingProperties:
             seed=seed % 29, latency_scale=1.0,
             config=BeldiConfig(row_log_capacity=1, gc_t=gc_t,
                                ic_restart_delay=1e12,
-                               tail_cache=tail_cache,
-                               batch_reads=tail_cache))
+                               without=without))
 
         def handler(ctx, payload):
             for i in range(per_writer):
@@ -356,7 +355,7 @@ class TestGCInterleavingProperties:
         # Collection never disturbs the tail value, cached or not.
         assert env.peek("kv", "k") == final_value
         assert daal.tail_value(env.store, table, "k") == final_value
-        if tail_cache:
+        if without is None:
             # The cache watched writes, disconnections, and deletions;
             # its view must match a cold traversal exactly.
             entry = runtime.tail_cache.tail_of(table, "k")

@@ -143,10 +143,10 @@ class TestThrottleRecovery:
         finally:
             runtime.kernel.shutdown()
 
-    def test_flag_off_reproduces_raw_propagation(self):
+    def test_without_resilience_reproduces_raw_propagation(self):
         script = ThrottleScript(n=1)
         runtime = BeldiRuntime(seed=11, store_faults=script,
-                               resilience=False)
+                               config=BeldiConfig(without="resilience"))
         try:
             assert runtime.resilience is None
             with pytest.raises(ThrottledError):
@@ -308,38 +308,14 @@ class TestDegradedReads:
         finally:
             runtime.kernel.shutdown()
 
-    def test_degraded_reads_flag_off_fails_instead(self):
-        runtime = BeldiRuntime(
-            seed=11, shards=1, replicas=2,
-            config=BeldiConfig(degraded_reads=False))
-        store = runtime.store
-        wrapped = runtime._resilient_store
-        store.ensure_table("app.data", hash_key="Key")
-        store.put("app.data", {"Key": "a", "V": 1})
 
-        def probe():
-            for source in store.time_sources():
-                source.sleep(5_000.0)
-            timeline = FaultTimeline().outage(
-                5_000.0, 1e12, role="leader")
-            BeldiRuntime._install_timeline(store, timeline)
-            wrapped.get("app.data", "a")
-
-        try:
-            proc = runtime.kernel.spawn(probe)
-            runtime.kernel.run()
-            assert isinstance(proc.error, UnavailableError)
-        finally:
-            runtime.kernel.shutdown()
-
-
-class TestFlagDiscipline:
-    def test_fault_free_runs_identical_on_and_off(self):
+class TestAblationDiscipline:
+    def test_fault_free_runs_identical_with_and_without(self):
         """With no faults injected the layer must be pure overhead-free
         pass-through: same virtual time, same metering, same results."""
-        def run(resilience):
+        def run(without):
             runtime = BeldiRuntime(seed=11, latency_scale=1.0,
-                                   resilience=resilience)
+                                   config=BeldiConfig(without=without))
             try:
                 result, ssf = run_counter(runtime)
                 return (result, runtime.kernel.now,
@@ -348,4 +324,4 @@ class TestFlagDiscipline:
             finally:
                 runtime.kernel.shutdown()
 
-        assert run(True) == run(False)
+        assert run(None) == run("resilience")

@@ -10,7 +10,8 @@ Three rot modes from the issue:
    flush released/stole it) — position caching must never serve the old
    owner or value.
 
-Plus: a cached row the GC fully deleted, and flags-off equivalence.
+Plus: a cached row the GC fully deleted, and ``without="fastpath"``
+equivalence with the seed.
 """
 
 import pytest
@@ -203,10 +204,9 @@ class TestStaleTailFallback:
         runtime.kernel.shutdown()
 
 
-class TestFlagOffParity:
-    def test_flags_off_touch_no_cache(self):
-        runtime = build_runtime(tail_cache=False, batch_reads=False,
-                                gc_t=1e12)
+class TestWithoutFastpathParity:
+    def test_without_fastpath_touches_no_cache(self):
+        runtime = build_runtime(without="fastpath", gc_t=1e12)
 
         def handler(ctx, payload):
             ctx.write("kv", "k", payload)
@@ -220,9 +220,11 @@ class TestFlagOffParity:
         assert ssf.env.tail_cache is None
         runtime.kernel.shutdown()
 
-    def test_flags_off_matches_seed_request_pattern(self):
-        """Off = seed: every read/write pays its skeleton query."""
-        runtime = build_runtime(tail_cache=False, gc_t=1e12)
+    @pytest.mark.parametrize("without", [None, "fastpath"])
+    def test_request_pattern(self, without):
+        """Without = seed: every read/write pays its skeleton query;
+        ``current`` goes straight to the cached tail."""
+        runtime = build_runtime(without=without, gc_t=1e12)
 
         def handler(ctx, payload):
             for i in range(10):
@@ -234,9 +236,14 @@ class TestFlagOffParity:
         before = runtime.store.metering.copy()
         runtime.run_workflow("w")
         delta = runtime.store.metering.diff(before)
-        # 10 writes probe (1 query each; +1 first-write re-probe after
-        # head creation) and 10 reads traverse (1 query each).
-        assert delta["query"].count >= 20
+        if without == "fastpath":
+            # 10 writes probe (1 query each; +1 first-write re-probe
+            # after head creation) and 10 reads traverse (1 query each).
+            assert delta["query"].count >= 20
+            assert ssf.env.tail_cache is None
+        else:
+            assert delta["query"].count <= 2
+            assert runtime.tail_cache.stats.tail_hits > 0
         runtime.kernel.shutdown()
 
 

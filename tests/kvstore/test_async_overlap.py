@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core import BeldiConfig, BeldiRuntime
+from repro.core import BeldiRuntime
 from repro.kvstore import KVStore, NullTimeSource, ShardedStore, overlap
 from repro.sim.latency import LatencyModel, LatencySpec
 from repro.sim.randsrc import RandomSource
@@ -107,9 +107,7 @@ def test_sharded_fan_out_shares_one_frontier():
 
 def test_runtime_batch_write_overlaps_across_shards():
     # A facade batch_write at shards=2 pays one overlapped round trip.
-    runtime = BeldiRuntime(seed=3, latency_scale=1.0,
-                           config=BeldiConfig(async_io=True),
-                           shards=2)
+    runtime = BeldiRuntime(seed=3, latency_scale=1.0, shards=2)
     runtime.store.create_table("t", hash_key="K")
     items = [{"K": f"k{i}"} for i in range(8)]
     spread = {runtime.store.shard_for("t", item["K"]) for item in items}

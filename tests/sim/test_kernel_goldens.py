@@ -48,19 +48,17 @@ from repro.sim import RandomSchedule  # noqa: E402
 GOLDEN_PATH = pathlib.Path(__file__).parent / "goldens" / "kernel_dst.json"
 REGEN = bool(os.environ.get("KERNEL_GOLDEN_REGEN"))
 
-#: Every protocol/optimization flag off: the acceptance topology. The
-#: kernel under test is exactly the seed's substrate — one store, no
-#: sharding, no caches, no overlap — so the goldens isolate *kernel*
-#: behavior from every layer above it.
-FLAGS_OFF = dict(tail_cache=False, batch_reads=False, async_io=False,
-                 batch_log_writes=False, elastic=False, shards=1,
-                 observability=False)
+#: The ``paper`` profile: the acceptance topology. The kernel under test
+#: is exactly the seed's substrate — one store, no sharding, no caches,
+#: no overlap — so the goldens isolate *kernel* behavior from every
+#: layer above it.
+PAPER = dict(profile="paper", shards=1, observability=False)
 
 #: (case name) -> (flags, schedule seed or None for pure-FIFO heap order).
 CASES = {
-    "fifo-flags-off": (FLAGS_OFF, None),
-    "random-s1-flags-off": (FLAGS_OFF, 1),
-    "random-s2-flags-off": (FLAGS_OFF, 2),
+    "fifo-flags-off": (PAPER, None),
+    "random-s1-flags-off": (PAPER, 1),
+    "random-s2-flags-off": (PAPER, 2),
     # One deep case so sharded/elastic kernel traffic (2PC interleave
     # points, migration yields) is pinned too — still deterministic.
     "fifo-light-flags": (dst.LIGHT_FLAGS, None),

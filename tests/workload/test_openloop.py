@@ -421,7 +421,7 @@ def _crash_runtime() -> tuple[BeldiRuntime, object]:
         config=BeldiConfig(ic_restart_delay=200.0, gc_t=1e12,
                            lock_retry_backoff=5.0, lock_retry_limit=500),
         platform_config=PlatformConfig(concurrency_limit=400),
-        shards=1, elastic=False)
+        shards=1)
 
     def bump(ctx, payload):
         uid = payload["user"]

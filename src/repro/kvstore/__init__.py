@@ -18,6 +18,10 @@ implements exactly that feature set, in-memory, with:
   §7.3 cost analysis can be regenerated, and
 - a pluggable time source so operations consume calibrated virtual latency
   when run under the simulation kernel.
+
+The store API itself — ten operations — is declared once, in
+:mod:`repro.kvstore.surface`; the node (``KVStore``), the router
+(``ShardedStore``) and the replica group (``ReplicaGroup``) all carry it.
 """
 
 from repro.kvstore.errors import (
@@ -83,17 +87,19 @@ from repro.kvstore.replication import (
 )
 from repro.kvstore.sharding import HashRing, ShardedStore, ShardedTableView
 from repro.kvstore.store import (
-    BatchGetResult,
-    BatchWriteResult,
     KernelTimeSource,
     KVStore,
-    MAX_BATCH_WRITE_ITEMS,
     NullTimeSource,
+    batch_get_all,
+    batch_write_all,
+)
+from repro.kvstore.surface import (
+    BatchGetResult,
+    BatchWriteResult,
+    MAX_BATCH_WRITE_ITEMS,
     TransactDelete,
     TransactPut,
     TransactUpdate,
-    batch_get_all,
-    batch_write_all,
 )
 from repro.kvstore.table import KeySchema, QueryResult, ScanResult, Table
 

@@ -104,6 +104,17 @@ class _NullScope:
 NULL_SCOPE = _NullScope()
 
 
+def in_scope(time_source) -> bool:
+    """Is an overlap scope attached to ``time_source`` right now?
+
+    Scheduling is cooperative: a scope can only be active on a store's
+    clocks while its *owning* process runs its (never yielding) scope
+    body — so "a scope is attached" means "the current caller is inside
+    one": it may not sleep, and its mutations are atomic in virtual time.
+    """
+    return getattr(time_source, "_ov_scope", None) is not None
+
+
 def _time_sources(store) -> list:
     """The distinct time sources behind a store facade (duck-typed)."""
     collect = getattr(store, "time_sources", None)
@@ -177,4 +188,4 @@ def _settle(sources: Sequence, scope: OverlapScope) -> None:
         source.sleep(scope.frontier)
 
 
-__all__ = ["NULL_SCOPE", "OverlapScope", "overlap"]
+__all__ = ["NULL_SCOPE", "OverlapScope", "in_scope", "overlap"]

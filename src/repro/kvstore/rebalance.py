@@ -94,6 +94,7 @@ from repro.kvstore.expressions import AttrNotExists, Eq, Set
 from repro.kvstore.item import item_size
 from repro.kvstore.metering import Metering
 from repro.kvstore.store import batch_write_all
+from repro.kvstore.surface import route_token
 
 #: Store-level table holding one durable record per migrated route token.
 MIGRATIONS_TABLE = "__migrations__"
@@ -140,8 +141,7 @@ class ChainMigrator:
 
     # -- bookkeeping helpers ---------------------------------------------------
     def _token(self, table: str, key: Any) -> str:
-        return self.store._route_token(
-            table, self.store._partition_value(table, key))
+        return self.store._token_for(table, key)
 
     def _meter_write(self, op: str, nbytes: int) -> None:
         self.stats.metering.record_write(op, MIGRATIONS_TABLE, nbytes)
@@ -306,8 +306,7 @@ class ChainMigrator:
             sum(item_size(row) for row in rows),
             items=max(1, len(rows)))
         if rows:
-            batch_write_all(_NodeTable(store.nodes[target], table),
-                            table, puts=rows)
+            batch_write_all(store.nodes[target], table, puts=rows)
             self.stats.metering.record_batch_write(
                 "migrate_write", table,
                 [item_size(row) for row in rows])
@@ -324,8 +323,8 @@ class ChainMigrator:
     def _cleanup(self, token: str, table: str, source: int,
                  row_keys: list) -> None:
         if row_keys:
-            batch_write_all(_NodeTable(self.store.nodes[source], table),
-                            table, deletes=row_keys)
+            batch_write_all(self.store.nodes[source], table,
+                            deletes=row_keys)
             self.stats.metering.record_batch_write(
                 "migrate_delete", table, [0] * len(row_keys))
         self.store.update(MIGRATIONS_TABLE, token,
@@ -398,32 +397,9 @@ class ChainMigrator:
         schema = self.store._schemas[table]
         row_keys = [schema.extract(row) for row in result.items]
         if row_keys:
-            batch_write_all(_NodeTable(node, table), table,
-                            deletes=row_keys)
+            batch_write_all(node, table, deletes=row_keys)
             self.stats.metering.record_batch_write(
                 "migrate_delete", table, [0] * len(row_keys))
-
-
-class _NodeTable:
-    """Adapter pinning ``batch_write_all``'s store argument to one node.
-
-    ``batch_write_all`` speaks the plain store surface; the migrator
-    must address a *specific* node (the copy's target, the cleanup's
-    source) rather than let the facade re-route mid-move.
-    """
-
-    def __init__(self, node, table: str) -> None:
-        self._node = node
-        self._table = table
-
-    def batch_write(self, table: str, puts=(), deletes=()):
-        return self._node.batch_write(table, puts, deletes)
-
-    def put(self, table: str, item, condition=None):
-        return self._node.put(table, item, condition=condition)
-
-    def delete(self, table: str, key, condition=None):
-        return self._node.delete(table, key, condition=condition)
 
 
 def recover_stale_migrations(store, migrator: Optional[ChainMigrator]
@@ -606,7 +582,7 @@ class ElasticityController:
         for (table, key), count in store.heat.items():
             if not self._migratable(table):
                 continue
-            token = store._route_token(table, key)
+            token = route_token(table, key)
             loads[token] = loads.get(token, 0) + count
             units[token] = (table, key)
         plan = store.ring.plan_rebalance(loads,
@@ -622,7 +598,7 @@ class ElasticityController:
             if table.endswith(".shadow"):
                 continue  # planned directly; no twin to derive
             shadow = f"{table}.shadow"
-            if store._route_token(shadow, key) in planned:
+            if route_token(shadow, key) in planned:
                 continue  # the shadow was planned on its own merit
             if shadow in store._schemas:
                 # The item's transaction scratch chain travels with it —

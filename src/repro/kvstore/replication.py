@@ -38,7 +38,9 @@ plain :class:`~repro.kvstore.sharding.ShardedStore` behavior.
 
 :class:`ReplicatedStore` is a :class:`ShardedStore` whose nodes are
 replica groups — all routing, fan-out, and cross-shard transaction
-logic is inherited unchanged; the group speaks the node protocol.
+logic is inherited unchanged; the group speaks the node protocol: the
+ten operations of :mod:`repro.kvstore.surface`, which it handles with
+one read route and one "failover draw → leader → ship" write path.
 
 With ``async_io=True`` the group additionally **batches log shipping**:
 a multi-row commit (a transaction's writes, a ``batch_write``) ships as
@@ -76,20 +78,25 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from repro.kvstore.asyncio import overlap
-from repro.kvstore.errors import ThrottledError, UnavailableError
 from repro.kvstore.expressions import Condition, Projection
 from repro.kvstore.faults import FaultPolicy
 from repro.kvstore.metering import Metering, normalize_consistency
-from repro.kvstore.sharding import HashRing, ShardedStore, ShardedTableView
-from repro.kvstore.store import (
-    BatchGetResult,
-    BatchWriteResult,
-    KVStore,
+from repro.kvstore.sharding import HashRing, ShardedStore
+from repro.kvstore.store import KVStore
+from repro.kvstore.surface import (
+    BATCH,
+    BATCH_GET,
+    DELETE,
+    KEYED_READ,
+    TRANSACT_WRITE,
+    StoreOp,
     TransactOp,
-    TransactPut,
+    fan_out_batch,
+    partition_value,
+    route_token,
+    store_layer,
 )
-from repro.kvstore.table import KeySchema, QueryResult, ScanResult, Table
+from repro.kvstore.table import KeySchema, Table
 from repro.sim.latency import LatencyModel
 from repro.sim.randsrc import RandomSource
 
@@ -198,19 +205,18 @@ class ReplicatedTableView:
     def put(self, item: dict,
             condition: Optional[Condition] = None) -> None:
         self._leader_table.put(item, condition=condition)
-        self._group._ship_row(self.name, self.schema.extract(item),
-                              immediate=True)
+        self._group._ship([(self.name, item)], immediate=True)
 
     def update(self, key: Any, updates, condition=None) -> dict:
         new_item = self._leader_table.update(key, updates,
                                              condition=condition)
-        self._group._ship_row(self.name, key, immediate=True)
+        self._group._ship([(self.name, key)], immediate=True)
         return new_item
 
     def delete(self, key: Any, condition=None) -> Optional[dict]:
         removed = self._leader_table.delete(key, condition=condition)
         if removed is not None:
-            self._group._ship_row(self.name, key, immediate=True)
+            self._group._ship([(self.name, key)], immediate=True)
         return removed
 
     # -- stats -----------------------------------------------------------------
@@ -221,6 +227,7 @@ class ReplicatedTableView:
         return self._leader_table.storage_bytes()
 
 
+@store_layer
 class ReplicaGroup:
     """One leader plus N followers behind the single-node protocol.
 
@@ -331,11 +338,6 @@ class ReplicaGroup:
             merged.merge_from(node.metering)
         return merged
 
-    def _pay(self, op: str, units: float = 0.0) -> None:
-        # Cross-shard 2PC rounds land here; they are leader-routed.
-        self._maybe_failover(op)
-        self.leader._pay(op, units=units)
-
     # -- table management ------------------------------------------------------
     def create_table(self, name: str, hash_key: str,
                      range_key: Optional[str] = None,
@@ -379,39 +381,40 @@ class ReplicaGroup:
         return self.leader.table_names()
 
     # -- the replication log ---------------------------------------------------
-    def _partition_value(self, table: str, key: Any) -> Any:
-        schema = self.leader._tables[table].schema
-        if isinstance(key, dict):
-            return key[schema.hash_key]
-        if isinstance(key, tuple):
-            return key[0]
-        return key
-
-    def _follower_index_for(self, token: str) -> int:
+    def _follower_index_for(self, table: str, key: Any) -> int:
         """Stable per-item follower affinity (process-independent)."""
+        token = route_token(table, partition_value(
+            self.leader.table(table).schema, key))
         indexes = [index for index in self._followers
                    if index != self.leader_index]
         digest = int.from_bytes(
             hashlib.md5(token.encode("utf-8")).digest()[:8], "big")
         return indexes[digest % len(indexes)]
 
-    def _ship_records(self, protos: Sequence[tuple], immediate: bool,
-                      batched: bool = False) -> None:
-        """Commit ``protos`` (``(kind, table, item, key)``) to the log.
+    def _ship(self, rows: Sequence[tuple], immediate: bool = False) -> None:
+        """Commit each ``(table, key or item)`` row's *current leader
+        state* — the final row, or its tombstone — to the log.
 
-        ``batched=False`` reproduces per-record shipping exactly: one
-        ``repl.ship`` draw per record per follower, in record order.
-        ``batched=True`` (the ``async_io`` boat) draws **one** delay per
-        follower for the whole batch — the records travel together,
-        Netherite-style — while per-follower in-order visibility (and
-        therefore prefix consistency) is preserved by ``last_visible``.
+        Without ``async_io`` shipping is per record: one ``repl.ship``
+        draw per record per follower, in record order. With it, a
+        multi-row commit travels as one boat: each follower draws **one**
+        delay for the whole batch — Netherite-style — while per-follower
+        in-order visibility (and therefore prefix consistency) is
+        preserved by ``last_visible``.
         """
         records = []
-        for kind, table, item, key in protos:
+        for table, key in rows:
+            leader_table = self.leader._tables[table]
+            normalized = leader_table.schema.normalize(key)
+            row = leader_table.get(normalized)
             self._next_seq += 1
-            records.append(_LogRecord(self._next_seq, kind, table, item,
-                                      key))
+            records.append(
+                _LogRecord(self._next_seq, _DELETE, table, None, normalized)
+                if row is None else
+                _LogRecord(self._next_seq, _PUT, table, row, None))
             self.stats.shipped += 1
+        if not records:
+            return
         now = self.time.now()
         follower_items = [(index, follower)
                           for index, follower in self._followers.items()
@@ -436,40 +439,23 @@ class ReplicaGroup:
             return min(self.latency.sample("repl.ship") * self.lag_scale,
                        self.max_lag)
 
-        if batched:
+        # Record-major, follower-minor: the per-record draw order. A boat
+        # draws on its first record only, once per follower.
+        delays: dict[int, float] = {}
+        for record in records:
             for index, follower in follower_items:
-                delay = ship_delay()
-                for record in records:
-                    visible = max(follower.last_visible, ship_base + delay)
-                    follower.last_visible = visible
-                    follower.pending.append((record, visible))
-        else:
-            for record in records:
-                for index, follower in follower_items:
-                    delay = ship_delay()
-                    visible = max(follower.last_visible, ship_base + delay)
-                    follower.last_visible = visible
-                    follower.pending.append((record, visible))
+                if index not in delays or not self.async_io:
+                    delays[index] = ship_delay()
+                visible = max(follower.last_visible,
+                              ship_base + delays[index])
+                follower.last_visible = visible
+                follower.pending.append((record, visible))
         # Opportunistic catch-up: apply whatever has already shipped, so
         # a write-only stretch cannot grow the pending queues unboundedly
         # (a record visible at ``t`` applies no later than the next
         # append — or the next read/failover, whichever drains first).
         for index, _follower in follower_items:
             self._drain(index, now)
-
-    def _row_proto(self, table: str, key: Any) -> tuple:
-        """The row's *current leader state*, ready for the log."""
-        leader_table = self.leader._tables[table]
-        normalized = leader_table.schema.normalize(key)
-        row = leader_table.get(normalized)
-        if row is None:
-            return (_DELETE, table, None, normalized)
-        return (_PUT, table, row, None)
-
-    def _ship_row(self, table: str, key: Any, immediate: bool = False
-                  ) -> None:
-        """Append the row's current leader state to the log."""
-        self._ship_records([self._row_proto(table, key)], immediate)
 
     def _apply_record(self, node: KVStore, record: _LogRecord) -> None:
         table = node._tables.get(record.table)
@@ -601,211 +587,89 @@ class ReplicaGroup:
             setattr(a, attr, second)
             setattr(b, attr, first)
 
-    # -- read routing ----------------------------------------------------------
-    def _route_read(self, table: str, partition_value: Any,
-                    consistency) -> tuple[KVStore, Optional[str]]:
-        """Pick the serving node for one read.
+    # -- reads: leader when strong, a follower when eventual ----------------------
+    def _read(self, op: StoreOp, args: tuple):
+        """Every read, whatever its kind.
 
-        Returns ``(node, consistency-to-meter)``. Strong reads (and any
-        read in a followerless group) go to the leader; eventual reads
-        go to the item's affine follower, drained to now first.
+        Strong reads (and any read in a followerless group) go to the
+        leader, which a crash may first fail over. An eventual keyed read
+        goes to the item's affine follower; an eventual whole-table read
+        to any follower (rotating by a stable draw from the group's
+        stream); an eventual batch splits by each item's affine follower
+        — the same per-item routing as point reads, so an item never
+        goes backwards in time between a batch and a point read — one
+        round trip per involved follower, re-merged aligned with the
+        request. The serving node meters the normalized consistency.
         """
-        mode = normalize_consistency(consistency)
-        if mode is None or len(self.nodes) < 2:
-            self._maybe_failover("db.read")
-            return self.leader, mode
-        token = f"{table}|{partition_value!r}"
-        index = self._follower_index_for(token)
+        args = args[:-1] + (normalize_consistency(args[-1]),)
+        if args[-1] is None or len(self.nodes) < 2:
+            self._maybe_failover(op.latency)
+            return op.call(self.leader, args)
+        table = args[0]
+        if op.kind == BATCH:
+            return fan_out_batch(
+                op, args,
+                owner_of=lambda key: self._follower_index_for(table, key),
+                call=lambda index, sub_args: op.call(
+                    self._serving_follower(index), sub_args),
+                store=self, async_io=self.async_io)
+        if op.kind == KEYED_READ:
+            index = self._follower_index_for(table, args[1])
+        else:
+            indexes = sorted(index for index in self._followers
+                             if index != self.leader_index)
+            index = indexes[self.rand.randint(0, len(indexes) - 1)]
+        return op.call(self._serving_follower(index), args)
+
+    _keyed_read = _table_read = _read
+
+    def _serving_follower(self, index: int) -> KVStore:
+        """Follower ``index``, drained to now, about to serve a read."""
         self._drain(index)
         self.stats.eventual_reads += 1
-        return self._followers[index].node, mode
+        return self._followers[index].node
 
-    def _route_scan(self, consistency) -> tuple[KVStore, Optional[str]]:
-        """Whole-table reads: leader when strong, else any follower
-        (rotating by a stable draw from the group's stream)."""
-        mode = normalize_consistency(consistency)
-        if mode is None or len(self.nodes) < 2:
-            self._maybe_failover("db.scan")
-            return self.leader, mode
-        indexes = sorted(index for index in self._followers
-                         if index != self.leader_index)
-        index = indexes[self.rand.randint(0, len(indexes) - 1)]
-        self._drain(index)
-        self.stats.eventual_reads += 1
-        return self._followers[index].node, mode
+    # -- writes: failover draw → leader → ship -------------------------------------
+    def _write(self, op: StoreOp, args: tuple):
+        """Every write, whatever its kind: commit on the leader (which a
+        crash may first fail over), then ship the rows it changed.
 
-    # -- KVStore surface: reads ------------------------------------------------
-    def get(self, table: str, key: Any,
-            projection: Optional[Projection] = None,
-            consistency=None) -> Optional[dict]:
-        node, mode = self._route_read(
-            table, self._partition_value(table, key), consistency)
-        return node.get(table, key, projection=projection,
-                        consistency=mode)
-
-    def batch_get(self, table: str, keys: Sequence[Any],
-                  projection: Optional[Projection] = None,
-                  consistency=None) -> BatchGetResult:
-        if not keys:
-            return BatchGetResult()
-        mode = normalize_consistency(consistency)
-        if mode is None or len(self.nodes) < 2:
-            self._maybe_failover("db.batch_read")
-            return self.leader.batch_get(table, keys,
-                                         projection=projection,
-                                         consistency=mode)
-        # Eventual batches split by each item's affine follower — the
-        # same per-item routing as point reads, so an item never goes
-        # backwards in time between a batch and a point read. One round
-        # trip per involved follower, re-merged aligned with the
-        # request (the ShardedStore fan-out shape).
-        by_follower: dict[int, list[int]] = {}
-        for position, key in enumerate(keys):
-            token = f"{table}|{self._partition_value(table, key)!r}"
-            by_follower.setdefault(self._follower_index_for(token),
-                                   []).append(position)
-        results: list[Optional[dict]] = [None] * len(keys)
-        unprocessed: list[int] = []
-        served_any = False
-        follower_dark = False
-        with overlap(self, enabled=self.async_io) as scope:
-            for index in sorted(by_follower):
-                positions = by_follower[index]
-                self._drain(index)
-                self.stats.eventual_reads += 1
-                try:
-                    with scope.branch():
-                        got = self._followers[index].node.batch_get(
-                            table, [keys[i] for i in positions],
-                            projection=projection, consistency=mode)
-                except UnavailableError:
-                    follower_dark = True
-                    unprocessed.extend(positions)
-                    continue
-                except ThrottledError:
-                    unprocessed.extend(positions)
-                    continue
-                unserved = set(got.unprocessed_indexes)
-                for offset, position in enumerate(positions):
-                    if offset in unserved:
-                        unprocessed.append(position)
-                    else:
-                        served_any = True
-                        results[position] = got[offset]
-        if not served_any:
-            if follower_dark:
-                raise UnavailableError(
-                    "db.batch_read unavailable on every follower")
-            raise ThrottledError(
-                "db.batch_read throttled on every follower")
-        return BatchGetResult(results,
-                              unprocessed_indexes=sorted(unprocessed),
-                              keys=keys)
-
-    def query(self, table: str, hash_value: Any,
-              consistency=None, **kwargs) -> QueryResult:
-        node, mode = self._route_read(table, hash_value, consistency)
-        return node.query(table, hash_value, consistency=mode, **kwargs)
-
-    def scan(self, table: str,
-             filter_condition: Optional[Condition] = None,
-             projection: Optional[Projection] = None,
-             limit: Optional[int] = None,
-             exclusive_start: Optional[Any] = None,
-             consistency=None) -> ScanResult:
-        node, mode = self._route_scan(consistency)
-        return node.scan(table, filter_condition=filter_condition,
-                         projection=projection, limit=limit,
-                         exclusive_start=exclusive_start,
-                         consistency=mode)
-
-    def query_index(self, table: str, index_name: str, value: Any,
-                    projection: Optional[Projection] = None,
-                    consistency=None) -> list[dict]:
-        node, mode = self._route_scan(consistency)
-        return node.query_index(table, index_name, value,
-                                projection=projection, consistency=mode)
-
-    # -- KVStore surface: writes (leader + ship) -------------------------------
-    def put(self, table: str, item: dict,
-            condition: Optional[Condition] = None) -> None:
-        self._maybe_failover(
-            "db.cond_write" if condition is not None else "db.write")
-        self.leader.put(table, item, condition=condition)
-        self._ship_row(table, self.leader._tables[table].schema.extract(
-            item))
-
-    def update(self, table: str, key: Any, updates,
-               condition: Optional[Condition] = None) -> dict:
-        self._maybe_failover(
-            "db.cond_write" if condition is not None else "db.write")
-        new_item = self.leader.update(table, key, updates,
-                                      condition=condition)
-        self._ship_row(table, key)
-        return new_item
-
-    def delete(self, table: str, key: Any,
-               condition: Optional[Condition] = None) -> Optional[dict]:
-        self._maybe_failover("db.delete")
-        removed = self.leader.delete(table, key, condition=condition)
-        if removed is not None:
-            self._ship_row(table, key)
-        return removed
-
-    def batch_write(self, table: str, puts: Sequence[dict] = (),
-                    deletes: Sequence[Any] = ()) -> BatchWriteResult:
-        """Leader ``BatchWriteItem``; applied rows ship to followers.
-
-        Only the *applied* prefix ships (unprocessed items changed
-        nothing). Deletes of absent rows ship harmless tombstones, as a
-        follower's delete of a missing key is a no-op. Under ``async_io``
-        the whole batch travels as one boat per follower.
+        Only *applied* rows ship: a ``delete`` that found nothing and the
+        unprocessed remainder of a throttled ``batch_write`` changed
+        nothing. (A batch's delete of an absent row ships a harmless
+        tombstone, as a follower's delete of a missing key is a no-op.)
         """
-        # Materialize before the leader consumes them: a generator
-        # argument must still be visible for shipping below.
-        puts = list(puts)
-        deletes = list(deletes)
-        self._maybe_failover("db.batch_write")
-        result = self.leader.batch_write(table, puts, deletes)
-        served_puts = puts[:len(puts) - len(result.unprocessed_puts)]
-        served_deletes = deletes[:len(deletes)
-                                 - len(result.unprocessed_deletes)]
-        schema = self.leader._tables[table].schema
-        protos = [self._row_proto(table, schema.extract(item))
-                  for item in served_puts]
-        protos += [self._row_proto(table, key) for key in served_deletes]
-        if protos:
-            self._ship_records(protos, immediate=False,
-                               batched=self.async_io)
+        self._maybe_failover(op.labels(args)[0])
+        result = op.call(self.leader, args)
+        rows = op.keys(args)
+        if op is DELETE and result is None:
+            rows = []
+        elif op.kind == BATCH:
+            n_puts = len(args[1])
+            applied_puts = n_puts - len(result.unprocessed_puts)
+            rows = (rows[:applied_puts] + rows[n_puts:len(rows) - len(
+                result.unprocessed_deletes)])
+        self._ship(rows)
         return result
 
-    def transact_write(self, ops: Sequence[TransactOp]) -> None:
-        self._maybe_failover("db.txn")
-        self.leader.transact_write(ops)
-        self._ship_transact(ops)
+    _keyed_write = _transact = _write
 
-    def _ship_transact(self, ops: Sequence[TransactOp]) -> None:
-        keys = [(op.table,
-                 self.leader._tables[op.table].schema.extract(op.item)
-                 if isinstance(op, TransactPut) else op.key)
-                for op in ops]
-        if self.async_io and len(keys) > 1:
-            # One boat: the transaction's rows ship together, each
-            # follower drawing a single delay for the whole commit.
-            self._ship_records([self._row_proto(table, key)
-                                for table, key in keys],
-                               immediate=False, batched=True)
-            return
-        for table, key in keys:
-            self._ship_row(table, key)
+    def _batch(self, op: StoreOp, args: tuple):
+        return (self._read if op is BATCH_GET else self._write)(op, args)
 
     # -- two-phase hooks used by ShardedStore's cross-shard path ---------------
+    def _pay(self, op: str, units: float = 0.0) -> None:
+        # Cross-shard 2PC rounds land here; they are leader-routed.
+        self._maybe_failover(op)
+        self.leader._pay(op, units=units)
+
     def _transact_check(self, ops: Sequence[TransactOp]) -> None:
         self.leader._transact_check(ops)
 
-    def _transact_apply(self, ops: Sequence[TransactOp]) -> None:
-        self.leader._transact_apply(ops)
-        self._ship_transact(ops)
+    def _transact_apply(self, ops: Sequence[TransactOp],
+                        start: float) -> None:
+        self.leader._transact_apply(ops, start)
+        self._ship(TRANSACT_WRITE.keys((ops,)))
 
     # -- stats -----------------------------------------------------------------
     def time_sources(self) -> list:

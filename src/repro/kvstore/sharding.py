@@ -15,7 +15,11 @@ nodes via consistent hashing, so
   service capacity, and metering, so per-shard throttling, latency
   spikes, and saturation are all expressible;
 - the DAAL, transaction, GC, and collector layers go through the facade
-  unchanged — it implements the full ``KVStore`` surface.
+  unchanged — it carries the full store surface
+  (:mod:`repro.kvstore.surface`), handled here *by kind*: the five keyed
+  operations share one latch-guard-and-route path, the two batches one
+  per-owner split/merge, and only the whole-table reads and the
+  cross-shard transaction below need fan-outs of their own.
 
 Fan-out operations:
 
@@ -89,26 +93,24 @@ import hashlib
 from bisect import bisect_right
 from typing import Any, Optional, Sequence
 
-from repro.kvstore.asyncio import overlap
-from repro.kvstore.errors import (
-    TableExists,
-    TableNotFound,
-    ThrottledError,
-    UnavailableError,
-)
+from repro.kvstore.asyncio import in_scope, overlap
+from repro.kvstore.errors import TableExists, TableNotFound
 from repro.kvstore.expressions import Condition, Projection, path
 from repro.kvstore.metering import Metering
-from repro.kvstore.store import (
-    BatchGetResult,
-    BatchWriteResult,
-    KVStore,
-    MAX_BATCH_WRITE_ITEMS,
-    TransactPut,
-    TransactOp,
+from repro.kvstore.store import KVStore
+from repro.kvstore.surface import (
+    BATCH_GET,
+    SCAN,
+    StoreOp,
+    batch_rows,
+    fan_out_batch,
+    partition_value,
+    route_token,
+    store_layer,
+    validate_batch_write,
 )
 from repro.kvstore.table import (
     KeySchema,
-    QueryResult,
     ScanResult,
     Table,
     _sort_token,
@@ -393,6 +395,7 @@ class ShardedTableView:
         return sum(t.storage_bytes() for t in self._node_tables())
 
 
+@store_layer
 class ShardedStore:
     """N store nodes behind the single-store facade.
 
@@ -450,26 +453,27 @@ class ShardedStore:
         return len(self.nodes)
 
     # -- routing ---------------------------------------------------------------
-    def _route_token(self, table: str, partition_value: Any) -> str:
-        return f"{table}|{partition_value!r}"
-
-    def _partition_value(self, table: str, key: Any) -> Any:
+    def _schema(self, table: str) -> KeySchema:
         schema = self._schemas.get(table)
         if schema is None:
             raise TableNotFound(f"no table named {table!r}")
-        if isinstance(key, dict):
-            return key[schema.hash_key]
-        if isinstance(key, tuple):
-            return key[0]
-        return key
+        return schema
+
+    def _route(self, table: str, key: Any) -> tuple:
+        """``(table, partition value, route token)`` of one key — see
+        :func:`partition_value` and :func:`route_token`."""
+        value = partition_value(self._schema(table), key)
+        return table, value, route_token(table, value)
+
+    def _token_for(self, table: str, key: Any) -> str:
+        return self._route(table, key)[2]
 
     def shard_for(self, table: str, key: Any) -> int:
         """The shard index owning ``(table, key)``; key may be a scalar
         partition value (even for a ranged table), a (hash, range)
         tuple, or an item dict — only the partition component routes, so
         one item's whole chain co-locates."""
-        return self.ring.shard_of(self._route_token(
-            table, self._partition_value(table, key)))
+        return self.ring.shard_of(self._token_for(table, key))
 
     def node_for(self, table: str, key: Any) -> KVStore:
         return self.nodes[self.shard_for(table, key)]
@@ -507,92 +511,72 @@ class ShardedStore:
         except TypeError:
             pass  # unhashable partition value: never a migration unit
 
-    def _in_scope(self) -> bool:
-        # Cooperative scheduling: an overlap scope can only be active on
-        # the store's clocks while its *owning* process runs its (never
-        # yielding) scope body — so "a scope is attached" means "the
-        # current caller is inside one", and its mutations are atomic.
-        return self.nodes[0].time._ov_scope is not None
-
     def _interleave(self, tag: str) -> None:
         """Schedule-exploration point (no-op without an exploring
         schedule). Never yields inside an overlap scope."""
-        if self._in_scope():
+        if in_scope(self.nodes[0].time):
             return
         kernel = getattr(self.nodes[0].time, "kernel", None)
         if kernel is not None:
             kernel.interleave_point(tag)
 
-    def _enter_keys(self, table: str, keys) -> Optional[list]:
-        return self._enter_pairs([(table, key) for key in keys])
+    def _enter_routes(self, routes) -> Optional[tuple]:
+        """Register inline in-flight operations on the routes' tokens.
 
-    def _enter_pairs(self, pairs) -> Optional[list]:
-        """Register inline in-flight operations on the pairs' tokens.
-
-        ``pairs`` is ``(table, key)`` tuples — one call covers every
+        ``routes`` is ``_route`` triples — one call covers every
         token an operation touches (all tables of a transact group), so
         there is never a wait while already holding a registration.
         Waits out any live migration latch on the involved tokens first
         (re-checking all of them after every wait, since a new latch can
         appear while sleeping), then registers every token with no
-        intervening yield. Returns the token list for ``_exit_keys``, or
+        intervening yield. Returns the guard for ``_release``, or
         ``None`` when elasticity is off or the caller sits inside an
         overlap scope (whose body is atomic in virtual time — it cannot
         straddle a migration's copy instant).
         """
         if self.heat is None:
             return None
-        tokens = []
-        seen = set()
-        for table, key in pairs:
-            value = self._partition_value(table, key)
-            token = self._route_token(table, value)
+        tokens: list[str] = []
+        for table, value, token in routes:
             self._note_heat(table, value, self.ring.shard_of(token))
-            if token not in seen:
-                seen.add(token)
+            if token not in tokens:
                 tokens.append(token)
-        if self._in_scope():
-            return None
-        if self._latched:
-            self._await(lambda: not any(t in self._latched
-                                        for t in tokens))
-        for token in tokens:
-            self._inflight[token] = self._inflight.get(token, 0) + 1
-        return tokens
+        return self._register(self._inflight, tokens, self._latched)
 
-    def _exit_keys(self, tokens: Optional[list]) -> None:
-        if not tokens:
-            return
-        for token in tokens:
-            remaining = self._inflight.get(token, 0) - 1
-            if remaining > 0:
-                self._inflight[token] = remaining
-            else:
-                self._inflight.pop(token, None)
-
-    def _enter_table(self, table: str) -> Optional[str]:
-        """The whole-table twin of ``_enter_keys`` for scans/index
+    def _enter_table(self, table: str) -> Optional[tuple]:
+        """The whole-table twin of ``_enter_routes`` for scans/index
         fan-outs: waits out migrations touching ``table``, then counts
         the fan-out in flight so a migration drains it before copying."""
         if self.heat is None:
             return None
-        if self._in_scope():
-            return None
-        if self._migrating_tables:
-            self._await(
-                lambda: self._migrating_tables.get(table, 0) == 0)
-        self._table_inflight[table] = (
-            self._table_inflight.get(table, 0) + 1)
-        return table
+        return self._register(self._table_inflight, [table],
+                              self._migrating_tables)
 
-    def _exit_table(self, table: Optional[str]) -> None:
-        if table is None:
+    def _register(self, inflight: dict, names: list,
+                  latches) -> Optional[tuple]:
+        """Wait until no name is in ``latches``, then count every name
+        in ``inflight``. Operations issued inside an overlap scope are
+        exempt (see the ``_inflight`` attribute)."""
+        if in_scope(self.nodes[0].time):
+            return None
+        if latches:
+            self._await(lambda: not any(name in latches
+                                        for name in names))
+        for name in names:
+            inflight[name] = inflight.get(name, 0) + 1
+        return inflight, names
+
+    @staticmethod
+    def _release(guard: Optional[tuple]) -> None:
+        if guard is None:
             return
-        remaining = self._table_inflight.get(table, 0) - 1
-        if remaining > 0:
-            self._table_inflight[table] = remaining
-        else:
-            self._table_inflight.pop(table, None)
+        inflight, names = guard
+        for name in names:
+            remaining = inflight.get(name, 0) - 1
+            if remaining > 0:
+                inflight[name] = remaining
+            else:
+                inflight.pop(name, None)
 
     # -- table management ------------------------------------------------------
     def create_table(self, name: str, hash_key: str,
@@ -631,191 +615,62 @@ class ShardedStore:
     def table_names(self) -> list[str]:
         return sorted(self._schemas)
 
-    # -- point ops (route to the owner) ----------------------------------------
-    def get(self, table: str, key: Any,
-            projection: Optional[Projection] = None,
-            consistency: Optional[str] = None) -> Optional[dict]:
-        guard = self._enter_keys(table, (key,)) if (
-            self.heat is not None) else None
+    # -- keyed ops (route to the owner) -----------------------------------------
+    def _keyed(self, op: StoreOp, args: tuple):
+        """``get`` / ``put`` / ``update`` / ``delete`` / ``query``: one
+        partition lives on exactly one shard — wait out a live migration
+        of the key, then route to its owner. No fan-out."""
+        route = self._route(args[0], args[1])
+        guard = self._enter_routes((route,))
         try:
-            return self.node_for(table, key).get(table, key,
-                                                 projection=projection,
-                                                 consistency=consistency)
+            # Resolved only now: the wait may have outlived a migration.
+            return op.call(self.nodes[self.ring.shard_of(route[2])], args)
         finally:
-            self._exit_keys(guard)
+            self._release(guard)
 
-    def put(self, table: str, item: dict,
-            condition: Optional[Condition] = None) -> None:
-        guard = self._enter_keys(table, (item,)) if (
-            self.heat is not None) else None
-        try:
-            self.node_for(table, item).put(table, item,
-                                           condition=condition)
-        finally:
-            self._exit_keys(guard)
+    _keyed_read = _keyed_write = _keyed
 
-    def update(self, table: str, key: Any, updates,
-               condition: Optional[Condition] = None) -> dict:
-        guard = self._enter_keys(table, (key,)) if (
-            self.heat is not None) else None
-        try:
-            return self.node_for(table, key).update(table, key, updates,
-                                                    condition=condition)
-        finally:
-            self._exit_keys(guard)
-
-    def delete(self, table: str, key: Any,
-               condition: Optional[Condition] = None) -> Optional[dict]:
-        guard = self._enter_keys(table, (key,)) if (
-            self.heat is not None) else None
-        try:
-            return self.node_for(table, key).delete(table, key,
-                                                    condition=condition)
-        finally:
-            self._exit_keys(guard)
-
-    def query(self, table: str, hash_value: Any, **kwargs) -> QueryResult:
-        # One partition lives on exactly one shard — no fan-out.
-        guard = self._enter_keys(table, (hash_value,)) if (
-            self.heat is not None) else None
-        try:
-            return self.node_for(table, hash_value).query(
-                table, hash_value, **kwargs)
-        finally:
-            self._exit_keys(guard)
-
-    # -- fan-out reads ----------------------------------------------------------
-    def batch_get(self, table: str, keys: Sequence[Any],
-                  projection: Optional[Projection] = None,
-                  consistency: Optional[str] = None
-                  ) -> BatchGetResult:
+    # -- fan-outs ------------------------------------------------------------------
+    def _batch(self, op: StoreOp, args: tuple):
         """Per-shard fan-out of one logical batch, re-merged in order.
 
-        One ``batch_get`` round trip per involved node. Partial
-        throttles (and whole-node ``ThrottledError``\\ s) become
-        unprocessed positions in the merged result; the call raises only
-        when not a single key on any shard was served.
+        Keys (and deletes) route by key, puts by item; one ``batch_get``
+        / ``batch_write`` round trip per involved node (overlapped under
+        ``async_io``). Partial throttles and whole-node
+        ``ThrottledError``\\ s become unprocessed rows of the merged
+        result; the call raises only when not a single row on any shard
+        was served. A malformed write batch is rejected here, before any
+        shard is touched.
         """
-        if not keys:
-            return BatchGetResult()
-        guard = self._enter_keys(table, keys) if (
-            self.heat is not None) else None
+        table = args[0]
+        schema = self._schema(table)
+        rows = batch_rows(op, args)[0]
+        if op is not BATCH_GET:
+            validate_batch_write(schema, rows)
+        guard = self._enter_routes(self._route(table, row) for row in rows)
         try:
-            by_shard: dict[int, list[int]] = {}
-            for index, key in enumerate(keys):
-                by_shard.setdefault(self.shard_for(table, key),
-                                    []).append(index)
-            results: list[Optional[dict]] = [None] * len(keys)
-            unprocessed: list[int] = []
-            served_any = False
-            shard_dark = False
-            with overlap(self, enabled=self.async_io) as scope:
-                for shard in sorted(by_shard):
-                    indexes = by_shard[shard]
-                    try:
-                        with scope.branch():
-                            got = self.nodes[shard].batch_get(
-                                table, [keys[i] for i in indexes],
-                                projection=projection,
-                                consistency=consistency)
-                    except UnavailableError:
-                        shard_dark = True
-                        unprocessed.extend(indexes)
-                        continue
-                    except ThrottledError:
-                        unprocessed.extend(indexes)
-                        continue
-                    unserved = set(got.unprocessed_indexes)
-                    for position, index in enumerate(indexes):
-                        if position in unserved:
-                            unprocessed.append(index)
-                        else:
-                            served_any = True
-                            results[index] = got[position]
-            if not served_any:
-                if shard_dark:
-                    raise UnavailableError(
-                        "db.batch_read unavailable on every shard")
-                raise ThrottledError(
-                    "db.batch_read throttled on every shard")
-            return BatchGetResult(results,
-                                  unprocessed_indexes=sorted(unprocessed),
-                                  keys=keys)
+            return fan_out_batch(
+                op, args,
+                owner_of=lambda row: self.shard_for(table, row),
+                call=lambda shard, sub_args: op.call(self.nodes[shard],
+                                                     sub_args),
+                store=self, async_io=self.async_io)
         finally:
-            self._exit_keys(guard)
+            self._release(guard)
 
-    def batch_write(self, table: str, puts: Sequence[dict] = (),
-                    deletes: Sequence[Any] = ()) -> BatchWriteResult:
-        """Per-shard fan-out of one logical write batch.
-
-        Puts route by item, deletes by key; each involved node pays one
-        ``batch_write`` round trip (overlapped under ``async_io``).
-        Partial throttles and whole-node ``ThrottledError``\\ s merge into
-        the unprocessed lists; the call raises only when not a single
-        item on any shard was applied.
-        """
-        puts = list(puts)
-        deletes = list(deletes)
-        total = len(puts) + len(deletes)
-        if total == 0:
-            return BatchWriteResult()
-        if total > MAX_BATCH_WRITE_ITEMS:
-            raise ValueError(
-                f"batch_write accepts at most {MAX_BATCH_WRITE_ITEMS} "
-                f"items per request, got {total}")
-        guard = self._enter_keys(table, puts + deletes) if (
-            self.heat is not None) else None
+    def _table_read(self, op: StoreOp, args: tuple):
+        """``scan`` / ``query_index``: every node holds a slice of the
+        table, so wait out migrations touching it, then ask them all."""
+        self._schema(args[0])
+        guard = self._enter_table(args[0])
         try:
-            puts_by_shard: dict[int, list[dict]] = {}
-            deletes_by_shard: dict[int, list[Any]] = {}
-            for item in puts:
-                puts_by_shard.setdefault(
-                    self.shard_for(table, item), []).append(item)
-            for key in deletes:
-                deletes_by_shard.setdefault(
-                    self.shard_for(table, key), []).append(key)
-            merged = BatchWriteResult()
-            applied_any = False
-            shard_dark = False
-            with overlap(self, enabled=self.async_io) as scope:
-                for shard in sorted(set(puts_by_shard)
-                                    | set(deletes_by_shard)):
-                    shard_puts = puts_by_shard.get(shard, [])
-                    shard_deletes = deletes_by_shard.get(shard, [])
-                    try:
-                        with scope.branch():
-                            result = self.nodes[shard].batch_write(
-                                table, shard_puts, shard_deletes)
-                    except UnavailableError:
-                        shard_dark = True
-                        merged.merge_from(BatchWriteResult(shard_puts,
-                                                           shard_deletes))
-                        continue
-                    except ThrottledError:
-                        merged.merge_from(BatchWriteResult(shard_puts,
-                                                           shard_deletes))
-                        continue
-                    if (len(result.unprocessed_puts)
-                            + len(result.unprocessed_deletes)
-                            < len(shard_puts) + len(shard_deletes)):
-                        applied_any = True
-                    merged.merge_from(result)
-            if not applied_any:
-                if shard_dark:
-                    raise UnavailableError(
-                        "db.batch_write unavailable on every shard")
-                raise ThrottledError(
-                    "db.batch_write throttled on every shard")
-            return merged
+            if op is SCAN:
+                return self._scan_nodes(args)
+            return self._query_index_nodes(args)
         finally:
-            self._exit_keys(guard)
+            self._release(guard)
 
-    def scan(self, table: str,
-             filter_condition: Optional[Condition] = None,
-             projection: Optional[Projection] = None,
-             limit: Optional[int] = None,
-             exclusive_start: Optional[Any] = None,
-             consistency: Optional[str] = None) -> ScanResult:
+    def _scan_nodes(self, args: tuple) -> ScanResult:
         """Shard-ordered scan with cross-shard paging.
 
         ``last_evaluated_key`` from a truncated sharded scan is a tagged
@@ -823,8 +678,8 @@ class ShardedStore:
         ``exclusive_start`` to resume. Plain (untagged) start keys are
         not meaningful across shards and are rejected.
         """
-        if table not in self._schemas:
-            raise TableNotFound(f"no table named {table!r}")
+        # Only the paging pair is rewritten per node; the rest passes.
+        table, *passed, limit, exclusive_start, consistency = args
         start_shard, node_start = 0, None
         if exclusive_start is not None:
             if not (isinstance(exclusive_start, tuple)
@@ -834,39 +689,28 @@ class ShardedStore:
                     "sharded scan resumes only from a last_evaluated_key "
                     "it produced")
             _, start_shard, node_start = exclusive_start
-        guard = self._enter_table(table) if (
-            self.heat is not None) else None
-        try:
-            items: list[dict] = []
-            scanned = 0
-            consumed = 0
-            for shard in range(start_shard, self.n_shards):
-                remaining = None if limit is None else limit - scanned
-                if remaining is not None and remaining <= 0:
-                    return ScanResult(items,
-                                      (_SHARD_TOKEN, shard, None),
-                                      scanned, consumed)
-                result = self.nodes[shard].scan(
-                    table, filter_condition=filter_condition,
-                    projection=projection, limit=remaining,
-                    exclusive_start=node_start if shard == start_shard
-                    else None,
-                    consistency=consistency)
-                items.extend(result.items)
-                scanned += result.scanned_count
-                consumed += result.consumed_bytes
-                if result.last_evaluated_key is not None:
-                    return ScanResult(
-                        items,
-                        (_SHARD_TOKEN, shard, result.last_evaluated_key),
-                        scanned, consumed)
-            return ScanResult(items, None, scanned, consumed)
-        finally:
-            self._exit_table(guard)
+        items: list[dict] = []
+        scanned = 0
+        consumed = 0
+        for shard in range(start_shard, self.n_shards):
+            remaining = None if limit is None else limit - scanned
+            if remaining is not None and remaining <= 0:
+                return ScanResult(items, (_SHARD_TOKEN, shard, None),
+                                  scanned, consumed)
+            result = self.nodes[shard].scan(
+                table, *passed, remaining,
+                node_start if shard == start_shard else None, consistency)
+            items.extend(result.items)
+            scanned += result.scanned_count
+            consumed += result.consumed_bytes
+            if result.last_evaluated_key is not None:
+                return ScanResult(
+                    items,
+                    (_SHARD_TOKEN, shard, result.last_evaluated_key),
+                    scanned, consumed)
+        return ScanResult(items, None, scanned, consumed)
 
-    def query_index(self, table: str, index_name: str, value: Any,
-                    projection: Optional[Projection] = None,
-                    consistency: Optional[str] = None) -> list[dict]:
+    def _query_index_nodes(self, args: tuple) -> list[dict]:
         """Index lookup fan-out, merge-sorted to single-node order.
 
         One node sorts its matches by primary key (see
@@ -882,8 +726,7 @@ class ShardedStore:
         key attributes (+ the indexed attribute) and strips them after
         sorting; the widened rows are what each node meters.
         """
-        if table not in self._schemas:
-            raise TableNotFound(f"no table named {table!r}")
+        table, index_name, value, projection, consistency = args
         schema = self._schemas[table]
         index = self.nodes[0].table(table)._indexes.get(index_name)
         index_attr = index.attribute if index is not None else None
@@ -895,16 +738,10 @@ class ShardedStore:
             if index_attr is not None:
                 extra.append(path(index_attr))
             fetch_projection = Projection(list(projection.paths) + extra)
-        guard = self._enter_table(table) if (
-            self.heat is not None) else None
-        try:
-            items: list[dict] = []
-            for node in self.nodes:
-                items.extend(node.query_index(table, index_name, value,
-                                              projection=fetch_projection,
-                                              consistency=consistency))
-        finally:
-            self._exit_table(guard)
+        items: list[dict] = []
+        for node in self.nodes:
+            items.extend(node.query_index(table, index_name, value,
+                                          fetch_projection, consistency))
         items.sort(key=lambda item: (
             _sort_token(item.get(index_attr) if index_attr else None),
             _sort_token_tuple(schema.extract(item))))
@@ -913,7 +750,7 @@ class ShardedStore:
         return items
 
     # -- cross-shard transactions ------------------------------------------------
-    def transact_write(self, ops: Sequence[TransactOp]) -> None:
+    def _transact(self, op: StoreOp, args: tuple) -> None:
         """All-or-nothing conditional writes, across shards if need be.
 
         Single-shard groups delegate to the owning node's native
@@ -927,77 +764,62 @@ class ShardedStore:
         between rounds; its observable cost is the doubled per-shard
         latency, its observable guarantee atomicity.
         """
-        if not ops:
-            return
-        guard = None
-        if self.heat is not None:
-            guard = self._enter_pairs([
-                (op.table,
-                 op.item if isinstance(op, TransactPut) else op.key)
-                for op in ops])
+        pairs = op.keys(args)
+        guard = self._enter_routes(self._route(*pair) for pair in pairs)
         try:
-            self._transact_write_routed(ops)
+            groups: dict[int, list] = {}
+            for (table, key), write in zip(pairs, args[0]):
+                groups.setdefault(self.shard_for(table, key),
+                                  []).append(write)
+            if len(groups) == 1:
+                shard, writes = next(iter(groups.items()))
+                self.nodes[shard].transact_write(writes)
+            else:
+                self._two_phase(groups)
         finally:
-            self._exit_keys(guard)
+            self._release(guard)
 
-    def _transact_write_routed(self, ops: Sequence[TransactOp]) -> None:
-        groups: dict[int, list[TransactOp]] = {}
-        for op in ops:
-            key = op.item if isinstance(op, TransactPut) else op.key
-            groups.setdefault(self.shard_for(op.table, key), []).append(op)
-        if len(groups) == 1:
-            shard, shard_ops = next(iter(groups.items()))
-            self.nodes[shard].transact_write(shard_ops)
-            return
-        # Phase 1 latency: one prepare round per involved shard. Under
-        # async_io the round's fan-out overlaps (all shards are contacted
-        # concurrently; the round completes when the slowest answers) —
-        # the two rounds themselves stay strictly sequential, as 2PC
-        # requires.
-        with overlap(self, enabled=self.async_io) as scope:
-            for shard in sorted(groups):
-                with scope.branch():
-                    self.nodes[shard]._pay("db.txn",
-                                           units=len(groups[shard]))
-        if self.obs is not None:
-            self.obs.tracer.event("2pc:prepared", cat="txn",
-                                  shards=sorted(groups))
-        self._interleave("2pc:prepared")
-        # Phase 2 latency: one commit round per involved shard.
-        with overlap(self, enabled=self.async_io) as scope:
-            for shard in sorted(groups):
-                with scope.branch():
-                    self.nodes[shard]._pay("db.txn",
-                                           units=len(groups[shard]))
-        if self.obs is not None:
-            self.obs.tracer.event("2pc:committed", cat="txn",
-                                  shards=sorted(groups))
-        self._interleave("2pc:committed")
+    def _two_phase(self, groups: dict) -> None:
+        shards = sorted(groups)
+        # Each node's span starts where its rounds start, on its clock.
+        starts = {shard: self.nodes[shard].time.now() for shard in shards}
+        # Two rounds of latency — prepare, then commit — one per involved
+        # shard each. Under async_io a round's fan-out overlaps (all
+        # shards are contacted concurrently; the round completes when the
+        # slowest answers) — the two rounds themselves stay strictly
+        # sequential, as 2PC requires.
+        for phase in ("2pc:prepared", "2pc:committed"):
+            with overlap(self, enabled=self.async_io) as scope:
+                for shard in shards:
+                    with scope.branch():
+                        self.nodes[shard]._pay("db.txn",
+                                               units=len(groups[shard]))
+            if self.obs is not None:
+                self.obs.tracer.event(phase, cat="txn", shards=shards)
+            self._interleave(phase)
         # Decision + apply under every involved table's lock.
         tables: dict[tuple, Table] = {}
-        for shard, shard_ops in groups.items():
-            for op in shard_ops:
-                tables[(shard, op.table)] = (
-                    self.nodes[shard]._tables[op.table])
-        ordered = [tables[key] for key in sorted(tables)]
+        for shard, writes in groups.items():
+            for write in writes:
+                tables[(shard, write.table)] = (
+                    self.nodes[shard]._tables[write.table])
         acquired: list[Table] = []
         try:
-            for tbl in ordered:
-                tbl._lock.acquire()
-                acquired.append(tbl)
-            self._transact_locked(groups)
+            for key in sorted(tables):
+                tables[key]._lock.acquire()
+                acquired.append(tables[key])
+            # Same check-then-apply semantics as one node's transaction,
+            # reusing its phases so the two paths cannot drift — just
+            # spread over every involved shard (each meters its own
+            # portion).
+            for shard in shards:
+                self.nodes[shard]._transact_check(groups[shard])
+            for shard in shards:
+                self.nodes[shard]._transact_apply(groups[shard],
+                                                  starts[shard])
         finally:
             for tbl in reversed(acquired):
                 tbl._lock.release()
-
-    def _transact_locked(self, groups: dict) -> None:
-        # Same check-then-apply semantics as one node's transaction,
-        # reusing its phases so the two paths cannot drift — just spread
-        # over every involved shard (each meters its own portion).
-        for shard in sorted(groups):
-            self.nodes[shard]._transact_check(groups[shard])
-        for shard in sorted(groups):
-            self.nodes[shard]._transact_apply(groups[shard])
 
     # -- stats ---------------------------------------------------------------------
     def time_sources(self) -> list:

@@ -1,11 +1,23 @@
-"""The store facade: tables + virtual latency + metering + faults.
+"""The store node: tables + virtual latency + metering + faults.
 
-``KVStore`` is what every other layer talks to. Each public operation:
+``KVStore`` is what every other layer ends at. Its public operations are
+the ten of :mod:`repro.kvstore.surface`; behind them every round trip
+runs one template:
 
-1. optionally consults the fault policy (throttling, latency spikes),
-2. sleeps a calibrated virtual latency through the time source,
-3. performs the atomic table operation,
-4. meters the bytes and request units consumed.
+1. scheduled fault windows (``FaultTimeline``), then the probabilistic
+   fault policy (throttling),
+2. the calibrated virtual latency — spiked, slowed and queued as the
+   policy, timeline and service capacity dictate — through the time
+   source,
+3. the atomic table effect,
+4. metering of the bytes and request units consumed,
+5. one ``store.<op>`` span.
+
+The order of checks and random draws inside that template is pinned
+bit-for-bit by the kernel goldens. Two per-kind variations: an operation
+whose cost scales with the rows it walks (``query``, ``scan``,
+``query_index``) runs step 3 *before* steps 1–2, and a throttled batch
+serves a prefix instead of failing outright.
 
 With a :class:`NullTimeSource` (the default) the store runs synchronously
 with zero latency — unit tests use it directly without a kernel.
@@ -13,22 +25,33 @@ with zero latency — unit tests use it directly without a kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional, Sequence
 
 from repro.kvstore.errors import (
     TableExists,
     TableNotFound,
     ThrottledError,
     TransactionCanceled,
-    ConditionFailed,
     UnavailableError,
 )
-from repro.kvstore.expressions import Condition, Projection, UpdateAction
+from repro.kvstore.expressions import Projection
 from repro.kvstore.faults import FaultPolicy, FaultTimeline
 from repro.kvstore.item import item_size
 from repro.kvstore.metering import Metering
-from repro.kvstore.table import KeySchema, QueryResult, ScanResult, Table
+from repro.kvstore.surface import (
+    BATCH_GET,
+    MAX_BATCH_WRITE_ITEMS,
+    PUT,
+    StoreOp,
+    TransactOp,
+    TransactPut,
+    TransactUpdate,
+    batch_result,
+    batch_rows,
+    store_layer,
+    validate_batch_write,
+)
+from repro.kvstore.table import KeySchema, Table
 from repro.sim.kernel import SimKernel
 from repro.sim.latency import LatencyModel, ServiceCapacity
 from repro.sim.randsrc import RandomSource
@@ -111,85 +134,7 @@ class KernelTimeSource(TimeSource):
         return ("kernel", id(self.kernel))
 
 
-@dataclass(frozen=True)
-class TransactPut:
-    table: str
-    item: dict
-    condition: Optional[Condition] = None
-
-
-@dataclass(frozen=True)
-class TransactUpdate:
-    table: str
-    key: Any
-    updates: Sequence[UpdateAction]
-    condition: Optional[Condition] = None
-
-
-@dataclass(frozen=True)
-class TransactDelete:
-    table: str
-    key: Any
-    condition: Optional[Condition] = None
-
-
-TransactOp = Union[TransactPut, TransactUpdate, TransactDelete]
-
-
-#: DynamoDB ``BatchWriteItem`` caps one request at 25 put/delete items.
-MAX_BATCH_WRITE_ITEMS = 25
-
-
-class BatchWriteResult:
-    """``batch_write``'s return value: what the round trip left unserved.
-
-    Mirrors DynamoDB ``BatchWriteItem``'s ``UnprocessedItems``: under a
-    throttle the store may apply only a prefix of the batch and hand the
-    rest back for the caller to retry (:func:`batch_write_all` is the
-    retrying wrapper). ``unprocessed_puts`` holds the unapplied item
-    dicts, ``unprocessed_deletes`` the unapplied keys, both in request
-    order.
-    """
-
-    def __init__(self, unprocessed_puts: Sequence[dict] = (),
-                 unprocessed_deletes: Sequence[Any] = ()) -> None:
-        self.unprocessed_puts: list[dict] = list(unprocessed_puts)
-        self.unprocessed_deletes: list[Any] = list(unprocessed_deletes)
-
-    @property
-    def complete(self) -> bool:
-        return not self.unprocessed_puts and not self.unprocessed_deletes
-
-    def merge_from(self, other: "BatchWriteResult") -> None:
-        self.unprocessed_puts.extend(other.unprocessed_puts)
-        self.unprocessed_deletes.extend(other.unprocessed_deletes)
-
-
-class BatchGetResult(list):
-    """``batch_get``'s return value: aligned rows plus the unserved rest.
-
-    Behaves as a plain list of ``Optional[dict]`` aligned with the
-    requested keys (missing rows are ``None``), so callers that predate
-    partial results keep working unchanged. Under throttling the store
-    may serve only part of the batch — DynamoDB's ``UnprocessedKeys`` —
-    in which case the unserved positions are ``None`` *and* listed in
-    :attr:`unprocessed_indexes`/:attr:`unprocessed_keys` for the caller
-    to retry. Use :func:`batch_get_all` for a retrying wrapper.
-    """
-
-    def __init__(self, items: Sequence[Optional[dict]] = (),
-                 unprocessed_indexes: Sequence[int] = (),
-                 keys: Sequence[Any] = ()) -> None:
-        super().__init__(items)
-        self.unprocessed_indexes: list[int] = list(unprocessed_indexes)
-        self.unprocessed_keys: list[Any] = [
-            keys[i] for i in self.unprocessed_indexes] if keys else []
-
-    @property
-    def complete(self) -> bool:
-        return not self.unprocessed_indexes
-
-
+@store_layer
 class KVStore:
     """A collection of tables behind one latency/metering boundary.
 
@@ -333,253 +278,98 @@ class KVStore:
             raise ThrottledError(f"{op} throttled")
         self._charge(op, units=units)
 
-    # -- point ops ---------------------------------------------------------------
-    def get(self, table: str, key: Any,
-            projection: Optional[Projection] = None,
-            consistency: Optional[str] = None) -> Optional[dict]:
-        """Point read.
-
-        ``consistency`` is the DynamoDB knob: ``None``/``"strong"`` is a
-        strongly consistent read (full price); ``"eventual"`` meters at
-        half a read unit. On a plain :class:`KVStore` both serve the same
-        (single, current) state — a
-        :class:`~repro.kvstore.replication.ReplicaGroup` additionally
-        routes eventual reads to a possibly-lagging follower.
-        """
-        tbl = self.table(table)
+    # -- the round trip, per kind -------------------------------------------------
+    def _read(self, op: StoreOp, args: tuple):
+        """``get`` / ``query`` / ``scan`` / ``query_index``."""
+        table = args[0]
+        effect = getattr(self.table(table), op.name)
         start = self.time.now()
-        self._pay("db.read")
-        item = tbl.get(key, projection=projection)
-        nbytes = item_size(item) if item else 0
-        self.metering.record_read("read", table, nbytes,
-                                  consistency=consistency)
-        self._span("read", table, start)
-        return item
+        if not op.ranged:
+            self._pay(op.latency)
+        result = effect(*args[1:-1])
+        nbytes, rows = _read_cost(result)
+        if op.ranged:
+            # The charge scales with the rows walked, so it follows them.
+            self._pay(op.latency, units=rows)
+        self.metering.record_read(op.meter, table, nbytes, items=rows,
+                                  consistency=args[-1])
+        self._span(op.meter, table, start)
+        return result
 
-    def batch_get(self, table: str, keys: Sequence[Any],
-                  projection: Optional[Projection] = None,
-                  consistency: Optional[str] = None
-                  ) -> BatchGetResult:
-        """Read many rows of one table in a single round trip.
+    _keyed_read = _table_read = _read
 
-        Models DynamoDB ``BatchGetItem`` restricted to one table: the
-        whole batch pays one latency/fault draw and meters as a single
-        request whose read units cover every served row. Results align
-        with ``keys``; missing rows come back as ``None``. An empty
-        batch is free.
-
-        Throttling is DynamoDB-style **partial**: a throttle draw serves
-        only a prefix of the batch and reports the remainder through
-        :attr:`BatchGetResult.unprocessed_indexes` — callers retry the
-        rest (see :func:`batch_get_all`). Only when *nothing* could be
-        served (always the case for a single-key batch) does the call
-        raise :class:`ThrottledError`, matching the point-read contract.
-        """
-        if not keys:
-            return BatchGetResult()
-        tbl = self.table(table)
+    def _keyed_write(self, op: StoreOp, args: tuple):
+        """``put`` / ``update`` / ``delete``."""
+        table = args[0]
+        effect = getattr(self.table(table), op.name)
+        latency, meter = op.labels(args)
         start = self.time.now()
-        self._timeline_check("db.batch_read")
-        served = len(keys)
-        if self._throttled("db.batch_read"):
-            served = self.rand.randint(0, len(keys) - 1)
+        self._pay(latency)
+        result = effect(*args[1:])
+        # Bytes written: the item put, the row as updated, the row removed.
+        written = args[1] if op is PUT else result
+        self.metering.record_write(meter, table,
+                                   item_size(written) if written else 0)
+        self._span(meter, table, start)
+        return result
+
+    def _batch(self, op: StoreOp, args: tuple):
+        """``batch_get`` / ``batch_write``: one draw, one charge, and the
+        partial-prefix rule under a throttle."""
+        table = args[0]
+        tbl = self.table(table)
+        rows, n_puts = batch_rows(op, args)
+        if op is not BATCH_GET:
+            validate_batch_write(tbl.schema, rows)
+        start = self.time.now()
+        self._timeline_check(op.latency)
+        served = len(rows)
+        if self._throttled(op.latency):
+            served = self.rand.randint(0, len(rows) - 1)
             if served == 0:
-                raise ThrottledError("db.batch_read throttled")
-        self._charge("db.batch_read", units=served)
+                raise ThrottledError(f"{op.latency} throttled")
+        self._charge(op.latency, units=served)
         items: list[Optional[dict]] = []
-        total_bytes = 0
-        for key in keys[:served]:
-            item = tbl.get(key, projection=projection)
-            items.append(item)
-            total_bytes += item_size(item) if item else 0
-        items.extend(None for _ in range(len(keys) - served))
-        self.metering.record_read("batch_get", table, total_bytes,
-                                  items=served, consistency=consistency)
-        self._span("batch_get", table, start, items=served)
-        return BatchGetResult(items,
-                              unprocessed_indexes=range(served, len(keys)),
-                              keys=keys)
+        if op is BATCH_GET:
+            items = [tbl.get(key, args[2]) for key in rows[:served]]
+            self.metering.record_read(
+                op.meter, table,
+                sum(item_size(item) for item in items if item),
+                items=served, consistency=args[3])
+            items.extend([None] * (len(rows) - served))
+        else:
+            sizes: list[int] = []
+            for position, row in enumerate(rows[:served]):
+                if position < n_puts:
+                    tbl.put(row)
+                    sizes.append(item_size(row))
+                else:
+                    removed = tbl.delete(row)
+                    sizes.append(item_size(removed) if removed else 0)
+            self.metering.record_batch_write(op.meter, table, sizes)
+        self._span(op.meter, table, start, items=served)
+        return batch_result(op, rows, n_puts, items,
+                            range(served, len(rows)))
 
-    def batch_write(self, table: str, puts: Sequence[dict] = (),
-                    deletes: Sequence[Any] = ()) -> BatchWriteResult:
-        """Write/delete many rows of one table in a single round trip.
-
-        Models DynamoDB ``BatchWriteItem`` restricted to one table: up to
-        :data:`MAX_BATCH_WRITE_ITEMS` **unconditional** puts and deletes
-        (DynamoDB supports no conditions in a batch) paying one
-        latency/fault draw, metered as a single request whose write units
-        cover every applied item — identical units to the sequential
-        path, fewer round trips. An empty batch is free. A batch may not
-        put and delete the same key (DynamoDB rejects such requests).
-
-        Throttling is DynamoDB-style **partial**: a throttle draw applies
-        only a prefix (puts first, then deletes, in request order) and
-        reports the rest through :class:`BatchWriteResult` — callers
-        retry via :func:`batch_write_all`. Only when *nothing* could be
-        applied does the call raise :class:`ThrottledError`, matching the
-        point-write contract.
-        """
-        puts = list(puts)
-        deletes = list(deletes)
-        total = len(puts) + len(deletes)
-        if total == 0:
-            return BatchWriteResult()
-        if total > MAX_BATCH_WRITE_ITEMS:
-            raise ValueError(
-                f"batch_write accepts at most {MAX_BATCH_WRITE_ITEMS} "
-                f"items per request, got {total}")
-        tbl = self.table(table)
-        # DynamoDB rejects any repeated key in one BatchWriteItem —
-        # duplicate puts, duplicate deletes, or a put+delete pair.
-        touched = set()
-        for token in ([repr(tbl.schema.extract(item)) for item in puts]
-                      + [repr(tbl.schema.normalize(key))
-                         for key in deletes]):
-            if token in touched:
-                raise ValueError(
-                    "batch_write may not touch the same key twice in "
-                    "one request")
-            touched.add(token)
-        start = self.time.now()
-        self._timeline_check("db.batch_write")
-        served = total
-        if self._throttled("db.batch_write"):
-            served = self.rand.randint(0, total - 1)
-            if served == 0:
-                raise ThrottledError("db.batch_write throttled")
-        self._charge("db.batch_write", units=served)
-        sizes: list[int] = []
-        served_puts = min(served, len(puts))
-        for item in puts[:served_puts]:
-            tbl.put(item)
-            sizes.append(item_size(item))
-        served_deletes = served - served_puts
-        for key in deletes[:served_deletes]:
-            removed = tbl.delete(key)
-            sizes.append(item_size(removed) if removed else 0)
-        self.metering.record_batch_write("batch_write", table, sizes)
-        self._span("batch_write", table, start, items=served)
-        return BatchWriteResult(
-            unprocessed_puts=puts[served_puts:],
-            unprocessed_deletes=deletes[served_deletes:])
-
-    def put(self, table: str, item: dict,
-            condition: Optional[Condition] = None) -> None:
-        tbl = self.table(table)
-        op = "db.cond_write" if condition is not None else "db.write"
-        start = self.time.now()
-        self._pay(op)
-        tbl.put(item, condition=condition)
-        kind = "cond_write" if condition is not None else "write"
-        self.metering.record_write(kind, table, item_size(item))
-        self._span(kind, table, start)
-
-    def update(self, table: str, key: Any,
-               updates: Sequence[UpdateAction],
-               condition: Optional[Condition] = None) -> dict:
-        tbl = self.table(table)
-        op = "db.cond_write" if condition is not None else "db.write"
-        start = self.time.now()
-        self._pay(op)
-        new_item = tbl.update(key, updates, condition=condition)
-        kind = "cond_write" if condition is not None else "write"
-        self.metering.record_write(kind, table, item_size(new_item))
-        self._span(kind, table, start)
-        return new_item
-
-    def delete(self, table: str, key: Any,
-               condition: Optional[Condition] = None) -> Optional[dict]:
-        tbl = self.table(table)
-        start = self.time.now()
-        self._pay("db.delete")
-        removed = tbl.delete(key, condition=condition)
-        self.metering.record_write("delete", table,
-                                   item_size(removed) if removed else 0)
-        self._span("delete", table, start)
-        return removed
-
-    # -- queries/scans --------------------------------------------------------------
-    def query(self, table: str, hash_value: Any,
-              range_condition: Optional[Condition] = None,
-              filter_condition: Optional[Condition] = None,
-              projection: Optional[Projection] = None,
-              limit: Optional[int] = None,
-              exclusive_start: Optional[Any] = None,
-              reverse: bool = False,
-              consistency: Optional[str] = None) -> QueryResult:
-        tbl = self.table(table)
-        start = self.time.now()
-        result = tbl.query(hash_value, range_condition=range_condition,
-                           filter_condition=filter_condition,
-                           projection=projection, limit=limit,
-                           exclusive_start=exclusive_start, reverse=reverse)
-        self._pay("db.query", units=result.scanned_count)
-        self.metering.record_read("query", table, result.consumed_bytes,
-                                  items=max(1, result.scanned_count),
-                                  consistency=consistency)
-        self._span("query", table, start)
-        return result
-
-    def scan(self, table: str,
-             filter_condition: Optional[Condition] = None,
-             projection: Optional[Projection] = None,
-             limit: Optional[int] = None,
-             exclusive_start: Optional[Any] = None,
-             consistency: Optional[str] = None) -> ScanResult:
-        tbl = self.table(table)
-        start = self.time.now()
-        result = tbl.scan(filter_condition=filter_condition,
-                          projection=projection, limit=limit,
-                          exclusive_start=exclusive_start)
-        self._pay("db.scan", units=result.scanned_count)
-        self.metering.record_read("scan", table, result.consumed_bytes,
-                                  items=max(1, result.scanned_count),
-                                  consistency=consistency)
-        self._span("scan", table, start)
-        return result
-
-    def query_index(self, table: str, index_name: str, value: Any,
-                    projection: Optional[Projection] = None,
-                    consistency: Optional[str] = None) -> list[dict]:
-        tbl = self.table(table)
-        start = self.time.now()
-        items = tbl.query_index(index_name, value, projection=projection)
-        self._pay("db.query", units=len(items))
-        nbytes = sum(item_size(it) for it in items)
-        self.metering.record_read("query_index", table, nbytes,
-                                  items=max(1, len(items)),
-                                  consistency=consistency)
-        self._span("query_index", table, start)
-        return items
-
-    # -- cross-table transactions ------------------------------------------------------
-    def transact_write(self, ops: Sequence[TransactOp]) -> None:
-        """All-or-nothing conditional writes across tables.
-
-        Models DynamoDB ``TransactWriteItems``; used only by the paper's
-        cross-table-transaction baseline variant (Figs. 13 and 16), never by
-        Beldi's linked-DAAL path.
-        """
-        if not ops:
-            return
-        self._pay("db.txn", units=len(ops))
-        tables = [self.table(op.table) for op in ops]
+    def _transact(self, op: StoreOp, args: tuple) -> None:
+        """``transact_write`` on one node: pay, then check and apply
+        under every involved table's lock."""
+        ops = args[0]
         # Acquire in deterministic order to avoid lock-order inversion.
-        unique = {id(t): t for t in tables}
-        ordered = sorted(unique.values(), key=lambda t: t.name)
+        ordered = sorted({write.table: self.table(write.table)
+                          for write in ops}.items())
+        start = self.time.now()
+        self._pay(op.latency, units=len(ops))
         acquired = []
         try:
-            for tbl in ordered:
+            for _name, tbl in ordered:
                 tbl._lock.acquire()
                 acquired.append(tbl)
-            self._transact_locked(ops)
+            self._transact_check(ops)
+            self._transact_apply(ops, start)
         finally:
             for tbl in reversed(acquired):
                 tbl._lock.release()
-
-    def _transact_locked(self, ops: Sequence[TransactOp]) -> None:
-        self._transact_check(ops)
-        self._transact_apply(ops)
 
     def _transact_check(self, ops: Sequence[TransactOp]) -> None:
         """Phase 1: check all conditions against current state.
@@ -598,10 +388,11 @@ class KVStore:
                 raise TransactionCanceled(
                     f"condition failed on {op.table}")
 
-    def _transact_apply(self, ops: Sequence[TransactOp]) -> None:
+    def _transact_apply(self, ops: Sequence[TransactOp],
+                        start: float) -> None:
         """Phase 2: apply (conditions re-checked by the table; they
-        cannot fail because every table lock is held)."""
-        start = self.time.now()
+        cannot fail because every table lock is held). ``start`` is when
+        the transaction began paying, so the span covers its rounds."""
         total_bytes = 0
         for op in ops:
             tbl = self.table(op.table)
@@ -630,6 +421,18 @@ class KVStore:
 
     def item_count(self, table: str) -> int:
         return self.table(table).item_count()
+
+
+def _read_cost(result) -> tuple[int, int]:
+    """``(bytes moved, rows walked)`` of one read's result: a row (or
+    none), an index lookup's row list, or a query/scan page."""
+    if result is None:
+        return 0, 1
+    if isinstance(result, dict):
+        return item_size(result), 1
+    if isinstance(result, list):
+        return sum(item_size(item) for item in result), len(result)
+    return result.consumed_bytes, result.scanned_count
 
 
 def batch_get_all(store, table: str, keys: Sequence[Any],
@@ -714,17 +517,10 @@ def batch_write_all(store, table: str, puts: Sequence[dict] = (),
 
 
 __all__ = [
-    "BatchGetResult",
-    "BatchWriteResult",
-    "ConditionFailed",
     "KVStore",
     "KernelTimeSource",
-    "MAX_BATCH_WRITE_ITEMS",
     "NullTimeSource",
     "TimeSource",
-    "TransactDelete",
-    "TransactPut",
-    "TransactUpdate",
     "batch_get_all",
     "batch_write_all",
 ]

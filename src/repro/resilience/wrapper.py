@@ -26,10 +26,12 @@ errors propagate to the fan-out's own partial-batch handling.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from repro.core.errors import DeadlineExceeded
+from repro.kvstore.asyncio import in_scope
 from repro.kvstore.errors import ThrottledError, UnavailableError
+from repro.kvstore.surface import KEYED_READ, KEYED_WRITE, StoreOp, store_layer
 from repro.resilience.state import ResilienceState
 
 #: Table-name suffixes of Beldi's protocol tables. Degraded (stale)
@@ -39,9 +41,8 @@ from repro.resilience.state import ResilienceState
 _PROTOCOL_SUFFIXES = (".intent", ".readlog", ".invokelog", ".locksets",
                       ".shadow")
 
-_NO_BREAKER = object()
 
-
+@store_layer
 class ResilientStore:
     """Store facade with retry/backoff/deadline/breaker semantics."""
 
@@ -60,45 +61,52 @@ class ResilientStore:
     def inner(self):
         return self._inner
 
-    # -- plumbing --------------------------------------------------------
+    def _call(self, op: StoreOp, args: tuple):
+        """Every operation, whatever its kind: the retry loop.
 
-    def _endpoint(self, table: str, key: Any):
-        if self._sharded:
-            try:
-                return self._inner.shard_for(table, key)
-            except Exception:
-                return "store"
-        return "store"
+        From the declaration come the label retries and deadline aborts
+        are booked under (the latency op the call pays), the breaker
+        endpoint (a keyed operation's owning shard — or the one
+        ``"store"`` behind an unsharded facade; fan-outs and transactions
+        touch many endpoints and get no breaker) and whether a stale
+        follower read may stand in for a dark leader.
 
-    def _in_scope(self) -> bool:
-        return getattr(self._time, "_ov_scope", None) is not None
-
-    def _call(self, op: str, fn: Callable[[], Any],
-              breaker_key=_NO_BREAKER,
-              degraded: Optional[Callable[[], Any]] = None):
+        Batches and transactions raise Throttled/Unavailable only when
+        *nothing* was served or applied (partial results surface as
+        unprocessed remainders; injected errors fire in the pay/prepare
+        phase, strictly before any mutation), so a whole-call retry never
+        double-applies anything.
+        """
         state = self._state
-        if self._in_scope():
+        inner = self._inner
+        if in_scope(self._time):
             # Overlap-scope bodies may not yield; the fan-out above the
             # scope handles partial failures itself.
-            return fn()
+            return op.call(inner, args)
+        label = op.labels(args)[0]
         deadline = state.current_deadline()
         if deadline is not None and self._time.now() > deadline:
-            state.note_deadline_abort(op)
-            raise DeadlineExceeded(f"{op}: deadline already expired")
+            state.note_deadline_abort(label)
+            raise DeadlineExceeded(f"{label}: deadline already expired")
         policy = state.policy
-        use_breaker = breaker_key is not _NO_BREAKER
+        breaker_key = None
+        if op.kind in (KEYED_READ, KEYED_WRITE):
+            breaker_key = (inner.shard_for(args[0], args[1])
+                           if self._sharded else "store")
+        degradable = (op.degradable and args[-1] in (None, "strong")
+                      and not args[0].endswith(_PROTOCOL_SUFFIXES))
         attempt = 0
         while True:
             breaker = (state.breaker_for(breaker_key)
-                       if use_breaker else None)
+                       if breaker_key is not None else None)
             err: Optional[Exception] = None
             if breaker is not None and not breaker.allow(self._time.now()):
-                state.note_fast_fail(op, breaker_key)
+                state.note_fast_fail(label, breaker_key)
                 err = UnavailableError(
-                    f"{op}: circuit open for endpoint {breaker_key}")
+                    f"{label}: circuit open for endpoint {breaker_key}")
             else:
                 try:
-                    result = fn()
+                    result = op.call(inner, args)
                 except UnavailableError as exc:
                     if breaker is not None:
                         state.note_breaker_failure(breaker_key, breaker,
@@ -112,13 +120,13 @@ class ResilientStore:
                     if breaker is not None:
                         state.note_breaker_success(breaker_key, breaker)
                     return result
-            if degraded is not None and isinstance(err, UnavailableError):
+            if degradable and isinstance(err, UnavailableError):
                 try:
-                    result = degraded()
+                    result = op.call(inner, args[:-1] + ("eventual",))
                 except (ThrottledError, UnavailableError):
                     pass
                 else:
-                    state.note_degraded_read(op)
+                    state.note_degraded_read(label)
                     return result
             attempt += 1
             if attempt >= policy.max_attempts:
@@ -126,87 +134,15 @@ class ResilientStore:
             backoff = policy.backoff(attempt, state.rand)
             now = self._time.now()
             if deadline is not None and now + backoff > deadline:
-                state.note_deadline_abort(op)
+                state.note_deadline_abort(label)
                 raise DeadlineExceeded(
-                    f"{op}: deadline exceeded after {attempt} attempts"
+                    f"{label}: deadline exceeded after {attempt} attempts"
                 ) from err
-            state.note_retry(op, backoff)
+            state.note_retry(label, backoff)
             self._time.sleep(backoff)
             if state.obs is not None:
                 state.obs.tracer.record_span(
                     "resilience.backoff", cat="resilience", start=now,
-                    end=self._time.now(), op=op, attempt=attempt)
+                    end=self._time.now(), op=label, attempt=attempt)
 
-    # -- point ops -------------------------------------------------------
-
-    def get(self, table: str, key: Any, projection=None,
-            consistency: Optional[str] = None):
-        degraded = None
-        if (consistency in (None, "strong")
-                and not table.endswith(_PROTOCOL_SUFFIXES)):
-            degraded = lambda: self._inner.get(  # noqa: E731
-                table, key, projection=projection, consistency="eventual")
-        return self._call(
-            "db.read",
-            lambda: self._inner.get(table, key, projection=projection,
-                                    consistency=consistency),
-            breaker_key=self._endpoint(table, key), degraded=degraded)
-
-    def put(self, table: str, item: dict, condition=None) -> None:
-        return self._call(
-            "db.write",
-            lambda: self._inner.put(table, item, condition=condition),
-            breaker_key=self._endpoint(table, item))
-
-    def update(self, table: str, key: Any, updates, condition=None):
-        return self._call(
-            "db.cond_write",
-            lambda: self._inner.update(table, key, updates,
-                                       condition=condition),
-            breaker_key=self._endpoint(table, key))
-
-    def delete(self, table: str, key: Any, condition=None):
-        return self._call(
-            "db.delete",
-            lambda: self._inner.delete(table, key, condition=condition),
-            breaker_key=self._endpoint(table, key))
-
-    # -- reads over many rows -------------------------------------------
-
-    def query(self, table: str, hash_value: Any, **kwargs):
-        return self._call(
-            "db.query",
-            lambda: self._inner.query(table, hash_value, **kwargs),
-            breaker_key=self._endpoint(table, hash_value))
-
-    def scan(self, table: str, **kwargs):
-        return self._call("db.scan",
-                          lambda: self._inner.scan(table, **kwargs))
-
-    def query_index(self, table: str, index_name: str, value: Any,
-                    **kwargs):
-        return self._call(
-            "db.query_index",
-            lambda: self._inner.query_index(table, index_name, value,
-                                            **kwargs))
-
-    # -- batches and transactions ---------------------------------------
-    # Both raise Throttled/Unavailable only when *nothing* was served or
-    # applied (partial results surface as unprocessed remainders), so a
-    # whole-call retry never double-applies anything.
-
-    def batch_get(self, table: str, keys, **kwargs):
-        return self._call(
-            "db.batch_read",
-            lambda: self._inner.batch_get(table, keys, **kwargs))
-
-    def batch_write(self, table: str, puts=(), deletes=()):
-        return self._call(
-            "db.batch_write",
-            lambda: self._inner.batch_write(table, puts, deletes))
-
-    def transact_write(self, ops) -> None:
-        # Injected errors fire in the pay/prepare phase, strictly before
-        # any mutation, so the transaction is all-or-nothing under retry.
-        return self._call("db.txn",
-                          lambda: self._inner.transact_write(ops))
+    _keyed_read = _keyed_write = _batch = _table_read = _transact = _call

@@ -193,6 +193,34 @@ def test_sharded_batch_write_routes_and_merges():
         assert store.get("t", item["K"]) is not None
 
 
+def test_sharded_rejects_a_bad_batch_before_touching_any_shard():
+    """A repeated key is a malformed request: all-or-nothing on any
+    placement. The repeat is of the key owned by the *highest* shard, so
+    a fan-out that validated per node would have applied every lower
+    shard's rows before reaching the error."""
+    nodes = [KVStore(shard_id=i, rand=RandomSource(11 + i, "node"))
+             for i in range(4)]
+    store = ShardedStore(nodes)
+    store.create_table("t", hash_key="K")
+    batch = items(8)
+    owners = [store.shard_for("t", item["K"]) for item in batch]
+    assert len(set(owners)) > 1, "the batch must span shards"
+    repeat = batch[owners.index(max(owners))]
+    with pytest.raises(ValueError):
+        store.batch_write("t", puts=batch + [dict(repeat)])
+    assert [node.item_count("t") for node in nodes] == [0, 0, 0, 0]
+    assert store.metering.op_count == 0
+    # ...same as one node.
+    single = make_store()
+    with pytest.raises(ValueError):
+        single.batch_write("t", puts=batch + [dict(repeat)])
+    assert single.item_count("t") == 0
+    # Oversized is rejected up front too.
+    with pytest.raises(ValueError):
+        store.batch_write("t", puts=items(MAX_BATCH_WRITE_ITEMS + 1))
+    assert store.item_count("t") == 0
+
+
 def test_only_shards_fault_targets_one_node():
     sick = FaultPolicy(throttle_probability=1.0,
                        only_ops=frozenset(["db.batch_write"]),

@@ -14,6 +14,7 @@ from repro.kvstore import (
     recover_stale_migrations,
 )
 from repro.kvstore.rebalance import MIGRATIONS_TABLE
+from repro.kvstore.surface import route_token
 from repro.sim import LatencyModel, RandomSource, SimKernel
 
 
@@ -52,7 +53,7 @@ class TestMigrate:
         assert placement_residue(store) == []
         assert moved_keys == [("data", "item-1")]
         record = store.get(MIGRATIONS_TABLE,
-                           store._route_token("data", "item-1"))
+                           route_token("data", "item-1"))
         assert record["Phase"] == "done"
         assert migrator.stats.rows_moved == 3
 
@@ -62,13 +63,13 @@ class TestMigrate:
         migrator = ChainMigrator(store)
         assert migrator.migrate([("data", "item-2", owner)]) == 0
         assert store.get(MIGRATIONS_TABLE,
-                         store._route_token("data", "item-2")) is None
+                         route_token("data", "item-2")) is None
 
     def test_latched_token_is_skipped(self):
         store = make_store()
         source = seed_chain(store, "item-3")
         migrator = ChainMigrator(store)
-        token = store._route_token("data", "item-3")
+        token = route_token("data", "item-3")
         store._latched.add(token)
         try:
             assert migrator.migrate(
@@ -87,7 +88,7 @@ class TestMigrate:
         assert store.shard_for("data", "item-4") == second
         assert placement_residue(store) == []
         record = store.get(MIGRATIONS_TABLE,
-                           store._route_token("data", "item-4"))
+                           route_token("data", "item-4"))
         assert (record["Phase"], record["Target"]) == ("done", second)
 
     def test_duplicate_tokens_in_one_batch_move_once(self):
@@ -104,7 +105,7 @@ class TestMigrate:
         assert store.shard_for("data", "item-dup") == first
         assert placement_residue(store) == []
         record = store.get(MIGRATIONS_TABLE,
-                           store._route_token("data", "item-dup"))
+                           route_token("data", "item-dup"))
         assert (record["Phase"], record["Target"]) == ("done", first)
 
     def test_migration_is_metered_separately(self):
@@ -126,7 +127,7 @@ class TestRecovery:
         source = seed_chain(store, "item-r")
         target = (source + 1) % 3
         migrator = ChainMigrator(store)
-        token = store._route_token("data", "item-r")
+        token = route_token("data", "item-r")
         store.put(MIGRATIONS_TABLE,
                   {"Token": token, "Table": "data", "Key": "item-r",
                    "Source": source, "Target": target, "Phase": "copy",
@@ -157,7 +158,7 @@ class TestRecovery:
         source = seed_chain(store, "item-f")
         target = (source + 1) % 3
         migrator = ChainMigrator(store)
-        token = store._route_token("data", "item-f")
+        token = route_token("data", "item-f")
         # Crash after commit: record committed, both sides hold rows,
         # in-memory forward lost with the worker.
         store.put(MIGRATIONS_TABLE,

@@ -196,6 +196,33 @@ class TestFailover:
         for i in range(12):
             assert group.get("data", f"k{i}")["V"] == i
 
+    def test_leader_crash_scope_names_the_op_that_is_paid(self):
+        """``only_ops`` scopes a leader crash by the operation's declared
+        latency op, the same name a throttle scope uses: ``query`` and
+        ``query_index`` are ``db.query``, ``scan`` is ``db.scan``."""
+        def failovers_after(only_op, call):
+            group, _clock = make_group(faults=FaultPolicy(
+                leader_crash_probability=1.0,
+                only_ops=frozenset([only_op])))
+            group.table("data").add_index("by_v", "V")
+            call(group)
+            return group.stats.failovers
+
+        calls = {
+            "db.read": lambda g: g.get("data", "a"),
+            "db.query": lambda g: g.query("data", "a"),
+            "db.scan": lambda g: g.scan("data"),
+            "db.batch_read": lambda g: g.batch_get("data", ["a"]),
+            "db.write": lambda g: g.put("data", {"Key": "a"}),
+            "db.delete": lambda g: g.delete("data", "a"),
+        }
+        for scope in calls:
+            for op, call in calls.items():
+                assert failovers_after(scope, call) == (
+                    1 if op == scope else 0), (scope, op)
+        assert failovers_after(
+            "db.query", lambda g: g.query_index("data", "by_v", 1)) == 1
+
     def test_promotes_most_caught_up_follower(self):
         group, clock = make_group(n_replicas=3)
         group.put("data", {"Key": "a", "V": 1})

@@ -8,18 +8,27 @@ instrumentation is lying about what the layer did.
 """
 
 from repro.core import BeldiConfig, BeldiRuntime
-from repro.kvstore import FaultTimeline, UnavailableError
+from repro.kvstore import (
+    AttrNotExists,
+    FaultTimeline,
+    TableNotFound,
+    UnavailableError,
+)
 
 import pytest
 
 
 class ThrottleScript:
-    """Deterministic duck-typed FaultPolicy: throttle the first ``n``."""
+    """Deterministic duck-typed FaultPolicy: throttle the first ``n``
+    (of ``only_op``, when given)."""
 
-    def __init__(self, n):
+    def __init__(self, n, only_op=None):
         self.remaining = n
+        self.only_op = only_op
 
     def should_throttle(self, rand, op="", shard=None):
+        if self.only_op is not None and op != self.only_op:
+            return False
         if self.remaining > 0:
             self.remaining -= 1
             return True
@@ -66,6 +75,63 @@ class TestRetryParity:
             # equals the histogram's summed observations.
             span_total = sum(r["dur"] for r in spans)
             assert span_total == pytest.approx(backoff_hist["sum"])
+        finally:
+            runtime.kernel.shutdown()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_backoff_span_is_labelled_with_the_op_the_call_pays(
+            self, shards):
+        """The label comes from the store surface declaration: a
+        conditional ``put`` pays — and is retried as — ``db.cond_write``,
+        an unconditional ``update`` ``db.write``, ``query_index``
+        ``db.query``."""
+        runtime = make_runtime(shards=shards)
+        try:
+            store = runtime._resilient_store
+            store.create_table("t", hash_key="K")
+            store.table("t").add_index("by_v", "V")
+            calls = {
+                "db.cond_write": lambda: store.put(
+                    "t", {"K": "a", "V": 1}, AttrNotExists("K")),
+                "db.write": lambda: store.update("t", "a", []),
+                "db.query": lambda: store.query_index("t", "by_v", 1),
+            }
+            labels = []
+
+            def client():
+                for op, call in calls.items():
+                    script = ThrottleScript(1, only_op=op)
+                    for node in getattr(runtime.store, "nodes",
+                                        [runtime.store]):
+                        node.faults = script
+                    call()
+                    assert script.remaining == 0, op
+                    labels.append(op)
+
+            runtime.kernel.spawn(client)
+            runtime.kernel.run()
+            assert labels == list(calls)
+            spans = [r for r in runtime.obs.tracer.sorted_records()
+                     if r.get("name") == "resilience.backoff"]
+            assert [span["args"]["op"] for span in spans] == labels
+            assert runtime.resilience.stats.retries == len(labels)
+        finally:
+            runtime.kernel.shutdown()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_missing_table_is_not_an_environment_error(self, shards):
+        """``TableNotFound`` passes straight through: no retry, no
+        backoff, no breaker — whether it surfaces while resolving the
+        breaker endpoint (sharded) or from the node itself."""
+        runtime = make_runtime(shards=shards)
+        try:
+            with pytest.raises(TableNotFound):
+                runtime._resilient_store.get("nope", "a")
+            stats = runtime.resilience.stats
+            assert (stats.retries, stats.fast_fails,
+                    stats.breaker_opens) == (0, 0, 0)
+            assert (stats.throttled_errors, stats.unavailable_errors) == (
+                0, 0)
         finally:
             runtime.kernel.shutdown()
 

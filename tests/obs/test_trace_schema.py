@@ -29,7 +29,15 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
                        / "core"))
 import dst  # noqa: E402
 
+from repro.kvstore import (  # noqa: E402
+    KernelTimeSource,
+    KVStore,
+    ShardedStore,
+    TransactPut,
+)
+from repro.obs import Observability  # noqa: E402
 from repro.obs.tracer import validate_chrome_trace  # noqa: E402
+from repro.sim import LatencyModel, RandomSource, SimKernel  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +151,61 @@ def test_unified_snapshot_sections(traced):
     assert snap["elasticity"]["checks"] >= 0
     # And the whole snapshot is JSON-clean.
     json.dumps(snap, sort_keys=True, allow_nan=False)
+
+
+def _traced_transaction(n_shards):
+    """One two-row ``transact_write`` on a traced, kernel-timed store
+    whose rows land on ``n_shards`` distinct shards. Returns the virtual
+    time the call took, its ``store.transact_write`` spans, and how many
+    ``transact_write`` requests were metered."""
+    kernel = SimKernel(seed=5)
+    nodes = [KVStore(time_source=KernelTimeSource(kernel),
+                     latency=LatencyModel(RandomSource(5, f"lat{i}")),
+                     rand=RandomSource(5, f"node{i}"), shard_id=i)
+             for i in range(n_shards)]
+    store = nodes[0] if n_shards == 1 else ShardedStore(nodes)
+    obs = Observability(kernel)
+    obs.attach_store(store)
+    store.create_table("data", hash_key="K")
+    keys = ["k0"]
+    if n_shards > 1:
+        keys.append(next(
+            key for key in (f"k{i}" for i in range(1, 100))
+            if store.shard_for("data", key) != store.shard_for(
+                "data", "k0")))
+    else:
+        keys.append("k1")
+    elapsed = []
+
+    def client():
+        before = kernel.now
+        store.transact_write([TransactPut("data", {"K": key, "V": 1})
+                              for key in keys])
+        elapsed.append(kernel.now - before)
+
+    kernel.spawn(client)
+    kernel.run()
+    kernel.shutdown()
+    spans = [record for record in obs.tracer.records
+             if record["name"] == "store.transact_write"]
+    return elapsed[0], spans, store.metering.ops["transact_write"].count
+
+
+def test_transact_write_span_covers_what_the_call_paid():
+    """Like every other store span, ``store.transact_write`` starts
+    before the ``db.txn`` pay — its ``dur`` is the clock advance of the
+    call, not the zero-length apply step."""
+    elapsed, spans, metered = _traced_transaction(n_shards=1)
+    assert elapsed > 0
+    assert metered == 1 and len(spans) == 1
+    assert spans[0]["dur"] == elapsed
+
+
+def test_cross_shard_transaction_keeps_span_metering_parity():
+    """Each involved shard meters its portion once and records one span
+    for it, covering both 2PC rounds."""
+    elapsed, spans, metered = _traced_transaction(n_shards=2)
+    assert elapsed > 0
+    assert metered == 2 and len(spans) == 2
+    assert sorted(span["args"]["shard"] for span in spans) == [0, 1]
+    assert all(span["dur"] == elapsed for span in spans)

@@ -55,14 +55,24 @@ class BeldiConfig:
             commute; see ``repro/core/invoke.py``), and the GC's
             log-entry, row, and lock-set deletions batch DynamoDB-style
             (25-item requests, ``UnprocessedItems`` retries).
-            Conditional log writes — the read log's serialization point,
-            single invoke claims — are **never** batched:
-            ``BatchWriteItem`` has no conditions, and those conditions
-            are what replay determinism rests on. Overlap is purely a
-            *when*, never a *what*: table contents, operation counts,
-            and request units are untouched, so every exactly-once
-            argument survives verbatim. Without it: the sequential,
-            one-write-per-row latency model.
+            The read log group-commits at the **effect frontier**
+            (``repro/core/ops.py``): a run of logged reads
+            (``read``/``read_eventual``/``record``) buffers on the
+            context and becomes durable as *one* conditional put of
+            *one* row, immediately before the next write, lock, invoke
+            claim, transaction begin/end, callback or ``mark_done``; a
+            replay loads its log with one ``query`` and answers logged
+            steps from memory, and a flush lost to a duplicate that
+            logged other values rolls the execution back to replay the
+            winner's. Conditional writes are still never *batched* —
+            ``BatchWriteItem`` has no conditions, and the read-log row
+            and the single invoke claim keep theirs, which is what
+            replay determinism rests on. Overlap and claim batching are
+            purely a *when*, never a *what*; the group commit writes
+            fewer read-log rows (and bills fewer write units) and
+            leaves every data table and every return value as they
+            were. Without it: the sequential, one-write-per-row model
+            with a read-log put after every read — the paper's.
         ``"elastic"`` (:attr:`has_elastic`)
             Hot-shard elasticity (``docs/sharding.md``): a runtime that
             builds its own multi-shard store tracks per-key heat and

@@ -37,7 +37,8 @@ class BeldiContext:
 
     def __init__(self, runtime, function_name: str, env: BeldiEnv,
                  platform_ctx: InvocationContext, instance_id: str,
-                 intent: dict, txn: Optional[TxnContext] = None) -> None:
+                 intent: dict, txn: Optional[TxnContext] = None,
+                 read_log: Optional[dict] = None) -> None:
         self.runtime = runtime
         self.function_name = function_name
         self.env = env
@@ -46,6 +47,17 @@ class BeldiContext:
         self.intent = intent
         self.txn = txn
         self._step = 0
+        #: What this execution knows of its own read log, ``step ->
+        #: value`` (the ``async_io`` feature): empty on a first
+        #: execution, the logged runs when it is a replay. ``None`` = the
+        #: paper's path, which asks the store step by step.
+        self.read_log = read_log
+        #: Snapshots of the read values observed since the last effect
+        #: frontier, not yet durable (``ops.flush_read_log``), the step
+        #: of its first value and the bytes it holds.
+        self.pending_reads: list = []
+        self.pending_first = 0
+        self.pending_bytes = 0
 
     # -- plumbing the op wrappers rely on ------------------------------------
     @property
@@ -266,6 +278,7 @@ class BeldiContext:
         """
         if self.txn is not None:
             return self.txn  # nested begin_tx is inherited (§6.2)
+        ops.flush_read_log(self)
         seq = self.next_step()
         self.txn = TxnContext(
             txn_id=f"{self.instance_id}{txn_mod.TXN_ID_SEPARATOR}{seq}",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core import daal
+from repro.core import daal, ops
 from repro.core.errors import BeldiError
 from repro.kvstore import (
     AttrNotExists,
@@ -35,25 +35,18 @@ def flat_read_op(ctx, table: str, key: Any,
     """Single-row read + read-log entry (no chain scan).
 
     ``consistency`` only affects the data-row read (read-only paths may
-    pass ``"eventual"``); the read-log round trips stay strong.
+    pass ``"eventual"``); the read log follows the DAAL path's rule —
+    one serialization point, at the effect frontier
+    (:func:`repro.core.ops.log_read`).
     """
     step = ctx.next_step()
-    store = ctx.store
-    ctx.crash_point(f"read:{step}:start")
-    row = store.get(table, key, consistency=consistency)
-    value = row.get("Value", daal.MISSING) if row else daal.MISSING
-    ctx.crash_point(f"read:{step}:before-log")
-    try:
-        store.put(ctx.env.read_log,
-                  {"InstanceId": ctx.instance_id, "Step": step,
-                   "Value": value},
-                  condition=AttrNotExists("InstanceId"))
-        return value
-    except ConditionFailed:
-        record = store.get(ctx.env.read_log, (ctx.instance_id, step))
-        if record is None:
-            raise BeldiError("read log entry vanished") from None
-        return record["Value"]
+
+    def observe() -> Any:
+        ctx.crash_point(f"read:{step}:start")
+        row = ctx.store.get(table, key, consistency=consistency)
+        return row.get("Value", daal.MISSING) if row else daal.MISSING
+
+    return ops.log_read(ctx, step, observe, tag=f"read:{step}")
 
 
 def _log_entry(ctx, step: int, outcome: bool) -> dict:
@@ -63,6 +56,7 @@ def _log_entry(ctx, step: int, outcome: bool) -> dict:
 
 def flat_write_op(ctx, table: str, key: Any, value: Any) -> None:
     """Value update + write-log insert, atomically across two tables."""
+    ops.flush_read_log(ctx)
     step = ctx.next_step()
     store = ctx.store
     ctx.crash_point(f"write:{step}:start")
@@ -80,6 +74,7 @@ def flat_write_op(ctx, table: str, key: Any, value: Any) -> None:
 def flat_cond_write_op(ctx, table: str, key: Any, value: Any,
                        condition: Condition) -> bool:
     """Conditional variant; the user condition gates the data update."""
+    ops.flush_read_log(ctx)
     step = ctx.next_step()
     store = ctx.store
     ctx.crash_point(f"condwrite:{step}:start")

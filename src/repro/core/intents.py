@@ -60,6 +60,12 @@ def get_intent(env: BeldiEnv, instance_id: str) -> Optional[dict]:
     return env.store.get(env.intent_table, instance_id)
 
 
+def relaunched(intent: dict) -> bool:
+    """Has an intent collector restarted this intent (``record_launch``)?
+    Registration stamps both times with the same clock reading."""
+    return intent.get("LastLaunched") != intent.get("StartTime")
+
+
 def mark_done(env: BeldiEnv, instance_id: str, ret: Any) -> None:
     """Flip the intent to done and drop it from the pending index.
 

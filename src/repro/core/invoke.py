@@ -26,6 +26,7 @@ import hashlib
 from typing import Any
 
 from repro.core.errors import InvokeFailed, NotSupported, TxnAborted
+from repro.core.ops import flush_read_log
 from repro.kvstore import (
     AttrNotExists,
     ConditionFailed,
@@ -41,6 +42,9 @@ from repro.platform.errors import (
 
 ASYNC_ACK = "__beldi_async_ack__"
 TXN_ABORT_MARKER = "__beldi_txn_abort__"
+#: "The invoke log holds no result for this step yet" — distinct from a
+#: callee that legitimately returned ``None``.
+NO_RESULT = object()
 
 
 def wrap_result(result: Any, aborted: bool) -> Any:
@@ -57,7 +61,7 @@ def _log_invoke(ctx, step: int, callee: str, is_async: bool
                 ) -> tuple[str, Any]:
     """Claim (or recover) the invoke-log entry for this step.
 
-    Returns ``(callee instance id, logged result or None)``.
+    Returns ``(callee instance id, the logged result or NO_RESULT)``.
     """
     callee_id = ctx.fresh_callee_id()
     entry = {
@@ -71,26 +75,25 @@ def _log_invoke(ctx, step: int, callee: str, is_async: bool
     try:
         ctx.store.put(ctx.env.invoke_log, entry,
                       condition=AttrNotExists("InstanceId"))
-        return callee_id, None
+        return callee_id, NO_RESULT
     except ConditionFailed:
         record = ctx.store.get(ctx.env.invoke_log,
                                (ctx.instance_id, step))
         if record is None:
             raise InvokeFailed("invoke log entry vanished") from None
-        return record["CalleeId"], record.get("Result")
+        return record["CalleeId"], record.get("Result", NO_RESULT)
 
 
-def _check_logged_result(ctx, step: int) -> tuple[bool, Any]:
+def _check_logged_result(ctx, step: int) -> Any:
     record = ctx.store.get(ctx.env.invoke_log, (ctx.instance_id, step))
-    if record is not None and "Result" in record:
-        return True, record["Result"]
-    return False, None
+    return NO_RESULT if record is None else record.get("Result", NO_RESULT)
 
 
 def prepare_invoke(ctx, callee: str, payload_input: Any) -> dict:
     """Phase 1 of a synchronous invoke: allocate the step and pin the
     callee id in the invoke log. Deterministic and sequential, so
     parallel invocations replay with stable step numbers."""
+    flush_read_log(ctx)
     step = ctx.next_step()
     ctx.crash_point(f"invoke:{step}:start")
     callee_id, logged = _log_invoke(ctx, step, callee, is_async=False)
@@ -117,7 +120,7 @@ def complete_invoke(ctx, prepared: dict, crash_points: bool = True) -> Any:
     before replying) — so each retry first consults the invoke log before
     re-invoking with the *same* callee id.
     """
-    if prepared["logged"] is not None:
+    if prepared["logged"] is not NO_RESULT:
         return unwrap_result(prepared["logged"])
     step = prepared["step"]
     callee = prepared["callee"]
@@ -135,8 +138,8 @@ def complete_invoke(ctx, prepared: dict, crash_points: bool = True) -> Any:
                     ctx.crash_point(f"invoke:{step}:after-call")
                 return unwrap_result(result)
             except (FunctionCrashed, FunctionTimeout, TooManyRequests):
-                found, result = _check_logged_result(ctx, step)
-                if found:
+                result = _check_logged_result(ctx, step)
+                if result is not NO_RESULT:
                     return unwrap_result(result)
                 attempts += 1
                 if attempts > ctx.config.invoke_retry_limit:
@@ -192,6 +195,7 @@ def prepare_parallel_invokes(ctx, calls: list) -> list:
     if not ctx.config.has_async_io or len(calls) < 2:
         return [prepare_invoke(ctx, callee, payload)
                 for callee, payload in calls]
+    flush_read_log(ctx)
     prepared = []
     entries = []
     first_step = None
@@ -220,7 +224,7 @@ def prepare_parallel_invokes(ctx, calls: list) -> list:
         if ctx.in_txn_execute():
             call["txn"] = ctx.txn.payload()
         prepared.append({"step": step, "callee": callee, "call": call,
-                         "logged": None})
+                         "logged": NO_RESULT})
     ctx.crash_point(f"pinvoke:{first_step}:before-claim")
     batch_write_all(ctx.store, ctx.env.invoke_log, puts=entries)
     ctx.crash_point(f"pinvoke:{first_step}:after-claim")
@@ -267,6 +271,7 @@ def async_invoke_op(ctx, callee: str, payload_input: Any) -> None:
     """Fig. 20's caller path: register synchronously, then fire async."""
     if ctx.in_txn_execute():
         raise NotSupported("asyncInvoke is not supported in transactions")
+    flush_read_log(ctx)
     step = ctx.next_step()
     with ctx.trace(f"step.async_invoke:{callee}", cat="step",
                    span_id=f"{ctx.instance_id}#{step}", step=step):
@@ -289,8 +294,7 @@ def async_invoke_op(ctx, callee: str, payload_input: Any) -> None:
                     break
                 except (FunctionCrashed, FunctionTimeout,
                         TooManyRequests):
-                    found, result = _check_logged_result(ctx, step)
-                    if found and result == ASYNC_ACK:
+                    if _check_logged_result(ctx, step) == ASYNC_ACK:
                         break
                     attempts += 1
                     if attempts > ctx.config.invoke_retry_limit:

@@ -23,16 +23,30 @@ Cases are probed in transition-graph order (states with no incoming edges
 first), so a failed conditional write soundly eliminates its case even
 under concurrent mutation.
 
-A note on the ``async_io`` feature (``docs/async_io.md``): the log
-writes issued here are **deliberately never** deferred or coalesced. A
-read's conditional read-log put is the serialization point replay
-determinism rests on — it must land before any later effect that could
-depend on the observed value, so write-behind buffering would break the
-exactly-once argument. Batching applies only where writes are idempotent
-or deterministic (the GC's deletions, the parallel-invoke claim batch in
-``invoke.py``); overlapping applies only across *independent* operations
-(the commit fan-out in ``txn.py``), never within one operation's
-probe/log sequence.
+The read log's serialization point (``docs/async_io.md``). An observed
+value has to be durable before anything that depends on it becomes
+visible — not sooner. The paper puts the conditional read-log put right
+after every read; with the ``async_io`` feature it moves to the **effect
+frontier**: ``read``/``read_eventual``/``record`` buffer their value on
+the context (:func:`log_read`) and :func:`flush_read_log` writes the
+whole run as *one* conditional put of *one* row, keyed by the run's first
+step, immediately before the next write, lock, invoke-log claim,
+transaction begin/end, callback or ``mark_done``. One put is atomic, so
+no prefix of a run can land without the rest — which is why the run is
+one row and not N overlapped puts: step 3's key may depend on step 2's
+value. What is buffered is a snapshot: the handler may mutate the value
+it was handed before the frontier. A replay (an execution that did not
+create its intent; for an async stub, one the IC relaunched) starts from
+the logged runs (:func:`logged_reads`) and answers those steps from
+memory; one whose flush loses to an execution that logged *different*
+values has shown nobody anything yet and is rolled back
+(:class:`ReadLogLost`) — the re-run replays the winner's log. Without the feature (``paper``, ``without="async_io"``)
+the frontier follows every read: a run of one, today's row, today's
+crash points. Every other log write keeps its own rule: batching only
+where writes are idempotent or deterministic (the GC's deletions, the
+parallel-invoke claim batch in ``invoke.py``), overlapping only across
+*independent* operations (the commit fan-out in ``txn.py``), never
+within one operation's probe/log sequence.
 """
 
 from __future__ import annotations
@@ -52,8 +66,15 @@ from repro.kvstore import (
     Value,
 )
 from repro.kvstore.expressions import Condition, UpdateAction, path
+from repro.kvstore.item import copy_value, value_size
+from repro.kvstore.table import DEFAULT_MAX_ITEM_BYTES
+from repro.sim.kernel import ProcessCrashed
 
 _MAX_CHAIN_STEPS = 10_000  # defensive bound; chains are GC-kept short
+#: A pending run flushes early rather than grow past this many value
+#: bytes, so a group row stays well inside the store's row cap — the
+#: same cap that turns one DAAL row into a linked list (§4.1).
+_MAX_RUN_BYTES = DEFAULT_MAX_ITEM_BYTES // 2
 
 
 # Expression objects are immutable at apply time (``apply`` mutates the
@@ -74,30 +95,127 @@ def _log_write_updates(log_key: str, outcome: Any) -> list[UpdateAction]:
 
 
 # ---------------------------------------------------------------------------
-# read (Fig. 5)
+# the read log: one serialization point, at the effect frontier
 # ---------------------------------------------------------------------------
+#
+# A run of reads is one row keyed by its first step: ``Value`` is that
+# step's value and ``Run`` (absent for a run of one — the paper's row)
+# carries the following steps' values in order.
 
-def _commit_read_log(ctx, step: int, value: Any) -> Any:
-    """Serialize one observed value into the read log.
+class ReadLogLost(ProcessCrashed):
+    """A group flush lost its condition to a duplicate execution that
+    logged different values. To everything but the runtime's instance
+    wrapper — which rolls the execution back and replays the winner's
+    log — this *is* a crash: not an ``Exception``, so neither handler
+    code nor a transaction block can mistake it for an outcome."""
 
-    The conditional put is the serialization point for every logged
-    read: the first execution records ``value``; a replay loses the
-    race and returns whatever the original execution recorded.
-    """
+
+def _run_values(record: dict) -> list:
+    return [record["Value"], *record.get("Run", ())]
+
+
+def _put_run(ctx, first: int, values: list) -> Optional[list]:
+    """The serialization point: log ``values`` as steps ``first``... with
+    one conditional put. ``None`` when the row landed; when the condition
+    is lost, the concurrent winner's run for those steps."""
     store = ctx.store
+    row = {"InstanceId": ctx.instance_id, "Step": first, "Value": values[0]}
+    if len(values) > 1:
+        row["Run"] = values[1:]
     try:
-        store.put(ctx.env.read_log,
-                  {"InstanceId": ctx.instance_id, "Step": step,
-                   "Value": value},
+        store.put(ctx.env.read_log, row,
                   condition=AttrNotExists("InstanceId"))
-        return value
+        return None
     except ConditionFailed:
-        record = store.get(ctx.env.read_log, (ctx.instance_id, step))
+        record = store.get(ctx.env.read_log, (ctx.instance_id, first))
         if record is None:
             raise BeldiError(
                 "read log entry vanished mid-operation") from None
-        return record["Value"]
+        return _run_values(record)
 
+
+def logged_reads(env, instance_id: str) -> dict:
+    """Every logged ``step -> value`` of one instance: one ``query``.
+
+    What a replay (IC restart, duplicate delivery, an execution rolled
+    back by :class:`ReadLogLost`) starts from, so logged steps replay
+    from memory instead of a data read plus a lost put plus a get each.
+    """
+    logged: dict = {}
+    for record in env.store.query(env.read_log, instance_id).items:
+        for offset, value in enumerate(_run_values(record)):
+            logged[record["Step"] + offset] = value
+    return logged
+
+
+def log_read(ctx, step: int, observe, tag: Optional[str] = None) -> Any:
+    """The logged value of read step ``step``; ``observe()`` runs only if
+    the step was never logged.
+
+    With a prefetched log (``ctx.read_log``, the ``async_io`` feature)
+    a logged step answers from memory and a new one joins the pending
+    run, durable at the next :func:`flush_read_log`. Without one the
+    frontier is right here: a run of one, put before the value is handed
+    out (between the ``<tag>:before-log``/``after-log`` crash points),
+    so a lost condition simply adopts the winner's value.
+    """
+    logged = ctx.read_log
+    if logged is None:
+        value = observe()
+        if tag:
+            ctx.crash_point(f"{tag}:before-log")
+        winner = _put_run(ctx, step, [value])
+        if tag:
+            ctx.crash_point(f"{tag}:after-log")
+        return value if winner is None else winner[0]
+    if step in logged:
+        return logged[step]
+    value = observe()
+    size = value_size(value)
+    if ctx.pending_reads and (
+            ctx.pending_first + len(ctx.pending_reads) != step
+            or ctx.pending_bytes + size > _MAX_RUN_BYTES):
+        # A frontier that came sooner: a run is consecutive steps (by
+        # construction) that fit one row.
+        flush_read_log(ctx)
+    if not ctx.pending_reads:
+        ctx.pending_first = step
+        ctx.pending_bytes = 0
+    # A snapshot, taken now: the handler owns ``value`` and may mutate it
+    # before the frontier; the log records what was *observed*.
+    ctx.pending_reads.append(copy_value(value))
+    ctx.pending_bytes += size
+    return value
+
+
+def flush_read_log(ctx) -> None:
+    """The effect frontier: make the pending run of reads durable.
+
+    Called immediately before anything another party can observe or a
+    replay can depend on. The values were already handed to the handler,
+    so losing the condition to a duplicate that logged *different*
+    values cannot be repaired in place: nothing since the run began has
+    had an effect, and the execution is rolled back (:class:`ReadLogLost`)
+    to replay the winner's log.
+    """
+    values = ctx.pending_reads
+    if not values:
+        return
+    first = ctx.pending_first
+    with ctx.trace("op.read_flush", first=first, steps=len(values)):
+        ctx.crash_point(f"readlog:{first}:before-flush")
+        winner = _put_run(ctx, first, values)
+        # Only now: a store error above leaves the run pending, so the
+        # next frontier cannot pass without it.
+        ctx.pending_reads = []
+        if winner is not None and winner != values:
+            raise ReadLogLost()
+        ctx.crash_point(f"readlog:{first}:after-flush")
+
+
+# ---------------------------------------------------------------------------
+# read (Fig. 5)
+# ---------------------------------------------------------------------------
 
 def read_op(ctx, table: str, key: Any, attribute: str = "Value") -> Any:
     """Read the item's current ``attribute`` with exactly-once logging.
@@ -113,26 +231,21 @@ def read_op(ctx, table: str, key: Any, attribute: str = "Value") -> Any:
     and the tail row itself is always re-read fresh.
     """
     step = ctx.next_step()
-    with ctx.trace("op.read", span_id=f"{ctx.instance_id}#{step}",
-                   step=step, table=table):
+
+    def observe() -> Any:
         store = ctx.store
         ctx.crash_point(f"read:{step}:start")
         row = daal.fast_tail_row(store, table, key, ctx.tail_cache)
-        if row is not None:
-            value = row.get(attribute, daal.MISSING)
-        else:
+        if row is None:
             skeleton = daal.load_skeleton(store, table, key,
                                           cache=ctx.tail_cache)
-            if not skeleton.exists:
-                value = daal.MISSING
-            else:
+            if skeleton.exists:
                 row = daal.read_row(store, table, key, skeleton.tail)
-                value = (row.get(attribute, daal.MISSING) if row
-                         else daal.MISSING)
-        ctx.crash_point(f"read:{step}:before-log")
-        value = _commit_read_log(ctx, step, value)
-        ctx.crash_point(f"read:{step}:after-log")
-        return value
+        return row.get(attribute, daal.MISSING) if row else daal.MISSING
+
+    with ctx.trace("op.read", span_id=f"{ctx.instance_id}#{step}",
+                   step=step, table=table):
+        return log_read(ctx, step, observe, tag=f"read:{step}")
 
 
 def read_only_op(ctx, table: str, key: Any,
@@ -148,20 +261,19 @@ def read_only_op(ctx, table: str, key: Any,
     within the replication-lag bound. The read-log record itself is a
     leader write, as all writes are.
 
-    Replays return the logged value exactly like :func:`read_op`: the
-    conditional log put is the serialization point.
+    Replays return the logged value exactly like :func:`read_op`.
     """
     step = ctx.next_step()
+
+    def observe() -> Any:
+        ctx.crash_point(f"roread:{step}:start")
+        return daal.tail_value(ctx.store, table, key,
+                               cache=ctx.tail_cache,
+                               consistency=consistency)
+
     with ctx.trace("op.roread", span_id=f"{ctx.instance_id}#{step}",
                    step=step, table=table):
-        ctx.crash_point(f"roread:{step}:start")
-        value = daal.tail_value(ctx.store, table, key,
-                                cache=ctx.tail_cache,
-                                consistency=consistency)
-        ctx.crash_point(f"roread:{step}:before-log")
-        value = _commit_read_log(ctx, step, value)
-        ctx.crash_point(f"roread:{step}:after-log")
-        return value
+        return log_read(ctx, step, observe, tag=f"roread:{step}")
 
 
 def record_op(ctx, compute) -> Any:
@@ -169,25 +281,18 @@ def record_op(ctx, compute) -> Any:
 
     First execution evaluates ``compute()`` and logs the result; replays
     return the logged value, making things like fresh UUIDs and timestamps
-    deterministic under re-execution.
+    deterministic under re-execution. Without a prefetched log the step
+    is probed first, so a replay never evaluates ``compute()`` at all.
     """
     step = ctx.next_step()
     with ctx.trace("op.record", span_id=f"{ctx.instance_id}#{step}",
                    step=step):
-        store = ctx.store
-        existing = store.get(ctx.env.read_log, (ctx.instance_id, step))
-        if existing is not None:
-            return existing["Value"]
-        value = compute()
-        try:
-            store.put(ctx.env.read_log,
-                      {"InstanceId": ctx.instance_id, "Step": step,
-                       "Value": value},
-                      condition=AttrNotExists("InstanceId"))
-            return value
-        except ConditionFailed:
-            record = store.get(ctx.env.read_log, (ctx.instance_id, step))
-            return record["Value"] if record else value
+        if ctx.read_log is None:
+            existing = ctx.store.get(ctx.env.read_log,
+                                     (ctx.instance_id, step))
+            if existing is not None:
+                return existing["Value"]
+        return log_read(ctx, step, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +395,7 @@ def _probe_chain(ctx, table: str, key: Any, log_key: str,
 def write_op(ctx, table: str, key: Any, value: Any,
              head_extra: Optional[dict] = None) -> None:
     """Unconditional exactly-once write of ``Value``."""
+    flush_read_log(ctx)
     step = ctx.next_step()
     with ctx.trace("op.write", span_id=f"{ctx.instance_id}#{step}",
                    step=step, table=table):
@@ -364,6 +470,7 @@ def cond_write_op(ctx, table: str, key: Any,
     The logged outcome (True/False) is what replays return — including the
     B2 path that merely records a false condition.
     """
+    flush_read_log(ctx)
     step = ctx.next_step()
     with ctx.trace("op.cond_write", span_id=f"{ctx.instance_id}#{step}",
                    step=step, table=table):

@@ -22,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
-from repro.core import intents, invoke
+from repro.core import intents, invoke, ops
 from repro.core.config import BeldiConfig
 from repro.core.context import BeldiContext
 from repro.core.env import BeldiEnv
@@ -55,6 +55,10 @@ from repro.sim.latency import LatencyModel
 from repro.sim.randsrc import RandomSource
 
 UserHandler = Callable[[BeldiContext, Any], Any]
+
+#: In-worker replays of one execution after lost read-log flushes
+#: (``ops.ReadLogLost``) before it dies like the crash it stands for.
+_MAX_READ_LOG_ROLLBACKS = 3
 
 
 @dataclass
@@ -461,8 +465,14 @@ class BeldiRuntime:
             intent = intents.get_intent(env, instance_id)
             if intent is None or intent.get("Done"):
                 return None
+            # The intent was written at registration, so "created" says
+            # nothing here; an IC relaunch is what marks a replay. A
+            # duplicate that slips through this guess (the caller's own
+            # replay re-fires the stub) is still caught at its first
+            # flush, which loses to the logged row and rolls back.
+            replay = intents.relaunched(intent)
         else:
-            intent, _created = intents.ensure_intent(
+            intent, created = intents.ensure_intent(
                 env, instance_id, ssf.name, payload.get("input"),
                 self.kernel.now, is_async, caller, txn_payload)
             if intent.get("Done"):
@@ -474,21 +484,29 @@ class BeldiRuntime:
                     self._issue_callback(platform_ctx, intent["Caller"],
                                          instance_id, ret)
                 return ret
+            replay = not created
         platform_ctx.crash_point("intent:ensured")
-        stored_txn = intent.get("Txn")
-        txn_ctx = (TxnContext.from_payload(stored_txn)
-                   if stored_txn else None)
-        ctx = BeldiContext(self, ssf.name, env, platform_ctx, instance_id,
-                           intent, txn=txn_ctx)
-        aborted = False
-        try:
-            ret = ssf.handler(ctx, intent.get("Args"))
-        except TxnAborted:
-            # A non-owner dying under wait-die: report the abort outcome
-            # to the caller; the owning SSF coordinates the rollback.
-            aborted = True
-            ret = None
-        platform_ctx.crash_point("body:done")
+        rollbacks = 0
+        while True:
+            try:
+                ret, aborted = self._run_handler(
+                    ssf, platform_ctx, instance_id, intent,
+                    replay or rollbacks > 0)
+                break
+            except ops.ReadLogLost:
+                # A duplicate logged other values for a run this
+                # execution had not shown anyone yet. Roll back: start
+                # over as the replay a crash would have caused, minus the
+                # wait. Past the bound it *is* that crash, and the
+                # caller's retry loop or the IC re-runs the instance.
+                rollbacks += 1
+                if rollbacks > _MAX_READ_LOG_ROLLBACKS:
+                    raise
+                if self.obs is not None:
+                    self.obs.metrics.inc("readlog.rollbacks")
+                # The stored record, not the one the handler was handed
+                # (and may have mutated in place).
+                intent = intents.get_intent(env, instance_id) or intent
         result = invoke.wrap_result(ret, aborted)
         effective_caller = intent.get("Caller") or caller
         if effective_caller and not is_async:
@@ -499,6 +517,37 @@ class BeldiRuntime:
         self._remember_done(instance_id, result, effective_caller)
         platform_ctx.crash_point("done:marked")
         return result
+
+    def _run_handler(self, ssf: SSFDefinition,
+                     platform_ctx: InvocationContext, instance_id: str,
+                     intent: dict, replay: bool) -> tuple[Any, bool]:
+        """One execution of the handler, up to the point where its
+        result is about to be observable: ``(return value, aborted)``."""
+        stored_txn = intent.get("Txn")
+        txn_ctx = (TxnContext.from_payload(stored_txn)
+                   if stored_txn else None)
+        ctx = BeldiContext(self, ssf.name, ssf.env, platform_ctx,
+                           instance_id, intent, txn=txn_ctx,
+                           read_log={} if self.config.has_async_io else None)
+        if ctx.read_log is not None and replay:
+            # Replay loads the log: an earlier execution may have logged
+            # reads already, and those steps answer from memory.
+            with ctx.trace("op.read_load"):
+                ctx.read_log = ops.logged_reads(ssf.env, instance_id)
+        aborted = False
+        try:
+            ret = ssf.handler(ctx, intent.get("Args"))
+        except TxnAborted:
+            # A non-owner dying under wait-die: report the abort
+            # outcome to the caller; the owning SSF coordinates the
+            # rollback.
+            aborted = True
+            ret = None
+        platform_ctx.crash_point("body:done")
+        # The result is about to be observable (callback, Done): the
+        # reads it rests on become durable first, abort outcome included.
+        ops.flush_read_log(ctx)
+        return ret, aborted
 
     def _issue_callback(self, platform_ctx: InvocationContext,
                         caller: dict, callee_id: str, result: Any) -> None:

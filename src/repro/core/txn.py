@@ -353,6 +353,7 @@ def finish_transaction(ctx, commit: bool) -> str:
         # begin/end pairs are ignored (§6.2).
         return "inherited"
     mode = COMMIT if commit and not txn.aborted else ABORT
+    ops.flush_read_log(ctx)
     with ctx.trace(f"txn.finish:{mode}", cat="txn", txn=txn.txn_id):
         ctx.crash_point(f"txn:{txn.txn_id}:resolving:{mode}")
         resolve_local(ctx.env, txn.txn_id, mode)

@@ -19,17 +19,28 @@ Swept over the travel-booking transaction and the movie-review workflow,
 under both profiles (``paper``, ``current``) — nothing built on top of
 the paper's protocols may change crash semantics anywhere in the crash
 space.
+
+The read-heavy travel ``search`` workflow (frontend → search → geo / rate
+/ profile: runs of logged reads, no writes) is swept too, with every
+seeded row **rewritten at the instant of the crash**: whatever the
+re-execution returns must then be exactly what its read log holds — a
+value replayed from anywhere else (a fresh data read, a half-landed run)
+shows up as a return that disagrees with the log.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import pytest
 
 from repro.apps.movie import MovieReviewApp
 from repro.apps.travel import TravelReservationApp
 from repro.core import BeldiConfig, BeldiRuntime
-from repro.core import daal, intents
+from repro.core import daal, intents, ops
 from repro.core.gc import make_garbage_collector
+from repro.kvstore import Set
 from repro.kvstore.faults import FaultPolicy
 from repro.platform import CrashOnce, RecordingPolicy
 from repro.platform.errors import FunctionCrashed, TooManyRequests
@@ -100,7 +111,16 @@ def _runtime(flags: dict) -> BeldiRuntime:
 # Scenarios
 # ---------------------------------------------------------------------------
 
-class TravelReserveScenario:
+class Scenario:
+    #: Rewrites seeded data at the instant of the swept crash (or None).
+    mutate: Optional[Callable] = None
+
+    def ok(self, result) -> bool:
+        """Did the client get the workflow's success reply?"""
+        return isinstance(result, dict) and bool(result.get("ok"))
+
+
+class TravelReserveScenario(Scenario):
     """One cross-SSF reservation transaction (hotel + flight + booking)."""
 
     entry = "frontend"
@@ -119,7 +139,7 @@ class TravelReserveScenario:
         app.seed_data(runtime)
         return runtime, app
 
-    def check_effects(self, runtime, app, client_ok: bool) -> None:
+    def check_effects(self, runtime, app, result) -> None:
         rooms, seats = app.capacity_remaining()
         rooms_used = 2 * 2 - rooms
         seats_used = 2 * 2 - seats
@@ -133,11 +153,11 @@ class TravelReserveScenario:
         # ...exactly once or not at all; and a success reply to the
         # client implies the effects landed.
         assert bookings in (0, 1)
-        if client_ok:
+        if self.ok(result):
             assert bookings == 1
 
 
-class MovieComposeScenario:
+class MovieComposeScenario(Scenario):
     """The compose-review workflow: store + two index appends."""
 
     entry = "frontend"
@@ -152,7 +172,7 @@ class MovieComposeScenario:
         app.seed_data(runtime)
         return runtime, app
 
-    def check_effects(self, runtime, app, client_ok: bool) -> None:
+    def check_effects(self, runtime, app, result) -> None:
         storage_env = app.envs["review_storage"]
         review_ids = daal.all_keys(storage_env.store,
                                    storage_env.data_table("reviews"))
@@ -166,14 +186,108 @@ class MovieComposeScenario:
         assert len(by_movie) == len(set(by_movie)) == len(review_ids)
         if review_ids:
             assert by_user == review_ids and by_movie == review_ids
-        if client_ok:
+        if self.ok(result):
             assert len(review_ids) == 1
+
+
+class TravelSearchScenario(Scenario):
+    """One hotel search: geo reads the cell, rate reads one row per
+    nearby hotel, profile one row per ranked hotel — three runs of
+    logged reads and not a single write."""
+
+    entry = "frontend"
+    payload = {"action": "search", "cell": 0}
+    #: What each leaf must have returned, given its arguments and the
+    #: ``step -> value`` its read log holds.
+    RETURNS = {
+        "geo": lambda args, logged: logged[0],
+        "rate": lambda args, logged: [
+            {"hotel": hotel, "rate": logged[i]}
+            for i, hotel in enumerate(args["hotels"])],
+        "profile": lambda args, logged: [
+            logged[i] for i in range(len(args["hotels"]))],
+    }
+
+    def build(self, flags: dict):
+        runtime = _runtime(flags)
+        # 30 hotels over 10 cells: cell 0 holds three of them.
+        app = TravelReservationApp(seed=SEED, n_hotels=30, n_flights=1,
+                                   n_users=1)
+        app.register(runtime)
+        app.seed_data(runtime)
+        return runtime, app
+
+    def ok(self, result) -> bool:
+        return isinstance(result, dict) and "hotels" in result
+
+    def mutate(self, runtime, app) -> None:
+        """Change every row the search reads: the cell loses a hotel and
+        reverses, the rate order flips, every profile gains a marker."""
+        def rewrite(name, short, key, change):
+            env = app.envs[name]
+            env.store.update(env.data_table(short), (key, daal.HEAD_ROW_ID),
+                             [Set("Value", change(env.peek(short, key)))])
+
+        rewrite("geo", "cells", "cell-0", lambda hotels: hotels[:0:-1])
+        for i in range(app.n_hotels):
+            hotel = f"hotel-{i:04d}"
+            rewrite("rate", "rates", hotel, lambda rate: 1000.0 - rate)
+            rewrite("profile", "profiles", hotel,
+                    lambda profile: dict(profile, renovated=True))
+
+    def check_effects(self, runtime, app, result) -> None:
+        grouped = runtime.config.has_async_io
+        returned = {}
+        for name in ("frontend", "search", "geo", "rate", "profile"):
+            env = app.envs[name]
+            done = env.store.scan(env.intent_table).items
+            assert len(done) <= 1, f"{name} ran as {len(done)} instances"
+            for intent in done:
+                returned[name] = intent["Ret"]
+                logged = ops.logged_reads(env, intent["InstanceId"])
+                if name in self.RETURNS:
+                    # The recorded return is a function of the log alone.
+                    assert intent["Ret"] == self.RETURNS[name](
+                        intent["Args"], logged), (
+                        f"{name} returned a value its read log lacks")
+                rows = env.store.query(env.read_log,
+                                       intent["InstanceId"]).items
+                assert len(rows) == (min(1, len(logged)) if grouped
+                                     else len(logged)), (
+                    f"{name}: {len(rows)} read-log rows for "
+                    f"{len(logged)} reads")
+        if "frontend" in returned:
+            # One answer, carried unchanged along the workflow edges.
+            assert (returned["frontend"] == returned["search"]
+                    == {"hotels": returned["profile"]})
+            assert [p["id"] for p in returned["profile"]] == [
+                r["hotel"] for r in sorted(
+                    returned["rate"], key=lambda r: r["rate"])[:5]]
+            assert [r["hotel"] for r in returned["rate"]] == (
+                returned["geo"])
+        if self.ok(result):
+            assert result == returned["frontend"]
 
 
 SCENARIOS = {
     "travel-reserve": TravelReserveScenario(),
     "movie-compose": MovieComposeScenario(),
+    "travel-search": TravelSearchScenario(),
 }
+
+
+@dataclass
+class CrashOnceThen(CrashOnce):
+    """:class:`CrashOnce` that also calls ``then`` as it fires."""
+
+    then: Callable = lambda: None
+
+    def should_crash(self, function: str, invocation_index: int,
+                     tag: str) -> bool:
+        fired = super().should_crash(function, invocation_index, tag)
+        if fired:
+            self.then()
+        return fired
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +306,10 @@ def record_crash_space(scenario, flags: dict):
     return points, result
 
 
-def run_until_recovered(runtime, scenario) -> bool:
+def run_until_recovered(runtime, scenario):
     """Issue the client request; drive until the client finished and no
-    intent is pending. Returns whether the client saw a success."""
+    intent is pending. Returns what the client saw (``"crashed"`` when
+    its invocation failed)."""
     box = {}
 
     def client():
@@ -222,8 +337,7 @@ def run_until_recovered(runtime, scenario) -> bool:
     assert all(not intents.pending_intents(env)
                for env in runtime.envs.values()), (
         "unfinished intents survived recovery")
-    return isinstance(box["result"], dict) and bool(
-        box["result"].get("ok"))
+    return box["result"]
 
 
 def run_gc_passes(runtime, passes: int = 3) -> None:
@@ -284,7 +398,7 @@ def sweep(scenario_name: str, flags_name: str) -> None:
     scenario = SCENARIOS[scenario_name]
     flags = SETTINGS[flags_name]
     points, baseline_result = record_crash_space(scenario, flags)
-    assert baseline_result.get("ok"), "crash-free run must succeed"
+    assert scenario.ok(baseline_result), "crash-free run must succeed"
     failures = []
     total_failovers = 0
     total_migrations = 0
@@ -292,11 +406,18 @@ def sweep(scenario_name: str, flags_name: str) -> None:
                            if tag.startswith("migrate:"))
     for function, index, tag in points:
         runtime, app = scenario.build(flags)
-        runtime.platform.crash_policy = CrashOnce(
-            function, tag, invocation_index=index)
+        policy = CrashOnce(function, tag, invocation_index=index)
+        if scenario.mutate is not None:
+            # The rewrite runs at the crash's own virtual instant, ahead
+            # of the caller's retry and of the intent collector.
+            policy = CrashOnceThen(
+                function, tag, invocation_index=index,
+                then=lambda: runtime.kernel.spawn(
+                    scenario.mutate, runtime, app))
+        runtime.platform.crash_policy = policy
         try:
-            client_ok = run_until_recovered(runtime, scenario)
-            scenario.check_effects(runtime, app, client_ok)
+            result = run_until_recovered(runtime, scenario)
+            scenario.check_effects(runtime, app, result)
             assert runtime.platform.stats.injected_crashes == 1, (
                 "crash point was not reached on the re-run")
             run_gc_passes(runtime)
@@ -313,6 +434,8 @@ def sweep(scenario_name: str, flags_name: str) -> None:
                                      + stats.rolled_forward
                                      + stats.rolled_back)
             runtime.kernel.shutdown()
+    if scenario.mutate is not None:
+        _check_read_log_points(points, runtime.config.has_async_io)
     assert not failures, (
         f"{len(failures)}/{len(points)} crash points violated "
         f"exactly-once/cleanliness:\n" + "\n".join(
@@ -336,6 +459,18 @@ def sweep(scenario_name: str, flags_name: str) -> None:
             f"{len(points)} swept runs")
 
 
+def _check_read_log_points(points, grouped: bool) -> None:
+    """The search sweep is only meaningful if it killed ``rate`` around
+    its group flush and between buffering and flushing (``current``),
+    and if the paper path really has no such points."""
+    tags = {tag for function, _index, tag in points if function == "rate"}
+    if grouped:
+        assert {"readlog:0:before-flush", "readlog:0:after-flush",
+                "roread:1:start", "body:done"} <= tags, sorted(tags)
+    else:
+        assert not any(tag.startswith("readlog:") for _f, _i, tag in points)
+
+
 @pytest.mark.parametrize("flags_name", sorted(SETTINGS))
 def test_travel_reserve_crash_sweep(flags_name):
     sweep("travel-reserve", flags_name)
@@ -344,6 +479,11 @@ def test_travel_reserve_crash_sweep(flags_name):
 @pytest.mark.parametrize("flags_name", sorted(UNSHARDED_SETTINGS))
 def test_movie_compose_crash_sweep(flags_name):
     sweep("movie-compose", flags_name)
+
+
+@pytest.mark.parametrize("flags_name", sorted(UNSHARDED_SETTINGS))
+def test_travel_search_crash_sweep(flags_name):
+    sweep("travel-search", flags_name)
 
 
 def test_sharded_sweep_actually_crosses_shards():

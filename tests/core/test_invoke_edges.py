@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.core.invoke import ASYNC_ACK, record_callback
+from repro.platform import CrashOnce, FunctionCrashed
 
 
 @pytest.fixture
@@ -86,6 +87,32 @@ class TestCalleeIdReuse:
         leaf_env = runtime.ssfs["leaf"].env
         intents = leaf_env.store.scan(leaf_env.intent_table).items
         assert len(intents) == 1
+
+    def test_replayed_caller_answers_a_none_result_from_the_log(
+            self, runtime):
+        """A callee that legitimately returned ``None`` has a result in
+        the invoke log like any other: the replayed caller answers from
+        it instead of paying another invocation and callback."""
+        runtime.register_ssf("leaf", lambda ctx, p: None)
+        runtime.register_ssf(
+            "caller", lambda ctx, p: [ctx.sync_invoke("leaf", None)])
+        runtime.platform.crash_policy = CrashOnce(
+            "caller", "invoke:0:after-call")
+        results = []
+
+        def client():
+            for _ in range(2):  # the crashed delivery, then its replay
+                try:
+                    results.append(runtime.platform.sync_invoke(
+                        "caller", {"kind": "call", "instance_id": "dup-N",
+                                   "input": None}))
+                except FunctionCrashed:
+                    results.append("crashed")
+
+        runtime.kernel.spawn(client)
+        runtime.kernel.run()
+        assert results == ["crashed", [None]]
+        assert runtime.platform._entry("leaf").invocation_counter == 1
 
     def test_invoke_log_schema(self, runtime):
         runtime.register_ssf("leaf", lambda ctx, p: p)

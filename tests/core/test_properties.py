@@ -133,6 +133,91 @@ class TestExactlyOnceProperty:
         assert led_b.env.peek("books", "sum") == 8
 
 
+class TestReadLogFrontierProperty:
+    """Moving the read log's serialization point to the effect frontier
+    (the ``async_io`` feature) changes how many rows hold the log and
+    when they land — never what a program returns or writes."""
+
+    KEYS = ("a", "b", "c")
+    OPS = st.one_of(
+        st.tuples(st.just("read"), st.sampled_from(KEYS)),
+        st.tuples(st.just("write"), st.sampled_from(KEYS)),
+        st.tuples(st.just("grow"), st.sampled_from(KEYS)),
+        st.tuples(st.just("record"), st.none()),
+        st.tuples(st.just("invoke"), st.sampled_from(KEYS)))
+
+    @staticmethod
+    def _run(program, config_args, crash_seed=None):
+        """Run ``program`` once; returns ``(the root's recorded return,
+        every data row, read-log row count)``."""
+        runtime = BeldiRuntime(seed=13, config=BeldiConfig(
+            ic_restart_delay=50.0, gc_t=1e12, **config_args))
+        if crash_seed is not None:
+            runtime.platform.crash_policy = SeededCrash(crash_seed, p=0.05,
+                                                        budget=3)
+
+        def leaf(ctx, payload):
+            before = ctx.read("kv", payload["key"])
+            ctx.write("kv", payload["key"], [before, payload["seen"]])
+            return [before, ctx.read("kv", payload["key"])]
+
+        def root(ctx, payload):
+            seen = []
+            for index, (kind, key) in enumerate(program):
+                if kind == "read":
+                    seen.append(ctx.read("kv", key))
+                elif kind == "write":
+                    # What lands depends on every value observed so far.
+                    ctx.write("kv", key, {"at": index, "seen": len(seen),
+                                          "last": seen[-1:]})
+                elif kind == "grow":
+                    # Read-modify-write *in place*: the handler owns the
+                    # values it is handed, the log keeps what was there.
+                    held = ctx.read("kv", key)
+                    drawn = ctx.record(lambda: [f"rec-{index}"])
+                    if not isinstance(held, list):
+                        held = [held]
+                    held.append(len(seen))
+                    drawn.append(len(held))
+                    ctx.write("kv", key, held)
+                    seen.append(drawn)
+                elif kind == "record":
+                    seen.append(ctx.record(lambda: f"rec-{index}"))
+                else:
+                    seen.append(ctx.sync_invoke(
+                        "leaf", {"key": key, "seen": len(seen)}))
+            return seen
+
+        envs = [runtime.register_ssf(name, handler, tables=["kv"]).env
+                for name, handler in (("root", root), ("leaf", leaf))]
+        for env in envs:
+            for i, key in enumerate(TestReadLogFrontierProperty.KEYS):
+                env.seed("kv", key, [i])
+        run_with_recovery(runtime, "root", [None], horizon=5_000.0)
+        (intent,) = envs[0].store.scan(envs[0].intent_table).items
+        assert intent["Done"]
+        data = [env.peek("kv", key) for env in envs
+                for key in TestReadLogFrontierProperty.KEYS]
+        log_rows = sum(env.store.item_count(env.read_log) for env in envs)
+        return intent["Ret"], data, log_rows
+
+    @given(program=st.lists(OPS, min_size=1, max_size=10),
+           crash_seed=st.integers(0, 10_000))
+    @settings(**FAST)
+    def test_frontier_flush_matches_flush_per_read(self, program,
+                                                   crash_seed):
+        grouped = self._run(program, {})
+        per_read = self._run(program, {"without": "async_io"})
+        assert grouped[:2] == per_read[:2]
+        assert grouped[2] <= per_read[2]
+        # Random crashes + IC replay reproduce the crash-free run: a
+        # replayed read answers from the log, whatever the program has
+        # written over the row since.
+        for config_args in ({}, {"without": "async_io"}):
+            crashed = self._run(program, config_args, crash_seed)
+            assert crashed[:2] == grouped[:2], config_args
+
+
 class TestTransactionProperties:
     @given(transfers=st.lists(
         st.tuples(st.sampled_from(["ann", "bob", "cyn"]),

@@ -17,10 +17,13 @@ import os
 import pytest
 
 import dst
+from repro.core import BeldiConfig, BeldiRuntime, daal
+from repro.kvstore import Set
 from repro.platform import CrashAtOccurrence
 from repro.sim import (
     RandomSchedule,
     ReplaySchedule,
+    SimKernel,
     TargetedSchedule,
     parse_failure,
 )
@@ -123,3 +126,99 @@ def test_failure_prints_replayable_seed_trace(monkeypatch, tmp_path):
         dst.explore([seed], schedule_factory=lambda _s: ReplaySchedule(trace))
     assert replay_info.value.trace == list(trace)
     assert "injected invariant failure" in str(replay_info.value)
+
+
+# ---------------------------------------------------------------------------
+# Two live duplicates of one multi-read instance racing the group flush
+# ---------------------------------------------------------------------------
+
+RACE_KEYS = ("a", "b", "c")
+RACE_TICK = 5.0
+
+
+def _race_the_flush(seed: int) -> dict:
+    """``caller`` invokes ``reader`` (three reads, one run); a second
+    delivery of the very same reader instance starts while the first is
+    live. Both read at the same virtual instants, a writer rewrites the
+    rows at those instants too, and both reach the flush together — the
+    explored schedule decides every order."""
+    kernel = SimKernel(seed=seed, schedule=RandomSchedule(seed))
+    runtime = BeldiRuntime(kernel=kernel, seed=seed, config=BeldiConfig(
+        ic_restart_delay=1e9, gc_t=1e12, observability=True))
+    observed = []
+
+    def reader(ctx, payload):
+        seen = []
+        for key in RACE_KEYS:
+            # Not an effect, so not a frontier: it only lines the two
+            # executions up on the same instants.
+            ctx.sleep(RACE_TICK - ctx.platform_ctx.now % RACE_TICK)
+            seen.append(ctx.read("kv", key))
+        observed.append(seen)
+        return seen
+
+    leaf = runtime.register_ssf("reader", reader, tables=["kv"])
+    top = runtime.register_ssf(
+        "caller", lambda ctx, p: ctx.sync_invoke("reader", None))
+    for key in RACE_KEYS:
+        leaf.env.seed("kv", key, 0)
+    table = leaf.env.data_table("kv")
+    out = {}
+
+    def client():
+        out["result"] = runtime.client_call("caller")
+
+    def duplicate():
+        while not (claims := top.env.store.scan(top.env.invoke_log).items):
+            kernel.sleep(1.0)
+        claim = claims[0]
+        out["duplicate"] = runtime.platform.sync_invoke("reader", {
+            "kind": "call", "instance_id": claim["CalleeId"],
+            "input": None, "async": False,
+            "caller": {"ssf": "caller",
+                       "instance_id": claim["InstanceId"],
+                       "step": claim["Step"]}})
+
+    def writer():
+        for tick in range(1, 5):
+            kernel.sleep(RACE_TICK)
+            for bump in range(3):
+                for key in RACE_KEYS:
+                    leaf.env.store.update(
+                        table, (key, daal.HEAD_ROW_ID),
+                        [Set("Value", tick * 10 + bump)])
+                    kernel.interleave_point(f"bump:{key}")
+
+    for body in (client, duplicate, writer):
+        kernel.spawn(body, name=body.__name__)
+    kernel.run()
+    out["observed"] = observed
+    out["rollbacks"] = runtime.obs.metrics.snapshot()["counters"].get(
+        "readlog.rollbacks", 0)
+    out["rows"] = leaf.env.store.scan(leaf.env.read_log).items
+    out["returned"] = [intent["Ret"] for intent in
+                       leaf.env.store.scan(leaf.env.intent_table).items]
+    kernel.shutdown()
+    return out
+
+
+def test_live_duplicates_racing_the_flush_leave_one_run_and_one_result():
+    lost = 0
+    for seed in range(40):
+        run = _race_the_flush(seed)
+        first, second = run["observed"][:2]
+        # Exactly one group row, whichever execution landed it...
+        assert len(run["rows"]) == 1, (seed, run["rows"])
+        (row,) = run["rows"]
+        logged = [row["Value"], *row["Run"]]
+        assert logged in (first, second), (seed, logged)
+        # ...the execution that saw something else was rolled back, and
+        # only it, and replayed the logged run...
+        assert run["rollbacks"] == (first != second), (seed, run)
+        lost += run["rollbacks"]
+        assert run["observed"][2:] == [logged] * run["rollbacks"], seed
+        # ...so one result exists: in the intent, at the caller, and at
+        # whoever delivered the duplicate.
+        assert run["returned"] == [logged], seed
+        assert run["result"] == run["duplicate"] == logged, seed
+    assert lost >= 10, f"only {lost}/40 schedules made the values differ"

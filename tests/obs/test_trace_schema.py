@@ -92,6 +92,31 @@ def test_spans_nest_request_step_op_store(traced):
     assert any(record["cat"] == "gc" for record in records)
 
 
+def test_read_log_flush_is_its_own_op_span(traced):
+    """The group flush runs between operations, so it carries its own
+    ``op.read_flush`` span: request -> op -> the one conditional put."""
+    records = traced.travel.obs.tracer.records
+    by_id = {record["span_id"]: record for record in records}
+    flushes = [record for record in records
+               if record["name"] == "op.read_flush"]
+    assert flushes
+    for flush in flushes:
+        assert flush["cat"] == "op"
+        assert by_id[flush["parent_id"]]["cat"] == "request"
+        puts = [record for record in records
+                if record["parent_id"] == flush["span_id"]
+                and record["cat"] == "store"]
+        assert [put["name"] for put in puts][:1] == ["store.cond_write"]
+        assert flush["args"]["steps"] >= 1
+    # Every read-log write of the run is one of those puts: no read op
+    # span has a store *write* under it any more.
+    read_ops = {record["span_id"] for record in records
+                if record["name"] in ("op.read", "op.roread", "op.record")}
+    assert not [record for record in records
+                if record["parent_id"] in read_ops
+                and record["name"] == "store.cond_write"]
+
+
 def test_every_store_round_trip_has_exactly_one_span(traced):
     """Span/metering parity, op by op — in particular every logged
     store write (cond_write on the DAAL) has exactly one span."""

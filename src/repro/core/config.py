@@ -71,8 +71,13 @@ class BeldiConfig:
             purely a *when*, never a *what*; the group commit writes
             fewer read-log rows (and bills fewer write units) and
             leaves every data table and every return value as they
-            were. Without it: the sequential, one-write-per-row model
-            with a read-log put after every read — the paper's.
+            were. A sync callee **replies before its callback**
+            (``repro/core/runtime.py``): once its read log is flushed
+            its result is fixed, so the waiting caller resumes then, and
+            the callback + ``mark_done`` (in §4.5's order) run beside
+            it, off its critical path. Without it: the sequential,
+            one-write-per-row model with a read-log put after every
+            read and the reply at worker exit — the paper's.
         ``"elastic"`` (:attr:`has_elastic`)
             Hot-shard elasticity (``docs/sharding.md``): a runtime that
             builds its own multi-shard store tracks per-key heat and

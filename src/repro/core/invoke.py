@@ -11,7 +11,18 @@ callback handler records the result in the caller's invoke log (Fig. 9).
 Only then may the callee complete — otherwise the callee's independent GC
 could recycle the intent before the caller saw the result, and a caller
 re-execution would run the callee twice. The callee's direct return value
-is merely an optimization.
+is merely an optimization — which is why it does not have to wait for
+the callback: with the ``async_io`` feature a callee replies as soon as
+its result is fixed and delivers the callback afterwards, beside its
+caller (``repro.core.runtime``).
+
+The caller side below is the same either way. A caller that consumed a
+direct reply and later replays finds the logged ``Result``, or — the
+callback had not landed, or never will from that execution — no result;
+then it re-invokes the *same* callee id, and the callee's intent answers
+identically (unfinished: it replays from its logs; ``Done``: it returns
+``Ret`` and re-issues the callback). That is the path a callee that died
+before its callback always took.
 
 Asynchronous invocation splits in two (Fig. 20): a synchronous
 *registration* call that logs the intent in the callee's intent table and

@@ -5,11 +5,27 @@ and wraps every registered SSF handler with the protocol from §3.3/§4.5:
 
 1. resolve the instance id (caller-assigned, or the platform request id
    for workflow roots) and ensure the intent record,
-2. short-circuit if the intent is already done (re-issuing the callback),
+2. short-circuit if the intent is already done (step 4 with the stored
+   result: the caller is answered, then called back again),
 3. run the user handler with a :class:`BeldiContext` — every operation
-   inside replays from logs on re-execution,
-4. deliver the result to the caller via the callback, and only then
+   inside replays from logs on re-execution — and flush its read log:
+   from here any replay is bound to return the same value,
+4. deliver that value to a synchronous caller: **reply** to the waiting
+   invocation (``InvocationContext.respond``), *then* record it in the
+   caller's invoke log through the callback, and only then
 5. mark the intent done.
+
+§4.5 orders 4's callback before 5 — a ``Done`` callee may be garbage
+collected, and a caller that never saw the result would run it twice —
+and calls the direct reply "merely an optimization". Nothing orders the
+callback before the *reply*, so with the ``async_io`` feature the reply
+goes first and callback + ``Done`` run as a tail off the caller's
+critical path; the worker keeps its slot, its timeout and its crash
+points (``reply:sent``, ``callback:done``, ``done:marked``) until it
+exits. A caller that consumed a reply whose callback never landed
+replays into :func:`repro.core.invoke.complete_invoke`'s existing path:
+same callee id, same answer. Without the feature (``paper``,
+``without="async_io"``) the reply is the worker's exit, after 5.
 
 The same wrapper dispatches the auxiliary message kinds: synchronous and
 asynchronous callbacks, async registrations (Fig. 20), and transaction
@@ -18,6 +34,7 @@ Commit/Abort signals (§6.2).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
@@ -410,38 +427,57 @@ class BeldiRuntime:
     def _handle_call(self, ssf: SSFDefinition,
                      platform_ctx: InvocationContext, payload: dict) -> Any:
         if self.obs is None:
-            return self._run_call(ssf, platform_ctx, payload)
+            return self._run_call(ssf, platform_ctx, payload,
+                                  platform_ctx.respond)
         instance_id = payload.get("instance_id") or platform_ctx.request_id
         caller = payload.get("caller")
-        # A sync callee's whole execution sits inside the caller's
-        # invoke-step span; the two run on different worker threads, so
-        # the edge is an explicit parent reference, not stack nesting.
+        tracer = self.obs.tracer
+        # A sync callee's execution up to its reply sits inside the
+        # caller's invoke-step span; the two run on different worker
+        # threads, so the edge is an explicit parent reference, not
+        # stack nesting.
         parent = (f"{caller['instance_id']}#{caller['step']}"
                   if caller and not payload.get("async") else None)
-        with self.obs.tracer.span(f"request:{ssf.name}", cat="request",
-                                  span_id=instance_id, parent_id=parent,
-                                  function=ssf.name,
-                                  invocation=platform_ctx.invocation_index):
-            return self._run_call(ssf, platform_ctx, payload)
+        with contextlib.ExitStack() as spans:
+            spans.enter_context(tracer.span(
+                f"request:{ssf.name}", cat="request", span_id=instance_id,
+                parent_id=parent, function=ssf.name,
+                invocation=platform_ctx.invocation_index))
+
+            def reply(result: Any) -> None:
+                # The caller's step span ends at the reply, so the
+                # request span does too; what follows is off the
+                # critical path and gets a row (and a root) of its own.
+                platform_ctx.respond(result)
+                tracer.event("reply", cat="request", function=ssf.name)
+                spans.close()
+                spans.enter_context(tracer.span(
+                    f"tail:{ssf.name}", cat="request",
+                    span_id=f"{instance_id}#tail", function=ssf.name,
+                    invocation=platform_ctx.invocation_index))
+
+            return self._run_call(ssf, platform_ctx, payload, reply)
 
     def _run_call(self, ssf: SSFDefinition,
-                  platform_ctx: InvocationContext, payload: dict) -> Any:
+                  platform_ctx: InvocationContext, payload: dict,
+                  reply: Callable[[Any], None]) -> Any:
         if (self.resilience is None
                 or self.config.request_deadline is None):
-            return self._run_call_body(ssf, platform_ctx, payload)
+            return self._run_call_body(ssf, platform_ctx, payload, reply)
         # Per-request budget, measured from *this* invocation's start —
         # an IC re-run gets a fresh budget, so recovery always finishes
         # and exactly-once is never sacrificed to the deadline.
         token = self.resilience.push_deadline(
             self.kernel.now + self.config.request_deadline)
         try:
-            return self._run_call_body(ssf, platform_ctx, payload)
+            return self._run_call_body(ssf, platform_ctx, payload, reply)
         finally:
             self.resilience.pop_deadline(token)
 
     def _run_call_body(self, ssf: SSFDefinition,
                        platform_ctx: InvocationContext,
-                       payload: dict) -> Any:
+                       payload: dict,
+                       reply: Callable[[Any], None]) -> Any:
         env = ssf.env
         instance_id = payload.get("instance_id") or platform_ctx.request_id
         is_async = bool(payload.get("async"))
@@ -456,9 +492,8 @@ class BeldiRuntime:
             self.tail_cache.stats.intent_hits += 1
             if is_async:
                 return None
-            if cached.get("caller"):
-                self._issue_callback(platform_ctx, cached["caller"],
-                                     instance_id, cached["ret"])
+            self._deliver(platform_ctx, reply, cached["caller"],
+                          instance_id, cached["ret"])
             return cached["ret"]
         if is_async:
             # Fig. 20 stub: run only if registered and unfinished.
@@ -477,12 +512,11 @@ class BeldiRuntime:
                 self.kernel.now, is_async, caller, txn_payload)
             if intent.get("Done"):
                 # Late duplicate: the work is complete; make sure the
-                # caller has the result, then return it.
+                # caller has the result.
                 ret = intent.get("Ret")
                 self._remember_done(instance_id, ret, intent.get("Caller"))
-                if intent.get("Caller"):
-                    self._issue_callback(platform_ctx, intent["Caller"],
-                                         instance_id, ret)
+                self._deliver(platform_ctx, reply, intent.get("Caller"),
+                              instance_id, ret)
                 return ret
             replay = not created
         platform_ctx.crash_point("intent:ensured")
@@ -507,11 +541,12 @@ class BeldiRuntime:
                 # The stored record, not the one the handler was handed
                 # (and may have mutated in place).
                 intent = intents.get_intent(env, instance_id) or intent
+        # The read log is flushed: any replay is now bound to this value.
         result = invoke.wrap_result(ret, aborted)
         effective_caller = intent.get("Caller") or caller
         if effective_caller and not is_async:
-            self._issue_callback(platform_ctx, effective_caller,
-                                 instance_id, result)
+            self._deliver(platform_ctx, reply, effective_caller,
+                          instance_id, result)
             platform_ctx.crash_point("callback:done")
         intents.mark_done(env, instance_id, result)
         self._remember_done(instance_id, result, effective_caller)
@@ -549,9 +584,23 @@ class BeldiRuntime:
         ops.flush_read_log(ctx)
         return ret, aborted
 
-    def _issue_callback(self, platform_ctx: InvocationContext,
-                        caller: dict, callee_id: str, result: Any) -> None:
-        """Deliver the result into the caller's invoke log (at-least-once)."""
+    def _deliver(self, platform_ctx: InvocationContext,
+                 reply: Callable[[Any], None], caller: Optional[dict],
+                 callee_id: str, result: Any) -> None:
+        """Get a sync callee's fixed result to its caller: the direct
+        reply first, then the callback into the caller's invoke log
+        (at-least-once) — which is what must land before ``Done``.
+
+        §4.5 orders callback before ``Done``; nothing orders it before
+        the reply, so with ``async_io`` the waiting caller resumes now
+        and the callback round trip runs beside it. Without the feature
+        the reply is the worker's exit, as in the paper.
+        """
+        if not caller:
+            return
+        if self.config.has_async_io:
+            reply(result)
+            platform_ctx.crash_point("reply:sent")
         payload = {
             "kind": "sync_callback",
             "log_instance": caller["instance_id"],

@@ -28,6 +28,11 @@ class InvocationContext:
         self.invocation_index = invocation_index
         self.deadline = deadline
         self.cold_start = cold_start
+        #: The worker process's ``done`` event (set at spawn): what a
+        #: synchronous invoker waits on.
+        self.done_event = None
+        self.responded = False
+        self.response: Any = None
 
     # -- time ------------------------------------------------------------------
     @property
@@ -40,6 +45,25 @@ class InvocationContext:
 
     def sleep(self, duration: float) -> None:
         self.platform.kernel.sleep(duration)
+
+    # -- early response ------------------------------------------------------------
+    def respond(self, result: Any) -> None:
+        """Hand ``result`` to whoever waits on this invocation, and keep
+        running.
+
+        What a Lambda custom runtime does when it POSTs the invocation
+        response and works on before polling ``next``: the waiter is
+        released now, while the worker keeps its concurrency slot, its
+        timeout and its bill until it exits. The response rides the event
+        the waiter already blocks on, so an invocation that never
+        responds early schedules nothing it did not schedule before. The
+        handler's eventual return value (and a later crash) reach nobody.
+        """
+        if self.responded:
+            return
+        self.responded = True
+        self.response = result
+        self.done_event.set(result)
 
     # -- nested invocation -------------------------------------------------------
     def sync_invoke(self, function: str, payload: Any) -> Any:

@@ -150,7 +150,8 @@ class ServerlessPlatform:
         self._active -= 1
 
     # -- dispatch ---------------------------------------------------------------------
-    def _start_instance(self, entry: _FunctionEntry, payload: Any) -> Process:
+    def _start_instance(self, entry: _FunctionEntry, payload: Any
+                        ) -> tuple[Process, InvocationContext]:
         """Spawn the worker process for one invocation (slot already held)."""
         now = self.kernel.now
         entry.warm_expiries = [t for t in entry.warm_expiries if t > now]
@@ -166,6 +167,8 @@ class ServerlessPlatform:
         entry.invocation_counter += 1
         self.stats.invocations += 1
         deadline = now + entry.timeout  # dispatch latency included, like AWS
+        ctx = InvocationContext(self, entry.name, request_id, index,
+                                deadline, cold)
 
         def worker() -> Any:
             try:
@@ -176,8 +179,6 @@ class ServerlessPlatform:
                 # Handler CPU time (marshalling, app logic) — the Python
                 # body itself runs in zero virtual time.
                 self.kernel.sleep(self.latency.sample("lambda.compute"))
-                ctx = InvocationContext(self, entry.name, request_id, index,
-                                        deadline, cold)
                 ctx.crash_point("enter")
                 result = entry.handler(ctx, payload)
                 ctx.crash_point("exit")
@@ -185,12 +186,22 @@ class ServerlessPlatform:
                     self.kernel.now + self.config.warm_keepalive)
                 self.stats.completions += 1
                 return result
+            except ProcessCrashed:
+                # Counted where the worker dies, not where someone waits
+                # for it: nobody awaits an async worker, or the tail of
+                # one that already responded.
+                self.stats.crashes += 1
+                raise
             finally:
                 self._release_slot()
 
         proc = self.kernel.spawn(worker, name=f"fn:{entry.name}")
+        # The event only, not the process: the worker's closure holds the
+        # context, and a reference back would make every invocation a
+        # cycle for the garbage collector to find.
+        ctx.done_event = proc.done_event
         self._arm_timeout(proc, entry.timeout)
-        return proc
+        return proc, ctx
 
     def _arm_timeout(self, proc: Process, timeout: float) -> None:
         def enforce() -> None:
@@ -200,11 +211,14 @@ class ServerlessPlatform:
 
         self.kernel.call_later(timeout, enforce)
 
-    def _await_result(self, proc: Process) -> Any:
+    def _await_result(self, proc: Process, ctx: InvocationContext) -> Any:
         self.kernel.wait(proc.done_event)
+        if ctx.responded:
+            # The response was handed over; whatever became of the
+            # worker afterwards is not the waiter's business.
+            return ctx.response
         if proc.error is not None:
             if isinstance(proc.error, ProcessCrashed):
-                self.stats.crashes += 1
                 raise FunctionCrashed(f"{proc.name} crashed") from None
             if isinstance(proc.error, ProcessKilled):
                 raise FunctionTimeout(f"{proc.name} timed out") from None
@@ -216,8 +230,7 @@ class ServerlessPlatform:
         """SSF-to-SSF synchronous invocation (waits for the result)."""
         entry = self._entry(name)
         self._acquire_slot_with_retry()
-        proc = self._start_instance(entry, payload)
-        return self._await_result(proc)
+        return self._await_result(*self._start_instance(entry, payload))
 
     def async_invoke(self, name: str, payload: Any) -> None:
         """Fire-and-forget. No automatic retry on failure (§7.2: automatic
@@ -231,8 +244,7 @@ class ServerlessPlatform:
         """External request through the gateway; rejected at the cap."""
         entry = self._entry(name)
         self._acquire_slot_or_reject()
-        proc = self._start_instance(entry, payload)
-        return self._await_result(proc)
+        return self._await_result(*self._start_instance(entry, payload))
 
     # -- timers -----------------------------------------------------------------------------
     def add_timer(self, name: str, period: float,

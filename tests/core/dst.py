@@ -31,6 +31,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+import lifecycle
 from repro.apps.movie import MovieReviewApp
 from repro.apps.travel import TravelReservationApp
 from repro.core import BeldiConfig, BeldiRuntime
@@ -195,7 +196,8 @@ def build_harness(flags: dict, schedule=None,
 def run_requests(h: Harness, requests=REQUESTS,
                  horizon: float = RECOVERY_HORIZON) -> dict:
     """Issue every request concurrently; drive until all clients have a
-    result and no intent is pending anywhere. Returns name -> result."""
+    result and no intent is pending anywhere — with the callee lifecycle
+    order checked over every execution. Returns name -> result."""
     results: dict = {}
 
     def client(req: Request) -> None:
@@ -214,35 +216,38 @@ def run_requests(h: Harness, requests=REQUESTS,
             # check_effects still demands exactly-once.
             results[req.name] = "crashed"
 
-    for runtime in h.runtimes.values():
-        runtime.start_collectors(ic_period=100.0, gc_period=1e12)
-    for req in requests:
-        h.kernel.spawn(client, req, name=f"client-{req.name}")
-    elapsed = 0.0
-    while elapsed < horizon:
-        elapsed += RECOVERY_SLICE
-        h.kernel.run(until=elapsed)
-        if len(results) < len(requests):
-            continue
-        try:
-            if all(not intents.pending_intents(env)
-                   for runtime in h.runtimes.values()
-                   for env in runtime.envs.values()):
-                break
-        except (ThrottledError, UnavailableError):
-            # The store is dark at this poll instant — the intents
-            # can't be inspected, so by definition they aren't done.
-            # Keep driving; the post-heal poll settles it.
-            continue
-    for runtime in h.runtimes.values():
-        runtime.stop_collectors()
-    h.kernel.run(until=elapsed + RECOVERY_SLICE)
+    with lifecycle.recording() as ledger:
+        for runtime in h.runtimes.values():
+            runtime.start_collectors(ic_period=100.0, gc_period=1e12)
+        for req in requests:
+            h.kernel.spawn(client, req, name=f"client-{req.name}")
+        elapsed = 0.0
+        while elapsed < horizon:
+            elapsed += RECOVERY_SLICE
+            h.kernel.run(until=elapsed)
+            if len(results) < len(requests):
+                continue
+            try:
+                if all(not intents.pending_intents(env)
+                       for runtime in h.runtimes.values()
+                       for env in runtime.envs.values()):
+                    break
+            except (ThrottledError, UnavailableError):
+                # The store is dark at this poll instant — the intents
+                # can't be inspected, so by definition they aren't done.
+                # Keep driving; the post-heal poll settles it.
+                continue
+        for runtime in h.runtimes.values():
+            runtime.stop_collectors()
+        h.kernel.run(until=elapsed + RECOVERY_SLICE)
     assert len(results) == len(requests), (
         f"clients never completed: have {sorted(results)}")
     for runtime in h.runtimes.values():
         assert all(not intents.pending_intents(env)
                    for env in runtime.envs.values()), (
             "unfinished intents survived recovery")
+    # Orders no final store shows: flush < reply, callback < Done.
+    ledger.check()
     h.results = results
     return results
 

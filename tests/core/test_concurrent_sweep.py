@@ -61,6 +61,13 @@ def test_crash_space_covers_both_platforms_and_migrations():
     txn_points = sum(1 for _f, _i, tag in points
                      if tag.startswith("txn:"))
     assert txn_points >= 3, f"only {txn_points} txn:* points recorded"
+    # The window between a callee's reply and its callback is swept on
+    # both platforms, for every callee that calls back.
+    replied = {fn for fn, _i, tag in points if tag == "reply:sent"}
+    assert replied == {fn for fn, _i, tag in points
+                       if tag == "callback:done"}
+    assert {fn.startswith(dst.MOVIE_PREFIX) for fn in replied} == {
+        True, False}
 
 
 @pytest.mark.parametrize("group", ["travel", "movie"])

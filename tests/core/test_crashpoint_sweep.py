@@ -35,6 +35,7 @@ from typing import Callable, Optional
 
 import pytest
 
+import lifecycle
 from repro.apps.movie import MovieReviewApp
 from repro.apps.travel import TravelReservationApp
 from repro.core import BeldiConfig, BeldiRuntime
@@ -416,10 +417,12 @@ def sweep(scenario_name: str, flags_name: str) -> None:
                     scenario.mutate, runtime, app))
         runtime.platform.crash_policy = policy
         try:
-            result = run_until_recovered(runtime, scenario)
+            with lifecycle.recording() as ledger:
+                result = run_until_recovered(runtime, scenario)
             scenario.check_effects(runtime, app, result)
             assert runtime.platform.stats.injected_crashes == 1, (
                 "crash point was not reached on the re-run")
+            ledger.check()
             run_gc_passes(runtime)
             assert_store_clean(runtime)
         except AssertionError as exc:  # collect, report all at once
@@ -434,6 +437,7 @@ def sweep(scenario_name: str, flags_name: str) -> None:
                                      + stats.rolled_forward
                                      + stats.rolled_back)
             runtime.kernel.shutdown()
+    _check_reply_points(points, runtime.config.has_async_io)
     if scenario.mutate is not None:
         _check_read_log_points(points, runtime.config.has_async_io)
     assert not failures, (
@@ -457,6 +461,18 @@ def sweep(scenario_name: str, flags_name: str) -> None:
         assert total_migrations > len(points), (
             f"only {total_migrations} migrations across "
             f"{len(points)} swept runs")
+
+
+def _check_reply_points(points, replies_early: bool) -> None:
+    """Every sync callee was killed between its reply and its callback
+    (``current``) — a window the paper's order does not have."""
+    replied = {function for function, _index, tag in points
+               if tag == "reply:sent"}
+    called_back = {function for function, _index, tag in points
+                   if tag == "callback:done"}
+    assert replied == (called_back if replies_early else set()), (
+        sorted(replied), sorted(called_back))
+    assert called_back, "no sync callee in the swept workflow"
 
 
 def _check_read_log_points(points, grouped: bool) -> None:

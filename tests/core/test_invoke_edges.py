@@ -1,10 +1,12 @@
-"""Invocation edge cases: spurious callbacks, id reuse, log contents."""
+"""Invocation edge cases: spurious callbacks, id reuse, log contents,
+and the window between a callee's reply and its callback."""
 
 import pytest
 
-from repro.core import BeldiConfig, BeldiRuntime
+from repro.core import BeldiConfig, BeldiRuntime, intents
+from repro.core.gc import make_garbage_collector
 from repro.core.invoke import ASYNC_ACK, record_callback
-from repro.platform import CrashOnce, FunctionCrashed
+from repro.platform import CrashOnce, CrashScript, FunctionCrashed
 
 
 @pytest.fixture
@@ -126,6 +128,278 @@ class TestCalleeIdReuse:
         assert entry["InTxn"] is False
         assert entry["Result"] == {"k": 1}
         assert "CalleeId" in entry
+
+
+def _log_platform_calls(runtime) -> list:
+    """Every ``sync_invoke`` the platform serves, as it happens:
+    ``{start, end, function, kind, result}`` (no ``result`` when the
+    invocation failed)."""
+    calls = []
+    real = runtime.platform.sync_invoke
+
+    def logged(name, payload):
+        row = {"start": runtime.kernel.now, "function": name,
+               "kind": (payload or {}).get("kind", "call")}
+        calls.append(row)
+        try:
+            row["result"] = real(name, payload)
+            return row["result"]
+        finally:
+            row["end"] = runtime.kernel.now
+
+    runtime.platform.sync_invoke = logged
+    return calls
+
+
+class TestReplyBeforeCallback:
+    """A sync callee replies once its result is fixed (read log flushed)
+    and runs callback + ``Done`` as a tail beside its caller. The window
+    that opens — replied, callback not landed — must cost nothing."""
+
+    GC_T = 400.0
+
+    def _runtime(self, **config):
+        config.setdefault("ic_restart_delay", 50.0)
+        config.setdefault("gc_t", self.GC_T)
+        return BeldiRuntime(seed=31, latency_scale=1.0,
+                            config=BeldiConfig(**config))
+
+    def _counter_pair(self, runtime):
+        """``caller`` invokes ``leaf``; each bumps a counter of its own,
+        so a repeated effect on either side shows."""
+        bodies = []
+
+        def leaf(ctx, payload):
+            bodies.append(ctx.instance_id)
+            ctx.write("kv", "n", (ctx.read("kv", "n") or 0) + 1)
+            return "v"
+
+        def caller(ctx, payload):
+            ctx.write("kv", "calls", (ctx.read("kv", "calls") or 0) + 1)
+            return [ctx.sync_invoke("leaf", None)]
+
+        return (runtime.register_ssf("leaf", leaf, tables=["kv"]),
+                runtime.register_ssf("caller", caller, tables=["kv"]),
+                bodies)
+
+    @staticmethod
+    def _assert_settled(runtime):
+        for env in runtime.envs.values():
+            assert not intents.pending_intents(env), env.name
+
+    def test_callee_dying_after_its_reply_costs_the_caller_nothing(self):
+        from tests.core.test_crashpoint_sweep import (assert_store_clean,
+                                                      run_gc_passes)
+        runtime = self._runtime()
+        leaf, caller, _bodies = self._counter_pair(runtime)
+        runtime.platform.crash_policy = CrashOnce("leaf", "reply:sent")
+        box = {}
+
+        def client():
+            box["result"] = runtime.client_call("caller")
+            box["leaf_pending"] = len(intents.pending_intents(leaf.env))
+            box["logged"] = caller.env.store.scan(
+                caller.env.invoke_log).items[0].get("Result", "nothing")
+
+        runtime.start_collectors(ic_period=100.0, gc_period=1e12)
+        runtime.kernel.spawn(client)
+        runtime.kernel.run(until=5_000.0)
+        runtime.stop_collectors()
+        runtime.kernel.run(until=6_000.0)
+        # The caller finished on the reply alone: the callee was dead,
+        # its intent unfinished, its callback never sent.
+        assert box == {"result": ["v"], "leaf_pending": 1,
+                       "logged": "nothing"}
+        assert runtime.platform.stats.crashes == 1
+        # The intent collector finished the callee: same value, the
+        # callback landed late, and nothing happened twice.
+        self._assert_settled(runtime)
+        (intent,) = leaf.env.store.scan(leaf.env.intent_table).items
+        assert intent["Done"] and intent["Ret"] == "v"
+        (entry,) = caller.env.store.scan(caller.env.invoke_log).items
+        assert entry["Result"] == "v"
+        assert leaf.env.peek("kv", "n") == 1
+        assert caller.env.peek("kv", "calls") == 1
+        run_gc_passes(runtime)
+        assert_store_clean(runtime)
+        runtime.kernel.shutdown()
+
+    def test_caller_replayed_before_the_callback_lands_reinvokes_same_id(
+            self):
+        """The caller consumes the reply and dies; its replay finds no
+        result in the invoke log (the callback is held back: its first
+        delivery dies and the callee's tail backs off) and re-invokes
+        the *same* callee id. The callee, still unfinished, answers from
+        its logs: same value, one effect."""
+        runtime = self._runtime(invoke_retry_backoff=2_000.0)
+        leaf, caller, bodies = self._counter_pair(runtime)
+        # caller#0 is the request, caller#1 the callback delivery.
+        runtime.platform.crash_policy = CrashScript.of(
+            ("caller", 0, "invoke:2:after-call"), ("caller", 1, "enter"))
+        calls = _log_platform_calls(runtime)
+        results = []
+
+        def client():
+            for _ in range(2):  # the crashed delivery, then its replay
+                try:
+                    results.append(runtime.platform.sync_invoke(
+                        "caller", {"kind": "call", "instance_id": "dup-R",
+                                   "input": None}))
+                except FunctionCrashed:
+                    results.append("crashed")
+            results.append(runtime.kernel.now)
+
+        runtime.kernel.spawn(client)
+        runtime.kernel.run()
+        replayed_at = results.pop()
+        assert results == ["crashed", ["v"]]
+        leaf_calls = [c for c in calls if c["function"] == "leaf"]
+        assert len(leaf_calls) == 2 and len(set(bodies)) == 1
+        assert [c["result"] for c in leaf_calls] == ["v", "v"]
+        held_back = [c for c in calls if c["kind"] == "sync_callback"][0]
+        assert "result" not in held_back
+        # The replay was answered while the first execution's callback
+        # was still backing off, not by waiting it out.
+        assert replayed_at < held_back["end"] + 2_000.0
+        assert leaf.env.peek("kv", "n") == 1
+        assert caller.env.peek("kv", "calls") == 1
+        assert leaf.env.store.item_count(leaf.env.intent_table) == 1
+        self._assert_settled(runtime)
+        runtime.kernel.shutdown()
+
+    def test_callback_after_the_caller_was_collected_is_ignored(self):
+        """The caller completes on the reply, is marked ``Done`` and
+        garbage collected while the callee's callback is still backing
+        off. The late callback finds no invoke-log row, is ignored — and
+        resurrects nothing — and the callee still finishes."""
+        runtime = self._runtime(invoke_retry_backoff=5_000.0,
+                                ic_restart_delay=1e12)
+        leaf, caller, _bodies = self._counter_pair(runtime)
+        runtime.platform.crash_policy = CrashScript.of(
+            ("caller", 1, "enter"))
+        calls = _log_platform_calls(runtime)
+        box = {}
+        runtime.kernel.spawn(
+            lambda: box.update(result=runtime.client_call("caller")))
+        runtime.kernel.run(until=1_000.0)
+        assert box == {"result": ["v"]}
+        collect = make_garbage_collector(runtime, caller.env)
+
+        class _Ctx:
+            request_id = "gc-run"
+            invocation_index = 0
+
+            def crash_point(self, tag):
+                pass
+
+        for at in (1_000.0, 1_500.0):  # stamp, then (T later) recycle
+            runtime.kernel.spawn(lambda: collect(_Ctx(), {}))
+            runtime.kernel.run(until=at + 450.0)
+        store = caller.env.store
+        assert store.item_count(caller.env.intent_table) == 0
+        assert store.item_count(caller.env.invoke_log) == 0
+        assert len(intents.pending_intents(leaf.env)) == 1
+        runtime.kernel.run()
+        callbacks = [c for c in calls if c["kind"] == "sync_callback"]
+        assert [c.get("result", "died") for c in callbacks] == [
+            "died", "ignored"]
+        assert callbacks[1]["start"] > 2_000.0
+        assert store.item_count(caller.env.invoke_log) == 0
+        self._assert_settled(runtime)
+        assert leaf.env.peek("kv", "n") == 1
+        runtime.kernel.shutdown()
+
+    def test_abort_marker_rides_the_reply_and_abort_runs_beside_the_tail(
+            self):
+        """A non-owner that dies inside the transaction replies
+        ``TXN_ABORT_MARKER`` early; the owner starts the abort protocol
+        on it while the callee is still delivering its callback."""
+        runtime = self._runtime()
+
+        def hotel(ctx, payload):
+            ctx.write("rooms", "H1", {"left": 4})
+            return "hotel-ok"
+
+        def flight(ctx, payload):
+            ctx.read("seats", "F1")
+            ctx.abort_tx()
+
+        def reserve(ctx, payload):
+            with ctx.transaction() as tx:
+                ctx.sync_invoke("hotel", None)
+                ctx.sync_invoke("flight", None)
+            return tx.outcome
+
+        hotel_ssf = runtime.register_ssf("hotel", hotel, tables=["rooms"])
+        flight_ssf = runtime.register_ssf("flight", flight,
+                                          tables=["seats"])
+        runtime.register_ssf("reserve", reserve)
+        hotel_ssf.env.seed("rooms", "H1", {"left": 5})
+        flight_ssf.env.seed("seats", "F1", {"left": 0})
+        calls = _log_platform_calls(runtime)
+        assert runtime.run_workflow("reserve") == "aborted"
+        flight_call = next(c for c in calls if c["function"] == "flight"
+                           and c["kind"] == "call")
+        assert flight_call["result"] == "__beldi_txn_abort__"
+        flight_callback = [c for c in calls
+                           if c["kind"] == "sync_callback"][-1]
+        first_signal = next(c for c in calls if c["kind"] == "txn_signal")
+        assert flight_callback["start"] == flight_call["end"]
+        assert (flight_call["end"] <= first_signal["start"]
+                < flight_callback["end"])
+        # The abort rolled the hotel write back and left no lock behind.
+        assert hotel_ssf.env.peek("rooms", "H1") == {"left": 5}
+        for env, table, key in ((hotel_ssf.env, "rooms", "H1"),
+                                (flight_ssf.env, "seats", "F1")):
+            rows = env.store.query(env.data_table(table), key).items
+            assert all("LockOwner" not in row for row in rows)
+        self._assert_settled(runtime)
+        (entry,) = [e for e in runtime.envs["reserve"].store.scan(
+            runtime.envs["reserve"].invoke_log).items
+            if e["Callee"] == "flight"]
+        assert entry["Result"] == "__beldi_txn_abort__"
+        runtime.kernel.shutdown()
+
+    @pytest.mark.parametrize("config, replies_first", [
+        (dict(), True),                      # the _intent_cache hit
+        (dict(without="fastpath"), True),    # the intent["Done"] branch
+        (dict(without="async_io"), False),
+        (dict(profile="paper"), False)])
+    def test_duplicate_delivery_replies_before_its_callback(
+            self, config, replies_first):
+        """A delivery of an already finished callee re-issues the
+        callback; with ``async_io`` its waiter is answered first, like a
+        first delivery's, and the callee body never runs again."""
+        runtime = self._runtime(**config)
+        leaf, caller, bodies = self._counter_pair(runtime)
+        assert runtime.run_workflow("caller") == ["v"]
+        (claim,) = caller.env.store.scan(caller.env.invoke_log).items
+        calls = _log_platform_calls(runtime)
+        hits = runtime.tail_cache.stats.intent_hits
+        box = {}
+
+        def duplicate():
+            box["result"] = runtime.platform.sync_invoke("leaf", {
+                "kind": "call", "instance_id": claim["CalleeId"],
+                "input": None, "async": False,
+                "caller": {"ssf": "caller",
+                           "instance_id": claim["InstanceId"],
+                           "step": claim["Step"]}})
+            box["answered"] = runtime.kernel.now
+
+        runtime.kernel.spawn(duplicate)
+        runtime.kernel.run()
+        assert box["result"] == "v" and len(bodies) == 1
+        assert (runtime.tail_cache.stats.intent_hits - hits
+                == runtime.config.has_fastpath)
+        (callback,) = [c for c in calls if c["kind"] == "sync_callback"]
+        assert callback["result"] == "recorded"
+        if replies_first:
+            assert callback["start"] == box["answered"] < callback["end"]
+        else:
+            assert callback["end"] <= box["answered"]
+        assert leaf.env.peek("kv", "n") == 1
+        runtime.kernel.shutdown()
 
 
 class TestAsyncAck:

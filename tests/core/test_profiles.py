@@ -8,7 +8,12 @@ construction, including every retired per-feature boolean.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
+
+import lifecycle
 
 from repro.apps.travel import TravelReservationApp
 from repro.core import BeldiConfig, BeldiRuntime
@@ -96,6 +101,68 @@ def _balanced_run(without, shards, replicas, read_consistency):
     assert reserved.get("ok")
     runtime.kernel.shutdown()
     return runtime
+
+
+def _one_reservation(**config_args):
+    """One travel reservation at real latencies: when the client was
+    answered, a digest of the bill and every final row, and the
+    lifecycle ledger."""
+    runtime = BeldiRuntime(seed=SEED, latency_scale=1.0,
+                           config=BeldiConfig(gc_t=1e12, **config_args))
+    app = TravelReservationApp(seed=SEED, n_hotels=2, n_flights=2,
+                               rooms_per_hotel=2, seats_per_flight=2,
+                               n_users=1)
+    app.register(runtime)
+    app.seed_data(runtime)
+    box = {}
+
+    def client():
+        box["result"] = runtime.client_call(
+            "frontend", {"action": "reserve", "user": "user-0000",
+                         "hotel": "hotel-0000", "flight": "flight-0001"})
+        box["answered_at"] = runtime.kernel.now
+
+    with lifecycle.recording() as ledger:
+        runtime.kernel.spawn(client)
+        runtime.kernel.run(until=30_000.0)
+    runtime.kernel.shutdown()
+    assert box["result"] == {"ok": True}
+    digest = hashlib.sha256(json.dumps(
+        [runtime.store.metering.snapshot(), _table_rows(runtime)],
+        sort_keys=True, default=repr).encode()).hexdigest()
+    return box["answered_at"], digest, ledger
+
+
+#: Recorded at d9973c5, the commit before replies moved ahead of the
+#: callback: (virtual ms at which the client was answered, sha256 of
+#: metering snapshot + every final row).
+REPLY_AT_EXIT = {
+    "paper": (dict(profile="paper"), 1423.9048863403796,
+              "6aaab43698c9dad2"),
+    "without-async_io": (dict(without="async_io"), 1669.7088830989712,
+                         "1be348e674ec416c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLY_AT_EXIT))
+def test_without_async_io_a_callee_replies_at_worker_exit(name):
+    """``paper`` and ``without="async_io"`` keep the paper's order —
+    callback, ``Done``, then the reply that is the worker's exit: same
+    virtual time, same bill, same final rows as before there was an
+    early reply."""
+    config_args, answered_at, digest = REPLY_AT_EXIT[name]
+    got_at, got_digest, ledger = _one_reservation(**config_args)
+    assert not ledger.kinds("reply")
+    assert len(ledger.kinds("callback")) == 3  # reserve, hotel, flight
+    assert got_at == answered_at
+    assert got_digest.startswith(digest)
+
+
+def test_current_replies_before_the_callback_and_answers_sooner():
+    current_at, _digest, ledger = _one_reservation()
+    assert len(ledger.kinds("reply")) == len(ledger.kinds("callback")) == 3
+    ledger.check()
+    assert current_at < 0.8 * REPLY_AT_EXIT["without-async_io"][1]
 
 
 @pytest.mark.parametrize("topology", [(2, 1, None), (4, 1, None),

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lifecycle
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.core import daal
 from repro.platform import CrashPolicy, FunctionCrashed
@@ -216,6 +217,97 @@ class TestReadLogFrontierProperty:
         for config_args in ({}, {"without": "async_io"}):
             crashed = self._run(program, config_args, crash_seed)
             assert crashed[:2] == grouped[:2], config_args
+
+
+class TestReplyOrderProperty:
+    """For every sync callee of any workflow shape: read-log flush <
+    reply ≤ callback recorded < ``Done`` — and without ``async_io``
+    there is no early reply at all, only callback < ``Done``."""
+
+    OPS = st.sampled_from(["read", "write", "leaf", "mid"])
+
+    @staticmethod
+    def _run(program, config_args, crash_seed=None):
+        """Run ``root`` (which reads, writes, calls ``leaf`` or calls
+        ``mid``, which calls ``leaf``) under a ledger; returns it."""
+        runtime = BeldiRuntime(seed=17, config=BeldiConfig(
+            ic_restart_delay=50.0, gc_t=1e12, **config_args))
+        if crash_seed is not None:
+            runtime.platform.crash_policy = SeededCrash(crash_seed, p=0.05,
+                                                        budget=3)
+
+        def leaf(ctx, payload):
+            seen = [ctx.read("kv", "a"), ctx.read("kv", "b")]
+            if payload % 2:
+                ctx.write("kv", "a", payload)
+            return seen
+
+        def mid(ctx, payload):
+            return [ctx.read("kv", "a"),
+                    ctx.sync_invoke("leaf", payload + 1)]
+
+        def root(ctx, payload):
+            seen = []
+            for index, op in enumerate(program):
+                if op == "read":
+                    seen.append(ctx.read("kv", "a"))
+                elif op == "write":
+                    ctx.write("kv", "b", index)
+                else:
+                    seen.append(ctx.sync_invoke(op, index))
+            return seen
+
+        for name, handler in (("root", root), ("mid", mid), ("leaf", leaf)):
+            runtime.register_ssf(name, handler, tables=["kv"])
+        with lifecycle.recording() as ledger:
+            run_with_recovery(runtime, "root", [None], horizon=5_000.0)
+        return ledger
+
+    @staticmethod
+    def _callee_orders(ledger) -> list:
+        """Per finished execution of a called-back instance: the ledger
+        positions of its last flush, its reply, the first callback for
+        the instance after that, and its ``Done``."""
+        called_back = {row[2] for row in ledger.kinds("callback")}
+        orders = []
+        for done_at, (kind, execution, instance_id) in enumerate(
+                ledger.rows):
+            if kind != "done" or instance_id not in called_back:
+                continue
+            own = [(at, row[0]) for at, row in enumerate(ledger.rows)
+                   if row[1] is execution]
+            flushes = [at for at, what in own if what == "flush"]
+            replies = [at for at, what in own if what == "reply"]
+            start = replies[0] if replies else 0
+            callback_at = next(
+                at for at, row in enumerate(ledger.rows)
+                if at >= start and row[0] == "callback"
+                and row[2] == instance_id)
+            orders.append((max(flushes, default=-1), replies,
+                           callback_at, done_at))
+        return orders
+
+    @given(program=st.lists(OPS, min_size=1, max_size=8),
+           crash_seed=st.integers(0, 10_000))
+    @settings(**FAST)
+    def test_flush_then_reply_then_callback_then_done(self, program,
+                                                      crash_seed):
+        callees = sum({"leaf": 1, "mid": 2}.get(op, 0) for op in program)
+        for config_args in ({}, {"without": "async_io"}):
+            ledger = self._run(program, config_args)
+            ledger.check()
+            orders = self._callee_orders(ledger)
+            assert len(orders) == callees
+            for flushed, replies, callback_at, done_at in orders:
+                if config_args:
+                    assert not replies
+                    assert flushed < callback_at < done_at
+                else:
+                    (replied,) = replies
+                    assert flushed < replied < callback_at < done_at
+            # Under random crashes and IC replays no strict sequence is
+            # promised per execution, the safety orders still are.
+            self._run(program, config_args, crash_seed).check()
 
 
 class TestTransactionProperties:

@@ -17,6 +17,7 @@ import os
 import pytest
 
 import dst
+import lifecycle
 from repro.core import BeldiConfig, BeldiRuntime, daal
 from repro.kvstore import Set
 from repro.platform import CrashAtOccurrence
@@ -222,3 +223,73 @@ def test_live_duplicates_racing_the_flush_leave_one_run_and_one_result():
         assert run["returned"] == [logged], seed
         assert run["result"] == run["duplicate"] == logged, seed
     assert lost >= 10, f"only {lost}/40 schedules made the values differ"
+
+
+# ---------------------------------------------------------------------------
+# A callee's tail (callback + Done) racing the owner's commit signal
+# ---------------------------------------------------------------------------
+
+def _race_tail_against_commit(seed: int) -> dict:
+    """``reserve`` books a room through ``hotel`` inside a transaction
+    and commits. ``hotel`` replies before its callback, so the owner's
+    ``txn_signal`` (flush the shadow write, release the lock, walk the
+    callee's invoke log) reaches ``hotel`` while that instance is still
+    delivering its callback and marking ``Done`` — the explored schedule
+    decides every order."""
+    kernel = SimKernel(seed=seed, schedule=RandomSchedule(seed))
+    runtime = BeldiRuntime(kernel=kernel, seed=seed, config=BeldiConfig(
+        ic_restart_delay=1e9, gc_t=1e12))
+
+    def hotel(ctx, payload):
+        left = ctx.read("rooms", "H1")["left"]
+        ctx.write("rooms", "H1", {"left": left - 1})
+        return "hotel-ok"
+
+    def reserve(ctx, payload):
+        with ctx.transaction() as tx:
+            ctx.sync_invoke("hotel", None)
+        return tx.outcome
+
+    leaf = runtime.register_ssf("hotel", hotel, tables=["rooms"])
+    top = runtime.register_ssf("reserve", reserve)
+    leaf.env.seed("rooms", "H1", {"left": 2})
+    with lifecycle.recording() as ledger:
+        deliver_signal = runtime._handle_txn_signal
+
+        def signal(ssf, platform_ctx, payload):
+            ledger.note("signal", payload["instance_id"])
+            return deliver_signal(ssf, platform_ctx, payload)
+
+        runtime._handle_txn_signal = signal
+        outcome = runtime.run_workflow("reserve")
+    ledger.check()
+    (claim,) = top.env.store.scan(top.env.invoke_log).items
+    out = {"outcome": outcome,
+           "order": [row[0] for row in ledger.rows
+                     if row[0] in ("signal", "callback", "done")
+                     and row[2] == claim["CalleeId"]],
+           "left": leaf.env.peek("rooms", "H1"),
+           "rows": leaf.env.store.query(leaf.env.data_table("rooms"),
+                                        "H1").items,
+           "intents": [intent for env in (leaf.env, top.env) for intent in
+                       env.store.scan(env.intent_table).items],
+           "claim": claim}
+    kernel.shutdown()
+    return out
+
+
+def test_callee_tail_racing_the_commit_signal_commits_once_in_any_order():
+    orders = set()
+    for seed in range(40):
+        run = _race_tail_against_commit(seed)
+        assert run["outcome"] == "committed", seed
+        assert run["left"] == {"left": 1}, (seed, run["left"])
+        assert all("LockOwner" not in row for row in run["rows"]), seed
+        assert [i["Done"] for i in run["intents"]] == [True, True], seed
+        assert run["claim"]["Result"] == "hotel-ok", seed
+        orders.add(tuple(run["order"]))
+    # The race is real: the signal landed before the callee's callback,
+    # between callback and Done, and after Done.
+    assert orders == {("signal", "callback", "done"),
+                      ("callback", "signal", "done"),
+                      ("callback", "done", "signal")}

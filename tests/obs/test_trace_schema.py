@@ -234,3 +234,65 @@ def test_cross_shard_transaction_keeps_span_metering_parity():
     assert metered == 2 and len(spans) == 2
     assert sorted(span["args"]["shard"] for span in spans) == [0, 1]
     assert all(span["dur"] == elapsed for span in spans)
+
+
+def test_traced_travel_request_at_real_latency_nests_and_splits_tails():
+    """At ``latency_scale=0`` every span is zero-width and containment
+    proves nothing. One travel reservation at real latencies: every
+    child sits inside its parent, although each sync callee outlives its
+    caller's ``step.invoke`` span — the request span ends at the reply,
+    the callback + ``Done`` tail is a parentless span on a row of its
+    own."""
+    from repro.apps.travel import TravelReservationApp
+    from repro.core import BeldiConfig, BeldiRuntime
+
+    runtime = BeldiRuntime(seed=5, latency_scale=1.0, config=BeldiConfig(
+        gc_t=1e12, observability=True))
+    app = TravelReservationApp(seed=5, n_hotels=2, n_flights=2,
+                               rooms_per_hotel=2, seats_per_flight=2,
+                               n_users=1)
+    app.register(runtime)
+    app.seed_data(runtime)
+    result = runtime.run_workflow("frontend", {
+        "action": "reserve", "user": "user-0000", "hotel": "hotel-0000",
+        "flight": "flight-0001"})
+    runtime.kernel.shutdown()
+    assert result["ok"]
+    tracer = runtime.obs.tracer
+    trace = tracer.to_chrome()
+    assert validate_chrome_trace(trace) == []
+    assert sum(1 for record in tracer.records
+               if record["phase"] == 0 and record["dur"] > 0) > 50
+
+    by_id = {record["span_id"]: record for record in tracer.records}
+    tails = [record for record in tracer.records
+             if record["name"].startswith("tail:")]
+    callees = [record for record in tracer.records
+               if record["cat"] == "request" and record["parent_id"]
+               and record["phase"] == 0]
+    assert len(tails) == len(callees) == 3  # reserve, hotel, flight
+    replies = {record["parent_id"]: record for record in tracer.records
+               if record["name"] == "reply"}
+    outlived = 0
+    for tail in tails:
+        request = by_id[tail["span_id"].removesuffix("#tail")]
+        step = by_id[request["parent_id"]]
+        # Off the critical path: no parent, a row of its own, starting
+        # where the request span ended — at the reply.
+        assert tail["parent_id"] is None
+        assert tail["track"] == tail["span_id"] != request["track"]
+        assert tail["ts"] == request["ts"] + request["dur"]
+        assert replies[request["span_id"]]["ts"] == tail["ts"]
+        assert tail["dur"] > 0  # a platform invocation and two updates
+        outlived += tail["ts"] + tail["dur"] > step["ts"] + step["dur"]
+    assert outlived == len(tails)
+
+    # The containment check is live at this scale: a request span that
+    # covered its tail as well would escape the caller's step span.
+    stretched = json.loads(json.dumps(trace))
+    victim = next(event for event in stretched["traceEvents"]
+                  if event.get("cat") == "request"
+                  and "parent_id" in event.get("args", {}))
+    victim["dur"] += 1000.0 * tails[0]["dur"]
+    assert any("escapes parent" in problem
+               for problem in validate_chrome_trace(stretched))

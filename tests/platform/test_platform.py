@@ -325,6 +325,149 @@ class TestCrashInjection:
         assert outcomes == ["crashed"]
 
 
+class TestCrashCounting:
+    """``PlatformStats.crashes`` counts worker deaths where they happen,
+    each once, whether or not anyone is waiting for the worker."""
+
+    @staticmethod
+    def _crashy(ctx, payload):
+        if payload == "respond-first":
+            ctx.respond("early")
+        ctx.crash_point("mid")
+        return "survived"
+
+    def test_sync_death_counted_once(self):
+        kernel, platform = make_platform()
+        platform.register("f", self._crashy)
+        platform.crash_policy = CrashOnce("f", tag="mid")
+        outcomes = []
+
+        def client():
+            try:
+                platform.sync_invoke("f", None)
+            except FunctionCrashed:
+                outcomes.append("crashed")
+
+        kernel.spawn(client)
+        kernel.run()
+        assert outcomes == ["crashed"]
+        assert platform.stats.crashes == 1
+
+    def test_async_death_counted_though_nobody_awaits_it(self):
+        kernel, platform = make_platform()
+        platform.register("f", self._crashy)
+        platform.crash_policy = CrashOnce("f", tag="mid")
+        kernel.spawn(lambda: platform.async_invoke("f", None))
+        kernel.run()
+        assert platform.stats.crashes == 1
+        assert platform.stats.completions == 0
+        assert platform.active_instances == 0
+
+    def test_death_after_the_response_counted_and_not_reported(self):
+        kernel, platform = make_platform()
+        platform.register("f", self._crashy)
+        platform.crash_policy = CrashOnce("f", tag="mid")
+        outcomes = []
+        kernel.spawn(lambda: outcomes.append(
+            platform.sync_invoke("f", "respond-first")))
+        kernel.run()
+        assert outcomes == ["early"]
+        assert platform.stats.crashes == 1
+        assert platform.active_instances == 0
+
+
+class TestEarlyResponse:
+    """``ctx.respond``: the waiter resumes at the response; slot, timeout
+    and warm container follow the worker's exit, as on Lambda's Runtime
+    API when a runtime posts its response and works on."""
+
+    def test_waiter_resumes_at_the_response_worker_runs_on(self):
+        kernel, platform = make_platform()
+        marks = {}
+
+        def handler(ctx, payload):
+            ctx.sleep(10.0)
+            ctx.respond("early")
+            ctx.sleep(30.0)
+            marks["worker_exit"] = kernel.now
+            return "ignored"
+
+        platform.register("f", handler)
+
+        def client():
+            marks["result"] = platform.sync_invoke("f", None)
+            marks["client_resumed"] = kernel.now
+            marks["active_at_resume"] = platform.active_instances
+
+        kernel.spawn(client)
+        kernel.run()
+        assert marks["result"] == "early"
+        assert marks["client_resumed"] == pytest.approx(10.0)
+        assert marks["active_at_resume"] == 1  # slot held by the tail
+        assert marks["worker_exit"] == pytest.approx(40.0)
+        assert platform.active_instances == 0
+        assert platform.stats.completions == 1
+
+    def test_only_the_first_response_counts(self):
+        kernel, platform = make_platform()
+
+        def handler(ctx, payload):
+            ctx.respond("first")
+            ctx.respond("second")
+            return "third"
+
+        platform.register("f", handler)
+        results = []
+        kernel.spawn(lambda: results.append(platform.sync_invoke("f", 0)))
+        kernel.run()
+        assert results == ["first"]
+
+    def test_timeout_stays_armed_over_the_tail(self):
+        kernel, platform = make_platform(default_timeout=50.0)
+
+        died = []
+
+        def handler(ctx, payload):
+            ctx.respond("early")
+            try:
+                ctx.sleep(10_000.0)
+            finally:
+                died.append(kernel.now)
+
+        platform.register("f", handler)
+        results = []
+        kernel.spawn(lambda: results.append(platform.sync_invoke("f", 0)))
+        kernel.run()
+        assert results == ["early"]
+        assert platform.stats.timeouts == 1
+        assert died == [pytest.approx(50.0)]
+        assert platform.active_instances == 0
+
+    def test_no_response_fires_the_same_kernel_events(self):
+        """An invocation that never responds early schedules exactly what
+        it scheduled before there was an early response (the response
+        rides the waiter's own event, no new one)."""
+        def run(respond):
+            kernel, platform = make_platform()
+            kernel.capture_trace = True
+
+            def handler(ctx, payload):
+                ctx.sleep(5.0)
+                if respond:
+                    ctx.respond("r")
+                return "r"
+
+            platform.register("f", handler)
+            kernel.spawn(lambda: platform.sync_invoke("f", None))
+            kernel.run()
+            return kernel.fired_trace
+
+        plain = run(respond=False)
+        assert plain == run(respond=True)
+        assert [label for _, label in plain if ":event:" in label] == [
+            "<lambda>#0:event:fn:f#1.done"]
+
+
 class TestWarmStarts:
     def test_second_invocation_is_warm(self):
         kernel, platform = make_platform(scale=1.0)

@@ -76,12 +76,8 @@ class MovieReviewApp(AppBundle):
             if payload["op"] == "read_many":
                 # Serving stored reviews tolerates bounded staleness —
                 # the half-price follower read when replication is on.
-                found = []
-                for review_id in payload["ids"]:
-                    review = ctx.read_eventual("reviews", review_id)
-                    if review is not None:
-                        found.append(review)
-                return found
+                return [review for review in ctx.read_many(
+                    "reviews", payload["ids"]) if review is not None]
             raise ValueError(f"bad op {payload['op']!r}")
 
         # -- user_review: per-user review index ---------------------------

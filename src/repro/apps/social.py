@@ -110,12 +110,8 @@ class SocialMediaApp(AppBundle):
             if payload["op"] == "read_many":
                 # Timeline rendering tolerates bounded staleness — the
                 # half-price follower read when replication is on.
-                found = []
-                for post_id in payload["ids"]:
-                    post = ctx.read_eventual("posts", post_id)
-                    if post is not None:
-                        found.append(post)
-                return found
+                return [post for post in ctx.read_many(
+                    "posts", payload["ids"]) if post is not None]
             raise ValueError(f"bad op {payload['op']!r}")
 
         def timeline_storage(ctx, payload):

@@ -68,21 +68,16 @@ class TravelReservationApp(AppBundle):
 
         # -- rate: room rates for a set of hotels -----------------------
         def rate(ctx, payload):
-            rates = []
-            for hotel_id in payload["hotels"]:
-                entry = ctx.read_eventual("rates", hotel_id)
-                if entry is not None:
-                    rates.append({"hotel": hotel_id, "rate": entry})
-            return rates
+            hotels = payload["hotels"]
+            return [{"hotel": hotel_id, "rate": entry}
+                    for hotel_id, entry in zip(
+                        hotels, ctx.read_many("rates", hotels))
+                    if entry is not None]
 
         # -- profile: hotel profiles ------------------------------------
         def profile(ctx, payload):
-            profiles = []
-            for hotel_id in payload["hotels"]:
-                entry = ctx.read_eventual("profiles", hotel_id)
-                if entry is not None:
-                    profiles.append(entry)
-            return profiles
+            return [entry for entry in ctx.read_many(
+                "profiles", payload["hotels"]) if entry is not None]
 
         # -- search: geo + rate, hydrated through profile ---------------
         def search(ctx, payload):

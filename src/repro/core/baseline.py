@@ -87,6 +87,9 @@ class BaselineContext:
         # a staleness-tolerant read is just a read.
         return self.read(table, key)
 
+    def read_many(self, table: str, keys: Iterable[Any]) -> list:
+        return [self.read(table, key) for key in keys]
+
     def write(self, table: str, key: Any, value: Any) -> None:
         self.env.store.update(self.env.data_table(table), (key,),
                               [Set("Value", value)])

@@ -75,9 +75,24 @@ class BeldiConfig:
             (``repro/core/runtime.py``): once its read log is flushed
             its result is fixed, so the waiting caller resumes then, and
             the callback + ``mark_done`` (in §4.5's order) run beside
-            it, off its critical path. Without it: the sequential,
-            one-write-per-row model with a read-log put after every
-            read and the reply at worker exit — the paper's.
+            it, off its critical path. ``ctx.read_many`` fetches
+            independent keys with **one** ``batch_get`` of their cached
+            tails and logs them as one run. Callee instance ids derive
+            from ``(caller instance, step)`` on every path, which lets
+            a first execution outside a transaction **open an invoke
+            pipelined** (``repro/core/invoke.py``): start the callee,
+            write the unchanged conditional claim while the dispatch is
+            in flight, consume the reply once the claim is durable.
+            A transaction's **commit/abort signals fan out**
+            (``repro/core/txn.py``): an SSF starts every callee's
+            signal, resolves its own shadows and locks beside them (two
+            overlapped rounds — discover, then flush/release) and then
+            awaits them, so phase 2 costs its slowest participant.
+            Without it: the sequential, one-write-per-row model with a
+            read-log put after every read, ``read_many`` as the per-key
+            loop, a fresh callee id claimed before every invoke, the
+            reply at worker exit and a commit that resolves locally,
+            then signals one callee after the other — the paper's.
         ``"elastic"`` (:attr:`has_elastic`)
             Hot-shard elasticity (``docs/sharding.md``): a runtime that
             builds its own multi-shard store tracks per-key heat and

@@ -11,7 +11,7 @@ transactional context, Beldi modifies the semantics of its API".
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.core import daal, invoke, ops, txn as txn_mod
 from repro.core.config import BeldiConfig
@@ -38,7 +38,8 @@ class BeldiContext:
     def __init__(self, runtime, function_name: str, env: BeldiEnv,
                  platform_ctx: InvocationContext, instance_id: str,
                  intent: dict, txn: Optional[TxnContext] = None,
-                 read_log: Optional[dict] = None) -> None:
+                 read_log: Optional[dict] = None,
+                 first_execution: bool = False) -> None:
         self.runtime = runtime
         self.function_name = function_name
         self.env = env
@@ -52,6 +53,9 @@ class BeldiContext:
         #: execution, the logged runs when it is a replay. ``None`` = the
         #: paper's path, which asks the store step by step.
         self.read_log = read_log
+        #: This execution created its intent and has not been rolled
+        #: back: no earlier execution can have logged anything for it.
+        self.first_execution = first_execution
         #: Snapshots of the read values observed since the last effect
         #: frontier, not yet durable (``ops.flush_read_log``), the step
         #: of its first value and the bytes it holds.
@@ -139,6 +143,20 @@ class BeldiContext:
         """Whether this instance runs inside a transactional context."""
         return self.txn is not None
 
+    @property
+    def pipelines_invokes(self) -> bool:
+        """May a sync invoke start its callee before its claim lands
+        (``async_io``; ``docs/async_io.md``, "Pipelined invoke open")?
+
+        Only where nothing can already depend on the old order: a replay
+        or duplicate must see a logged ``Result`` before it starts
+        anything, and a callee inside a transaction's Execute mode must
+        be discoverable by a ``txn_signal`` handler (through the claim) from
+        the moment it can hold a lock.
+        """
+        return (self.config.has_async_io and self.first_execution
+                and not self.in_txn_execute())
+
     # -- key-value API (Fig. 2) ------------------------------------------------
     def read(self, table: str, key: Any) -> Any:
         """Exactly-once read; ``None`` if the item does not exist."""
@@ -180,6 +198,29 @@ class BeldiContext:
             value = ops.read_only_op(self, self.env.data_table(table),
                                      key, consistency=consistency)
         return None if value == daal.MISSING else value
+
+    def read_many(self, table: str, keys: Iterable[Any]) -> list:
+        """:meth:`read_eventual` over independent ``keys``: one value per
+        key, aligned, ``None`` where the item does not exist.
+
+        Each key is one logged step, exactly as if read one by one — but
+        with the ``async_io`` feature the steps the read log does not
+        already answer share **one** ``batch_get`` of their cached tails
+        (:func:`repro.core.ops.read_many_op`) and join the pending read
+        run together. Without the feature, in a transaction's Execute
+        mode (locked reads) and in cross-table storage it *is* the
+        per-key loop: same rows, same crash points.
+        """
+        if (self.read_log is None or self.in_txn_execute()
+                or self.env.storage_mode == "crosstable"):
+            return [self.read_eventual(table, key) for key in keys]
+        from repro.kvstore.metering import normalize_consistency
+        values = ops.read_many_op(
+            self, self.env.data_table(table), list(keys),
+            consistency=normalize_consistency(
+                self.config.read_consistency))
+        return [None if value == daal.MISSING else value
+                for value in values]
 
     def write(self, table: str, key: Any, value: Any) -> None:
         """Exactly-once write."""

@@ -69,6 +69,8 @@ from repro.kvstore import (
     Remove,
     Set,
     SizeLt,
+    batch_get_all,
+    overlap,
 )
 from repro.kvstore.expressions import Condition, Projection, path
 
@@ -259,6 +261,62 @@ def tail_value(store: KVStore, table: str, key: Any,
     if row is None:
         return MISSING
     return row.get("Value", MISSING)
+
+
+def tail_values(store: KVStore, table: str, keys: list,
+                cache: Optional[TailCache],
+                consistency: Optional[str] = None,
+                overlapped: bool = False) -> list:
+    """Current value of every item in ``keys`` (aligned; ``MISSING``
+    where the chain is absent) in as few round trips as the cache allows.
+
+    Every tail row is fetched by **one** ``batch_get``: the cache names
+    most of them, and a key it has no entry for first learns its tail
+    from one skeleton query (which also fills the cache). A fetched row
+    that chained or vanished since is evicted and repaired by
+    :func:`tail_value`'s sound traversal — as is every key when there is
+    no cache at all. With ``overlapped`` the skeleton queries, and then
+    the repairs, are branches of one :func:`~repro.kvstore.overlap` scope
+    and cost the slowest, not the sum. Like :func:`fast_tail_row`, values
+    are never cached: every returned value was read from the store by
+    this call.
+    """
+    values: list = [MISSING] * len(keys)
+    repairs = list(range(len(keys)))
+    if cache is not None:
+        tails: dict = {}
+        with overlap(store, enabled=overlapped) as scope:
+            for index, key in enumerate(keys):
+                entry = cache.tail_of(table, key)
+                if entry is not None:
+                    tails[index] = entry.row_id
+                    continue
+                with scope.branch():
+                    skeleton = load_skeleton(store, table, key, cache=cache,
+                                             consistency=consistency)
+                if skeleton.exists:
+                    tails[index] = skeleton.tail
+        # batch_get_all retries any throttled (unprocessed) remainder, so
+        # a partial batch throttle never fails the whole fetch.
+        rows = batch_get_all(
+            store, table,
+            [(keys[index], row_id) for index, row_id in tails.items()],
+            consistency=consistency)
+        repairs = []
+        for index, row in zip(tails, rows):
+            if row is None or "NextRow" in row:
+                # The tail went stale between resolution and fetch.
+                cache.forget(table, keys[index])
+                repairs.append(index)
+            else:
+                values[index] = row.get("Value", MISSING)
+    with overlap(store, enabled=overlapped) as scope:
+        for index in repairs:
+            with scope.branch():
+                values[index] = tail_value(store, table, keys[index],
+                                           cache=cache,
+                                           consistency=consistency)
+    return values
 
 
 def append_row(store: KVStore, table: str, key: Any, prev_row: dict,

@@ -9,9 +9,11 @@ executes six phases over its env:
    from the platform's execution timeout) guarantees no live instance can
    still need their logs;
 3. delete the recyclable instances' read-log and invoke-log entries;
-4. prune recyclable entries from reachable DAAL rows and *disconnect*
-   interior rows whose write logs emptied, stamping them with a
-   ``DangleTime`` (in-flight traversals may still be standing on them);
+4. prune recyclable entries from reachable DAAL rows (and, from
+   non-tail rows, the copy of a lock the tail no longer names) and
+   *disconnect* interior rows whose write logs emptied, stamping them
+   with a ``DangleTime`` (in-flight traversals may still be standing on
+   them);
 5. delete rows that have dangled for more than ``T`` and are unreachable
    from the head — including append-race orphans, which this
    implementation additionally stamps and collects (the paper leaves
@@ -138,7 +140,8 @@ def make_garbage_collector(runtime, env: BeldiEnv):
         batch_writes = runtime.config.has_async_io
         stats = {"stamped": 0, "recycled_intents": 0, "log_entries": 0,
                  "pruned_entries": 0, "disconnected": 0, "deleted_rows": 0,
-                 "shadow_chains": 0, "locksets": 0, "migrations": 0}
+                 "shadow_chains": 0, "locksets": 0, "migrations": 0,
+                 "stale_locks": 0}
 
         # Phase 0 (elastic stores only): a chain migration whose worker
         # crashed left a durable record mid-phase — roll it back (the
@@ -289,13 +292,27 @@ def _collect_chain(store, table: str, key: Any, liveness: _Liveness,
 
     # Prune dead log entries everywhere in the reachable chain. LogSize is
     # intentionally left as a high-water mark so "full" rows stay full.
+    # A row that filled while the item was locked handed its ``LockOwner``
+    # forward (``daal.append_row``) and kept the copy; the head is never
+    # disconnected, so there the copy would outlive the lock for good.
+    # Strip it once the tail names another owner or none: that lock was
+    # released (a transaction never re-locks after it resolves), so the
+    # one reader of a stale row's owner, ``daal.flush_value``, concludes
+    # "already flushed" — which is then true.
+    tail = chain[-1]
+    tail_owner = (tail.get("LockOwner") or {}).get("Id")
     for row in chain:
         dead = [log_key for log_key in (row.get("RecentWrites") or {})
                 if not liveness.is_live(logkeys.instance_of(log_key))]
-        if dead:
+        updates = [Remove(path("RecentWrites", log_key)) for log_key in dead]
+        if (row is not tail and "LockOwner" in row
+                and row["LockOwner"].get("Id") != tail_owner):
+            updates.append(Remove("LockOwner"))
+            stats["stale_locks"] += 1
+        if updates:
             store.update(table, (key, row["RowId"]),
-                         [Remove(path("RecentWrites", log_key))
-                          for log_key in dead] + [daal.bump_version()])
+                         updates + [daal.bump_version()])
+        if dead:
             row["RecentWrites"] = {
                 log_key: outcome
                 for log_key, outcome in row["RecentWrites"].items()

@@ -1,9 +1,27 @@
 """SSF-to-SSF invocation with exactly-once semantics (§4.5).
 
-The invoke log pins down the callee's identity: the first execution of a
-caller step draws a fresh callee instance id and conditionally logs it;
-every re-execution reuses the logged id, so the callee can tell
-re-deliveries from new work via its own intent table.
+The invoke log pins down the callee's identity: every execution of a
+caller step names the same callee instance id, so the callee can tell
+re-deliveries from new work via its own intent table. On the paper path
+the first execution draws a fresh id and conditionally logs it — the
+*claim* — and every re-execution reuses the logged id. With the
+``async_io`` feature the id is a pure function of ``(caller instance,
+step)`` on every path (:func:`_derived_callee_id`), so all executions
+agree on it before anything is written, and the claim is left with one
+job: being durable before the caller acts on a result.
+
+That is what lets an invoke open **pipelined**
+(``docs/async_io.md``): a first execution outside a transaction starts
+the callee's platform invocation first, writes the unchanged
+conditional claim while dispatch and the callee's intent put are in
+flight (``sync_invoke``'s ``meanwhile``), and consumes the reply only
+once the claim has landed. Replays, duplicates and invokes inside a
+transaction's Execute mode keep claim-then-invoke: a replay must see a
+logged ``Result`` before it starts anything, and a lock-holding callee
+must be discoverable through the invoke log (``txn.logged_callees``)
+from the moment it can hold a lock. One builder (:func:`_claim`) makes
+the entry and the ``call`` payload for all three paths — sync, the
+parallel batch, async — which differ only in how the claim is written.
 
 Results travel through the **callback**: before a callee marks itself
 done, it re-invokes *some* instance of the caller's function, whose
@@ -68,31 +86,78 @@ def unwrap_result(result: Any) -> Any:
     return result
 
 
-def _log_invoke(ctx, step: int, callee: str, is_async: bool
-                ) -> tuple[str, Any]:
-    """Claim (or recover) the invoke-log entry for this step.
+def _derived_callee_id(instance_id: str, step: int) -> str:
+    """A callee instance id that is a pure function of the caller step.
 
-    Returns ``(callee instance id, the logged result or NO_RESULT)``.
+    With the ``async_io`` feature every executor of one logical instance
+    must name the same callee for a step *before* any claim lands — the
+    batched claim writes byte-identical rows without a condition, and a
+    pipelined open starts the callee while its claim is still in flight
+    — so the id cannot be a fresh draw pinned by a conditional put: it
+    derives from ``(instance id, step)``, both stable under replay.
+    Uniqueness follows from instance-id uniqueness.
     """
-    callee_id = ctx.fresh_callee_id()
+    digest = hashlib.md5(
+        f"{instance_id}|{step}|callee".encode("utf-8")).hexdigest()
+    return f"c-{digest}"
+
+
+def _claim(ctx, step: int, callee: str, payload_input: Any,
+           is_async: bool) -> tuple[dict, dict]:
+    """What claims ``step`` and what it sends: the invoke-log entry and
+    the ``call`` payload, both naming the same callee instance.
+
+    One id rule per configuration: derived with ``async_io`` (on *every*
+    path — an execution that drew a fresh id beside a duplicate that
+    derived one would run the callee under two ids), a fresh draw pinned
+    by the conditional claim on the paper path.
+    """
+    if ctx.config.has_async_io:
+        callee_id = _derived_callee_id(ctx.instance_id, step)
+    else:
+        callee_id = ctx.fresh_callee_id()
+    in_txn = ctx.in_txn_execute()
     entry = {
         "InstanceId": ctx.instance_id,
         "Step": step,
         "CalleeId": callee_id,
         "Callee": callee,
         "Async": is_async,
-        "InTxn": ctx.in_txn_execute(),
+        "InTxn": in_txn,
     }
+    call = {
+        "kind": "call",
+        "instance_id": callee_id,
+        "input": payload_input,
+        "caller": {"ssf": ctx.function_name,
+                   "instance_id": ctx.instance_id,
+                   "step": step},
+        "async": is_async,
+    }
+    if in_txn:
+        call["txn"] = ctx.txn.payload()
+        ctx.txn.invoked.append((callee, callee_id))
+    return entry, call
+
+
+def _write_claim(ctx, entry: dict, call: dict) -> Any:
+    """Claim the step with the conditional put — or recover the claim
+    that is already there, whose callee id (a different fresh draw on
+    the paper path) then replaces the one in ``call``.
+
+    Returns the logged result, or ``NO_RESULT``.
+    """
     try:
         ctx.store.put(ctx.env.invoke_log, entry,
                       condition=AttrNotExists("InstanceId"))
-        return callee_id, NO_RESULT
+        return NO_RESULT
     except ConditionFailed:
         record = ctx.store.get(ctx.env.invoke_log,
-                               (ctx.instance_id, step))
+                               (ctx.instance_id, entry["Step"]))
         if record is None:
             raise InvokeFailed("invoke log entry vanished") from None
-        return record["CalleeId"], record.get("Result", NO_RESULT)
+        call["instance_id"] = record["CalleeId"]
+        return record.get("Result", NO_RESULT)
 
 
 def _check_logged_result(ctx, step: int) -> Any:
@@ -103,24 +168,23 @@ def _check_logged_result(ctx, step: int) -> Any:
 def prepare_invoke(ctx, callee: str, payload_input: Any) -> dict:
     """Phase 1 of a synchronous invoke: allocate the step and pin the
     callee id in the invoke log. Deterministic and sequential, so
-    parallel invocations replay with stable step numbers."""
+    parallel invocations replay with stable step numbers.
+
+    A pipelined open (:attr:`BeldiContext.pipelines_invokes`) leaves the
+    claim ``unclaimed``: :func:`complete_invoke` writes it beside the
+    callee's dispatch.
+    """
     flush_read_log(ctx)
     step = ctx.next_step()
     ctx.crash_point(f"invoke:{step}:start")
-    callee_id, logged = _log_invoke(ctx, step, callee, is_async=False)
-    call = {
-        "kind": "call",
-        "instance_id": callee_id,
-        "input": payload_input,
-        "caller": {"ssf": ctx.function_name,
-                   "instance_id": ctx.instance_id,
-                   "step": step},
-        "async": False,
-    }
-    if ctx.in_txn_execute():
-        call["txn"] = ctx.txn.payload()
-    return {"step": step, "callee": callee, "call": call,
-            "logged": logged}
+    entry, call = _claim(ctx, step, callee, payload_input, is_async=False)
+    prepared = {"step": step, "callee": callee, "call": call,
+                "logged": NO_RESULT}
+    if ctx.pipelines_invokes:
+        prepared["unclaimed"] = entry
+    else:
+        prepared["logged"] = _write_claim(ctx, entry, call)
+    return prepared
 
 
 def complete_invoke(ctx, prepared: dict, crash_points: bool = True) -> Any:
@@ -130,25 +194,45 @@ def complete_invoke(ctx, prepared: dict, crash_points: bool = True) -> Any:
     arrived through the callback (the callee may have finished and died
     before replying) — so each retry first consults the invoke log before
     re-invoking with the *same* callee id.
+
+    An ``unclaimed`` step is claimed here, between the callee's start
+    and the wait for its reply (``sync_invoke``'s ``meanwhile``): the
+    reply is consumed only once the claim is durable. If the callee
+    never started (no slot), the order falls back to claim, then retry.
     """
     if prepared["logged"] is not NO_RESULT:
         return unwrap_result(prepared["logged"])
     step = prepared["step"]
     callee = prepared["callee"]
+    call = prepared["call"]
+
+    def claim() -> None:
+        _write_claim(ctx, prepared["unclaimed"], call)
+        del prepared["unclaimed"]
+
+    def claim_beside_dispatch() -> None:
+        if crash_points:
+            ctx.crash_point(f"invoke:{step}:dispatched")
+        claim()
+
     with ctx.trace(f"step.invoke:{callee}", cat="step",
                    span_id=f"{ctx.instance_id}#{step}", step=step,
-                   callee=prepared["call"]["instance_id"]):
+                   callee=call["instance_id"]):
         attempts = 0
         while True:
             if crash_points:
                 ctx.crash_point(f"invoke:{step}:before-call")
             try:
-                result = ctx.platform_ctx.sync_invoke(callee,
-                                                      prepared["call"])
+                result = ctx.platform_ctx.sync_invoke(
+                    callee, call,
+                    meanwhile=(claim_beside_dispatch
+                               if "unclaimed" in prepared else None))
                 if crash_points:
                     ctx.crash_point(f"invoke:{step}:after-call")
                 return unwrap_result(result)
             except (FunctionCrashed, FunctionTimeout, TooManyRequests):
+                if "unclaimed" in prepared:
+                    claim()
                 result = _check_logged_result(ctx, step)
                 if result is not NO_RESULT:
                     return unwrap_result(result)
@@ -166,28 +250,14 @@ def sync_invoke_op(ctx, callee: str, payload_input: Any) -> Any:
                                                payload_input))
 
 
-def _derived_callee_id(instance_id: str, step: int) -> str:
-    """A callee instance id that is a pure function of the caller step.
-
-    The batched claim path (below) needs every executor of one logical
-    instance to write byte-identical invoke-log entries, so the callee
-    id cannot be a fresh draw pinned by a conditional put — it derives
-    from ``(instance id, step)`` instead, both stable under replay.
-    Uniqueness follows from instance-id uniqueness.
-    """
-    digest = hashlib.md5(
-        f"{instance_id}|{step}|callee".encode("utf-8")).hexdigest()
-    return f"c-{digest}"
-
-
 def prepare_parallel_invokes(ctx, calls: list) -> list:
     """Phase 1 for a parallel fan-out, coalesced (``async_io`` feature).
 
     The seed path claims N invoke-log entries with N conditional puts —
     N sequential round trips whose only job is to pin each step's callee
-    id against a racing re-execution. The batched path makes the entries
-    *deterministic* instead (see :func:`_derived_callee_id`) and claims
-    them all with one unconditional ``batch_write``: concurrent
+    id against a racing re-execution. The batched path relies on the
+    entries being *deterministic* (see :func:`_derived_callee_id`) and
+    claims them all with one unconditional ``batch_write``: concurrent
     executors write identical rows, so overwrites commute and no
     condition is needed — which is exactly what DynamoDB's
     ``BatchWriteItem`` (no conditions) permits.
@@ -209,33 +279,14 @@ def prepare_parallel_invokes(ctx, calls: list) -> list:
     flush_read_log(ctx)
     prepared = []
     entries = []
-    first_step = None
     for callee, payload_input in calls:
         step = ctx.next_step()
-        if first_step is None:
-            first_step = step
-        callee_id = _derived_callee_id(ctx.instance_id, step)
-        entries.append({
-            "InstanceId": ctx.instance_id,
-            "Step": step,
-            "CalleeId": callee_id,
-            "Callee": callee,
-            "Async": False,
-            "InTxn": ctx.in_txn_execute(),
-        })
-        call = {
-            "kind": "call",
-            "instance_id": callee_id,
-            "input": payload_input,
-            "caller": {"ssf": ctx.function_name,
-                       "instance_id": ctx.instance_id,
-                       "step": step},
-            "async": False,
-        }
-        if ctx.in_txn_execute():
-            call["txn"] = ctx.txn.payload()
+        entry, call = _claim(ctx, step, callee, payload_input,
+                             is_async=False)
+        entries.append(entry)
         prepared.append({"step": step, "callee": callee, "call": call,
                          "logged": NO_RESULT})
+    first_step = prepared[0]["step"]
     ctx.crash_point(f"pinvoke:{first_step}:before-claim")
     batch_write_all(ctx.store, ctx.env.invoke_log, puts=entries)
     ctx.crash_point(f"pinvoke:{first_step}:after-claim")
@@ -287,17 +338,11 @@ def async_invoke_op(ctx, callee: str, payload_input: Any) -> None:
     with ctx.trace(f"step.async_invoke:{callee}", cat="step",
                    span_id=f"{ctx.instance_id}#{step}", step=step):
         ctx.crash_point(f"invoke:{step}:start")
-        callee_id, logged = _log_invoke(ctx, step, callee, is_async=True)
-        acked = logged == ASYNC_ACK
+        entry, call = _claim(ctx, step, callee, payload_input,
+                             is_async=True)
+        acked = _write_claim(ctx, entry, call) == ASYNC_ACK
         if not acked:
-            registration = {
-                "kind": "async_register",
-                "instance_id": callee_id,
-                "input": payload_input,
-                "caller": {"ssf": ctx.function_name,
-                           "instance_id": ctx.instance_id,
-                           "step": step},
-            }
+            registration = dict(call, kind="async_register")
             attempts = 0
             while True:
                 try:
@@ -318,7 +363,7 @@ def async_invoke_op(ctx, callee: str, payload_input: Any) -> None:
         # crash), the callee's intent collector finds the registered
         # intent and runs it.
         ctx.platform_ctx.async_invoke(
-            callee, {"kind": "call", "instance_id": callee_id,
+            callee, {"kind": "call", "instance_id": call["instance_id"],
                      "async": True})
 
 

@@ -40,13 +40,20 @@ create its intent; for an async stub, one the IC relaunched) starts from
 the logged runs (:func:`logged_reads`) and answers those steps from
 memory; one whose flush loses to an execution that logged *different*
 values has shown nobody anything yet and is rolled back
-(:class:`ReadLogLost`) — the re-run replays the winner's log. Without the feature (``paper``, ``without="async_io"``)
-the frontier follows every read: a run of one, today's row, today's
-crash points. Every other log write keeps its own rule: batching only
-where writes are idempotent or deterministic (the GC's deletions, the
-parallel-invoke claim batch in ``invoke.py``), overlapping only across
-*independent* operations (the commit fan-out in ``txn.py``), never
-within one operation's probe/log sequence.
+(:class:`ReadLogLost`) — the re-run replays the winner's log.
+:func:`read_many_op` (``ctx.read_many``) is the batched form of
+``read_eventual``: one step per key, the unlogged ones fetched with one
+``batch_get`` of their tails (:func:`daal.tail_values`) and
+joined to the pending run together — one round trip in, still one group
+row out. Replay stays per step: a run may split, so a replay can hold
+any prefix of a call's steps and fetches only the rest. Without the
+feature (``paper``, ``without="async_io"``) the frontier follows every
+read: a run of one, today's row, today's crash points — and
+``read_many`` is the per-key loop. Every other log write keeps its own
+rule: batching only where writes are idempotent or deterministic (the
+GC's deletions, the parallel-invoke claim batch in ``invoke.py``),
+overlapping only across *independent* operations (the commit fan-out in
+``txn.py``), never within one operation's probe/log sequence.
 """
 
 from __future__ import annotations
@@ -171,6 +178,12 @@ def log_read(ctx, step: int, observe, tag: Optional[str] = None) -> Any:
     if step in logged:
         return logged[step]
     value = observe()
+    _join_pending_run(ctx, step, value)
+    return value
+
+
+def _join_pending_run(ctx, step: int, value: Any) -> None:
+    """Buffer the value just observed for ``step`` until the frontier."""
     size = value_size(value)
     if ctx.pending_reads and (
             ctx.pending_first + len(ctx.pending_reads) != step
@@ -185,7 +198,6 @@ def log_read(ctx, step: int, observe, tag: Optional[str] = None) -> Any:
     # before the frontier; the log records what was *observed*.
     ctx.pending_reads.append(copy_value(value))
     ctx.pending_bytes += size
-    return value
 
 
 def flush_read_log(ctx) -> None:
@@ -274,6 +286,41 @@ def read_only_op(ctx, table: str, key: Any,
     with ctx.trace("op.roread", span_id=f"{ctx.instance_id}#{step}",
                    step=step, table=table):
         return log_read(ctx, step, observe, tag=f"roread:{step}")
+
+
+def read_many_op(ctx, table: str, keys: list,
+                 consistency: Optional[str] = None) -> list:
+    """:func:`read_only_op` over independent keys, fetched together
+    (the ``async_io`` feature; needs the prefetched ``ctx.read_log``).
+
+    One step per key, allocated up front, so a replay finds the same
+    step numbers whatever was logged. Steps the loaded log holds answer
+    from memory; the rest resolve through :func:`daal.tail_values` — one
+    ``batch_get`` of the tails (cached, or learned from overlapped
+    skeleton queries), overlapped repairs for stale ones — and join the pending run in key order: one
+    round trip in, still one group row out at the next frontier. The
+    fetch sits between the ``readmany:<first step>:start`` and
+    ``:fetched`` crash points; nothing is logged at either, so a crash
+    there replays exactly like one between two buffered reads.
+    """
+    logged = ctx.read_log
+    steps = [ctx.next_step() for _ in keys]
+    fetch = [index for index, step in enumerate(steps)
+             if step not in logged]
+    values = [logged.get(step) for step in steps]
+    if fetch:
+        first = steps[0]
+        with ctx.trace("op.read_many", span_id=f"{ctx.instance_id}#{first}",
+                       step=first, table=table, keys=len(fetch)):
+            ctx.crash_point(f"readmany:{first}:start")
+            fetched = daal.tail_values(
+                ctx.store, table, [keys[index] for index in fetch],
+                ctx.tail_cache, consistency=consistency, overlapped=True)
+            ctx.crash_point(f"readmany:{first}:fetched")
+            for index, value in zip(fetch, fetched):
+                _join_pending_run(ctx, steps[index], value)
+                values[index] = value
+    return values
 
 
 def record_op(ctx, compute) -> Any:

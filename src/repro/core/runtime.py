@@ -49,8 +49,7 @@ from repro.core.txn import (
     ABORT,
     COMMIT,
     TxnContext,
-    propagate_signal,
-    resolve_local,
+    resolve_and_propagate,
 )
 from repro.kvstore import (
     KVStore,
@@ -506,6 +505,7 @@ class BeldiRuntime:
             # replay re-fires the stub) is still caught at its first
             # flush, which loses to the logged row and rolls back.
             replay = intents.relaunched(intent)
+            created = False
         else:
             intent, created = intents.ensure_intent(
                 env, instance_id, ssf.name, payload.get("input"),
@@ -525,7 +525,7 @@ class BeldiRuntime:
             try:
                 ret, aborted = self._run_handler(
                     ssf, platform_ctx, instance_id, intent,
-                    replay or rollbacks > 0)
+                    replay or rollbacks > 0, created and not rollbacks)
                 break
             except ops.ReadLogLost:
                 # A duplicate logged other values for a run this
@@ -555,15 +555,20 @@ class BeldiRuntime:
 
     def _run_handler(self, ssf: SSFDefinition,
                      platform_ctx: InvocationContext, instance_id: str,
-                     intent: dict, replay: bool) -> tuple[Any, bool]:
+                     intent: dict, replay: bool,
+                     first_execution: bool) -> tuple[Any, bool]:
         """One execution of the handler, up to the point where its
-        result is about to be observable: ``(return value, aborted)``."""
+        result is about to be observable: ``(return value, aborted)``.
+        ``first_execution``: it created the intent and was not rolled
+        back, so no earlier execution logged anything (stricter than
+        ``not replay``, which for an async stub is only a guess)."""
         stored_txn = intent.get("Txn")
         txn_ctx = (TxnContext.from_payload(stored_txn)
                    if stored_txn else None)
         ctx = BeldiContext(self, ssf.name, ssf.env, platform_ctx,
                            instance_id, intent, txn=txn_ctx,
-                           read_log={} if self.config.has_async_io else None)
+                           read_log={} if self.config.has_async_io else None,
+                           first_execution=first_execution)
         if ctx.read_log is not None and replay:
             # Replay loads the log: an earlier execution may have logged
             # reads already, and those steps answer from memory.
@@ -665,12 +670,17 @@ class BeldiRuntime:
         mode = txn_payload.get("mode")
         if mode not in (COMMIT, ABORT):
             raise ValueError(f"bad txn_signal mode {mode!r}")
-        resolve_local(env, txn_payload["id"], mode)
-        # Recurse using a minimal context (no intent bookkeeping needed:
-        # signals are at-least-once and idempotent).
-        intent = intents.get_intent(env, instance_id) or {
-            "InstanceId": instance_id, "StartTime": 0.0}
+        # A minimal context (no intent bookkeeping needed: signals are
+        # at-least-once and idempotent). Nothing below reads the stored
+        # intent; it is fetched where the paper's handler fetches it,
+        # between the two parts, so that path's store traffic is the
+        # paper's.
         ctx = BeldiContext(self, ssf.name, env, platform_ctx, instance_id,
-                           intent)
-        propagate_signal(ctx, instance_id, txn_payload)
+                           {"InstanceId": instance_id, "StartTime": 0.0})
+
+        def load_intent() -> None:
+            ctx.intent = intents.get_intent(env, instance_id) or ctx.intent
+
+        resolve_and_propagate(ctx, instance_id, txn_payload,
+                              after_local=load_intent)
         return "resolved"

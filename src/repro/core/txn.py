@@ -18,7 +18,10 @@ flushes its own shadows, releases its own locks, and then re-invokes each
 transactional callee (by its original instance id) with a ``txn_signal``;
 each callee does the same and recurses to *its* callees, found in its
 invoke log — collectively playing two-phase commit's coordinator (§6.2).
-All signal handling is idempotent, so at-least-once delivery suffices.
+All signal handling is idempotent, so at-least-once delivery suffices —
+and unordered: with the ``async_io`` feature an SSF's signals go out
+together and its local part runs beside them
+(:func:`resolve_and_propagate`).
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from typing import Any, Optional
 from repro.core import daal, ops
 from repro.core.env import SHADOW_TXN_INDEX, BeldiEnv
 from repro.core.errors import MisusedApi, TxnAborted
-from repro.kvstore import Set, batch_get_all, overlap
+from repro.kvstore import Set, overlap
+from repro.kvstore.asyncio import NULL_SCOPE
 from repro.kvstore.expressions import Condition, path
 
 EXECUTE = "execute"
@@ -52,6 +56,9 @@ class TxnContext:
     # filled by deterministic user-code order.
     locked: set = field(default_factory=set)
     written: set = field(default_factory=set)
+    #: ``(callee, callee instance id)`` of every in-transaction invoke
+    #: step this execution went through — what its invoke log holds.
+    invoked: list = field(default_factory=list)
 
     def payload(self, mode: Optional[str] = None) -> dict:
         return {"id": self.txn_id, "ts": self.start_time,
@@ -200,14 +207,18 @@ def resolve_local(env: BeldiEnv, txn_id: str, mode: str) -> dict:
     N shadow-tail fetches coalesce into one ``batch_get`` round trip —
     single-row shadow chains (the common case) need no extra read at
     all, their head row from the index query already carries the value.
-    With the ``async_io`` feature the per-item flushes (and, separately,
-    the lock releases) fan out under an :func:`~repro.kvstore.overlap` scope:
-    each item's flush is one sequential branch (its internal
-    read-retry-update chain still serializes), distinct items pay
-    ``max`` instead of the sum. Sound because every branch touches a
-    distinct item's chain, and each flush/release is individually
-    idempotent — overlap changes when virtual time passes, never which
-    conditional writes land.
+    With the ``async_io`` feature the work is two overlapped rounds: the
+    reads that say what the transaction wrote and locked here (shadow
+    index queries, lock-set query), then one :func:`~repro.kvstore.overlap`
+    scope with a branch per item — a flush for every written item, a
+    release for every lock on an item it did *not* write (a flush
+    releases its own; without the feature the second pass over those
+    items is a failed update and a read each). Each branch is one
+    sequential strand (its internal read-retry-update chain still
+    serializes), distinct items pay ``max`` instead of the sum. Sound
+    because every branch touches a distinct item's chain, and each
+    flush/release is individually idempotent — overlap changes when
+    virtual time passes, never which conditional writes land.
     """
     obs = getattr(env.store, "obs", None)
     if obs is None:
@@ -223,124 +234,186 @@ def resolve_local(env: BeldiEnv, txn_id: str, mode: str) -> dict:
 def _resolve_local(env: BeldiEnv, txn_id: str, mode: str) -> dict:
     store = env.store
     cache = env.tail_cache
-    async_io = env.config.has_async_io
     stats = {"flushed": 0, "released": 0}
-    if mode == COMMIT:
-        for short in env.table_names():
-            shadow = env.shadow_table(short)
-            heads = store.query_index(shadow, SHADOW_TXN_INDEX, txn_id)
-            chains = {}
-            head_rows = {}
-            for row in heads:
-                if row.get("RowId") == daal.HEAD_ROW_ID:
-                    chains[row["Key"]] = row.get("OrigKey")
-                    head_rows[row["Key"]] = row
-            finals = _shadow_finals(store, shadow, sorted(chains),
-                                    head_rows, cache)
-            with overlap(store, enabled=async_io) as scope:
-                for skey, orig_key in sorted(chains.items()):
-                    final = finals[skey]
-                    if final == daal.MISSING:
-                        continue
-                    with scope.branch():
-                        if daal.flush_value(store, env.data_table(short),
-                                            orig_key, final, txn_id,
-                                            cache=cache):
-                            stats["flushed"] += 1
-    refs = store.query(env.lockset_table, txn_id)
-    with overlap(store, enabled=async_io) as scope:
-        for ref in refs.items:
+    tables = env.table_names() if mode == COMMIT else []
+
+    def flush(scope, short: str, values: dict) -> None:
+        for key, value in values.items():
             with scope.branch():
-                released = daal.release_lock(
-                    store, env.data_table(ref["Table"]), ref["ItemKey"],
-                    txn_id, cache=cache)
-                if released:
+                if daal.flush_value(store, env.data_table(short), key,
+                                    value, txn_id, cache=cache):
+                    stats["flushed"] += 1
+
+    def release(scope, refs: list) -> None:
+        for ref in refs:
+            with scope.branch():
+                if daal.release_lock(store, env.data_table(ref["Table"]),
+                                     ref["ItemKey"], txn_id, cache=cache):
                     stats["released"] += 1
+
+    def lock_refs() -> list:
+        return store.query(env.lockset_table, txn_id).items
+
+    if not env.config.has_async_io:
+        for short in tables:
+            flush(NULL_SCOPE, short, _shadow_values(env, short, txn_id))
+        release(NULL_SCOPE, lock_refs())
+        return stats
+    # Two overlapped rounds. What the transaction wrote here and what it
+    # locked here are independent reads ...
+    values = {}
+    with overlap(store) as scope:
+        for short in tables:
+            with scope.branch():
+                values[short] = _shadow_values(env, short, txn_id)
+        with scope.branch():
+            refs = lock_refs()
+    # ... and a flush releases its own item's lock, so what is left to
+    # release are the locks on items the transaction did not write:
+    # every branch of this round works on a distinct item's chain.
+    with overlap(store) as scope:
+        for short in tables:
+            flush(scope, short, values[short])
+        release(scope, [ref for ref in refs if ref["ItemKey"]
+                        not in values.get(ref["Table"], ())])
     return stats
 
 
-def _shadow_finals(store, shadow: str, skeys, head_rows: dict, cache) -> dict:
+def _shadow_values(env: BeldiEnv, short: str, txn_id: str) -> dict:
+    """``{item key: final value}`` of what the transaction wrote to one
+    table, read off its shadow chains (key order)."""
+    store = env.store
+    shadow = env.shadow_table(short)
+    chains = {}
+    head_rows = {}
+    for row in store.query_index(shadow, SHADOW_TXN_INDEX, txn_id):
+        if row.get("RowId") == daal.HEAD_ROW_ID:
+            chains[row["Key"]] = row.get("OrigKey")
+            head_rows[row["Key"]] = row
+    finals = _shadow_finals(store, shadow, sorted(chains), head_rows,
+                            env.tail_cache, env.config.has_async_io)
+    return {chains[skey]: finals[skey] for skey in sorted(chains)
+            if finals[skey] != daal.MISSING}
+
+
+def _shadow_finals(store, shadow: str, skeys, head_rows: dict, cache,
+                   overlapped: bool) -> dict:
     """Resolve every shadow chain's tail value; on the fast path (a
-    ``cache`` to consult) one batched round trip for the multi-row
-    chains."""
-    finals: dict = {}
+    ``cache`` to consult) single-row chains cost nothing and the
+    multi-row ones share :func:`daal.tail_values`' one batched round
+    trip."""
     if cache is None:
-        for skey in skeys:
-            finals[skey] = daal.tail_value(store, shadow, skey,
-                                           cache=cache)
-        return finals
-    pending: list = []
-    for skey in skeys:
-        head = head_rows[skey]
-        if "NextRow" not in head:
-            # Single-row chain: the head *is* the tail, and the index
-            # query already returned it whole.
-            finals[skey] = head.get("Value", daal.MISSING)
-        else:
-            pending.append(skey)
-    if not pending:
-        return finals
-    tail_ids: dict = {}
-    for skey in pending:
-        entry = cache.tail_of(shadow, skey)
-        if entry is not None:
-            tail_ids[skey] = entry.row_id
-        else:
-            skeleton = daal.load_skeleton(store, shadow, skey, cache=cache)
-            tail_ids[skey] = skeleton.tail  # None when chain vanished
-    lookups = [skey for skey in pending if tail_ids[skey] is not None]
-    # batch_get_all retries any throttled (unprocessed) remainder, so a
-    # partial batch throttle never fails the whole commit fetch.
-    rows = batch_get_all(store, shadow,
-                         [(skey, tail_ids[skey]) for skey in lookups])
-    for skey, row in zip(lookups, rows):
-        if row is None or "NextRow" in row:
-            # Cached tail went stale between resolution and fetch; evict
-            # and fall back to the sound traversal for this key.
-            cache.forget(shadow, skey)
-            finals[skey] = daal.tail_value(store, shadow, skey,
-                                           cache=cache)
-        else:
-            finals[skey] = row.get("Value", daal.MISSING)
-    for skey in pending:
-        if skey not in finals:
-            finals[skey] = daal.MISSING
+        finals: dict = {}
+        pending = list(skeys)
+    else:
+        # Single-row chain: the head *is* the tail, and the index query
+        # already returned it whole.
+        finals = {skey: head_rows[skey].get("Value", daal.MISSING)
+                  for skey in skeys if "NextRow" not in head_rows[skey]}
+        pending = [skey for skey in skeys if skey not in finals]
+    finals.update(zip(pending, daal.tail_values(
+        store, shadow, pending, cache, overlapped=overlapped)))
     return finals
 
 
-def propagate_signal(ctx, instance_id: str, txn_payload: dict) -> int:
-    """Phase 2, recursive part: signal every transactional callee.
+def resolve_and_propagate(ctx, instance_id: str, txn_payload: dict,
+                          after_local=None, callees=None) -> None:
+    """Phase 2 at one SSF: its local part and the signals to its callees.
 
-    Callees are discovered from the signalling instance's invoke log and
-    re-invoked by their original instance ids, carrying the Commit/Abort
-    context along the workflow edges (Fig. 21's shape).
+    The two are independent — every lock of the transaction was taken
+    before the decision, every resolver is idempotent and conditioned on
+    the transaction's own id — so only their sum is ordered by the
+    protocol. The paper path resolves locally, then signals one callee
+    after the other. With the ``async_io`` feature the signals fan out
+    first — each callee's invocation starts while the earlier ones are
+    in flight — the local part runs beside them, and then the replies
+    are awaited: nested ``meanwhile``s of ``sync_invoke``, so no kernel
+    process is added, and a commit costs its slowest participant instead
+    of their sum. ``after_local()`` runs right after the local part
+    either way.
+
+    ``callees`` is what an execution that went through the transaction's
+    invoke steps itself knows (:attr:`TxnContext.invoked`); a signal
+    handler, which did not, reads them from the invoke log — as the
+    paper path always does.
     """
+    def local() -> None:
+        resolve_local(ctx.env, txn_payload["id"], txn_payload["mode"])
+        if after_local is not None:
+            after_local()
+
+    def signals(found: list) -> list:
+        return [(callee, {"kind": "txn_signal", "instance_id": callee_id,
+                          "txn": dict(txn_payload)})
+                for callee, callee_id in found]
+
+    if not ctx.config.has_async_io:
+        local()
+        for callee, payload in signals(logged_callees(ctx, instance_id)):
+            _signal_with_retry(ctx, callee, payload)
+        return
+    if callees is None:
+        callees = logged_callees(ctx, instance_id)
+    _signal_beside(ctx, signals(callees), local)
+
+
+def logged_callees(ctx, instance_id: str) -> list:
+    """Phase 2, recursive part: the transactional callees of an
+    instance, from its invoke log — re-invoked by their original
+    instance ids, they carry the Commit/Abort context along the workflow
+    edges (Fig. 21's shape)."""
     entries = ctx.store.query(ctx.env.invoke_log, instance_id)
-    signalled = 0
-    for entry in entries.items:
-        if not entry.get("InTxn"):
-            continue
-        payload = {"kind": "txn_signal",
-                   "instance_id": entry["CalleeId"],
-                   "txn": dict(txn_payload)}
-        _signal_with_retry(ctx, entry["Callee"], payload)
-        signalled += 1
-    return signalled
+    return [(entry["Callee"], entry["CalleeId"])
+            for entry in entries.items if entry.get("InTxn")]
 
 
-def _signal_with_retry(ctx, callee: str, payload: dict) -> None:
+def _signal_beside(ctx, signals: list, beside) -> None:
+    if not signals:
+        beside()
+        return
+    callee, payload = signals[0]
+    _signal_with_retry(ctx, callee, payload,
+                       lambda: _signal_beside(ctx, signals[1:], beside))
+
+
+def _signal_with_retry(ctx, callee: str, payload: dict,
+                       beside=None) -> None:
+    """Deliver one signal, at least once.
+
+    ``beside()`` — the rest of a fan-out — runs exactly once: while the
+    first attempt's worker is in flight, or right away if none started.
+    What it raises is joined like a parallel branch: re-raised once this
+    callee has been signalled, so one participant's failure never keeps
+    another from being reached.
+    """
     from repro.platform.errors import (FunctionCrashed, FunctionTimeout,
                                        TooManyRequests)
+    errors: list = []
+
+    def run_beside() -> None:
+        nonlocal beside
+        work, beside = beside, None
+        try:
+            work()
+        except Exception as exc:  # noqa: BLE001 - joined below
+            errors.append(exc)
+
     attempts = 0
     while True:
         try:
-            ctx.platform_ctx.sync_invoke(callee, payload)
-            return
+            ctx.platform_ctx.sync_invoke(
+                callee, payload,
+                meanwhile=run_beside if beside is not None else None)
+            break
         except (FunctionCrashed, FunctionTimeout, TooManyRequests):
+            if beside is not None:
+                run_beside()
             attempts += 1
             if attempts > ctx.config.invoke_retry_limit:
                 raise
             ctx.sleep(ctx.config.invoke_retry_backoff * attempts)
+    if errors:
+        raise errors[0]
 
 
 def finish_transaction(ctx, commit: bool) -> str:
@@ -356,9 +429,11 @@ def finish_transaction(ctx, commit: bool) -> str:
     ops.flush_read_log(ctx)
     with ctx.trace(f"txn.finish:{mode}", cat="txn", txn=txn.txn_id):
         ctx.crash_point(f"txn:{txn.txn_id}:resolving:{mode}")
-        resolve_local(ctx.env, txn.txn_id, mode)
-        ctx.crash_point(f"txn:{txn.txn_id}:resolved-local")
-        propagate_signal(ctx, ctx.instance_id, txn.payload(mode))
+        resolve_and_propagate(
+            ctx, ctx.instance_id, txn.payload(mode),
+            after_local=lambda: ctx.crash_point(
+                f"txn:{txn.txn_id}:resolved-local"),
+            callees=txn.invoked)
         ctx.crash_point(f"txn:{txn.txn_id}:propagated")
     obs = ctx.obs
     if obs is not None:

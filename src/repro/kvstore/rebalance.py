@@ -181,8 +181,7 @@ class ChainMigrator:
             tables.add(table)
         if not work:
             return 0
-        store._migration_epoch = getattr(store, "_migration_epoch",
-                                         0) + 1
+        store._migration_epoch += 1
         for token, *_ in work:
             store._latched.add(token)
         for table in tables:
@@ -420,8 +419,11 @@ def recover_stale_migrations(store, migrator: Optional[ChainMigrator]
     # Both default 0: a store that never migrated anything must skip
     # the scan outright, or an elastic-but-idle runtime's first GC pass
     # would pay latency and read units PR 4 never paid.
-    epoch = getattr(store, "_migration_epoch", 0)
-    if epoch == getattr(store, "_migration_epoch_swept", 0):
+    # The counters live on the sharded store itself (its fan-outs read
+    # them); ``store`` may be a layer wrapped around it.
+    sharded = store if migrator is None else migrator.store
+    epoch = sharded._migration_epoch
+    if epoch == sharded._migration_epoch_swept:
         return 0
     if migrator is None:
         migrator = ChainMigrator(store)
@@ -437,7 +439,7 @@ def recover_stale_migrations(store, migrator: Optional[ChainMigrator]
         if migrator.recover(record):
             recovered += 1
     if not skipped_live:
-        store._migration_epoch_swept = epoch
+        sharded._migration_epoch_swept = epoch
     return recovered
 
 

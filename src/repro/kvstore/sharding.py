@@ -447,6 +447,12 @@ class ShardedStore:
         #: before or after the (equally atomic) copy instant.
         self._inflight: dict = {}
         self._table_inflight: dict[str, int] = {}
+        #: Migration attempts so far, and how many of them the last
+        #: recovery sweep covered (``rebalance.recover_stale_migrations``).
+        #: While they differ a crashed move may have left rows on a node
+        #: routing does not map them to.
+        self._migration_epoch = 0
+        self._migration_epoch_swept = 0
 
     @property
     def n_shards(self) -> int:
@@ -670,6 +676,24 @@ class ShardedStore:
         finally:
             self._release(guard)
 
+    def _placed(self, table: str, shard: int, rows: list) -> list:
+        """``rows`` of node ``shard`` minus those routing maps elsewhere.
+
+        A migration whose worker crashed leaves the item on two nodes
+        until the GC's phase 0 recovers the move — a half-made copy on
+        the target, or the source's leftovers once routing has flipped.
+        Keyed operations never see the stray copy (they route past it);
+        a fan-out must not either, or one item answers twice. Free while
+        no move is unrecovered; a row projected down past its partition
+        key cannot be judged and stays.
+        """
+        if self._migration_epoch == self._migration_epoch_swept:
+            return rows
+        hash_key = self._schemas[table].hash_key
+        return [row for row in rows
+                if hash_key not in row
+                or self.shard_for(table, row[hash_key]) == shard]
+
     def _scan_nodes(self, args: tuple) -> ScanResult:
         """Shard-ordered scan with cross-shard paging.
 
@@ -700,7 +724,7 @@ class ShardedStore:
             result = self.nodes[shard].scan(
                 table, *passed, remaining,
                 node_start if shard == start_shard else None, consistency)
-            items.extend(result.items)
+            items.extend(self._placed(table, shard, result.items))
             scanned += result.scanned_count
             consumed += result.consumed_bytes
             if result.last_evaluated_key is not None:
@@ -739,9 +763,9 @@ class ShardedStore:
                 extra.append(path(index_attr))
             fetch_projection = Projection(list(projection.paths) + extra)
         items: list[dict] = []
-        for node in self.nodes:
-            items.extend(node.query_index(table, index_name, value,
-                                          fetch_projection, consistency))
+        for shard, node in enumerate(self.nodes):
+            items.extend(self._placed(table, shard, node.query_index(
+                table, index_name, value, fetch_projection, consistency)))
         items.sort(key=lambda item: (
             _sort_token(item.get(index_attr) if index_attr else None),
             _sort_token_tuple(schema.extract(item))))

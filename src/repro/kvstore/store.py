@@ -437,16 +437,21 @@ def _read_cost(result) -> tuple[int, int]:
 
 def batch_get_all(store, table: str, keys: Sequence[Any],
                   projection: Optional[Projection] = None,
-                  attempts: int = 4) -> list[Optional[dict]]:
+                  attempts: int = 4,
+                  consistency: Optional[str] = None
+                  ) -> list[Optional[dict]]:
     """``batch_get`` that retries the unprocessed remainder to completion.
 
     Issues up to ``attempts`` batched round trips, each covering only the
     keys the previous one left unprocessed; whatever still remains after
     that falls back to point ``get``\\ s (the pre-batching behavior, with
-    its usual throttling semantics). The returned plain list aligns with
-    ``keys``. This is the retry loop DynamoDB's SDKs run for
-    ``UnprocessedKeys``, and what the transaction-commit and GC callers
-    use so a partial throttle never fails a whole batch.
+    its usual throttling semantics). Retries and fallback read at the
+    same ``consistency`` as the first round, so a partial throttle
+    changes neither the routing nor the price of the rows it delays.
+    The returned plain list aligns with ``keys``. This is the retry loop
+    DynamoDB's SDKs run for ``UnprocessedKeys``, and what the
+    transaction-commit, GC and ``read_many`` callers use so a partial
+    throttle never fails a whole batch.
     """
     results: list[Optional[dict]] = [None] * len(keys)
     pending = list(range(len(keys)))
@@ -455,7 +460,8 @@ def batch_get_all(store, table: str, keys: Sequence[Any],
             return results
         try:
             got = store.batch_get(table, [keys[i] for i in pending],
-                                  projection=projection)
+                                  projection=projection,
+                                  consistency=consistency)
         except ThrottledError:
             continue  # nothing served this round; retry the same set
         unprocessed = set(got.unprocessed_indexes)
@@ -468,7 +474,8 @@ def batch_get_all(store, table: str, keys: Sequence[Any],
         pending = still_pending
     for index in pending:
         results[index] = store.get(table, keys[index],
-                                   projection=projection)
+                                   projection=projection,
+                                   consistency=consistency)
     return results
 
 

@@ -8,7 +8,7 @@ fault-injection machinery hooks into.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.sim.kernel import ProcessCrashed
 
@@ -66,9 +66,13 @@ class InvocationContext:
         self.done_event.set(result)
 
     # -- nested invocation -------------------------------------------------------
-    def sync_invoke(self, function: str, payload: Any) -> Any:
-        """Call another function and wait for its result."""
-        return self.platform.sync_invoke(function, payload)
+    def sync_invoke(self, function: str, payload: Any,
+                    meanwhile: Optional[Callable[[], None]] = None) -> Any:
+        """Call another function and wait for its result; ``meanwhile()``
+        runs between its start and the wait
+        (:meth:`ServerlessPlatform.sync_invoke`)."""
+        return self.platform.sync_invoke(function, payload,
+                                         meanwhile=meanwhile)
 
     def async_invoke(self, function: str, payload: Any) -> None:
         """Fire-and-forget invocation of another function."""

@@ -226,11 +226,22 @@ class ServerlessPlatform:
         return proc.result
 
     # -- public invocation API ----------------------------------------------------------
-    def sync_invoke(self, name: str, payload: Any) -> Any:
-        """SSF-to-SSF synchronous invocation (waits for the result)."""
+    def sync_invoke(self, name: str, payload: Any,
+                    meanwhile: Optional[Callable[[], None]] = None) -> Any:
+        """SSF-to-SSF synchronous invocation (waits for the result).
+
+        ``meanwhile()`` runs in the invoker once the worker has started
+        and before its result is awaited — what an SDK caller does
+        between sending the request and reading the response. It never
+        runs if no worker started (``TooManyRequests``); if it raises,
+        the worker goes on unawaited, like an async one.
+        """
         entry = self._entry(name)
         self._acquire_slot_with_retry()
-        return self._await_result(*self._start_instance(entry, payload))
+        proc, ctx = self._start_instance(entry, payload)
+        if meanwhile is not None:
+            meanwhile()
+        return self._await_result(proc, ctx)
 
     def async_invoke(self, name: str, payload: Any) -> None:
         """Fire-and-forget. No automatic retry on failure (§7.2: automatic

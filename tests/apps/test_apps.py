@@ -4,6 +4,8 @@ import pytest
 
 from repro.apps import build_app
 from repro.core import BaselineRuntime, BeldiConfig, BeldiRuntime
+from repro.core.baseline import BaselineContext
+from repro.core.context import BeldiContext
 from repro.sim import RandomSource
 
 
@@ -291,3 +293,57 @@ class TestAppFactory:
         for name in ("movie", "travel", "social"):
             app = build_app(name)
             assert sum(app.describe_mix().values()) == pytest.approx(1.0)
+
+
+def _per_key_loop(ctx, table, keys):
+    """What every ``read_many`` call site was before there was one."""
+    return [ctx.read_eventual(table, key) for key in keys]
+
+
+class TestReadMany:
+    """``ctx.read_many`` answers exactly what the per-key loop it
+    replaced answered, on every app and on both runtimes."""
+
+    SCRIPTS = {
+        "travel": [
+            {"action": "search", "cell": 3},
+            {"action": "recommend", "by": "price"},
+            {"action": "search", "cell": 7},
+        ],
+        "movie": [
+            {"action": "compose", "username": "user-0001",
+             "title": "Title 1", "text": "first  review", "rating": 7},
+            {"action": "compose", "username": "user-0002",
+             "title": "Title 1", "text": "second review", "rating": 3},
+            {"action": "page", "title": "Title 1"},
+        ],
+        "social": [
+            {"action": "compose", "username": "user-0001",
+             "text": "one @user-0002"},
+            {"action": "compose", "username": "user-0001",
+             "text": "two https://x.io/a"},
+            {"action": "user", "user_id": "uid-0001"},
+        ],
+    }
+
+    @staticmethod
+    def _responses(app_name, runtime) -> bytes:
+        import json
+        app = build_app(app_name, seed=4)
+        app.install(runtime)
+        responses = [runtime.run_workflow("frontend", dict(payload))
+                     for payload in TestReadMany.SCRIPTS[app_name]]
+        runtime.kernel.shutdown()
+        assert responses[-1], "the script's last request reads rows back"
+        return json.dumps(responses, sort_keys=True).encode()
+
+    @pytest.mark.parametrize("app_name", sorted(SCRIPTS))
+    @pytest.mark.parametrize("context, build", [
+        (BeldiContext, lambda: beldi_runtime(seed=6)),
+        (BaselineContext, lambda: BaselineRuntime(seed=6))],
+        ids=["beldi", "baseline"])
+    def test_same_bytes_as_the_per_key_loop(self, app_name, context,
+                                            build, monkeypatch):
+        batched = self._responses(app_name, build())
+        monkeypatch.setattr(context, "read_many", _per_key_loop)
+        assert self._responses(app_name, build()) == batched

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+import traceback
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 import lifecycle
@@ -78,6 +79,9 @@ class Request:
     runtime_key: str  # "travel" | "movie"
     entry: str
     payload: dict
+    #: Client-chosen instance id (an idempotency key); ``None`` leaves
+    #: it to the platform's request id, drawn from the seed.
+    instance_id: Optional[str] = None
 
 
 # Conflicting by construction: both reservations hit hotel-0000 and
@@ -96,6 +100,36 @@ REQUESTS = [
              "title": "Title 0", "text": "great movie  indeed",
              "rating": 8}),
 ]
+
+# On a zero-latency store both reservations' wait-die timestamps tie and
+# the conflict resolves on the transaction ids, which derive from the
+# root instance ids: with the ids ``SEED`` draws for ``REQUESTS`` the
+# first lock holder is the *younger* transaction and the second waits it
+# out (both commit). Arrival offsets cannot change that — at zero
+# latency an earlier request is done before a later one starts — so the
+# regime where the second *dies* (one commit, abort path run) names its
+# clients: these two ids rank the first holder older. Pinned per regime
+# by ``test_concurrent_sweep.py::test_concurrent_mix_actually_conflicts``.
+CONTENDED_REQUESTS = [
+    replace(REQUESTS[0], instance_id="client-a"),
+    replace(REQUESTS[1], instance_id="client-b"),
+    REQUESTS[2],
+]
+
+
+def failure_line(exc: BaseException) -> str:
+    """One line that names a failure for a sweep's report: the first
+    line of its message or, for an assert that carries none, the source
+    line that raised it."""
+    message = str(exc).strip()
+    if message:
+        return message.splitlines()[0]
+    frames = traceback.extract_tb(exc.__traceback__)
+    if not frames:
+        return type(exc).__name__
+    frame = frames[-1]
+    return (f"{os.path.basename(frame.filename)}:{frame.lineno}: "
+            f"{frame.line}")
 
 
 class ScheduleFailure(AssertionError):
@@ -202,9 +236,12 @@ def run_requests(h: Harness, requests=REQUESTS,
 
     def client(req: Request) -> None:
         runtime = h.runtimes[req.runtime_key]
+        call = {"kind": "call", "input": dict(req.payload)}
+        if req.instance_id is not None:
+            call["instance_id"] = req.instance_id
         try:
-            results[req.name] = runtime.client_call(req.entry,
-                                                    dict(req.payload))
+            results[req.name] = runtime.platform.client_request(req.entry,
+                                                                call)
         except (FunctionCrashed, TooManyRequests, ThrottledError,
                 UnavailableError, DeadlineExceeded):
             # Injected-environment errors surface here when the
@@ -240,6 +277,13 @@ def run_requests(h: Harness, requests=REQUESTS,
         for runtime in h.runtimes.values():
             runtime.stop_collectors()
         h.kernel.run(until=elapsed + RECOVERY_SLICE)
+        # A chain migration can outlive the requests (riding out a
+        # leader election, say). The checks below read the store from
+        # outside the kernel, where a token still latched by a frozen
+        # migration would be waited on forever: let it finish.
+        while getattr(h.travel.store, "_latched", None):
+            elapsed += RECOVERY_SLICE
+            h.kernel.run(until=elapsed + RECOVERY_SLICE)
     assert len(results) == len(requests), (
         f"clients never completed: have {sorted(results)}")
     for runtime in h.runtimes.values():
@@ -312,11 +356,14 @@ def check_effects(h: Harness) -> None:
     by_movie = h.movie_app.envs["movie_review"].peek("by_movie",
                                                      "movie-0000") or []
     assert len(review_ids) in (0, 1), f"duplicated review: {review_ids}"
-    assert len(by_user) == len(set(by_user)) == len(review_ids)
-    assert len(by_movie) == len(set(by_movie)) == len(review_ids)
+    assert len(by_user) == len(set(by_user)) == len(review_ids), (
+        f"user index {by_user} out of step with reviews {review_ids}")
+    assert len(by_movie) == len(set(by_movie)) == len(review_ids), (
+        f"movie index {by_movie} out of step with reviews {review_ids}")
     movie_result = results.get("movie-c")
     if isinstance(movie_result, dict) and movie_result.get("ok"):
-        assert len(review_ids) == 1
+        assert len(review_ids) == 1, (
+            f"client told {movie_result} but reviews are {review_ids}")
 
 
 def assert_store_clean(h: Harness) -> None:
@@ -327,14 +374,24 @@ def assert_store_clean(h: Harness) -> None:
         from repro.kvstore.rebalance import (MIGRATIONS_TABLE,
                                              placement_residue)
         for record in store.scan(MIGRATIONS_TABLE).items:
-            assert record["Phase"] == "done", record
-        assert placement_residue(store) == []
+            assert record["Phase"] == "done", (
+                f"migration record left mid-phase: {record}")
+        residue = placement_residue(store)
+        assert residue == [], f"placement residue: {residue}"
     for runtime in h.runtimes.values():
         for env in runtime.envs.values():
-            assert store.item_count(env.intent_table) == 0, env.name
-            assert store.item_count(env.read_log) == 0, env.name
-            assert store.item_count(env.invoke_log) == 0, env.name
-            assert store.item_count(env.lockset_table) == 0, env.name
+            assert store.item_count(env.intent_table) == 0, (
+                f"{env.name}: {store.item_count(env.intent_table)} rows left "
+                f"in {env.intent_table}")
+            assert store.item_count(env.read_log) == 0, (
+                f"{env.name}: {store.item_count(env.read_log)} rows left "
+                f"in {env.read_log}")
+            assert store.item_count(env.invoke_log) == 0, (
+                f"{env.name}: {store.item_count(env.invoke_log)} rows left "
+                f"in {env.invoke_log}")
+            assert store.item_count(env.lockset_table) == 0, (
+                f"{env.name}: {store.item_count(env.lockset_table)} rows left "
+                f"in {env.lockset_table}")
             for short in env.table_names():
                 table = env.data_table(short)
                 assert store.item_count(env.shadow_table(short)) == 0, (

@@ -7,7 +7,8 @@ hot-shard elasticity on. A recording run enumerates the combined crash
 space across both hosted platforms; the sweep then re-runs the whole mix
 once per recorded point, killing that one invocation there, and asserts
 the full invariant triple — exactly-once effects, atomicity, clean store
-and zero placement residue — after recovery + GC. See docs/testing.md.
+and zero placement residue — after recovery + GC, for both ways wait-die
+can settle the reservations' conflict (``MIXES``). See docs/testing.md.
 """
 
 from __future__ import annotations
@@ -19,11 +20,19 @@ from repro.platform import CrashOnce, CrashScript, RecordingPolicy
 from repro.platform.crashes import PrefixedPolicy
 
 
-def _record_points():
+# The two ways wait-die settles the reservations' conflict; both are
+# swept. ``waits``: the seed's own request ids make the first lock holder
+# the younger transaction, the second waits it out and both commit — a
+# crashed holder is outlasted by its waiter. ``dies``: named clients rank
+# the first holder older, the second dies and aborts (one commit).
+MIXES = {"waits": dst.REQUESTS, "dies": dst.CONTENDED_REQUESTS}
+
+
+def _record_points(mix="waits"):
     h = dst.build_harness(dst.DEEP_FLAGS)
     recording = RecordingPolicy()
     h.set_crash_policy(recording)
-    results = dst.run_requests(h)
+    results = dst.run_requests(h, MIXES[mix])
     dst.check_effects(h)
     h.shutdown()
     points = recording.unique_points()
@@ -31,20 +40,30 @@ def _record_points():
     return points, results
 
 
-def test_concurrent_mix_actually_conflicts():
+@pytest.mark.parametrize("mix,commits,counter", [
+    ("waits", [True, True], "txn.lock_waits"),
+    ("dies", [False, True], "txn.wait_die_aborts")])
+def test_concurrent_mix_actually_conflicts(mix, commits, counter):
     """The mix must contend: under FIFO both reservations reach the same
-    hotel/flight rows and wait-die resolves the conflict — exactly one
-    of the two commits (capacity admits both, the lock order does not).
-    Pinned so a payload change cannot quietly de-conflict the sweep."""
+    hotel/flight rows and wait-die resolves the conflict — the later
+    transaction waits for the lock or dies at it, and the lock order (not
+    capacity, which admits both) decides how many commit. Pinned per
+    regime so a payload, seed or id-rule change cannot quietly
+    de-conflict the sweep or fold its two regimes into one."""
     h = dst.build_harness(dst.DEEP_FLAGS)
     try:
-        results = dst.run_requests(h)
+        results = dst.run_requests(h, MIXES[mix])
         dst.check_effects(h)
         oks = sorted(bool(isinstance(results[name], dict)
                           and results[name].get("ok"))
                      for name in ("travel-a", "travel-b"))
-        assert oks == [False, True], results
+        assert oks == commits, results
         assert results["movie-c"].get("ok"), results
+        counters = h.travel.obs.metrics.snapshot()["counters"]
+        settled = {name: counters.get(name, 0)
+                   for name in ("txn.lock_waits", "txn.wait_die_aborts")}
+        assert settled.pop(counter) >= 1, counters
+        assert not any(settled.values()), counters
     finally:
         h.shutdown()
 
@@ -68,12 +87,23 @@ def test_crash_space_covers_both_platforms_and_migrations():
                        if tag == "callback:done"}
     assert {fn.startswith(dst.MOVIE_PREFIX) for fn in replied} == {
         True, False}
+    # So is the window of a pipelined open: callee running, no claim —
+    # which the in-transaction invokes of ``reserve`` never have.
+    opened = {fn for fn, _i, tag in points
+              if tag.startswith("invoke:") and tag.endswith(":dispatched")}
+    assert {fn.startswith(dst.MOVIE_PREFIX) for fn in opened} == {
+        True, False}
+    assert "reserve" not in opened
 
 
-@pytest.mark.parametrize("group", ["travel", "movie"])
-def test_concurrent_crash_sweep(group):
+@pytest.mark.parametrize("mix,group", [
+    ("waits", "travel"), ("waits", "movie"),
+    # The movie workflow shares no row with the reservations; one regime
+    # covers its points.
+    ("dies", "travel")])
+def test_concurrent_crash_sweep(mix, group):
     """Every reachable crash point, once, under the full concurrent mix."""
-    points, _ = _record_points()
+    points, _ = _record_points(mix)
     selected = [p for p in points
                 if p[0].startswith(dst.MOVIE_PREFIX) == (group == "movie")]
     assert selected, f"no {group} points recorded"
@@ -85,14 +115,15 @@ def test_concurrent_crash_sweep(group):
         h.set_crash_policy(CrashOnce(function, tag,
                                      invocation_index=index))
         try:
-            dst.run_requests(h)
+            dst.run_requests(h, MIXES[mix])
             dst.check_effects(h)
             assert h.injected_crashes == 1, (
                 "crash point was not reached on the re-run")
             dst.run_gc_passes(h)
             dst.assert_store_clean(h)
         except AssertionError as exc:  # collect, report all at once
-            failures.append((function, index, tag, str(exc)))
+            failures.append((function, index, tag,
+                             dst.failure_line(exc)))
         finally:
             if hasattr(h.travel.store, "replication_stats"):
                 total_failovers += (
@@ -106,7 +137,7 @@ def test_concurrent_crash_sweep(group):
     assert not failures, (
         f"{len(failures)}/{len(selected)} crash points violated "
         f"exactly-once/cleanliness:\n" + "\n".join(
-            f"  {f}#{i} @ {t}: {msg.splitlines()[0]}"
+            f"  {f}#{i} @ {t}: {msg}"
             for f, i, t, msg in failures[:10]))
     # The deep sweep is only meaningful if the topology actually bit:
     # leaders crashed and chains migrated across the swept re-runs.
@@ -152,3 +183,20 @@ def test_prefixed_policy_namespaces_functions():
     inner.should_crash("frontend", 0, "enter")
     assert inner.points == [("movie:frontend", 0, "enter"),
                             ("frontend", 0, "enter")]
+
+
+def test_a_failure_without_a_message_still_names_itself():
+    """The sweeps report ``dst.failure_line(exc)`` per failing point; a
+    bare ``assert`` in a harness module (no pytest rewriting there) has
+    an empty ``str()`` and used to crash the report itself."""
+    def bare():
+        raise AssertionError
+
+    try:
+        bare()
+    except AssertionError as exc:
+        line = dst.failure_line(exc)
+    assert line.startswith("test_concurrent_sweep.py:")
+    assert line.endswith("raise AssertionError")
+    assert dst.failure_line(AssertionError("first\nsecond")) == "first"
+    assert dst.failure_line(AssertionError()) == "AssertionError"

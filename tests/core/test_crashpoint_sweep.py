@@ -35,6 +35,7 @@ from typing import Callable, Optional
 
 import pytest
 
+import dst
 import lifecycle
 from repro.apps.movie import MovieReviewApp
 from repro.apps.travel import TravelReservationApp
@@ -426,7 +427,8 @@ def sweep(scenario_name: str, flags_name: str) -> None:
             run_gc_passes(runtime)
             assert_store_clean(runtime)
         except AssertionError as exc:  # collect, report all at once
-            failures.append((function, index, tag, str(exc)))
+            failures.append((function, index, tag,
+                             dst.failure_line(exc)))
         finally:
             if hasattr(runtime.store, "replication_stats"):
                 total_failovers += (
@@ -438,12 +440,13 @@ def sweep(scenario_name: str, flags_name: str) -> None:
                                      + stats.rolled_back)
             runtime.kernel.shutdown()
     _check_reply_points(points, runtime.config.has_async_io)
+    _check_open_points(points, runtime.config.has_async_io)
     if scenario.mutate is not None:
         _check_read_log_points(points, runtime.config.has_async_io)
     assert not failures, (
         f"{len(failures)}/{len(points)} crash points violated "
         f"exactly-once/cleanliness:\n" + "\n".join(
-            f"  {f}#{i} @ {t}: {msg.splitlines()[0]}"
+            f"  {f}#{i} @ {t}: {msg}"
             for f, i, t, msg in failures[:10]))
     if flags.get("replicas", 1) > 1 and flags.get("leader_crash"):
         # The replicated sweep is only meaningful if leaders actually
@@ -475,16 +478,33 @@ def _check_reply_points(points, replies_early: bool) -> None:
     assert called_back, "no sync callee in the swept workflow"
 
 
+def _check_open_points(points, pipelined: bool) -> None:
+    """The workflow root was killed with its callee running and no claim
+    yet (``current``) — a window neither the paper's order nor a caller
+    inside a transaction (``reserve``) has."""
+    dispatched = {function for function, _index, tag in points
+                  if tag.startswith("invoke:")
+                  and tag.endswith(":dispatched")}
+    assert ("frontend" in dispatched) == pipelined, sorted(dispatched)
+    assert pipelined or not dispatched, sorted(dispatched)
+    assert "reserve" not in dispatched
+
+
 def _check_read_log_points(points, grouped: bool) -> None:
     """The search sweep is only meaningful if it killed ``rate`` around
-    its group flush and between buffering and flushing (``current``),
-    and if the paper path really has no such points."""
+    its batched fetch, around its group flush and between buffering and
+    flushing (``current``), and if the paper path — ``read_many`` as the
+    per-key loop — really has no such points."""
     tags = {tag for function, _index, tag in points if function == "rate"}
     if grouped:
-        assert {"readlog:0:before-flush", "readlog:0:after-flush",
-                "roread:1:start", "body:done"} <= tags, sorted(tags)
+        assert {"readmany:0:start", "readmany:0:fetched",
+                "readlog:0:before-flush", "readlog:0:after-flush",
+                "body:done"} <= tags, sorted(tags)
+        assert not any(tag.startswith("roread:") for tag in tags)
     else:
-        assert not any(tag.startswith("readlog:") for _f, _i, tag in points)
+        assert {"roread:0:start", "roread:1:before-log"} <= tags
+        assert not any(tag.startswith(("readlog:", "readmany:"))
+                       for _f, _i, tag in points)
 
 
 @pytest.mark.parametrize("flags_name", sorted(SETTINGS))

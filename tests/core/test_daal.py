@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import daal
+from repro.core.tailcache import TailCache
 from repro.kvstore import KVStore, Set
 
 
@@ -95,6 +96,55 @@ class TestTailValue:
     def test_tail_holds_latest(self, store):
         grow_chain(store, "k", rows=3)
         assert daal.tail_value(store, "t", "k") == "v2"
+
+
+class TestTailValues:
+    """The batched form: one ``batch_get`` for every tail the cache or a
+    skeleton query can name, the traversal only as a repair."""
+
+    @staticmethod
+    def _ops(store, before):
+        return {kind: spent.count
+                for kind, spent in store.metering.diff(before).items()}
+
+    def test_cold_keys_cost_a_query_each_and_share_the_one_batch(
+            self, store):
+        """A key the cache does not know learns its tail from one
+        skeleton query and then rides in the same batch as the known
+        ones — the commit path's shape since the fast path existed; no
+        point ``get``, and an absent chain costs its query only."""
+        cache = TailCache()
+        grow_chain(store, "warm", rows=3)
+        daal.load_skeleton(store, "t", "warm", cache=cache)
+        grow_chain(store, "cold", rows=2)
+        daal.ensure_head(store, "t", "head-only", value="h")
+        before = store.metering.copy()
+        values = daal.tail_values(
+            store, "t", ["warm", "cold", "nope", "head-only"], cache)
+        assert values == ["v2", "v1", daal.MISSING, "h"]
+        assert self._ops(store, before) == {"query": 3, "batch_get": 1}
+        # The queries filled the cache: a second call is the batch alone.
+        before = store.metering.copy()
+        daal.tail_values(store, "t", ["warm", "cold", "head-only"], cache)
+        assert self._ops(store, before) == {"batch_get": 1}
+
+    def test_a_tail_that_chained_since_is_repaired(self, store):
+        cache = TailCache()
+        daal.ensure_head(store, "t", "k", value="v0")
+        daal.load_skeleton(store, "t", "k", cache=cache)
+        grow_chain(store, "k", rows=2)  # the cached head row chained
+        before = store.metering.copy()
+        assert daal.tail_values(store, "t", ["k"], cache) == ["v1"]
+        assert self._ops(store, before) == {"batch_get": 1, "query": 1,
+                                            "read": 1}
+        assert cache.tail_of("t", "k").row_id == "r1"
+
+    def test_without_a_cache_every_key_is_traversed(self, store):
+        grow_chain(store, "a", rows=2)
+        before = store.metering.copy()
+        values = daal.tail_values(store, "t", ["a", "nope"], None)
+        assert values == ["v1", daal.MISSING]
+        assert self._ops(store, before) == {"query": 2, "read": 1}
 
 
 class TestAppendRow:

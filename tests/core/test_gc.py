@@ -187,6 +187,57 @@ class TestChainCollection:
         assert env.peek("kv", "n") == 10
 
 
+class TestStaleLockCopies:
+    """A row that fills while its item is locked hands ``LockOwner`` to
+    the next row and keeps the copy; the head is never disconnected, so
+    its copy would outlive the lock for good."""
+
+    def _locked_writer(self, runtime, release: bool):
+        def handler(ctx, payload):
+            ctx.lock("kv", "k")
+            for i in range(2 * ctx.config.row_log_capacity):
+                ctx.write("kv", "k", i)
+            if release:
+                ctx.unlock("kv", "k")
+            return "ok"
+
+        return runtime.register_ssf("lw", handler, tables=["kv"])
+
+    def _owners(self, env):
+        rows = daal.chain_rows(env.store, env.data_table("kv"), "k")
+        assert len(rows) >= 2
+        return [row.get("LockOwner", {}).get("Id") for row in rows]
+
+    def _collect(self, runtime, env):
+        stale_locks = 0
+        for _ in range(3):
+            stale_locks += sum(stats["stale_locks"]
+                               for stats in run_gc_now(runtime, env))
+            advance(runtime, 1_000.0)
+        return stale_locks
+
+    def test_a_released_locks_copies_are_stripped(self, runtime):
+        env = self._locked_writer(runtime, release=True).env
+        runtime.run_workflow("lw")
+        before = self._owners(env)
+        assert before[0] is not None and before[-1] is None
+        assert self._collect(runtime, env) >= 1
+        assert set(self._owners(env)) == {None}
+        assert env.peek("kv", "k") == 2 * runtime.config.row_log_capacity - 1
+
+    def test_a_held_locks_copies_stay(self, runtime):
+        """While the tail still names the owner, a holder that resolved
+        its tail before the row chained must find the copy where it
+        looks (``daal.flush_value`` reads "no owner" as "already
+        flushed")."""
+        env = self._locked_writer(runtime, release=False).env
+        runtime.run_workflow("lw")
+        before = self._owners(env)
+        assert before[0] is not None and before[0] == before[-1]
+        assert self._collect(runtime, env) == 0
+        assert self._owners(env)[0] == before[0]
+
+
 class TestShadowCollection:
     def test_committed_txn_shadows_collected(self, runtime):
         def handler(ctx, payload):

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import BeldiConfig, BeldiRuntime, intents
 from repro.core.gc import make_garbage_collector
-from repro.core.invoke import ASYNC_ACK, record_callback
+from repro.core.invoke import (ASYNC_ACK, _derived_callee_id,
+                               record_callback)
 from repro.platform import CrashOnce, CrashScript, FunctionCrashed
 
 
@@ -133,16 +134,23 @@ class TestCalleeIdReuse:
 def _log_platform_calls(runtime) -> list:
     """Every ``sync_invoke`` the platform serves, as it happens:
     ``{start, end, function, kind, result}`` (no ``result`` when the
-    invocation failed)."""
+    invocation failed), plus ``claimed`` — when its ``meanwhile``
+    returned — for a pipelined open."""
     calls = []
     real = runtime.platform.sync_invoke
 
-    def logged(name, payload):
+    def logged(name, payload, meanwhile=None):
         row = {"start": runtime.kernel.now, "function": name,
                "kind": (payload or {}).get("kind", "call")}
         calls.append(row)
+
+        def claim():
+            meanwhile()
+            row["claimed"] = runtime.kernel.now
+
         try:
-            row["result"] = real(name, payload)
+            row["result"] = real(name, payload,
+                                 meanwhile=claim if meanwhile else None)
             return row["result"]
         finally:
             row["end"] = runtime.kernel.now
@@ -400,6 +408,330 @@ class TestReplyBeforeCallback:
             assert callback["end"] <= box["answered"]
         assert leaf.env.peek("kv", "n") == 1
         runtime.kernel.shutdown()
+
+
+class TestPipelinedOpen:
+    """A first execution outside a transaction starts its callee first
+    and claims the step while the dispatch is in flight. The window that
+    opens — callee running, claim not durable — must cost nothing, and
+    every execution that could already depend on the old order keeps
+    it."""
+
+    GC_T = 400.0
+    _counter_pair = TestReplyBeforeCallback._counter_pair
+    _assert_settled = staticmethod(TestReplyBeforeCallback._assert_settled)
+
+    def _runtime(self, platform_config=None, fault_timeline=None,
+                 **config):
+        config.setdefault("ic_restart_delay", 50.0)
+        config.setdefault("gc_t", self.GC_T)
+        return BeldiRuntime(seed=31, latency_scale=1.0,
+                            platform_config=platform_config,
+                            fault_timeline=fault_timeline,
+                            config=BeldiConfig(**config))
+
+    def test_caller_dying_before_its_claim_orphans_nothing(self):
+        """(i) The caller dies with its callee running and no claim: the
+        orphan finishes, its callback finds no row and is ignored, and
+        the intent collector's replay claims the *same* id and is
+        answered from the ``Done`` intent — the body ran once."""
+        from tests.core.test_crashpoint_sweep import (assert_store_clean,
+                                                      run_gc_passes)
+        runtime = self._runtime(ic_restart_delay=1_500.0)
+        leaf, caller, bodies = self._counter_pair(runtime)
+        runtime.platform.crash_policy = CrashOnce(
+            "caller", "invoke:2:dispatched")
+        calls = _log_platform_calls(runtime)
+        box = {}
+
+        def client():
+            try:
+                runtime.client_call("caller")
+            except FunctionCrashed:
+                box["result"] = "crashed"
+            box["claims"] = caller.env.store.item_count(
+                caller.env.invoke_log)
+
+        runtime.start_collectors(ic_period=100.0, gc_period=1e12)
+        runtime.kernel.spawn(client)
+        runtime.kernel.run(until=1_000.0)
+        # Nobody waits for the orphan, and it finished all the same.
+        assert box == {"result": "crashed", "claims": 0}
+        (intent,) = leaf.env.store.scan(leaf.env.intent_table).items
+        assert intent["Done"] and intent["Ret"] == "v"
+        callbacks = [c for c in calls if c["kind"] == "sync_callback"]
+        assert [c["result"] for c in callbacks] == ["ignored"]
+        assert caller.env.store.item_count(caller.env.invoke_log) == 0
+        runtime.kernel.run(until=5_000.0)
+        runtime.stop_collectors()
+        runtime.kernel.run(until=6_000.0)
+        self._assert_settled(runtime)
+        (entry,) = caller.env.store.scan(caller.env.invoke_log).items
+        assert entry["CalleeId"] == intent["InstanceId"] == (
+            _derived_callee_id(entry["InstanceId"], entry["Step"]))
+        assert entry["Result"] == "v"
+        assert [c["result"] for c in calls
+                if c["kind"] == "sync_callback"] == ["ignored", "recorded"]
+        assert len(bodies) == 1
+        assert leaf.env.peek("kv", "n") == 1
+        assert caller.env.peek("kv", "calls") == 1
+        run_gc_passes(runtime)
+        assert_store_clean(runtime)
+        runtime.kernel.shutdown()
+
+    def _leaf_call_start(self) -> float:
+        """When the caller's first execution starts its callee (and, in
+        the same instant, issues its claim)."""
+        runtime = self._runtime()
+        self._counter_pair(runtime)
+        calls = _log_platform_calls(runtime)
+        assert runtime.run_workflow("caller") == ["v"]
+        runtime.kernel.shutdown()
+        (leaf_call,) = [c for c in calls if c["function"] == "leaf"]
+        assert leaf_call["start"] < leaf_call["claimed"] < leaf_call["end"]
+        return leaf_call["start"]
+
+    def test_a_claim_slower_than_the_callee_holds_the_reply_back(self):
+        """(ii) The store is slow for exactly the claim (a gray window
+        that only the claim's put starts in): the callee replies, calls
+        back into a log with no row yet (ignored) and finishes, all
+        before the claim lands — and the caller resumes only then. A
+        later replay finds the claim without a result and re-records."""
+        from repro.kvstore.faults import FaultTimeline
+        start = self._leaf_call_start()
+        runtime = self._runtime(
+            invoke_retry_backoff=2_000.0,
+            fault_timeline=FaultTimeline().gray(
+                start, start + 1e-3, multiplier=400.0,
+                ops="db.cond_write"))
+        leaf, caller, bodies = self._counter_pair(runtime)
+        runtime.platform.crash_policy = CrashOnce(
+            "caller", "invoke:2:after-call")
+        calls = _log_platform_calls(runtime)
+        results = []
+
+        def client():
+            for _ in range(2):  # the crashed delivery, then its replay
+                try:
+                    results.append(runtime.platform.sync_invoke(
+                        "caller", {"kind": "call", "instance_id": "dup-S",
+                                   "input": None}))
+                except FunctionCrashed:
+                    results.append("crashed")
+                    results.append(logged_result())
+
+        def logged_result():
+            return caller.env.store.get(
+                caller.env.invoke_log, ("dup-S", 2)).get("Result")
+
+        runtime.kernel.spawn(client)
+        runtime.kernel.run()
+        assert results == ["crashed", None, ["v"]]
+        assert logged_result() == "v"
+        first, replayed = [c for c in calls if c["function"] == "leaf"]
+        callbacks = [c for c in calls if c["kind"] == "sync_callback"]
+        assert [c["result"] for c in callbacks] == ["ignored", "recorded"]
+        # The whole callee — reply, callback, Done — fit inside the claim.
+        assert first["start"] == start
+        assert callbacks[0]["end"] < first["claimed"]
+        assert first["claimed"] - first["start"] > 1_000.0
+        # The reply was there all along; it was consumed at the claim.
+        assert first["end"] == first["claimed"] and first["result"] == "v"
+        # The replay kept the old order: no claim beside its dispatch.
+        assert "claimed" not in replayed and replayed["result"] == "v"
+        assert len(bodies) == 1
+        assert leaf.env.peek("kv", "n") == 1
+        assert caller.env.peek("kv", "calls") == 1
+        self._assert_settled(runtime)
+        runtime.kernel.shutdown()
+
+    @pytest.mark.parametrize("duplicate_claims_first", [True, False])
+    def test_a_duplicate_racing_the_open_shares_the_callee(
+            self, duplicate_claims_first):
+        """(iii) A relaunched duplicate of a live caller reaches the step
+        while the first execution has its callee running — before its
+        claim lands (the claim is slow, as in (ii), and the duplicate's
+        conditional put wins) or after. Both name the callee by the same
+        derived id, so whoever claims first, one callee instance runs.
+        (With a fresh id on either side the callee ran twice.)"""
+        from repro.kvstore.faults import FaultTimeline
+        start = self._leaf_call_start()
+        timeline = FaultTimeline()
+        if duplicate_claims_first:
+            timeline.gray(start, start + 1e-3, multiplier=400.0,
+                          ops="db.cond_write")
+        runtime = self._runtime(fault_timeline=timeline)
+        leaf, caller, bodies = self._counter_pair(runtime)
+        calls = _log_platform_calls(runtime)
+        results = []
+
+        def first():
+            results.append(runtime.client_call("caller"))
+
+        def relaunch():
+            (intent,) = caller.env.store.scan(
+                caller.env.intent_table).items
+            runtime.platform.async_invoke("caller", {
+                "kind": "call", "instance_id": intent["InstanceId"],
+                "input": intent.get("Args"), "async": False,
+                "caller": None, "txn": None})
+
+        runtime.kernel.spawn(first)
+        runtime.kernel.spawn(relaunch, delay=start + 5.0)
+        runtime.kernel.run()
+        assert results == [["v"]]
+        speculated, duplicate = [c for c in calls
+                                 if c["function"] == "leaf"]
+        # The duplicate kept the old order: its claim was durable before
+        # its (claim-less) invoke started.
+        assert "claimed" not in duplicate
+        assert (duplicate["start"] < speculated["claimed"]) == (
+            duplicate_claims_first)
+        assert len(set(bodies)) == 1
+        (intent,) = leaf.env.store.scan(leaf.env.intent_table).items
+        (entry,) = caller.env.store.scan(caller.env.invoke_log).items
+        assert entry["CalleeId"] == intent["InstanceId"]
+        assert entry["Result"] == "v"
+        assert leaf.env.peek("kv", "n") == 1
+        assert caller.env.peek("kv", "calls") == 1
+        self._assert_settled(runtime)
+        runtime.kernel.shutdown()
+
+    def test_inside_a_transaction_the_claim_still_comes_first(self):
+        """(iv) A callee that may take a lock must be discoverable
+        through the invoke log from its first instant."""
+        import lifecycle
+        runtime = self._runtime()
+
+        def hotel(ctx, payload):
+            ctx.write("rooms", "H1", {"left": 4})
+            return "hotel-ok"
+
+        def reserve(ctx, payload):
+            with ctx.transaction() as tx:
+                ctx.sync_invoke("hotel", None)
+            return tx.outcome
+
+        runtime.register_ssf("hotel", hotel, tables=["rooms"])
+        reserve_ssf = runtime.register_ssf("reserve", reserve)
+        runtime.register_ssf(
+            "frontend", lambda ctx, p: ctx.sync_invoke("reserve", None))
+        seen = {}
+
+        def start(entry, payload):
+            if entry.name == "hotel" and payload.get("kind") == "call":
+                seen["claims"] = reserve_ssf.env.store.item_count(
+                    reserve_ssf.env.invoke_log)
+            return real(entry, payload)
+
+        with lifecycle.recording() as ledger:
+            calls = _log_platform_calls(runtime)
+            real = runtime.platform._start_instance
+            runtime.platform._start_instance = start
+            assert runtime.run_workflow("frontend") == "committed"
+        ledger.check()
+        assert seen == {"claims": 1}
+        assert len(ledger.kinds("txn-start")) == 1
+        opened = {c["function"]: "claimed" in c for c in calls
+                  if c["kind"] == "call"}
+        assert opened == {"reserve": True, "hotel": False}
+        runtime.kernel.shutdown()
+
+    def test_no_slot_for_the_callee_falls_back_to_claim_then_retry(self):
+        """(v) ``TooManyRequests`` means no worker started: the claim
+        has nothing to run beside, so it is written first and the retry
+        is an ordinary claimed invoke."""
+        from repro.platform import PlatformConfig, RecordingPolicy
+        runtime = self._runtime(platform_config=PlatformConfig(
+            concurrency_limit=2, entry_admission_fraction=1.0,
+            internal_retry_limit=0))
+        leaf, caller, bodies = self._counter_pair(runtime)
+        runtime.platform.register(
+            "blocker", lambda platform_ctx, payload: platform_ctx.sleep(
+                150.0))
+        recording = RecordingPolicy()
+        runtime.platform.crash_policy = recording
+        calls = _log_platform_calls(runtime)
+        box = {}
+        runtime.kernel.spawn(runtime.platform.sync_invoke, "blocker", {})
+        runtime.kernel.spawn(
+            lambda: box.update(result=runtime.client_call("caller")))
+        runtime.kernel.run()
+        assert box == {"result": ["v"]}
+        leaf_calls = [c for c in calls if c["function"] == "leaf"]
+        assert len(leaf_calls) >= 2
+        assert all("result" not in c for c in leaf_calls[:-1])
+        assert leaf_calls[-1]["result"] == "v"
+        # No attempt ran a claim beside a dispatch: the first found no
+        # slot, the others were already claimed.
+        assert all("claimed" not in c for c in leaf_calls)
+        assert "invoke:2:dispatched" not in {
+            tag for _f, _i, tag in recording.points}
+        (entry,) = caller.env.store.scan(caller.env.invoke_log).items
+        assert entry["Result"] == "v"
+        assert len(bodies) == 1 and leaf.env.peek("kv", "n") == 1
+        self._assert_settled(runtime)
+        runtime.kernel.shutdown()
+
+
+class TestLedgerCatchesTheNewOrders:
+    """``lifecycle.Ledger.check`` runs inside every sweep; these break
+    the two orders the pipelined open must keep and expect it to say
+    so — a checker that cannot fail checks nothing."""
+
+    @staticmethod
+    def _reserve(runtime):
+        def hotel(ctx, payload):
+            ctx.write("rooms", "H1", {"left": 4})
+            return "hotel-ok"
+
+        def reserve(ctx, payload):
+            with ctx.transaction() as tx:
+                ctx.sync_invoke("hotel", None)
+            return tx.outcome
+
+        runtime.register_ssf("hotel", hotel, tables=["rooms"])
+        runtime.register_ssf("reserve", reserve)
+
+    def test_a_reply_consumed_before_the_claim(self, runtime, monkeypatch):
+        import lifecycle
+        from repro.platform import ServerlessPlatform
+
+        def await_then_claim(platform, name, payload, meanwhile=None):
+            entry = platform._entry(name)
+            platform._acquire_slot_with_retry()
+            proc, ctx = platform._start_instance(entry, payload)
+            result = platform._await_result(proc, ctx)
+            if meanwhile is not None:
+                meanwhile()
+            return result
+
+        monkeypatch.setattr(ServerlessPlatform, "sync_invoke",
+                            await_then_claim)
+        self._reserve(runtime)
+        with lifecycle.recording() as ledger:
+            assert runtime.run_workflow("reserve") == "committed"
+        ledger.check()  # in-transaction opens never had a ``meanwhile``
+        runtime.register_ssf(
+            "frontend", lambda ctx, p: ctx.sync_invoke("reserve", None))
+        with lifecycle.recording() as ledger:
+            assert runtime.run_workflow("frontend") == "committed"
+        with pytest.raises(AssertionError, match="consumed before"):
+            ledger.check()
+
+    def test_a_callee_speculated_inside_a_transaction(self, runtime,
+                                                      monkeypatch):
+        import lifecycle
+        from repro.core.context import BeldiContext
+        monkeypatch.setattr(
+            BeldiContext, "pipelines_invokes",
+            property(lambda ctx: ctx.first_execution))
+        self._reserve(runtime)
+        with lifecycle.recording() as ledger:
+            assert runtime.run_workflow("reserve") == "committed"
+        with pytest.raises(AssertionError,
+                           match="inside a transaction before"):
+            ledger.check()
 
 
 class TestAsyncAck:

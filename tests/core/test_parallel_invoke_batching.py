@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+import dst
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.core import intents
 from repro.core.invoke import _derived_callee_id
@@ -112,12 +113,13 @@ def test_fan_out_crash_sweep(without):
                          and bool(box["result"].get("ok")))
             check_effects(runtime, client_ok)
         except AssertionError as exc:
-            failures.append((function, index, tag, str(exc)))
+            failures.append((function, index, tag,
+                             dst.failure_line(exc)))
         finally:
             runtime.kernel.shutdown()
     assert not failures, (
         f"{len(failures)}/{len(points)} crash points broke the fan-out:\n"
-        + "\n".join(f"  {f}#{i} @ {t}: {m.splitlines()[0]}"
+        + "\n".join(f"  {f}#{i} @ {t}: {m}"
                     for f, i, t, m in failures[:10]))
 
 

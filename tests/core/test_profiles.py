@@ -103,13 +103,20 @@ def _balanced_run(without, shards, replicas, read_consistency):
     return runtime
 
 
-def _one_reservation(**config_args):
-    """One travel reservation at real latencies: when the client was
-    answered, a digest of the bill and every final row, and the
-    lifecycle ledger."""
+RESERVE = {"action": "reserve", "user": "user-0000",
+           "hotel": "hotel-0000", "flight": "flight-0001"}
+#: With 30 hotels cell 0 holds three: ``rate`` and ``profile`` each read
+#: three rows through ``read_many``.
+SEARCH = {"action": "search", "cell": 0}
+
+
+def _one_request(request, n_hotels=2, **config_args):
+    """One travel request at real latencies: when the client was
+    answered, a digest of the bill and every final row, the lifecycle
+    ledger, and the runtime."""
     runtime = BeldiRuntime(seed=SEED, latency_scale=1.0,
                            config=BeldiConfig(gc_t=1e12, **config_args))
-    app = TravelReservationApp(seed=SEED, n_hotels=2, n_flights=2,
+    app = TravelReservationApp(seed=SEED, n_hotels=n_hotels, n_flights=2,
                                rooms_per_hotel=2, seats_per_flight=2,
                                n_users=1)
     app.register(runtime)
@@ -117,20 +124,24 @@ def _one_reservation(**config_args):
     box = {}
 
     def client():
-        box["result"] = runtime.client_call(
-            "frontend", {"action": "reserve", "user": "user-0000",
-                         "hotel": "hotel-0000", "flight": "flight-0001"})
+        box["result"] = runtime.client_call("frontend", dict(request))
         box["answered_at"] = runtime.kernel.now
 
     with lifecycle.recording() as ledger:
         runtime.kernel.spawn(client)
         runtime.kernel.run(until=30_000.0)
     runtime.kernel.shutdown()
-    assert box["result"] == {"ok": True}
     digest = hashlib.sha256(json.dumps(
         [runtime.store.metering.snapshot(), _table_rows(runtime)],
         sort_keys=True, default=repr).encode()).hexdigest()
-    return box["answered_at"], digest, ledger
+    return box["answered_at"], digest, ledger, (runtime, box["result"])
+
+
+def _one_reservation(**config_args):
+    answered_at, digest, ledger, (_runtime, result) = _one_request(
+        RESERVE, **config_args)
+    assert result == {"ok": True}
+    return answered_at, digest, ledger
 
 
 #: Recorded at d9973c5, the commit before replies moved ahead of the
@@ -163,6 +174,67 @@ def test_current_replies_before_the_callback_and_answers_sooner():
     assert len(ledger.kinds("reply")) == len(ledger.kinds("callback")) == 3
     ledger.check()
     assert current_at < 0.8 * REPLY_AT_EXIT["without-async_io"][1]
+
+
+#: Recorded at b877f31, the commit before ``read_many`` and the
+#: pipelined invoke open: (virtual ms at which a ``SEARCH`` over 30
+#: hotels was answered, sha256 of metering snapshot + every final row).
+SEARCH_AT_PARENT = {
+    "paper": (dict(profile="paper"), 1371.3886670729396,
+              "df550a93eb444e8b"),
+    "without-async_io": (dict(without="async_io"), 1371.3886670729396,
+                         "5713446a2c92c96b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_AT_PARENT))
+def test_without_async_io_read_many_and_invoke_are_the_parents(name):
+    """``paper`` and ``without="async_io"``: ``read_many`` is the
+    per-key loop it replaced and every invoke claims before it starts
+    its callee — same virtual time, same bill, same final rows as before
+    either existed."""
+    config_args, answered_at, digest = SEARCH_AT_PARENT[name]
+    got_at, got_digest, ledger, (runtime, result) = _one_request(
+        SEARCH, n_hotels=30, **config_args)
+    assert len(result["hotels"]) == 3
+    assert got_at == answered_at
+    assert got_digest.startswith(digest)
+    assert "batch_get" not in runtime.store.metering.ops
+    starts = [row for row in ledger.rows if row[0] in ("claim", "start")]
+    assert [row[0] for row in starts] == ["claim", "start"] * 4
+
+
+def test_current_opens_invokes_pipelined_and_batches_read_many():
+    current_at, _digest, ledger, (runtime, result) = _one_request(
+        SEARCH, n_hotels=30)
+    ledger.check()
+    starts = [row for row in ledger.rows if row[0] in ("claim", "start")]
+    assert [row[0] for row in starts] == ["start", "claim"] * 4
+    assert current_at < 0.5 * SEARCH_AT_PARENT["without-async_io"][1]
+    loop_at, _d, _l, (_runtime, loop_result) = _one_request(
+        SEARCH, n_hotels=30, without="async_io")
+    assert result == loop_result and len(result["hotels"]) == 3
+
+
+def test_without_fastpath_read_many_overlaps_its_traversals():
+    """No tail cache, nothing to batch: every key takes the sound
+    traversal, as branches of one overlap scope — correct, and cheaper
+    than the per-key loop in time only."""
+    _at, _digest, _ledger, (runtime, result) = _one_request(
+        SEARCH, n_hotels=30, without="fastpath")
+    _at, _digest, _ledger, (loop_runtime, loop_result) = _one_request(
+        SEARCH, n_hotels=30, without="async_io")
+    assert result == loop_result and len(result["hotels"]) == 3
+    ops = runtime.store.metering.ops
+    assert "batch_get" not in ops
+    rate = runtime.envs["rate"]
+    table = rate.data_table("rates")
+    # Three traversals (query + get each), one scope: the round trips
+    # of the three sequential reads, to the same rows.
+    assert (runtime.store.metering.per_table[table]
+            == loop_runtime.store.metering.per_table[table])
+    (row,) = runtime.store.scan(rate.read_log).items
+    assert len(row["Run"]) == 2
 
 
 @pytest.mark.parametrize("topology", [(2, 1, None), (4, 1, None),

@@ -344,3 +344,130 @@ def test_an_execution_that_keeps_losing_its_flush_dies_like_a_crash(
             == runtime_module._MAX_READ_LOG_ROLLBACKS)
     assert env.peek("kv", "a") == 0  # nothing was ever shown
     runtime.kernel.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# read_many: one batch in, one group row out
+# ---------------------------------------------------------------------------
+
+def read_many_then_write(ctx, payload):
+    seen = ctx.read_many("kv", ["a", "b", "missing", "c"])
+    ctx.write("kv", "a", seen)
+    return seen
+
+
+def _warm(runtime, env) -> None:
+    """Let the tail cache learn where ``a``/``b``/``c`` end."""
+    for key in "abc":
+        daal.load_skeleton(runtime.store, env.data_table("kv"), key,
+                           cache=runtime.tail_cache)
+
+
+def test_read_many_is_one_batch_get_and_joins_one_run():
+    runtime = _runtime()
+    env = _register(runtime, read_many_then_write)
+    _warm(runtime, env)
+    before = runtime.store.metering.copy()
+    assert runtime.run_workflow("f") == [0, 1, None, 2]
+    spent = runtime.store.metering.diff(before)
+    # The three cached tails in one round trip; the key nobody ever
+    # wrote has no tail to batch and takes the (overlapped) traversal.
+    assert spent["batch_get"].count == 1 and spent["batch_get"].items == 3
+    assert spent["query"].count == 1
+    assert _log_round_trips(runtime, env) == 1
+    (row,) = _log_rows(env)
+    assert row["Step"] == 0 and row["Value"] == 0
+    assert row["Run"] == [1, daal.MISSING, 2]
+    runtime.kernel.shutdown()
+
+
+@pytest.mark.parametrize("config", PER_READ, ids=["paper", "no-async-io"])
+def test_without_async_io_read_many_is_the_per_key_loop(config):
+    runtime = _runtime(**config)
+    env = _register(runtime, read_many_then_write)
+    assert runtime.run_workflow("f") == [0, 1, None, 2]
+    assert "batch_get" not in runtime.store.metering.ops
+    rows = _log_rows(env)
+    assert [row["Step"] for row in rows] == [0, 1, 2, 3]
+    assert all("Run" not in row for row in rows)
+    runtime.kernel.shutdown()
+
+
+def test_a_read_many_run_too_big_for_one_row_splits():
+    """Three 90 KB values cross ``_MAX_RUN_BYTES``: the run flushes
+    early *inside* the batch's join and lands as two rows."""
+    runtime = _runtime()
+    env = _register(runtime, read_many_then_write)
+    for key in "abc":
+        env.store.update(env.data_table("kv"), (key, daal.HEAD_ROW_ID),
+                         [Set("Value", key * 90_000)])
+    result = runtime.run_workflow("f")
+    assert [value and len(value) for value in result] == [
+        90_000, 90_000, None, 90_000]
+    rows = _log_rows(env)
+    assert [(row["Step"], len(row.get("Run", ()))) for row in rows] == [
+        (0, 2), (3, 0)]
+    runtime.kernel.shutdown()
+
+
+def test_a_read_many_replay_fetches_only_what_the_log_lacks():
+    """The first execution dies once the first part of its (split) run
+    is durable. Its replay answers those steps from the loaded log —
+    whatever the rows hold by now — and fetches only the last key."""
+    runtime = _runtime()
+    env = _register(runtime, read_many_then_write)
+    for key in "abc":
+        env.store.update(env.data_table("kv"), (key, daal.HEAD_ROW_ID),
+                         [Set("Value", key * 90_000)])
+    _warm(runtime, env)
+    runtime.platform.crash_policy = CrashOnce("f", "readlog:0:after-flush")
+    delivery = {"kind": "call", "instance_id": "once", "input": None}
+    results = []
+
+    def client():
+        try:
+            runtime.platform.sync_invoke("f", delivery)
+        except FunctionCrashed:
+            pass
+        for key in "abc":
+            env.store.update(env.data_table("kv"), (key, daal.HEAD_ROW_ID),
+                             [Set("Value", "changed")])
+        before = runtime.store.metering.copy()
+        results.append(runtime.platform.sync_invoke("f", delivery))
+        results.append(runtime.store.metering.diff(before))
+
+    runtime.kernel.spawn(client)
+    runtime.kernel.run()
+    result, spent = results
+    assert result == ["a" * 90_000, "b" * 90_000, None, "changed"]
+    assert spent["batch_get"].count == 1 and spent["batch_get"].items == 1
+    from repro.core.ops import logged_reads
+    assert logged_reads(env, "once") == {
+        0: "a" * 90_000, 1: "b" * 90_000, 2: daal.MISSING, 3: "changed"}
+    runtime.kernel.shutdown()
+
+
+def test_a_stale_cached_tail_repairs_through_the_traversal():
+    """A cached tail that chained, and one that vanished, cost their
+    key one repair traversal (and an eviction) — never a wrong value."""
+    runtime = _runtime(row_log_capacity=2)
+    env = _register(runtime, read_many_then_write)
+    runtime.register_ssf(
+        "bump", lambda ctx, p: [ctx.write("kv", "b", n) for n in (7, 8, 9)],
+        env=env)
+    runtime.run_workflow("bump")  # "b" outgrows its head row
+    table = env.data_table("kv")
+    assert daal.chain_length(runtime.store, table, "b") == 2
+    _warm(runtime, env)
+    cache = runtime.tail_cache
+    cache.remember_tail(table, "b", daal.HEAD_ROW_ID)   # chained since
+    cache.remember_tail(table, "c", "row-long-gone")    # vanished since
+    fallbacks = cache.stats.tail_fallbacks
+    before = runtime.store.metering.copy()
+    assert runtime.run_workflow("f") == [0, 9, None, 2]
+    spent = runtime.store.metering.diff(before)
+    assert spent["batch_get"].count == 1 and spent["batch_get"].items == 3
+    assert cache.stats.tail_fallbacks - fallbacks == 2
+    assert cache.tail_of(table, "b").row_id != daal.HEAD_ROW_ID
+    assert cache.tail_of(table, "c").row_id == daal.HEAD_ROW_ID
+    runtime.kernel.shutdown()

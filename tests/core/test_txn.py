@@ -211,8 +211,9 @@ class TestCrossSSFTransactions:
     def test_commit_crash_recovers(self, runtime):
         """Crash mid-commit: replay finishes the flush and the signals."""
         self._build_travel_like(runtime)
-        # Crash the coordinator right after its local flush, before it
-        # propagated Commit to the callees.
+        # Crash the coordinator right after its local flush: before it
+        # propagated Commit to the callees on the paper path, with the
+        # signals in flight and nobody awaiting them on this one.
         runtime.platform.crash_policy = _CrashOnTagSubstring(
             "reserve", "resolved-local")
         outcome = {}
@@ -434,3 +435,269 @@ class TestTransactionInvariants:
 
         runtime.register_ssf("owner", owner)
         assert runtime.run_workflow("owner") == "rejected"
+
+
+# ---------------------------------------------------------------------------
+# Phase 2 fans out (``async_io``): signals first, local part beside them
+# ---------------------------------------------------------------------------
+
+def _fan_out_runtime(**config) -> BeldiRuntime:
+    return BeldiRuntime(seed=9, latency_scale=1.0, observability=True,
+                        config=BeldiConfig(gc_t=1e12, **config))
+
+
+def _build_tree(runtime):
+    """``owner`` (writes) -> ``mid`` (writes, -> ``leaf`` (writes)) and
+    ``side`` (locks an item it never writes), all in one transaction."""
+    envs = {}
+
+    def leaf(ctx, payload):
+        ctx.write("kv", "leaf", payload)
+        return "leaf"
+
+    def mid(ctx, payload):
+        ctx.write("kv", "mid", payload)
+        return [ctx.sync_invoke("leaf", payload)]
+
+    def side(ctx, payload):
+        return ctx.read("kv", "seen")
+
+    def owner(ctx, payload):
+        with ctx.transaction() as tx:
+            ctx.write("kv", "owner", payload)
+            ctx.sync_invoke("mid", payload)
+            ctx.sync_invoke("side", payload)
+            if payload == "abort":
+                ctx.abort_tx()
+        return tx.outcome
+
+    for name, handler in (("leaf", leaf), ("mid", mid), ("side", side),
+                          ("owner", owner)):
+        envs[name] = runtime.register_ssf(name, handler, tables=["kv"]).env
+    envs["side"].seed("kv", "seen", "s")
+    return envs
+
+
+def _log_signals(runtime) -> list:
+    """Every ``txn_signal`` the platform serves: ``{function, start, end}``."""
+    signals = []
+    real = runtime.platform.sync_invoke
+
+    def logged(name, payload, meanwhile=None):
+        if (payload or {}).get("kind") != "txn_signal":
+            return real(name, payload, meanwhile=meanwhile)
+        row = {"function": name, "start": runtime.kernel.now}
+        signals.append(row)
+        try:
+            return real(name, payload, meanwhile=meanwhile)
+        finally:
+            row["end"] = runtime.kernel.now
+
+    runtime.platform.sync_invoke = logged
+    return signals
+
+
+def _no_lock_left(envs) -> bool:
+    return all("LockOwner" not in row
+               for env in envs.values()
+               for key in ("owner", "mid", "leaf", "seen")
+               for row in env.store.query(env.data_table("kv"), key).items)
+
+
+def _spans(runtime, name, **args) -> list:
+    return [r for r in runtime.obs.tracer.records
+            if r["name"] == name
+            and all(r["args"].get(k) == v for k, v in args.items())]
+
+
+class TestCommitFanOut:
+    def test_signals_start_together_and_the_local_part_runs_beside(self):
+        runtime = _fan_out_runtime()
+        envs = _build_tree(runtime)
+        signals = _log_signals(runtime)
+        assert runtime.run_workflow("owner", "v") == "committed"
+        runtime.kernel.shutdown()
+        assert [envs[n].peek("kv", n) for n in ("owner", "mid", "leaf")] \
+            == ["v", "v", "v"]
+        assert _no_lock_left(envs)
+        by_fn = {s["function"]: s for s in signals}
+        assert sorted(by_fn) == ["leaf", "mid", "side"]
+        finish, = _spans(runtime, "txn.finish:commit")
+        resolves = sorted(_spans(runtime, "txn.resolve"),
+                          key=lambda r: r["ts"])
+        local = resolves[0]
+        # The owner's signals leave at the instant phase 2 opens — its
+        # callees come from memory, not from an invoke-log query — and
+        # its own resolve runs while they are in flight.
+        assert by_fn["mid"]["start"] == by_fn["side"]["start"] \
+            == finish["ts"] == local["ts"]
+        assert not _spans(runtime, "store.query",
+                          table=envs["owner"].invoke_log)
+        assert local["ts"] + local["dur"] < min(
+            by_fn["mid"]["end"], by_fn["side"]["end"])
+        # mid does the same one level down: leaf's signal is in flight
+        # before mid's own resolve ends.
+        mid_resolve = next(r for r in resolves[1:]
+                           if by_fn["mid"]["start"] < r["ts"]
+                           and r["ts"] + r["dur"] <= by_fn["mid"]["end"]
+                           and r["ts"] <= by_fn["leaf"]["start"])
+        assert by_fn["leaf"]["start"] <= mid_resolve["ts"] + 1e-9
+        # Phase 2 costs its slowest participant, not their sum.
+        assert finish["dur"] == pytest.approx(
+            max(s["end"] for s in signals) - finish["ts"])
+        assert finish["dur"] < 0.75 * (
+            local["dur"] + sum(s["end"] - s["start"]
+                               for s in (by_fn["mid"], by_fn["side"])))
+
+    def test_without_async_io_phase_two_is_the_papers_walk(self):
+        runtime = _fan_out_runtime(without="async_io")
+        envs = _build_tree(runtime)
+        signals = _log_signals(runtime)
+        assert runtime.run_workflow("owner", "v") == "committed"
+        runtime.kernel.shutdown()
+        assert _no_lock_left(envs)
+        local = min(_spans(runtime, "txn.resolve"), key=lambda r: r["ts"])
+        mid, leaf, side = signals  # depth first, one at a time
+        assert [s["function"] for s in signals] == ["mid", "leaf", "side"]
+        assert local["ts"] + local["dur"] <= mid["start"]
+        assert mid["start"] < leaf["start"] and leaf["end"] <= mid["end"]
+        assert mid["end"] <= side["start"]
+        assert len(_spans(runtime, "store.query",
+                          table=envs["owner"].invoke_log)) == 1
+
+    def test_a_flush_is_its_items_release(self):
+        """Round 2 has one branch per item: the written ones flush (and
+        unlock), only the merely locked ones are released."""
+        counts = {}
+        for name, config in (("current", {}),
+                             ("walk", {"without": "async_io"})):
+            runtime = _fan_out_runtime(**config)
+            envs = _build_tree(runtime)
+            assert runtime.run_workflow("owner", "v") == "committed"
+            runtime.kernel.shutdown()
+            finish, = _spans(runtime, "txn.finish:commit")
+            counts[name] = {
+                fn: [r["name"] for r in runtime.obs.tracer.records
+                     if r["ts"] >= finish["ts"] and r["args"].get("table")
+                     == envs[fn].data_table("kv")]
+                for fn in ("owner", "side")}
+            assert _no_lock_left(envs)
+        # owner wrote its one locked item: tail read + update resolve it;
+        # the walk's release pass then fails a second update (a failed
+        # condition leaves no span) and reads the row to learn why.
+        # side only locked: one release either way.
+        flush = ["store.read", "store.cond_write"]
+        assert counts == {
+            "current": {"owner": flush, "side": ["store.cond_write"]},
+            "walk": {"owner": flush + ["store.read"],
+                     "side": ["store.cond_write"]}}
+
+    def test_abort_fans_out_too(self):
+        runtime = _fan_out_runtime()
+        envs = _build_tree(runtime)
+        signals = _log_signals(runtime)
+        assert runtime.run_workflow("owner", "abort") == "aborted"
+        runtime.kernel.shutdown()
+        assert [envs[n].peek("kv", n) for n in ("owner", "mid", "leaf")] \
+            == [None, None, None]
+        assert _no_lock_left(envs)
+        by_fn = {s["function"]: s for s in signals}
+        assert by_fn["mid"]["start"] == by_fn["side"]["start"]
+
+    def test_only_this_transactions_callees_are_signalled(self):
+        """The owner's memory is exact; its invoke log also holds the
+        callees of the transactions it ran before."""
+        seen = {}
+        for name, config in (("current", {}),
+                             ("walk", {"without": "async_io"})):
+            runtime = _fan_out_runtime(**config)
+
+            def owner(ctx, payload):
+                for key in ("a", "b"):
+                    with ctx.transaction():
+                        ctx.sync_invoke("leaf", key)
+                return "done"
+
+            leaf = runtime.register_ssf(
+                "leaf", lambda ctx, key: ctx.write("kv", key, 1),
+                tables=["kv"])
+            runtime.register_ssf("owner", owner)
+            signals = _log_signals(runtime)
+            assert runtime.run_workflow("owner") == "done"
+            runtime.kernel.shutdown()
+            assert [leaf.env.peek("kv", k) for k in ("a", "b")] == [1, 1]
+            seen[name] = len(signals)
+        assert seen == {"current": 2, "walk": 3}
+
+    @pytest.mark.parametrize("victim", ["mid", "side"])
+    def test_one_participants_failure_does_not_strand_the_others(
+            self, victim):
+        """One callee's signal handler dies every time — the first of
+        the fan-out (``mid``) or one started beside it (``side``): the
+        other callees and the owner's own part are resolved all the
+        same, and the failure still surfaces."""
+        from repro.platform import CrashPolicy
+
+        class KillSignals(CrashPolicy):
+            armed = False
+
+            def should_crash(self, function, invocation_index, tag):
+                return function == victim and tag == "enter" and self.armed
+
+        runtime = _fan_out_runtime(invoke_retry_limit=2,
+                                   invoke_retry_backoff=1.0)
+        envs = _build_tree(runtime)
+        policy = runtime.platform.crash_policy = KillSignals()
+        real = runtime.platform.sync_invoke
+
+        def arm_on_signal(name, payload, meanwhile=None):
+            if (payload or {}).get("kind") == "txn_signal":
+                policy.armed = True
+            return real(name, payload, meanwhile=meanwhile)
+
+        runtime.platform.sync_invoke = arm_on_signal
+        box = {}
+
+        def client():
+            try:
+                box["result"] = runtime.client_call("owner", "v")
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                box["error"] = exc
+
+        runtime.kernel.spawn(client)
+        runtime.kernel.run(until=5_000.0)
+        runtime.kernel.shutdown()
+        assert isinstance(box.get("error"), FunctionCrashed)
+        assert envs["owner"].peek("kv", "owner") == "v"
+        resolved = {"mid": [("owner", "owner"), ("side", "seen")],
+                    "side": [("owner", "owner"), ("mid", "mid"),
+                             ("leaf", "leaf")]}[victim]
+        for fn, key in resolved:
+            env = envs[fn]
+            assert all("LockOwner" not in row for row in env.store.query(
+                env.data_table("kv"), key).items), (fn, key)
+
+    def test_no_slot_for_a_signal_still_resolves_the_rest(self):
+        """``TooManyRequests`` before any worker started: the rest of the
+        fan-out runs right away, the signal is retried after it."""
+        from repro.platform import TooManyRequests
+
+        runtime = _fan_out_runtime(invoke_retry_backoff=1.0)
+        envs = _build_tree(runtime)
+        real = runtime.platform.sync_invoke
+        refused = []
+
+        def refuse_first_signal(name, payload, meanwhile=None):
+            if ((payload or {}).get("kind") == "txn_signal"
+                    and name == "mid" and not refused):
+                refused.append(runtime.kernel.now)
+                raise TooManyRequests("no slot")
+            return real(name, payload, meanwhile=meanwhile)
+
+        runtime.platform.sync_invoke = refuse_first_signal
+        assert runtime.run_workflow("owner", "v") == "committed"
+        runtime.kernel.shutdown()
+        assert len(refused) == 1
+        assert [envs[n].peek("kv", n) for n in ("owner", "mid", "leaf")] \
+            == ["v", "v", "v"]
+        assert _no_lock_left(envs)

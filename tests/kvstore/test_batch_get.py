@@ -184,6 +184,32 @@ class TestFaultInjection:
         assert [r["V"] for r in rows[:8]] == list(range(8))
         assert rows[8] is None
 
+    def test_an_eventual_batch_stays_eventual_through_its_retries(self):
+        """A partial throttle must change neither the routing nor the
+        price of the rows it delays: the retried remainder and the
+        point-``get`` fallback read at the first round's consistency, so
+        every served row meters as eventual."""
+        from repro.kvstore import batch_get_all
+        s = KVStore(rand=RandomSource(11),
+                    faults=FaultPolicy.for_ops(
+                        ["db.batch_read"], throttle_probability=1.0))
+        s.create_table("data", hash_key="Key")
+        for i in range(8):
+            s.put("data", {"Key": f"k{i}", "V": i})
+        before = s.metering.copy()
+        rows = batch_get_all(s, "data", [f"k{i}" for i in range(8)],
+                             consistency="eventual")
+        assert [r["V"] for r in rows] == list(range(8))
+        ops = s.metering.diff(before)
+        # The remainder really went through retries *and* the fallback...
+        assert ops["batch_get"].count > 1 and ops["read"].count >= 1
+        assert ops["batch_get"].items + ops["read"].items == 8
+        # ...and not one round trip of either kind was served strong.
+        for kind in ("batch_get", "read"):
+            assert ops[kind].eventual_count == ops[kind].count, kind
+        assert s.metering.per_table_eventual["data"] == (
+            ops["batch_get"].count + ops["read"].count)
+
     def test_op_filter_targets_batches_only(self):
         """``only_ops`` scopes the policy: batch reads throttle, point
         reads sail through."""

@@ -9,6 +9,7 @@ from repro.kvstore import (
     KernelTimeSource,
     ReplicaGroup,
     ReplicatedStore,
+    Set,
     ShardedStore,
     placement_residue,
     recover_stale_migrations,
@@ -175,6 +176,34 @@ class TestRecovery:
         assert store.nodes[source].item_count("data") == 0
         assert store.get(MIGRATIONS_TABLE, token)["Phase"] == "done"
         assert placement_residue(store) == []
+
+    @pytest.mark.parametrize("flipped", [False, True])
+    def test_an_unrecovered_move_lists_each_row_once(self, flipped):
+        """Between a worker's crash and the GC's phase 0 the item sits
+        on two nodes. Keyed operations route past the stray copy; a scan
+        must not list it either (``daal.all_keys`` counted one booking
+        twice) — whether the crash came before routing flipped or
+        after."""
+        store = make_store()
+        seed_chain(store, "other")
+        migrator, token, source, target = self._crashed_copy(store)
+        if flipped:
+            store.update(MIGRATIONS_TABLE, token,
+                         [Set("Phase", "committed")])
+            store.ring.set_forward(token, target)
+        expected = sorted((key, row_id) for key in ("item-r", "other")
+                          for row_id in ("HEAD", "r1", "r2"))
+
+        def listed():
+            return sorted((row["Key"], row["RowId"])
+                          for row in store.scan("data").items)
+
+        assert store.nodes[source].item_count("data") >= 3
+        assert store.nodes[target].item_count("data") >= 3
+        assert listed() == expected
+        assert recover_stale_migrations(store, migrator) == 1
+        assert placement_residue(store) == []
+        assert listed() == expected
 
     def test_latched_record_left_alone(self):
         store = make_store()

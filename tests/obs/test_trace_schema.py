@@ -281,7 +281,9 @@ def test_traced_travel_request_at_real_latency_nests_and_splits_tails():
         # where the request span ended — at the reply.
         assert tail["parent_id"] is None
         assert tail["track"] == tail["span_id"] != request["track"]
-        assert tail["ts"] == request["ts"] + request["dur"]
+        # (``dur`` is ``end - ts``; adding it back may differ in the last bit.)
+        assert tail["ts"] == pytest.approx(request["ts"] + request["dur"],
+                                           abs=1e-9)
         assert replies[request["span_id"]]["ts"] == tail["ts"]
         assert tail["dur"] > 0  # a platform invocation and two updates
         outlived += tail["ts"] + tail["dur"] > step["ts"] + step["dur"]

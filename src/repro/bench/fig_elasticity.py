@@ -6,7 +6,7 @@ shards and throughput scaling with the fleet. This driver breaks that
 assumption the way production traffic does: the same closed-loop
 ``profile`` workload at a fixed 4-shard fleet, but with each request's
 key drawn from a Zipf(s≈1.1) popularity distribution over a shared key
-population. Static consistent hashing pins the hottest chains to
+population. Static hash placement pins the hottest chains to
 whatever shard their hash picked; that shard's ``ServiceCapacity`` queue
 saturates and caps the fleet. With the ``elastic`` feature the hot-shard
 detector observes the skew mid-run and live-migrates the hottest DAAL
@@ -39,6 +39,12 @@ N_USERS = 24
 REQUESTS_PER_USER = 80
 SHARD_CAPACITY = 2      # servers per store node
 N_KEYS = 256            # shared key population
+# Under rendezvous placement this population's hottest Zipf ranks
+# co-locate (~45% of all requests on one shard of four) — the
+# adversarial-but-ordinary draw elasticity exists for. Which names do
+# that is a property of the hash rule: re-pick them when it changes
+# (the 64-vnode ring's were "wallet-%04d").
+KEY_NAME = "client-%04d"
 ZIPF_S = 1.1            # hot-key skew exponent
 GC_PERIOD_MS = 600.0    # periodic collection inside the measured run
 SEED = 11
@@ -80,7 +86,7 @@ def build_runtime(elastic: bool, seed: int = SEED,
     ssf = runtime.register_ssf("profile", profile,
                                tables=["profiles", "statements"])
     for i in range(n_keys):
-        ssf.env.seed("profiles", f"wallet-{i:04d}", {"visits": 0})
+        ssf.env.seed("profiles", KEY_NAME % i, {"visits": 0})
     return runtime
 
 
@@ -90,11 +96,9 @@ def zipf_payloads(seed: int = SEED, n_users: int = N_USERS,
     """One payload sequence per user, keys Zipf-skewed over the shared
     population. Drawn from a single named stream, so static and elastic
     runs (and re-runs) see the byte-identical request series."""
-    # "wallet-%04d" names: under the default ring this population's
-    # hottest Zipf ranks co-locate (~60% of the request weight on one
-    # shard) — the adversarial-but-ordinary placement elasticity exists
-    # for. fig_shard_scaling's uniform per-user keys are the benign case.
-    keys = [f"wallet-{i:04d}" for i in range(n_keys)]
+    # fig_shard_scaling's uniform per-user keys are the benign case;
+    # see KEY_NAME for why these names.
+    keys = [KEY_NAME % i for i in range(n_keys)]
     rand = RandomSource(seed, "zipf-workload")
     return [[{"user": key}
              for key in skewed_keys(keys, requests_per_user,

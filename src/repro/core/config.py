@@ -101,13 +101,13 @@ class BeldiConfig:
             the mean, live-migrates the hottest DAAL chains (with their
             shadow twins) to underloaded shards via
             :class:`~repro.kvstore.rebalance.ChainMigrator`, installing
-            forwarding entries in the hash ring. Below the trigger the
+            forwarding entries over the hash placement. Below the trigger the
             detector is pure counter arithmetic — no randomness,
             latency, or store traffic — so a balanced (or single-shard,
             or sub-``elastic_min_window``) workload reproduces the
             static placement bit-for-bit (pinned by
             ``tests/core/test_profiles.py``). Without it: static
-            consistent-hash placement.
+            rendezvous-hash placement.
         ``"resilience"`` (:attr:`has_resilience`)
             Client-side fault recovery (``repro.resilience``,
             ``docs/resilience.md``): every env's store facade gains

@@ -4,7 +4,7 @@ The linked DAAL keys every chain by ``(table, key)`` with all of an
 item's rows sharing the item's hash key — exactly the unit a partitioned
 store needs. :class:`ShardedStore` exploits that: it routes each
 ``(table, partition key)`` to one of N :class:`~repro.kvstore.KVStore`
-nodes via consistent hashing, so
+nodes via rendezvous hashing, so
 
 - every row of one item's chain (and therefore every row-scoped atomic
   conditional write, which is Beldi's whole atomicity story) lives on a
@@ -58,7 +58,9 @@ trips pay ``max(latencies)`` plus per-node capacity queueing instead of
 the sum. Off (the default for hand-built stores) keeps the sequential
 virtual-latency model bit-for-bit.
 
-Routing is stable: an MD5-based hash ring with virtual nodes, keyed by
+Routing is stable: MD5-based rendezvous hashing (:class:`HashRing` —
+each token goes to the shard whose ``(shard, token)`` digest is
+highest, so shares are equal by construction), keyed by
 ``"<table>|<partition key repr>"`` — independent of process hash seeds,
 so a given key lands on the same shard in every run and every test.
 
@@ -80,7 +82,7 @@ Invariants this layer must uphold (see ``docs/architecture.md``):
 - **Per-shard fault/latency/metering domains stay independent** — one
   node's throttle or saturation never alters a sibling's draws.
 - **Placement follows routing, always.** Every row lives on exactly the
-  node the (weight- and forward-aware) ring maps its partition key to;
+  node the (forward-aware) placement maps its partition key to;
   live chain migration (:mod:`repro.kvstore.rebalance`) may *move* that
   mapping, but never leaves a row behind it —
   ``placement_residue(store)`` is empty at every crash point of the
@@ -90,7 +92,6 @@ Invariants this layer must uphold (see ``docs/architecture.md``):
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
 from typing import Any, Optional, Sequence
 
 from repro.kvstore.asyncio import in_scope, overlap
@@ -126,92 +127,42 @@ _LATCH_WAIT_MS = 1.0
 
 
 class HashRing:
-    """Consistent hashing over shard indexes with virtual nodes.
+    """Rendezvous (highest-random-weight) placement over shard indexes.
 
-    ``replicas`` virtual points per shard smooth the key distribution;
+    The name is historical: there is no ring. Every ``(shard, token)``
+    pair has a score — the MD5 digest of the shard's label followed by
+    the token — and a token lives on the shard that scores highest.
+    Each token picks independently of every other, so every shard's
+    share is exactly ``1/n`` in expectation whatever ``n`` is (nothing
+    like a ring's arc lengths to be unlucky with); a shard added to
+    ``n`` can only win tokens, never shuffle them between the others.
     MD5 keeps placement stable across processes and Python versions
     (``hash()`` is salted per process and would reshard every run).
 
-    Two elasticity mechanisms sit on top of the pure hash placement:
-
-    **Weights.** Each shard carries a weight scaling its virtual-node
-    count (``round(replicas * weight)``). A shard's vnode labels are a
-    stable prefix sequence (``shard-i#0..k``), so re-weighting one shard
-    only adds or removes *that shard's* points: keys move to it (weight
-    up) or from it (weight down), never between two other shards.
-
-    **Forwarding entries.** ``set_forward(token, shard)`` pins one route
-    token to an explicit owner, overriding the hash placement — the
-    in-memory face of a committed chain migration
+    **Forwarding entries** sit on top: ``set_forward(token, shard)``
+    pins one route token to an explicit owner, overriding the hash
+    placement — the in-memory face of a committed chain migration
     (:mod:`repro.kvstore.rebalance` keeps the durable twin). Lookups
     check forwards first; :meth:`hash_shard_of` exposes the underlying
     hash owner for rollback decisions.
     """
 
-    def __init__(self, n_shards: int, replicas: int = 64,
-                 weights: Optional[Sequence[float]] = None) -> None:
+    def __init__(self, n_shards: int) -> None:
         if n_shards <= 0:
             raise ValueError(f"need at least one shard, got {n_shards}")
         self.n_shards = n_shards
-        self.replicas = replicas
-        if weights is None:
-            weights = [1.0] * n_shards
-        if len(weights) != n_shards:
-            raise ValueError(
-                f"{n_shards} shards need {n_shards} weights, "
-                f"got {len(weights)}")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative")
-        self._weights = list(weights)
         #: token -> shard overrides (committed migrations).
         self._forwards: dict[str, int] = {}
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        #: token -> hash owner memo; placement is deterministic for a
-        #: given point set, so this only ever invalidates on re-weight.
-        #: It also keeps the elasticity hooks cheap: heat tracking and
-        #: the op's own routing resolve the same token back-to-back,
-        #: and the second lookup must not pay a second MD5 digest.
+        #: token -> hash owner memo; placement is a pure function of
+        #: the token, so it never invalidates. It also keeps the
+        #: elasticity hooks cheap: heat tracking and the op's own
+        #: routing resolve the same token back-to-back, and the second
+        #: lookup must not pay the digests again.
         self._memo: dict[str, int] = {}
-        points = []
-        for shard in range(self.n_shards):
-            count = int(round(self.replicas * self._weights[shard]))
-            if self._weights[shard] > 0:
-                count = max(1, count)
-            for replica in range(count):
-                points.append((self._digest(f"shard-{shard}#{replica}"),
-                               shard))
-        if not points:
-            raise ValueError("at least one shard needs a positive weight")
-        points.sort()
-        self._points = [p[0] for p in points]
-        self._owners = [p[1] for p in points]
-
-    @staticmethod
-    def _digest(token: str) -> int:
-        return int.from_bytes(
-            hashlib.md5(token.encode("utf-8")).digest()[:8], "big")
-
-    # -- weights ---------------------------------------------------------------
-    @property
-    def weights(self) -> list[float]:
-        return list(self._weights)
-
-    def set_weight(self, shard: int, weight: float) -> None:
-        """Re-weight one shard's share of the ring.
-
-        Only that shard's virtual points change, so keys move to it
-        (weight up) or off it (weight down) — never between two other
-        shards (property-tested in ``tests/kvstore/test_sharding.py``).
-        """
-        if not 0 <= shard < self.n_shards:
-            raise ValueError(f"no shard {shard} in a "
-                             f"{self.n_shards}-shard ring")
-        if weight < 0:
-            raise ValueError("weights must be non-negative")
-        self._weights[shard] = weight
-        self._rebuild()
+        #: One MD5 state per shard, already fed the shard's label; a
+        #: score is a copy of it fed the token.
+        self._labels = [hashlib.md5(f"shard-{shard}|".encode("utf-8"))
+                        for shard in range(n_shards)]
 
     # -- forwarding ------------------------------------------------------------
     @property
@@ -222,8 +173,7 @@ class HashRing:
     def set_forward(self, token: str, shard: int) -> None:
         """Pin ``token`` to ``shard``, overriding hash placement."""
         if not 0 <= shard < self.n_shards:
-            raise ValueError(f"no shard {shard} in a "
-                             f"{self.n_shards}-shard ring")
+            raise ValueError(f"no shard {shard} among {self.n_shards}")
         if shard == self.hash_shard_of(token):
             # A forward to the hash owner is a no-op entry; keep the
             # overlay minimal so balanced states need no bookkeeping.
@@ -235,13 +185,17 @@ class HashRing:
         self._forwards.pop(token, None)
 
     def hash_shard_of(self, token: str) -> int:
-        """The pure consistent-hash owner, ignoring forwards."""
+        """The pure rendezvous-hash owner, ignoring forwards."""
         owner = self._memo.get(token)
         if owner is None:
-            position = bisect_right(self._points, self._digest(token))
-            if position == len(self._points):
-                position = 0
-            owner = self._owners[position]
+            data = token.encode("utf-8")
+            best = b""
+            for shard, label in enumerate(self._labels):
+                scorer = label.copy()
+                scorer.update(data)
+                score = scorer.digest()
+                if score > best:
+                    best, owner = score, shard
             if len(self._memo) >= 65_536:
                 # Tokens include instance-keyed log rows, an unbounded
                 # population; the memo is a pure cache, so dropping it
@@ -251,7 +205,7 @@ class HashRing:
         return owner
 
     def shard_of(self, token: str) -> int:
-        """The shard owning ``token`` (forwards first, then the ring)."""
+        """The shard owning ``token`` (forwards first, then the hash)."""
         forwarded = self._forwards.get(token)
         if forwarded is not None:
             return forwarded
@@ -416,7 +370,7 @@ class ShardedStore:
         self.ring = ring or HashRing(len(self.nodes))
         if self.ring.n_shards != len(self.nodes):
             raise ValueError(
-                f"ring covers {self.ring.n_shards} shards but "
+                f"placement covers {self.ring.n_shards} shards but "
                 f"{len(self.nodes)} nodes were given")
         #: Overlap independent per-shard round trips (fan-outs, the
         #: cross-shard transaction rounds) instead of serializing their

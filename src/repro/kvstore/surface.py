@@ -387,7 +387,7 @@ def partition_value(schema: KeySchema, key: Any) -> Any:
 
 def route_token(table: str, value: Any) -> str:
     """The stable name of one ``(table, partition value)`` placement
-    unit — what the hash ring, follower affinity, migration latches and
+    unit — what hash placement, follower affinity, migration latches and
     forwarding entries are all keyed by."""
     return f"{table}|{value!r}"
 

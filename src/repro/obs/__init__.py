@@ -49,9 +49,10 @@ class Observability:
     def snapshot(self, runtime=None) -> dict:
         """One dict unifying the registry with the stack's native stats.
 
-        ``runtime`` contributes its store metering, capacity queues,
-        tail cache, replication, and elasticity signals; without it the
-        snapshot is just the registry.
+        ``runtime`` contributes its store metering, per-shard placement
+        balance, capacity queues, tail cache, replication, and
+        elasticity signals; without it the snapshot is just the
+        registry.
         """
         snap = self.metrics.snapshot()
         if runtime is None:
@@ -67,6 +68,14 @@ class Observability:
             snap["metering"]["per_shard"] = {
                 str(node.shard_id): round(node.metering.dollar_cost(), 9)
                 for node in shards}
+            # Imported here: ``repro.bench`` imports the runtime, which
+            # imports this package.
+            from repro.bench.reporting import load_imbalance, per_shard_rows
+            rows = per_shard_rows(store)
+            snap["placement"] = {
+                "max_over_mean": round(load_imbalance(rows)["max_mean"], 6),
+                "requests": [row["requests"] for row in rows],
+            }
         queues = {}
         for index, node in enumerate(_leaf_nodes(store)):
             queue = getattr(node, "queue", None)

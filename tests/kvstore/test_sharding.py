@@ -88,133 +88,99 @@ _TOKENS = st.text(
     min_size=0, max_size=40)
 
 
+def _instance_tokens(count=20_000):
+    """Route tokens shaped like the instance-keyed protocol rows (intent,
+    read log, invoke log) — the unbounded population that carries most
+    of a request's round trips."""
+    return [f"profile.intent|'{i:032x}'" for i in range(count)]
+
+
 class TestHashRingProperties:
-    """Property tests for the consistent-hash ring itself."""
+    """Rendezvous placement: stable, exact-share, minimal on growth."""
 
     @given(token=_TOKENS,
-           n_shards=st.integers(min_value=1, max_value=12),
-           replicas=st.integers(min_value=1, max_value=128))
+           n_shards=st.integers(min_value=1, max_value=12))
     @settings(**FAST)
-    def test_routing_is_stable_across_instances(self, token, n_shards,
-                                                replicas):
-        """Same (shards, vnodes) parameters => same owner for any token,
-        in any process, from any fresh ring instance."""
-        first = HashRing(n_shards, replicas=replicas)
-        second = HashRing(n_shards, replicas=replicas)
-        owner = first.shard_of(token)
+    def test_routing_is_stable_across_instances(self, token, n_shards):
+        """Same shard count => same owner for any token, in any
+        process, from any fresh instance."""
+        owner = HashRing(n_shards).shard_of(token)
         assert 0 <= owner < n_shards
-        assert second.shard_of(token) == owner
+        assert HashRing(n_shards).shard_of(token) == owner
 
-    @given(n_shards=st.integers(min_value=2, max_value=8),
-           replicas=st.sampled_from([16, 64, 128]),
-           salt=st.integers(min_value=0, max_value=1_000))
-    @settings(**FAST)
-    def test_key_spread_stays_balanced(self, n_shards, replicas, salt):
-        """With enough keys, no shard is starved and the max/min shard
-        load ratio stays bounded — the vnode smoothing guarantee."""
-        ring = HashRing(n_shards, replicas=replicas)
-        keys_per_shard = n_shards * 200
-        loads = [0] * n_shards
-        for i in range(keys_per_shard):
-            loads[ring.shard_of(f"data|key-{salt}-{i:05d}")] += 1
-        assert min(loads) > 0, "a shard received no keys at all"
-        ratio = max(loads) / min(loads)
-        # 16 vnodes is lumpy, 64+ smooth; both must stay in-band.
-        bound = 4.0 if replicas < 64 else 3.0
-        assert ratio <= bound, (
-            f"shard imbalance {ratio:.2f} > {bound} at "
-            f"{n_shards} shards / {replicas} vnodes: {loads}")
+    def test_placement_is_pinned_across_processes_and_versions(self):
+        """A literal table: an accidental change of the hash rule (or a
+        salted ``hash()`` sneaking in) re-deals every stored row."""
+        ring = HashRing(4)
+        table = {
+            "data|'k1'": 2,
+            "data|'key-00001'": 0,
+            "profile.intent|'00000000000000000000000000000001'": 3,
+            "profile.readlog|'00000000000000000000000000000001'": 1,
+            "profile.profiles|'user-0000'": 0,
+            "wallet.statements|'wallet-0007'": 1,
+            "__migrations__|'x'": 2,
+            "|''": 1,
+        }
+        assert {token: ring.shard_of(token) for token in table} == table
 
-    @given(n_shards=st.integers(min_value=1, max_value=8),
-           replicas=st.sampled_from([32, 64]))
-    @settings(**FAST)
-    def test_adding_a_shard_only_moves_keys_to_it(self, n_shards,
-                                                  replicas):
-        """Consistent hashing's defining property: growing the ring
-        from N to N+1 shards never reshuffles a key between two
-        surviving shards — every moved key lands on the new one."""
-        before = HashRing(n_shards, replicas=replicas)
-        after = HashRing(n_shards + 1, replicas=replicas)
-        moved = 0
-        total = 500
-        for i in range(total):
-            token = f"data|key-{i:05d}"
-            old_owner = before.shard_of(token)
-            new_owner = after.shard_of(token)
-            if new_owner != old_owner:
-                moved += 1
-                assert new_owner == n_shards, (
-                    f"key {token} moved {old_owner}->{new_owner}, "
-                    f"not to the new shard {n_shards}")
-        # And the moved fraction is in the ~1/(N+1) ballpark, not a
-        # wholesale reshuffle.
-        assert moved <= total * 2.5 / (n_shards + 1)
+    def test_key_spread_stays_balanced(self):
+        """Every token picks its shard independently, so over 20 000
+        tokens the fullest shard sits within sampling noise of the mean
+        at every shard count (the 64-vnode ring this replaced read 1.21
+        at four shards — its fattest arc, not noise)."""
+        tokens = _instance_tokens()
+        for n_shards in range(2, 9):
+            ring = HashRing(n_shards)
+            loads = [0] * n_shards
+            for token in tokens:
+                loads[ring.shard_of(token)] += 1
+            ratio = max(loads) * n_shards / len(tokens)
+            assert ratio <= 1.05, (
+                f"max/mean share {ratio:.3f} at {n_shards} shards: "
+                f"{loads}")
+
+    def test_adding_a_shard_only_moves_keys_to_it(self):
+        """Growing from N to N+1 shards never reshuffles a key between
+        two surviving shards — every moved key lands on the new one —
+        and the new shard takes its fair 1/(N+1), no more."""
+        tokens = _instance_tokens(4_000)
+        for n_shards in range(1, 8):
+            before = HashRing(n_shards)
+            after = HashRing(n_shards + 1)
+            moved = 0
+            for token in tokens:
+                old_owner = before.shard_of(token)
+                new_owner = after.shard_of(token)
+                if new_owner != old_owner:
+                    moved += 1
+                    assert new_owner == n_shards, (
+                        f"key {token} moved {old_owner}->{new_owner}, "
+                        f"not to the new shard {n_shards}")
+            fair = len(tokens) / (n_shards + 1)
+            assert 0.85 * fair <= moved <= 1.15 * fair, (n_shards, moved)
+
+    def test_dropping_the_memo_changes_no_answer(self):
+        """The memo is emptied wholesale once it holds 65 536 tokens;
+        placement is a pure function of the token, so nothing moves."""
+        ring = HashRing(4)
+        probes = _instance_tokens(64)
+        first = [ring.shard_of(token) for token in probes]
+        for i in range(65_536):
+            ring.hash_shard_of(f"filler|{i}")
+        assert len(ring._memo) < 65_536, "the memo never emptied"
+        assert [ring.shard_of(token) for token in probes] == first
+        assert first == [HashRing(4).shard_of(token) for token in probes]
 
     def test_rejects_empty_ring(self):
         with pytest.raises(ValueError):
             HashRing(0)
 
-    def test_rejects_all_zero_weights(self):
-        with pytest.raises(ValueError):
-            HashRing(2, weights=[0.0, 0.0])
-        with pytest.raises(ValueError):
-            HashRing(2, weights=[1.0, -0.5])
-        with pytest.raises(ValueError):
-            HashRing(2, weights=[1.0])
-
 
 class TestWeightedRingProperties:
-    """Weighted vnodes: re-weighting is local; forwards override hash."""
-
-    @given(n_shards=st.integers(min_value=2, max_value=6),
-           replicas=st.sampled_from([32, 64]),
-           target=st.integers(min_value=0, max_value=5),
-           new_weight=st.sampled_from([0.0, 0.25, 0.5, 2.0, 4.0]))
-    @settings(**FAST)
-    def test_reweighting_only_moves_keys_to_or_from_that_node(
-            self, n_shards, replicas, target, new_weight):
-        """Changing one shard's weight never reshuffles a key between
-        two *other* shards: every moved key has the re-weighted shard
-        as its source (weight down) or destination (weight up)."""
-        target %= n_shards
-        before = HashRing(n_shards, replicas=replicas)
-        after = HashRing(n_shards, replicas=replicas)
-        after.set_weight(target, new_weight)
-        moved_to = moved_from = 0
-        for i in range(400):
-            token = f"data|key-{i:05d}"
-            old_owner = before.shard_of(token)
-            new_owner = after.shard_of(token)
-            if new_owner == old_owner:
-                continue
-            assert target in (old_owner, new_owner), (
-                f"{token} moved {old_owner}->{new_owner} although only "
-                f"shard {target} was re-weighted")
-            if new_owner == target:
-                moved_to += 1
-            else:
-                moved_from += 1
-        if new_weight > 1.0:
-            assert moved_from == 0
-        if new_weight < 1.0:
-            assert moved_to == 0
-
-    @given(n_shards=st.integers(min_value=2, max_value=6),
-           weights=st.lists(st.floats(min_value=0.25, max_value=4.0),
-                            min_size=2, max_size=6))
-    @settings(**FAST)
-    def test_weighted_share_tracks_weight(self, n_shards, weights):
-        """A shard's key share grows with its weight: the max-weighted
-        shard never ends up starved below an equal-weight share of a
-        large key population."""
-        weights = (weights * n_shards)[:n_shards]
-        ring = HashRing(n_shards, replicas=64, weights=weights)
-        loads = [0] * n_shards
-        for i in range(n_shards * 300):
-            loads[ring.shard_of(f"data|key-{i:05d}")] += 1
-        heaviest = max(range(n_shards), key=lambda s: weights[s])
-        if weights[heaviest] >= 2 * min(weights):
-            assert loads[heaviest] >= (n_shards * 300) / (2 * n_shards)
+    """Forwarding entries override the hash, which stays askable. (The
+    class is named for the vnode weights it also covered until they
+    went with the ring; the ids below are kept stable.)"""
 
     def test_forward_overrides_and_clears(self):
         ring = HashRing(4)
@@ -237,6 +203,47 @@ class TestWeightedRingProperties:
         ring = HashRing(2)
         with pytest.raises(ValueError):
             ring.set_forward("data|'x'", 5)
+
+
+def test_protocol_rows_of_a_real_run_spread_evenly():
+    """Runtime-level: three of the ``profile`` SSF's five round trips
+    (intent put, read-log row, ``Done``) hit instance-keyed rows, which
+    elasticity never moves — placement alone must spread them. 2 000
+    requests on 4 shards x 2 replicas: every shard serves a quarter of
+    the protocol tables' requests, within 4%."""
+    from repro.core import BeldiConfig, BeldiRuntime
+    from repro.platform import PlatformConfig
+    from repro.workload import run_closed_loop
+
+    runtime = BeldiRuntime(
+        seed=11, latency_scale=1.0, config=BeldiConfig(gc_t=1e12),
+        platform_config=PlatformConfig(concurrency_limit=400),
+        shards=4, shard_capacity=2, replicas=2)
+
+    def profile(ctx, payload):
+        record = ctx.read("profiles", payload["user"]) or {"visits": 0}
+        ctx.write("profiles", payload["user"],
+                  {"visits": record["visits"] + 1})
+
+    ssf = runtime.register_ssf("profile", profile, tables=["profiles"])
+    for i in range(20):
+        ssf.env.seed("profiles", f"user-{i:04d}", {"visits": 0})
+    try:
+        result = run_closed_loop(
+            runtime, "profile",
+            [[{"user": f"user-{i:04d}"}] * 100 for i in range(20)])
+    finally:
+        runtime.kernel.shutdown()
+    assert result.completed == 2_000
+    env = ssf.env
+    loads = [sum(node.metering.per_table[table]
+                 for table in (env.intent_table, env.read_log,
+                               env.invoke_log))
+             for node in runtime.store.nodes]
+    assert sum(loads) >= 3 * 2_000
+    shares = [load / sum(loads) for load in loads]
+    assert all(abs(share - 0.25) <= 0.04 * 0.25 for share in shares), (
+        f"protocol-table request shares {shares}")
 
 
 def _apply_plan(ring: HashRing, plan) -> None:

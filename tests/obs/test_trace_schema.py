@@ -178,6 +178,21 @@ def test_unified_snapshot_sections(traced):
     json.dumps(snap, sort_keys=True, allow_nan=False)
 
 
+def test_snapshot_says_which_shard_carried_the_most(traced):
+    """``placement`` = requests per shard node from the per-node
+    metering books, plus the fullest shard over the mean — the number
+    that tells which node saturates first."""
+    runtime = traced.travel
+    placement = runtime.obs.snapshot(runtime)["placement"]
+    requests = placement["requests"]
+    assert requests == [node.metering.op_count
+                        for node in runtime.store.nodes]
+    assert sum(requests) == runtime.store.metering.op_count > 0
+    assert placement["max_over_mean"] == pytest.approx(
+        max(requests) * len(requests) / sum(requests), abs=1e-6)
+    assert placement["max_over_mean"] >= 1.0
+
+
 def _traced_transaction(n_shards):
     """One two-row ``transact_write`` on a traced, kernel-timed store
     whose rows land on ``n_shards`` distinct shards. Returns the virtual

@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import pathlib
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-def emit(name: str, text: str) -> None:
-    """Print a result table and persist it under benchmarks/results/."""
+def emit(text: str) -> None:
+    """Print a gate's result table (``pytest -s`` shows it). The record
+    is the gate's ``BENCH_<name>.json``; nothing is written here."""
     print()
     print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
 
 def emit_json(name: str, **payload) -> None:

@@ -1,6 +1,6 @@
 """Ablation: scan+projection traversal vs pointer chasing (§4.1).
 
-The design choice DESIGN.md calls out: Beldi downloads a projected
+The paper's design choice (see docs/benchmarks.md): Beldi downloads a projected
 skeleton of the whole chain in one query; the strawman walks NextRow
 pointers with one round trip per row. The gap must widen with chain
 length — this is why the linked DAAL stays cheap even before GC trims it.
@@ -22,7 +22,7 @@ def test_traversal_ablation(benchmark):
              results[rows_n]["chase_p50"],
              results[rows_n]["chase_p50"] / results[rows_n]["scan_p50"]]
             for rows_n in LENGTHS]
-    emit("ablation_traversal", format_table(
+    emit(format_table(
         "Ablation — DAAL traversal median latency (virtual ms)",
         ["chain rows", "scan+projection", "pointer chase", "chase/scan"],
         rows))

@@ -39,7 +39,7 @@ def test_async_io_ablation(benchmark):
                                             iterations=1)
     by_config = {point["config"]: point for point in points}
     text = ablation_table(points + [replicated])
-    emit("async_io_ablation", text)
+    emit(text)
     emit_json("async_io", points=points + [replicated])
 
     baseline = by_config["off-off"]

@@ -28,7 +28,7 @@ def test_costs_overhead(benchmark):
         ["baseline marginal $", f"{costs['baseline_dollars']:.2e}"],
         ["beldi marginal $", f"{costs['beldi_dollars']:.2e}"],
     ]
-    emit("costs", format_table(
+    emit(format_table(
         "§7.3 — storage / network / request-cost overheads "
         "(1 read + 1 write + 1 condWrite + 1 invoke per mode)",
         ["metric", "value"], rows))

@@ -28,8 +28,8 @@ from repro.bench.fig_elasticity import (
 
 def test_elasticity_recovers_skewed_throughput():
     points = run_elasticity()
-    emit("elasticity", elasticity_table(points))
-    emit("elasticity_metering", shard_dashboards(points))
+    emit(elasticity_table(points))
+    emit(shard_dashboards(points))
     emit_json("elasticity", static=points["static"],
               elastic=points["elastic"])
     static, elastic = points["static"], points["elastic"]

@@ -160,7 +160,7 @@ def test_fastpath_ablation(benchmark):
         f"Fast-path ablation — {TXNS} 3-key transactions (commit path)",
         ["fastpath", "queries", "gets", "batch_gets", "round trips"],
         rows)
-    emit("fastpath_ablation", text)
+    emit(text)
     emit_json("fastpath_ablation",
               hot_loop={"on" if on else "off": r
                         for on, r in hot.items()},

@@ -32,7 +32,7 @@ def test_fig13_primitive_latency(benchmark):
             results["crosstable"][op]["p50"],
             results["crosstable"][op]["p99"],
         ])
-    emit("fig13", format_table(
+    emit(format_table(
         f"Figure 13 — primitive op latency (virtual ms), {ROWS}-row DAAL",
         ["op", "base p50", "base p99", "beldi p50", "beldi p99",
          "xtable p50", "xtable p99"], rows))

@@ -4,7 +4,7 @@ Paper's shape: Beldi's median tracks the baseline at a 2-3.3x premium at
 low load; the offered-load sweep drives the account into its concurrency
 cap where achieved throughput plateaus and the gateway rejects the rest.
 Scaled ~10x down from the paper's 100-800 req/s @ 1,000-Lambda setup
-(see EXPERIMENTS.md).
+(see docs/benchmarks.md).
 """
 
 from conftest import emit, emit_json
@@ -35,7 +35,7 @@ def test_fig14_movie_review_sweep(benchmark):
             beldi_row["achieved_rps"], beldi_row["p50_ms"],
             beldi_row["p99_ms"],
         ])
-    emit("fig14", format_table(
+    emit(format_table(
         "Figure 14 — movie review: latency vs throughput "
         "(virtual ms / req/s)",
         ["offered", "base rps", "base p50", "base p99",

@@ -46,7 +46,7 @@ def test_fig15_travel_sweep(benchmark):
             beldi["achieved_rps"], beldi["p50_ms"], beldi["p99_ms"],
             notxn["p50_ms"], notxn["p99_ms"],
         ])
-    emit("fig15", format_table(
+    emit(format_table(
         "Figure 15 — travel reservation: latency vs throughput "
         "(virtual ms / req/s); right columns: Beldi w/o transactions",
         ["offered", "base rps", "base p50", "base p99", "beldi rps",
@@ -100,8 +100,7 @@ def test_fig15_baseline_is_inconsistent(benchmark):
 
     completed, rooms, seats = benchmark.pedantic(run, rounds=1,
                                                  iterations=1)
-    emit("fig15_inconsistency",
-         f"Baseline travel inconsistency: {completed} reserves "
+    emit(f"Baseline travel inconsistency: {completed} reserves "
          f"completed; rooms left {rooms}, seats left {seats} "
          f"(equal capacity was provisioned on both sides)")
     emit_json("fig15_inconsistency", completed=completed,

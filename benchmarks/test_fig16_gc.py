@@ -34,7 +34,7 @@ def run_all():
 
 def test_fig16_gc_effect(benchmark):
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    emit("fig16", format_series(
+    emit(format_series(
         "Figure 16 — median write-SSF response vs time (virtual ms), "
         "10x time scale",
         {label: r["series"] for label, r in results.items()}))

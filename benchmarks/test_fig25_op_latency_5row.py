@@ -31,7 +31,7 @@ def test_fig25_primitive_latency_5row(benchmark):
             results["crosstable"][op]["p50"],
             results["crosstable"][op]["p99"],
         ])
-    emit("fig25", format_table(
+    emit(format_table(
         f"Figure 25 — primitive op latency (virtual ms), {ROWS}-row DAAL",
         ["op", "base p50", "base p99", "beldi p50", "beldi p99",
          "xtable p50", "xtable p99"], rows))

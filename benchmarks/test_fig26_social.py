@@ -32,7 +32,7 @@ def test_fig26_social_sweep(benchmark):
             beldi_row["achieved_rps"], beldi_row["p50_ms"],
             beldi_row["p99_ms"],
         ])
-    emit("fig26", format_table(
+    emit(format_table(
         "Figure 26 — social media: latency vs throughput "
         "(virtual ms / req/s)",
         ["offered", "base rps", "base p50", "base p99",

@@ -29,7 +29,7 @@ from repro.bench.fig_replication import (
 
 def test_replication_gate():
     points = run_replication()
-    emit("replication", replication_table(points))
+    emit(replication_table(points))
     emit_json("replication", points=points)
     by_config = {p["config"]: p for p in points}
     strong = by_config["strong-r1"]

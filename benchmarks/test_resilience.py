@@ -11,27 +11,18 @@ incident/fault-free at a sub-knee open-loop rate, with shard 0 dark for
   of the fault-free p99 instead of smearing across the rest of the run;
 - fault-free, the layer costs nothing: $/op within 10% of the ablation
   (bit-for-bit identical in practice) and zero failed requests.
-
-``RESILIENCE_RATE`` / ``RESILIENCE_DURATION_MS`` shrink the run for CI
-smoke; the dark window scales with the duration so every phase keeps
-enough arrivals to gate on.
 """
 
 from __future__ import annotations
-
-import os
 
 from conftest import emit, emit_json
 
 from repro.bench.fig_resilience import figure_table, run_figure
 
-RATE = float(os.environ.get("RESILIENCE_RATE", "60"))
-DURATION_MS = float(os.environ.get("RESILIENCE_DURATION_MS", "20000"))
-
 
 def test_resilience_figure():
-    figure = run_figure(rate=RATE, duration_ms=DURATION_MS)
-    emit("resilience", figure_table(figure))
+    figure = run_figure()
+    emit(figure_table(figure))
     emit_json("resilience", **figure)
 
     runs = figure["runs"]

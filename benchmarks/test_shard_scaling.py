@@ -23,8 +23,8 @@ from repro.bench.fig_shard_scaling import (
 
 def test_shard_scaling():
     points = run_scaling(SHARD_COUNTS)
-    emit("shard_scaling", scaling_table(points))
-    emit("shard_metering", shard_dashboards(points))
+    emit(scaling_table(points))
+    emit(shard_dashboards(points))
     emit_json("shard_scaling", points=points)
 
     by_shards = {p["shards"]: p for p in points}

@@ -1,22 +1,8 @@
 """Per-figure experiment drivers.
 
 Each module regenerates one of the paper's evaluation results
-(§7.3-§7.5 and Appendix C); the ``benchmarks/`` pytest files are thin
-wrappers that run these drivers under pytest-benchmark and assert the
-paper's qualitative shape. See EXPERIMENTS.md for paper-vs-measured.
+(§7.3-§7.5 and Appendix C) or one comparison against a ``without=``
+ablation; the ``benchmarks/`` pytest files are thin wrappers that run
+these drivers and assert the qualitative shape. See docs/benchmarks.md
+for what each gate asserts and how to read its ``BENCH_<name>.json``.
 """
-
-from repro.bench.fig13_ops import measure_primitive_ops
-from repro.bench.fig1415_apps import app_sweep
-from repro.bench.fig16_gc import gc_timeseries
-from repro.bench.costs import measure_costs
-from repro.bench.reporting import format_series, format_table
-
-__all__ = [
-    "app_sweep",
-    "format_series",
-    "format_table",
-    "gc_timeseries",
-    "measure_costs",
-    "measure_primitive_ops",
-]

@@ -135,7 +135,7 @@ def traversal_ablation(chain_lengths=(2, 10, 25, 50),
                        samples: int = 30, seed: int = 9) -> dict:
     """Scan+projection vs pointer-chasing traversal cost by chain length.
 
-    The design-choice ablation DESIGN.md calls out: Beldi's single
+    The paper's design choice (see docs/benchmarks.md): Beldi's single
     projected query keeps traversal latency nearly flat, while the naive
     walk pays one round trip per row.
     """

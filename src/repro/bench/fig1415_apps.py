@@ -6,7 +6,7 @@ no-guarantees baseline. The paper runs 100-800 req/s against AWS's
 cap) so each point runs in seconds of wall time — the *shape* (a 2-3x
 median gap at low load, a shared saturation knee at the concurrency cap,
 converging tails near saturation) is what must reproduce, not absolute
-numbers. EXPERIMENTS.md records the scaling.
+numbers. docs/benchmarks.md records the scaling.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ def _platform_config(concurrency: int) -> PlatformConfig:
 
 
 def _build(app_name: str, mode: str, seed: int, concurrency: int,
-           app_kwargs: Optional[dict] = None,
-           config_overrides: Optional[dict] = None):
+           app_kwargs: Optional[dict] = None):
     app_kwargs = dict(app_kwargs or {})
     app = build_app(app_name, seed=seed, **app_kwargs)
     if mode == "baseline":
@@ -38,13 +37,10 @@ def _build(app_name: str, mode: str, seed: int, concurrency: int,
     elif mode == "beldi":
         # Seed-faithful figure: the ``paper`` profile; the post-paper
         # features are gated by their own ablation benches.
-        # ``config_overrides`` lets ablation gates flip individual knobs
-        # (e.g. ``observability``) on this exact setup.
         runtime = BeldiRuntime(
             seed=seed, latency_scale=1.0,
             config=BeldiConfig(profile="paper", gc_t=1e12,
-                               ic_restart_delay=1e12,
-                               **(config_overrides or {})),
+                               ic_restart_delay=1e12),
             platform_config=_platform_config(concurrency))
     else:
         raise ValueError(f"unknown mode {mode!r}")

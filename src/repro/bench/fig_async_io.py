@@ -113,11 +113,3 @@ def ablation_table(points: list[dict]) -> str:
         f"+ {N_LEAVES} parallel leaves, shards={SHARDS}",
         ["config", "done", "p50 ms", "p99 ms", "$/op", "round trips",
          "batch writes"], rows)
-
-
-def main() -> None:  # pragma: no cover - manual driver
-    print(ablation_table(run_ablation()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -252,14 +252,3 @@ def shard_dashboards(points: dict) -> str:
         per_shard_table(f"Per-shard metering — {label} placement",
                         points[label]["per_shard"])
         for label in ("static", "elastic"))
-
-
-def main() -> None:  # pragma: no cover - manual driver
-    points = run_elasticity()
-    print(elasticity_table(points))
-    print()
-    print(shard_dashboards(points))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

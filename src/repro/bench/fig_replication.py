@@ -152,12 +152,3 @@ def replication_table(points: list[dict]) -> str:
         f"requests x {READS_PER_REQUEST} reads, shards={SHARDS}",
         ["config", "done", "rps", "p50 ms", "p99 ms", "read $/op",
          "$/op", "ev reads"], rows)
-
-
-def main() -> None:  # pragma: no cover - manual driver
-    points = run_replication()
-    print(replication_table(points))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -25,10 +25,6 @@ open-loop driver exists for. The gates
   (the backlog must drain, not smear into the rest of the run);
 - fault-free $/op with the layer on within 10% of the layer off (it is
   bit-for-bit identical, so this is an equality in practice).
-
-``RESILIENCE_RATE`` / ``RESILIENCE_DURATION_MS`` shrink the run for CI
-smoke; the dark window scales with the duration (25%..45% of the
-measured window) so the phase structure survives the shrink.
 """
 
 from __future__ import annotations
@@ -51,10 +47,10 @@ DURATION_MS = 20_000.0
 WARMUP_MS = 1_000.0
 N_KEYS = 256
 SHARDS = 2
-#: Dark-window bounds as fractions of the measured duration: 20% of the
-#: run, landed after the warm phase has stabilized.
-OUTAGE_START_FRAC = 0.25
-OUTAGE_END_FRAC = 0.45
+SEED = 11
+#: Dark window in measured time: 20% of the run, landed after the warm
+#: phase has stabilized.
+OUTAGE_MS = (0.25 * DURATION_MS, 0.45 * DURATION_MS)
 MAX_IN_FLIGHT = 256
 MAX_QUEUE = 512
 
@@ -68,10 +64,10 @@ RESILIENCE_KNOBS = dict(
 )
 
 
-def build_runtime(seed: int = 11, resilience: bool = True,
+def build_runtime(seed: int = SEED, resilience: bool = True,
                   timeline: FaultTimeline | None = None
                   ) -> tuple[BeldiRuntime, str, Callable[..., Any]]:
-    """Fresh 2-shard runtime + the profile app (see fig_open_loop)."""
+    """Fresh 2-shard runtime + the profile app."""
     knobs = RESILIENCE_KNOBS if resilience else {}
     runtime = BeldiRuntime(
         seed=seed, latency_scale=1.0,
@@ -114,30 +110,27 @@ def _phase_row(recorder, start: float, end: float) -> dict:
     }
 
 
-def run_once(resilience: bool, dark: bool,
-             rate: float = RATE_RPS, duration_ms: float = DURATION_MS,
-             warmup_ms: float = WARMUP_MS, seed: int = 11) -> dict:
+def run_once(resilience: bool, dark: bool) -> dict:
     """One open-loop run, phase-sliced around the (optional) outage."""
-    t0 = OUTAGE_START_FRAC * duration_ms
-    t1 = OUTAGE_END_FRAC * duration_ms
+    t0, t1 = OUTAGE_MS
     timeline = None
     if dark:
         # Absolute virtual times: the driver starts at ~0, arrivals are
         # offset by the warmup, so a measured-time window [t0, t1)
         # means an absolute window shifted by the warmup.
-        timeline = FaultTimeline().outage(warmup_ms + t0, warmup_ms + t1,
+        timeline = FaultTimeline().outage(WARMUP_MS + t0, WARMUP_MS + t1,
                                           shards=0)
-    runtime, entry, sample = build_runtime(seed, resilience=resilience,
+    runtime, entry, sample = build_runtime(SEED, resilience=resilience,
                                            timeline=timeline)
     cost_before = runtime.store.metering.dollar_cost()
     arrivals = poisson_arrivals(
-        rate, warmup_ms + duration_ms,
-        RandomSource(seed, f"resilience/arrivals/{rate}"))
+        RATE_RPS, WARMUP_MS + DURATION_MS,
+        RandomSource(SEED, f"resilience/arrivals/{RATE_RPS}"))
     config = OpenLoopConfig(max_in_flight=MAX_IN_FLIGHT, policy="queue",
-                            max_queue=MAX_QUEUE, warmup_ms=warmup_ms)
+                            max_queue=MAX_QUEUE, warmup_ms=WARMUP_MS)
     result = run_open_loop(runtime, entry, sample, arrivals,
-                           config=config, seed=seed, offered_rps=rate,
-                           duration_ms=duration_ms)
+                           config=config, seed=SEED, offered_rps=RATE_RPS,
+                           duration_ms=DURATION_MS)
     dollars = runtime.store.metering.dollar_cost() - cost_before
     recorder = result.recorder
     run = {
@@ -148,7 +141,7 @@ def run_once(resilience: bool, dark: bool,
         "phases": {
             "pre": _phase_row(recorder, 0.0, t0),
             "during": _phase_row(recorder, t0, t1),
-            "post": _phase_row(recorder, t1, duration_ms),
+            "post": _phase_row(recorder, t1, DURATION_MS),
         },
     }
     if runtime.resilience is not None:
@@ -158,16 +151,12 @@ def run_once(resilience: bool, dark: bool,
     return run
 
 
-def run_figure(rate: float = RATE_RPS, duration_ms: float = DURATION_MS,
-               warmup_ms: float = WARMUP_MS, seed: int = 11) -> dict:
+def run_figure() -> dict:
     runs = {
-        "incident": run_once(True, True, rate, duration_ms, warmup_ms,
-                             seed),
-        "raw": run_once(False, True, rate, duration_ms, warmup_ms, seed),
-        "baseline": run_once(True, False, rate, duration_ms, warmup_ms,
-                             seed),
-        "raw_clean": run_once(False, False, rate, duration_ms,
-                              warmup_ms, seed),
+        "incident": run_once(True, True),
+        "raw": run_once(False, True),
+        "baseline": run_once(True, False),
+        "raw_clean": run_once(False, False),
     }
     during_on = runs["incident"]["phases"]["during"]["goodput_rps"]
     during_off = runs["raw"]["phases"]["during"]["goodput_rps"]
@@ -182,17 +171,16 @@ def run_figure(rate: float = RATE_RPS, duration_ms: float = DURATION_MS,
             runs["baseline"]["dollars_per_op"]
             / runs["raw_clean"]["dollars_per_op"] - 1.0),
         "config": {
-            "rate_rps": rate,
-            "duration_ms": duration_ms,
-            "warmup_ms": warmup_ms,
-            "outage_ms": [OUTAGE_START_FRAC * duration_ms,
-                          OUTAGE_END_FRAC * duration_ms],
+            "rate_rps": RATE_RPS,
+            "duration_ms": DURATION_MS,
+            "warmup_ms": WARMUP_MS,
+            "outage_ms": list(OUTAGE_MS),
             "shards": SHARDS,
             "n_keys": N_KEYS,
             "max_in_flight": MAX_IN_FLIGHT,
             "max_queue": MAX_QUEUE,
             "knobs": dict(RESILIENCE_KNOBS),
-            "seed": seed,
+            "seed": SEED,
         },
     }
 
@@ -216,11 +204,3 @@ def figure_table(figure: dict) -> str:
     return format_table(
         title, ["run", "phase", "goodput", "p50 ms", "p99 ms", "failed"],
         rows)
-
-
-def main() -> None:  # pragma: no cover - manual driver
-    print(figure_table(run_figure()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

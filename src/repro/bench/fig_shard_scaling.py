@@ -127,14 +127,3 @@ def shard_dashboards(points: list[dict]) -> str:
             f"Per-shard metering — {point['shards']} shards",
             point["per_shard"]))
     return "\n\n".join(blocks)
-
-
-def main() -> None:  # pragma: no cover - manual driver
-    points = run_scaling()
-    print(scaling_table(points))
-    print()
-    print(shard_dashboards(points))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import subprocess
 from typing import Any, Iterable, Optional, Sequence
@@ -47,11 +46,8 @@ def write_bench_json(name: str, payload: dict,
     whose body differs from the new one in ``git_rev`` alone is left
     untouched, so ``git_rev`` is the revision at which the numbers last
     changed and re-running a bench does not dirty the tree.
-    ``BENCH_JSON_DIR`` overrides the output directory (CI artifact
-    staging).
     """
-    target = directory or pathlib.Path(
-        os.environ.get("BENCH_JSON_DIR", REPO_ROOT))
+    target = directory or REPO_ROOT
     target.mkdir(parents=True, exist_ok=True)
     body = dict(payload)
     body.setdefault("bench", name)

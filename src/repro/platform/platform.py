@@ -34,7 +34,7 @@ class PlatformConfig:
     concurrency_limit:
         Max simultaneously running function instances; the gateway rejects
         client requests beyond it (AWS: 1,000/account — scaled down for
-        bench runs, see EXPERIMENTS.md).
+        bench runs, see docs/benchmarks.md).
     default_timeout:
         Execution timeout in virtual ms; the "T" from which Beldi derives
         its GC synchrony bound.

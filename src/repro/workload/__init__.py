@@ -20,14 +20,10 @@ from repro.workload.openloop import (
     AdmissionStats,
     AdmissionWindow,
     OpenLoopConfig,
-    OpenLoopPoint,
     OpenLoopResult,
-    bursty_arrivals,
-    find_knee,
     merge_streams,
     poisson_arrivals,
     run_open_loop,
-    sweep_open_loop,
 )
 from repro.workload.recorder import LatencyRecorder
 from repro.workload.runner import (
@@ -46,12 +42,9 @@ __all__ = [
     "LoadGenerator",
     "LoadResult",
     "OpenLoopConfig",
-    "OpenLoopPoint",
     "OpenLoopResult",
     "SweepPoint",
     "ZipfSampler",
-    "bursty_arrivals",
-    "find_knee",
     "merge_streams",
     "poisson_arrivals",
     "run_closed_loop",
@@ -59,6 +52,5 @@ __all__ = [
     "run_open_loop",
     "run_sweep",
     "skewed_keys",
-    "sweep_open_loop",
     "zipf_weights",
 ]

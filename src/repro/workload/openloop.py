@@ -1,4 +1,4 @@
-"""Open-loop arrival processes, admission control, and RPS sweeps.
+"""Open-loop arrival processes, admission control, and the driver.
 
 The closed-loop runners (:mod:`repro.workload.runner`) measure *capacity*
 — N users, at most N in flight. Scale claims need the opposite: an
@@ -6,23 +6,26 @@ The closed-loop runners (:mod:`repro.workload.runner`) measure *capacity*
 or not earlier ones completed (wrk2's model, and the reason saturation
 knees are visible at all). This module provides:
 
-- deterministic **Poisson** and **bursty (on/off)** arrival generators —
-  pure functions of ``(seed, rate, horizon)``, so the same seed always
-  produces the same arrival sequence;
+- a deterministic **Poisson** arrival generator — a pure function of
+  ``(seed, rate, horizon)``, so the same seed always produces the same
+  arrival sequence;
 - :func:`merge_streams` for multi-class mixes (every class keeps its own
   generator stream; the merge is stable and sorted);
 - an **admission window** (:class:`AdmissionWindow`) bounding requests
-  in flight, with a shed-vs-queue policy and full accounting, applied
-  *before* the platform gateway — backpressure for when
-  ``ServiceCapacity`` queues saturate;
+  in flight, with a shed-vs-queue policy, applied *before* the platform
+  gateway — backpressure for when ``ServiceCapacity`` queues saturate.
+  Shed, queued and abandoned arrivals are all counted
+  (:class:`AdmissionStats`), so overload degrades into *metered*
+  shedding rather than an unbounded queue or collapse;
 - the open-loop driver (:func:`run_open_loop`): arrivals are scheduled
   at their intended virtual times regardless of completion, and response
   time is measured **from the intended arrival** — queueing delay in the
   admission window counts against the request, so the numbers cannot
-  exhibit coordinated omission;
-- a target-RPS sweep (:func:`sweep_open_loop`) and saturation-knee
-  detection (:func:`find_knee`) producing the latency-vs-offered-RPS
-  curve shape every scale claim is judged by.
+  exhibit coordinated omission.
+
+Rate ladders and the saturation knee are not defined here: the one knee
+rule is ``knee_of`` in ``perfbench/workloads.py`` (workload
+``profile-ladder``), which wraps :func:`run_open_loop`.
 
 Times are virtual milliseconds; rates are requests per virtual second.
 """
@@ -32,7 +35,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.platform.errors import (
     FunctionCrashed,
@@ -67,44 +70,6 @@ def poisson_arrivals(rate_rps: float, duration_ms: float,
     while t < duration_ms:
         out.append(t)
         t += expovariate(rate_per_ms)
-    return out
-
-
-def bursty_arrivals(rate_rps: float, duration_ms: float,
-                    rand: RandomSource,
-                    on_ms: float, off_ms: float,
-                    off_rate_rps: float = 0.0) -> list[float]:
-    """On/off modulated Poisson arrivals (bursty traffic).
-
-    Windows alternate ``on_ms`` at ``rate_rps`` and ``off_ms`` at
-    ``off_rate_rps`` (default silent), starting with an on-window.
-    Within each window the process is Poisson at that window's rate;
-    because the exponential is memoryless, restarting the draw at each
-    boundary is *exactly* a rate-modulated Poisson process, not an
-    approximation.
-    """
-    if rate_rps <= 0:
-        raise ValueError(f"on-rate must be positive, got {rate_rps}")
-    if on_ms <= 0 or off_ms < 0:
-        raise ValueError(f"bad window lengths: on={on_ms}, off={off_ms}")
-    if off_rate_rps < 0:
-        raise ValueError(f"negative off-rate: {off_rate_rps}")
-    expovariate = rand.expovariate
-    out: list[float] = []
-    window_start = 0.0
-    on = True
-    while window_start < duration_ms:
-        width = on_ms if on else off_ms
-        end = min(window_start + width, duration_ms)
-        rate = rate_rps if on else off_rate_rps
-        if rate > 0 and end > window_start:
-            rate_per_ms = rate / 1000.0
-            t = window_start + expovariate(rate_per_ms)
-            while t < end:
-                out.append(t)
-                t += expovariate(rate_per_ms)
-        window_start += width
-        on = not on
     return out
 
 
@@ -386,96 +351,3 @@ def run_open_loop(runtime: Any, entry: str,
     # timers forever, so an unbounded run() is not an option).
     kernel.run(until=base + horizon + cfg.drain_ms)
     return result
-
-
-# ---------------------------------------------------------------------------
-# sweeps and the knee
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OpenLoopPoint:
-    rate: float
-    result: OpenLoopResult
-
-    def row(self) -> dict:
-        return self.result.row()
-
-
-def sweep_open_loop(build: Callable[[], tuple[Any, str,
-                                              Callable[..., Any]]],
-                    rates: Iterable[float], duration_ms: float,
-                    config: Optional[OpenLoopConfig] = None,
-                    seed: int = 0,
-                    arrival_model: str = "poisson",
-                    burst_on_ms: float = 1_000.0,
-                    burst_off_ms: float = 1_000.0) -> list[OpenLoopPoint]:
-    """Latency-vs-offered-RPS sweep over fresh runtimes.
-
-    ``build`` constructs a fresh runtime+app per rate point (the paper's
-    methodology: each offered load measured from a clean system).
-    ``arrival_model`` is ``"poisson"`` or ``"bursty"``; bursty sweeps
-    keep the *average* window structure fixed and scale the on-rate.
-    """
-    cfg = config or OpenLoopConfig()
-    points = []
-    for rate in rates:
-        runtime, entry, sample = build()
-        rand = RandomSource(seed, f"openloop/arrivals/{rate}")
-        horizon = cfg.warmup_ms + duration_ms
-        if arrival_model == "poisson":
-            arrivals = poisson_arrivals(rate, horizon, rand)
-        elif arrival_model == "bursty":
-            arrivals = bursty_arrivals(rate, horizon, rand,
-                                       on_ms=burst_on_ms,
-                                       off_ms=burst_off_ms)
-        else:
-            raise ValueError(f"unknown arrival model: {arrival_model!r}")
-        result = run_open_loop(runtime, entry, sample, arrivals,
-                               config=cfg, seed=seed, offered_rps=rate,
-                               duration_ms=duration_ms)
-        points.append(OpenLoopPoint(rate=rate, result=result))
-        runtime.stop_collectors()
-        runtime.kernel.shutdown()
-    return points
-
-
-def find_knee(points: Sequence[OpenLoopPoint],
-              latency_factor: float = 3.0,
-              goodput_floor: float = 0.95) -> dict:
-    """Identify the saturation knee of a latency-vs-RPS curve.
-
-    A point is *saturated* when its completions fall below
-    ``goodput_floor x`` its actual offered arrivals (work is being shed
-    or erred away — counted against the realized arrival count, not the
-    nominal rate, so Poisson count noise cannot fake saturation) or its
-    p99 exceeds ``latency_factor x`` the first point's p99 (queueing
-    has taken over). The knee is the last unsaturated offered rate.
-
-    Returns ``{"knee_rps", "saturated_at", "baseline_p99_ms"}`` where
-    ``saturated_at`` is the first saturated rate (None if the sweep
-    never saturates — the caller should extend the sweep).
-    """
-    if not points:
-        raise ValueError("empty sweep")
-    first = points[0].result
-    baseline_p99 = (first.recorder.p99 if first.recorder.samples
-                    else float("nan"))
-    knee = None
-    saturated_at = None
-    for point in points:
-        result = point.result
-        offered = point.rate
-        goodput_ok = result.completed >= goodput_floor * result.offered
-        p99 = (result.recorder.p99 if result.recorder.samples
-               else float("inf"))
-        latency_ok = (baseline_p99 == baseline_p99
-                      and p99 <= latency_factor * baseline_p99)
-        if goodput_ok and latency_ok:
-            knee = offered
-        elif saturated_at is None:
-            saturated_at = offered
-    return {
-        "knee_rps": knee,
-        "saturated_at": saturated_at,
-        "baseline_p99_ms": baseline_p99,
-    }

@@ -64,13 +64,15 @@ def run_closed_loop(runtime: Any, entry: str,
     them — the measurement shard scaling is judged by, complementing the
     open-loop generator's saturation knees. The makespan ends when the
     last user finishes; platform watchdog events draining afterwards are
-    not workload time. Platform-level failures (crash, timeout,
-    rejection) are counted, not raised.
+    not workload time, and the last user to finish stops the runtime's
+    collector timers so the kernel can drain at all. Platform-level
+    failures (crash, timeout, rejection) are counted, not raised.
     """
     from repro.platform.errors import (FunctionCrashed, FunctionTimeout,
                                        TooManyRequests)
     result = ClosedLoopResult(makespan_ms=0.0, failures=0)
     finished_at = [0.0]
+    remaining = [len(user_payloads)]
     obs = getattr(runtime, "obs", None)
 
     def user(payloads: Sequence[Any]) -> None:
@@ -89,6 +91,9 @@ def run_closed_loop(runtime: Any, entry: str,
                 obs.metrics.observe("request.latency_ms",
                                     runtime.kernel.now - start)
         finished_at[0] = max(finished_at[0], runtime.kernel.now)
+        remaining[0] -= 1
+        if remaining[0] == 0:
+            runtime.stop_collectors()
 
     start = runtime.kernel.now
     for index, payloads in enumerate(user_payloads):

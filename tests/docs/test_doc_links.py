@@ -1,4 +1,6 @@
-"""Docs link check: every relative link in docs/ and ROADMAP.md resolves.
+"""Docs link check: every relative link in docs/ and ROADMAP.md resolves,
+and so does every ``*.md`` page a source file under src/ or benchmarks/
+points its reader at.
 
 Run by the tier-1 suite and by CI's docs link-check step, so a renamed
 page or a typoed path fails the build instead of rotting silently.
@@ -16,6 +18,8 @@ LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: Backticked repo paths we also verify (docs name many files inline).
 CODE_PATH = re.compile(r"`((?:src|tests|benchmarks|docs|bench)/[^`*?]+?)`")
 EXTERNAL = ("http://", "https://", "mailto:")
+#: A markdown page named in Python source, as a path from the repo root.
+MD_NAME = re.compile(r"(?<![\w./-])[\w./-]+\.md\b")
 
 
 def doc_files() -> list[pathlib.Path]:
@@ -66,3 +70,15 @@ def test_backticked_repo_paths_exist():
             if not (REPO / target).exists():
                 broken.append(f"{doc.relative_to(REPO)} -> {target}")
     assert not broken, "stale repo paths in docs:\n" + "\n".join(broken)
+
+
+def test_md_pages_named_in_source_exist():
+    sources = sorted((REPO / "src").rglob("*.py")) + sorted(
+        (REPO / "benchmarks").glob("*.py"))
+    named = [(source.relative_to(REPO), name)
+             for source in sources
+             for name in MD_NAME.findall(source.read_text())]
+    assert len(named) > 10, "the scan found almost nothing"
+    broken = [f"{source} -> {name}" for source, name in named
+              if not (REPO / name).is_file()]
+    assert not broken, "source names missing pages:\n" + "\n".join(broken)

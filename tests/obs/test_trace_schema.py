@@ -160,6 +160,19 @@ def test_flag_off_is_bit_for_bit_identical(traced):
     assert dst.final_state(dark) == dst.final_state(traced)
 
 
+def test_tracing_is_free_on_the_paper_profile_too():
+    """The sequential seed-faithful paths carry their own hook sites:
+    traced and dark agree on results, virtual time and the bill."""
+    traced = dst.run_one({"profile": "paper", "observability": True})
+    dark = dst.run_one({"profile": "paper"})
+    assert dark.travel.obs is None
+    assert validate_chrome_trace(traced.travel.obs.tracer.to_chrome()) == []
+    assert dark.results == traced.results
+    assert dark.kernel.now == traced.kernel.now
+    assert (dark.travel.store.metering.dollar_cost()
+            == traced.travel.store.metering.dollar_cost())
+
+
 def test_unified_snapshot_sections(traced):
     snap = traced.travel.obs.snapshot(traced.travel)
     # Registry sections are always present.

@@ -4,14 +4,15 @@ control, measurement semantics, and exactly-once under crashes.
 Four layers, mirroring the module's own structure:
 
 - **arrival generators** — determinism (same seed, same sequence),
-  empirical rate against theory, bursty duty cycles, stable merges
-  (hypothesis drives the shape properties);
+  empirical rate against theory, stable merges (hypothesis drives the
+  shape properties);
 - **admission window** — deterministic shedding, FIFO slot handoff,
   queue bounds, and the kill-a-queued-waiter path that crash sweeps
   exercise (no capacity may leak);
 - **open-loop driver** — response time runs from the *intended*
   arrival (coordinated omission is structurally impossible), warmup
-  exclusion, shed accounting, knee detection;
+  exclusion, shed accounting, and overload on a real store: shedding
+  without collapse at a flat $/request;
 - **crash sweep** — an open-loop mix with an injected crash at every
   sampled crash point still applies each request's effect exactly
   once after intent-collector recovery.
@@ -20,7 +21,6 @@ Four layers, mirroring the module's own structure:
 from __future__ import annotations
 
 import itertools
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -33,10 +33,7 @@ from repro.sim.randsrc import RandomSource
 from repro.workload import (
     AdmissionWindow,
     OpenLoopConfig,
-    OpenLoopPoint,
     OpenLoopResult,
-    bursty_arrivals,
-    find_knee,
     merge_streams,
     poisson_arrivals,
     run_open_loop,
@@ -84,69 +81,6 @@ class TestPoissonArrivals:
             poisson_arrivals(0.0, 1_000.0, RandomSource(1, "p"))
         with pytest.raises(ValueError):
             poisson_arrivals(100.0, -1.0, RandomSource(1, "p"))
-
-
-class TestBurstyArrivals:
-    @settings(max_examples=25, deadline=None)
-    @given(seed=SEEDS, rate=st.floats(min_value=1.0, max_value=1000.0))
-    def test_same_seed_same_sequence(self, seed, rate):
-        args = (rate, 3_000.0)
-        first = bursty_arrivals(*args, RandomSource(seed, "b"),
-                                on_ms=200.0, off_ms=300.0)
-        second = bursty_arrivals(*args, RandomSource(seed, "b"),
-                                 on_ms=200.0, off_ms=300.0)
-        assert first == second
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=SEEDS, on_ms=st.floats(min_value=10.0, max_value=500.0),
-           off_ms=st.floats(min_value=10.0, max_value=500.0))
-    def test_silent_off_windows(self, seed, on_ms, off_ms):
-        """With off_rate=0, every arrival lands inside an on-window —
-        checked against the same alternating-window walk the generator
-        itself performs (no float-modulo guessing)."""
-        horizon = 5_000.0
-        times = bursty_arrivals(400.0, horizon, RandomSource(seed, "b"),
-                                on_ms=on_ms, off_ms=off_ms)
-        assert all(a < b for a, b in zip(times, times[1:]))
-        windows = []
-        start, on = 0.0, True
-        while start < horizon:
-            width = on_ms if on else off_ms
-            if on:
-                windows.append((start, min(start + width, horizon)))
-            start += width
-            on = not on
-        for t in times:
-            assert any(lo <= t < hi for lo, hi in windows), (
-                f"arrival {t} outside every on-window")
-
-    def test_duty_cycle_rate(self):
-        """A 40% duty cycle at 1000 RPS averages 400 RPS: expected count
-        over 100s is 40,000, sigma=200, so 4 sigma is +-800."""
-        times = bursty_arrivals(1000.0, 100_000.0, RandomSource(4, "b"),
-                                on_ms=400.0, off_ms=600.0)
-        assert 39_200 <= len(times) <= 40_800
-
-    def test_off_rate_fills_off_windows(self):
-        """A nonzero off-rate keeps a trickle flowing between bursts."""
-        times = bursty_arrivals(500.0, 50_000.0, RandomSource(6, "b"),
-                                on_ms=500.0, off_ms=500.0,
-                                off_rate_rps=50.0)
-        period = 1_000.0
-        off_count = sum(1 for t in times
-                        if math.fmod(t, period) >= 500.0)
-        # ~50 RPS for 25s of off-time -> ~1250 arrivals; demand a wide band.
-        assert 900 <= off_count <= 1_700
-
-    def test_rejects_bad_parameters(self):
-        rand = RandomSource(1, "b")
-        with pytest.raises(ValueError):
-            bursty_arrivals(0.0, 1_000.0, rand, on_ms=10.0, off_ms=10.0)
-        with pytest.raises(ValueError):
-            bursty_arrivals(10.0, 1_000.0, rand, on_ms=0.0, off_ms=10.0)
-        with pytest.raises(ValueError):
-            bursty_arrivals(10.0, 1_000.0, rand, on_ms=10.0, off_ms=10.0,
-                            off_rate_rps=-1.0)
 
 
 class TestMergeStreams:
@@ -372,52 +306,14 @@ class TestOpenLoopDriver:
         assert result.completed == 3
 
 
-def _synthetic_point(rate: float, goodput_frac: float,
-                     p99_ms: float) -> OpenLoopPoint:
-    result = OpenLoopResult(offered_rps=rate, duration_ms=1_000.0)
-    result.offered = int(rate)
-    for _ in range(max(1, int(rate * goodput_frac))):
-        result.recorder.record(0.0, p99_ms)
-    return OpenLoopPoint(rate=rate, result=result)
-
-
-class TestFindKnee:
-    def test_goodput_collapse_marks_saturation(self):
-        points = [_synthetic_point(100.0, 1.0, 10.0),
-                  _synthetic_point(200.0, 1.0, 12.0),
-                  _synthetic_point(400.0, 0.5, 25.0)]
-        knee = find_knee(points)
-        assert knee["knee_rps"] == 200.0
-        assert knee["saturated_at"] == 400.0
-        assert knee["baseline_p99_ms"] == 10.0
-
-    def test_latency_blowup_marks_saturation(self):
-        """Goodput can keep up while p99 explodes — still saturated."""
-        points = [_synthetic_point(100.0, 1.0, 10.0),
-                  _synthetic_point(200.0, 1.0, 100.0)]
-        knee = find_knee(points)
-        assert knee["knee_rps"] == 100.0
-        assert knee["saturated_at"] == 200.0
-
-    def test_unsaturated_sweep_has_no_knee_end(self):
-        points = [_synthetic_point(100.0, 1.0, 10.0),
-                  _synthetic_point(200.0, 1.0, 11.0)]
-        knee = find_knee(points)
-        assert knee["knee_rps"] == 200.0
-        assert knee["saturated_at"] is None
-
-    def test_empty_sweep_rejected(self):
-        with pytest.raises(ValueError):
-            find_knee([])
-
-
 # ---------------------------------------------------------------------------
-# exactly-once under an open-loop crash sweep
+# a real store: overload, and exactly-once under an open-loop crash sweep
 # ---------------------------------------------------------------------------
 
-def _crash_runtime() -> tuple[BeldiRuntime, object]:
+def _bump_runtime(latency_scale: float = 0.0
+                  ) -> tuple[BeldiRuntime, object]:
     runtime = BeldiRuntime(
-        seed=5, latency_scale=0.0,
+        seed=5, latency_scale=latency_scale,
         config=BeldiConfig(ic_restart_delay=200.0, gc_t=1e12,
                            lock_retry_backoff=5.0, lock_retry_limit=500),
         platform_config=PlatformConfig(concurrency_limit=400),
@@ -466,6 +362,42 @@ def _open_loop_mix(runtime) -> OpenLoopResult:
                          config=config, seed=7)
 
 
+def _shed_run(rate_rps: float) -> tuple[OpenLoopResult, float]:
+    """``rate_rps`` for 3 virtual seconds into an 8-slot shed window at
+    real latencies (a request is ~63 ms, so the window serves ~120 RPS);
+    returns the result and the metered $ per completed request."""
+    runtime, _ssf = _bump_runtime(latency_scale=1.0)
+    sample = _make_sample()
+    arrivals = poisson_arrivals(rate_rps, 3_000.0,
+                                RandomSource(7, "overload"))
+    before = runtime.store.metering.dollar_cost()
+    result = run_open_loop(
+        runtime, "bump", lambda rand: sample(rand, "user"), arrivals,
+        config=OpenLoopConfig(max_in_flight=8, policy="shed",
+                              drain_ms=5_000.0),
+        seed=7, duration_ms=3_000.0)
+    dollars = runtime.store.metering.dollar_cost() - before
+    runtime.kernel.shutdown()
+    return result, dollars / result.completed
+
+
+def test_overload_sheds_without_collapse_at_flat_cost():
+    """Ten times what the window can serve: the excess is shed on
+    arrival (accounted, never a crash or a timeout), goodput holds at
+    what the window serves, and a served request costs what it costs on
+    an unsaturated system."""
+    calm, calm_cost = _shed_run(40.0)
+    assert calm.shed == 0 and calm.errors == 0
+    assert calm.completed == calm.offered
+
+    loaded, loaded_cost = _shed_run(1_200.0)
+    assert loaded.shed > 0
+    assert loaded.errors == 0 and loaded.rejected == 0
+    assert loaded.completed + loaded.shed == loaded.offered
+    assert loaded.goodput_rps >= 0.7 * calm.goodput_rps
+    assert loaded_cost <= 1.25 * calm_cost
+
+
 def _recover(runtime) -> None:
     elapsed = runtime.kernel.now
     for _ in range(100):
@@ -482,7 +414,7 @@ def test_open_loop_crash_sweep_exactly_once():
     intent-collector recovery, the per-user counters account for every
     admitted request exactly once — no lost increments, no replays —
     and the admission window's books balance."""
-    runtime, ssf = _crash_runtime()
+    runtime, ssf = _bump_runtime()
     recording = RecordingPolicy()
     runtime.platform.crash_policy = recording
     assert runtime.run_workflow("bump", {"user": "warm-0000"}).get("ok")
@@ -493,7 +425,7 @@ def test_open_loop_crash_sweep_exactly_once():
     sampled = points[::step]
 
     for function, index, tag in sampled:
-        runtime, ssf = _crash_runtime()
+        runtime, ssf = _bump_runtime()
         runtime.platform.crash_policy = CrashOnce(
             function, tag, invocation_index=index)
         runtime.start_collectors(ic_period=200.0, gc_period=1e12)

@@ -1,5 +1,7 @@
 """Tests for the load generator and latency recorder."""
 
+import threading
+
 import pytest
 
 from repro.core import BaselineRuntime, BeldiRuntime
@@ -249,3 +251,27 @@ class TestClosedLoop:
         assert result.completed + result.failures == 8
         assert result.failures > 0
         runtime.kernel.shutdown()
+
+    def test_returns_while_collectors_are_armed(self):
+        """Collector timers re-arm forever; the last user to finish must
+        stop them or ``kernel.run()`` never drains. Run on a side thread
+        so a regression fails the join instead of hanging CI."""
+        from repro.workload import run_closed_loop
+        runtime, _ssf = self._runtime()
+        runtime.start_collectors(ic_period=1_000.0, gc_period=1_000.0)
+        box = {}
+        worker = threading.Thread(
+            target=lambda: box.update(result=run_closed_loop(
+                runtime, "echo",
+                [[{"key": "a", "value": k} for k in range(3)]])),
+            daemon=True)
+        worker.start()
+        worker.join(timeout=20.0)
+        hung = worker.is_alive()
+        if hung:
+            runtime.stop_collectors()
+            worker.join(timeout=20.0)
+        runtime.kernel.shutdown()
+        assert not hung, "run_closed_loop did not return"
+        assert box["result"].completed == 3
+        assert box["result"].makespan_ms < 1_000.0

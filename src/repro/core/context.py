@@ -87,7 +87,7 @@ class BeldiContext:
     def obs(self):
         """The runtime's observability hub, or ``None`` when the
         ``observability`` flag is off (the default)."""
-        return getattr(self.runtime, "obs", None)
+        return self.runtime.obs
 
     @property
     def deadline(self) -> Optional[float]:
@@ -106,6 +106,13 @@ class BeldiContext:
         if obs is None:
             return _NULL_SPAN
         return obs.tracer.span(name, cat=cat, span_id=span_id, **args)
+
+    def lifecycle(self, name: str, **args: Any) -> None:
+        """Emit a lifecycle event of this instance under *this*
+        execution (:meth:`InvocationContext.lifecycle`) — also from a
+        parallel-invoke branch, which runs in a process of its own."""
+        self.platform_ctx.lifecycle(name, instance=self.instance_id,
+                                    **args)
 
     def next_step(self) -> int:
         step = self._step

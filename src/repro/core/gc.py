@@ -115,7 +115,7 @@ def make_garbage_collector(runtime, env: BeldiEnv):
 
     def garbage_collector(platform_ctx: InvocationContext,
                           payload: Any) -> dict:
-        obs = getattr(runtime, "obs", None)
+        obs = runtime.obs
         if obs is None:
             return _collect(platform_ctx, payload)
         with obs.tracer.span("gc.pass", cat="gc", env=env.name):

@@ -147,17 +147,19 @@ def _write_claim(ctx, entry: dict, call: dict) -> Any:
 
     Returns the logged result, or ``NO_RESULT``.
     """
+    logged = NO_RESULT
     try:
         ctx.store.put(ctx.env.invoke_log, entry,
                       condition=AttrNotExists("InstanceId"))
-        return NO_RESULT
     except ConditionFailed:
         record = ctx.store.get(ctx.env.invoke_log,
                                (ctx.instance_id, entry["Step"]))
         if record is None:
             raise InvokeFailed("invoke log entry vanished") from None
         call["instance_id"] = record["CalleeId"]
-        return record.get("Result", NO_RESULT)
+        logged = record.get("Result", NO_RESULT)
+    ctx.lifecycle("claim", step=entry["Step"])
+    return logged
 
 
 def _check_logged_result(ctx, step: int) -> Any:
@@ -289,6 +291,8 @@ def prepare_parallel_invokes(ctx, calls: list) -> list:
     first_step = prepared[0]["step"]
     ctx.crash_point(f"pinvoke:{first_step}:before-claim")
     batch_write_all(ctx.store, ctx.env.invoke_log, puts=entries)
+    for entry in entries:
+        ctx.lifecycle("claim", step=entry["Step"])
     ctx.crash_point(f"pinvoke:{first_step}:after-claim")
     return prepared
 

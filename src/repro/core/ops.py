@@ -222,6 +222,7 @@ def flush_read_log(ctx) -> None:
         ctx.pending_reads = []
         if winner is not None and winner != values:
             raise ReadLogLost()
+        ctx.lifecycle("flush")
         ctx.crash_point(f"readlog:{first}:after-flush")
 
 

@@ -255,10 +255,9 @@ class BeldiRuntime:
         self.obs = None
         if self.config.observability:
             from repro.obs import Observability
-            self.obs = getattr(self.store, "obs", None) or Observability(
-                self.kernel)
+            self.obs = self.store.obs or Observability(self.kernel)
             self.obs.attach_store(self.store)
-            if getattr(self.kernel, "tracer", None) is None:
+            if self.kernel.tracer is None:
                 self.kernel.tracer = self.obs.tracer
         #: Retry/backoff/deadline/breaker layer (``repro.resilience``).
         #: ``None`` without the feature; otherwise one shared
@@ -398,10 +397,10 @@ class BeldiRuntime:
             if kind == "call":
                 return self._handle_call(ssf, platform_ctx, payload)
             if kind == "sync_callback":
-                return self._handle_callback(ssf, payload,
+                return self._handle_callback(ssf, platform_ctx, payload,
                                              payload.get("result"))
             if kind == "async_callback":
-                return self._handle_callback(ssf, payload,
+                return self._handle_callback(ssf, platform_ctx, payload,
                                              invoke.ASYNC_ACK)
             if kind == "async_register":
                 return self._handle_async_register(ssf, platform_ctx,
@@ -434,21 +433,24 @@ class BeldiRuntime:
         # A sync callee's execution up to its reply sits inside the
         # caller's invoke-step span; the two run on different worker
         # threads, so the edge is an explicit parent reference, not
-        # stack nesting.
+        # stack nesting. It is also what joins the platform's ``start``
+        # and ``consumed`` events for this invocation to that step.
         parent = (f"{caller['instance_id']}#{caller['step']}"
                   if caller and not payload.get("async") else None)
         with contextlib.ExitStack() as spans:
             spans.enter_context(tracer.span(
                 f"request:{ssf.name}", cat="request", span_id=instance_id,
                 parent_id=parent, function=ssf.name,
-                invocation=platform_ctx.invocation_index))
+                invocation=platform_ctx.invocation_index,
+                request=platform_ctx.request_id,
+                txn=bool(payload.get("txn"))))
 
             def reply(result: Any) -> None:
                 # The caller's step span ends at the reply, so the
                 # request span does too; what follows is off the
                 # critical path and gets a row (and a root) of its own.
                 platform_ctx.respond(result)
-                tracer.event("reply", cat="request", function=ssf.name)
+                platform_ctx.lifecycle("reply", instance=instance_id)
                 spans.close()
                 spans.enter_context(tracer.span(
                     f"tail:{ssf.name}", cat="request",
@@ -549,6 +551,7 @@ class BeldiRuntime:
                           instance_id, result)
             platform_ctx.crash_point("callback:done")
         intents.mark_done(env, instance_id, result)
+        platform_ctx.lifecycle("done", instance=instance_id)
         self._remember_done(instance_id, result, effective_caller)
         platform_ctx.crash_point("done:marked")
         return result
@@ -628,11 +631,14 @@ class BeldiRuntime:
                 self.kernel.sleep(
                     self.config.invoke_retry_backoff * attempts)
 
-    def _handle_callback(self, ssf: SSFDefinition, payload: dict,
+    def _handle_callback(self, ssf: SSFDefinition,
+                         platform_ctx: InvocationContext, payload: dict,
                          result: Any) -> str:
         recorded = invoke.record_callback(
             ssf.env, ssf.env.store, payload["log_instance"],
             payload["log_step"], payload["callee_id"], result)
+        # Recorded or ignored: either way the callee may finish (§4.5).
+        platform_ctx.lifecycle("callback", callee=payload["callee_id"])
         return "recorded" if recorded else "ignored"
 
     def _handle_async_register(self, ssf: SSFDefinition,

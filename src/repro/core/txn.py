@@ -220,7 +220,7 @@ def resolve_local(env: BeldiEnv, txn_id: str, mode: str) -> dict:
     flush/release is individually idempotent — overlap changes when
     virtual time passes, never which conditional writes land.
     """
-    obs = getattr(env.store, "obs", None)
+    obs = env.store.obs
     if obs is None:
         return _resolve_local(env, txn_id, mode)
     with obs.tracer.span("txn.resolve", cat="txn", mode=mode,

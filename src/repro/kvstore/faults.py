@@ -311,7 +311,7 @@ class FaultTimeline:
             self._fire(node, tag, now)
 
     def _fire(self, node, tag: str, now: float) -> None:
-        obs = getattr(node, "obs", None)
+        obs = node.obs
         if obs is not None:
             obs.metrics.inc("resilience.fault_edges")
             obs.tracer.event(tag, cat="fault", at=now)

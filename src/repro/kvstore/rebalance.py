@@ -249,7 +249,7 @@ class ChainMigrator:
             if self.on_moved is not None:
                 self.on_moved(table, key)
         self.stats.migrations += len(committed)
-        obs = getattr(self.store, "obs", None)
+        obs = self.store.obs
         if obs is not None and committed:
             obs.tracer.event(
                 "migration:committed", cat="elasticity",

@@ -42,7 +42,9 @@ def _sanitize(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_sanitize(item) for item in value]
     if isinstance(value, dict):
-        return {str(k): _sanitize(v) for k, v in sorted(value.items())}
+        # Keys of mixed types do not compare; their rendered form does.
+        return {str(k): _sanitize(v) for k, v in sorted(
+            value.items(), key=lambda item: str(item[0]))}
     text = str(value)
     return text if "0x" not in text else type(value).__name__
 

@@ -78,6 +78,18 @@ class InvocationContext:
         """Fire-and-forget invocation of another function."""
         self.platform.async_invoke(function, payload)
 
+    # -- lifecycle events ------------------------------------------------------------
+    def lifecycle(self, name: str, **args: Any) -> None:
+        """Say that a lifecycle fact of this invocation just became
+        true: one ``cat="lifecycle"`` instant event that names its
+        execution — this worker — explicitly, whichever process runs the
+        code (``docs/observability.md``). Nothing when tracing is off."""
+        tracer = self.platform.kernel.tracer
+        if tracer is not None:
+            tracer.event(name, cat="lifecycle", function=self.function,
+                         invocation=self.invocation_index,
+                         request=self.request_id, **args)
+
     # -- fault injection -----------------------------------------------------------
     def crash_point(self, tag: str) -> None:
         """Die here if the active crash policy says so.
@@ -89,7 +101,7 @@ class InvocationContext:
         policy = self.platform.crash_policy
         if policy.should_crash(self.function, self.invocation_index, tag):
             self.platform.stats.injected_crashes += 1
-            tracer = getattr(self.platform.kernel, "tracer", None)
+            tracer = self.platform.kernel.tracer
             if tracer is not None:
                 tracer.event(f"crash:{tag}", cat="fault",
                              function=self.function,

@@ -169,6 +169,7 @@ class ServerlessPlatform:
         deadline = now + entry.timeout  # dispatch latency included, like AWS
         ctx = InvocationContext(self, entry.name, request_id, index,
                                 deadline, cold)
+        ctx.lifecycle("start")
 
         def worker() -> Any:
             try:
@@ -216,14 +217,17 @@ class ServerlessPlatform:
         if ctx.responded:
             # The response was handed over; whatever became of the
             # worker afterwards is not the waiter's business.
-            return ctx.response
-        if proc.error is not None:
-            if isinstance(proc.error, ProcessCrashed):
-                raise FunctionCrashed(f"{proc.name} crashed") from None
-            if isinstance(proc.error, ProcessKilled):
-                raise FunctionTimeout(f"{proc.name} timed out") from None
+            result = ctx.response
+        elif proc.error is None:
+            result = proc.result
+        elif isinstance(proc.error, ProcessCrashed):
+            raise FunctionCrashed(f"{proc.name} crashed") from None
+        elif isinstance(proc.error, ProcessKilled):
+            raise FunctionTimeout(f"{proc.name} timed out") from None
+        else:
             raise proc.error
-        return proc.result
+        ctx.lifecycle("consumed")
+        return result
 
     # -- public invocation API ----------------------------------------------------------
     def sync_invoke(self, name: str, payload: Any,

@@ -209,7 +209,7 @@ class Process:
             return
         self.killed = True
         self._kill_exc = ProcessCrashed() if crash else ProcessKilled()
-        tracer = getattr(self._kernel, "tracer", None)
+        tracer = self._kernel.tracer
         if tracer is not None:
             tracer.event("kill", cat="fault", crash=crash,
                          process=self.name)

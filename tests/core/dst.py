@@ -230,8 +230,9 @@ def build_harness(flags: dict, schedule=None,
 def run_requests(h: Harness, requests=REQUESTS,
                  horizon: float = RECOVERY_HORIZON) -> dict:
     """Issue every request concurrently; drive until all clients have a
-    result and no intent is pending anywhere — with the callee lifecycle
-    order checked over every execution. Returns name -> result."""
+    result and no intent is pending anywhere — with the lifecycle orders
+    checked over every execution of a traced run. Returns name ->
+    result."""
     results: dict = {}
 
     def client(req: Request) -> None:
@@ -253,45 +254,47 @@ def run_requests(h: Harness, requests=REQUESTS,
             # check_effects still demands exactly-once.
             results[req.name] = "crashed"
 
-    with lifecycle.recording() as ledger:
-        for runtime in h.runtimes.values():
-            runtime.start_collectors(ic_period=100.0, gc_period=1e12)
-        for req in requests:
-            h.kernel.spawn(client, req, name=f"client-{req.name}")
-        elapsed = 0.0
-        while elapsed < horizon:
-            elapsed += RECOVERY_SLICE
-            h.kernel.run(until=elapsed)
-            if len(results) < len(requests):
-                continue
-            try:
-                if all(not intents.pending_intents(env)
-                       for runtime in h.runtimes.values()
-                       for env in runtime.envs.values()):
-                    break
-            except (ThrottledError, UnavailableError):
-                # The store is dark at this poll instant — the intents
-                # can't be inspected, so by definition they aren't done.
-                # Keep driving; the post-heal poll settles it.
-                continue
-        for runtime in h.runtimes.values():
-            runtime.stop_collectors()
+    for runtime in h.runtimes.values():
+        runtime.start_collectors(ic_period=100.0, gc_period=1e12)
+    for req in requests:
+        h.kernel.spawn(client, req, name=f"client-{req.name}")
+    elapsed = 0.0
+    while elapsed < horizon:
+        elapsed += RECOVERY_SLICE
+        h.kernel.run(until=elapsed)
+        if len(results) < len(requests):
+            continue
+        try:
+            if all(not intents.pending_intents(env)
+                   for runtime in h.runtimes.values()
+                   for env in runtime.envs.values()):
+                break
+        except (ThrottledError, UnavailableError):
+            # The store is dark at this poll instant — the intents
+            # can't be inspected, so by definition they aren't done.
+            # Keep driving; the post-heal poll settles it.
+            continue
+    for runtime in h.runtimes.values():
+        runtime.stop_collectors()
+    h.kernel.run(until=elapsed + RECOVERY_SLICE)
+    # A chain migration can outlive the requests (riding out a
+    # leader election, say). The checks below read the store from
+    # outside the kernel, where a token still latched by a frozen
+    # migration would be waited on forever: let it finish.
+    while getattr(h.travel.store, "_latched", None):
+        elapsed += RECOVERY_SLICE
         h.kernel.run(until=elapsed + RECOVERY_SLICE)
-        # A chain migration can outlive the requests (riding out a
-        # leader election, say). The checks below read the store from
-        # outside the kernel, where a token still latched by a frozen
-        # migration would be waited on forever: let it finish.
-        while getattr(h.travel.store, "_latched", None):
-            elapsed += RECOVERY_SLICE
-            h.kernel.run(until=elapsed + RECOVERY_SLICE)
     assert len(results) == len(requests), (
         f"clients never completed: have {sorted(results)}")
     for runtime in h.runtimes.values():
         assert all(not intents.pending_intents(env)
                    for env in runtime.envs.values()), (
             "unfinished intents survived recovery")
-    # Orders no final store shows: flush < reply, callback < Done.
-    ledger.check()
+    # Orders no final store shows (flush < reply, callback < Done, ...),
+    # read off the run's trace; a dark run (the dark-parity tests, the
+    # kernel goldens) recorded none and is checked as its traced twin.
+    if h.travel.obs is not None:
+        lifecycle.check(h.travel.obs.tracer.records)
     h.results = results
     return results
 
@@ -496,7 +499,7 @@ def _write_failure_artifact(seed: int, trace: list,
                 if h is not None else None)
     if timeline is not None:
         artifact["fault_timeline"] = timeline.describe()
-    obs = getattr(h.travel, "obs", None) if h is not None else None
+    obs = h.travel.obs if h is not None else None
     if obs is not None:
         # Attach the virtual-time trace and the unified metrics snapshot
         # of the failing run, so the artifact alone explains *what the

@@ -1,178 +1,100 @@
 """The invoke lifecycle ledger: claim → start → flush → reply →
-consumed, and callback → ``Done``.
+consumed, and callback → ``Done`` — read off a run's trace.
 
 §4.5 orders a sync callee's callback before its ``Done``; replying before
-the callback (``docs/async_io.md``) adds that the reply never precedes
-the read-log flush; the pipelined invoke open adds that a caller consumes
-a reply only once its invoke-log claim is durable, and that a callee
-inside a transaction never *starts* before it. All are *orders*,
-invisible in a final store, so this module records the events as they
-happen — by wrapping the function each goes through — and checks every
-execution of every instance::
-
-    with lifecycle.recording() as ledger:
-        ...run anything: a sweep point, an explored schedule...
-    ledger.check()
-
-One ledger covers one run: instance ids are seeded, so two runs of one
-seed reuse them.
+the callback (``docs/async_io.md``) adds flush before reply; the
+pipelined invoke open adds claim before consumed and, inside a
+transaction, before the callee's start. All are *orders*, invisible in a
+final store. The protocol says each fact where it becomes true, as a
+``cat="lifecycle"`` instant event (``docs/observability.md``); these
+are pure functions over one run's records: build the runtime with
+``observability=True``, run anything (a sweep point, an explored
+schedule), then ``lifecycle.check(runtime.obs.tracer.records)``.
 """
 
-from __future__ import annotations
-
-import contextlib
-import threading
-from unittest import mock
-
-from repro.core import intents, invoke, ops
-from repro.core.runtime import BeldiRuntime
-from repro.platform import ServerlessPlatform
-from repro.platform.context import InvocationContext
+#: The only events :func:`rows` reads; ``tests/obs/test_trace_schema.py``
+#: holds them equal to what a traced run emits and to the docs' row.
+EVENTS = frozenset({"claim", "start", "consumed", "flush", "reply",
+                    "callback", "done"})
 
 
-class Ledger:
-    """Rows ``(kind, execution, subject)`` in the order they happened
-    (one process runs at a time, so append order is that order).
-    ``execution`` is the invocation context of the worker the event
-    happened in. The subject of a flush or ``Done`` is the instance id,
-    of a callback the callee it reports (whoever ran the handler), and
-    of ``claim`` / ``start`` / ``txn-start`` / ``consumed`` the sync
-    invoke step ``(caller instance id, step)``."""
-
-    def __init__(self) -> None:
-        self.rows: list[tuple] = []
-        self._local = threading.local()
-
-    def note(self, kind: str, instance_id=None) -> None:
-        self.rows.append((kind, getattr(self._local, "execution", None),
-                          instance_id))
-
-    def kinds(self, kind: str) -> list[tuple]:
-        return [row for row in self.rows if row[0] == kind]
-
-    def check(self) -> None:
-        """No flush after the reply of the same execution, no reply
-        after its ``Done``, and no ``Done`` before a callback for the
-        instance was recorded or ignored (an instance nobody is ever
-        called back for — a workflow root, an async callee — has none
-        to wait for). No caller consumes the reply of a step whose claim
-        is not durable yet, and no callee inside a transaction starts
-        before it."""
-        called_back = {row[2] for row in self.kinds("callback")}
-        replied: set = set()
-        finished: set = set()
-        landed: set = set()
-        claimed: set = set()
-        for kind, execution, instance_id in self.rows:
-            if kind == "claim":
-                claimed.add(instance_id)
-            elif kind == "txn-start":
-                assert instance_id in claimed, (
-                    f"callee of {instance_id} started inside a "
-                    f"transaction before its claim was durable")
-            elif kind == "consumed":
-                assert instance_id in claimed, (
-                    f"the reply of {instance_id} was consumed before "
-                    f"its claim was durable")
-            elif kind == "reply":
-                assert execution not in finished, (
-                    f"{execution} replied after marking Done")
-                replied.add(execution)
-            elif kind == "flush":
-                assert execution not in replied, (
-                    f"{execution} flushed its read log after replying")
-            elif kind == "callback":
-                landed.add(instance_id)
-            elif kind == "done":
-                finished.add(execution)
-                assert (instance_id not in called_back
-                        or instance_id in landed), (
-                    f"{execution} marked {instance_id} Done before any "
-                    f"callback for it was recorded or ignored")
+def _execution(args: dict) -> tuple:
+    """``(function, invocation)`` names a worker on one platform, its
+    ``request`` id keeps two platforms that share a tracer apart."""
+    return args["function"], args["invocation"], args.get("request")
 
 
-@contextlib.contextmanager
-def recording():
-    """Record the lifecycle events of everything run inside the scope."""
-    ledger = Ledger()
-    real_body = BeldiRuntime._run_call_body
-    real_flush = ops.flush_read_log
-    real_respond = InvocationContext.respond
-    real_callback = invoke.record_callback
-    real_done = intents.mark_done
-    real_claim = invoke._write_claim
-    real_batch_claim = invoke.batch_write_all
-    real_start = ServerlessPlatform._start_instance
-    real_await = ServerlessPlatform._await_result
-    #: Callee invocation context -> the sync invoke step it serves.
-    serving: dict = {}
+def rows(records: list) -> list[tuple]:
+    """``(kind, execution, subject, seq)`` per lifecycle event, in happen
+    order (instant events are appended as they happen). The subject of a
+    flush, reply or ``Done`` is the instance id, of a callback the callee
+    it reports (whoever ran the handler), and of ``claim`` / ``start`` /
+    ``txn-start`` / ``consumed`` the step ``"<caller instance>#<step>"``.
+    The platform stamps ``start`` and ``consumed`` with the callee's
+    execution only; that execution's ``request:<ssf>`` span, whose parent
+    is the caller's step, says which step it serves and whether inside a
+    transaction (``txn-start``). Invocations that serve no sync step —
+    clients, callbacks, timers, a worker dead before its span — get none.
+    """
+    serving = {_execution(r["args"]): (r["parent_id"], r["args"].get("txn"))
+               for r in records
+               if r["cat"] == "request" and r["parent_id"] is not None}
+    out = []
+    for record in records:
+        kind, args = record["name"], record["args"]
+        if record["cat"] != "lifecycle" or kind not in EVENTS:
+            continue
+        execution = _execution(args)
+        if kind in ("start", "consumed"):
+            if execution not in serving:
+                continue
+            subject, in_txn = serving[execution]
+            if kind == "start" and in_txn:
+                kind = "txn-start"
+        elif kind == "claim":
+            subject = f"{args['instance']}#{args['step']}"
+        else:
+            subject = args["callee" if kind == "callback" else "instance"]
+        out.append((kind, execution, subject, record["seq"]))
+    return out
 
-    def body(runtime, ssf, platform_ctx, payload, reply):
-        # One worker thread, one execution at a time; threads are pooled,
-        # so the mark must not outlive the call.
-        ledger._local.execution = platform_ctx
-        try:
-            return real_body(runtime, ssf, platform_ctx, payload, reply)
-        finally:
-            ledger._local.execution = None
 
-    def flush(ctx):
-        real_flush(ctx)
-        ledger.note("flush", ctx.instance_id)
+def kinds(records: list, kind: str) -> list[tuple]:
+    return [row for row in rows(records) if row[0] == kind]
 
-    def respond(platform_ctx, result):
-        ledger.note("reply")
-        real_respond(platform_ctx, result)
 
-    def callback(env, store, log_instance, log_step, callee_id, result):
-        recorded = real_callback(env, store, log_instance, log_step,
-                                 callee_id, result)
-        ledger.note("callback", callee_id)
-        return recorded
-
-    def done(env, instance_id, ret):
-        ledger.note("done", instance_id)
-        real_done(env, instance_id, ret)
-
-    def claim(ctx, entry, call):
-        logged = real_claim(ctx, entry, call)
-        ledger.note("claim", (entry["InstanceId"], entry["Step"]))
-        return logged
-
-    def batch_claim(store, table, puts):
-        real_batch_claim(store, table, puts=puts)
-        for entry in puts:
-            ledger.note("claim", (entry["InstanceId"], entry["Step"]))
-
-    def start(platform, entry, payload):
-        caller = (payload or {}).get("caller")
-        sync_call = (caller and payload.get("kind") == "call"
-                     and not payload.get("async"))
-        if sync_call:
-            step = (caller["instance_id"], caller["step"])
-            ledger.note("txn-start" if payload.get("txn") else "start", step)
-        proc, platform_ctx = real_start(platform, entry, payload)
-        if sync_call:
-            serving[platform_ctx] = step
-        return proc, platform_ctx
-
-    def await_result(platform, proc, platform_ctx):
-        result = real_await(platform, proc, platform_ctx)
-        if platform_ctx in serving:
-            ledger.note("consumed", serving[platform_ctx])
-        return result
-
-    with contextlib.ExitStack() as patches:
-        for target, name, wrapper in (
-                (BeldiRuntime, "_run_call_body", body),
-                (ops, "flush_read_log", flush),
-                (invoke, "flush_read_log", flush),
-                (InvocationContext, "respond", respond),
-                (invoke, "record_callback", callback),
-                (intents, "mark_done", done),
-                (invoke, "_write_claim", claim),
-                (invoke, "batch_write_all", batch_claim),
-                (ServerlessPlatform, "_start_instance", start),
-                (ServerlessPlatform, "_await_result", await_result)):
-            patches.enter_context(mock.patch.object(target, name, wrapper))
-        yield ledger
+def check(records: list) -> None:
+    """No flush after the reply of the same execution, no reply after
+    its ``Done``, no ``Done`` before a callback for the instance was
+    recorded or ignored (if any ever is: a workflow root has none to
+    wait for), no reply consumed before its step's claim is durable and
+    no callee started inside a transaction before it. A failure names
+    the ``seq`` of the event that broke the order."""
+    ledger = rows(records)
+    called_back = {row[2] for row in ledger if row[0] == "callback"}
+    replied, finished, landed, claimed = set(), set(), set(), set()
+    for kind, who, subject, seq in ledger:
+        if kind == "claim":
+            claimed.add(subject)
+        elif kind == "txn-start":
+            assert subject in claimed, (
+                f"seq {seq}: callee of {subject} started inside a "
+                f"transaction before its claim was durable")
+        elif kind == "consumed":
+            assert subject in claimed, (
+                f"seq {seq}: the reply of {subject} was consumed before "
+                f"its claim was durable")
+        elif kind == "reply":
+            assert who not in finished, (
+                f"seq {seq}: {who} replied after marking Done")
+            replied.add(who)
+        elif kind == "flush":
+            assert who not in replied, (
+                f"seq {seq}: {who} flushed its read log after replying")
+        elif kind == "callback":
+            landed.add(subject)
+        elif kind == "done":
+            finished.add(who)
+            assert subject not in called_back or subject in landed, (
+                f"seq {seq}: {who} marked {subject} Done before any "
+                f"callback for it was recorded or ignored")

@@ -106,7 +106,7 @@ def _runtime(flags: dict) -> BeldiRuntime:
     return BeldiRuntime(seed=SEED, config=config, shards=shards,
                         replicas=replicas, latency_scale=latency_scale,
                         read_consistency=read_consistency,
-                        store_faults=store_faults)
+                        store_faults=store_faults, observability=True)
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +418,11 @@ def sweep(scenario_name: str, flags_name: str) -> None:
                     scenario.mutate, runtime, app))
         runtime.platform.crash_policy = policy
         try:
-            with lifecycle.recording() as ledger:
-                result = run_until_recovered(runtime, scenario)
+            result = run_until_recovered(runtime, scenario)
             scenario.check_effects(runtime, app, result)
             assert runtime.platform.stats.injected_crashes == 1, (
                 "crash point was not reached on the re-run")
-            ledger.check()
+            lifecycle.check(runtime.obs.tracer.records)
             run_gc_passes(runtime)
             assert_store_clean(runtime)
         except AssertionError as exc:  # collect, report all at once

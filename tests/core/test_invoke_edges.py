@@ -3,6 +3,7 @@ and the window between a callee's reply and its callback."""
 
 import pytest
 
+import lifecycle
 from repro.core import BeldiConfig, BeldiRuntime, intents
 from repro.core.gc import make_garbage_collector
 from repro.core.invoke import (ASYNC_ACK, _derived_callee_id,
@@ -600,8 +601,7 @@ class TestPipelinedOpen:
     def test_inside_a_transaction_the_claim_still_comes_first(self):
         """(iv) A callee that may take a lock must be discoverable
         through the invoke log from its first instant."""
-        import lifecycle
-        runtime = self._runtime()
+        runtime = self._runtime(observability=True)
 
         def hotel(ctx, payload):
             ctx.write("rooms", "H1", {"left": 4})
@@ -624,14 +624,14 @@ class TestPipelinedOpen:
                     reserve_ssf.env.invoke_log)
             return real(entry, payload)
 
-        with lifecycle.recording() as ledger:
-            calls = _log_platform_calls(runtime)
-            real = runtime.platform._start_instance
-            runtime.platform._start_instance = start
-            assert runtime.run_workflow("frontend") == "committed"
-        ledger.check()
+        calls = _log_platform_calls(runtime)
+        real = runtime.platform._start_instance
+        runtime.platform._start_instance = start
+        assert runtime.run_workflow("frontend") == "committed"
+        trace = runtime.obs.tracer.records
+        lifecycle.check(trace)
         assert seen == {"claims": 1}
-        assert len(ledger.kinds("txn-start")) == 1
+        assert len(lifecycle.kinds(trace, "txn-start")) == 1
         opened = {c["function"]: "claimed" in c for c in calls
                   if c["kind"] == "call"}
         assert opened == {"reserve": True, "hotel": False}
@@ -674,10 +674,97 @@ class TestPipelinedOpen:
         runtime.kernel.shutdown()
 
 
+def _event(seq, name, execution, **args):
+    """A lifecycle event as the tracer records it, minus what the
+    ledger never reads."""
+    function, invocation = execution
+    return {"cat": "lifecycle", "name": name, "seq": seq,
+            "parent_id": None,
+            "args": dict(args, function=function, invocation=invocation)}
+
+
+def _serves(seq, execution, step, txn=False):
+    """The ``request:`` span that says ``execution`` serves ``step``."""
+    function, invocation = execution
+    return {"cat": "request", "name": f"request:{function}", "seq": seq,
+            "parent_id": step,
+            "args": {"function": function, "invocation": invocation,
+                     "txn": txn}}
+
+
+CALLER, LEAF, HANDLER = ("caller", 0), ("leaf", 0), ("caller", 1)
+
+#: One pipelined sync invoke of ``leaf`` by step 2 of ``caller``, in the
+#: order ``current`` runs it.
+CLEAN = [
+    _event(1, "start", LEAF),
+    _event(2, "claim", CALLER, instance="R", step=2),
+    _serves(3, LEAF, "R#2"),
+    _event(4, "flush", LEAF, instance="c-1"),
+    _event(5, "reply", LEAF, instance="c-1"),
+    _event(6, "consumed", LEAF),
+    _event(7, "callback", HANDLER, callee="c-1"),
+    _event(8, "done", LEAF, instance="c-1"),
+]
+
+
+#: The same invoke inside a transaction (not in order: claim after start).
+IN_TXN = [_serves(3, LEAF, "R#2", txn=True) if r["seq"] == 3 else r
+          for r in CLEAN]
+
+
+def _moved(records, seq, before):
+    """``records`` with event ``seq`` moved to just ahead of ``before``."""
+    moved = next(r for r in records if r["seq"] == seq)
+    rest = [r for r in records if r is not moved]
+    at = next(i for i, r in enumerate(rest) if r["seq"] == before)
+    return rest[:at] + [moved] + rest[at:]
+
+
+#: name -> (records, the message, the ``seq`` it must name).
+BROKEN_ORDERS = {
+    "flush after reply": (
+        _moved(CLEAN, 5, before=4), "flushed its read log after", 4),
+    "reply after Done": (
+        _moved(_moved(CLEAN, 7, before=5), 8, before=5),
+        "replied after marking Done", 5),
+    "Done before any callback": (
+        _moved(CLEAN, 8, before=7), "Done before any callback", 8),
+    "consumed before claim": (
+        _moved(CLEAN, 6, before=2), "consumed before", 6),
+    "txn-start before claim": (
+        IN_TXN, "inside a transaction before", 1),
+}
+
+
 class TestLedgerCatchesTheNewOrders:
-    """``lifecycle.Ledger.check`` runs inside every sweep; these break
-    the two orders the pipelined open must keep and expect it to say
-    so — a checker that cannot fail checks nothing."""
+    """``lifecycle.check`` runs inside every sweep. A checker that cannot
+    fail checks nothing: each order it asserts is broken once in a
+    literal event list, and three of them once more in the
+    implementation, and it has to say so."""
+
+    def test_a_clean_list_passes(self):
+        lifecycle.check(CLEAN)
+        assert [row[0] for row in lifecycle.rows(CLEAN)] == [
+            "start", "claim", "flush", "reply", "consumed", "callback",
+            "done"]
+        # Inside a transaction the same events are in order only with
+        # the claim ahead of the start.
+        lifecycle.check(_moved(IN_TXN, 2, before=1))
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_ORDERS))
+    def test_each_order_broken_in_a_literal_list(self, name):
+        records, message, seq = BROKEN_ORDERS[name]
+        with pytest.raises(AssertionError, match=message) as caught:
+            lifecycle.check(records)
+        assert str(caught.value).startswith(f"seq {seq}: ")
+
+    @pytest.fixture
+    def traced(self):
+        rt = BeldiRuntime(seed=31, observability=True, config=BeldiConfig(
+            ic_restart_delay=50.0, gc_t=1e12))
+        yield rt
+        rt.kernel.shutdown()
 
     @staticmethod
     def _reserve(runtime):
@@ -693,8 +780,7 @@ class TestLedgerCatchesTheNewOrders:
         runtime.register_ssf("hotel", hotel, tables=["rooms"])
         runtime.register_ssf("reserve", reserve)
 
-    def test_a_reply_consumed_before_the_claim(self, runtime, monkeypatch):
-        import lifecycle
+    def test_a_reply_consumed_before_the_claim(self, traced, monkeypatch):
         from repro.platform import ServerlessPlatform
 
         def await_then_claim(platform, name, payload, meanwhile=None):
@@ -708,30 +794,68 @@ class TestLedgerCatchesTheNewOrders:
 
         monkeypatch.setattr(ServerlessPlatform, "sync_invoke",
                             await_then_claim)
-        self._reserve(runtime)
-        with lifecycle.recording() as ledger:
-            assert runtime.run_workflow("reserve") == "committed"
-        ledger.check()  # in-transaction opens never had a ``meanwhile``
-        runtime.register_ssf(
+        self._reserve(traced)
+        trace = traced.obs.tracer.records
+        assert traced.run_workflow("reserve") == "committed"
+        # In-transaction opens never had a ``meanwhile``.
+        lifecycle.check(trace)
+        traced.register_ssf(
             "frontend", lambda ctx, p: ctx.sync_invoke("reserve", None))
-        with lifecycle.recording() as ledger:
-            assert runtime.run_workflow("frontend") == "committed"
+        assert traced.run_workflow("frontend") == "committed"
         with pytest.raises(AssertionError, match="consumed before"):
-            ledger.check()
+            lifecycle.check(trace)
 
-    def test_a_callee_speculated_inside_a_transaction(self, runtime,
+    def test_a_callee_speculated_inside_a_transaction(self, traced,
                                                       monkeypatch):
-        import lifecycle
         from repro.core.context import BeldiContext
         monkeypatch.setattr(
             BeldiContext, "pipelines_invokes",
             property(lambda ctx: ctx.first_execution))
-        self._reserve(runtime)
-        with lifecycle.recording() as ledger:
-            assert runtime.run_workflow("reserve") == "committed"
+        self._reserve(traced)
+        assert traced.run_workflow("reserve") == "committed"
         with pytest.raises(AssertionError,
                            match="inside a transaction before"):
-            ledger.check()
+            lifecycle.check(traced.obs.tracer.records)
+
+    def test_done_marked_ahead_of_the_callback(self, traced, monkeypatch):
+        """``mark_done`` moved ahead of ``_deliver``: a ``Done`` callee
+        may be collected before its caller holds the result (§4.5)."""
+        deliver = BeldiRuntime._deliver
+
+        def done_then_deliver(runtime, platform_ctx, reply, caller,
+                              callee_id, result):
+            # The moved statement takes the event that says it along.
+            intents.mark_done(runtime.ssfs[platform_ctx.function].env,
+                              callee_id, result)
+            platform_ctx.lifecycle("done", instance=callee_id)
+            deliver(runtime, platform_ctx, reply, caller, callee_id,
+                    result)
+
+        monkeypatch.setattr(BeldiRuntime, "_deliver", done_then_deliver)
+        traced.register_ssf("leaf", lambda ctx, p: "v")
+        traced.register_ssf(
+            "caller", lambda ctx, p: ctx.sync_invoke("leaf", None))
+        assert traced.run_workflow("caller") == "v"
+        with pytest.raises(AssertionError,
+                           match="Done before any callback"):
+            lifecycle.check(traced.obs.tracer.records)
+
+    def test_a_parallel_branch_books_events_under_its_owner(self, traced):
+        """A lone parallel invoke opens pipelined, so its claim is
+        written in the branch's own process — and still says which
+        execution it belongs to."""
+        traced.register_ssf("leaf", lambda ctx, p: "v")
+        traced.register_ssf(
+            "caller", lambda ctx, p: ctx.parallel_invoke([("leaf", None)]))
+        assert traced.run_workflow("caller") == ["v"]
+        trace = traced.obs.tracer.records
+        lifecycle.check(trace)
+        (claim,) = lifecycle.kinds(trace, "claim")
+        assert claim[1][:2] == ("caller", 0)
+        # ... which nesting would not have told: the branch is a root.
+        (event,) = [r for r in trace if r["name"] == "claim"]
+        (owner,) = [r for r in trace if r["name"] == "request:caller"]
+        assert event["track"] != owner["track"]
 
 
 class TestAsyncAck:

@@ -112,9 +112,9 @@ SEARCH = {"action": "search", "cell": 0}
 
 def _one_request(request, n_hotels=2, **config_args):
     """One travel request at real latencies: when the client was
-    answered, a digest of the bill and every final row, the lifecycle
-    ledger, and the runtime."""
-    runtime = BeldiRuntime(seed=SEED, latency_scale=1.0,
+    answered, a digest of the bill and every final row, the trace the
+    lifecycle ledger reads, and the runtime."""
+    runtime = BeldiRuntime(seed=SEED, latency_scale=1.0, observability=True,
                            config=BeldiConfig(gc_t=1e12, **config_args))
     app = TravelReservationApp(seed=SEED, n_hotels=n_hotels, n_flights=2,
                                rooms_per_hotel=2, seats_per_flight=2,
@@ -127,21 +127,21 @@ def _one_request(request, n_hotels=2, **config_args):
         box["result"] = runtime.client_call("frontend", dict(request))
         box["answered_at"] = runtime.kernel.now
 
-    with lifecycle.recording() as ledger:
-        runtime.kernel.spawn(client)
-        runtime.kernel.run(until=30_000.0)
+    runtime.kernel.spawn(client)
+    runtime.kernel.run(until=30_000.0)
     runtime.kernel.shutdown()
     digest = hashlib.sha256(json.dumps(
         [runtime.store.metering.snapshot(), _table_rows(runtime)],
         sort_keys=True, default=repr).encode()).hexdigest()
-    return box["answered_at"], digest, ledger, (runtime, box["result"])
+    return (box["answered_at"], digest, runtime.obs.tracer.records,
+            (runtime, box["result"]))
 
 
 def _one_reservation(**config_args):
-    answered_at, digest, ledger, (_runtime, result) = _one_request(
+    answered_at, digest, trace, (_runtime, result) = _one_request(
         RESERVE, **config_args)
     assert result == {"ok": True}
-    return answered_at, digest, ledger
+    return answered_at, digest, trace
 
 
 #: Recorded at d9973c5, the commit before replies moved ahead of the
@@ -162,17 +162,19 @@ def test_without_async_io_a_callee_replies_at_worker_exit(name):
     virtual time, same bill, same final rows as before there was an
     early reply."""
     config_args, answered_at, digest = REPLY_AT_EXIT[name]
-    got_at, got_digest, ledger = _one_reservation(**config_args)
-    assert not ledger.kinds("reply")
-    assert len(ledger.kinds("callback")) == 3  # reserve, hotel, flight
+    got_at, got_digest, trace = _one_reservation(**config_args)
+    assert not lifecycle.kinds(trace, "reply")
+    # reserve, hotel, flight
+    assert len(lifecycle.kinds(trace, "callback")) == 3
     assert got_at == answered_at
     assert got_digest.startswith(digest)
 
 
 def test_current_replies_before_the_callback_and_answers_sooner():
-    current_at, _digest, ledger = _one_reservation()
-    assert len(ledger.kinds("reply")) == len(ledger.kinds("callback")) == 3
-    ledger.check()
+    current_at, _digest, trace = _one_reservation()
+    assert (len(lifecycle.kinds(trace, "reply"))
+            == len(lifecycle.kinds(trace, "callback")) == 3)
+    lifecycle.check(trace)
     assert current_at < 0.8 * REPLY_AT_EXIT["without-async_io"][1]
 
 
@@ -194,22 +196,24 @@ def test_without_async_io_read_many_and_invoke_are_the_parents(name):
     its callee — same virtual time, same bill, same final rows as before
     either existed."""
     config_args, answered_at, digest = SEARCH_AT_PARENT[name]
-    got_at, got_digest, ledger, (runtime, result) = _one_request(
+    got_at, got_digest, trace, (runtime, result) = _one_request(
         SEARCH, n_hotels=30, **config_args)
     assert len(result["hotels"]) == 3
     assert got_at == answered_at
     assert got_digest.startswith(digest)
     assert "batch_get" not in runtime.store.metering.ops
-    starts = [row for row in ledger.rows if row[0] in ("claim", "start")]
-    assert [row[0] for row in starts] == ["claim", "start"] * 4
+    starts = [row[0] for row in lifecycle.rows(trace)
+              if row[0] in ("claim", "start")]
+    assert starts == ["claim", "start"] * 4
 
 
 def test_current_opens_invokes_pipelined_and_batches_read_many():
-    current_at, _digest, ledger, (runtime, result) = _one_request(
+    current_at, _digest, trace, (runtime, result) = _one_request(
         SEARCH, n_hotels=30)
-    ledger.check()
-    starts = [row for row in ledger.rows if row[0] in ("claim", "start")]
-    assert [row[0] for row in starts] == ["start", "claim"] * 4
+    lifecycle.check(trace)
+    starts = [row[0] for row in lifecycle.rows(trace)
+              if row[0] in ("claim", "start")]
+    assert starts == ["start", "claim"] * 4
     assert current_at < 0.5 * SEARCH_AT_PARENT["without-async_io"][1]
     loop_at, _d, _l, (_runtime, loop_result) = _one_request(
         SEARCH, n_hotels=30, without="async_io")
@@ -220,9 +224,9 @@ def test_without_fastpath_read_many_overlaps_its_traversals():
     """No tail cache, nothing to batch: every key takes the sound
     traversal, as branches of one overlap scope — correct, and cheaper
     than the per-key loop in time only."""
-    _at, _digest, _ledger, (runtime, result) = _one_request(
+    _at, _digest, _trace, (runtime, result) = _one_request(
         SEARCH, n_hotels=30, without="fastpath")
-    _at, _digest, _ledger, (loop_runtime, loop_result) = _one_request(
+    _at, _digest, _trace, (loop_runtime, loop_result) = _one_request(
         SEARCH, n_hotels=30, without="async_io")
     assert result == loop_result and len(result["hotels"]) == 3
     ops = runtime.store.metering.ops

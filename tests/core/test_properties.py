@@ -229,9 +229,11 @@ class TestReplyOrderProperty:
     @staticmethod
     def _run(program, config_args, crash_seed=None):
         """Run ``root`` (which reads, writes, calls ``leaf`` or calls
-        ``mid``, which calls ``leaf``) under a ledger; returns it."""
-        runtime = BeldiRuntime(seed=17, config=BeldiConfig(
-            ic_restart_delay=50.0, gc_t=1e12, **config_args))
+        ``mid``, which calls ``leaf``) traced, check the ledger's
+        orders and return its rows."""
+        runtime = BeldiRuntime(
+            seed=17, observability=True, config=BeldiConfig(
+                ic_restart_delay=50.0, gc_t=1e12, **config_args))
         if crash_seed is not None:
             runtime.platform.crash_policy = SeededCrash(crash_seed, p=0.05,
                                                         budget=3)
@@ -259,28 +261,28 @@ class TestReplyOrderProperty:
 
         for name, handler in (("root", root), ("mid", mid), ("leaf", leaf)):
             runtime.register_ssf(name, handler, tables=["kv"])
-        with lifecycle.recording() as ledger:
-            run_with_recovery(runtime, "root", [None], horizon=5_000.0)
-        return ledger
+        run_with_recovery(runtime, "root", [None], horizon=5_000.0)
+        lifecycle.check(runtime.obs.tracer.records)
+        return lifecycle.rows(runtime.obs.tracer.records)
 
     @staticmethod
-    def _callee_orders(ledger) -> list:
+    def _callee_orders(rows) -> list:
         """Per finished execution of a called-back instance: the ledger
         positions of its last flush, its reply, the first callback for
         the instance after that, and its ``Done``."""
-        called_back = {row[2] for row in ledger.kinds("callback")}
+        called_back = {row[2] for row in rows if row[0] == "callback"}
         orders = []
-        for done_at, (kind, execution, instance_id) in enumerate(
-                ledger.rows):
+        for done_at, (kind, execution, instance_id, _seq) in enumerate(
+                rows):
             if kind != "done" or instance_id not in called_back:
                 continue
-            own = [(at, row[0]) for at, row in enumerate(ledger.rows)
-                   if row[1] is execution]
+            own = [(at, row[0]) for at, row in enumerate(rows)
+                   if row[1] == execution]
             flushes = [at for at, what in own if what == "flush"]
             replies = [at for at, what in own if what == "reply"]
             start = replies[0] if replies else 0
             callback_at = next(
-                at for at, row in enumerate(ledger.rows)
+                at for at, row in enumerate(rows)
                 if at >= start and row[0] == "callback"
                 and row[2] == instance_id)
             orders.append((max(flushes, default=-1), replies,
@@ -294,9 +296,7 @@ class TestReplyOrderProperty:
                                                       crash_seed):
         callees = sum({"leaf": 1, "mid": 2}.get(op, 0) for op in program)
         for config_args in ({}, {"without": "async_io"}):
-            ledger = self._run(program, config_args)
-            ledger.check()
-            orders = self._callee_orders(ledger)
+            orders = self._callee_orders(self._run(program, config_args))
             assert len(orders) == callees
             for flushed, replies, callback_at, done_at in orders:
                 if config_args:
@@ -307,7 +307,7 @@ class TestReplyOrderProperty:
                     assert flushed < replied < callback_at < done_at
             # Under random crashes and IC replays no strict sequence is
             # promised per execution, the safety orders still are.
-            self._run(program, config_args, crash_seed).check()
+            self._run(program, config_args, crash_seed)
 
 
 class TestTransactionProperties:

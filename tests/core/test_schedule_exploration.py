@@ -238,7 +238,7 @@ def _race_tail_against_commit(seed: int) -> dict:
     decides every order."""
     kernel = SimKernel(seed=seed, schedule=RandomSchedule(seed))
     runtime = BeldiRuntime(kernel=kernel, seed=seed, config=BeldiConfig(
-        ic_restart_delay=1e9, gc_t=1e12))
+        ic_restart_delay=1e9, gc_t=1e12, observability=True))
 
     def hotel(ctx, payload):
         left = ctx.read("rooms", "H1")["left"]
@@ -253,21 +253,25 @@ def _race_tail_against_commit(seed: int) -> dict:
     leaf = runtime.register_ssf("hotel", hotel, tables=["rooms"])
     top = runtime.register_ssf("reserve", reserve)
     leaf.env.seed("rooms", "H1", {"left": 2})
-    with lifecycle.recording() as ledger:
-        deliver_signal = runtime._handle_txn_signal
+    deliver_signal = runtime._handle_txn_signal
 
-        def signal(ssf, platform_ctx, payload):
-            ledger.note("signal", payload["instance_id"])
-            return deliver_signal(ssf, platform_ctx, payload)
+    def signal(ssf, platform_ctx, payload):
+        # This test's own mark, in the one stream so that its order
+        # against the protocol's events can be read off.
+        runtime.obs.tracer.event("signal", cat="test",
+                                 instance=payload["instance_id"])
+        return deliver_signal(ssf, platform_ctx, payload)
 
-        runtime._handle_txn_signal = signal
-        outcome = runtime.run_workflow("reserve")
-    ledger.check()
+    runtime._handle_txn_signal = signal
+    outcome = runtime.run_workflow("reserve")
+    trace = runtime.obs.tracer.records
+    lifecycle.check(trace)
     (claim,) = top.env.store.scan(top.env.invoke_log).items
     out = {"outcome": outcome,
-           "order": [row[0] for row in ledger.rows
-                     if row[0] in ("signal", "callback", "done")
-                     and row[2] == claim["CalleeId"]],
+           "order": [r["name"] for r in trace
+                     if r["name"] in ("signal", "callback", "done")
+                     and claim["CalleeId"] in (r["args"].get("instance"),
+                                               r["args"].get("callee"))],
            "left": leaf.env.peek("rooms", "H1"),
            "rows": leaf.env.store.query(leaf.env.data_table("rooms"),
                                         "H1").items,

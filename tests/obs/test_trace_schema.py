@@ -18,9 +18,11 @@ trace there — the CI ``obs-smoke`` job uploads it as an artifact.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import pathlib
+import re
 import sys
 
 import pytest
@@ -150,7 +152,7 @@ def test_flag_off_is_bit_for_bit_identical(traced):
     dark = dst.run_one(flags)
     assert dark.travel.obs is None
     assert dark.movie.obs is None
-    assert getattr(dark.travel.store, "obs", None) is None
+    assert dark.travel.store.obs is None
     assert dark.kernel.tracer is None
     # Same results, same virtual end time, same bill, same final rows.
     assert dark.results == traced.results
@@ -264,13 +266,8 @@ def test_cross_shard_transaction_keeps_span_metering_parity():
     assert all(span["dur"] == elapsed for span in spans)
 
 
-def test_traced_travel_request_at_real_latency_nests_and_splits_tails():
-    """At ``latency_scale=0`` every span is zero-width and containment
-    proves nothing. One travel reservation at real latencies: every
-    child sits inside its parent, although each sync callee outlives its
-    caller's ``step.invoke`` span — the request span ends at the reply,
-    the callback + ``Done`` tail is a parentless span on a row of its
-    own."""
+def _traced_travel_reservation():
+    """One travel reservation at real latencies; returns its tracer."""
     from repro.apps.travel import TravelReservationApp
     from repro.core import BeldiConfig, BeldiRuntime
 
@@ -286,7 +283,17 @@ def test_traced_travel_request_at_real_latency_nests_and_splits_tails():
         "flight": "flight-0001"})
     runtime.kernel.shutdown()
     assert result["ok"]
-    tracer = runtime.obs.tracer
+    return runtime.obs.tracer
+
+
+def test_traced_travel_request_at_real_latency_nests_and_splits_tails():
+    """At ``latency_scale=0`` every span is zero-width and containment
+    proves nothing. One travel reservation at real latencies: every
+    child sits inside its parent, although each sync callee outlives its
+    caller's ``step.invoke`` span — the request span ends at the reply,
+    the callback + ``Done`` tail is a parentless span on a row of its
+    own."""
+    tracer = _traced_travel_reservation()
     trace = tracer.to_chrome()
     assert validate_chrome_trace(trace) == []
     assert sum(1 for record in tracer.records
@@ -326,3 +333,48 @@ def test_traced_travel_request_at_real_latency_nests_and_splits_tails():
     victim["dur"] += 1000.0 * tails[0]["dur"]
     assert any("escapes parent" in problem
                for problem in validate_chrome_trace(stretched))
+
+
+# ---------------------------------------------------------------------------
+# The lifecycle vocabulary: emitted = checked = documented
+# ---------------------------------------------------------------------------
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
+
+
+def test_lifecycle_events_are_the_ones_checked_and_documented(traced):
+    """An event renamed, dropped or added moves the checker and the docs
+    with it: the ``cat="lifecycle"`` names traced runs emit, the names
+    ``lifecycle.check`` reads and the lifecycle row of the span-model
+    table are one set, and every such event names its execution."""
+    import lifecycle
+    events = [record
+              for records in (traced.travel.obs.tracer.records,
+                              _traced_travel_reservation().records)
+              for record in records if record["cat"] == "lifecycle"]
+    (row,) = [line for line in (REPO / "docs" / "observability.md")
+              .read_text().splitlines() if line.startswith("| lifecycle |")]
+    documented = set(re.findall(r"`([^`]+)`", row.split("|")[2]))
+    assert {event["name"] for event in events} == lifecycle.EVENTS
+    assert documented == lifecycle.EVENTS
+    for event in events:
+        assert event["phase"] == 1  # instant: its seq is happen order
+        assert {"function", "invocation"} <= set(event["args"]), event
+    # Read by the checker, not merely declared: the concurrent mix puts
+    # every kind of row in the ledger.
+    ledger = lifecycle.rows(traced.travel.obs.tracer.records)
+    assert {row[0] for row in ledger} == lifecycle.EVENTS | {"txn-start"}
+
+
+def test_the_ledger_is_functions_over_records_and_nothing_else():
+    """The recorder does not come back: ``tests/core/lifecycle.py``
+    imports no mocking, no threading and nothing of the system under
+    test."""
+    tree = ast.parse((REPO / "tests" / "core" / "lifecycle.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert not [name for name in imported
+                if name.split(".")[0] in ("unittest", "mock", "threading")
+                or name.startswith(("repro.core", "repro.platform"))]

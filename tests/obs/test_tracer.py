@@ -110,6 +110,15 @@ class TestSanitization:
         assert args["mapping"] == {"a": None, "b": 2}
         assert "0x" not in json.dumps(args)
 
+    def test_a_dict_with_keys_of_mixed_types_sorts_by_their_text(
+            self, tracer):
+        """Step tuples and store keys ride in lifecycle events; ``1``
+        and ``"b"`` do not compare, their rendered forms do."""
+        tracer.event("x", key={"b": 2, 1: "a", (0, "k"): None})
+        args = tracer.records[0]["args"]
+        assert list(args["key"].items()) == [
+            ("(0, 'k')", None), ("1", "a"), ("b", 2)]
+
 
 class TestExports:
     def fill(self, tracer, clock):

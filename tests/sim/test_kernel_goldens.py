@@ -126,6 +126,21 @@ def test_kernel_reproduces_golden(case, goldens):
     assert got["results"] == want["results"]
 
 
+@pytest.mark.parametrize("case", sorted(
+    name for name, (flags, _seed) in CASES.items()
+    if not flags["observability"]))
+def test_traced_twin_fires_the_same_events(case, goldens):
+    """Tracing only reads the clock: the traced twin of a dark case
+    fires the same wakeups in the same order. Being traced, it is also
+    the run whose lifecycle orders ``dst.run_requests`` can check — a
+    dark run records nothing to check them from."""
+    if REGEN:
+        pytest.skip("goldens regenerated, nothing to compare against")
+    flags, schedule_seed = CASES[case]
+    traced = _run_case(dict(flags, observability=True), schedule_seed)
+    assert traced == goldens[case]
+
+
 def test_same_seed_twice_is_bit_identical():
     """Control: two fresh in-process runs of one case agree with each
     other (catches nondeterminism that would also poison the goldens —

@@ -1,6 +1,6 @@
 """Elasticity gate: live migration must recover skewed throughput.
 
-Drives the Zipf(s=1.1) hot-key workload of ``repro.bench.fig_elasticity``
+Drives the Zipf(s=1.4) hot-key workload of ``repro.bench.fig_elasticity``
 (24-user closed loop, 4 shards, bounded per-shard capacity, periodic GC)
 twice — ``without="elastic"`` (static consistent-hash placement) vs
 ``current`` — and pins the tentpole properties:

@@ -12,7 +12,16 @@ gates:
 
 A second table runs the same pair on the transaction commit path
 (shadow-tail fetches and GC liveness checks coalesce into
-``batch_get`` round trips).
+``batch_get`` round trips). A third puts concurrent writers on one hot
+key: with the fast path the writer that fills a row appends its
+successor and the others wait for that one append (fill-and-extend,
+``repro/core/ops.py``), so growing the chain costs two round trips per
+filled row instead of a doomed update, a ``get``, a candidate put and a
+CAS per writer that meets the full tail — gated at half the lazy cost.
+A fourth prices what extending eagerly can waste: keys whose last write
+fills a row, so the successor it buys is never used — gated at exactly
+two round trips and one empty row per such fill, still no more store
+requests than the seed path spends on the same writes.
 """
 
 from __future__ import annotations
@@ -28,6 +37,10 @@ ROWS = 20
 READS = 60
 WRITES = 60
 TXNS = 12
+HOT_WRITERS = 8
+HOT_WRITES = 12
+HOT_CAPACITY = 4
+COLD_KEYS = 16
 
 
 def _config(fastpath: bool, **knobs) -> BeldiConfig:
@@ -121,13 +134,90 @@ def run_txn_commits(fastpath: bool, seed: int = 17) -> dict:
     }
 
 
+def run_hot_key_writers(fastpath: bool, seed: int = 23) -> dict:
+    """HOT_WRITERS concurrent requests, HOT_WRITES writes each, all on
+    one key; counts what growing its chain costs beyond the one landed
+    update per write (and, without the cache, its one probe query)."""
+    runtime = BeldiRuntime(
+        seed=seed, latency_scale=1.0,
+        config=_config(fastpath, row_log_capacity=HOT_CAPACITY))
+
+    def handler(ctx, payload):
+        for i in range(HOT_WRITES):
+            ctx.write("kv", KEY, [payload, i])
+        return "ok"
+
+    ssf = runtime.register_ssf("bench", handler, tables=["kv"])
+    ssf.env.seed("kv", KEY, VALUE)
+    table = ssf.env.data_table("kv")
+    before = runtime.store.metering.copy()
+    for writer in range(HOT_WRITERS):
+        runtime.kernel.spawn(
+            lambda writer=writer: runtime.client_call("bench", writer))
+    runtime.kernel.run()
+    runtime.kernel.shutdown()
+    counts = {op: rec.count for op, rec in
+              runtime.store.metering.diff(before).items()}
+    queries = counts.get("query", 0)
+    writes = HOT_WRITERS * HOT_WRITES
+    on_table = (runtime.store.metering.per_table[table]
+                - before.per_table[table])
+    return {
+        "writes": writes,
+        "table_round_trips": on_table,
+        "queries": queries,
+        "append_round_trips_per_write":
+            (on_table - writes - queries) / writes,
+        "rows": len(runtime.store.query(table, KEY).items),
+        "cache": runtime.tail_cache.stats.snapshot(),
+    }
+
+
+def run_cold_keys(fastpath: bool, seed: int = 29) -> dict:
+    """Fill-and-extend's worst case: COLD_KEYS keys, each written
+    exactly HOT_CAPACITY times and never again — every key's last write
+    fills its row and buys a successor nobody uses."""
+    runtime = BeldiRuntime(
+        seed=seed, latency_scale=1.0,
+        config=_config(fastpath, row_log_capacity=HOT_CAPACITY))
+
+    def handler(ctx, payload):
+        for i in range(HOT_CAPACITY):
+            ctx.write("kv", payload, i)
+        return "ok"
+
+    ssf = runtime.register_ssf("bench", handler, tables=["kv"])
+    keys = [f"cold-{i}" for i in range(COLD_KEYS)]
+    for name in keys:
+        ssf.env.seed("kv", name, VALUE)
+    table = ssf.env.data_table("kv")
+    before = runtime.store.metering.copy()
+    for name in keys:
+        runtime.run_workflow("bench", name)
+    runtime.kernel.shutdown()
+    counts = {op: rec.count for op, rec in
+              runtime.store.metering.diff(before).items()}
+    return {
+        "writes": COLD_KEYS * HOT_CAPACITY,
+        "table_round_trips": (runtime.store.metering.per_table[table]
+                              - before.per_table[table]),
+        "queries": counts.get("query", 0),
+        "rows": sum(len(runtime.store.query(table, name).items)
+                    for name in keys),
+        "cache": runtime.tail_cache.stats.snapshot(),
+    }
+
+
 def test_fastpath_ablation(benchmark):
     def run_all():
         hot = {on: run_hot_loop(on) for on in (False, True)}
         txn = {on: run_txn_commits(on) for on in (False, True)}
-        return hot, txn
+        key = {on: run_hot_key_writers(on) for on in (False, True)}
+        cold = {on: run_cold_keys(on) for on in (False, True)}
+        return hot, txn, key, cold
 
-    hot, txn = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    hot, txn, key, cold = benchmark.pedantic(run_all, rounds=1,
+                                             iterations=1)
 
     rows = []
     for on in (False, True):
@@ -160,10 +250,47 @@ def test_fastpath_ablation(benchmark):
         f"Fast-path ablation — {TXNS} 3-key transactions (commit path)",
         ["fastpath", "queries", "gets", "batch_gets", "round trips"],
         rows)
+
+    rows = []
+    for on, r in sorted(key.items()):
+        rows.append([
+            "on" if on else "off",
+            r["table_round_trips"],
+            r["queries"],
+            r["rows"],
+            round(r["append_round_trips_per_write"], 3),
+            r["cache"]["extensions"],
+            r["cache"]["extension_waits"],
+            r["cache"]["append_races_lost"],
+        ])
+    text += "\n" + format_table(
+        f"Fast-path ablation — {HOT_WRITERS} concurrent writers x "
+        f"{HOT_WRITES} writes on one key (capacity {HOT_CAPACITY})",
+        ["fastpath", "table round trips", "queries", "rows",
+         "append rt/write", "extensions", "waits", "races lost"], rows)
+
+    rows = []
+    for on, r in sorted(cold.items()):
+        rows.append([
+            "on" if on else "off",
+            r["table_round_trips"],
+            r["queries"],
+            r["rows"],
+            r["cache"]["extensions"],
+        ])
+    text += "\n" + format_table(
+        f"Fast-path ablation — {COLD_KEYS} keys written {HOT_CAPACITY} "
+        f"times each and never again (capacity {HOT_CAPACITY})",
+        ["fastpath", "table round trips", "queries", "rows",
+         "extensions"], rows)
     emit(text)
     emit_json("fastpath_ablation",
               hot_loop={"on" if on else "off": r
                         for on, r in hot.items()},
+              hot_key_writers={"on" if on else "off": r
+                               for on, r in key.items()},
+              cold_keys={"on" if on else "off": r
+                         for on, r in cold.items()},
               txn_commits={"tc=on,br=on" if on else "tc=off,br=off": r
                            for on, r in sorted(txn.items())})
 
@@ -183,3 +310,27 @@ def test_fastpath_ablation(benchmark):
     # trips and dominates the seed configuration.
     assert txn[True]["batch_gets"] > 0
     assert txn[True]["round_trips"] < txn[False]["round_trips"]
+
+    # Fill-and-extend: one append per filled row and nobody races it,
+    # so growing a hot chain costs at most half of what lazy case D
+    # does — and no candidate is orphaned.
+    fills = HOT_WRITERS * HOT_WRITES // HOT_CAPACITY
+    assert key[True]["cache"]["extensions"] == fills
+    assert key[True]["cache"]["append_races_lost"] == 0
+    assert key[True]["rows"] == fills + 1 < key[False]["rows"]
+    assert (key[True]["append_round_trips_per_write"]
+            <= 0.5 * key[False]["append_round_trips_per_write"]), (
+        key[True], key[False])
+
+    # What extending eagerly can waste, bounded: a fill whose next write
+    # never comes costs the candidate put and the CAS — two round trips
+    # and one empty row, i.e. at most 2 / row_log_capacity round trips
+    # per write to such a key — and nothing else. Beside the one probe
+    # per key and one update per write that is still no more than the
+    # seed path's probe + update per write.
+    on, off = cold[True], cold[False]
+    assert on["cache"]["extensions"] == COLD_KEYS
+    assert on["rows"] == 2 * COLD_KEYS and off["rows"] == COLD_KEYS
+    assert (on["table_round_trips"] - on["writes"] - on["queries"]
+            == 2 * COLD_KEYS), on
+    assert on["table_round_trips"] <= off["table_round_trips"], (on, off)

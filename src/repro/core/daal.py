@@ -46,6 +46,15 @@ below (tail cache, batched reads, overlapped I/O) must preserve them:
 - **Appends are version-validated.** ``append_row``'s CAS only links a
   candidate copied from the predecessor's current version, so a racing
   mutation can never be resurrected into the new tail.
+- **The CAS is the only thing that links a row**, whoever appends. With
+  the fast path case D is normally performed by the writer that fills
+  the row, while the other writers of the runtime wait for that one
+  append (``ops.py``, ``tailcache.py``); the lazy form — the first
+  writer to meet a full tail appends — is the crash / foreign-writer
+  fallback, and both are this module's one ``append_row``. A crash
+  leaves what it always could: a full tail without a successor, an
+  orphan candidate, or an empty successor carrying ``Value`` /
+  ``LockOwner`` forward.
 - **Stale hints fail safe.** A cached tail or position is only ever a
   starting point; every use re-validates against the store (the case-B
   condition, the chained-row chase) and falls back to the full skeleton
@@ -56,7 +65,7 @@ below (tail cache, batched reads, overlapped I/O) must preserve them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.core.tailcache import TailCache
 from repro.kvstore import (
@@ -321,8 +330,15 @@ def tail_values(store: KVStore, table: str, keys: list,
 
 def append_row(store: KVStore, table: str, key: Any, prev_row: dict,
                new_row_id: str,
-               cache: Optional[TailCache] = None) -> str:
+               cache: Optional[TailCache] = None,
+               after_put: Optional[Callable[[], None]] = None) -> str:
     """Extend the chain past a full row; returns the new tail's row id.
+
+    The one append path (case D), whoever runs it: normally the writer
+    whose update filled ``prev_row`` (``ops._extend_filled_row``, with
+    the row that update returned in hand), otherwise the first writer
+    that meets a full tail without a successor. ``after_put`` runs
+    between the candidate put and the CAS — the filler's crash point.
 
     Lock-free: create the candidate row, then CAS the predecessor's
     ``NextRow``. Exactly one appender wins; losers adopt the winner's row
@@ -353,6 +369,8 @@ def append_row(store: KVStore, table: str, key: Any, prev_row: dict,
             if attr in prev_row:
                 candidate[attr] = prev_row[attr]
         store.put(table, candidate)
+        if after_put is not None:
+            after_put()
         try:
             store.update(
                 table, (key, prev_id),
@@ -373,6 +391,7 @@ def append_row(store: KVStore, table: str, key: Any, prev_row: dict,
                 # but its log size is unknown here.
                 if cache is not None:
                     cache.remember_tail(table, key, winner, None)
+                    cache.stats.append_races_lost += 1
                 return winner
             # Predecessor mutated under us (flush/unlock/another log
             # entry): re-snapshot and retry with fresh contents.
@@ -389,10 +408,6 @@ def bump_version():
     from repro.kvstore.expressions import path as kv_path
     return Set("Version", Plus(IfNotExists(kv_path("Version"), Value(0)),
                                Value(1)))
-
-
-def row_has_space(row: dict, capacity: int) -> bool:
-    return row.get("LogSize", 0) < capacity and "NextRow" not in row
 
 
 def case_b_condition(log_key: str, capacity: int) -> Condition:

@@ -290,8 +290,12 @@ def _collect_chain(store, table: str, key: Any, liveness: _Liveness,
             writers |= _entry_instances(row)
         liveness.prefetch(writers)
 
-    # Prune dead log entries everywhere in the reachable chain. LogSize is
-    # intentionally left as a high-water mark so "full" rows stay full.
+    # Prune dead log entries everywhere in the reachable chain. LogSize
+    # stays a high-water mark (entries ever logged), but nothing gates on
+    # it: "has space" is ``SizeLt(RecentWrites, N)`` in the case-B
+    # condition, so a pruned *tail* accepts writes again, and the writer
+    # that fills it again extends the chain. Interior rows keep their
+    # ``NextRow`` and stay closed whatever is pruned.
     # A row that filled while the item was locked handed its ``LockOwner``
     # forward (``daal.append_row``) and kept the copy; the head is never
     # disconnected, so there the copy would outlive the lock for good.

@@ -23,6 +23,18 @@ Cases are probed in transition-graph order (states with no incoming edges
 first), so a failed conditional write soundly eliminates its case even
 under concurrent mutation.
 
+Who performs case D. In the paper every writer that meets a full tail
+appends — lazily, and racing every other writer that met it. With the
+``fastpath`` feature the writer whose case-B update *fills* the row
+(the row that update returns says so) runs the append before its op
+returns, and announces it in the tail cache; the runtime's other
+writers of the key wait for that one append and restart from the new
+tail (fill-and-extend: :func:`_extend_filled_row`,
+:func:`_await_extension`). It is the same :func:`daal.append_row` and
+the same version-validated CAS either way; the lazy form remains the
+fallback for a filler that crashed, was killed or lost the store, and
+the only form on ``paper`` / ``without="fastpath"``.
+
 The read log's serialization point (``docs/async_io.md``). An observed
 value has to be durable before anything that depends on it becomes
 visible — not sooner. The paper puts the conditional read-log put right
@@ -70,6 +82,8 @@ from repro.kvstore import (
     IfNotExists,
     Plus,
     Set,
+    ThrottledError,
+    UnavailableError,
     Value,
 )
 from repro.kvstore.expressions import Condition, UpdateAction, path
@@ -365,6 +379,12 @@ def record_op(ctx, compute) -> Any:
 # target row to exist (``SizeLt(RecentWrites)``) and be chainless, so a
 # deleted or chained row raises ConditionFailed, and the loop repairs the
 # cache via one full probe before continuing.
+#
+# The same inference lets a writer skip a full row whose successor is
+# being appended (``_await_extension``): it waits for the append, then —
+# position miss still trusted, nothing recorded for it meanwhile —
+# restarts at the tail the filler remembered, without the doomed update
+# and the ``get`` that would only have told it to follow ``NextRow``.
 
 
 def _position_replay(store, table: str, key: Any, log_key: str,
@@ -440,6 +460,101 @@ def _probe_chain(ctx, table: str, key: Any, log_key: str,
     return "row", skeleton.tail
 
 
+def _extend_filled_row(ctx, tag: str, table: str, key: Any,
+                       row: dict) -> None:
+    """Fill-and-extend: this writer's case-B update returned ``row`` and
+    that entry filled it, so append the successor now (case D, eagerly).
+
+    The writer that fills a row is the one party that knows, without
+    another read, that the next write needs a new row — and it holds
+    the row's current contents and ``Version``. So it runs the one
+    :func:`daal.append_row` (candidate put + version-validated CAS, no
+    ``get``) before its op returns, and announces it in the tail cache
+    so that the runtime's other writers of this key wait for this one
+    append (:func:`_await_extension`) instead of each paying a doomed
+    update, a ``get``, a candidate put and a CAS most of them lose.
+
+    Best effort: the op has landed either way, so a store that is dark
+    or throttling here (or a predecessor that vanished under the CAS —
+    the one ``ConditionFailed`` :func:`daal.append_row` lets out) is not
+    the op's to report; any other store error is a bug and propagates. A
+    crash leaves exactly what a crashed lazy
+    appender leaves, for the next writer's lazy case D: at the op's
+    ``:done`` point (after the filling update, announced) a full tail
+    without a successor, at ``:extend:put`` an orphan candidate too, and
+    past the CAS — any later point of the handler — an empty successor
+    carrying ``Value`` / ``LockOwner`` forward. One new tag, not three:
+    every crash point is a draw for a probabilistic crash policy, and
+    the doomed attempts this saves pay for exactly one.
+    """
+    cache = ctx.tail_cache
+    with cache.extending(table, key, row["RowId"],
+                         ctx.runtime.kernel.event("extend")) as ours:
+        ctx.crash_point(f"{tag}:done")
+        if not ours:
+            return
+        try:
+            daal.append_row(
+                ctx.store, table, key, row, ctx.fresh_row_id(), cache=cache,
+                after_put=lambda: ctx.crash_point(f"{tag}:extend:put"))
+        except (ThrottledError, UnavailableError, ConditionFailed):
+            pass
+
+
+def _await_extension(ctx, table: str, key: Any, row_id: str,
+                     log_key: str) -> Optional[str]:
+    """About to try (or just bounced off) ``row_id``: if another writer
+    of this runtime is appending its successor, wait for that append.
+
+    Returns the row to restart the case loop from — the tail the filler
+    remembered — or ``None`` to carry on as if nobody had waited: no
+    extension in flight, a filler that crashed or failed (the cached
+    tail did not move: lazy case D), or an op whose position miss does
+    not prove "never logged" (then ``row_id`` may hold its entry, and
+    the loop's own read of it must decide case A). Skipping ``row_id``
+    is the same inference :func:`_fast_start` makes when it starts at
+    the cached tail.
+    """
+    cache = ctx.tail_cache
+    done = (cache.extension_of(table, key, row_id)
+            if cache is not None else None)
+    if done is None:
+        return None
+    cache.stats.extension_waits += 1
+    ctx.runtime.kernel.wait(done)
+    entry = cache.peek_tail(table, key)
+    if (entry is None or entry.row_id == row_id
+            or not cache.trusts_miss(log_key)
+            or cache.position_of(table, key, log_key) is not None):
+        return None
+    return entry.row_id
+
+
+def _landed(ctx, tag: str, table: str, key: Any, row: dict,
+            log_key: str) -> None:
+    """A case-B update just returned ``row``: in that same scheduling
+    step pin the entry's position and, if it filled the row (only the
+    fast path looks), announce the extension — no writer can meet the
+    full row unannounced. ``:done`` is the op's crash point either way."""
+    cache = ctx.tail_cache
+    if cache is not None:
+        cache.note_logged_write(table, key, row["RowId"], log_key)
+        if len(row["RecentWrites"]) >= ctx.config.row_log_capacity:
+            _extend_filled_row(ctx, tag, table, key, row)
+            return
+    ctx.crash_point(f"{tag}:done")
+
+
+def _lazy_append(ctx, table: str, key: Any, row: dict) -> str:
+    """Case D in its lazy form: ``row`` is a full tail nobody extended
+    (its filler crashed, or wrote without the fast path)."""
+    cache = ctx.tail_cache
+    if cache is not None:
+        cache.stats.lazy_appends += 1
+    return daal.append_row(ctx.store, table, key, row, ctx.fresh_row_id(),
+                           cache=cache)
+
+
 def write_op(ctx, table: str, key: Any, value: Any,
              head_extra: Optional[dict] = None) -> None:
     """Unconditional exactly-once write of ``Value``."""
@@ -462,17 +577,22 @@ def write_op(ctx, table: str, key: Any, value: Any,
                            *_log_write_updates(log_key, True)]
         for _ in range(_MAX_CHAIN_STEPS):
             ctx.crash_point(f"write:{step}:try:{row_id}")
-            try:
-                store.update(
-                    table, (key, row_id),
-                    success_updates,
-                    condition=case_b)
-                if cache is not None:
-                    cache.note_logged_write(table, key, row_id, log_key)
-                ctx.crash_point(f"write:{step}:done")
-                return  # case B
-            except ConditionFailed:
-                pass
+            moved = _await_extension(ctx, table, key, row_id, log_key)
+            if moved is None:
+                try:
+                    row = store.update(
+                        table, (key, row_id),
+                        success_updates,
+                        condition=case_b)
+                except ConditionFailed:
+                    moved = _await_extension(ctx, table, key, row_id,
+                                             log_key)
+                else:
+                    _landed(ctx, f"write:{step}", table, key, row, log_key)
+                    return  # case B
+            if moved is not None:
+                row_id, from_cache = moved, True
+                continue
             row = daal.read_row(store, table, key, row_id)
             if row is None:
                 if not from_cache:
@@ -491,9 +611,7 @@ def write_op(ctx, table: str, key: Any, value: Any,
                     cache.remember_position(table, key, log_key, row_id)
                 return  # case A
             if "NextRow" not in row:
-                row_id = daal.append_row(store, table, key, row,
-                                         ctx.fresh_row_id(),
-                                         cache=cache)  # case D
+                row_id = _lazy_append(ctx, table, key, row)  # case D
             else:
                 row_id = row["NextRow"]  # case C
         raise BeldiError(
@@ -542,31 +660,26 @@ def cond_write_op(ctx, table: str, key: Any,
         failure_updates = _log_write_updates(log_key, False)
         for _ in range(_MAX_CHAIN_STEPS):
             ctx.crash_point(f"condwrite:{step}:try:{row_id}")
-            try:
-                store.update(
-                    table, (key, row_id),
-                    success_updates,
-                    condition=success_condition)
-                if cache is not None:
-                    cache.note_logged_write(table, key, row_id, log_key)
-                ctx.crash_point(f"condwrite:{step}:done")
-                return True  # case B1
-            except ConditionFailed:
-                pass
-            # The serialization point is the attempt above: recording
-            # False here is valid even if the user condition has become
-            # true since (Appendix A).
-            try:
-                store.update(
-                    table, (key, row_id),
-                    failure_updates,
-                    condition=case_b)
-                if cache is not None:
-                    cache.note_logged_write(table, key, row_id, log_key)
-                ctx.crash_point(f"condwrite:{step}:done")
-                return False  # case B2
-            except ConditionFailed:
-                pass
+            moved = _await_extension(ctx, table, key, row_id, log_key)
+            if moved is None:
+                # The serialization point is the first attempt:
+                # recording False after it is valid even if the user
+                # condition has become true since (Appendix A).
+                for outcome, updates, cond in (
+                        (True, success_updates, success_condition),
+                        (False, failure_updates, case_b)):
+                    try:
+                        row = store.update(table, (key, row_id), updates,
+                                           condition=cond)
+                    except ConditionFailed:
+                        continue
+                    _landed(ctx, f"condwrite:{step}", table, key, row,
+                            log_key)
+                    return outcome  # case B1 / B2
+                moved = _await_extension(ctx, table, key, row_id, log_key)
+            if moved is not None:
+                row_id, from_cache = moved, True
+                continue
             row = daal.read_row(store, table, key, row_id)
             if row is None:
                 if not from_cache:
@@ -586,9 +699,7 @@ def cond_write_op(ctx, table: str, key: Any,
                     cache.remember_position(table, key, log_key, row_id)
                 return bool(writes[log_key])  # case A
             if "NextRow" not in row:
-                row_id = daal.append_row(store, table, key, row,
-                                         ctx.fresh_row_id(),
-                                         cache=cache)  # case D
+                row_id = _lazy_append(ctx, table, key, row)  # case D
             else:
                 row_id = row["NextRow"]  # case C
         raise BeldiError(

@@ -46,6 +46,20 @@ entries' instances instead: a tainted instance's position misses are no
 longer trusted, and its operations take the full-probe slow path (seed
 behavior) forever after. Correctness never depends on the bound.
 
+Extensions in flight
+--------------------
+
+The writer whose case-B update fills a row appends the successor itself
+(``ops._extend_filled_row``: candidate put + version-validated CAS, the
+same :func:`~repro.core.daal.append_row` lazy case D uses). While it
+does, ``extending`` holds ``(table, key, row_id) -> SimEvent`` for the
+full row; a writer of this runtime about to try that row waits on the
+event instead of paying a doomed update, a ``get`` and a racing append
+of its own, and restarts from the tail the filler remembered. The entry
+is pure scheduling advice: it is removed and the event set in a
+``finally``, so a crashed, killed or failed filler releases its waiters
+into lazy case D, and nothing here ever links a row — the CAS does.
+
 Invariants maintained by callers:
 
 - only rows observed *reachable* (a skeleton tail, a case-B target, an
@@ -57,8 +71,9 @@ Invariants maintained by callers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
+from typing import Any, Iterator, Optional
 
 from repro.core.logkeys import instance_of as _instance_of
 
@@ -71,7 +86,9 @@ class TailEntry:
     for observability and cheap freshness heuristics, never consulted to
     skip a staleness check or a conditional write (the store's ``LogSize``
     is a GC-preserved high-water mark, so a cached "full" can be stale
-    the other way: pruned tails accept writes again).
+    the other way: pruned tails accept writes again). The eager
+    extension does not read it either: "this write filled the row" is
+    ``len(RecentWrites)`` of the row the filling update itself returned.
     """
 
     row_id: str
@@ -88,16 +105,13 @@ class TailCacheStats:
     position_hits: int = 0
     position_fallbacks: int = 0
     intent_hits: int = 0
+    extensions: int = 0         # appends started by the writer that filled
+    extension_waits: int = 0    # writers that waited one out
+    lazy_appends: int = 0       # case D by a writer that met a full tail
+    append_races_lost: int = 0  # candidates orphaned by a lost CAS
 
     def snapshot(self) -> dict:
-        return {
-            "tail_hits": self.tail_hits,
-            "tail_misses": self.tail_misses,
-            "tail_fallbacks": self.tail_fallbacks,
-            "position_hits": self.position_hits,
-            "position_fallbacks": self.position_fallbacks,
-            "intent_hits": self.intent_hits,
-        }
+        return asdict(self)
 
 
 class TailCache:
@@ -112,16 +126,25 @@ class TailCache:
         self._tails: dict[tuple, TailEntry] = {}
         self._positions: dict[tuple, str] = {}
         self._tainted: set = set()   # instances with evicted positions
+        self._extending: dict[tuple, Any] = {}   # full row -> done event
         self._max_positions = max_positions
         self.stats = TailCacheStats()
 
     # -- tails -----------------------------------------------------------------
     def tail_of(self, table: str, key: Any) -> Optional[TailEntry]:
-        entry = self._tails.get((table, _hashable(key)))
+        entry = self.peek_tail(table, key)
         if entry is None:
             self.stats.tail_misses += 1
+        else:
+            self.stats.tail_hits += 1
+        return entry
+
+    def peek_tail(self, table: str, key: Any) -> Optional[TailEntry]:
+        """:meth:`tail_of` without the hit/miss bookkeeping: a writer
+        released from an extension wait already counted its lookup."""
+        entry = self._tails.get((table, _hashable(key)))
+        if entry is None:
             return None
-        self.stats.tail_hits += 1
         return TailEntry(entry.row_id, entry.log_size)
 
     def remember_tail(self, table: str, key: Any, row_id: str,
@@ -169,6 +192,32 @@ class TailCache:
         miss would otherwise falsely read as "never executed".
         """
         self._tails.pop((table, _hashable(key)), None)
+
+    # -- extensions in flight --------------------------------------------------
+    @contextmanager
+    def extending(self, table: str, key: Any, row_id: str,
+                  done) -> Iterator[bool]:
+        """Announce that the caller is appending the successor of the
+        full row ``row_id``; ``done`` (a kernel event) is set on the way
+        out, however the append ended. Yields False — and announces
+        nothing — when that row's extension is already in flight (the
+        GC pruned it and it filled again): one filler is enough."""
+        cache_key = (table, _hashable(key), row_id)
+        if cache_key in self._extending:
+            yield False
+            return
+        self._extending[cache_key] = done
+        self.stats.extensions += 1
+        try:
+            yield True
+        finally:
+            del self._extending[cache_key]
+            done.set()
+
+    def extension_of(self, table: str, key: Any, row_id: str):
+        """The event to wait on while ``row_id`` is being extended by
+        another writer of this runtime, else ``None``."""
+        return self._extending.get((table, _hashable(key), row_id))
 
     # -- positions -------------------------------------------------------------
     def position_of(self, table: str, key: Any,

@@ -44,7 +44,7 @@ from repro.core import daal, intents, ops
 from repro.core.gc import make_garbage_collector
 from repro.kvstore import Set
 from repro.kvstore.faults import FaultPolicy
-from repro.platform import CrashOnce, RecordingPolicy
+from repro.platform import CrashOnce, CrashPolicy, RecordingPolicy
 from repro.platform.errors import FunctionCrashed, TooManyRequests
 
 SEED = 5
@@ -77,9 +77,21 @@ RECOVERY_HORIZON = 40_000.0
 # them. Recovery is the durable migration record: the GC (or the next
 # attempt) rolls the move forward or back, and ``assert_store_clean``
 # additionally demands zero placement residue and no mid-phase records.
+#
+# ``current-cap1`` gives every row room for one log entry, so every
+# logged write and every lock acquisition *fills* its row and its writer
+# extends the chain itself (fill-and-extend, ``ops._extend_filled_row``).
+# Every ``write`` / ``condwrite`` of the recording run then passes its
+# ``:done`` point announced and with the tail full, an ``:extend:put``
+# point between the candidate put and the CAS, and its next point with
+# an empty successor linked — and a filler killed at each must leave
+# only what a crashed lazy appender always could: a full tail without a
+# successor, an orphan candidate, an empty successor carrying ``Value``
+# / ``LockOwner`` forward.
 SETTINGS = {
     "paper": dict(profile="paper"),
     "current": dict(),
+    "current-cap1": dict(row_log_capacity=1),
     "current-shards2": dict(shards=2),
     "current-repl3": dict(elastic_check_every=2, elastic_min_window=8,
                           elastic_load_ratio=1.01, elastic_max_moves=4,
@@ -89,6 +101,9 @@ SETTINGS = {
 }
 UNSHARDED_SETTINGS = [name for name, flags in SETTINGS.items()
                       if "shards" not in flags]
+#: The search workflow writes nothing: no row of it can fill.
+SEARCH_SETTINGS = [name for name in UNSHARDED_SETTINGS
+                   if "row_log_capacity" not in SETTINGS[name]]
 
 
 def _runtime(flags: dict) -> BeldiRuntime:
@@ -442,6 +457,8 @@ def sweep(scenario_name: str, flags_name: str) -> None:
     _check_open_points(points, runtime.config.has_async_io)
     if scenario.mutate is not None:
         _check_read_log_points(points, runtime.config.has_async_io)
+    if flags.get("row_log_capacity") == 1:
+        _check_extension_points(points)
     assert not failures, (
         f"{len(failures)}/{len(points)} crash points violated "
         f"exactly-once/cleanliness:\n" + "\n".join(
@@ -506,6 +523,23 @@ def _check_read_log_points(points, grouped: bool) -> None:
                        for _f, _i, tag in points)
 
 
+def _check_extension_points(points) -> None:
+    """The capacity-1 sweep is only meaningful if it killed fillers
+    between candidate put and CAS — after plain writes and, where the
+    workflow locks (the reservation), after lock acquisitions alike,
+    whose successor must carry ``LockOwner``. (The states either side
+    of that window are its ``:done`` and whatever point follows.)"""
+    tags = {tag for _function, _index, tag in points}
+    for op in ("write", "condwrite"):
+        tried = {tag for tag in tags if tag.startswith(f"{op}:")}
+        assert tried or op == "condwrite"
+        extended = {tag.rsplit(":", 2)[0] for tag in tried
+                    if tag.endswith(":extend:put")}
+        landed = {tag.rsplit(":", 1)[0] for tag in tried
+                  if tag.endswith(":done")}
+        assert extended == landed, (op, sorted(landed - extended))
+
+
 @pytest.mark.parametrize("flags_name", sorted(SETTINGS))
 def test_travel_reserve_crash_sweep(flags_name):
     sweep("travel-reserve", flags_name)
@@ -516,7 +550,7 @@ def test_movie_compose_crash_sweep(flags_name):
     sweep("movie-compose", flags_name)
 
 
-@pytest.mark.parametrize("flags_name", sorted(UNSHARDED_SETTINGS))
+@pytest.mark.parametrize("flags_name", sorted(SEARCH_SETTINGS))
 def test_travel_search_crash_sweep(flags_name):
     sweep("travel-search", flags_name)
 
@@ -538,3 +572,109 @@ def test_sharded_sweep_actually_crosses_shards():
     runtime.kernel.shutdown()
     assert len(touched) > 1, (
         "hotel and flight rows landed on one shard; pick other keys")
+
+
+# ---------------------------------------------------------------------------
+# A filler killed mid-extension, with writers waiting on it
+# ---------------------------------------------------------------------------
+
+EXTENSION_POINTS = ("filled", "put", "linked")
+
+
+class KillTheFiller(CrashPolicy):
+    """Kill whichever invocation fills the head row: at its ``:done``
+    (``filled`` — the extension announced, nothing put), between the
+    candidate put and the CAS (``put``), or at its first crash point
+    after the CAS (``linked``)."""
+
+    def __init__(self, point: str, announced: Callable[[], bool]) -> None:
+        self.point = point
+        self.announced = announced
+        self.past_put = None
+        self.fired = False
+
+    def should_crash(self, function, invocation_index, tag) -> bool:
+        if self.fired:
+            return False
+        if self.point == "filled":
+            self.fired = tag.endswith(":done") and self.announced()
+        elif self.point == "put":
+            self.fired = tag.endswith(":extend:put")
+        else:
+            self.fired = self.past_put == (function, invocation_index)
+            if tag.endswith(":extend:put"):
+                self.past_put = (function, invocation_index)
+        return self.fired
+
+
+def _crash_the_filler(point: str):
+    """Three concurrent requests write one key twice each at capacity 2
+    and real latencies; the request whose update fills the head row is
+    killed at ``point`` while the others are about to write."""
+    config = BeldiConfig(row_log_capacity=2, ic_restart_delay=200.0,
+                         gc_t=GC_T)
+    runtime = BeldiRuntime(seed=SEED, config=config, latency_scale=1.0,
+                           observability=True)
+
+    def writer(ctx, payload):
+        for index in range(2):
+            ctx.write("kv", "hot", [payload, index])
+        return {"ok": True}
+
+    ssf = runtime.register_ssf("w", writer, tables=["kv"])
+    ssf.env.seed("kv", "hot", None)
+    table = ssf.env.data_table("kv")
+    runtime.platform.crash_policy = KillTheFiller(
+        point, lambda: runtime.tail_cache.extension_of(
+            table, "hot", daal.HEAD_ROW_ID) is not None)
+    results = []
+
+    def client(payload):
+        try:
+            results.append(runtime.client_call("w", payload))
+        except FunctionCrashed:
+            results.append("crashed")
+
+    runtime.start_collectors(ic_period=100.0, gc_period=1e12)
+    for payload in range(3):
+        runtime.kernel.spawn(client, payload)
+    runtime.kernel.run(until=5_000.0)
+    runtime.stop_collectors()
+    runtime.kernel.run(until=5_000.0 + RECOVERY_SLICE)
+    return runtime, ssf.env, results
+
+
+@pytest.mark.parametrize("point", EXTENSION_POINTS)
+def test_crashed_filler_releases_its_waiters(point):
+    runtime, env, results = _crash_the_filler(point)
+    table = env.data_table("kv")
+    try:
+        assert runtime.platform.stats.injected_crashes == 1
+        assert sorted(map(str, results)) == sorted(
+            ["crashed"] + [str({"ok": True})] * 2)
+        assert not intents.pending_intents(env)
+        rows = env.store.query(table, "hot").items
+        entries = [log_key for row in rows
+                   for log_key in row["RecentWrites"]]
+        assert len(entries) == len(set(entries)) == 6
+        stats = runtime.tail_cache.stats
+        skeleton = daal.load_skeleton(env.store, table, "hot")
+        # (At ``filled`` the filler dies in the scheduling step that
+        # announced it: nobody saw the announcement.)
+        assert (stats.extension_waits >= 1) == (point != "filled")
+        if point == "linked":
+            # The link landed: the waiters restart from the new tail.
+            assert stats.lazy_appends == 0 and skeleton.orphans == []
+        else:
+            # Released into today's case D: the first waiter appends
+            # lazily, and the candidate the filler had already put is
+            # an orphan for the GC.
+            assert stats.lazy_appends >= 1
+            assert len(skeleton.orphans) == (point == "put")
+        assert stats.append_races_lost == 0
+        lifecycle.check(runtime.obs.tracer.records)
+        run_gc_passes(runtime)
+        assert_store_clean(runtime)
+        assert daal.load_skeleton(env.store, table, "hot").orphans == []
+    finally:
+        runtime.kernel.shutdown()

@@ -170,6 +170,40 @@ class TestAppendRow:
         assert skeleton.reachable == [daal.HEAD_ROW_ID, "rA"]
         assert "rB" in skeleton.orphans
 
+    def test_append_with_the_filled_row_in_hand_is_two_round_trips(
+            self, store):
+        """What the filling writer pays: the row its update returned is
+        the snapshot, so the append is a put and a CAS — no ``get``."""
+        daal.ensure_head(store, "t", "k", value="v")
+        filled = store.update("t", ("k", daal.HEAD_ROW_ID),
+                              [Set("RecentWrites", {"i#0": True}),
+                               daal.bump_version()])
+        before = store.metering.copy()
+        between = []
+        daal.append_row(
+            store, "t", "k", filled, "r1",
+            after_put=lambda: between.append(
+                (store.get("t", ("k", "r1")) is not None,
+                 "NextRow" in store.get("t", ("k", daal.HEAD_ROW_ID)))))
+        # The hook ran with the candidate put and the link not yet made.
+        assert between == [(True, False)]
+        counts = {op: rec.count
+                  for op, rec in store.metering.diff(before).items()}
+        assert counts == {"write": 1, "cond_write": 1,
+                          "read": 2}  # the hook's own two gets
+        assert daal.load_skeleton(store, "t", "k").reachable == [
+            daal.HEAD_ROW_ID, "r1"]
+
+    def test_a_lost_append_race_is_counted(self, store):
+        cache = TailCache()
+        daal.ensure_head(store, "t", "k", value="v")
+        head = store.get("t", ("k", daal.HEAD_ROW_ID))
+        daal.append_row(store, "t", "k", head, "rA", cache=cache)
+        assert cache.stats.append_races_lost == 0
+        daal.append_row(store, "t", "k", head, "rB", cache=cache)
+        assert cache.stats.append_races_lost == 1
+        assert cache.peek_tail("t", "k").row_id == "rA"
+
     def test_append_carries_lock_owner(self, store):
         daal.ensure_head(store, "t", "k", value="v")
         store.update("t", ("k", daal.HEAD_ROW_ID),

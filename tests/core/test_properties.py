@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import lifecycle
 from repro.core import BeldiConfig, BeldiRuntime
-from repro.core import daal
-from repro.platform import CrashPolicy, FunctionCrashed
+from repro.core import daal, intents
+from repro.platform import CrashOnce, CrashPolicy, FunctionCrashed
 from repro.platform.errors import TooManyRequests
 from repro.sim import RandomSource
 
@@ -455,16 +455,23 @@ class TestGCInterleavingProperties:
 
     @given(n_writers=st.integers(2, 4), per_writer=st.integers(2, 5),
            seed=st.integers(0, 2_000),
-           without=st.sampled_from([None, "fastpath"]))
+           without=st.sampled_from([None, "fastpath"]),
+           filler_dies=st.booleans())
     @settings(**FAST)
     def test_orphans_from_append_races_are_reclaimed(
-            self, n_writers, per_writer, seed, without):
-        """Concurrent writers with capacity-1 rows force an append race
-        on nearly every write; racing losers orphan their candidates.
-        After the writers finish and the GC horizon passes: every orphan
-        is stamped then deleted, no log entry is lost while live, the
-        final value survives collection, and a tail cache that watched
-        the whole interleaving never serves a stale row."""
+            self, n_writers, per_writer, seed, without, filler_dies):
+        """Concurrent writers with capacity-1 rows force an append on
+        every write. Without the fast path the writers race it and the
+        losers orphan their candidates; with it every writer fills its
+        row and extends the chain itself while the others wait
+        (fill-and-extend) — orphans are then born only when a filler
+        dies between its candidate put and the CAS, which
+        ``filler_dies`` arranges for the first one, releasing its
+        waiters into lazy case D. After the writers finish and the GC
+        horizon passes: every orphan is stamped then deleted, no log
+        entry is lost while live, the final value survives collection,
+        and a tail cache that watched the whole interleaving never
+        serves a stale row."""
         from repro.core.gc import make_garbage_collector
 
         gc_t = 800.0
@@ -491,16 +498,47 @@ class TestGCInterleavingProperties:
             def crash_point(self, tag):
                 pass
 
+        filler_dies = filler_dies and without is None
+        if filler_dies:
+            runtime.platform.crash_policy = CrashOnce(
+                "w", "write:0:extend:put")
+
+        def client(w):
+            try:
+                runtime.client_call("w", w)
+            except FunctionCrashed:
+                pass
+
+        def finish_the_dead():
+            # What the intent collector would do.
+            for intent in intents.pending_intents(env):
+                runtime.platform.client_request("w", {
+                    "kind": "call", "input": intent["Args"],
+                    "instance_id": intent["InstanceId"]})
+
         # Writers race; a GC pass runs *while* they are in flight (its
         # liveness rules must protect live instances' entries).
         for w in range(n_writers):
-            runtime.kernel.spawn(
-                lambda w=w: runtime.client_call("w", w),
-                delay=float(w) * 0.5)
+            runtime.kernel.spawn(client, w, delay=float(w) * 0.5)
         runtime.kernel.spawn(lambda: gc_handler(_Ctx(), {}), delay=5.0)
+        runtime.kernel.run()
+        runtime.kernel.spawn(finish_the_dead)
         runtime.kernel.run()
 
         skeleton = daal.load_skeleton(env.store, table, "k")
+        if without is None:
+            stats = runtime.tail_cache.stats
+            if filler_dies:
+                # Its candidate is an orphan, and whoever next met the
+                # full tail — a released waiter, or its own re-run —
+                # appended lazily (racing, if more than one did).
+                assert skeleton.orphans and stats.lazy_appends >= 1
+            else:
+                # Crash-free, every writer extends behind itself and
+                # nobody races an append.
+                assert skeleton.orphans == []
+                assert stats.extensions == n_writers * per_writer
+                assert stats.lazy_appends == stats.append_races_lost == 0
         total = n_writers * per_writer
         rows = [env.store.get(table, ("k", rid))
                 for rid in skeleton.reachable]

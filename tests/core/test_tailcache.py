@@ -14,11 +14,16 @@ Plus: a cached row the GC fully deleted, and ``without="fastpath"``
 equivalence with the seed.
 """
 
+from collections import Counter
+
 import pytest
 
-from repro.core import BeldiConfig, BeldiRuntime, TailCache
+from repro.core import BeldiConfig, BeldiRuntime, TailCache, TailCacheStats
 from repro.core import daal
 from repro.core.gc import make_garbage_collector
+from repro.kvstore import UnavailableError
+from repro.kvstore.errors import ValidationError
+from repro.sim import RandomSchedule, SimKernel
 
 
 def build_runtime(**config):
@@ -412,3 +417,154 @@ class TestHashableKeyRegressions:
         assert cache.tail_of("t", ["a"]).row_id == "row-list"
         assert cache.tail_of("t", ("__list__", ("a",))).row_id == (
             "row-tuple")
+
+
+# ---------------------------------------------------------------------------
+# Fill-and-extend: the writer that fills a row appends its successor,
+# the runtime's other writers of the key wait for that one append
+# ---------------------------------------------------------------------------
+
+def hot_key_storm(seed, capacity, writers=5, writes=3, latency_scale=0.0,
+                  **config):
+    """``writers`` concurrent requests, each writing one key ``writes``
+    times, under the schedule explorer. Returns the runtime (shut down),
+    every row of the key and the round trips its table served."""
+    kernel = SimKernel(seed=seed, schedule=RandomSchedule(seed))
+    runtime = BeldiRuntime(
+        kernel=kernel, seed=seed, latency_scale=latency_scale,
+        config=BeldiConfig(row_log_capacity=capacity, gc_t=1e12,
+                           ic_restart_delay=1e9, **config))
+
+    def writer(ctx, payload):
+        for index in range(writes):
+            ctx.write("kv", "hot", [payload, index])
+        return "ok"
+
+    ssf = runtime.register_ssf("w", writer, tables=["kv"])
+    ssf.env.seed("kv", "hot", None)
+    table = ssf.env.data_table("kv")
+    before = runtime.store.metering.per_table[table]
+    results = []
+    for index in range(writers):
+        kernel.spawn(lambda index=index: results.append(
+            runtime.client_call("w", index)))
+    kernel.run()
+    assert results == ["ok"] * writers
+    round_trips = runtime.store.metering.per_table[table] - before
+    rows = runtime.store.query(table, "hot").items
+    kernel.shutdown()
+    return runtime, table, rows, round_trips
+
+
+def logged_entries(rows):
+    return Counter(log_key for row in rows
+                   for log_key in row["RecentWrites"])
+
+
+class TestFillAndExtend:
+    @pytest.mark.parametrize("capacity", [2, 3])
+    def test_concurrent_writers_extend_once_per_fill(self, capacity):
+        """Crash-free, any explored schedule: every entry logged exactly
+        once, one append per filled row and none lost — so no orphan —
+        and the writers that met a full row waited instead of racing."""
+        writers, writes = 5, 3
+        total = writers * writes
+        fills = total // capacity
+        waits = 0
+        for seed in range(25):
+            runtime, table, rows, round_trips = hot_key_storm(
+                seed, capacity, writers, writes)
+            entries = logged_entries(rows)
+            assert len(entries) == total, seed
+            assert set(entries.values()) == {1}, seed
+            skeleton = daal.load_skeleton(runtime.store, table, "hot")
+            assert skeleton.orphans == [], seed
+            assert len(skeleton.reachable) == fills + 1, seed
+            stats = runtime.tail_cache.stats
+            assert stats.extensions == fills, seed
+            assert stats.lazy_appends == 0, seed
+            assert stats.append_races_lost == 0, seed
+            # The bound: one landed update per write, a put + a CAS per
+            # fill, and at most a doomed update + one read per fill for
+            # each of the other writers (an update already in flight
+            # when the row filled). Lazy case D is five per writer per
+            # fill on top of the writes.
+            assert round_trips <= total + 2 * writers * fills, seed
+            waits += stats.extension_waits
+        assert waits > 0, "no schedule made a writer wait"
+
+    def test_waiting_does_not_count_as_a_cache_lookup(self):
+        """A released waiter peeks the new tail: hits + misses stay one
+        per operation start, so the hit ratio keeps its meaning."""
+        for seed in range(10):
+            runtime, _table, _rows, _rts = hot_key_storm(
+                seed, 2, latency_scale=1.0)
+            stats = runtime.tail_cache.stats
+            if stats.extension_waits:
+                assert stats.tail_hits + stats.tail_misses == 5 * 3
+                return
+        pytest.fail("no schedule made a writer wait")
+
+    def test_without_fastpath_appends_lazily_as_before(self):
+        runtime, table, rows, _rts = hot_key_storm(
+            3, 2, latency_scale=1.0, without="fastpath")
+        assert set(logged_entries(rows).values()) == {1}
+        assert len(logged_entries(rows)) == 15
+        assert runtime.tail_cache.stats.snapshot() == (
+            TailCacheStats().snapshot())
+
+    def test_a_pruned_row_that_fills_again_has_one_filler(self):
+        cache = TailCache()
+        kernel = SimKernel(seed=0)
+        first, second = kernel.event(), kernel.event()
+        with cache.extending("t", "k", "HEAD", first) as ours:
+            assert ours
+            assert cache.extension_of("t", "k", "HEAD") is first
+            with cache.extending("t", "k", "HEAD", second) as again:
+                assert not again
+            assert cache.extension_of("t", "k", "HEAD") is first
+            assert not second.is_set
+        assert first.is_set
+        assert cache.extension_of("t", "k", "HEAD") is None
+        assert cache.stats.extensions == 1
+        kernel.shutdown()
+
+    def test_a_failed_filler_still_releases_its_waiters(self):
+        cache = TailCache()
+        kernel = SimKernel(seed=0)
+        done = kernel.event()
+        with pytest.raises(RuntimeError):
+            with cache.extending("t", "k", "HEAD", done):
+                raise RuntimeError("store went dark")
+        assert done.is_set
+        assert cache.extension_of("t", "k", "HEAD") is None
+        kernel.shutdown()
+
+    @pytest.mark.parametrize("error, swallowed", [
+        (UnavailableError("node dark"), True),
+        (ValidationError("bad candidate"), False),
+    ])
+    def test_the_filler_swallows_a_lost_store_and_nothing_else(
+            self, monkeypatch, error, swallowed):
+        """The op has landed, so a dark or throttling store is not its
+        to report — but a malformed append is a bug, not a lazy append.
+        Either way the row is full, unextended and unannounced."""
+        def broken_append(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(daal, "append_row", broken_append)
+        runtime = build_runtime(row_log_capacity=1, gc_t=1e12)
+        ssf = runtime.register_ssf(
+            "w", lambda ctx, p: ctx.write("kv", "k", p), tables=["kv"])
+        ssf.env.seed("kv", "k", 0)
+        if swallowed:
+            runtime.run_workflow("w", 1)
+        else:
+            with pytest.raises(ValidationError, match="bad candidate"):
+                runtime.run_workflow("w", 1)
+        table = ssf.env.data_table("kv")
+        head = daal.read_row(runtime.store, table, "k", daal.HEAD_ROW_ID)
+        assert head["Value"] == 1 and "NextRow" not in head
+        assert runtime.tail_cache.extension_of(
+            table, "k", daal.HEAD_ROW_ID) is None
+        runtime.kernel.shutdown()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import BeldiConfig, BeldiRuntime, TxnAborted
+from repro.core import BeldiConfig, BeldiRuntime, TxnAborted, daal
 from repro.platform import FunctionCrashed
 from repro.platform.crashes import CrashOnce
 
@@ -334,6 +334,62 @@ class TestWaitDie:
         # run must terminate and the committed effects must be atomic.
         x, y = ssf.env.peek("kv", "x"), ssf.env.peek("kv", "y")
         assert x == y  # each committed txn increments both
+
+    def test_a_lock_that_fills_its_row_is_carried_to_the_successor(self):
+        """Capacity 1: the lock's own log entry fills the tail, so the
+        transaction extends the chain itself (fill-and-extend) — and
+        the empty successor must carry ``LockOwner``, or the contender
+        that restarts from the new tail would walk into a held item."""
+        runtime = BeldiRuntime(seed=9, latency_scale=1.0, config=BeldiConfig(
+            row_log_capacity=1, gc_t=1e12, ic_restart_delay=1e9,
+            lock_retry_backoff=5.0, lock_retry_limit=400))
+
+        def book(ctx, payload):
+            with ctx.transaction() as tx:
+                left = ctx.read("rooms", "H1")
+                ctx.sleep(60.0)  # hold the lock across the contender
+                ctx.write("rooms", "H1", left - 1)
+            return tx.outcome
+
+        ssf = runtime.register_ssf("book", book, tables=["rooms"])
+        ssf.env.seed("rooms", "H1", 5)
+        table = ssf.env.data_table("rooms")
+        held, outcomes = [], []
+
+        def probe():
+            # While the first transaction sleeps on its lock: the row
+            # its acquisition filled and the successor it linked.
+            store = ssf.env.store
+            while len(chain := daal.load_skeleton(
+                    store, table, "H1").reachable) < 2:
+                runtime.kernel.sleep(5.0)
+            held.extend(store.get(table, ("H1", row_id))
+                        for row_id in chain)
+
+        for delay in (0.0, 5.0):
+            runtime.kernel.spawn(lambda: outcomes.append(
+                runtime.client_call("book")), delay=delay)
+        runtime.kernel.spawn(probe)
+        runtime.kernel.run()
+        runtime.kernel.shutdown()
+        # The filled row and its successor name the same owner and the
+        # seeded value; all the successor can have logged by now is the
+        # contender bouncing off the carried lock (outcome False).
+        head, tail = held
+        assert head["NextRow"] == tail["RowId"] and "NextRow" not in tail
+        assert list(head["RecentWrites"].values()) == [True]
+        assert not any(tail["RecentWrites"].values())
+        assert tail["LockOwner"] == head["LockOwner"]
+        assert tail["Value"] == 5
+        # Mutual exclusion held: every commit took exactly one room.
+        assert "committed" in outcomes
+        assert ssf.env.peek("rooms", "H1") == 5 - outcomes.count("committed")
+        rows = ssf.env.store.query(table, "H1").items
+        (last,) = [row for row in rows if "NextRow" not in row]
+        assert "LockOwner" not in last
+        stats = runtime.tail_cache.stats
+        assert stats.extensions > 0
+        assert stats.lazy_appends == stats.append_races_lost == 0
 
     def test_fig12_pattern_terminates_under_opacity(self, runtime):
         """The Fig. 12 OCC infinite loop: with opacity (2PL) the loop

@@ -188,6 +188,10 @@ def test_unified_snapshot_sections(traced):
     assert snap["metering"]["totals"]["dollars"] > 0
     assert len(snap["metering"]["per_shard"]) == 2  # LIGHT_FLAGS shards
     assert snap["tail_cache"]["tail_hits"] >= 0
+    # Chain growth sits in the same block — the cache's own counters are
+    # the one home of these numbers, not a second copy in the registry.
+    assert {"extensions", "extension_waits", "lazy_appends",
+            "append_races_lost"} <= set(snap["tail_cache"])
     assert snap["elasticity"]["checks"] >= 0
     # And the whole snapshot is JSON-clean.
     json.dumps(snap, sort_keys=True, allow_nan=False)

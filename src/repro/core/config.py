@@ -180,12 +180,11 @@ class BeldiConfig:
         object is even constructed, reproducing the pre-observability
         code paths bit-for-bit. Same seed + schedule ⇒ byte-identical
         exported trace (``docs/observability.md``).
-    retry_max_attempts / retry_base_backoff / retry_max_backoff /
-    retry_jitter:
+    retry_max_attempts / retry_base_backoff:
         The retry schedule: at most ``retry_max_attempts`` tries per
         store call; attempt ``n`` backs off
-        ``retry_base_backoff * 2**(n-1)`` virtual ms capped at
-        ``retry_max_backoff``, scaled by ``1 - retry_jitter * U[0,1)``.
+        ``retry_base_backoff * 2**(n-1)`` virtual ms, capped and
+        jittered by :class:`~repro.resilience.RetryPolicy`'s constants.
     breaker_threshold / breaker_cooldown:
         ``breaker_threshold`` consecutive ``UnavailableError``\\ s on one
         endpoint open its breaker; while open, calls fast-fail without
@@ -219,8 +218,6 @@ class BeldiConfig:
     observability: bool = False
     retry_max_attempts: int = 6
     retry_base_backoff: float = 10.0
-    retry_max_backoff: float = 2_000.0
-    retry_jitter: float = 0.5
     breaker_threshold: int = 5
     breaker_cooldown: float = 500.0
     request_deadline: float | None = None

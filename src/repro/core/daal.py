@@ -28,7 +28,9 @@ build a local *skeleton* of the chain, then walks it in memory: any row
 reachable from ``HEAD`` up to the first missing ``NextRow`` is a consistent
 snapshot under a linearizable store (§4.1). Orphan rows — left over from
 appends that lost the CAS race or crashed mid-append — show up in the query
-result but are ignored by the walk.
+result but are ignored by the walk. That walk is :func:`reachable_rows`,
+for the traversal and the garbage collector alike; "the item's current
+tail row" is :func:`tail_row`, for every reader that wants it.
 
 Invariants this layer must uphold (see ``docs/architecture.md``) —
 everything above (ops, txn, GC) assumes them, and every optimization
@@ -126,6 +128,21 @@ def ensure_head(store: KVStore, table: str, key: Any,
         pass
 
 
+def reachable_rows(next_of: dict) -> list[str]:
+    """The §4.1 walk, once: row ids from ``HEAD`` up to the first
+    successor the snapshot ``next_of`` (row id -> ``NextRow`` or
+    ``None``) does not hold. Everything else in the snapshot is an
+    orphan or a disconnected row; a cycle ends the walk."""
+    reachable: list[str] = []
+    seen = set()
+    cursor: Optional[str] = HEAD_ROW_ID
+    while cursor is not None and cursor in next_of and cursor not in seen:
+        seen.add(cursor)
+        reachable.append(cursor)
+        cursor = next_of[cursor]
+    return reachable
+
+
 def load_skeleton(store: KVStore, table: str, key: Any,
                   probe_log_key: Optional[str] = None,
                   cache: Optional[TailCache] = None,
@@ -162,19 +179,13 @@ def load_skeleton(store: KVStore, table: str, key: Any,
             writes = row.get("RecentWrites") or {}
             if probe_log_key in writes:
                 hit_of[row_id] = writes[probe_log_key]
-    reachable: list[str] = []
-    log_hits: dict[str, Any] = {}
-    cursor: Optional[str] = HEAD_ROW_ID if HEAD_ROW_ID in next_of else None
-    seen = set()
-    while cursor is not None and cursor in next_of and cursor not in seen:
-        seen.add(cursor)
-        reachable.append(cursor)
-        if cursor in hit_of:
-            log_hits[cursor] = hit_of[cursor]
-        cursor = next_of[cursor]
-    orphans = [row_id for row_id in next_of if row_id not in seen]
-    skeleton = Skeleton(key=key, reachable=reachable, orphans=orphans,
-                        log_hits=log_hits)
+    reachable = reachable_rows(next_of)
+    seen = set(reachable)
+    skeleton = Skeleton(
+        key=key, reachable=reachable,
+        orphans=[row_id for row_id in next_of if row_id not in seen],
+        log_hits={row_id: hit_of[row_id] for row_id in reachable
+                  if row_id in hit_of})
     if cache is not None and skeleton.exists:
         cache.remember_tail(table, key, skeleton.tail,
                             size_of.get(skeleton.tail))
@@ -244,6 +255,23 @@ def fast_tail_row(store: KVStore, table: str, key: Any,
     return row
 
 
+def tail_row(store: KVStore, table: str, key: Any,
+             cache: Optional[TailCache],
+             consistency: Optional[str] = None) -> Optional[dict]:
+    """The item's current tail row, resolved once for every reader:
+    through the cache (:func:`fast_tail_row`), else one skeleton query
+    (which refills the cache) and one ``get``. ``None`` when there is no
+    chain, or its tail vanished between the two."""
+    row = fast_tail_row(store, table, key, cache, consistency=consistency)
+    if row is None:
+        skeleton = load_skeleton(store, table, key, cache=cache,
+                                 consistency=consistency)
+        if skeleton.exists:
+            row = read_row(store, table, key, skeleton.tail,
+                           consistency=consistency)
+    return row
+
+
 def tail_value(store: KVStore, table: str, key: Any,
                cache: Optional[TailCache] = None,
                consistency: Optional[str] = None) -> Any:
@@ -258,18 +286,8 @@ def tail_value(store: KVStore, table: str, key: Any,
     operation one repair traversal — the same fail-safe staleness the
     cache already absorbs from GC disconnections.
     """
-    row = fast_tail_row(store, table, key, cache, consistency=consistency)
-    if row is not None:
-        return row.get("Value", MISSING)
-    skeleton = load_skeleton(store, table, key, cache=cache,
-                             consistency=consistency)
-    if not skeleton.exists:
-        return MISSING
-    row = read_row(store, table, key, skeleton.tail,
-                   consistency=consistency)
-    if row is None:
-        return MISSING
-    return row.get("Value", MISSING)
+    row = tail_row(store, table, key, cache, consistency=consistency)
+    return row.get("Value", MISSING) if row else MISSING
 
 
 def tail_values(store: KVStore, table: str, keys: list,
@@ -434,20 +452,17 @@ def flush_value(store: KVStore, table: str, key: Any, value: Any,
     releases the lock, every retry fails the condition and backs off.
     Returns True if this call performed the flush.
 
-    With a cache the tail resolves through :func:`fast_tail_row` (one
+    The tail resolves through :func:`tail_row` (with a cache, one
     ``get`` on the hot path); the conditional update's own
     ``AttrNotExists(NextRow)`` guard makes a stale cached tail fail
     safely, after which the skeleton traversal repairs the cache.
     """
     while True:
-        row = fast_tail_row(store, table, key, cache)
+        row = tail_row(store, table, key, cache)
         if row is None:
-            skeleton = load_skeleton(store, table, key, cache=cache)
-            if not skeleton.exists:
-                return False
-            row = read_row(store, table, key, skeleton.tail)
-            if row is None:
-                continue
+            # No chain — nothing holds the lock. (The GC deletes only
+            # rows a data table's chain no longer reaches, never a tail.)
+            return False
         tail_id = row["RowId"]
         owner = row.get("LockOwner")
         if not owner or owner.get("Id") != txn_id:

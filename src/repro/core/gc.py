@@ -34,7 +34,7 @@ point-checked before anything of theirs is pruned.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.core import daal, logkeys
 from repro.core.env import BeldiEnv
@@ -272,14 +272,9 @@ def _collect_chain(store, table: str, key: Any, liveness: _Liveness,
     rows = {row["RowId"]: row for row in result.items}
     if daal.HEAD_ROW_ID not in rows:
         return
-    # Reachable chain walk (same rule as the traversal).
-    chain: list[dict] = []
-    cursor: Optional[str] = daal.HEAD_ROW_ID
-    seen = set()
-    while cursor is not None and cursor in rows and cursor not in seen:
-        seen.add(cursor)
-        chain.append(rows[cursor])
-        cursor = rows[cursor].get("NextRow")
+    reachable = daal.reachable_rows(
+        {row_id: row.get("NextRow") for row_id, row in rows.items()})
+    chain = [rows[row_id] for row_id in reachable]
     if cache is not None:
         # Settle every unknown writer in one batched point-check before
         # the per-entry pruning walk issues singleton gets. Only the
@@ -341,6 +336,7 @@ def _collect_chain(store, table: str, key: Any, liveness: _Liveness,
 
     # Orphans and disconnected rows: stamp first sighting, delete after T.
     expired = []
+    seen = set(reachable)
     for row_id, row in rows.items():
         if row_id in seen:
             continue
@@ -402,13 +398,9 @@ def _collect_shadows(store, shadow_table: str, liveness: _Liveness,
             continue
         if head is not None and now - head["DangleTime"] <= t_bound:
             continue
-        if batch_writes:
-            _delete_keys(store, shadow_table,
-                         [(key, row["RowId"]) for row in rows],
-                         batch_writes)
+        _delete_keys(store, shadow_table,
+                     [(key, row["RowId"]) for row in rows], batch_writes)
         for row in rows:
-            if not batch_writes:
-                store.delete(shadow_table, (key, row["RowId"]))
             if cache is not None:
                 cache.drop_row(shadow_table, key, row["RowId"])
             stats["deleted_rows"] += 1

@@ -47,6 +47,12 @@ Asynchronous invocation splits in two (Fig. 20): a synchronous
 acks back into the caller's invoke log, then the actual async dispatch.
 If the dispatch is lost, the callee's IC finds the registered, unfinished
 intent and runs it.
+
+Every delivery that must happen at least once — the sync call, the async
+registration, the callee's callback and ack (``runtime.py``), a
+transaction's Commit/Abort signal (``txn.py``) — retries through the one
+loop, :func:`at_least_once`: what counts as a failed delivery, the
+back-off schedule and the retry limit are stated there and nowhere else.
 """
 
 from __future__ import annotations
@@ -84,6 +90,36 @@ def unwrap_result(result: Any) -> Any:
     if result == TXN_ABORT_MARKER:
         raise TxnAborted("callee died inside the transaction")
     return result
+
+
+def at_least_once(platform_ctx, config, attempt, recovered=None,
+                  exhausted=None) -> Any:
+    """The one delivery loop: run ``attempt()`` — a platform invocation —
+    until the platform delivers it, and return what it returned.
+
+    After a failed delivery (the worker crashed, timed out, or found no
+    slot) ``recovered()`` may show that the outcome arrived some other
+    way — it returns that outcome, or ``NO_RESULT`` — which ends the
+    loop without another attempt. Otherwise the ``n``-th failure sleeps
+    ``invoke_retry_backoff * n`` virtual ms and retries; past
+    ``invoke_retry_limit`` failures it raises ``exhausted(n)`` or,
+    without one, the platform's own error.
+    """
+    attempts = 0
+    while True:
+        try:
+            return attempt()
+        except (FunctionCrashed, FunctionTimeout, TooManyRequests):
+            if recovered is not None:
+                outcome = recovered()
+                if outcome is not NO_RESULT:
+                    return outcome
+            attempts += 1
+            if attempts > config.invoke_retry_limit:
+                if exhausted is not None:
+                    raise exhausted(attempts)
+                raise
+            platform_ctx.sleep(config.invoke_retry_backoff * attempts)
 
 
 def _derived_callee_id(instance_id: str, step: int) -> str:
@@ -217,33 +253,30 @@ def complete_invoke(ctx, prepared: dict, crash_points: bool = True) -> Any:
             ctx.crash_point(f"invoke:{step}:dispatched")
         claim()
 
+    def deliver() -> Any:
+        if crash_points:
+            ctx.crash_point(f"invoke:{step}:before-call")
+        result = ctx.platform_ctx.sync_invoke(
+            callee, call,
+            meanwhile=(claim_beside_dispatch
+                       if "unclaimed" in prepared else None))
+        if crash_points:
+            ctx.crash_point(f"invoke:{step}:after-call")
+        return result
+
+    def logged_result() -> Any:
+        if "unclaimed" in prepared:
+            claim()
+        return _check_logged_result(ctx, step)
+
     with ctx.trace(f"step.invoke:{callee}", cat="step",
                    span_id=f"{ctx.instance_id}#{step}", step=step,
                    callee=call["instance_id"]):
-        attempts = 0
-        while True:
-            if crash_points:
-                ctx.crash_point(f"invoke:{step}:before-call")
-            try:
-                result = ctx.platform_ctx.sync_invoke(
-                    callee, call,
-                    meanwhile=(claim_beside_dispatch
-                               if "unclaimed" in prepared else None))
-                if crash_points:
-                    ctx.crash_point(f"invoke:{step}:after-call")
-                return unwrap_result(result)
-            except (FunctionCrashed, FunctionTimeout, TooManyRequests):
-                if "unclaimed" in prepared:
-                    claim()
-                result = _check_logged_result(ctx, step)
-                if result is not NO_RESULT:
-                    return unwrap_result(result)
-                attempts += 1
-                if attempts > ctx.config.invoke_retry_limit:
-                    raise InvokeFailed(
-                        f"sync invoke of {callee!r} failed after "
-                        f"{attempts} attempts")
-                ctx.sleep(ctx.config.invoke_retry_backoff * attempts)
+        return unwrap_result(at_least_once(
+            ctx.platform_ctx, ctx.config, deliver, recovered=logged_result,
+            exhausted=lambda attempts: InvokeFailed(
+                f"sync invoke of {callee!r} failed after "
+                f"{attempts} attempts")))
 
 
 def sync_invoke_op(ctx, callee: str, payload_input: Any) -> Any:
@@ -347,21 +380,15 @@ def async_invoke_op(ctx, callee: str, payload_input: Any) -> None:
         acked = _write_claim(ctx, entry, call) == ASYNC_ACK
         if not acked:
             registration = dict(call, kind="async_register")
-            attempts = 0
-            while True:
-                try:
-                    ctx.platform_ctx.sync_invoke(callee, registration)
-                    break
-                except (FunctionCrashed, FunctionTimeout,
-                        TooManyRequests):
-                    if _check_logged_result(ctx, step) == ASYNC_ACK:
-                        break
-                    attempts += 1
-                    if attempts > ctx.config.invoke_retry_limit:
-                        raise InvokeFailed(
-                            f"async registration with {callee!r} failed "
-                            f"after {attempts} attempts")
-                    ctx.sleep(ctx.config.invoke_retry_backoff * attempts)
+            at_least_once(
+                ctx.platform_ctx, ctx.config,
+                lambda: ctx.platform_ctx.sync_invoke(callee, registration),
+                recovered=lambda: (
+                    ASYNC_ACK if _check_logged_result(ctx, step) == ASYNC_ACK
+                    else NO_RESULT),
+                exhausted=lambda attempts: InvokeFailed(
+                    f"async registration with {callee!r} failed "
+                    f"after {attempts} attempts"))
         ctx.crash_point(f"invoke:{step}:before-async")
         # At-least-once from here: if this dispatch is lost (or we
         # crash), the callee's intent collector finds the registered

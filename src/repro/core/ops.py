@@ -7,14 +7,16 @@ non-atomic step (a crash in between is safe — the unlogged read had no
 external effect); writes log *into the same row they modify*, which is the
 linked DAAL's whole reason to exist.
 
-The write-side case analysis follows Figures 6/7 and 17/18 exactly:
+The write-side case analysis follows Figures 6/7 and 17/18 exactly, and
+is written once — :func:`_logged_write`, the loop ``write``, ``condWrite``
+and through them ``lock`` / ``unlock`` / ``tx_lock`` / ``tx_write`` ride:
 
 ====  ===========================================================
 Case  Candidate tail state
 ====  ===========================================================
 A     operation already in this row's log -> return logged outcome
 B     not logged, log has space, no successor -> do it here
-(B1/B2 for conditional writes: user condition true/false)
+(B1/B2 for conditional writes: the two entries of ``attempts``)
 C     not logged, row full, successor exists -> follow the chain
 D     not logged, row full, no successor -> append a row, retry
 ====  ===========================================================
@@ -260,14 +262,8 @@ def read_op(ctx, table: str, key: Any, attribute: str = "Value") -> Any:
     step = ctx.next_step()
 
     def observe() -> Any:
-        store = ctx.store
         ctx.crash_point(f"read:{step}:start")
-        row = daal.fast_tail_row(store, table, key, ctx.tail_cache)
-        if row is None:
-            skeleton = daal.load_skeleton(store, table, key,
-                                          cache=ctx.tail_cache)
-            if skeleton.exists:
-                row = daal.read_row(store, table, key, skeleton.tail)
+        row = daal.tail_row(ctx.store, table, key, ctx.tail_cache)
         return row.get(attribute, daal.MISSING) if row else daal.MISSING
 
     with ctx.trace("op.read", span_id=f"{ctx.instance_id}#{step}",
@@ -555,6 +551,68 @@ def _lazy_append(ctx, table: str, key: Any, row: dict) -> str:
                            cache=cache)
 
 
+def _logged_write(ctx, tag: str, table: str, key: Any, log_key: str,
+                  attempts: Sequence[tuple],
+                  head_extra: Optional[dict]) -> Any:
+    """The one case loop (Figs. 6/7 and 17/18): land ``log_key`` in the
+    item's chain exactly once and return its logged outcome.
+
+    ``attempts`` is the ordered ``(outcome, updates, condition)`` list
+    tried on each candidate tail — case B. A write has one entry; a
+    conditional write has two, B1 (user condition holds) then B2 (record
+    ``False``). The serialization point is the first attempt: recording
+    ``False`` after it is valid even if the user condition has become
+    true since (Appendix A). ``tag`` (``write:<step>`` /
+    ``condwrite:<step>``) prefixes the crash points.
+    """
+    store = ctx.store
+    cache = ctx.tail_cache
+    ctx.crash_point(f"{tag}:start")
+    status, payload, from_cache = _fast_start(ctx, table, key, log_key,
+                                              head_extra)
+    if status == "done":
+        return payload  # case A
+    row_id = payload
+    for _ in range(_MAX_CHAIN_STEPS):
+        ctx.crash_point(f"{tag}:try:{row_id}")
+        moved = _await_extension(ctx, table, key, row_id, log_key)
+        if moved is None:
+            for outcome, updates, condition in attempts:
+                try:
+                    row = store.update(table, (key, row_id), updates,
+                                       condition=condition)
+                except ConditionFailed:
+                    continue
+                _landed(ctx, tag, table, key, row, log_key)
+                return outcome  # case B (B1 / B2)
+            moved = _await_extension(ctx, table, key, row_id, log_key)
+        if moved is not None:
+            row_id, from_cache = moved, True
+            continue
+        row = daal.read_row(store, table, key, row_id)
+        if row is None:
+            if not from_cache:
+                raise BeldiError(f"row {row_id} vanished during {tag}")
+            from_cache = False
+            status, payload = _reprobe_after_vanish(
+                ctx, table, key, log_key, head_extra)
+            if status == "done":
+                return payload
+            row_id = payload
+            continue
+        from_cache = False
+        writes = row.get("RecentWrites") or {}
+        if log_key in writes:
+            if cache is not None:
+                cache.remember_position(table, key, log_key, row_id)
+            return writes[log_key]  # case A
+        if "NextRow" not in row:
+            row_id = _lazy_append(ctx, table, key, row)  # case D
+        else:
+            row_id = row["NextRow"]  # case C
+    raise BeldiError(f"{tag} did not terminate; chain unreasonably long")
+
+
 def write_op(ctx, table: str, key: Any, value: Any,
              head_extra: Optional[dict] = None) -> None:
     """Unconditional exactly-once write of ``Value``."""
@@ -563,59 +621,12 @@ def write_op(ctx, table: str, key: Any, value: Any,
     with ctx.trace("op.write", span_id=f"{ctx.instance_id}#{step}",
                    step=step, table=table):
         log_key = encode(ctx.instance_id, step)
-        store = ctx.store
-        cache = ctx.tail_cache
-        ctx.crash_point(f"write:{step}:start")
-        status, payload, from_cache = _fast_start(ctx, table, key,
-                                                  log_key, head_extra)
-        if status == "done":
-            return  # case A
-        row_id = payload
-        capacity = ctx.config.row_log_capacity
-        case_b = daal.case_b_condition(log_key, capacity)
-        success_updates = [Set("Value", value),
-                           *_log_write_updates(log_key, True)]
-        for _ in range(_MAX_CHAIN_STEPS):
-            ctx.crash_point(f"write:{step}:try:{row_id}")
-            moved = _await_extension(ctx, table, key, row_id, log_key)
-            if moved is None:
-                try:
-                    row = store.update(
-                        table, (key, row_id),
-                        success_updates,
-                        condition=case_b)
-                except ConditionFailed:
-                    moved = _await_extension(ctx, table, key, row_id,
-                                             log_key)
-                else:
-                    _landed(ctx, f"write:{step}", table, key, row, log_key)
-                    return  # case B
-            if moved is not None:
-                row_id, from_cache = moved, True
-                continue
-            row = daal.read_row(store, table, key, row_id)
-            if row is None:
-                if not from_cache:
-                    raise BeldiError(
-                        f"row {row_id} vanished during write")
-                from_cache = False
-                status, payload = _reprobe_after_vanish(
-                    ctx, table, key, log_key, head_extra)
-                if status == "done":
-                    return
-                row_id = payload
-                continue
-            from_cache = False
-            if log_key in (row.get("RecentWrites") or {}):
-                if cache is not None:
-                    cache.remember_position(table, key, log_key, row_id)
-                return  # case A
-            if "NextRow" not in row:
-                row_id = _lazy_append(ctx, table, key, row)  # case D
-            else:
-                row_id = row["NextRow"]  # case C
-        raise BeldiError(
-            "write did not terminate; chain unreasonably long")
+        case_b = daal.case_b_condition(log_key, ctx.config.row_log_capacity)
+        _logged_write(
+            ctx, f"write:{step}", table, key, log_key,
+            [(True, [Set("Value", value),
+                     *_log_write_updates(log_key, True)], case_b)],
+            head_extra)
 
 
 # ---------------------------------------------------------------------------
@@ -641,69 +652,17 @@ def cond_write_op(ctx, table: str, key: Any,
     with ctx.trace("op.cond_write", span_id=f"{ctx.instance_id}#{step}",
                    step=step, table=table):
         log_key = encode(ctx.instance_id, step)
-        store = ctx.store
-        cache = ctx.tail_cache
-        ctx.crash_point(f"condwrite:{step}:start")
-        status, payload, from_cache = _fast_start(ctx, table, key,
-                                                  log_key, head_extra)
-        if status == "done":
-            return bool(payload)  # case A
-        row_id = payload
-        capacity = ctx.config.row_log_capacity
+        case_b = daal.case_b_condition(log_key, ctx.config.row_log_capacity)
         success_updates: list[UpdateAction] = []
         if set_value:
             success_updates.append(Set("Value", value))
         success_updates.extend(extra_updates)
-        case_b = daal.case_b_condition(log_key, capacity)
-        success_condition = And(condition, case_b)
         success_updates.extend(_log_write_updates(log_key, True))
-        failure_updates = _log_write_updates(log_key, False)
-        for _ in range(_MAX_CHAIN_STEPS):
-            ctx.crash_point(f"condwrite:{step}:try:{row_id}")
-            moved = _await_extension(ctx, table, key, row_id, log_key)
-            if moved is None:
-                # The serialization point is the first attempt:
-                # recording False after it is valid even if the user
-                # condition has become true since (Appendix A).
-                for outcome, updates, cond in (
-                        (True, success_updates, success_condition),
-                        (False, failure_updates, case_b)):
-                    try:
-                        row = store.update(table, (key, row_id), updates,
-                                           condition=cond)
-                    except ConditionFailed:
-                        continue
-                    _landed(ctx, f"condwrite:{step}", table, key, row,
-                            log_key)
-                    return outcome  # case B1 / B2
-                moved = _await_extension(ctx, table, key, row_id, log_key)
-            if moved is not None:
-                row_id, from_cache = moved, True
-                continue
-            row = daal.read_row(store, table, key, row_id)
-            if row is None:
-                if not from_cache:
-                    raise BeldiError(
-                        f"row {row_id} vanished during condWrite")
-                from_cache = False
-                status, payload = _reprobe_after_vanish(
-                    ctx, table, key, log_key, head_extra)
-                if status == "done":
-                    return bool(payload)
-                row_id = payload
-                continue
-            from_cache = False
-            writes = row.get("RecentWrites") or {}
-            if log_key in writes:
-                if cache is not None:
-                    cache.remember_position(table, key, log_key, row_id)
-                return bool(writes[log_key])  # case A
-            if "NextRow" not in row:
-                row_id = _lazy_append(ctx, table, key, row)  # case D
-            else:
-                row_id = row["NextRow"]  # case C
-        raise BeldiError(
-            "condWrite did not terminate; chain unreasonably long")
+        return bool(_logged_write(
+            ctx, f"condwrite:{step}", table, key, log_key,
+            [(True, success_updates, And(condition, case_b)),
+             (False, _log_write_updates(log_key, False), case_b)],
+            head_extra))
 
 
 def _only_hit(skeleton: daal.Skeleton) -> bool:

@@ -61,11 +61,6 @@ from repro.kvstore import (
 from repro.kvstore.faults import FaultPolicy
 from repro.platform import PlatformConfig, ServerlessPlatform
 from repro.platform.context import InvocationContext
-from repro.platform.errors import (
-    FunctionCrashed,
-    FunctionTimeout,
-    TooManyRequests,
-)
 from repro.sim.kernel import SimKernel
 from repro.sim.latency import LatencyModel
 from repro.sim.randsrc import RandomSource
@@ -274,9 +269,7 @@ class BeldiRuntime:
             self.resilience = ResilienceState(
                 self.kernel, self.rand.child("resilience"),
                 RetryPolicy(self.config.retry_max_attempts,
-                            self.config.retry_base_backoff,
-                            self.config.retry_max_backoff,
-                            self.config.retry_jitter),
+                            self.config.retry_base_backoff),
                 breaker_threshold=self.config.breaker_threshold,
                 breaker_cooldown=self.config.breaker_cooldown,
                 obs=self.obs)
@@ -620,16 +613,9 @@ class BeldiRuntime:
 
     def _retry_invoke(self, platform_ctx: InvocationContext, target: str,
                       payload: dict) -> Any:
-        attempts = 0
-        while True:
-            try:
-                return platform_ctx.sync_invoke(target, payload)
-            except (FunctionCrashed, FunctionTimeout, TooManyRequests):
-                attempts += 1
-                if attempts > self.config.invoke_retry_limit:
-                    raise
-                self.kernel.sleep(
-                    self.config.invoke_retry_backoff * attempts)
+        return invoke.at_least_once(
+            platform_ctx, self.config,
+            lambda: platform_ctx.sync_invoke(target, payload))
 
     def _handle_callback(self, ssf: SSFDefinition,
                          platform_ctx: InvocationContext, payload: dict,

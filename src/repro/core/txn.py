@@ -32,6 +32,7 @@ from typing import Any, Optional
 from repro.core import daal, ops
 from repro.core.env import SHADOW_TXN_INDEX, BeldiEnv
 from repro.core.errors import MisusedApi, TxnAborted
+from repro.core.invoke import NO_RESULT, at_least_once
 from repro.kvstore import Set, overlap
 from repro.kvstore.asyncio import NULL_SCOPE
 from repro.kvstore.expressions import Condition, path
@@ -386,32 +387,24 @@ def _signal_with_retry(ctx, callee: str, payload: dict,
     callee has been signalled, so one participant's failure never keeps
     another from being reached.
     """
-    from repro.platform.errors import (FunctionCrashed, FunctionTimeout,
-                                       TooManyRequests)
     errors: list = []
 
-    def run_beside() -> None:
+    def run_beside() -> Any:
         nonlocal beside
         work, beside = beside, None
         try:
-            work()
+            if work is not None:
+                work()
         except Exception as exc:  # noqa: BLE001 - joined below
             errors.append(exc)
+        return NO_RESULT  # the signal itself is still to be delivered
 
-    attempts = 0
-    while True:
-        try:
-            ctx.platform_ctx.sync_invoke(
-                callee, payload,
-                meanwhile=run_beside if beside is not None else None)
-            break
-        except (FunctionCrashed, FunctionTimeout, TooManyRequests):
-            if beside is not None:
-                run_beside()
-            attempts += 1
-            if attempts > ctx.config.invoke_retry_limit:
-                raise
-            ctx.sleep(ctx.config.invoke_retry_backoff * attempts)
+    at_least_once(
+        ctx.platform_ctx, ctx.config,
+        lambda: ctx.platform_ctx.sync_invoke(
+            callee, payload,
+            meanwhile=run_beside if beside is not None else None),
+        recovered=run_beside)
     if errors:
         raise errors[0]
 

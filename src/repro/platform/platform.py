@@ -170,6 +170,10 @@ class ServerlessPlatform:
         ctx = InvocationContext(self, entry.name, request_id, index,
                                 deadline, cold)
         ctx.lifecycle("start")
+        #: The timeout timer's only hold on the worker's ``Process``;
+        #: the exiting worker empties it, so a finished invocation is
+        #: not kept alive until its timer fires.
+        running: list = []
 
         def worker() -> Any:
             try:
@@ -195,20 +199,24 @@ class ServerlessPlatform:
                 raise
             finally:
                 self._release_slot()
+                running.clear()
 
         proc = self.kernel.spawn(worker, name=f"fn:{entry.name}")
         # The event only, not the process: the worker's closure holds the
         # context, and a reference back would make every invocation a
         # cycle for the garbage collector to find.
         ctx.done_event = proc.done_event
-        self._arm_timeout(proc, entry.timeout)
+        running.append(proc)
+        self._arm_timeout(running, entry.timeout)
         return proc, ctx
 
-    def _arm_timeout(self, proc: Process, timeout: float) -> None:
+    def _arm_timeout(self, running: list, timeout: float) -> None:
+        """Kill the worker in ``running`` if it is still there — not yet
+        exited — after ``timeout``."""
         def enforce() -> None:
-            if not proc.finished:
+            if running and not running[0].finished:
                 self.stats.timeouts += 1
-                proc.kill(crash=False)
+                running[0].kill(crash=False)
 
         self.kernel.call_later(timeout, enforce)
 

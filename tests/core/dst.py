@@ -369,11 +369,13 @@ def check_effects(h: Harness) -> None:
             f"client told {movie_result} but reviews are {review_ids}")
 
 
-def assert_store_clean(h: Harness) -> None:
-    """No residue anywhere: logs, intents, locksets, shadows, locks —
-    plus settled migrations and zero placement residue when elastic."""
-    store = h.travel.store
-    if h.travel.elasticity is not None:
+def assert_store_clean(store, runtimes) -> None:
+    """No residue anywhere in ``store``, over every env of ``runtimes``:
+    logs, intents, locksets, shadows, locks — plus settled migrations
+    and zero placement residue when elastic. The one statement of the
+    invariant; every sweep imports it."""
+    runtimes = list(runtimes)
+    if any(runtime.elasticity is not None for runtime in runtimes):
         from repro.kvstore.rebalance import (MIGRATIONS_TABLE,
                                              placement_residue)
         for record in store.scan(MIGRATIONS_TABLE).items:
@@ -381,7 +383,7 @@ def assert_store_clean(h: Harness) -> None:
                 f"migration record left mid-phase: {record}")
         residue = placement_residue(store)
         assert residue == [], f"placement residue: {residue}"
-    for runtime in h.runtimes.values():
+    for runtime in runtimes:
         for env in runtime.envs.values():
             assert store.item_count(env.intent_table) == 0, (
                 f"{env.name}: {store.item_count(env.intent_table)} rows left "
@@ -447,7 +449,7 @@ def run_one(flags: dict, schedule=None,
         run_requests(h)
         check_effects(h)
         run_gc_passes(h)
-        assert_store_clean(h)
+        assert_store_clean(h.travel.store, h.runtimes.values())
     finally:
         h.shutdown()
     return h
@@ -475,7 +477,7 @@ def explore(seeds, flags: dict = LIGHT_FLAGS,
             run_requests(h)
             check_effects(h)
             run_gc_passes(h)
-            assert_store_clean(h)
+            assert_store_clean(h.travel.store, h.runtimes.values())
             traces.add(tuple(h.kernel.schedule_trace))
         except AssertionError as exc:
             trace = list(h.kernel.schedule_trace)

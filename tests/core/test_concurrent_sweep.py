@@ -120,7 +120,7 @@ def test_concurrent_crash_sweep(mix, group):
             assert h.injected_crashes == 1, (
                 "crash point was not reached on the re-run")
             dst.run_gc_passes(h)
-            dst.assert_store_clean(h)
+            dst.assert_store_clean(h.travel.store, h.runtimes.values())
         except AssertionError as exc:  # collect, report all at once
             failures.append((function, index, tag,
                              dst.failure_line(exc)))
@@ -171,7 +171,7 @@ def test_multi_request_crash_script():
             f"expected both scripted crashes, got {h.injected_crashes}")
         assert not script.remaining
         dst.run_gc_passes(h)
-        dst.assert_store_clean(h)
+        dst.assert_store_clean(h.travel.store, h.runtimes.values())
     finally:
         h.shutdown()
 

@@ -383,34 +383,6 @@ def run_gc_passes(runtime, passes: int = 3) -> None:
         runtime.kernel.run()
 
 
-def assert_store_clean(runtime) -> None:
-    """No residue: logs, intents, locksets, shadows, locks, entries."""
-    store = runtime.store
-    if runtime.elasticity is not None:
-        from repro.kvstore.rebalance import (MIGRATIONS_TABLE,
-                                             placement_residue)
-        # Every migration record settled (rolled forward or back) and
-        # every row sits exactly where the forward-aware ring routes it.
-        for record in store.scan(MIGRATIONS_TABLE).items:
-            assert record["Phase"] == "done", record
-        assert placement_residue(store) == []
-    for env in runtime.envs.values():
-        assert store.item_count(env.intent_table) == 0, env.name
-        assert store.item_count(env.read_log) == 0, env.name
-        assert store.item_count(env.invoke_log) == 0, env.name
-        assert store.item_count(env.lockset_table) == 0, env.name
-        for short in env.table_names():
-            table = env.data_table(short)
-            assert store.item_count(env.shadow_table(short)) == 0, (
-                f"{table} shadow not collected")
-            for key in daal.all_keys(store, table):
-                for row in store.query(table, key).items:
-                    assert "LockOwner" not in row, (
-                        f"leaked lock on {table}:{key}")
-                    assert not row.get("RecentWrites"), (
-                        f"leaked log entries on {table}:{key}")
-
-
 def sweep(scenario_name: str, flags_name: str) -> None:
     scenario = SCENARIOS[scenario_name]
     flags = SETTINGS[flags_name]
@@ -439,7 +411,7 @@ def sweep(scenario_name: str, flags_name: str) -> None:
                 "crash point was not reached on the re-run")
             lifecycle.check(runtime.obs.tracer.records)
             run_gc_passes(runtime)
-            assert_store_clean(runtime)
+            dst.assert_store_clean(runtime.store, [runtime])
         except AssertionError as exc:  # collect, report all at once
             failures.append((function, index, tag,
                              dst.failure_line(exc)))
@@ -674,7 +646,7 @@ def test_crashed_filler_releases_its_waiters(point):
         assert stats.append_races_lost == 0
         lifecycle.check(runtime.obs.tracer.records)
         run_gc_passes(runtime)
-        assert_store_clean(runtime)
+        dst.assert_store_clean(runtime.store, [runtime])
         assert daal.load_skeleton(env.store, table, "hot").orphans == []
     finally:
         runtime.kernel.shutdown()

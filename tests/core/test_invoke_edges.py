@@ -3,6 +3,7 @@ and the window between a callee's reply and its callback."""
 
 import pytest
 
+import dst
 import lifecycle
 from repro.core import BeldiConfig, BeldiRuntime, intents
 from repro.core.gc import make_garbage_collector
@@ -197,8 +198,7 @@ class TestReplyBeforeCallback:
             assert not intents.pending_intents(env), env.name
 
     def test_callee_dying_after_its_reply_costs_the_caller_nothing(self):
-        from tests.core.test_crashpoint_sweep import (assert_store_clean,
-                                                      run_gc_passes)
+        from tests.core.test_crashpoint_sweep import run_gc_passes
         runtime = self._runtime()
         leaf, caller, _bodies = self._counter_pair(runtime)
         runtime.platform.crash_policy = CrashOnce("leaf", "reply:sent")
@@ -230,7 +230,7 @@ class TestReplyBeforeCallback:
         assert leaf.env.peek("kv", "n") == 1
         assert caller.env.peek("kv", "calls") == 1
         run_gc_passes(runtime)
-        assert_store_clean(runtime)
+        dst.assert_store_clean(runtime.store, [runtime])
         runtime.kernel.shutdown()
 
     def test_caller_replayed_before_the_callback_lands_reinvokes_same_id(
@@ -436,8 +436,7 @@ class TestPipelinedOpen:
         orphan finishes, its callback finds no row and is ignored, and
         the intent collector's replay claims the *same* id and is
         answered from the ``Done`` intent — the body ran once."""
-        from tests.core.test_crashpoint_sweep import (assert_store_clean,
-                                                      run_gc_passes)
+        from tests.core.test_crashpoint_sweep import run_gc_passes
         runtime = self._runtime(ic_restart_delay=1_500.0)
         leaf, caller, bodies = self._counter_pair(runtime)
         runtime.platform.crash_policy = CrashOnce(
@@ -477,7 +476,7 @@ class TestPipelinedOpen:
         assert leaf.env.peek("kv", "n") == 1
         assert caller.env.peek("kv", "calls") == 1
         run_gc_passes(runtime)
-        assert_store_clean(runtime)
+        dst.assert_store_clean(runtime.store, [runtime])
         runtime.kernel.shutdown()
 
     def _leaf_call_start(self) -> float:

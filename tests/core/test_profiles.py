@@ -22,7 +22,7 @@ from repro.core.config import FEATURES
 SEED = 5
 RETIRED_FIELDS = ("tail_cache", "batch_reads", "async_io",
                   "batch_log_writes", "elastic", "resilience",
-                  "degraded_reads")
+                  "degraded_reads", "retry_max_backoff", "retry_jitter")
 RETIRED_RUNTIME_KWARGS = ("async_io", "batch_log_writes", "elastic",
                           "resilience")
 

@@ -43,7 +43,7 @@ def _run_light(schedule, crash_policy=None, capture=False):
         dst.run_requests(h)
         dst.check_effects(h)
         dst.run_gc_passes(h)
-        dst.assert_store_clean(h)
+        dst.assert_store_clean(h.travel.store, h.runtimes.values())
     finally:
         h.shutdown()
     return h

@@ -1,5 +1,7 @@
 """Unit tests for the serverless platform emulator."""
 
+import gc
+
 import pytest
 
 from repro.platform import (
@@ -13,6 +15,7 @@ from repro.platform import (
     TooManyRequests,
 )
 from repro.sim import LatencyModel, RandomSource, SimKernel
+from repro.sim.kernel import Process
 
 
 def make_platform(seed=1, scale=0.0, **config_kwargs):
@@ -230,6 +233,79 @@ class TestTimeout:
         kernel.run()
         assert results == ["ok"]
         assert platform.stats.timeouts == 0
+
+    def test_armed_timer_does_not_keep_a_finished_worker(self):
+        """The timer holds the worker's ``Process`` through a cell the
+        exiting worker empties: what a finished invocation retains
+        (semaphore, context, payload, result) goes when it ends, not
+        when its timeout would have fired.
+
+        ``Process`` has ``__slots__`` without ``__weakref__`` and the
+        kernel's pooled thread keeps its last process in a local until
+        its next job, so "collectable" is checked as: nothing the armed
+        timer can reach is that process or its payload."""
+        kernel, platform = make_platform(default_timeout=50.0)
+        platform.register("fast", lambda ctx, p: "ok")
+        timers = []
+        call_later = kernel.call_later
+
+        def spy(delay, callback):
+            timers.append(callback)
+            return call_later(delay, callback)
+
+        kernel.call_later = spy
+
+        class Payload:
+            pass
+
+        def held_by(root):
+            seen, stack, held = set(), [root], []
+            while stack:
+                obj = stack.pop()
+                if id(obj) in seen:
+                    continue
+                seen.add(id(obj))
+                if isinstance(obj, Payload) or (
+                        isinstance(obj, Process)
+                        and obj.name.startswith("fn:fast")):
+                    held.append(obj)
+                stack.extend(gc.get_referents(obj))
+            return held
+
+        seen = []
+
+        def client():
+            platform.sync_invoke("fast", Payload())
+            kernel.sleep(1.0)
+            seen.append((kernel.now, held_by(timers[0])))
+
+        kernel.spawn(client)
+        kernel.run()
+        assert seen == [(pytest.approx(1.0), [])]  # the timer is due at 50
+        assert platform.stats.timeouts == 0
+
+    def test_overrunning_worker_is_killed_through_the_cell(self):
+        kernel, platform = make_platform(default_timeout=50.0)
+        died = []
+
+        def runaway(ctx, payload):
+            try:
+                ctx.sleep(10_000.0)
+            finally:
+                died.append(kernel.now)
+
+        platform.register("runaway", runaway)
+        platform.register("fast", lambda ctx, p: "ok")
+
+        def client():
+            platform.async_invoke("runaway", None)
+            platform.sync_invoke("fast", 0)
+
+        kernel.spawn(client)
+        kernel.run()
+        assert died == [pytest.approx(50.0)]
+        assert platform.stats.timeouts == 1  # the runaway, not the fast one
+        assert platform.active_instances == 0
 
     def test_per_function_timeout_override(self):
         kernel, platform = make_platform(default_timeout=1000.0)

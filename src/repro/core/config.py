@@ -169,12 +169,14 @@ class BeldiConfig:
         :meth:`~repro.kvstore.HashRing.plan_rebalance` accepts rather
         than keep moving chains.
     observability:
-        Virtual-time tracing + unified metrics (``repro.obs``): nested
-        spans (request → step → op → store round trip, plus txn/2PC,
-        failover, migration, GC, and crash/interleave events) stamped
-        with kernel time, and a :class:`~repro.obs.MetricsRegistry`
-        unifying metering/capacity/cache/replication/elasticity
-        signals. Pure recording: no virtual time, no store traffic, no
+        Virtual-time tracing (``repro.obs``): nested spans (request →
+        step → op → store round trip, plus txn and GC passes) and
+        instant events (lifecycle, lock, 2PC, read-log rollback, GC
+        pass, failover, migration, crash/interleave) stamped with
+        kernel time, and one
+        snapshot of the stack's native stats (metering, capacity, tail
+        cache, replication, resilience, elasticity) — every count in
+        one home. Pure recording: no virtual time, no store traffic, no
         randomness — the simulation's behavior is identical either
         way, and with the flag **off** (the default) no observability
         object is even constructed, reproducing the pre-observability

@@ -54,12 +54,10 @@ from repro.platform.context import InvocationContext
 class _Liveness:
     """Classify instance ids as live / recyclable / long-gone."""
 
-    def __init__(self, env: BeldiEnv, live: set, recyclable: set,
-                 scanned_all: bool) -> None:
+    def __init__(self, env: BeldiEnv, live: set, recyclable: set) -> None:
         self.env = env
         self.live = set(live)
         self.recyclable = set(recyclable)
-        self.scanned_all = scanned_all
         self.known_gone: set = set()
 
     def is_live(self, instance_id: str) -> bool:
@@ -120,9 +118,9 @@ def make_garbage_collector(runtime, env: BeldiEnv):
             return _collect(platform_ctx, payload)
         with obs.tracer.span("gc.pass", cat="gc", env=env.name):
             stats = _collect(platform_ctx, payload)
-        for key in sorted(stats):
-            if stats[key]:
-                obs.metrics.inc(f"gc.{key}", stats[key])
+            obs.tracer.event("gc:collected", cat="gc", env=env.name,
+                             **{key: count for key, count in stats.items()
+                                if count})
         return stats
 
     def _collect(platform_ctx: InvocationContext,
@@ -172,7 +170,6 @@ def make_garbage_collector(runtime, env: BeldiEnv):
         page_limit = runtime.config.gc_page_limit
         scan = store.scan(env.intent_table, limit=page_limit,
                           consistency=scan_consistency)
-        scanned_all = scan.last_evaluated_key is None
         for intent in scan.items:
             instance_id = intent["InstanceId"]
             if not intent.get("Done"):
@@ -191,7 +188,7 @@ def make_garbage_collector(runtime, env: BeldiEnv):
                 recyclable.append(instance_id)
             else:
                 live.add(instance_id)
-        liveness = _Liveness(env, live, set(recyclable), scanned_all)
+        liveness = _Liveness(env, live, set(recyclable))
 
         # Phase 3: drop read/invoke(/write) log entries of recyclables.
         log_tables = [env.read_log, env.invoke_log]

@@ -139,10 +139,11 @@ class BeldiRuntime:
         incident.
 
         ``observability`` overrides :attr:`BeldiConfig.observability`
-        (default *off*): virtual-time tracing + unified metrics
-        (``repro.obs``, ``docs/observability.md``). Pure recording —
-        behavior and virtual time are identical either way, and the
-        off-state never constructs the observability objects at all.
+        (default *off*): virtual-time tracing + one snapshot of the
+        stack's native stats (``repro.obs``, ``docs/observability.md``).
+        Pure recording — behavior and virtual time are identical either
+        way, and the off-state never constructs the observability
+        objects at all.
         """
         self.kernel = kernel or SimKernel(seed=seed)
         self.rand = RandomSource(seed, "beldi")
@@ -532,7 +533,8 @@ class BeldiRuntime:
                 if rollbacks > _MAX_READ_LOG_ROLLBACKS:
                     raise
                 if self.obs is not None:
-                    self.obs.metrics.inc("readlog.rollbacks")
+                    self.obs.tracer.event("readlog:rollback", cat="readlog",
+                                          instance=instance_id)
                 # The stored record, not the one the handler was handed
                 # (and may have mutated in place).
                 intent = intents.get_intent(env, instance_id) or intent

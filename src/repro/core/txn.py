@@ -125,7 +125,8 @@ def tx_lock(ctx, short: str, key: Any) -> None:
             txn.locked.add((short, key))
             obs = ctx.obs
             if obs is not None:
-                obs.metrics.inc("txn.locks_acquired")
+                obs.tracer.event("lock:acquired", cat="txn", table=short,
+                                 key=key, txn=txn.txn_id)
             # Schedule-exploration point: the window right after a lock
             # grant is where a conflicting transaction's probe lands.
             ctx.interleave(f"lock:acquired:{short}:{key}")
@@ -137,14 +138,16 @@ def tx_lock(ctx, short: str, key: Any) -> None:
         if holder_rank <= txn.priority():
             obs = ctx.obs
             if obs is not None:
-                obs.metrics.inc("txn.wait_die_aborts")
+                obs.tracer.event("lock:die", cat="txn", table=short,
+                                 key=key, txn=txn.txn_id)
             ctx.interleave(f"lock:die:{short}:{key}")
             raise TxnAborted(
                 f"wait-die: {txn.txn_id} dies to older {holder.get('Id')} "
                 f"on {short}:{key}")
         obs = ctx.obs
         if obs is not None:
-            obs.metrics.inc("txn.lock_waits")
+            obs.tracer.event("lock:wait", cat="txn", table=short,
+                             key=key, txn=txn.txn_id)
         ctx.interleave(f"lock:wait:{short}:{key}")
         attempts += 1
         if attempts > ctx.config.lock_retry_limit:
@@ -196,7 +199,7 @@ def tx_cond_write(ctx, short: str, key: Any, value: Any,
 # Commit / abort protocol
 # ---------------------------------------------------------------------------
 
-def resolve_local(env: BeldiEnv, txn_id: str, mode: str) -> dict:
+def resolve_local(env: BeldiEnv, txn_id: str, mode: str) -> None:
     """Phase 2, local part: flush shadows (commit) and release locks.
 
     Idempotent and at-least-once: every step is conditioned on
@@ -223,34 +226,29 @@ def resolve_local(env: BeldiEnv, txn_id: str, mode: str) -> dict:
     """
     obs = env.store.obs
     if obs is None:
-        return _resolve_local(env, txn_id, mode)
+        _resolve_local(env, txn_id, mode)
+        return
     with obs.tracer.span("txn.resolve", cat="txn", mode=mode,
                          txn=txn_id):
-        stats = _resolve_local(env, txn_id, mode)
-    obs.metrics.inc("txn.flushed", stats["flushed"])
-    obs.metrics.inc("txn.released", stats["released"])
-    return stats
+        _resolve_local(env, txn_id, mode)
 
 
-def _resolve_local(env: BeldiEnv, txn_id: str, mode: str) -> dict:
+def _resolve_local(env: BeldiEnv, txn_id: str, mode: str) -> None:
     store = env.store
     cache = env.tail_cache
-    stats = {"flushed": 0, "released": 0}
     tables = env.table_names() if mode == COMMIT else []
 
     def flush(scope, short: str, values: dict) -> None:
         for key, value in values.items():
             with scope.branch():
-                if daal.flush_value(store, env.data_table(short), key,
-                                    value, txn_id, cache=cache):
-                    stats["flushed"] += 1
+                daal.flush_value(store, env.data_table(short), key, value,
+                                 txn_id, cache=cache)
 
     def release(scope, refs: list) -> None:
         for ref in refs:
             with scope.branch():
-                if daal.release_lock(store, env.data_table(ref["Table"]),
-                                     ref["ItemKey"], txn_id, cache=cache):
-                    stats["released"] += 1
+                daal.release_lock(store, env.data_table(ref["Table"]),
+                                  ref["ItemKey"], txn_id, cache=cache)
 
     def lock_refs() -> list:
         return store.query(env.lockset_table, txn_id).items
@@ -259,7 +257,7 @@ def _resolve_local(env: BeldiEnv, txn_id: str, mode: str) -> dict:
         for short in tables:
             flush(NULL_SCOPE, short, _shadow_values(env, short, txn_id))
         release(NULL_SCOPE, lock_refs())
-        return stats
+        return
     # Two overlapped rounds. What the transaction wrote here and what it
     # locked here are independent reads ...
     values = {}
@@ -277,7 +275,6 @@ def _resolve_local(env: BeldiEnv, txn_id: str, mode: str) -> dict:
             flush(scope, short, values[short])
         release(scope, [ref for ref in refs if ref["ItemKey"]
                         not in values.get(ref["Table"], ())])
-    return stats
 
 
 def _shadow_values(env: BeldiEnv, short: str, txn_id: str) -> dict:
@@ -428,9 +425,6 @@ def finish_transaction(ctx, commit: bool) -> str:
                 f"txn:{txn.txn_id}:resolved-local"),
             callees=txn.invoked)
         ctx.crash_point(f"txn:{txn.txn_id}:propagated")
-    obs = ctx.obs
-    if obs is not None:
-        obs.metrics.inc("txn.commit" if mode == COMMIT else "txn.abort")
     ctx.txn = None
     return mode
 

@@ -313,7 +313,6 @@ class FaultTimeline:
     def _fire(self, node, tag: str, now: float) -> None:
         obs = node.obs
         if obs is not None:
-            obs.metrics.inc("resilience.fault_edges")
             obs.tracer.event(tag, cat="fault", at=now)
         time_source = getattr(node, "time", None)
         kernel = getattr(time_source, "kernel", None)

@@ -226,8 +226,3 @@ class Metering:
         clone.per_table = Counter(self.per_table)
         clone.per_table_eventual = Counter(self.per_table_eventual)
         return clone
-
-    def reset(self) -> None:
-        self.ops.clear()
-        self.per_table.clear()
-        self.per_table_eventual.clear()

@@ -255,7 +255,6 @@ class ChainMigrator:
                 "migration:committed", cat="elasticity",
                 moves=[[table, str(target)] for _token, table, _key,
                        _source, target, _rows in committed])
-            obs.metrics.inc("elasticity.migrations", len(committed))
         return len(committed)
 
     # -- phases ----------------------------------------------------------------

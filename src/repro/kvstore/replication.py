@@ -558,8 +558,6 @@ class ReplicaGroup:
                 f"failover:shard{self.shard_id}", cat="replication",
                 promoted=promoted_index, replayed=len(replay),
                 shard=self.shard_id)
-            self.obs.metrics.inc("replication.failovers")
-            self.obs.metrics.inc("replication.replayed", len(replay))
         # ``pay`` (not ``sleep``): a failover tripped inside an overlap
         # scope must defer its cost like any other store latency — a
         # scope body may never yield to the kernel mid-flight.

@@ -1,4 +1,4 @@
-"""Deterministic virtual-time observability (tracing + metrics).
+"""Deterministic virtual-time observability: one tracer + one snapshot.
 
 One :class:`Observability` instance serves a whole simulation — runtimes
 sharing a kernel (and possibly a store) share it, so the exported trace
@@ -11,22 +11,19 @@ bit for bit.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional
 
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
 from repro.obs.tracer import Tracer, validate_chrome_trace
 
-__all__ = ["Observability", "MetricsRegistry", "Tracer",
-           "DEFAULT_BUCKETS", "validate_chrome_trace"]
+__all__ = ["Observability", "Tracer", "validate_chrome_trace"]
 
 
 class Observability:
-    """Tracer + metrics registry bound to one kernel clock."""
+    """The tracer bound to one kernel, plus the snapshot of the stack's
+    native stats."""
 
     def __init__(self, kernel) -> None:
         self.kernel = kernel
-        self.tracer = Tracer(lambda: kernel.now)
-        self.metrics = MetricsRegistry()
+        self.tracer = Tracer(kernel)
 
     # -- wiring ----------------------------------------------------------------
     def attach_store(self, store) -> None:
@@ -38,31 +35,30 @@ class Observability:
             self.attach_store(node)
 
     def export(self, runtime=None) -> dict:
-        """Chrome trace + metrics snapshot in one JSON-ready dict —
-        the payload DST failure artifacts embed."""
+        """Chrome trace + snapshot in one JSON-ready dict — the payload
+        DST failure artifacts embed."""
         return {
             "chrome_trace": self.tracer.to_chrome(),
             "metrics": self.snapshot(runtime),
         }
 
-    # -- unified snapshot ------------------------------------------------------
+    # -- snapshot ----------------------------------------------------------------
     def snapshot(self, runtime=None) -> dict:
-        """One dict unifying the registry with the stack's native stats.
+        """One dict of the stack's native stats — each count in its one
+        home.
 
         ``runtime`` contributes its store metering, per-shard placement
-        balance, capacity queues, tail cache, replication, and
-        elasticity signals; without it the snapshot is just the
-        registry.
+        balance, capacity queues, tail cache, replication, resilience
+        and elasticity signals; without it the snapshot is empty.
         """
-        snap = self.metrics.snapshot()
         if runtime is None:
-            return snap
+            return {}
         store = runtime.store
         metering = store.metering
-        snap["metering"] = {
+        snap: dict = {"metering": {
             "ops": metering.snapshot(),
             "totals": metering.totals(),
-        }
+        }}
         shards = getattr(store, "nodes", None)
         if shards:
             snap["metering"]["per_shard"] = {

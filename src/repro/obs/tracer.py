@@ -6,11 +6,12 @@ Records are sorted by ``(virtual time, phase, seq)`` where the seq is a
 process-global monotone counter — no wall-clock and no ``id()`` values
 ever reach the output.
 
-Span nesting is tracked per OS thread.  Every sim process body runs
-entirely on one pooled worker thread (see ``sim/kernel.py``), so a
-``threading.local`` stack gives exactly the per-process nesting the
-Chrome trace-event viewer expects.  Cross-process edges (a sync invoke
-whose callee executes on another worker) are expressed with explicit
+Span nesting is tracked per sim process: one stack per
+``kernel.current_process``, with ``None`` standing for the driver and
+kernel callbacks — exactly the per-process nesting the Chrome
+trace-event viewer expects.  A stack exists only while it holds an open
+span, so none outlives its process.  Cross-process edges (a sync invoke
+whose callee executes in another process) are expressed with explicit
 ``parent_id`` references instead of stack containment.
 """
 
@@ -18,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import threading
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 #: Record phases for the deterministic sort order: spans sort before
 #: instant events at the same virtual instant.
@@ -73,44 +73,31 @@ class _SpanHandle:
 
 
 class Tracer:
-    """Collects spans and instant events in virtual time."""
+    """Collects spans and instant events in virtual time.
 
-    def __init__(self, clock: Callable[[], float]) -> None:
-        self.clock = clock
+    ``kernel`` is anything with the sim kernel's ``now`` (the virtual
+    clock) and ``current_process`` (whose span stack is in use).
+    """
+
+    def __init__(self, kernel) -> None:
+        self.kernel = kernel
         self.records: list[dict] = []
         self._seq = itertools.count()
-        self._local = threading.local()
+        #: Open spans per running process; an entry lives only while it
+        #: holds a span.
+        self._stacks: dict[Any, list[dict]] = {}
 
-    # -- span stack (per worker thread == per sim process) ---------------------
-    def _stack(self) -> list[dict]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
-    def _detach_stack(self) -> Optional[list]:
-        """Detach this thread's span stack (kernel callback isolation).
-
-        The sim kernel's baton-passing dispatch runs ``call_later``
-        callbacks on whichever worker thread blocked last; detaching the
-        stack around the callback keeps those events parentless — exactly
-        what they were when the driver thread (with its empty stack) ran
-        them. Returns the previous stack for :meth:`_restore_stack`.
-        """
-        stack = getattr(self._local, "stack", None)
-        self._local.stack = []
-        return stack
-
-    def _restore_stack(self, stack: Optional[list]) -> None:
-        self._local.stack = [] if stack is None else stack
+    def _open(self) -> Optional[dict]:
+        """The innermost open span of the running process, if any."""
+        stack = self._stacks.get(self.kernel.current_process)
+        return stack[-1] if stack else None
 
     # -- recording -------------------------------------------------------------
     def span(self, name: str, cat: str = "op",
              span_id: Optional[str] = None,
              parent_id: Optional[str] = None, **args: Any) -> _SpanHandle:
         """Open a nested span; close it by exiting the handle."""
-        stack = self._stack()
+        stack = self._stacks.setdefault(self.kernel.current_process, [])
         seq = next(self._seq)
         sid = span_id if span_id is not None else f"s{seq}"
         if parent_id is None and stack:
@@ -124,7 +111,7 @@ class Tracer:
             "span_id": sid,
             "parent_id": parent_id,
             "track": track,
-            "ts": self.clock(),
+            "ts": self.kernel.now,
             "dur": None,
             "args": {str(k): _sanitize(v) for k, v in sorted(args.items())},
         }
@@ -133,17 +120,21 @@ class Tracer:
         return _SpanHandle(self, record)
 
     def _close(self, record: dict, failed: bool = False) -> None:
-        stack = self._stack()
+        process = self.kernel.current_process
+        stack = self._stacks.get(process, [])
+        now = self.kernel.now
         # Pop through anything the body left open (it can only happen if
         # a nested span leaked; closing parents closes children too).
         while stack and stack[-1] is not record:
             leaked = stack.pop()
             if leaked["dur"] is None:
-                leaked["dur"] = max(0.0, self.clock() - leaked["ts"])
-        if stack and stack[-1] is record:
+                leaked["dur"] = max(0.0, now - leaked["ts"])
+        if stack:
             stack.pop()
+        if not stack:
+            self._stacks.pop(process, None)
         if record["dur"] is None:
-            record["dur"] = max(0.0, self.clock() - record["ts"])
+            record["dur"] = max(0.0, now - record["ts"])
         if failed:
             record["args"]["failed"] = True
 
@@ -155,19 +146,17 @@ class Tracer:
         under async-I/O overlap scopes — the caller passes the interval
         it actually observed.
         """
-        stack = self._stack()
+        parent = self._open()
         seq = next(self._seq)
         sid = f"s{seq}"
-        parent_id = stack[-1]["span_id"] if stack else None
-        track = stack[-1]["track"] if stack else sid
         self.records.append({
             "phase": _PHASE_SPAN,
             "seq": seq,
             "name": name,
             "cat": cat,
             "span_id": sid,
-            "parent_id": parent_id,
-            "track": track,
+            "parent_id": parent["span_id"] if parent else None,
+            "track": parent["track"] if parent else sid,
             "ts": start,
             "dur": max(0.0, end - start),
             "args": {str(k): _sanitize(v) for k, v in sorted(args.items())},
@@ -175,7 +164,7 @@ class Tracer:
 
     def event(self, name: str, cat: str = "event", **args: Any) -> None:
         """Record an instant event at the current virtual time."""
-        stack = self._stack()
+        parent = self._open()
         seq = next(self._seq)
         self.records.append({
             "phase": _PHASE_EVENT,
@@ -183,9 +172,9 @@ class Tracer:
             "name": name,
             "cat": cat,
             "span_id": f"s{seq}",
-            "parent_id": stack[-1]["span_id"] if stack else None,
-            "track": stack[-1]["track"] if stack else "events",
-            "ts": self.clock(),
+            "parent_id": parent["span_id"] if parent else None,
+            "track": parent["track"] if parent else "events",
+            "ts": self.kernel.now,
             "dur": None,
             "args": {str(k): _sanitize(v) for k, v in sorted(args.items())},
         })

@@ -39,10 +39,6 @@ class InvocationContext:
     def now(self) -> float:
         return self.platform.kernel.now
 
-    def remaining_time(self) -> float:
-        """Virtual ms until the platform kills this invocation."""
-        return max(0.0, self.deadline - self.now)
-
     def sleep(self, duration: float) -> None:
         self.platform.kernel.sleep(duration)
 

@@ -34,7 +34,3 @@ class FunctionCrashed(PlatformError):
     model is that the provider does nothing further (automatic restarts are
     disabled in the evaluation, §7.2) and recovery is entirely Beldi's job.
     """
-
-
-class InvalidTrigger(PlatformError):
-    """Malformed timer/trigger configuration."""

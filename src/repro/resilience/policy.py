@@ -39,13 +39,10 @@ class RetryPolicy:
         return delay
 
 
-#: Breaker states, also exported as the gauge values observability
-#: records: closed=0 (normal), half_open=1 (probing), open=2 (dark).
+#: Breaker states: closed (normal), half_open (probing), open (dark).
 CLOSED = "closed"
 HALF_OPEN = "half_open"
 OPEN = "open"
-
-BREAKER_GAUGE = {CLOSED: 0.0, HALF_OPEN: 1.0, OPEN: 2.0}
 
 
 class CircuitBreaker:

@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
-from repro.resilience.policy import (
-    BREAKER_GAUGE,
-    CLOSED,
-    CircuitBreaker,
-    RetryPolicy,
-)
+from repro.resilience.policy import CLOSED, CircuitBreaker, RetryPolicy
 from repro.sim.randsrc import RandomSource
 
 
@@ -64,11 +59,6 @@ class ResilienceState:
                 self.breaker_threshold, self.breaker_cooldown)
         return breaker
 
-    def _gauge_breaker(self, key, breaker: CircuitBreaker) -> None:
-        if self.obs is not None:
-            self.obs.metrics.set_gauge(f"resilience.breaker.{key}",
-                                       BREAKER_GAUGE[breaker.state])
-
     def note_breaker_failure(self, key, breaker: CircuitBreaker,
                              now: float) -> None:
         before = breaker.state
@@ -76,10 +66,8 @@ class ResilienceState:
         if breaker.state != before:
             self.stats.breaker_opens += 1
             if self.obs is not None:
-                self.obs.metrics.inc("resilience.breaker_opens")
                 self.obs.tracer.event(f"breaker:open:{key}",
                                       cat="resilience", endpoint=str(key))
-            self._gauge_breaker(key, breaker)
 
     def note_breaker_success(self, key, breaker: CircuitBreaker) -> None:
         before = breaker.state
@@ -87,15 +75,8 @@ class ResilienceState:
         if before != CLOSED:
             self.stats.breaker_closes += 1
             if self.obs is not None:
-                self.obs.metrics.inc("resilience.breaker_closes")
                 self.obs.tracer.event(f"breaker:close:{key}",
                                       cat="resilience", endpoint=str(key))
-            self._gauge_breaker(key, breaker)
-
-    def note_fast_fail(self, op: str, key) -> None:
-        self.stats.fast_fails += 1
-        if self.obs is not None:
-            self.obs.metrics.inc("resilience.fast_fails")
 
     # -- retries ---------------------------------------------------------
 
@@ -106,23 +87,6 @@ class ResilienceState:
             self.stats.unavailable_errors += 1
         else:
             self.stats.throttled_errors += 1
-
-    def note_retry(self, op: str, backoff: float) -> None:
-        self.stats.retries += 1
-        self.stats.backoff_ms += backoff
-        if self.obs is not None:
-            self.obs.metrics.inc("resilience.retries")
-            self.obs.metrics.observe("resilience.backoff_ms", backoff)
-
-    def note_degraded_read(self, table: str) -> None:
-        self.stats.degraded_reads += 1
-        if self.obs is not None:
-            self.obs.metrics.inc("resilience.degraded_reads")
-
-    def note_deadline_abort(self, op: str) -> None:
-        self.stats.deadline_aborts += 1
-        if self.obs is not None:
-            self.obs.metrics.inc("resilience.deadline_aborts")
 
     # -- per-request deadlines ------------------------------------------
 

@@ -64,8 +64,8 @@ class ResilientStore:
     def _call(self, op: StoreOp, args: tuple):
         """Every operation, whatever its kind: the retry loop.
 
-        From the declaration come the label retries and deadline aborts
-        are booked under (the latency op the call pays), the breaker
+        From the declaration come the label errors and backoff spans
+        carry (the latency op the call pays), the breaker
         endpoint (a keyed operation's owning shard — or the one
         ``"store"`` behind an unsharded facade; fan-outs and transactions
         touch many endpoints and get no breaker) and whether a stale
@@ -83,10 +83,11 @@ class ResilientStore:
             # Overlap-scope bodies may not yield; the fan-out above the
             # scope handles partial failures itself.
             return op.call(inner, args)
+        stats = state.stats
         label = op.labels(args)[0]
         deadline = state.current_deadline()
         if deadline is not None and self._time.now() > deadline:
-            state.note_deadline_abort(label)
+            stats.deadline_aborts += 1
             raise DeadlineExceeded(f"{label}: deadline already expired")
         policy = state.policy
         breaker_key = None
@@ -101,7 +102,7 @@ class ResilientStore:
                        if breaker_key is not None else None)
             err: Optional[Exception] = None
             if breaker is not None and not breaker.allow(self._time.now()):
-                state.note_fast_fail(label, breaker_key)
+                stats.fast_fails += 1
                 err = UnavailableError(
                     f"{label}: circuit open for endpoint {breaker_key}")
             else:
@@ -126,7 +127,7 @@ class ResilientStore:
                 except (ThrottledError, UnavailableError):
                     pass
                 else:
-                    state.note_degraded_read(label)
+                    stats.degraded_reads += 1
                     return result
             attempt += 1
             if attempt >= policy.max_attempts:
@@ -134,11 +135,12 @@ class ResilientStore:
             backoff = policy.backoff(attempt, state.rand)
             now = self._time.now()
             if deadline is not None and now + backoff > deadline:
-                state.note_deadline_abort(label)
+                stats.deadline_aborts += 1
                 raise DeadlineExceeded(
                     f"{label}: deadline exceeded after {attempt} attempts"
                 ) from err
-            state.note_retry(label, backoff)
+            stats.retries += 1
+            stats.backoff_ms += backoff
             self._time.sleep(backoff)
             if state.obs is not None:
                 state.obs.tracer.record_span(

@@ -33,10 +33,9 @@ Every entry is a tuple ``(time, phase, seq, label, proc, token, reason)``:
 - a **start** is a wakeup whose token is the ``_START`` sentinel — it
   assigns the process a pooled worker thread and releases it;
 - an **inline callback** has ``proc=None`` and its callable in the token
-  slot (``call_later``); it runs on the dispatching thread with
-  ``current_process`` masked to ``None`` and the tracer's span stack
-  detached, so callbacks observe exactly what they observed when the
-  driver thread ran them.
+  slot (``call_later``); it runs on the dispatching thread, where
+  ``current_process`` is ``None`` — no process runs while the kernel
+  dispatches.
 
 Labels are either strings or tuples of strings joined with ``":"`` only
 when something actually reads them (trace capture, schedule choice) —
@@ -262,7 +261,6 @@ class _WorkerThread:
 
     def _run_one(self, proc: Process) -> None:
         kernel = self._kernel
-        kernel._thread_local.process = proc
         try:
             # First resume: wait for the kernel to schedule our start.
             proc._resume.acquire()
@@ -274,7 +272,6 @@ class _WorkerThread:
         except BaseException as exc:  # noqa: BLE001 - recorded, not hidden
             proc.error = exc
         finally:
-            kernel._thread_local.process = None
             proc.finished = True
             proc._wake_token += 1  # invalidate any pending wakeups
             waiting = proc._waiting_on
@@ -328,8 +325,10 @@ class SimKernel:
         self._until: Optional[float] = None
         self._idle_workers: list[_WorkerThread] = []
         self._worker_count = 0
-        self._thread_local = threading.local()
-        self._live_processes = 0
+        #: The one process that runs right now. Set at every baton
+        #: handoff; ``None`` while the kernel dispatches (callbacks
+        #: included) and on the driver thread.
+        self.current_process: Optional[Process] = None
         self._running = False
         self._proc_seq = itertools.count()
         # Non-zero while an overlap scope is open; interleave points must
@@ -337,10 +336,6 @@ class SimKernel:
         self._no_yield = 0
 
     # -- introspection -----------------------------------------------------
-    @property
-    def current_process(self) -> Optional[Process]:
-        return getattr(self._thread_local, "process", None)
-
     def _require_process(self) -> Process:
         proc = self.current_process
         if proc is None:
@@ -350,15 +345,6 @@ class SimKernel:
         return proc
 
     # -- scheduling core ----------------------------------------------------
-    def _schedule(self, delay: float, fire: Callable[[], bool],
-                  label: Any = "", phase: int = 0) -> None:
-        """Queue an inline callback entry (``fire`` runs on the dispatcher)."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        heapq.heappush(self._queue,
-                       (self.now + delay, phase, next(self._seq), label,
-                        None, fire, None))
-
     def _schedule_wakeup(self, delay: float, proc: Process, reason: Any,
                          label: Any, phase: int = 0) -> None:
         """Queue a wakeup for ``proc`` bound to its current wake token."""
@@ -406,6 +392,7 @@ class SimKernel:
         bound, the driver semaphore is released instead. Errors raised by
         schedule policies or inline callbacks are stashed for the driver.
         """
+        self.current_process = None
         queue = self._queue
         until = self._until
         try:
@@ -445,64 +432,50 @@ class SimKernel:
     def _fire_entry(self, entry: tuple) -> bool:
         """Fire one popped entry; True iff the baton was handed off.
 
-        Trace capture happens *before* the resumed process is released:
-        once its semaphore is up, that thread may reach its own dispatch
-        step (and its own capture) at any moment.
+        Trace capture and the handoff of :attr:`current_process` happen
+        *before* the resumed process is released: once its semaphore is
+        up, that thread may reach its own dispatch step (and its own
+        capture) at any moment.
         """
         proc = entry[4]
-        if proc is not None:
-            token = entry[5]
-            if token == _START:
-                if proc.finished:
-                    return False
-                proc._started = True
-                if self.capture_trace:
-                    self.fired_trace.append((entry[0], _label_text(entry[3])))
-                if self._idle_workers:
-                    worker = self._idle_workers.pop()
-                else:
-                    worker = _WorkerThread(self, self._worker_count)
-                    self._worker_count += 1
-                worker.submit(proc)
-                proc._resume.release()
-                return True
-            if (proc.finished or not proc._started
-                    or token != proc._wake_token):
-                # Stale wakeup: resumed by something else, already done,
-                # or killed before start (flag observed at start instead).
+        if proc is None:
+            # Inline callback (call_later): runs here, with no process
+            # running; it never hands the baton off.
+            entry[5]()
+            return False
+        token = entry[5]
+        if token == _START:
+            if proc.finished:
                 return False
-            proc._wake_token += 1
-            proc._wake_reason = entry[6]
+            proc._started = True
             if self.capture_trace:
                 self.fired_trace.append((entry[0], _label_text(entry[3])))
+            if self._idle_workers:
+                worker = self._idle_workers.pop()
+            else:
+                worker = _WorkerThread(self, self._worker_count)
+                self._worker_count += 1
+            self.current_process = proc
+            worker.submit(proc)
             proc._resume.release()
             return True
-        # Inline callback (call_later): runs on this thread, but must see
-        # what the driver thread historically saw — no current process, no
-        # open tracer spans.
-        fired = self._run_callback(entry[5])
-        if fired and self.capture_trace:
+        if (proc.finished or not proc._started
+                or token != proc._wake_token):
+            # Stale wakeup: resumed by something else, already done,
+            # or killed before start (flag observed at start instead).
+            return False
+        proc._wake_token += 1
+        proc._wake_reason = entry[6]
+        if self.capture_trace:
             self.fired_trace.append((entry[0], _label_text(entry[3])))
-        return fired
-
-    def _run_callback(self, fire: Callable[[], bool]) -> bool:
-        tl = self._thread_local
-        prev = getattr(tl, "process", None)
-        tl.process = None
-        tracer = self.tracer
-        stash = tracer._detach_stack() if tracer is not None else None
-        try:
-            return fire()
-        finally:
-            tl.process = prev
-            if tracer is not None:
-                tracer._restore_stack(stash)
+        self.current_process = proc
+        proc._resume.release()
+        return True
 
     def _recycle_worker(self, worker: _WorkerThread) -> None:
         self._idle_workers.append(worker)
 
     def _on_process_exit(self, proc: Process) -> None:
-        self._live_processes -= 1
         proc.done_event.set(proc.result)
 
     # -- process management --------------------------------------------------
@@ -520,7 +493,6 @@ class SimKernel:
             run = body
 
         proc = Process(self, label, run)
-        self._live_processes += 1
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         heapq.heappush(self._queue,
@@ -590,16 +562,15 @@ class SimKernel:
         """Run ``fn`` inline in the kernel loop after ``delay``.
 
         The callback must not block; it may set events or kill processes
-        (used for execution-timeout watchdogs). It runs with
-        ``current_process`` masked to ``None``, so a callback that tries
-        to block fails loudly regardless of which thread dispatches it.
+        (used for execution-timeout watchdogs). It runs while the kernel
+        dispatches, when ``current_process`` is ``None``, so a callback
+        that tries to block fails loudly.
         """
-
-        def fire() -> bool:
-            fn()
-            return False
-
-        self._schedule(delay, fire, label="call_later")
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        heapq.heappush(self._queue,
+                       (self.now + delay, 0, next(self._seq), "call_later",
+                        None, fn, None))
 
     def interleave_point(self, tag: str) -> None:
         """Optional scheduling point for schedule exploration.

@@ -65,35 +65,37 @@ def run_closed_loop(runtime: Any, entry: str,
     open-loop generator's saturation knees. The makespan ends when the
     last user finishes; platform watchdog events draining afterwards are
     not workload time, and the last user to finish stops the runtime's
-    collector timers so the kernel can drain at all. Platform-level
-    failures (crash, timeout, rejection) are counted, not raised.
+    collector timers so the kernel can drain at all. Failures are
+    counted, not raised: platform-level ones (crash, timeout, rejection)
+    only in ``failures``, any other error also as an ``error:<Type>``
+    outcome of the recorder, and the user goes on with its next payload.
     """
     from repro.platform.errors import (FunctionCrashed, FunctionTimeout,
                                        TooManyRequests)
     result = ClosedLoopResult(makespan_ms=0.0, failures=0)
     finished_at = [0.0]
     remaining = [len(user_payloads)]
-    obs = getattr(runtime, "obs", None)
 
     def user(payloads: Sequence[Any]) -> None:
-        for payload in payloads:
-            start = runtime.kernel.now
-            try:
-                runtime.client_call(entry, payload)
-            except (FunctionCrashed, FunctionTimeout, TooManyRequests):
-                result.failures += 1
-                if obs is not None:
-                    obs.metrics.inc("request.failed")
-                continue
-            result.recorder.record(start, runtime.kernel.now)
-            if obs is not None:
-                obs.metrics.inc("request.completed")
-                obs.metrics.observe("request.latency_ms",
-                                    runtime.kernel.now - start)
-        finished_at[0] = max(finished_at[0], runtime.kernel.now)
-        remaining[0] -= 1
-        if remaining[0] == 0:
-            runtime.stop_collectors()
+        try:
+            for payload in payloads:
+                start = runtime.kernel.now
+                try:
+                    runtime.client_call(entry, payload)
+                except (FunctionCrashed, FunctionTimeout, TooManyRequests):
+                    result.failures += 1
+                    continue
+                except Exception as exc:
+                    result.failures += 1
+                    result.recorder.record_failure(
+                        f"error:{type(exc).__name__}")
+                    continue
+                result.recorder.record(start, runtime.kernel.now)
+        finally:
+            finished_at[0] = max(finished_at[0], runtime.kernel.now)
+            remaining[0] -= 1
+            if remaining[0] == 0:
+                runtime.stop_collectors()
 
     start = runtime.kernel.now
     for index, payloads in enumerate(user_payloads):

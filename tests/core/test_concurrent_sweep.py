@@ -40,10 +40,10 @@ def _record_points(mix="waits"):
     return points, results
 
 
-@pytest.mark.parametrize("mix,commits,counter", [
-    ("waits", [True, True], "txn.lock_waits"),
-    ("dies", [False, True], "txn.wait_die_aborts")])
-def test_concurrent_mix_actually_conflicts(mix, commits, counter):
+@pytest.mark.parametrize("mix,commits,event", [
+    ("waits", [True, True], "lock:wait"),
+    ("dies", [False, True], "lock:die")])
+def test_concurrent_mix_actually_conflicts(mix, commits, event):
     """The mix must contend: under FIFO both reservations reach the same
     hotel/flight rows and wait-die resolves the conflict — the later
     transaction waits for the lock or dies at it, and the lock order (not
@@ -59,11 +59,12 @@ def test_concurrent_mix_actually_conflicts(mix, commits, counter):
                      for name in ("travel-a", "travel-b"))
         assert oks == commits, results
         assert results["movie-c"].get("ok"), results
-        counters = h.travel.obs.metrics.snapshot()["counters"]
-        settled = {name: counters.get(name, 0)
-                   for name in ("txn.lock_waits", "txn.wait_die_aborts")}
-        assert settled.pop(counter) >= 1, counters
-        assert not any(settled.values()), counters
+        settled = {name: sum(1 for record in h.travel.obs.tracer.records
+                             if record["name"] == name)
+                   for name in ("lock:wait", "lock:die")}
+        assert settled[event] >= 1, settled
+        assert not any(count for name, count in settled.items()
+                       if name != event), settled
     finally:
         h.shutdown()
 

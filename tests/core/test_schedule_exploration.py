@@ -194,8 +194,8 @@ def _race_the_flush(seed: int) -> dict:
         kernel.spawn(body, name=body.__name__)
     kernel.run()
     out["observed"] = observed
-    out["rollbacks"] = runtime.obs.metrics.snapshot()["counters"].get(
-        "readlog.rollbacks", 0)
+    out["rollbacks"] = sum(1 for record in runtime.obs.tracer.records
+                           if record["name"] == "readlog:rollback")
     out["rows"] = leaf.env.store.scan(leaf.env.read_log).items
     out["returned"] = [intent["Ret"] for intent in
                        leaf.env.store.scan(leaf.env.intent_table).items]

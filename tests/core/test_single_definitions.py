@@ -240,8 +240,7 @@ class TestReachableRows:
 
             stats = {"stale_locks": 0, "pruned_entries": 0,
                      "disconnected": 0, "deleted_rows": 0}
-            liveness = gc._Liveness(env, live={"inst"}, recyclable=set(),
-                                    scanned_all=True)
+            liveness = gc._Liveness(env, live={"inst"}, recyclable=set())
             runtime.kernel.spawn(
                 gc._collect_chain, store, table, "k", liveness,
                 now=5.0, t_bound=1e12, stats=stats)

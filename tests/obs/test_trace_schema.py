@@ -8,7 +8,7 @@ Runs the three-request concurrent mix (``tests/core/dst.py``) with
 - every metered store round trip has exactly one span — op for op,
   including every logged write;
 - two runs with the same seed and schedule export byte-identical
-  traces, JSONL and metric snapshots;
+  traces, JSONL and snapshots;
 - with the flag off nothing is built and the run's outcome is
   bit-for-bit identical to the traced one.
 
@@ -177,13 +177,13 @@ def test_tracing_is_free_on_the_paper_profile_too():
 
 def test_unified_snapshot_sections(traced):
     snap = traced.travel.obs.snapshot(traced.travel)
-    # Registry sections are always present.
-    assert {"counters", "gauges", "histograms"} <= set(snap)
-    # The concurrent mix commits transactions and runs GC passes.
-    assert snap["counters"].get("txn.commit", 0) > 0
-    assert snap["counters"].get("txn.locks_acquired", 0) > 0
-    assert any(name.startswith("gc.") for name in snap["counters"])
-    # Native stats are folded in behind the same API.
+    # Only the stack's native stats: each count in its one home.
+    assert set(snap) == {"metering", "placement", "tail_cache",
+                         "resilience", "elasticity"}
+    # The concurrent mix commits transactions, takes locks and runs GC
+    # passes — facts that live in the trace.
+    names = {record["name"] for record in traced.travel.obs.tracer.records}
+    assert {"txn.finish:commit", "lock:acquired", "gc:collected"} <= names
     assert snap["metering"]["totals"]["requests"] > 0
     assert snap["metering"]["totals"]["dollars"] > 0
     assert len(snap["metering"]["per_shard"]) == 2  # LIGHT_FLAGS shards
@@ -382,3 +382,83 @@ def test_the_ledger_is_functions_over_records_and_nothing_else():
     assert not [name for name in imported
                 if name.split(".")[0] in ("unittest", "mock", "threading")
                 or name.startswith(("repro.core", "repro.platform"))]
+
+
+# ---------------------------------------------------------------------------
+# Every count has one home: the protocol's own counts are trace events
+# ---------------------------------------------------------------------------
+
+SRC = REPO / "src" / "repro"
+#: Categories whose instant events the "Protocol events" table documents.
+PROTOCOL_CATS = ("txn", "readlog", "gc")
+
+
+def _emitted_events(tree) -> set:
+    """``(name, cat)`` of every ``.event(name, cat=...)`` call in ``tree``
+    whose ``cat`` is a protocol category. A name held in a loop variable
+    over a tuple of literals resolves to each of them; any other name is
+    kept as its source text, which no docs row matches."""
+    loops = {node.target.id: [elt.value for elt in node.iter.elts]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.For)
+             and isinstance(node.target, ast.Name)
+             and isinstance(node.iter, ast.Tuple)
+             and all(isinstance(elt, ast.Constant)
+                     for elt in node.iter.elts)}
+    found = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "event"):
+            continue
+        cats = [kw.value.value for kw in node.keywords
+                if kw.arg == "cat" and isinstance(kw.value, ast.Constant)]
+        if not cats or cats[0] not in PROTOCOL_CATS:
+            continue
+        name = node.args[0]
+        if isinstance(name, ast.Constant):
+            names = [name.value]
+        elif isinstance(name, ast.Name) and name.id in loops:
+            names = loops[name.id]
+        else:
+            names = [ast.unparse(name)]
+        found.update((value, cats[0]) for value in names)
+    return found
+
+
+def test_protocol_events_are_the_ones_documented(traced):
+    """Every count has one home. No metrics registry comes back, the
+    tracer keys nothing on OS threads, and the ``cat="txn"`` /
+    ``"readlog"`` / ``"gc"`` events ``src/`` emits are the rows of the
+    protocol-events table in ``docs/observability.md`` — which the
+    traced mix emits nothing outside of."""
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(SRC.rglob("*.py"))}
+    assert len(trees) > 50, "the scan found almost nothing"
+    assert not [path for path in trees if re.search(
+        r"metrics\.(inc|observe|set_gauge)\(", path.read_text())]
+    obs_imports = {name.split(".")[0]
+                   for path, tree in trees.items()
+                   if path.parent.name == "obs"
+                   for node in ast.walk(tree)
+                   for name in (
+                       [alias.name for alias in node.names]
+                       if isinstance(node, ast.Import)
+                       else [node.module or ""]
+                       if isinstance(node, ast.ImportFrom) else [])}
+    assert obs_imports and "threading" not in obs_imports
+
+    emitted = set().union(*map(_emitted_events, trees.values()))
+    lines = (REPO / "docs" / "observability.md").read_text().splitlines()
+    section = lines[lines.index("## Protocol events") + 1:]
+    section = section[:next(i for i, line in enumerate(section)
+                            if line.startswith("## "))]
+    documented = {tuple(re.findall(r"`([^`]+)`", "|".join(
+        line.split("|")[1:3])))
+        for line in section if line.startswith("| `")}
+    assert emitted == documented
+    traced_events = {(record["name"], record["cat"])
+                     for record in traced.travel.obs.tracer.records
+                     if record["cat"] in PROTOCOL_CATS
+                     and record["phase"] == 1}
+    assert traced_events and traced_events <= documented

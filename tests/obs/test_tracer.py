@@ -1,24 +1,24 @@
 """Unit tests for ``repro.obs.tracer``: nesting, determinism, exports."""
 
 import json
-import threading
 
 import pytest
 
 from repro.obs.tracer import Tracer, validate_chrome_trace
 
 
-class Clock:
-    def __init__(self):
-        self.t = 0.0
+class FakeKernel:
+    """What a tracer reads off its kernel: the virtual clock and the
+    process whose span stack is in use (``None``: driver, callbacks)."""
 
-    def __call__(self):
-        return self.t
+    def __init__(self):
+        self.now = 0.0
+        self.current_process = None
 
 
 @pytest.fixture
 def clock():
-    return Clock()
+    return FakeKernel()
 
 
 @pytest.fixture
@@ -30,9 +30,9 @@ class TestSpans:
     def test_nesting_defaults_parent_to_enclosing_span(self, tracer,
                                                        clock):
         with tracer.span("outer", span_id="o"):
-            clock.t = 5.0
+            clock.now = 5.0
             with tracer.span("inner"):
-                clock.t = 8.0
+                clock.now = 8.0
         outer, inner = tracer.records
         assert inner["parent_id"] == "o"
         assert inner["track"] == "o"  # children ride the root's track
@@ -52,7 +52,7 @@ class TestSpans:
 
         with pytest.raises(Unwind):
             with tracer.span("doomed"):
-                clock.t = 2.0
+                clock.now = 2.0
                 raise Unwind()
         record = tracer.records[0]
         assert record["dur"] == 2.0
@@ -62,7 +62,7 @@ class TestSpans:
                                                      clock):
         with tracer.span("parent"):
             tracer.span("leaked")  # handle dropped, never exited
-            clock.t = 4.0
+            clock.now = 4.0
         leaked = tracer.records[1]
         assert leaked["dur"] == 4.0
 
@@ -76,24 +76,54 @@ class TestSpans:
         assert orphan["track"] == "events"
 
     def test_record_span_takes_explicit_bounds(self, tracer, clock):
-        clock.t = 10.0
+        clock.now = 10.0
         tracer.record_span("store.read", "store", start=7.0, end=9.5)
         record = tracer.records[0]
         assert record["ts"] == 7.0 and record["dur"] == 2.5
 
-    def test_per_thread_stacks_do_not_cross(self, tracer):
-        seen = {}
-
-        def other():
+    def test_per_process_stacks_do_not_cross(self, tracer, clock):
+        with tracer.span("main-root", span_id="m"):
+            clock.current_process = "other"
             with tracer.span("other-root"):
-                pass
-            seen["parent"] = tracer.records[-1]["parent_id"]
+                tracer.event("other-mark")
+            clock.current_process = None
+            tracer.event("main-mark")
+        other_root, other_mark, main_mark = tracer.records[1:]
+        assert other_root["parent_id"] is None  # not adopted by main's span
+        assert other_mark["parent_id"] == other_root["span_id"]
+        assert main_mark["parent_id"] == "m"
 
-        with tracer.span("main-root"):
-            worker = threading.Thread(target=other)
-            worker.start()
-            worker.join()
-        assert seen["parent"] is None  # not adopted by main's span
+    def test_a_stack_lives_only_while_it_holds_a_span(self, tracer, clock):
+        """A finished process must not be kept alive by its stack."""
+        clock.current_process = "worker"
+        with tracer.span("outer"):
+            tracer.span("leaked")  # handle dropped, never exited
+        assert tracer._stacks == {}
+
+    def test_on_the_sim_kernel_callbacks_adopt_no_process_span(self):
+        """A ``call_later`` callback fires while a process sits in a
+        span: its event is parentless, on the ``events`` track, and no
+        stack outlives the process."""
+        from repro.sim import SimKernel
+
+        kernel = SimKernel(seed=1)
+        tracer = Tracer(kernel)
+
+        def body():
+            with tracer.span("req", span_id="r"):
+                kernel.call_later(1.0, lambda: tracer.event("watchdog"))
+                kernel.sleep(2.0)
+                tracer.event("in-req")
+
+        kernel.spawn(body)
+        kernel.run()
+        kernel.shutdown()
+        events = {record["name"]: record for record in tracer.records
+                  if record["dur"] is None}
+        assert events["watchdog"]["parent_id"] is None
+        assert events["watchdog"]["track"] == "events"
+        assert events["in-req"]["parent_id"] == "r"
+        assert tracer._stacks == {}
 
 
 class TestSanitization:
@@ -123,11 +153,11 @@ class TestSanitization:
 class TestExports:
     def fill(self, tracer, clock):
         with tracer.span("req", cat="request", span_id="r1"):
-            clock.t = 1.0
+            clock.now = 1.0
             with tracer.span("op", cat="op"):
-                clock.t = 2.0
+                clock.now = 2.0
                 tracer.event("mark")
-        clock.t = 2.0
+        clock.now = 2.0
         tracer.record_span("late", "store", start=0.5, end=1.5)
 
     def test_sorted_records_order_is_ts_phase_seq(self, tracer, clock):
@@ -165,7 +195,7 @@ class TestExports:
 
     def test_same_inputs_export_byte_identically(self):
         def build():
-            clock = Clock()
+            clock = FakeKernel()
             tracer = Tracer(clock)
             self.fill(tracer, clock)
             return tracer

@@ -106,6 +106,63 @@ class TestBasicScheduling:
         assert trace == ["a1", "b1", "a2"]
 
 
+class TestRunningProcess:
+    """Exactly one process runs at a time, so the kernel names it in one
+    field; ``None`` while it dispatches, in callbacks and on the driver."""
+
+    def test_current_process_follows_the_baton(self, kernel):
+        seen = []
+
+        def body(name):
+            seen.append((name, kernel.current_process))
+            kernel.sleep(1.0)
+            seen.append((name, kernel.current_process))
+
+        a = kernel.spawn(body, "a")
+        b = kernel.spawn(body, "b")
+        kernel.run()
+        assert seen == [("a", a), ("b", b), ("a", a), ("b", b)]
+
+    def test_no_process_runs_on_the_driver_or_in_callbacks(self, kernel):
+        seen = []
+
+        def body():
+            kernel.call_later(0.5, lambda: seen.append(
+                ("callback", kernel.current_process)))
+            kernel.sleep(1.0)
+            seen.append(("body", kernel.current_process))
+
+        assert kernel.current_process is None
+        proc = kernel.spawn(body)
+        kernel.run()
+        assert seen == [("callback", None), ("body", proc)]
+        assert kernel.current_process is None
+
+    def test_call_later_runs_at_its_virtual_time(self, kernel):
+        fired = []
+        kernel.call_later(2.0, lambda: fired.append(("late", kernel.now)))
+        kernel.call_later(1.0, lambda: fired.append(("early", kernel.now)))
+        kernel.run()
+        assert fired == [("early", 1.0), ("late", 2.0)]
+
+    @pytest.mark.parametrize("schedule", ["spawn", "call_later"])
+    def test_negative_delays_are_rejected(self, kernel, schedule):
+        ran = []
+        with pytest.raises(ValueError, match="negative delay"):
+            if schedule == "spawn":
+                kernel.spawn(lambda: ran.append("spawned"), delay=-1.0)
+            else:
+                kernel.call_later(-1.0, lambda: ran.append("called"))
+        kernel.spawn(lambda: ran.append("ok"))
+        kernel.run()
+        assert ran == ["ok"]  # nothing was queued by the rejected call
+
+    def test_a_callback_that_blocks_fails_loudly(self, kernel):
+        kernel.call_later(1.0, lambda: kernel.sleep(1.0))
+        with pytest.raises(SimulationError, match="inside a simulated"):
+            kernel.run()
+
+
 class TestEvents:
     def test_wait_and_set(self, kernel):
         evt = kernel.event("e")

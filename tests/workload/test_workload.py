@@ -275,3 +275,41 @@ class TestClosedLoop:
         assert not hung, "run_closed_loop did not return"
         assert box["result"].completed == 3
         assert box["result"].makespan_ms < 1_000.0
+
+    def test_an_ordinary_error_is_counted_and_the_loop_still_returns(self):
+        """A request that raises something other than a platform failure
+        (here a handler bug) is a counted ``error:<Type>`` outcome: its
+        user goes on with the rest of its payloads, and the last user out
+        still stops the collectors. Side thread, as above."""
+        from repro.workload import run_closed_loop
+        runtime = BeldiRuntime(seed=2, latency_scale=1.0)
+
+        def echo(ctx, payload):
+            if payload["value"] == "boom":
+                raise ValueError("handler bug")
+            ctx.write("kv", payload["key"], payload["value"])
+            return payload["value"]
+
+        ssf = runtime.register_ssf("echo", echo, tables=["kv"])
+        runtime.start_collectors(ic_period=1_000.0, gc_period=1_000.0)
+        box = {}
+        worker = threading.Thread(
+            target=lambda: box.update(result=run_closed_loop(
+                runtime, "echo",
+                [[{"key": "a", "value": v} for v in (0, "boom", 2)],
+                 [{"key": "b", "value": v} for v in (0, 1)]])),
+            daemon=True)
+        worker.start()
+        worker.join(timeout=20.0)
+        hung = worker.is_alive()
+        if hung:
+            runtime.stop_collectors()
+            worker.join(timeout=20.0)
+        runtime.kernel.shutdown()
+        assert not hung, "run_closed_loop did not return"
+        result = box["result"]
+        assert result.failures == 1
+        assert result.recorder.total("error:ValueError") == 1
+        assert result.completed == 4
+        assert ssf.env.peek("kv", "a") == 2  # the payload after the error
+        assert ssf.env.peek("kv", "b") == 1

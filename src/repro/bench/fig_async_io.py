@@ -43,9 +43,9 @@ def build_runtime(without=None, shards: int = SHARDS, replicas: int = 1,
                   seed: int = 29) -> BeldiRuntime:
     runtime = BeldiRuntime(
         seed=seed, latency_scale=1.0,
-        config=BeldiConfig(gc_t=1e12, without=without),
-        shards=shards, replicas=replicas,
-        read_consistency=read_consistency)
+        config=BeldiConfig(gc_t=1e12, without=without,
+                           read_consistency=read_consistency),
+        shards=shards, replicas=replicas)
 
     def book(ctx, payload):
         with ctx.transaction() as tx:

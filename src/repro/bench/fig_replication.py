@@ -60,10 +60,9 @@ def build_runtime(replicas: int, read_consistency: str,
                   lag_scale: float = 0.0, seed: int = 13) -> BeldiRuntime:
     runtime = BeldiRuntime(
         seed=seed, latency_scale=1.0,
-        config=BeldiConfig(gc_t=1e12),
+        config=BeldiConfig(gc_t=1e12, read_consistency=read_consistency),
         platform_config=PlatformConfig(concurrency_limit=400),
         shards=SHARDS, replicas=replicas,
-        read_consistency=read_consistency,
         replication_lag_scale=lag_scale)
 
     def feed(ctx, payload):

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 PROFILES = ("current", "paper")
 #: What ``without`` may ablate from the ``current`` profile.
 FEATURES = ("fastpath", "async_io", "elastic", "resilience")
+READ_CONSISTENCIES = ("strong", "eventual")
 
 
 @dataclass
@@ -232,6 +233,10 @@ class BeldiConfig:
             raise ValueError(
                 f"without must be None or one of {FEATURES}, "
                 f"got {self.without!r}")
+        if self.read_consistency not in READ_CONSISTENCIES:
+            raise ValueError(
+                f"read_consistency must be one of {READ_CONSISTENCIES}, "
+                f"got {self.read_consistency!r}")
         if self.without is not None and self.profile != "current":
             raise ValueError(
                 f"without={self.without!r} ablates one feature from "

@@ -58,7 +58,7 @@ from repro.kvstore import (
     ReplicatedStore,
     ShardedStore,
 )
-from repro.kvstore.faults import FaultPolicy
+from repro.kvstore.faults import FaultTimeline
 from repro.platform import PlatformConfig, ServerlessPlatform
 from repro.platform.context import InvocationContext
 from repro.sim.kernel import SimKernel
@@ -92,10 +92,8 @@ class BeldiRuntime:
                  shards: int = 1,
                  shard_capacity: Optional[int] = None,
                  replicas: int = 1,
-                 read_consistency: Optional[str] = None,
                  replication_lag_scale: float = 1.0,
-                 store_faults: Optional[FaultPolicy] = None,
-                 fault_timeline=None,
+                 fault_timeline: Optional[FaultTimeline] = None,
                  observability: Optional[bool] = None,
                  env_prefix: str = "") -> None:
         """``shards > 1`` partitions storage across that many simulated
@@ -119,24 +117,13 @@ class BeldiRuntime:
         half-price read rate. ``replicas=1`` (default) builds exactly
         the unreplicated store — bit-for-bit the prior behavior.
 
-        ``read_consistency`` (``"strong"``/``"eventual"``) sets
-        :attr:`BeldiConfig.read_consistency`: whether the staleness-
-        tolerant read paths (:meth:`BeldiContext.read_eventual`, the
-        GC's first-pass scan) actually go eventual. Protocol reads stay
-        strong regardless.
-
-        ``store_faults`` installs one
-        :class:`~repro.kvstore.faults.FaultPolicy` on every store node
-        and replica group (throttling, latency spikes, and — with
-        ``leader_crash_probability`` — injected leader failovers).
-
-        ``fault_timeline`` installs one
-        :class:`~repro.kvstore.faults.FaultTimeline` — *scheduled*
-        nemesis faults (outage windows, partitions, gray slowness,
-        error bursts) pinned to virtual time — on every store node and
-        replica group. Orthogonal to ``store_faults``: the policy is
-        probabilistic background weather, the timeline is a scripted
-        incident.
+        Every runtime installs one
+        :class:`~repro.kvstore.faults.FaultTimeline` on every store node
+        and replica group and keeps it as :attr:`fault_timeline`:
+        ``fault_timeline`` when given, else the handed-in ``store``'s
+        own, else an empty one — bit-for-bit invisible until a window is
+        appended to it (always-on throttling, spikes and leader crashes;
+        scripted outages, partitions, gray nodes and error bursts).
 
         ``observability`` overrides :attr:`BeldiConfig.observability`
         (default *off*): virtual-time tracing + one snapshot of the
@@ -148,19 +135,11 @@ class BeldiRuntime:
         self.kernel = kernel or SimKernel(seed=seed)
         self.rand = RandomSource(seed, "beldi")
         self.config = config or BeldiConfig()
-        overrides = {}
-        if read_consistency is not None:
-            if read_consistency not in ("strong", "eventual"):
-                raise ValueError(
-                    f"read_consistency must be 'strong' or 'eventual', "
-                    f"got {read_consistency!r}")
-            overrides["read_consistency"] = read_consistency
         if observability is not None:
-            overrides["observability"] = bool(observability)
-        if overrides:
             # Copy before overriding: the caller may share one config
-            # across runtimes, and the overrides are per-runtime.
-            self.config = dataclasses.replace(self.config, **overrides)
+            # across runtimes, and the override is per-runtime.
+            self.config = dataclasses.replace(
+                self.config, observability=bool(observability))
         async_io = self.config.has_async_io
         latency = LatencyModel(self.rand.child("latency"),
                                scale=latency_scale)
@@ -176,8 +155,7 @@ class BeldiRuntime:
                     self.rand.child(f"latency-shard{i}{suffix}"),
                     scale=latency_scale),
                 rand=self.rand.child(f"store-shard{i}{suffix}"),
-                shard_id=i, capacity=shard_capacity,
-                faults=store_faults)
+                shard_id=i, capacity=shard_capacity)
 
         if store is not None:
             self.store = store
@@ -198,7 +176,6 @@ class BeldiRuntime:
                     rand=self.rand.child(f"repl-shard{i}"),
                     latency=LatencyModel(
                         self.rand.child(f"repl-latency-shard{i}")),
-                    faults=store_faults,
                     lag_scale=replication_lag_scale,
                     async_io=async_io))
             self.store = ReplicatedStore(groups, async_io=async_io)
@@ -209,9 +186,18 @@ class BeldiRuntime:
             self.store = KVStore(
                 time_source=KernelTimeSource(self.kernel),
                 latency=latency, rand=self.rand.child("store"),
-                capacity=shard_capacity, faults=store_faults)
-        if fault_timeline is not None:
-            self._install_timeline(self.store, fault_timeline)
+                capacity=shard_capacity)
+        if fault_timeline is None:
+            fault_timeline = getattr(self.store, "timeline", None)
+        if fault_timeline is None:
+            fault_timeline = FaultTimeline()
+        # Every layer that consults it: leaf nodes (outages, bursts,
+        # gray) and replica groups (leader crashes, partitions).
+        self.store.timeline = fault_timeline
+        for node in getattr(self.store, "nodes", ()):
+            node.timeline = fault_timeline
+            for member in getattr(node, "nodes", ()):
+                member.timeline = fault_timeline
         self.fault_timeline = fault_timeline
         #: §4.4 fast path: chain-position memory shared by every SSF this
         #: runtime hosts. Always constructed; only with the ``fastpath``
@@ -298,19 +284,6 @@ class BeldiRuntime:
     # -- identities ----------------------------------------------------------
     def fresh_uuid(self) -> str:
         return self._ids.uuid()
-
-    # -- nemesis timeline ------------------------------------------------------
-    @staticmethod
-    def _install_timeline(store, timeline) -> None:
-        """Install one FaultTimeline on every layer that consults it:
-        leaf nodes (outages/bursts/gray) and replica groups (partition
-        shipping stalls). Duck-typed so plain, sharded, and replicated
-        stores all work."""
-        store.timeline = timeline
-        for node in getattr(store, "nodes", ()):
-            node.timeline = timeline
-            for member in getattr(node, "nodes", ()):
-                member.timeline = timeline
 
     # -- registration ----------------------------------------------------------
     def create_env(self, name: str, tables: Iterable[str] = (),

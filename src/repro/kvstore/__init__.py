@@ -34,7 +34,7 @@ from repro.kvstore.errors import (
     TransactionCanceled,
     UnavailableError,
 )
-from repro.kvstore.faults import FaultPolicy, FaultTimeline, FaultWindow
+from repro.kvstore.faults import FaultTimeline, FaultWindow
 from repro.kvstore.expressions import (
     Add,
     And,
@@ -80,7 +80,6 @@ from repro.kvstore.rebalance import (
     recover_stale_migrations,
 )
 from repro.kvstore.replication import (
-    ReadConsistency,
     ReplicaGroup,
     ReplicatedStore,
     ReplicationStats,
@@ -108,7 +107,7 @@ __all__ = [
     "BatchWriteResult", "BeginsWith", "Between",
     "ChainMigrator",
     "ConditionFailed", "Contains", "Delete", "ElasticityController",
-    "Eq", "FaultPolicy", "FaultTimeline", "FaultWindow",
+    "Eq", "FaultTimeline", "FaultWindow",
     "Ge", "Gt", "HashRing",
     "IfNotExists",
     "In", "ItemTooLarge", "KVStore", "KVStoreError", "KernelTimeSource",
@@ -116,7 +115,7 @@ __all__ = [
     "Metering", "MigrationStats", "Minus", "Ne", "Not",
     "NullTimeSource", "Or", "OverlapScope", "Path", "PathRef", "Plus",
     "QueryResult",
-    "ReadConsistency", "Remove", "ReplicaGroup", "ReplicatedStore",
+    "Remove", "ReplicaGroup", "ReplicatedStore",
     "ReplicationStats",
     "ScanResult", "Set", "ShardedStore", "ShardedTableView",
     "SizeEq", "SizeGe", "SizeGt", "SizeLe",

@@ -34,17 +34,12 @@ STRONG = "strong"
 def normalize_consistency(consistency) -> Optional[str]:
     """Canonicalize a consistency argument to ``"eventual"`` or ``None``.
 
-    Accepts ``None``, the strings ``"strong"``/``"eventual"``, or any
-    enum-like object whose ``value`` is one of those (e.g.
-    :class:`~repro.kvstore.replication.ReadConsistency`). ``None`` means
-    strong — the default everywhere, so legacy callers are untouched.
+    Accepts ``None`` or the strings ``"strong"``/``"eventual"``. ``None``
+    means strong — the default everywhere.
     """
-    if consistency is None:
+    if consistency is None or consistency == STRONG:
         return None
-    value = getattr(consistency, "value", consistency)
-    if value == STRONG:
-        return None
-    if value == EVENTUAL:
+    if consistency == EVENTUAL:
         return EVENTUAL
     raise ValueError(f"unknown read consistency {consistency!r}")
 

@@ -13,19 +13,20 @@ A :class:`ReplicaGroup` wraps one shard's state in a group of one
   ``sim/latency.py``), clamped to ``max_lag`` virtual ms — the *bounded
   replication-lag model*. A follower's state is therefore always a
   prefix-consistent past state of the leader.
-- Reads carry a :class:`ReadConsistency`. ``STRONG`` (the default
+- Reads carry a consistency. ``"strong"`` (``None``, the default
   everywhere) routes to the leader and prices at one read unit per 4 KB.
-  ``EVENTUAL`` routes to a follower — possibly stale within the lag
+  ``"eventual"`` routes to a follower — possibly stale within the lag
   bound — and prices at half a unit, exactly DynamoDB's knob. Per-item
   follower affinity (the same item's eventual reads always land on the
   same follower) keeps multi-operation reads such as a DAAL chain
   traversal monotonic.
-- A :class:`~repro.kvstore.faults.FaultPolicy` with
-  ``leader_crash_probability`` can crash the leader out from under any
-  leader-routed operation. The group then **fails over**: every
-  follower drains what has shipped, the most-caught-up one is promoted,
-  and the unacked suffix of the replication log is replayed onto it
-  (paying ``repl.failover`` latency per replayed record). Because the
+- A ``leader_crash`` window of the group's
+  :class:`~repro.kvstore.faults.FaultTimeline` can crash the leader out
+  from under any leader-routed operation. The group then **fails
+  over**: every follower drains what has shipped, the most-caught-up
+  one is promoted, and the unacked suffix of the replication log is
+  replayed onto it (paying ``repl.failover`` latency per replayed
+  record). Because the
   log is durable and replayed in full, the promoted leader's state is
   *identical* to the crashed leader's — no acknowledged write is ever
   lost, so the DAAL/txn layers above notice nothing but latency. The
@@ -72,14 +73,12 @@ Invariants this layer must uphold (see ``docs/architecture.md``):
 
 from __future__ import annotations
 
-import enum
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.kvstore.expressions import Condition, Projection
-from repro.kvstore.faults import FaultPolicy
 from repro.kvstore.metering import Metering, normalize_consistency
 from repro.kvstore.sharding import HashRing, ShardedStore
 from repro.kvstore.store import KVStore
@@ -105,19 +104,6 @@ from repro.sim.randsrc import RandomSource
 #: bound is what makes staleness — and the GC's eventual first-pass scan
 #: — analyzable: a follower can never be more than ``max_lag`` behind.
 DEFAULT_MAX_LAG_MS = 250.0
-
-
-class ReadConsistency(enum.Enum):
-    """DynamoDB's read-consistency knob.
-
-    ``STRONG`` reads the leader (current state, full price); ``EVENTUAL``
-    reads a follower (bounded-stale state, half price). Anything
-    accepting a consistency argument also takes the plain strings
-    ``"strong"``/``"eventual"`` or ``None`` (= strong).
-    """
-
-    STRONG = "strong"
-    EVENTUAL = "eventual"
 
 
 _PUT = "put"
@@ -234,14 +220,13 @@ class ReplicaGroup:
     Speaks the same surface as :class:`~repro.kvstore.KVStore`, so a
     :class:`~repro.kvstore.sharding.ShardedStore` can use groups as its
     nodes. Writes go to the leader and ship asynchronously; reads route
-    by consistency. ``faults.leader_crash_probability`` injects leader
-    failover on any leader-routed operation.
+    by consistency. A ``leader_crash`` window of :attr:`timeline`
+    injects leader failover on any leader-routed operation.
     """
 
     def __init__(self, leader: KVStore, followers: Sequence[KVStore],
                  rand: Optional[RandomSource] = None,
                  latency: Optional[LatencyModel] = None,
-                 faults: Optional[FaultPolicy] = None,
                  max_lag: float = DEFAULT_MAX_LAG_MS,
                  lag_scale: float = 1.0,
                  async_io: bool = False) -> None:
@@ -259,8 +244,9 @@ class ReplicaGroup:
         leader.replica_role = "leader"
         for node in followers:
             node.replica_role = "follower"
-        #: Scheduled fault windows (:class:`FaultTimeline`); the group
-        #: consults partition windows when shipping the replication log.
+        #: Fault windows (:class:`FaultTimeline`); the group consults
+        #: ``leader_crash`` windows before leader-routed operations and
+        #: ``partition`` windows when shipping the replication log.
         #: Member nodes hold the same timeline for their own op checks.
         self.timeline = None
         self.rand = rand or RandomSource(0, "replica-group")
@@ -268,7 +254,6 @@ class ReplicaGroup:
         #: member nodes' latency streams so that enabling replication
         #: never perturbs the leader's own draws.
         self.latency = latency or LatencyModel.zero()
-        self.faults = faults
         self.max_lag = max_lag
         self.lag_scale = lag_scale
         self.time = leader.time
@@ -494,10 +479,12 @@ class ReplicaGroup:
 
     # -- failover --------------------------------------------------------------
     def _maybe_failover(self, op: str) -> None:
-        if self.faults is None or len(self.nodes) < 2:
+        timeline = self.timeline
+        if timeline is None or not timeline.windows or len(self.nodes) < 2:
             return
-        if self.faults.should_crash_leader(self.rand, op,
-                                           shard=self.shard_id):
+        rate = timeline.rate("leader_crash", self.time.now(), op,
+                             self.shard_id)
+        if rate > 0 and self.rand.random() < rate:
             self.fail_leader()
 
     def fail_leader(self) -> int:
@@ -719,7 +706,6 @@ class ReplicatedStore(ShardedStore):
 
 __all__ = [
     "DEFAULT_MAX_LAG_MS",
-    "ReadConsistency",
     "ReplicaGroup",
     "ReplicatedStore",
     "ReplicatedTableView",

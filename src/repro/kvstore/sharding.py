@@ -10,10 +10,10 @@ nodes via rendezvous hashing, so
   conditional write, which is Beldi's whole atomicity story) lives on a
   single node;
 - ``query`` — the skeleton traversal — is a single-node operation;
-- each node keeps its **own** latency model, fault domain
-  (:class:`~repro.kvstore.faults.FaultPolicy` with ``only_shards``),
-  service capacity, and metering, so per-shard throttling, latency
-  spikes, and saturation are all expressible;
+- each node keeps its **own** latency model, fault domain (a
+  :class:`~repro.kvstore.faults.FaultTimeline` window scoped with
+  ``shards=``), service capacity, and metering, so per-shard throttling,
+  latency spikes, and saturation are all expressible;
 - the DAAL, transaction, GC, and collector layers go through the facade
   unchanged — it carries the full store surface
   (:mod:`repro.kvstore.surface`), handled here *by kind*: the five keyed

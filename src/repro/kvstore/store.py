@@ -4,11 +4,10 @@
 the ten of :mod:`repro.kvstore.surface`; behind them every round trip
 runs one template:
 
-1. scheduled fault windows (``FaultTimeline``), then the probabilistic
-   fault policy (throttling),
-2. the calibrated virtual latency — spiked, slowed and queued as the
-   policy, timeline and service capacity dictate — through the time
-   source,
+1. the fault windows (``FaultTimeline``): an outage raises, an error
+   burst throttles,
+2. the calibrated virtual latency — slowed and queued as the gray
+   windows and service capacity dictate — through the time source,
 3. the atomic table effect,
 4. metering of the bytes and request units consumed,
 5. one ``store.<op>`` span.
@@ -35,7 +34,7 @@ from repro.kvstore.errors import (
     UnavailableError,
 )
 from repro.kvstore.expressions import Projection
-from repro.kvstore.faults import FaultPolicy, FaultTimeline
+from repro.kvstore.faults import FaultTimeline
 from repro.kvstore.item import item_size
 from repro.kvstore.metering import Metering
 from repro.kvstore.surface import (
@@ -140,7 +139,7 @@ class KVStore:
 
     ``shard_id`` names this node inside a
     :class:`~repro.kvstore.sharding.ShardedStore` (``None`` for a
-    standalone store) and scopes shard-targeted fault policies.
+    standalone store) and scopes shard-targeted fault windows.
     ``capacity`` bounds the node's parallelism: when set, operations
     queue through a :class:`~repro.sim.latency.ServiceCapacity` with that
     many servers, so a saturated node exhibits queueing delay instead of
@@ -150,17 +149,15 @@ class KVStore:
     def __init__(self, time_source: Optional[TimeSource] = None,
                  latency: Optional[LatencyModel] = None,
                  rand: Optional[RandomSource] = None,
-                 faults: Optional[FaultPolicy] = None,
                  shard_id: Optional[int] = None,
                  capacity: Optional[int] = None) -> None:
         self.time = time_source or NullTimeSource()
         self.latency = latency or LatencyModel.zero()
         self.rand = rand or RandomSource(0, "kvstore")
-        self.faults = faults
         self.shard_id = shard_id
-        #: Scheduled fault windows (:class:`FaultTimeline`), installed by
-        #: the runtime or a test; ``None`` (the default) skips the hook
-        #: with one attribute check.
+        #: Fault windows (:class:`FaultTimeline`), installed by the
+        #: runtime or a test; ``None`` (the default) or an empty timeline
+        #: skips the hook with one check.
         self.timeline: Optional[FaultTimeline] = None
         #: ``"leader"`` / ``"follower"`` when this node serves inside a
         #: :class:`~repro.kvstore.replication.ReplicaGroup` (set by the
@@ -211,20 +208,16 @@ class KVStore:
         return sorted(self._tables)
 
     # -- latency/fault boundary --------------------------------------------------
-    def _throttled(self, op: str) -> bool:
-        return (self.faults is not None
-                and self.faults.should_throttle(self.rand, op,
-                                                shard=self.shard_id))
-
-    def _timeline_check(self, op: str) -> None:
-        """Apply scheduled fault windows before the operation runs.
+    def _check_faults(self, op: str) -> bool:
+        """Apply the fault windows before the operation runs: raise for
+        an outage, and return whether an error burst throttles it.
 
         Raises before any table effect, so every error here is safe to
         retry verbatim. An empty timeline returns after one check.
         """
         timeline = self.timeline
         if timeline is None or not timeline.windows:
-            return
+            return False
         now = self.time.now()
         timeline.observe(self, now)
         if timeline.outage_active(now, op, self.shard_id,
@@ -232,10 +225,9 @@ class KVStore:
             raise UnavailableError(
                 f"{op} unavailable (scheduled outage on "
                 f"shard {self.shard_id})")
-        rate = timeline.burst_rate(now, op, self.shard_id,
-                                   self.replica_role)
-        if rate > 0 and self.rand.random() < rate:
-            raise ThrottledError(f"{op} throttled (error burst)")
+        rate = timeline.rate("error_burst", now, op, self.shard_id,
+                             self.replica_role)
+        return rate > 0 and self.rand.random() < rate
 
     def _charge(self, op: str, units: float = 0.0) -> None:
         """Pay the virtual-time cost of one (admitted) operation.
@@ -246,12 +238,11 @@ class KVStore:
         overlapped operations queue exactly as concurrent arrivals would.
         """
         multiplier = 1.0
-        if self.faults is not None:
-            multiplier = self.faults.latency_multiplier(
-                self.rand, op, shard=self.shard_id)
-        if self.timeline is not None and self.timeline.windows:
-            multiplier *= self.timeline.latency_multiplier(
-                self.time.now(), op, self.shard_id, self.replica_role)
+        timeline = self.timeline
+        if timeline is not None and timeline.windows:
+            multiplier = timeline.latency_multiplier(
+                self.time.now(), op, self.shard_id, self.replica_role,
+                self.rand)
         service = self.latency.sample(op, units=units) * multiplier
         if self.queue is not None and service > 0:
             service = self.queue.delay(
@@ -273,8 +264,7 @@ class KVStore:
                 **args)
 
     def _pay(self, op: str, units: float = 0.0) -> None:
-        self._timeline_check(op)
-        if self._throttled(op):
+        if self._check_faults(op):
             raise ThrottledError(f"{op} throttled")
         self._charge(op, units=units)
 
@@ -322,9 +312,8 @@ class KVStore:
         if op is not BATCH_GET:
             validate_batch_write(tbl.schema, rows)
         start = self.time.now()
-        self._timeline_check(op.latency)
         served = len(rows)
-        if self._throttled(op.latency):
+        if self._check_faults(op.latency):
             served = self.rand.randint(0, len(rows) - 1)
             if served == 0:
                 raise ThrottledError(f"{op.latency} throttled")

@@ -40,7 +40,6 @@ from repro.core import daal, intents
 from repro.core.gc import make_garbage_collector
 from repro.core.errors import DeadlineExceeded
 from repro.kvstore.errors import ThrottledError, UnavailableError
-from repro.kvstore.faults import FaultPolicy
 from repro.platform import CrashPolicy, PrefixedPolicy
 from repro.platform.errors import FunctionCrashed, TooManyRequests
 from repro.sim import RandomSchedule, SimKernel
@@ -181,29 +180,24 @@ def build_harness(flags: dict, schedule=None,
     shards = flags.pop("shards", 1)
     replicas = flags.pop("replicas", 1)
     leader_crash = flags.pop("leader_crash", 0.0)
-    read_consistency = flags.pop("read_consistency", None)
-    # Nemesis timeline: installed once on the travel runtime's store,
-    # which the movie runtime shares — both apps ride out the incident.
+    # Nemesis windows join the travel runtime's timeline, which the
+    # movie runtime shares with its store — both apps ride them out.
     timeline = flags.pop("timeline", None)
     kernel = SimKernel(seed=seed, schedule=schedule)
     config = BeldiConfig(ic_restart_delay=200.0, gc_t=GC_T,
                          lock_retry_backoff=5.0, lock_retry_limit=500,
                          **flags)
-    store_faults = (FaultPolicy(leader_crash_probability=leader_crash)
-                    if leader_crash else None)
     travel = BeldiRuntime(kernel=kernel, seed=seed, config=config,
                           shards=shards, replicas=replicas,
-                          latency_scale=0.0,
-                          read_consistency=read_consistency,
-                          store_faults=store_faults)
+                          latency_scale=0.0)
+    if leader_crash:
+        travel.fault_timeline.leader_crash(rate=leader_crash)
     # The movie runtime rides on the travel runtime's store (whose one
     # elasticity controller is travel's); its envs are namespaced so
     # same-named envs do not adopt each other's tables.
     movie = BeldiRuntime(kernel=kernel, seed=seed + MOVIE_SEED_OFFSET,
                          config=config, store=travel.store,
-                         latency_scale=0.0,
-                         read_consistency=read_consistency,
-                         env_prefix="mv.")
+                         latency_scale=0.0, env_prefix="mv.")
     travel_app = TravelReservationApp(seed=seed, n_hotels=2, n_flights=2,
                                       rooms_per_hotel=2,
                                       seats_per_flight=2, n_users=2)
@@ -213,12 +207,9 @@ def build_harness(flags: dict, schedule=None,
     movie_app.register(movie)
     movie_app.seed_data(movie)
     if timeline is not None:
-        # Installed *after* seeding (operator setup precedes the
-        # incident), so windows may start at t=0 and still let the
-        # fixtures land.
-        BeldiRuntime._install_timeline(travel.store, timeline)
-        travel.fault_timeline = timeline
-        movie.fault_timeline = timeline
+        # Added *after* seeding (operator setup precedes the incident),
+        # so windows may start at t=0 and still let the fixtures land.
+        travel.fault_timeline.add(*timeline.windows)
     return Harness(kernel=kernel, travel=travel, movie=movie,
                    travel_app=travel_app, movie_app=movie_app)
 
@@ -299,30 +290,30 @@ def run_requests(h: Harness, requests=REQUESTS,
     return results
 
 
-def run_gc_passes(h: Harness, passes: int = 3) -> None:
-    """Advance past the GC horizon and collect everything, repeatedly
-    (stamp -> recycle/disconnect -> delete needs T between passes)."""
-    handlers = [make_garbage_collector(runtime, env)
-                for runtime in h.runtimes.values()
-                for env in runtime.envs.values()]
+def gc_pass(runtime: BeldiRuntime, *envs) -> list:
+    """One GC pass over each of ``envs`` (default: every env of
+    ``runtime``), run inline — call it from a kernel process. Returns
+    each pass's stats. The collector reads nothing of its invocation
+    context, so none is faked."""
+    return [make_garbage_collector(runtime, env)(None, {})
+            for env in envs or runtime.envs.values()]
 
-    class _Ctx:
-        request_id = "dst-gc"
-        invocation_index = 0
 
-        def crash_point(self, tag):
-            pass
-
+def run_gc_passes(*runtimes: BeldiRuntime, passes: int = 3) -> None:
+    """Advance past the GC horizon and collect everything in
+    ``runtimes`` (one kernel), repeatedly (stamp -> recycle/disconnect
+    -> delete needs T between passes)."""
+    kernel = runtimes[0].kernel
     for _ in range(passes):
-        h.kernel.spawn(lambda: h.kernel.sleep(GC_T + 50.0))
-        h.kernel.run()
+        kernel.spawn(lambda: kernel.sleep(GC_T + 50.0))
+        kernel.run()
 
         def one_round():
-            for handler in handlers:
-                handler(_Ctx(), {})
+            for runtime in runtimes:
+                gc_pass(runtime)
 
-        h.kernel.spawn(one_round)
-        h.kernel.run()
+        kernel.spawn(one_round)
+        kernel.run()
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +439,7 @@ def run_one(flags: dict, schedule=None,
             h.set_crash_policy(crash_policy)
         run_requests(h)
         check_effects(h)
-        run_gc_passes(h)
+        run_gc_passes(*h.runtimes.values())
         assert_store_clean(h.travel.store, h.runtimes.values())
     finally:
         h.shutdown()
@@ -476,7 +467,7 @@ def explore(seeds, flags: dict = LIGHT_FLAGS,
                 h.set_crash_policy(crash_policy_factory(seed))
             run_requests(h)
             check_effects(h)
-            run_gc_passes(h)
+            run_gc_passes(*h.runtimes.values())
             assert_store_clean(h.travel.store, h.runtimes.values())
             traces.add(tuple(h.kernel.schedule_trace))
         except AssertionError as exc:
@@ -497,10 +488,8 @@ def _write_failure_artifact(seed: int, trace: list,
     artifact = {"seed": seed, "trace": trace,
                 "replay": format_failure(seed, trace),
                 "error": str(exc)}
-    timeline = (getattr(h.travel, "fault_timeline", None)
-                if h is not None else None)
-    if timeline is not None:
-        artifact["fault_timeline"] = timeline.describe()
+    if h is not None and h.travel.fault_timeline:
+        artifact["fault_timeline"] = h.travel.fault_timeline.describe()
     obs = h.travel.obs if h is not None else None
     if obs is not None:
         # Attach the virtual-time trace and the unified metrics snapshot

@@ -120,7 +120,7 @@ def test_concurrent_crash_sweep(mix, group):
             dst.check_effects(h)
             assert h.injected_crashes == 1, (
                 "crash point was not reached on the re-run")
-            dst.run_gc_passes(h)
+            dst.run_gc_passes(*h.runtimes.values())
             dst.assert_store_clean(h.travel.store, h.runtimes.values())
         except AssertionError as exc:  # collect, report all at once
             failures.append((function, index, tag,
@@ -171,7 +171,7 @@ def test_multi_request_crash_script():
         assert h.injected_crashes == 2, (
             f"expected both scripted crashes, got {h.injected_crashes}")
         assert not script.remaining
-        dst.run_gc_passes(h)
+        dst.run_gc_passes(*h.runtimes.values())
         dst.assert_store_clean(h.travel.store, h.runtimes.values())
     finally:
         h.shutdown()

@@ -41,9 +41,7 @@ from repro.apps.movie import MovieReviewApp
 from repro.apps.travel import TravelReservationApp
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.core import daal, intents, ops
-from repro.core.gc import make_garbage_collector
 from repro.kvstore import Set
-from repro.kvstore.faults import FaultPolicy
 from repro.platform import CrashOnce, CrashPolicy, RecordingPolicy
 from repro.platform.errors import FunctionCrashed, TooManyRequests
 
@@ -56,7 +54,7 @@ RECOVERY_HORIZON = 40_000.0
 # knobs, not BeldiConfig fields. The sharded sweep proves the commit
 # protocol's shadow writes stay atomic when they span shard boundaries;
 # the replicated sweep additionally crashes shard *leaders* out from
-# under the workflow (``leader_crash_probability`` on every leader-routed
+# under the workflow (a ``leader_crash`` window over every leader-routed
 # store op). Store latency stays at scale 0 (deterministic recording),
 # but the replica groups' own latency model always runs at scale 1, so
 # replication lag — and the failover's unacked-suffix replay — is
@@ -112,16 +110,15 @@ def _runtime(flags: dict) -> BeldiRuntime:
     replicas = flags.pop("replicas", 1)
     leader_crash = flags.pop("leader_crash", 0.0)
     latency_scale = flags.pop("latency_scale", 0.0)
-    read_consistency = flags.pop("read_consistency", None)
     config = BeldiConfig(ic_restart_delay=200.0, gc_t=GC_T,
                          lock_retry_backoff=5.0, lock_retry_limit=500,
                          **flags)
-    store_faults = (FaultPolicy(leader_crash_probability=leader_crash)
-                    if leader_crash else None)
-    return BeldiRuntime(seed=SEED, config=config, shards=shards,
-                        replicas=replicas, latency_scale=latency_scale,
-                        read_consistency=read_consistency,
-                        store_faults=store_faults, observability=True)
+    runtime = BeldiRuntime(seed=SEED, config=config, shards=shards,
+                           replicas=replicas, latency_scale=latency_scale,
+                           observability=True)
+    if leader_crash:
+        runtime.fault_timeline.leader_crash(rate=leader_crash)
+    return runtime
 
 
 # ---------------------------------------------------------------------------
@@ -357,32 +354,6 @@ def run_until_recovered(runtime, scenario):
     return box["result"]
 
 
-def run_gc_passes(runtime, passes: int = 3) -> None:
-    """Advance past the GC horizon and collect everything, repeatedly
-    (stamp -> recycle/disconnect -> delete needs T between passes)."""
-    handlers = [make_garbage_collector(runtime, env)
-                for env in runtime.envs.values()]
-
-    class _Ctx:
-        request_id = "sweep-gc"
-        invocation_index = 0
-
-        def crash_point(self, tag):
-            pass
-
-    for _ in range(passes):
-        runtime.kernel.spawn(
-            lambda: runtime.kernel.sleep(GC_T + 50.0))
-        runtime.kernel.run()
-
-        def one_round():
-            for handler in handlers:
-                handler(_Ctx(), {})
-
-        runtime.kernel.spawn(one_round)
-        runtime.kernel.run()
-
-
 def sweep(scenario_name: str, flags_name: str) -> None:
     scenario = SCENARIOS[scenario_name]
     flags = SETTINGS[flags_name]
@@ -410,7 +381,7 @@ def sweep(scenario_name: str, flags_name: str) -> None:
             assert runtime.platform.stats.injected_crashes == 1, (
                 "crash point was not reached on the re-run")
             lifecycle.check(runtime.obs.tracer.records)
-            run_gc_passes(runtime)
+            dst.run_gc_passes(runtime)
             dst.assert_store_clean(runtime.store, [runtime])
         except AssertionError as exc:  # collect, report all at once
             failures.append((function, index, tag,
@@ -645,7 +616,7 @@ def test_crashed_filler_releases_its_waiters(point):
             assert len(skeleton.orphans) == (point == "put")
         assert stats.append_races_lost == 0
         lifecycle.check(runtime.obs.tracer.records)
-        run_gc_passes(runtime)
+        dst.run_gc_passes(runtime)
         dst.assert_store_clean(runtime.store, [runtime])
         assert daal.load_skeleton(env.store, table, "hot").orphans == []
     finally:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.core import daal
-from repro.core.gc import make_garbage_collector
+from dst import gc_pass
 
 
 @pytest.fixture
@@ -17,19 +17,11 @@ def runtime():
 
 def run_gc_now(runtime, env, times=1):
     """Invoke the env's GC directly (no timers) from a client process."""
-    handler = make_garbage_collector(runtime, env)
     results = []
 
     def client():
-        class _Ctx:
-            request_id = "gc-run"
-            invocation_index = 0
-
-            def crash_point(self, tag):
-                pass
-
         for _ in range(times):
-            results.append(handler(_Ctx(), {}))
+            results.extend(gc_pass(runtime, env))
 
     runtime.kernel.spawn(client)
     runtime.kernel.run()
@@ -317,18 +309,9 @@ class TestGCConcurrency:
         env = ssf.env
 
         def gc_loop():
-            handler_fn = make_garbage_collector(runtime, env)
-
-            class _Ctx:
-                request_id = "gc"
-                invocation_index = 0
-
-                def crash_point(self, tag):
-                    pass
-
             for _ in range(20):
                 runtime.kernel.sleep(7.0)
-                handler_fn(_Ctx(), {})
+                gc_pass(runtime, env)
 
         for i in range(3):
             runtime.kernel.spawn(

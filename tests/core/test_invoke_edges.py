@@ -6,7 +6,6 @@ import pytest
 import dst
 import lifecycle
 from repro.core import BeldiConfig, BeldiRuntime, intents
-from repro.core.gc import make_garbage_collector
 from repro.core.invoke import (ASYNC_ACK, _derived_callee_id,
                                record_callback)
 from repro.platform import CrashOnce, CrashScript, FunctionCrashed
@@ -198,7 +197,6 @@ class TestReplyBeforeCallback:
             assert not intents.pending_intents(env), env.name
 
     def test_callee_dying_after_its_reply_costs_the_caller_nothing(self):
-        from tests.core.test_crashpoint_sweep import run_gc_passes
         runtime = self._runtime()
         leaf, caller, _bodies = self._counter_pair(runtime)
         runtime.platform.crash_policy = CrashOnce("leaf", "reply:sent")
@@ -229,7 +227,7 @@ class TestReplyBeforeCallback:
         assert entry["Result"] == "v"
         assert leaf.env.peek("kv", "n") == 1
         assert caller.env.peek("kv", "calls") == 1
-        run_gc_passes(runtime)
+        dst.run_gc_passes(runtime)
         dst.assert_store_clean(runtime.store, [runtime])
         runtime.kernel.shutdown()
 
@@ -292,17 +290,8 @@ class TestReplyBeforeCallback:
             lambda: box.update(result=runtime.client_call("caller")))
         runtime.kernel.run(until=1_000.0)
         assert box == {"result": ["v"]}
-        collect = make_garbage_collector(runtime, caller.env)
-
-        class _Ctx:
-            request_id = "gc-run"
-            invocation_index = 0
-
-            def crash_point(self, tag):
-                pass
-
         for at in (1_000.0, 1_500.0):  # stamp, then (T later) recycle
-            runtime.kernel.spawn(lambda: collect(_Ctx(), {}))
+            runtime.kernel.spawn(lambda: dst.gc_pass(runtime, caller.env))
             runtime.kernel.run(until=at + 450.0)
         store = caller.env.store
         assert store.item_count(caller.env.intent_table) == 0
@@ -436,7 +425,6 @@ class TestPipelinedOpen:
         orphan finishes, its callback finds no row and is ignored, and
         the intent collector's replay claims the *same* id and is
         answered from the ``Done`` intent — the body ran once."""
-        from tests.core.test_crashpoint_sweep import run_gc_passes
         runtime = self._runtime(ic_restart_delay=1_500.0)
         leaf, caller, bodies = self._counter_pair(runtime)
         runtime.platform.crash_policy = CrashOnce(
@@ -475,7 +463,7 @@ class TestPipelinedOpen:
         assert len(bodies) == 1
         assert leaf.env.peek("kv", "n") == 1
         assert caller.env.peek("kv", "calls") == 1
-        run_gc_passes(runtime)
+        dst.run_gc_passes(runtime)
         dst.assert_store_clean(runtime.store, [runtime])
         runtime.kernel.shutdown()
 

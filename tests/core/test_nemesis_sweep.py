@@ -209,3 +209,24 @@ def test_failure_artifact_embeds_timeline(tmp_path, monkeypatch):
     assert "replay" in artifact
     assert "chrome_trace" in artifact  # obs is on in LIGHT_FLAGS
     assert "resilience" in artifact["metrics"]
+
+
+def test_deep_failure_artifact_lists_its_leader_crashes(tmp_path,
+                                                        monkeypatch):
+    """The deep topology's background leader crashes are a window like
+    any scripted one, so a deep failure's artifact names them too: an
+    always-on window, no edges."""
+    import json
+
+    path = tmp_path / "failure.json"
+    monkeypatch.setenv("DST_FAILURE_FILE", str(path))
+    h = dst.build_harness(dst.DEEP_FLAGS)
+    try:
+        dst._write_failure_artifact(seed=dst.SEED, trace=[],
+                                    exc=AssertionError("synthetic"), h=h)
+    finally:
+        h.shutdown()
+    (window,) = json.loads(path.read_text())["fault_timeline"]
+    assert window["kind"] == "leader_crash"
+    assert window["start"] is None and window["end"] is None
+    assert window["rate"] == dst.DEEP_FLAGS["leader_crash"]

@@ -24,7 +24,7 @@ RETIRED_FIELDS = ("tail_cache", "batch_reads", "async_io",
                   "batch_log_writes", "elastic", "resilience",
                   "degraded_reads", "retry_max_backoff", "retry_jitter")
 RETIRED_RUNTIME_KWARGS = ("async_io", "batch_log_writes", "elastic",
-                          "resilience")
+                          "resilience", "read_consistency")
 
 
 def _features(config: BeldiConfig) -> set:
@@ -54,6 +54,15 @@ def test_without_removes_exactly_one_feature(feature):
 def test_anything_outside_the_six_is_rejected(kwargs):
     with pytest.raises(ValueError):
         BeldiConfig(**kwargs)
+
+
+def test_read_consistency_is_checked_where_it_is_set():
+    """A misspelt consistency fails at construction, not as a GC that
+    silently reads strong and a first ``read_eventual`` that raises."""
+    with pytest.raises(ValueError):
+        BeldiConfig(read_consistency="evntual")
+    assert BeldiConfig(read_consistency="eventual").read_consistency == (
+        "eventual")
 
 
 @pytest.mark.parametrize("field", RETIRED_FIELDS)
@@ -86,9 +95,9 @@ def _balanced_run(without, shards, replicas, read_consistency):
     below ``elastic_min_window``, so there is nothing to rebalance."""
     runtime = BeldiRuntime(
         seed=SEED, latency_scale=1.0,
-        config=BeldiConfig(gc_t=1e12, without=without),
-        shards=shards, replicas=replicas,
-        read_consistency=read_consistency)
+        config=BeldiConfig(gc_t=1e12, without=without,
+                           read_consistency=read_consistency),
+        shards=shards, replicas=replicas)
     app = TravelReservationApp(seed=SEED, n_hotels=2, n_flights=2,
                                rooms_per_hotel=2, seats_per_flight=2,
                                n_users=1)
@@ -241,7 +250,7 @@ def test_without_fastpath_read_many_overlaps_its_traversals():
     assert len(row["Run"]) == 2
 
 
-@pytest.mark.parametrize("topology", [(2, 1, None), (4, 1, None),
+@pytest.mark.parametrize("topology", [(2, 1, "strong"), (4, 1, "strong"),
                                       (2, 3, "eventual")])
 def test_idle_elasticity_changes_nothing(topology):
     """Armed-and-idle is bit-for-bit static placement: below its trigger

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lifecycle
+from dst import gc_pass
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.core import daal, intents
 from repro.platform import CrashOnce, CrashPolicy, FunctionCrashed
@@ -472,8 +473,6 @@ class TestGCInterleavingProperties:
         entry is lost while live, the final value survives collection,
         and a tail cache that watched the whole interleaving never
         serves a stale row."""
-        from repro.core.gc import make_garbage_collector
-
         gc_t = 800.0
         runtime = BeldiRuntime(
             seed=seed % 29, latency_scale=1.0,
@@ -489,15 +488,6 @@ class TestGCInterleavingProperties:
         ssf = runtime.register_ssf("w", handler, tables=["kv"])
         env = ssf.env
         table = env.data_table("kv")
-        gc_handler = make_garbage_collector(runtime, env)
-
-        class _Ctx:
-            request_id = "gc"
-            invocation_index = 0
-
-            def crash_point(self, tag):
-                pass
-
         filler_dies = filler_dies and without is None
         if filler_dies:
             runtime.platform.crash_policy = CrashOnce(
@@ -520,7 +510,7 @@ class TestGCInterleavingProperties:
         # liveness rules must protect live instances' entries).
         for w in range(n_writers):
             runtime.kernel.spawn(client, w, delay=float(w) * 0.5)
-        runtime.kernel.spawn(lambda: gc_handler(_Ctx(), {}), delay=5.0)
+        runtime.kernel.spawn(lambda: gc_pass(runtime, env), delay=5.0)
         runtime.kernel.run()
         runtime.kernel.spawn(finish_the_dead)
         runtime.kernel.run()
@@ -554,12 +544,9 @@ class TestGCInterleavingProperties:
         # then delete. (Orphans may be zero if no race lost — hypothesis
         # explores seeds where they aren't.)
         def advance_and_collect():
-            runtime.kernel.sleep(gc_t + 50.0)
-            gc_handler(_Ctx(), {})
-            runtime.kernel.sleep(gc_t + 50.0)
-            gc_handler(_Ctx(), {})
-            runtime.kernel.sleep(gc_t + 50.0)
-            gc_handler(_Ctx(), {})
+            for _ in range(3):
+                runtime.kernel.sleep(gc_t + 50.0)
+                gc_pass(runtime, env)
 
         runtime.kernel.spawn(advance_and_collect)
         runtime.kernel.run()
@@ -586,7 +573,6 @@ class TestGCInterleavingProperties:
         regardless of which (possibly deleted) row was pinned."""
         runtime = BeldiRuntime(seed=seed % 13, config=BeldiConfig(
             row_log_capacity=1, gc_t=300.0, ic_restart_delay=1e12))
-        from repro.core.gc import make_garbage_collector
 
         def handler(ctx, payload):
             for i in range(5):
@@ -599,19 +585,11 @@ class TestGCInterleavingProperties:
         table = env.data_table("kv")
         all_rows = [row["RowId"]
                     for row in env.store.query(table, "k").items]
-        gc_handler = make_garbage_collector(runtime, env)
-
-        class _Ctx:
-            request_id = "gc"
-            invocation_index = 0
-
-            def crash_point(self, tag):
-                pass
 
         def collect():
             for _ in range(3):
                 runtime.kernel.sleep(400.0)
-                gc_handler(_Ctx(), {})
+                gc_pass(runtime, env)
 
         runtime.kernel.spawn(collect)
         runtime.kernel.run()

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.core.errors import DeadlineExceeded
-from repro.kvstore import FaultTimeline, ThrottledError, UnavailableError
+from repro.kvstore import ThrottledError, UnavailableError
 from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.sim import RandomSource
 
@@ -77,35 +77,6 @@ class TestCircuitBreaker:
         assert b.allow(210.0)
 
 
-class ThrottleScript:
-    """Duck-typed FaultPolicy: throttle the first ``n`` in-scope draws.
-
-    ``FaultPolicy`` is probabilistic; regression-testing "a single
-    throttle must not abort a workflow" needs the deterministic version:
-    100% throttle for exactly ``n`` operations, then clean air.
-    """
-
-    def __init__(self, n=1, only_ops=None):
-        self.remaining = n
-        self.only_ops = only_ops
-        self.throttled = 0
-
-    def should_throttle(self, rand, op="", shard=None):
-        if self.only_ops is not None and op not in self.only_ops:
-            return False
-        if self.remaining > 0:
-            self.remaining -= 1
-            self.throttled += 1
-            return True
-        return False
-
-    def should_crash_leader(self, rand, op="", shard=None):
-        return False
-
-    def latency_multiplier(self, rand, op="", shard=None):
-        return 1.0
-
-
 def run_counter(runtime):
     def handler(ctx, payload):
         count = ctx.read("kv", "counter") or 0
@@ -117,36 +88,42 @@ def run_counter(runtime):
     return result, ssf
 
 
+def throttled_runtime(until, **kwargs):
+    """Every store op throttles before virtual ``until``. At zero latency
+    the request's first op runs at t=0 and time only moves in backoffs
+    (the first lasts 5–10 ms), so ``until=1`` throttles exactly one op."""
+    runtime = BeldiRuntime(seed=11, **kwargs)
+    runtime.fault_timeline.error_burst(0.0, until)
+    return runtime
+
+
 class TestThrottleRecovery:
     """Satellite regression: point-op throttles used to escape
     ``core/ops.py``/``core/daal.py`` raw and abort the whole workflow."""
 
     def test_single_throttle_no_longer_aborts(self):
-        script = ThrottleScript(n=1)
-        runtime = BeldiRuntime(seed=11, store_faults=script)
+        runtime = throttled_runtime(1.0)
         try:
             result, ssf = run_counter(runtime)
             assert result == 1
             assert ssf.env.peek("kv", "counter") == 1
-            assert script.throttled == 1
-            assert runtime.resilience.stats.retries >= 1
-            assert runtime.resilience.stats.throttled_errors >= 1
+            assert runtime.resilience.stats.retries == 1
+            assert runtime.resilience.stats.throttled_errors == 1
         finally:
             runtime.kernel.shutdown()
 
     def test_burst_of_throttles_survives_within_budget(self):
-        script = ThrottleScript(n=4)
-        runtime = BeldiRuntime(seed=11, store_faults=script)
+        runtime = throttled_runtime(60.0)
         try:
             result, _ = run_counter(runtime)
             assert result == 1
+            assert runtime.resilience.stats.throttled_errors >= 3
         finally:
             runtime.kernel.shutdown()
 
     def test_without_resilience_reproduces_raw_propagation(self):
-        script = ThrottleScript(n=1)
-        runtime = BeldiRuntime(seed=11, store_faults=script,
-                               config=BeldiConfig(without="resilience"))
+        runtime = throttled_runtime(
+            1.0, config=BeldiConfig(without="resilience"))
         try:
             assert runtime.resilience is None
             with pytest.raises(ThrottledError):
@@ -155,8 +132,7 @@ class TestThrottleRecovery:
             runtime.kernel.shutdown()
 
     def test_throttles_never_trip_the_breaker(self):
-        script = ThrottleScript(n=4)
-        runtime = BeldiRuntime(seed=11, store_faults=script)
+        runtime = throttled_runtime(60.0)
         try:
             run_counter(runtime)
             assert runtime.resilience.stats.breaker_opens == 0
@@ -167,9 +143,7 @@ class TestThrottleRecovery:
 class TestOutageRecovery:
     def make_runtime(self, outage_end, **kwargs):
         runtime = BeldiRuntime(seed=11, **kwargs)
-        timeline = FaultTimeline().outage(0.0, outage_end)
-        BeldiRuntime._install_timeline(runtime.store, timeline)
-        runtime.fault_timeline = timeline
+        runtime.fault_timeline.outage(0.0, outage_end)
         return runtime
 
     def test_workflow_rides_out_a_short_outage(self):
@@ -217,9 +191,7 @@ class TestDeadlines:
         # deadline then aborts a request whose intent is pending — the
         # recovery case (an unreachable intent table is a clean
         # never-started failure instead).
-        timeline = FaultTimeline().outage(0.0, 600.0, ops="db.query")
-        BeldiRuntime._install_timeline(runtime.store, timeline)
-        runtime.fault_timeline = timeline
+        runtime.fault_timeline.outage(0.0, 600.0, ops="db.query")
 
         def handler(ctx, payload):
             count = ctx.read("kv", "counter") or 0
@@ -272,9 +244,7 @@ class TestDegradedReads:
         def probe():
             for source in store.time_sources():
                 source.sleep(5_000.0)  # let the write ship
-            timeline = FaultTimeline().outage(
-                5_000.0, 1e12, role="leader")
-            BeldiRuntime._install_timeline(store, timeline)
+            runtime.fault_timeline.outage(5_000.0, role="leader")
             box["value"] = wrapped.get("app.data", "a")
 
         try:
@@ -295,9 +265,7 @@ class TestDegradedReads:
         def probe():
             for source in store.time_sources():
                 source.sleep(5_000.0)
-            timeline = FaultTimeline().outage(
-                5_000.0, 1e12, role="leader")
-            BeldiRuntime._install_timeline(store, timeline)
+            runtime.fault_timeline.outage(5_000.0, role="leader")
             wrapped.get("app.intent", "a")
 
         try:

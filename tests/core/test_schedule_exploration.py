@@ -42,7 +42,7 @@ def _run_light(schedule, crash_policy=None, capture=False):
             h.set_crash_policy(crash_policy)
         dst.run_requests(h)
         dst.check_effects(h)
-        dst.run_gc_passes(h)
+        dst.run_gc_passes(*h.runtimes.values())
         dst.assert_store_clean(h.travel.store, h.runtimes.values())
     finally:
         h.shutdown()

@@ -20,41 +20,16 @@ import pytest
 
 from repro.core import BeldiConfig, BeldiRuntime, TailCache, TailCacheStats
 from repro.core import daal
-from repro.core.gc import make_garbage_collector
 from repro.kvstore import UnavailableError
 from repro.kvstore.errors import ValidationError
 from repro.sim import RandomSchedule, SimKernel
+from test_gc import advance, run_gc_now
 
 
 def build_runtime(**config):
     config.setdefault("gc_t", 500.0)
     config.setdefault("ic_restart_delay", 50.0)
     return BeldiRuntime(seed=11, config=BeldiConfig(**config))
-
-
-def run_gc_now(runtime, env, times=1):
-    handler = make_garbage_collector(runtime, env)
-    results = []
-
-    def client():
-        class _Ctx:
-            request_id = "gc-run"
-            invocation_index = 0
-
-            def crash_point(self, tag):
-                pass
-
-        for _ in range(times):
-            results.append(handler(_Ctx(), {}))
-
-    runtime.kernel.spawn(client)
-    runtime.kernel.run()
-    return results
-
-
-def advance(runtime, ms):
-    runtime.kernel.spawn(lambda: runtime.kernel.sleep(ms))
-    runtime.kernel.run()
 
 
 def chain_ids(store, table, key):

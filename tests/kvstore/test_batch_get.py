@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.kvstore import KVStore, ThrottledError
+from repro.kvstore import FaultTimeline, KVStore, ThrottledError
 from repro.kvstore.expressions import Projection
-from repro.kvstore.faults import FaultPolicy
 from repro.sim import LatencyModel, RandomSource, SimKernel
 from repro.kvstore import KernelTimeSource
 
@@ -88,14 +87,23 @@ class TestMetering:
         assert delta.read_units >= 2.0
 
 
+def faulty_store(seed, timeline):
+    s = KVStore(rand=RandomSource(seed))
+    s.timeline = timeline
+    s.create_table("data", hash_key="Key")
+    return s
+
+
+def batch_burst():
+    """Every batch read throttles; point reads sail through."""
+    return FaultTimeline().error_burst(ops="db.batch_read")
+
+
 class TestFaultInjection:
     def test_single_key_throttle_raises(self):
         """A 1-key batch has no partial to serve: throttle = rejection,
         matching the point-read contract."""
-        s = KVStore(rand=RandomSource(1),
-                    faults=FaultPolicy.for_ops(
-                        ["db.batch_read"], throttle_probability=1.0))
-        s.create_table("data", hash_key="Key")
+        s = faulty_store(1, batch_burst())
         s.put("data", {"Key": "a", "V": 1})
         with pytest.raises(ThrottledError):
             s.batch_get("data", ["a"])
@@ -105,10 +113,7 @@ class TestFaultInjection:
     def test_throttle_serves_a_partial_prefix(self):
         """DynamoDB-style partial results: a throttled multi-key batch
         serves a prefix and reports the rest as unprocessed."""
-        s = KVStore(rand=RandomSource(2),
-                    faults=FaultPolicy.for_ops(
-                        ["db.batch_read"], throttle_probability=1.0))
-        s.create_table("data", hash_key="Key")
+        s = faulty_store(2, batch_burst())
         for i in range(6):
             s.put("data", {"Key": f"k{i}", "V": i})
         keys = [f"k{i}" for i in range(6)]
@@ -131,10 +136,7 @@ class TestFaultInjection:
         assert saw_partial
 
     def test_partial_batch_meters_only_served_rows(self):
-        s = KVStore(rand=RandomSource(3),
-                    faults=FaultPolicy.for_ops(
-                        ["db.batch_read"], throttle_probability=1.0))
-        s.create_table("data", hash_key="Key")
+        s = faulty_store(3, batch_burst())
         for i in range(6):
             s.put("data", {"Key": f"k{i}", "V": i})
         keys = [f"k{i}" for i in range(6)]
@@ -154,9 +156,7 @@ class TestFaultInjection:
         """p=0.5 throttling over many 8-row batches: if each *row* drew
         independently, nearly every batch would be degraded
         (1 - 0.5^8 ≈ 99.6%); a per-batch draw degrades about half."""
-        s = KVStore(rand=RandomSource(7),
-                    faults=FaultPolicy(throttle_probability=0.5))
-        s.create_table("data", hash_key="Key")
+        s = faulty_store(7, FaultTimeline().error_burst(rate=0.5))
         keys = [f"k{i}" for i in range(8)]
         whole = 0
         for _ in range(200):
@@ -173,10 +173,7 @@ class TestFaultInjection:
         throttling by retrying unprocessed keys, falling back to point
         gets (which this policy leaves alone) if batches stay degraded."""
         from repro.kvstore import batch_get_all
-        s = KVStore(rand=RandomSource(11),
-                    faults=FaultPolicy.for_ops(
-                        ["db.batch_read"], throttle_probability=1.0))
-        s.create_table("data", hash_key="Key")
+        s = faulty_store(11, batch_burst())
         for i in range(8):
             s.put("data", {"Key": f"k{i}", "V": i})
         rows = batch_get_all(s, "data",
@@ -190,10 +187,7 @@ class TestFaultInjection:
         point-``get`` fallback read at the first round's consistency, so
         every served row meters as eventual."""
         from repro.kvstore import batch_get_all
-        s = KVStore(rand=RandomSource(11),
-                    faults=FaultPolicy.for_ops(
-                        ["db.batch_read"], throttle_probability=1.0))
-        s.create_table("data", hash_key="Key")
+        s = faulty_store(11, batch_burst())
         for i in range(8):
             s.put("data", {"Key": f"k{i}", "V": i})
         before = s.metering.copy()
@@ -211,12 +205,9 @@ class TestFaultInjection:
             ops["batch_get"].count + ops["read"].count)
 
     def test_op_filter_targets_batches_only(self):
-        """``only_ops`` scopes the policy: batch reads throttle, point
-        reads sail through."""
-        s = KVStore(rand=RandomSource(3),
-                    faults=FaultPolicy.for_ops(
-                        ["db.batch_read"], throttle_probability=1.0))
-        s.create_table("data", hash_key="Key")
+        """``ops=`` scopes the window: batch reads throttle, point reads
+        sail through."""
+        s = faulty_store(3, batch_burst())
         s.put("data", {"Key": "a", "V": 1})
         assert s.get("data", "a")["V"] == 1
         with pytest.raises(ThrottledError):
@@ -228,9 +219,8 @@ class TestFaultInjection:
         spiky = KVStore(
             time_source=KernelTimeSource(kernel),
             latency=LatencyModel(rand.child("lat")),
-            rand=rand.child("store"),
-            faults=FaultPolicy(spike_probability=1.0,
-                               spike_multiplier=10.0))
+            rand=rand.child("store"))
+        spiky.timeline = FaultTimeline().gray(multiplier=10.0)
         spiky.create_table("data", hash_key="Key")
         durations = []
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.kvstore import (
+    FaultTimeline,
     KVStore,
     MAX_BATCH_WRITE_ITEMS,
     ReplicaGroup,
@@ -13,13 +14,12 @@ from repro.kvstore import (
     ThrottledError,
     batch_write_all,
 )
-from repro.kvstore.faults import FaultPolicy
 from repro.sim.randsrc import RandomSource
 
 
-def make_store(faults=None, shard_id=None):
-    store = KVStore(faults=faults, shard_id=shard_id,
-                    rand=RandomSource(7, "test"))
+def make_store(timeline=None, shard_id=None):
+    store = KVStore(shard_id=shard_id, rand=RandomSource(7, "test"))
+    store.timeline = timeline
     store.create_table("t", hash_key="K")
     return store
 
@@ -87,8 +87,8 @@ def test_generator_arguments_are_materialized():
 # ---------------------------------------------------------------------------
 
 def throttled_store(probability=1.0):
-    return make_store(faults=FaultPolicy.for_ops(
-        ["db.batch_write"], throttle_probability=probability))
+    return make_store(FaultTimeline().error_burst(
+        rate=probability, ops="db.batch_write"))
 
 
 def test_throttle_serves_prefix_and_reports_remainder():
@@ -124,8 +124,7 @@ def test_only_ops_scoping_leaves_point_writes_alone():
 
 
 def test_batch_write_all_retries_to_completion():
-    store = make_store(faults=FaultPolicy.for_ops(
-        ["db.batch_write"], throttle_probability=0.6))
+    store = throttled_store(0.6)
     batch_write_all(store, "t", puts=items(40), deletes=[])
     for item in items(40):
         assert store.get("t", item["K"]) is not None
@@ -172,12 +171,11 @@ def test_write_unit_parity_with_sequential_path():
 # Sharded fan-out
 # ---------------------------------------------------------------------------
 
-def sharded(faults_by_shard=None, async_io=False):
-    nodes = []
-    for i in range(2):
-        faults = (faults_by_shard or {}).get(i)
-        nodes.append(KVStore(shard_id=i, faults=faults,
-                             rand=RandomSource(11 + i, "node")))
+def sharded(timeline=None, async_io=False):
+    nodes = [KVStore(shard_id=i, rand=RandomSource(11 + i, "node"))
+             for i in range(2)]
+    for node in nodes:
+        node.timeline = timeline
     store = ShardedStore(nodes, async_io=async_io)
     store.create_table("t", hash_key="K")
     return store
@@ -221,11 +219,9 @@ def test_sharded_rejects_a_bad_batch_before_touching_any_shard():
     assert store.item_count("t") == 0
 
 
-def test_only_shards_fault_targets_one_node():
-    sick = FaultPolicy(throttle_probability=1.0,
-                       only_ops=frozenset(["db.batch_write"]),
-                       only_shards=frozenset([0]))
-    store = sharded(faults_by_shard={0: sick, 1: None})
+def test_shard_scoped_fault_targets_one_node():
+    store = sharded(FaultTimeline().error_burst(ops="db.batch_write",
+                                                shards=0))
     batch = items(12)
     result = store.batch_write("t", puts=batch)
     # Shard 1's share applied; shard 0's share is unprocessed (its
@@ -242,9 +238,7 @@ def test_only_shards_fault_targets_one_node():
 
 
 def test_sharded_raises_only_when_nothing_applied_anywhere():
-    throttle_all = FaultPolicy(throttle_probability=1.0,
-                               only_ops=frozenset(["db.batch_write"]))
-    store = sharded(faults_by_shard={0: throttle_all, 1: throttle_all})
+    store = sharded(FaultTimeline().error_burst(ops="db.batch_write"))
     # Single item per shard -> every node raises -> facade raises.
     with pytest.raises(ThrottledError):
         store.batch_write("t", puts=items(1))

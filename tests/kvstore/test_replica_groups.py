@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.kvstore import (
+    FaultTimeline,
     KVStore,
-    ReadConsistency,
     ReplicaGroup,
     ReplicatedStore,
     Set,
@@ -13,16 +13,15 @@ from repro.kvstore import (
     TransactPut,
     TransactUpdate,
 )
-from repro.kvstore.faults import FaultPolicy
 from repro.kvstore.metering import normalize_consistency
 from repro.kvstore.store import NullTimeSource
 from repro.sim import LatencyModel, RandomSource
 
-EVENTUAL = ReadConsistency.EVENTUAL
+EVENTUAL = "eventual"
 SHIP_LAG = 250.0  # >= any clamped ship delay (DEFAULT_MAX_LAG_MS)
 
 
-def make_group(n_replicas=3, lag_scale=1.0, faults=None, max_lag=250.0,
+def make_group(n_replicas=3, lag_scale=1.0, timeline=None, max_lag=250.0,
                seed=7):
     """One replica group with a shared manual clock and real lag."""
     clock = NullTimeSource()
@@ -32,18 +31,17 @@ def make_group(n_replicas=3, lag_scale=1.0, faults=None, max_lag=250.0,
     group = ReplicaGroup(
         nodes[0], nodes[1:], rand=RandomSource(seed, "repl"),
         latency=LatencyModel(RandomSource(seed, "repl-lat")),
-        faults=faults, max_lag=max_lag, lag_scale=lag_scale)
+        max_lag=max_lag, lag_scale=lag_scale)
+    group.timeline = timeline
     group.create_table("data", hash_key="Key")
     return group, clock
 
 
 class TestConsistencyModes:
-    def test_normalize_accepts_enum_and_strings(self):
+    def test_normalize_accepts_the_strings(self):
         assert normalize_consistency(None) is None
         assert normalize_consistency("strong") is None
         assert normalize_consistency("eventual") == "eventual"
-        assert normalize_consistency(ReadConsistency.STRONG) is None
-        assert normalize_consistency(ReadConsistency.EVENTUAL) == "eventual"
         with pytest.raises(ValueError):
             normalize_consistency("linearizable")
 
@@ -197,13 +195,12 @@ class TestFailover:
             assert group.get("data", f"k{i}")["V"] == i
 
     def test_leader_crash_scope_names_the_op_that_is_paid(self):
-        """``only_ops`` scopes a leader crash by the operation's declared
+        """``ops=`` scopes a leader crash by the operation's declared
         latency op, the same name a throttle scope uses: ``query`` and
         ``query_index`` are ``db.query``, ``scan`` is ``db.scan``."""
         def failovers_after(only_op, call):
-            group, _clock = make_group(faults=FaultPolicy(
-                leader_crash_probability=1.0,
-                only_ops=frozenset([only_op])))
+            group, _clock = make_group(
+                timeline=FaultTimeline().leader_crash(ops=only_op))
             group.table("data").add_index("by_v", "V")
             call(group)
             return group.stats.failovers
@@ -251,9 +248,8 @@ class TestFailover:
         clock.sleep(SHIP_LAG + 1)
         assert group.get("data", "a", consistency=EVENTUAL)["V"] == 2
 
-    def test_fault_policy_injects_failover_on_writes(self):
-        crashy = FaultPolicy(leader_crash_probability=1.0)
-        group, _clock = make_group(faults=crashy)
+    def test_leader_crash_window_injects_failover_on_writes(self):
+        group, _clock = make_group(timeline=FaultTimeline().leader_crash())
         group.put("data", {"Key": "a", "V": 1})
         assert group.stats.failovers >= 1
         assert group.get("data", "a")["V"] == 1
@@ -419,11 +415,11 @@ class TestRuntimeIntegration:
             runtime.kernel.shutdown()
             return now, snapshot
 
-        assert run() == run(replicas=3, read_consistency="strong")
+        assert run() == run(replicas=3)
 
     def test_read_consistency_validated(self):
         with pytest.raises(ValueError):
-            BeldiRuntime(read_consistency="bogus")
+            BeldiConfig(read_consistency="bogus")
         with pytest.raises(ValueError):
             BeldiRuntime(replicas=0)
 
@@ -433,7 +429,8 @@ class TestRuntimeIntegration:
         from repro.core import ops as core_ops
 
         runtime = BeldiRuntime(seed=9, shards=1, replicas=2,
-                               read_consistency="eventual",
+                               config=BeldiConfig(
+                                   read_consistency="eventual"),
                                replication_lag_scale=0.0)
 
         captured = {}

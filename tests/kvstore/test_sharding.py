@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.kvstore import (
     AttrNotExists,
     Eq,
+    FaultTimeline,
     HashRing,
     KVStore,
     KernelTimeSource,
@@ -19,16 +20,15 @@ from repro.kvstore import (
     TransactionCanceled,
     batch_get_all,
 )
-from repro.kvstore.faults import FaultPolicy
 from repro.sim import LatencyModel, RandomSource, SimKernel
 
 
-def make_store(n=4, faults_by_shard=None, capacity=None):
-    nodes = [
-        KVStore(rand=RandomSource(i, "node"), shard_id=i,
-                faults=(faults_by_shard or {}).get(i),
-                capacity=capacity)
-        for i in range(n)]
+def make_store(n=4, timeline=None, capacity=None):
+    nodes = [KVStore(rand=RandomSource(i, "node"), shard_id=i,
+                     capacity=capacity)
+             for i in range(n)]
+    for node in nodes:
+        node.timeline = timeline
     return ShardedStore(nodes)
 
 
@@ -408,9 +408,8 @@ class TestBatchGet:
         assert trips == shards_touched
 
     def test_one_sick_shard_yields_partial_results(self):
-        sick = FaultPolicy.for_ops(["db.batch_read"],
-                                   throttle_probability=1.0)
-        store = make_store(4, faults_by_shard={1: sick})
+        store = make_store(4, FaultTimeline().error_burst(
+            ops="db.batch_read", shards=1))
         store.create_table("data", hash_key="Key")
         keys = [f"k{i}" for i in range(32)]
         for key in keys:
@@ -427,9 +426,8 @@ class TestBatchGet:
         assert not result.complete
 
     def test_all_shards_sick_raises(self):
-        sick = FaultPolicy.for_ops(["db.batch_read"],
-                                   throttle_probability=1.0)
-        store = make_store(2, faults_by_shard={0: sick, 1: sick})
+        store = make_store(2, FaultTimeline().error_burst(
+            ops="db.batch_read"))
         store.create_table("data", hash_key="Key")
         store.put("data", {"Key": "a"})
         # Single-key-per-shard batches cannot be partially served, so
@@ -439,9 +437,8 @@ class TestBatchGet:
                 store.batch_get("data", ["a"])
 
     def test_batch_get_all_completes_through_sick_shard(self):
-        sick = FaultPolicy.for_ops(["db.batch_read"],
-                                   throttle_probability=1.0)
-        store = make_store(4, faults_by_shard={1: sick})
+        store = make_store(4, FaultTimeline().error_burst(
+            ops="db.batch_read", shards=1))
         store.create_table("data", hash_key="Key")
         keys = [f"k{i}" for i in range(32)]
         for key in keys:
@@ -452,11 +449,8 @@ class TestBatchGet:
 
 class TestPerShardFaultDomains:
     def test_only_shards_scopes_point_reads(self):
-        sick = FaultPolicy(only_ops=frozenset(["db.read"]),
-                           only_shards=frozenset([2]),
-                           throttle_probability=1.0)
-        store = make_store(4,
-                           faults_by_shard={i: sick for i in range(4)})
+        store = make_store(4, FaultTimeline().error_burst(ops="db.read",
+                                                          shards=2))
         store.create_table("data", hash_key="Key")
         keys = [f"k{i}" for i in range(32)]
         for key in keys:
@@ -469,22 +463,22 @@ class TestPerShardFaultDomains:
                 assert store.get("data", key) == {"Key": key}
 
     def test_shard_scoped_policy_ignores_unsharded_store(self):
-        plain = KVStore(faults=FaultPolicy.for_shards(
-            [0], throttle_probability=1.0))
+        plain = KVStore()
+        plain.timeline = FaultTimeline().error_burst(shards=0)
         plain.create_table("data", hash_key="Key")
         plain.put("data", {"Key": "a"})
         assert plain.get("data", "a") == {"Key": "a"}
 
     def test_per_shard_latency_spike(self):
         kernel = SimKernel(seed=3)
-        spike = FaultPolicy.for_shards([0], spike_probability=1.0,
-                                       spike_multiplier=50.0)
+        spike = FaultTimeline().gray(multiplier=50.0, shards=0)
         nodes = [
             KVStore(time_source=KernelTimeSource(kernel),
                     latency=LatencyModel(RandomSource(i, "lat")),
-                    rand=RandomSource(i, "store"), shard_id=i,
-                    faults=spike)
+                    rand=RandomSource(i, "store"), shard_id=i)
             for i in range(2)]
+        for node in nodes:
+            node.timeline = spike
         store = ShardedStore(nodes)
         store.create_table("data", hash_key="Key")
         durations = {}

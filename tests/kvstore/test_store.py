@@ -6,6 +6,7 @@ from repro.kvstore import (
     AttrNotExists,
     ConditionFailed,
     Eq,
+    FaultTimeline,
     KVStore,
     KernelTimeSource,
     Set,
@@ -16,7 +17,6 @@ from repro.kvstore import (
     TransactUpdate,
     TransactionCanceled,
 )
-from repro.kvstore.faults import FaultPolicy
 from repro.sim import LatencyModel, RandomSource, SimKernel
 
 
@@ -115,8 +115,8 @@ class TestTransactWrite:
 
 class TestFaultInjection:
     def test_throttling_raises(self):
-        s = KVStore(rand=RandomSource(1),
-                    faults=FaultPolicy(throttle_probability=1.0))
+        s = KVStore(rand=RandomSource(1))
+        s.timeline = FaultTimeline().error_burst()
         s.create_table("data", hash_key="Key")
         with pytest.raises(ThrottledError):
             s.get("data", "a")

@@ -7,37 +7,9 @@ two drift the instrumentation is lying about what the layer did.
 """
 
 from repro.core import BeldiConfig, BeldiRuntime
-from repro.kvstore import (
-    AttrNotExists,
-    FaultTimeline,
-    TableNotFound,
-    UnavailableError,
-)
+from repro.kvstore import AttrNotExists, TableNotFound, UnavailableError
 
 import pytest
-
-
-class ThrottleScript:
-    """Deterministic duck-typed FaultPolicy: throttle the first ``n``
-    (of ``only_op``, when given)."""
-
-    def __init__(self, n, only_op=None):
-        self.remaining = n
-        self.only_op = only_op
-
-    def should_throttle(self, rand, op="", shard=None):
-        if self.only_op is not None and op != self.only_op:
-            return False
-        if self.remaining > 0:
-            self.remaining -= 1
-            return True
-        return False
-
-    def should_crash_leader(self, rand, op="", shard=None):
-        return False
-
-    def latency_multiplier(self, rand, op="", shard=None):
-        return 1.0
 
 
 def run_counter(runtime):
@@ -55,13 +27,22 @@ def make_runtime(**kwargs):
                         config=BeldiConfig(observability=True), **kwargs)
 
 
+def throttled_runtime(until):
+    """Every store op throttles before virtual ``until``: at zero
+    latency time only moves in backoffs of 5-10, 10-20, 20-40 ms, so
+    ``until=15`` throttles two ops and ``until=35`` three."""
+    runtime = make_runtime()
+    runtime.fault_timeline.error_burst(0.0, until)
+    return runtime
+
+
 class TestRetryParity:
     def test_backoff_spans_match_retry_counters(self):
-        runtime = make_runtime(store_faults=ThrottleScript(n=3))
+        runtime = throttled_runtime(35.0)
         try:
             run_counter(runtime)
             stats = runtime.resilience.stats
-            assert stats.retries >= 3
+            assert stats.retries == 3
 
             spans = [r for r in runtime.obs.tracer.sorted_records()
                      if r.get("name") == "resilience.backoff"]
@@ -95,12 +76,12 @@ class TestRetryParity:
 
             def client():
                 for op, call in calls.items():
-                    script = ThrottleScript(1, only_op=op)
-                    for node in getattr(runtime.store, "nodes",
-                                        [runtime.store]):
-                        node.faults = script
+                    # One op of this kind throttles: its retry comes
+                    # after a backoff, past the window.
+                    now = runtime.kernel.now
+                    runtime.fault_timeline.error_burst(now, now + 1.0,
+                                                       ops=op)
                     call()
-                    assert script.remaining == 0, op
                     labels.append(op)
 
             runtime.kernel.spawn(client)
@@ -131,7 +112,7 @@ class TestRetryParity:
             runtime.kernel.shutdown()
 
     def test_snapshot_exports_resilience_section(self):
-        runtime = make_runtime(store_faults=ThrottleScript(n=2))
+        runtime = throttled_runtime(15.0)
         try:
             run_counter(runtime)
             snap = runtime.obs.snapshot(runtime)
@@ -148,9 +129,7 @@ class TestBreakerParity:
         config = BeldiConfig(observability=True, breaker_threshold=2,
                              retry_max_attempts=6)
         runtime = BeldiRuntime(seed=11, config=config)
-        timeline = FaultTimeline().outage(0.0, 1e12)
-        BeldiRuntime._install_timeline(runtime.store, timeline)
-        runtime.fault_timeline = timeline
+        runtime.fault_timeline.outage(0.0, 1e12)
         try:
             with pytest.raises(UnavailableError):
                 run_counter(runtime)
@@ -168,9 +147,7 @@ class TestBreakerParity:
 class TestFaultEdgeEvents:
     def test_outage_edges_land_in_the_trace(self):
         runtime = make_runtime()
-        timeline = FaultTimeline().outage(0.0, 30.0)
-        BeldiRuntime._install_timeline(runtime.store, timeline)
-        runtime.fault_timeline = timeline
+        runtime.fault_timeline.outage(0.0, 30.0)
         try:
             run_counter(runtime)
             names = [r.get("name") for r in

@@ -89,7 +89,7 @@ from repro.kvstore import (
     Value,
 )
 from repro.kvstore.expressions import Condition, UpdateAction, path
-from repro.kvstore.item import copy_value, value_size
+from repro.kvstore.item import walk_value
 from repro.kvstore.table import DEFAULT_MAX_ITEM_BYTES
 from repro.sim.kernel import ProcessCrashed
 
@@ -200,7 +200,9 @@ def log_read(ctx, step: int, observe, tag: Optional[str] = None) -> Any:
 
 def _join_pending_run(ctx, step: int, value: Any) -> None:
     """Buffer the value just observed for ``step`` until the frontier."""
-    size = value_size(value)
+    # A snapshot, taken now: the handler owns ``value`` and may mutate it
+    # before the frontier; the log records what was *observed*.
+    snapshot, size = walk_value(value)
     if ctx.pending_reads and (
             ctx.pending_first + len(ctx.pending_reads) != step
             or ctx.pending_bytes + size > _MAX_RUN_BYTES):
@@ -210,9 +212,7 @@ def _join_pending_run(ctx, step: int, value: Any) -> None:
     if not ctx.pending_reads:
         ctx.pending_first = step
         ctx.pending_bytes = 0
-    # A snapshot, taken now: the handler owns ``value`` and may mutate it
-    # before the frontier; the log records what was *observed*.
-    ctx.pending_reads.append(copy_value(value))
+    ctx.pending_reads.append(snapshot)
     ctx.pending_bytes += size
 
 

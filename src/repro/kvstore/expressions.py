@@ -22,7 +22,12 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.kvstore.errors import ValidationError
-from repro.kvstore.item import compare_values, copy_value, validate_value
+from repro.kvstore.item import (
+    compare_values,
+    copy_value,
+    validate_value,
+    walk_value,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +358,7 @@ class Value(Operand):
     value: Any
 
     def resolve(self, item: dict) -> Any:
-        validate_value(self.value)
-        return copy_value(self.value)
+        return walk_value(self.value)[0]
 
 
 @dataclass(frozen=True)
@@ -436,8 +440,11 @@ class Set(UpdateAction):
         self.operand = _as_operand(value)
 
     def apply(self, item: dict) -> None:
-        resolved = self.operand.resolve(item)
-        validate_value(resolved)
+        operand = self.operand
+        resolved = operand.resolve(item)
+        if operand.__class__ is not Value:
+            # A Value resolved through its validating walk already.
+            validate_value(resolved)
         self.path.set(item, resolved)
 
 

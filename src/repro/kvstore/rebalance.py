@@ -300,8 +300,7 @@ class ChainMigrator:
         result = store.nodes[source].query(table, key)
         rows = result.items
         self.stats.metering.record_read(
-            "migrate_read", table,
-            sum(item_size(row) for row in rows),
+            "migrate_read", table, result.consumed_bytes,
             items=max(1, len(rows)))
         if rows:
             batch_write_all(store.nodes[target], table, puts=rows)
@@ -389,8 +388,7 @@ class ChainMigrator:
         node = self.store.nodes[shard]
         result = node.query(table, key)
         self.stats.metering.record_read(
-            "migrate_read", table,
-            sum(item_size(row) for row in result.items),
+            "migrate_read", table, result.consumed_bytes,
             items=max(1, len(result.items)))
         schema = self.store._schemas[table]
         row_keys = [schema.extract(row) for row in result.items]

@@ -13,6 +13,11 @@ A :class:`ReplicaGroup` wraps one shard's state in a group of one
   ``sim/latency.py``), clamped to ``max_lag`` virtual ms — the *bounded
   replication-lag model*. A follower's state is therefore always a
   prefix-consistent past state of the leader.
+- Replicas share rows. A stored row is never mutated in place (an
+  update stores a fresh draft; see :mod:`repro.kvstore.table`), so a
+  record carries the leader's stored row object and a follower installs
+  that same object with no validate, copy or size pass. A lagging
+  follower keeps the previous object until the record applies.
 - Reads carry a consistency. ``"strong"`` (``None``, the default
   everywhere) routes to the leader and prices at one read unit per 4 KB.
   ``"eventual"`` routes to a follower — possibly stale within the lag
@@ -75,7 +80,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.kvstore.expressions import Condition, Projection
@@ -87,7 +92,6 @@ from repro.kvstore.surface import (
     BATCH_GET,
     DELETE,
     KEYED_READ,
-    TRANSACT_WRITE,
     StoreOp,
     TransactOp,
     fan_out_batch,
@@ -106,19 +110,14 @@ from repro.sim.randsrc import RandomSource
 DEFAULT_MAX_LAG_MS = 250.0
 
 
-_PUT = "put"
-_DELETE = "delete"
-
-
 @dataclass(frozen=True)
 class _LogRecord:
     """One shipped state change: the *final* row (or its tombstone)."""
 
     seq: int
-    kind: str          # _PUT | _DELETE
     table: str
-    item: Optional[dict]   # final row state for _PUT
-    key: Any               # normalized key tuple for _DELETE
+    key: Any               # normalized key tuple
+    item: Optional[dict]   # the leader's stored row; None = tombstone
 
 
 @dataclass
@@ -391,12 +390,12 @@ class ReplicaGroup:
         for table, key in rows:
             leader_table = self.leader._tables[table]
             normalized = leader_table.schema.normalize(key)
-            row = leader_table.get(normalized)
+            # The stored row object itself: it is never mutated in place,
+            # so the record and every follower can share it.
+            row = leader_table._get_raw(normalized)
             self._next_seq += 1
-            records.append(
-                _LogRecord(self._next_seq, _DELETE, table, None, normalized)
-                if row is None else
-                _LogRecord(self._next_seq, _PUT, table, row, None))
+            records.append(_LogRecord(self._next_seq, table, normalized,
+                                      row))
             self.stats.shipped += 1
         if not records:
             return
@@ -446,10 +445,7 @@ class ReplicaGroup:
         table = node._tables.get(record.table)
         if table is None:
             return  # table dropped since the record shipped
-        if record.kind == _PUT:
-            table.put(dict(record.item))
-        else:
-            table.delete(record.key)
+        table.install(record.key, record.item)
 
     def _drain(self, index: int, now: Optional[float] = None) -> None:
         """Apply every record that has shipped to follower ``index``."""
@@ -648,13 +644,12 @@ class ReplicaGroup:
         self._maybe_failover(op)
         self.leader._pay(op, units=units)
 
-    def _transact_check(self, ops: Sequence[TransactOp]) -> None:
-        self.leader._transact_check(ops)
+    def _transact_check(self, ops: Sequence[TransactOp]) -> list:
+        return self.leader._transact_check(ops)
 
-    def _transact_apply(self, ops: Sequence[TransactOp],
-                        start: float) -> None:
-        self.leader._transact_apply(ops, start)
-        self._ship(TRANSACT_WRITE.keys((ops,)))
+    def _transact_apply(self, plan: list, start: float) -> None:
+        self.leader._transact_apply(plan, start)
+        self._ship([(tbl.name, key) for tbl, key, _row, _size in plan])
 
     # -- stats -----------------------------------------------------------------
     def time_sources(self) -> list:

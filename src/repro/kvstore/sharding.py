@@ -789,11 +789,11 @@ class ShardedStore:
             # Same check-then-apply semantics as one node's transaction,
             # reusing its phases so the two paths cannot drift — just
             # spread over every involved shard (each meters its own
-            # portion).
+            # portion). Every shard's rows are built before any lands.
+            plans = {shard: self.nodes[shard]._transact_check(groups[shard])
+                     for shard in shards}
             for shard in shards:
-                self.nodes[shard]._transact_check(groups[shard])
-            for shard in shards:
-                self.nodes[shard]._transact_apply(groups[shard],
+                self.nodes[shard]._transact_apply(plans[shard],
                                                   starts[shard])
         finally:
             for tbl in reversed(acquired):

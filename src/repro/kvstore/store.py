@@ -8,8 +8,9 @@ runs one template:
    burst throttles,
 2. the calibrated virtual latency — slowed and queued as the gray
    windows and service capacity dictate — through the time source,
-3. the atomic table effect,
-4. metering of the bytes and request units consumed,
+3. the atomic table effect, which walks each row it touches once and
+   returns the bytes it moved,
+4. metering of those bytes and the request units they cost,
 5. one ``store.<op>`` span.
 
 The order of checks and random draws inside that template is pinned
@@ -32,15 +33,18 @@ from repro.kvstore.errors import (
     ThrottledError,
     TransactionCanceled,
     UnavailableError,
+    ValidationError,
 )
 from repro.kvstore.expressions import Projection
 from repro.kvstore.faults import FaultTimeline
 from repro.kvstore.item import item_size
 from repro.kvstore.metering import Metering
 from repro.kvstore.surface import (
+    BATCH,
     BATCH_GET,
     MAX_BATCH_WRITE_ITEMS,
-    PUT,
+    OPS,
+    TRANSACT,
     StoreOp,
     TransactOp,
     TransactPut,
@@ -54,6 +58,12 @@ from repro.kvstore.table import KeySchema, Table
 from repro.sim.kernel import SimKernel
 from repro.sim.latency import LatencyModel, ServiceCapacity
 from repro.sim.randsrc import RandomSource
+
+#: The :class:`Table` twin of each keyed or whole-table operation: the
+#: same arguments, and it also returns the bytes it moved (and a read,
+#: the rows it walked), so the node meters without walking a row again.
+_SIZED = {op: f"_{op.name}" for op in OPS
+          if op.kind not in (BATCH, TRANSACT)}
 
 
 class TimeSource:
@@ -272,12 +282,11 @@ class KVStore:
     def _read(self, op: StoreOp, args: tuple):
         """``get`` / ``query`` / ``scan`` / ``query_index``."""
         table = args[0]
-        effect = getattr(self.table(table), op.name)
+        effect = getattr(self.table(table), _SIZED[op])
         start = self.time.now()
         if not op.ranged:
             self._pay(op.latency)
-        result = effect(*args[1:-1])
-        nbytes, rows = _read_cost(result)
+        result, nbytes, rows = effect(*args[1:-1])
         if op.ranged:
             # The charge scales with the rows walked, so it follows them.
             self._pay(op.latency, units=rows)
@@ -291,21 +300,21 @@ class KVStore:
     def _keyed_write(self, op: StoreOp, args: tuple):
         """``put`` / ``update`` / ``delete``."""
         table = args[0]
-        effect = getattr(self.table(table), op.name)
+        effect = getattr(self.table(table), _SIZED[op])
         latency, meter = op.labels(args)
         start = self.time.now()
         self._pay(latency)
-        result = effect(*args[1:])
         # Bytes written: the item put, the row as updated, the row removed.
-        written = args[1] if op is PUT else result
-        self.metering.record_write(meter, table,
-                                   item_size(written) if written else 0)
+        result, nbytes = effect(*args[1:])
+        self.metering.record_write(meter, table, nbytes)
         self._span(meter, table, start)
         return result
 
     def _batch(self, op: StoreOp, args: tuple):
         """``batch_get`` / ``batch_write``: one draw, one charge, and the
-        partial-prefix rule under a throttle."""
+        partial-prefix rule under a throttle. Every put of a write batch
+        is validated, copied and sized before the first row changes, so
+        a rejected item rejects the whole request."""
         table = args[0]
         tbl = self.table(table)
         rows, n_puts = batch_rows(op, args)
@@ -320,21 +329,24 @@ class KVStore:
         self._charge(op.latency, units=served)
         items: list[Optional[dict]] = []
         if op is BATCH_GET:
-            items = [tbl.get(key, args[2]) for key in rows[:served]]
-            self.metering.record_read(
-                op.meter, table,
-                sum(item_size(item) for item in items if item),
-                items=served, consistency=args[3])
+            nbytes = 0
+            for key in rows[:served]:
+                item, size, _rows = tbl._get(key, args[2])
+                items.append(item)
+                nbytes += size
+            self.metering.record_read(op.meter, table, nbytes,
+                                      items=served, consistency=args[3])
             items.extend([None] * (len(rows) - served))
         else:
+            prepared = [tbl.prepare_put(row) for row in rows[:n_puts]]
             sizes: list[int] = []
             for position, row in enumerate(rows[:served]):
                 if position < n_puts:
-                    tbl.put(row)
-                    sizes.append(item_size(row))
+                    key, stored, size = prepared[position]
+                    tbl.install(key, stored)
                 else:
-                    removed = tbl.delete(row)
-                    sizes.append(item_size(removed) if removed else 0)
+                    size = tbl._delete(row)[1]
+                sizes.append(size)
             self.metering.record_batch_write(op.meter, table, sizes)
         self._span(op.meter, table, start, items=served)
         return batch_result(op, rows, n_puts, items,
@@ -354,49 +366,64 @@ class KVStore:
             for _name, tbl in ordered:
                 tbl._lock.acquire()
                 acquired.append(tbl)
-            self._transact_check(ops)
-            self._transact_apply(ops, start)
+            self._transact_apply(self._transact_check(ops), start)
         finally:
             for tbl in reversed(acquired):
                 tbl._lock.release()
 
-    def _transact_check(self, ops: Sequence[TransactOp]) -> None:
-        """Phase 1: check all conditions against current state.
+    def _transact_check(self, ops: Sequence[TransactOp]) -> list:
+        """Phase 1: check all conditions against current state, then
+        build every row the transaction writes — validated, copied,
+        sized and under the cap — before anything changes.
 
-        Callers must hold every involved table's lock (this store's
-        ``transact_write`` does; a ``ShardedStore`` holds the locks
-        across all involved nodes before checking any of them)."""
+        Returns the plan :meth:`_transact_apply` installs:
+        ``(table, key, row or None for a delete, bytes)`` per op. Callers
+        must hold every involved table's lock until the plan is applied
+        (this store's ``transact_write`` does; a ``ShardedStore`` holds
+        the locks across all involved nodes before checking any of
+        them). DynamoDB rejects a transaction that names one item twice,
+        and so does this: its second write would be planned against a
+        state the first one has replaced."""
+        targets = []
         for op in ops:
             tbl = self.table(op.table)
             if isinstance(op, TransactPut):
-                existing = tbl.get(tbl.schema.extract(op.item))
+                key = tbl.schema.extract(op.item)
             else:
-                existing = tbl.get(op.key)
+                key = tbl.schema.normalize(op.key)
+            existing = tbl._get_raw(key)
             if op.condition is not None and not op.condition.evaluate(
                     existing):
                 raise TransactionCanceled(
                     f"condition failed on {op.table}")
-
-    def _transact_apply(self, ops: Sequence[TransactOp],
-                        start: float) -> None:
-        """Phase 2: apply (conditions re-checked by the table; they
-        cannot fail because every table lock is held). ``start`` is when
-        the transaction began paying, so the span covers its rounds."""
-        total_bytes = 0
-        for op in ops:
-            tbl = self.table(op.table)
+            targets.append((tbl, key, existing))
+        if len({(op.table, key) for op, (_t, key, _e)
+                in zip(ops, targets)}) < len(ops):
+            raise ValidationError(
+                "transact_write may not touch the same item twice")
+        plan = []
+        for op, (tbl, key, existing) in zip(ops, targets):
             if isinstance(op, TransactPut):
-                tbl.put(op.item, condition=op.condition)
-                total_bytes += item_size(op.item)
+                _key, row, size = tbl.prepare_put(op.item)
             elif isinstance(op, TransactUpdate):
-                new_item = tbl.update(op.key, op.updates,
-                                      condition=op.condition)
-                total_bytes += item_size(new_item)
+                row = tbl.draft(key, existing, op.updates)
+                size = item_size(row)
+                tbl._check_size(size)
             else:
-                tbl.delete(op.key, condition=op.condition)
-        self.metering.record_write("transact_write", ops[0].table,
-                                   total_bytes)
-        self._span("transact_write", ops[0].table, start, items=len(ops))
+                row, size = None, 0
+            plan.append((tbl, key, row, size))
+        return plan
+
+    def _transact_apply(self, plan: list, start: float) -> None:
+        """Phase 2: install the rows :meth:`_transact_check` built; no
+        check can fail here. ``start`` is when the transaction began
+        paying, so the span covers its rounds."""
+        for tbl, key, row, _size in plan:
+            tbl.install(key, row)
+        table = plan[0][0].name
+        self.metering.record_write(
+            "transact_write", table, sum(entry[3] for entry in plan))
+        self._span("transact_write", table, start, items=len(plan))
 
     # -- stats ---------------------------------------------------------------------------
     def time_sources(self) -> list[TimeSource]:
@@ -410,18 +437,6 @@ class KVStore:
 
     def item_count(self, table: str) -> int:
         return self.table(table).item_count()
-
-
-def _read_cost(result) -> tuple[int, int]:
-    """``(bytes moved, rows walked)`` of one read's result: a row (or
-    none), an index lookup's row list, or a query/scan page."""
-    if result is None:
-        return 0, 1
-    if isinstance(result, dict):
-        return item_size(result), 1
-    if isinstance(result, list):
-        return sum(item_size(item) for item in result), len(result)
-    return result.consumed_bytes, result.scanned_count
 
 
 def batch_get_all(store, table: str, keys: Sequence[Any],

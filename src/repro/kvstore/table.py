@@ -5,6 +5,15 @@ partition by an optional **range key**. Every mutation is atomic at item
 granularity — this is the "atomicity scope" Beldi's linked DAAL is built
 around. Conditions are checked and updates applied inside one critical
 section, so concurrent simulated writers observe linearizable rows.
+
+A stored row is never mutated in place: ``put`` stores a fresh copy,
+``update`` replaces the row with a freshly built draft, and every read
+hands out a copy. So a stored row may be shared — a replica group's
+followers install the leader's row objects (:meth:`Table.install`) — and
+every operation walks a row once (:func:`~repro.kvstore.item.walk_item`:
+validate, copy and size together). The ``_``-prefixed twins of the
+operations return the bytes they moved beside their result, which is
+what a :class:`~repro.kvstore.store.KVStore` meters.
 """
 
 from __future__ import annotations
@@ -25,10 +34,9 @@ from repro.kvstore.expressions import (
     apply_updates,
 )
 from repro.kvstore.item import (
-    compare_values,
     copy_item,
     item_size,
-    validate_value,
+    walk_item,
 )
 
 DEFAULT_MAX_ITEM_BYTES = 400 * 1024  # DynamoDB's row cap
@@ -207,39 +215,83 @@ class Table:
             self._sorted_cache[hash_value] = cached
         return cached
 
-    def _check_size(self, item: dict) -> None:
-        size = item_size(item)
+    def _check_size(self, size: int) -> None:
         if size > self.max_item_bytes:
             raise ItemTooLarge(
                 f"item of {size} bytes exceeds {self.max_item_bytes} "
                 f"byte cap in table {self.name!r}")
 
+    def _replace(self, key: tuple, existing: Optional[dict],
+                 row: Optional[dict]) -> None:
+        """Swap ``existing`` under ``key`` for ``row`` (``None``: none)."""
+        self._index_remove(key, existing)
+        if row is None:
+            self._delete_raw(key)
+        else:
+            self._put_raw(key, row)
+            self._index_insert(key, row)
+
+    # -- building rows before any effect ------------------------------------------
+    def prepare_put(self, item: dict) -> tuple[tuple, dict, int]:
+        """``(key, row, size)`` of ``item`` as a put would store it: the
+        validated copy and its size, rejected here when oversized."""
+        row, size = walk_item(item)
+        key = self.schema.extract(item)
+        self._check_size(size)
+        return key, row, size
+
+    def draft(self, key: tuple, existing: Optional[dict],
+              updates: Sequence[UpdateAction]) -> dict:
+        """The new row ``updates`` make of ``existing`` (``None``: a row
+        of just the key), sharing nothing with it or with ``updates``."""
+        key_dict = self.schema.key_dict(key)
+        draft = dict(key_dict) if existing is None else copy_item(existing)
+        apply_updates(draft, updates)
+        for name in (self.schema.hash_key, self.schema.range_key):
+            if name is not None and draft.get(name) != key_dict.get(name):
+                raise ValidationError(
+                    f"update may not modify key attribute {name!r}")
+        return draft
+
+    def install(self, key: tuple, row: Optional[dict]) -> None:
+        """Store ``row`` under ``key`` as it is (``None`` removes the
+        key): no check, copy or size. ``row`` must be one this table
+        built or another table's stored row — never mutated in place, so
+        two replicas can hold the same object."""
+        with self._lock:
+            self._replace(key, self._get_raw(key), row)
+
     # -- point operations ------------------------------------------------------
     def get(self, key: Any,
             projection: Optional[Projection] = None) -> Optional[dict]:
+        return self._get(key, projection)[0]
+
+    def _get(self, key: Any, projection: Optional[Projection] = None
+             ) -> tuple[Optional[dict], int, int]:
+        """``(copy of the row or None, bytes read, rows walked)``."""
         key = self.schema.normalize(key)
         with self._lock:
             item = self._get_raw(key)
-            if item is None:
-                return None
-            if projection is not None:
-                return projection.apply(item)
-            return copy_item(item)
+        if item is None:
+            return None, 0, 1
+        return (*_handed_out(item, projection), 1)
 
     def put(self, item: dict, condition: Optional[Condition] = None) -> None:
-        for value in item.values():
-            validate_value(value)
+        self._put(item, condition)
+
+    def _put(self, item: dict, condition: Optional[Condition] = None
+             ) -> tuple[None, int]:
+        """``(None, bytes written)``."""
+        row, size = walk_item(item)
         key = self.schema.extract(item)
         with self._lock:
             existing = self._get_raw(key)
             if condition is not None and not condition.evaluate(existing):
                 raise ConditionFailed(
                     f"put condition failed on {self.name}:{key}")
-            new_item = copy_item(item)
-            self._check_size(new_item)
-            self._index_remove(key, existing)
-            self._put_raw(key, new_item)
-            self._index_insert(key, new_item)
+            self._check_size(size)
+            self._replace(key, existing, row)
+        return None, size
 
     def update(self, key: Any, updates: Sequence[UpdateAction],
                condition: Optional[Condition] = None) -> dict:
@@ -248,30 +300,30 @@ class Table:
         Creates the item (with just its key attributes) when absent,
         matching DynamoDB ``UpdateItem`` semantics. Returns the new item.
         """
+        return self._update(key, updates, condition)[0]
+
+    def _update(self, key: Any, updates: Sequence[UpdateAction],
+                condition: Optional[Condition] = None) -> tuple[dict, int]:
+        """``(copy of the new row, bytes written)``."""
         key = self.schema.normalize(key)
         with self._lock:
             existing = self._get_raw(key)
             if condition is not None and not condition.evaluate(existing):
                 raise ConditionFailed(
                     f"update condition failed on {self.name}:{key}")
-            if existing is None:
-                draft = self.schema.key_dict(key)
-            else:
-                draft = copy_item(existing)
-            apply_updates(draft, updates)
-            for name in (self.schema.hash_key, self.schema.range_key):
-                if name is not None and draft.get(name) != dict(
-                        self.schema.key_dict(key)).get(name):
-                    raise ValidationError(
-                        f"update may not modify key attribute {name!r}")
-            self._check_size(draft)
-            self._index_remove(key, existing)
-            self._put_raw(key, draft)
-            self._index_insert(key, draft)
-            return copy_item(draft)
+            draft = self.draft(key, existing, updates)
+            row, size = walk_item(draft)
+            self._check_size(size)
+            self._replace(key, existing, draft)
+        return row, size
 
     def delete(self, key: Any,
                condition: Optional[Condition] = None) -> Optional[dict]:
+        return self._delete(key, condition)[0]
+
+    def _delete(self, key: Any, condition: Optional[Condition] = None
+                ) -> tuple[Optional[dict], int]:
+        """``(copy of the removed row or None, its bytes)``."""
         key = self.schema.normalize(key)
         with self._lock:
             existing = self._get_raw(key)
@@ -279,10 +331,9 @@ class Table:
                 raise ConditionFailed(
                     f"delete condition failed on {self.name}:{key}")
             if existing is None:
-                return None
-            self._index_remove(key, existing)
-            self._delete_raw(key)
-            return copy_item(existing)
+                return None, 0
+            self._replace(key, existing, None)
+        return walk_item(existing)
 
     # -- queries and scans -------------------------------------------------------
     def query(self, hash_value: Any,
@@ -351,13 +402,9 @@ class Table:
             if filter_condition is not None and not filter_condition.evaluate(
                     item):
                 continue
-            if projection is not None:
-                out = projection.apply(item)
-                consumed += item_size(out)
-                items.append(out)
-            else:
-                consumed += item_size(item)
-                items.append(copy_item(item))
+            out, size = _handed_out(item, projection)
+            consumed += size
+            items.append(out)
         exhausted = (limit is None or scanned < limit
                      or start_index + scanned >= len(ordered))
         return QueryResult(
@@ -366,24 +413,40 @@ class Table:
             scanned_count=scanned,
             consumed_bytes=consumed)
 
+    def _query(self, *args) -> tuple[QueryResult, int, int]:
+        """``(page, bytes read, rows walked)`` of :meth:`query`."""
+        result = self.query(*args)
+        return result, result.consumed_bytes, result.scanned_count
+
+    def _scan(self, *args) -> tuple[ScanResult, int, int]:
+        """``(page, bytes read, rows walked)`` of :meth:`scan`."""
+        result = self.scan(*args)
+        return result, result.consumed_bytes, result.scanned_count
+
     def query_index(self, index_name: str, value: Any,
                     projection: Optional[Projection] = None) -> list[dict]:
         """All items whose indexed attribute equals ``value``."""
+        return self._query_index(index_name, value, projection)[0]
+
+    def _query_index(self, index_name: str, value: Any,
+                     projection: Optional[Projection] = None
+                     ) -> tuple[list[dict], int, int]:
+        """``(copies of the rows, bytes read, rows walked)``."""
         with self._lock:
             index = self._indexes.get(index_name)
             if index is None:
                 raise ValidationError(f"no index named {index_name!r}")
             keys = sorted(index.lookup(value), key=_sort_token_tuple)
             results = []
+            consumed = 0
             for key in keys:
                 item = self._get_raw(key)
                 if item is None:
                     continue
-                if projection is not None:
-                    results.append(projection.apply(item))
-                else:
-                    results.append(copy_item(item))
-            return results
+                out, size = _handed_out(item, projection)
+                consumed += size
+                results.append(out)
+            return results, consumed, len(results)
 
     # -- stats -----------------------------------------------------------------
     def item_count(self) -> int:
@@ -393,6 +456,16 @@ class Table:
     def storage_bytes(self) -> int:
         with self._lock:
             return sum(item_size(item) for _k, item in self._iter_raw())
+
+
+def _handed_out(row: dict, projection: Optional[Projection]
+                ) -> tuple[dict, int]:
+    """What a read hands out for a stored row — its copy, or the
+    projected copy — and the bytes that moves."""
+    if projection is None:
+        return walk_item(row)
+    out = projection.apply(row)
+    return out, item_size(out)
 
 
 def _sort_token(value: Any) -> tuple:

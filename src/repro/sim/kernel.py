@@ -14,9 +14,12 @@ This *baton-passing* dispatch halves the OS context switches of the
 classic driver-loop design (resume + yield-back per event becomes a
 single handoff), and a process waking *itself* (the ``sleep`` fast path,
 by far the most common event) costs no thread switch at all: the
-dispatching thread releases its own semaphore and keeps running. The
+dispatching thread releases its own baton and keeps running. The
 event ordering is identical by construction — the same pops happen in
-the same order, just on whichever thread blocked last.
+the same order, just on whichever thread blocked last. Each baton (one
+per process, one per pooled worker, one for the driver) is a raw
+``_thread`` lock held at zero: a release hands it over, an acquire
+parks until then, with no Python-level code in between.
 
 Because every blocking point goes through the kernel, arbitrary user code
 (Beldi SSF handlers, garbage collectors, load generators) runs unmodified
@@ -66,6 +69,7 @@ needs (crashes happen between externally visible operations).
 
 from __future__ import annotations
 
+import _thread
 import heapq
 import itertools
 import threading
@@ -96,6 +100,17 @@ _START = -1
 #: sleep can hand out the same tuple instead of allocating one per call.
 _SLEEP_REASON = ("sleep", None)
 _KILL_REASON = ("killed", None)
+
+
+def _baton():
+    """A raw lock held from birth: ``release`` hands it over and
+    ``acquire`` waits for that hand-over. It stands for a semaphore at
+    zero that is released at most once before each acquire, which is
+    every handoff here, without ``threading.Semaphore``'s Python-level
+    ``Condition``."""
+    lock = _thread.allocate_lock()
+    lock.acquire()
+    return lock
 
 
 def _label_text(label: Any) -> str:
@@ -178,8 +193,8 @@ class Process:
         self.killed = False
         self._kill_exc: Optional[ProcessKilled] = None
         self.done_event = SimEvent(kernel, name=f"{name}.done")
-        # Handoff primitive: released exactly once per scheduled resume.
-        self._resume = threading.Semaphore(0)
+        # Handoff baton: released exactly once per scheduled resume.
+        self._resume = _baton()
         # Token distinguishing the *current* pending wakeup; stale wakeups
         # (e.g. a timed-out sleep racing an event set) are ignored.
         self._wake_token = 0
@@ -233,7 +248,7 @@ class _WorkerThread:
 
     def __init__(self, kernel: "SimKernel", index: int) -> None:
         self._kernel = kernel
-        self._task = threading.Semaphore(0)
+        self._task = _baton()
         self._proc: Optional[Process] = None
         self._stop = False
         self.thread = threading.Thread(
@@ -318,7 +333,7 @@ class SimKernel:
         # Released exactly once per dispatch chain: when the queue drains
         # (or ``until`` is reached), the last dispatching thread wakes the
         # driver blocked in run().
-        self._driver = threading.Semaphore(0)
+        self._driver = _baton()
         #: Exception raised inside a dispatch step on a worker thread,
         #: transported to (and re-raised on) the driver thread.
         self._dispatch_error: Optional[BaseException] = None
@@ -389,7 +404,7 @@ class SimKernel:
         driver to start the chain). Resuming a process hands the baton to
         that process's thread — it will dispatch next when *it* blocks.
         When the queue drains or virtual time reaches the run's ``until``
-        bound, the driver semaphore is released instead. Errors raised by
+        bound, the driver's baton is released instead. Errors raised by
         schedule policies or inline callbacks are stashed for the driver.
         """
         self.current_process = None
@@ -433,7 +448,7 @@ class SimKernel:
         """Fire one popped entry; True iff the baton was handed off.
 
         Trace capture and the handoff of :attr:`current_process` happen
-        *before* the resumed process is released: once its semaphore is
+        *before* the resumed process is released: once its baton is
         up, that thread may reach its own dispatch step (and its own
         capture) at any moment.
         """
@@ -612,7 +627,7 @@ class SimKernel:
         self._until = until
         try:
             # Start the dispatch chain; it hops from blocking thread to
-            # blocking thread and releases the driver semaphore exactly
+            # blocking thread and releases the driver's baton exactly
             # once, when the queue drains or ``until`` is reached.
             self._dispatch()
             self._driver.acquire()

@@ -169,20 +169,6 @@ class BeldiConfig:
         ``elastic_tolerance`` is the residual per-shard overload
         :meth:`~repro.kvstore.HashRing.plan_rebalance` accepts rather
         than keep moving chains.
-    observability:
-        Virtual-time tracing (``repro.obs``): nested spans (request →
-        step → op → store round trip, plus txn and GC passes) and
-        instant events (lifecycle, lock, 2PC, read-log rollback, GC
-        pass, failover, migration, crash/interleave) stamped with
-        kernel time, and one
-        snapshot of the stack's native stats (metering, capacity, tail
-        cache, replication, resilience, elasticity) — every count in
-        one home. Pure recording: no virtual time, no store traffic, no
-        randomness — the simulation's behavior is identical either
-        way, and with the flag **off** (the default) no observability
-        object is even constructed, reproducing the pre-observability
-        code paths bit-for-bit. Same seed + schedule ⇒ byte-identical
-        exported trace (``docs/observability.md``).
     retry_max_attempts / retry_base_backoff:
         The retry schedule: at most ``retry_max_attempts`` tries per
         store call; attempt ``n`` backs off
@@ -218,7 +204,6 @@ class BeldiConfig:
     elastic_load_ratio: float = 1.5
     elastic_max_moves: int = 8
     elastic_tolerance: float = 0.2
-    observability: bool = False
     retry_max_attempts: int = 6
     retry_base_backoff: float = 10.0
     breaker_threshold: int = 5

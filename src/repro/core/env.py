@@ -17,6 +17,7 @@ from repro.core import daal
 from repro.core.config import BeldiConfig
 from repro.core.errors import TableNotDeclared
 from repro.kvstore import KVStore
+from repro.kvstore.surface import leaves
 
 PENDING_INDEX = "pending"
 SHADOW_TXN_INDEX = "by_txn"
@@ -47,7 +48,11 @@ class BeldiEnv:
         self._tables: dict[str, str] = {}
 
         store.ensure_table(self.intent_table, hash_key="InstanceId")
-        store.table(self.intent_table).add_index(PENDING_INDEX, "Pending")
+        # Indexes are per physical table: declare them on every leaf,
+        # leaders and followers alike.
+        for leaf in leaves(store):
+            leaf.table(self.intent_table).add_index(PENDING_INDEX,
+                                                    "Pending")
         store.ensure_table(self.read_log, hash_key="InstanceId",
                            range_key="Step")
         store.ensure_table(self.invoke_log, hash_key="InstanceId",
@@ -71,10 +76,11 @@ class BeldiEnv:
             return full
         self.store.ensure_table(full, hash_key="Key", range_key="RowId")
         shadow = f"{full}.shadow"
-        shadow_table = self.store.ensure_table(shadow, hash_key="Key",
-                                               range_key="RowId")
-        if SHADOW_TXN_INDEX not in shadow_table._indexes:
-            shadow_table.add_index(SHADOW_TXN_INDEX, "TxnId")
+        self.store.ensure_table(shadow, hash_key="Key", range_key="RowId")
+        for leaf in leaves(self.store):
+            shadow_table = leaf.table(shadow)
+            if SHADOW_TXN_INDEX not in shadow_table._indexes:
+                shadow_table.add_index(SHADOW_TXN_INDEX, "TxnId")
         self._tables[short] = full
         return full
 

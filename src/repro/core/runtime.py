@@ -35,7 +35,6 @@ Commit/Abort signals (§6.2).
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
@@ -59,6 +58,7 @@ from repro.kvstore import (
     ShardedStore,
 )
 from repro.kvstore.faults import FaultTimeline
+from repro.kvstore.surface import layers
 from repro.platform import PlatformConfig, ServerlessPlatform
 from repro.platform.context import InvocationContext
 from repro.sim.kernel import SimKernel
@@ -94,7 +94,7 @@ class BeldiRuntime:
                  replicas: int = 1,
                  replication_lag_scale: float = 1.0,
                  fault_timeline: Optional[FaultTimeline] = None,
-                 observability: Optional[bool] = None,
+                 observability: bool = False,
                  env_prefix: str = "") -> None:
         """``shards > 1`` partitions storage across that many simulated
         store nodes behind a :class:`~repro.kvstore.ShardedStore` — each
@@ -125,21 +125,20 @@ class BeldiRuntime:
         appended to it (always-on throttling, spikes and leader crashes;
         scripted outages, partitions, gray nodes and error bursts).
 
-        ``observability`` overrides :attr:`BeldiConfig.observability`
-        (default *off*): virtual-time tracing + one snapshot of the
-        stack's native stats (``repro.obs``, ``docs/observability.md``).
-        Pure recording — behavior and virtual time are identical either
-        way, and the off-state never constructs the observability
-        objects at all.
+        ``observability`` (default *off*) is virtual-time tracing: nested
+        spans (request → step → op → store round trip, plus txn and GC
+        passes) and instant events (lifecycle, lock, 2PC, read-log
+        rollback, GC pass, failover, migration, crash/interleave)
+        stamped with kernel time, and one snapshot of the stack's native
+        stats — every count in one home (``repro.obs``,
+        ``docs/observability.md``). Pure recording: no virtual time, no
+        store traffic, no randomness — behavior is identical either way,
+        the off-state never constructs the observability objects at all,
+        and the same seed + schedule exports a byte-identical trace.
         """
         self.kernel = kernel or SimKernel(seed=seed)
         self.rand = RandomSource(seed, "beldi")
         self.config = config or BeldiConfig()
-        if observability is not None:
-            # Copy before overriding: the caller may share one config
-            # across runtimes, and the override is per-runtime.
-            self.config = dataclasses.replace(
-                self.config, observability=bool(observability))
         async_io = self.config.has_async_io
         latency = LatencyModel(self.rand.child("latency"),
                                scale=latency_scale)
@@ -193,11 +192,8 @@ class BeldiRuntime:
             fault_timeline = FaultTimeline()
         # Every layer that consults it: leaf nodes (outages, bursts,
         # gray) and replica groups (leader crashes, partitions).
-        self.store.timeline = fault_timeline
-        for node in getattr(self.store, "nodes", ()):
-            node.timeline = fault_timeline
-            for member in getattr(node, "nodes", ()):
-                member.timeline = fault_timeline
+        for layer in layers(self.store):
+            layer.timeline = fault_timeline
         self.fault_timeline = fault_timeline
         #: §4.4 fast path: chain-position memory shared by every SSF this
         #: runtime hosts. Always constructed; only with the ``fastpath``
@@ -235,7 +231,7 @@ class BeldiRuntime:
         #: one :class:`~repro.obs.Observability`, so the trace
         #: interleaves all of them on the one kernel clock.
         self.obs = None
-        if self.config.observability:
+        if observability:
             from repro.obs import Observability
             self.obs = self.store.obs or Observability(self.kernel)
             self.obs.attach_store(self.store)

@@ -84,7 +84,7 @@ from repro.kvstore.replication import (
     ReplicatedStore,
     ReplicationStats,
 )
-from repro.kvstore.sharding import HashRing, ShardedStore, ShardedTableView
+from repro.kvstore.sharding import HashRing, ShardedStore
 from repro.kvstore.store import (
     KernelTimeSource,
     KVStore,
@@ -117,7 +117,7 @@ __all__ = [
     "QueryResult",
     "Remove", "ReplicaGroup", "ReplicatedStore",
     "ReplicationStats",
-    "ScanResult", "Set", "ShardedStore", "ShardedTableView",
+    "ScanResult", "Set", "ShardedStore",
     "SizeEq", "SizeGe", "SizeGt", "SizeLe",
     "SizeLt", "Table", "TableExists", "TableNotFound", "ThrottledError",
     "TransactDelete", "TransactPut", "TransactUpdate", "TransactionCanceled",

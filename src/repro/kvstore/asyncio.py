@@ -115,17 +115,6 @@ def in_scope(time_source) -> bool:
     return getattr(time_source, "_ov_scope", None) is not None
 
 
-def _time_sources(store) -> list:
-    """The distinct time sources behind a store facade (duck-typed)."""
-    collect = getattr(store, "time_sources", None)
-    if collect is None:
-        return []
-    seen: dict[int, object] = {}
-    for source in collect():
-        seen.setdefault(id(source), source)
-    return list(seen.values())
-
-
 @contextmanager
 def overlap(store, enabled: bool = True) -> Iterator:
     """Open an overlap scope over every node behind ``store``.
@@ -139,10 +128,11 @@ def overlap(store, enabled: bool = True) -> Iterator:
     if not enabled:
         yield NULL_SCOPE
         return
-    sources = _time_sources(store)
-    if not sources:
-        yield NULL_SCOPE
-        return
+    # Imported here: ``surface`` imports this module (its batch fan-out
+    # opens overlap scopes). Its one walk finds every node's clock.
+    from repro.kvstore.surface import leaves
+    sources = list({id(leaf.time): leaf.time
+                    for leaf in leaves(store)}.values())
     parent = next((source._ov_scope for source in sources
                    if getattr(source, "_ov_scope", None) is not None), None)
     scope = OverlapScope(parent)

@@ -83,7 +83,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from repro.kvstore.expressions import Condition, Projection
 from repro.kvstore.metering import Metering, normalize_consistency
 from repro.kvstore.sharding import HashRing, ShardedStore
 from repro.kvstore.store import KVStore
@@ -99,7 +98,7 @@ from repro.kvstore.surface import (
     route_token,
     store_layer,
 )
-from repro.kvstore.table import KeySchema, Table
+from repro.kvstore.table import Table
 from repro.sim.latency import LatencyModel
 from repro.sim.randsrc import RandomSource
 
@@ -146,70 +145,6 @@ class _Follower:
         self.applied_seq = 0          # highest log seq applied
         self.pending: deque = deque()  # (_LogRecord, visible_at)
         self.last_visible = 0.0       # enforces in-order visibility
-
-
-class ReplicatedTableView:
-    """Direct (latency-free, unmetered) table access on a replica group.
-
-    The group's answer to ``node.table(name)`` — the same surface a raw
-    :class:`~repro.kvstore.table.Table` offers for seeding and test
-    peeks, except that mutations also append to the replication log
-    (with zero shipping delay: out-of-band writes are immediately
-    durable everywhere) so followers never diverge from seeded state.
-    """
-
-    def __init__(self, group: "ReplicaGroup", name: str) -> None:
-        self._group = group
-        self.name = name
-
-    @property
-    def _leader_table(self) -> Table:
-        return self._group.leader._tables[self.name]
-
-    @property
-    def schema(self) -> KeySchema:
-        return self._leader_table.schema
-
-    @property
-    def max_item_bytes(self) -> int:
-        return self._leader_table.max_item_bytes
-
-    @property
-    def _indexes(self) -> dict:
-        return self._leader_table._indexes
-
-    def add_index(self, name: str, attribute: str) -> None:
-        for node in self._group.nodes:
-            node._tables[self.name].add_index(name, attribute)
-
-    # -- direct row access -----------------------------------------------------
-    def get(self, key: Any,
-            projection: Optional[Projection] = None) -> Optional[dict]:
-        return self._leader_table.get(key, projection=projection)
-
-    def put(self, item: dict,
-            condition: Optional[Condition] = None) -> None:
-        self._leader_table.put(item, condition=condition)
-        self._group._ship([(self.name, item)], immediate=True)
-
-    def update(self, key: Any, updates, condition=None) -> dict:
-        new_item = self._leader_table.update(key, updates,
-                                             condition=condition)
-        self._group._ship([(self.name, key)], immediate=True)
-        return new_item
-
-    def delete(self, key: Any, condition=None) -> Optional[dict]:
-        removed = self._leader_table.delete(key, condition=condition)
-        if removed is not None:
-            self._group._ship([(self.name, key)], immediate=True)
-        return removed
-
-    # -- stats -----------------------------------------------------------------
-    def item_count(self) -> int:
-        return self._leader_table.item_count()
-
-    def storage_bytes(self) -> int:
-        return self._leader_table.storage_bytes()
 
 
 @store_layer
@@ -269,7 +204,6 @@ class ReplicaGroup:
         self._followers: dict[int, _Follower] = {
             index: _Follower(node)
             for index, node in enumerate(self.nodes) if index != 0}
-        self._views: dict[str, ReplicatedTableView] = {}
 
     # -- roles -----------------------------------------------------------------
     @property
@@ -325,36 +259,19 @@ class ReplicaGroup:
     # -- table management ------------------------------------------------------
     def create_table(self, name: str, hash_key: str,
                      range_key: Optional[str] = None,
-                     max_item_bytes: Optional[int] = None
-                     ) -> ReplicatedTableView:
+                     max_item_bytes: Optional[int] = None) -> None:
         for node in self.nodes:
             node.create_table(name, hash_key, range_key, max_item_bytes)
-        view = ReplicatedTableView(self, name)
-        self._views[name] = view
-        return view
 
     def ensure_table(self, name: str, hash_key: str,
                      range_key: Optional[str] = None,
-                     max_item_bytes: Optional[int] = None
-                     ) -> ReplicatedTableView:
-        if name in self._views:
-            return self._views[name]
-        return self.create_table(name, hash_key, range_key, max_item_bytes)
-
-    def table(self, name: str) -> ReplicatedTableView:
-        view = self._views.get(name)
-        if view is None:
-            # Adopt a table created behind the group's back (defensive;
-            # raises TableNotFound if the leader lacks it too).
-            self.leader.table(name)
-            view = ReplicatedTableView(self, name)
-            self._views[name] = view
-        return view
+                     max_item_bytes: Optional[int] = None) -> None:
+        if name not in self.leader._tables:
+            self.create_table(name, hash_key, range_key, max_item_bytes)
 
     def drop_table(self, name: str) -> None:
         for node in self.nodes:
             node.drop_table(name)
-        self._views.pop(name, None)
         # Pending records for a dropped table are void.
         for follower in self._followers.values():
             follower.pending = deque(
@@ -375,7 +292,7 @@ class ReplicaGroup:
             hashlib.md5(token.encode("utf-8")).digest()[:8], "big")
         return indexes[digest % len(indexes)]
 
-    def _ship(self, rows: Sequence[tuple], immediate: bool = False) -> None:
+    def _ship(self, rows: Sequence[tuple]) -> None:
         """Commit each ``(table, key or item)`` row's *current leader
         state* — the final row, or its tombstone — to the log.
 
@@ -407,18 +324,16 @@ class ReplicaGroup:
         # channel: records committed during the window leave the leader
         # only once it heals, so follower lag grows unboundedly (past
         # ``max_lag``) and converges through the ordinary pending-queue
-        # drain afterwards. Out-of-band (``immediate``) writes bypass
-        # the channel, as they bypass its latency.
+        # drain afterwards.
         ship_base = now
-        if (not immediate and self.timeline is not None
-                and self.timeline.windows):
+        if self.timeline is not None and self.timeline.windows:
             self.timeline.observe(self.leader, now)
             heal = self.timeline.partition_heal_time(now, self.shard_id)
             if heal is not None:
                 ship_base = max(ship_base, heal)
 
         def ship_delay() -> float:
-            if immediate or self.lag_scale == 0.0:
+            if self.lag_scale == 0.0:
                 return 0.0
             return min(self.latency.sample("repl.ship") * self.lag_scale,
                        self.max_lag)
@@ -652,13 +567,6 @@ class ReplicaGroup:
         self._ship([(tbl.name, key) for tbl, key, _row, _size in plan])
 
     # -- stats -----------------------------------------------------------------
-    def time_sources(self) -> list:
-        """Every member's time source (leader and followers alike)."""
-        sources = []
-        for node in self.nodes:
-            sources.extend(node.time_sources())
-        return sources
-
     def storage_bytes(self, table: Optional[str] = None) -> int:
         # Logical bytes: replicas are copies, not additional data.
         return self.leader.storage_bytes(table)
@@ -703,6 +611,5 @@ __all__ = [
     "DEFAULT_MAX_LAG_MS",
     "ReplicaGroup",
     "ReplicatedStore",
-    "ReplicatedTableView",
     "ReplicationStats",
 ]

@@ -96,7 +96,7 @@ from typing import Any, Optional, Sequence
 
 from repro.kvstore.asyncio import in_scope, overlap
 from repro.kvstore.errors import TableExists, TableNotFound
-from repro.kvstore.expressions import Condition, Projection, path
+from repro.kvstore.expressions import Projection, path
 from repro.kvstore.metering import Metering
 from repro.kvstore.store import KVStore
 from repro.kvstore.surface import (
@@ -105,6 +105,7 @@ from repro.kvstore.surface import (
     StoreOp,
     batch_rows,
     fan_out_batch,
+    leaves,
     partition_value,
     route_token,
     store_layer,
@@ -283,72 +284,6 @@ class HashRing:
         return moves
 
 
-class ShardedTableView:
-    """The facade's answer to ``store.table(name)``.
-
-    Presents one logical table backed by N physical ones. Index
-    management fans out (indexes exist on every node); direct row
-    operations route to the owning node's :class:`Table` — zero-latency,
-    unmetered access, same as touching a ``Table`` directly (benchmark
-    seeding and tests use this).
-    """
-
-    def __init__(self, store: "ShardedStore", name: str) -> None:
-        self._store = store
-        self.name = name
-
-    @property
-    def schema(self) -> KeySchema:
-        return self._node_tables()[0].schema
-
-    @property
-    def max_item_bytes(self) -> int:
-        return self._node_tables()[0].max_item_bytes
-
-    @property
-    def _indexes(self) -> dict:
-        # All nodes carry identical index definitions; node 0 speaks for
-        # the logical table.
-        return self._node_tables()[0]._indexes
-
-    def _node_tables(self) -> list:
-        # ``node.table(name)`` rather than raw ``_tables`` access: a
-        # replicated node answers with a view that also ships direct
-        # mutations to its followers.
-        return [node.table(self.name) for node in self._store.nodes]
-
-    def _owner(self, key: Any):
-        node = self._store.node_for(self.name, key)
-        return node.table(self.name)
-
-    def add_index(self, name: str, attribute: str) -> None:
-        for table in self._node_tables():
-            table.add_index(name, attribute)
-
-    # -- direct (latency-free) row access ------------------------------------
-    def get(self, key: Any,
-            projection: Optional[Projection] = None) -> Optional[dict]:
-        return self._owner(key).get(key, projection=projection)
-
-    def put(self, item: dict,
-            condition: Optional[Condition] = None) -> None:
-        key = self.schema.extract(item)
-        self._owner(key).put(item, condition=condition)
-
-    def update(self, key: Any, updates, condition=None) -> dict:
-        return self._owner(key).update(key, updates, condition=condition)
-
-    def delete(self, key: Any, condition=None) -> Optional[dict]:
-        return self._owner(key).delete(key, condition=condition)
-
-    # -- stats ----------------------------------------------------------------
-    def item_count(self) -> int:
-        return sum(t.item_count() for t in self._node_tables())
-
-    def storage_bytes(self) -> int:
-        return sum(t.storage_bytes() for t in self._node_tables())
-
-
 @store_layer
 class ShardedStore:
     """N store nodes behind the single-store facade.
@@ -380,7 +315,6 @@ class ShardedStore:
         #: observability-enabled runtime, ``None`` otherwise.
         self.obs = None
         self._schemas: dict[str, KeySchema] = {}
-        self._views: dict[str, ShardedTableView] = {}
         # -- elasticity bookkeeping (dormant until enable_elasticity) --
         #: Per-(table, partition key) routed-op counts — the observed
         #: load the hot-shard detector plans against. ``None`` disables
@@ -541,36 +475,23 @@ class ShardedStore:
     # -- table management ------------------------------------------------------
     def create_table(self, name: str, hash_key: str,
                      range_key: Optional[str] = None,
-                     max_item_bytes: Optional[int] = None
-                     ) -> ShardedTableView:
+                     max_item_bytes: Optional[int] = None) -> None:
         if name in self._schemas:
             raise TableExists(f"table {name!r} already exists")
         for node in self.nodes:
             node.create_table(name, hash_key, range_key, max_item_bytes)
         self._schemas[name] = KeySchema(hash_key, range_key)
-        view = ShardedTableView(self, name)
-        self._views[name] = view
-        return view
 
     def ensure_table(self, name: str, hash_key: str,
                      range_key: Optional[str] = None,
-                     max_item_bytes: Optional[int] = None
-                     ) -> ShardedTableView:
-        if name in self._schemas:
-            return self._views[name]
-        return self.create_table(name, hash_key, range_key, max_item_bytes)
-
-    def table(self, name: str) -> ShardedTableView:
-        view = self._views.get(name)
-        if view is None:
-            raise TableNotFound(f"no table named {name!r}")
-        return view
+                     max_item_bytes: Optional[int] = None) -> None:
+        if name not in self._schemas:
+            self.create_table(name, hash_key, range_key, max_item_bytes)
 
     def drop_table(self, name: str) -> None:
         for node in self.nodes:
             node.drop_table(name)
         self._schemas.pop(name, None)
-        self._views.pop(name, None)
 
     def table_names(self) -> list[str]:
         return sorted(self._schemas)
@@ -599,14 +520,20 @@ class ShardedStore:
         ``async_io``). Partial throttles and whole-node
         ``ThrottledError``\\ s become unprocessed rows of the merged
         result; the call raises only when not a single row on any shard
-        was served. A malformed write batch is rejected here, before any
-        shard is touched.
+        was served. A malformed write batch — a repeated key, or a put
+        the store would refuse (an unsupported value, a row over the
+        table's cap) — is rejected here, before any shard is touched.
         """
         table = args[0]
         schema = self._schema(table)
         rows = batch_rows(op, args)[0]
         if op is not BATCH_GET:
             validate_batch_write(schema, rows)
+            # Each owner checks only its own puts, and an earlier owner
+            # has already applied by then; the leaves share one cap.
+            leaf_table = next(leaves(self)).table(table)
+            for item in args[1]:
+                leaf_table.prepare_put(item)
         guard = self._enter_routes(self._route(table, row) for row in rows)
         try:
             return fan_out_batch(
@@ -706,7 +633,8 @@ class ShardedStore:
         """
         table, index_name, value, projection, consistency = args
         schema = self._schemas[table]
-        index = self.nodes[0].table(table)._indexes.get(index_name)
+        # Every leaf carries the same index definitions; the first speaks.
+        index = next(leaves(self)).table(table)._indexes.get(index_name)
         index_attr = index.attribute if index is not None else None
         fetch_projection = projection
         if projection is not None:
@@ -800,13 +728,6 @@ class ShardedStore:
                 tbl._lock.release()
 
     # -- stats ---------------------------------------------------------------------
-    def time_sources(self) -> list:
-        """Every node's time source (overlap scopes must cover them all)."""
-        sources = []
-        for node in self.nodes:
-            sources.extend(node.time_sources())
-        return sources
-
     @property
     def metering(self) -> Metering:
         """Fleet-wide counters, merged fresh from every node.
@@ -831,4 +752,4 @@ class ShardedStore:
         return [node.item_count(table) for node in self.nodes]
 
 
-__all__ = ["HashRing", "ShardedStore", "ShardedTableView"]
+__all__ = ["HashRing", "ShardedStore"]

@@ -426,10 +426,6 @@ class KVStore:
         self._span("transact_write", table, start, items=len(plan))
 
     # -- stats ---------------------------------------------------------------------------
-    def time_sources(self) -> list[TimeSource]:
-        """The time sources an overlap scope must cover (just ours)."""
-        return [self.time]
-
     def storage_bytes(self, table: Optional[str] = None) -> int:
         if table is not None:
             return self.table(table).storage_bytes()

@@ -18,7 +18,14 @@ It holds
   they are applied: :func:`partition_value` / :func:`route_token` (what
   routes a row), :func:`validate_batch_write` (what a well-formed batch
   is), :func:`fan_out_batch` (how a batch splits per owner and merges
-  back).
+  back);
+- the **one walk** over a stack of layers, :func:`layers` (and its
+  :func:`leaves`) — the only code that knows how layers nest.
+
+The only direct path to rows is a leaf's ``KVStore.table(name)``, a
+physical :class:`~repro.kvstore.table.Table`: no latency, no metering,
+no faults, no replication — for tests and index definitions, never for
+traffic a facade must see.
 
 An entry function does no work of its own beyond "an empty request is
 free": it packs its arguments, in declared order, into one tuple and
@@ -43,7 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from repro.kvstore.asyncio import overlap
 from repro.kvstore.errors import ThrottledError, UnavailableError
@@ -371,6 +378,35 @@ def store_layer(cls):
     return cls
 
 
+# -- the stack of layers -------------------------------------------------------------
+def _beneath(store) -> Sequence:
+    """The layers directly under ``store``: a wrapper's one ``inner``
+    store — read explicitly, since ``ResilientStore.__getattr__`` would
+    answer ``nodes`` with the inner store's own and skip that layer — or
+    a facade's ``nodes``; nothing under a leaf."""
+    inner = getattr(store, "inner", None)
+    if inner is not None:
+        return (inner,)
+    return getattr(store, "nodes", ())
+
+
+def layers(store) -> Iterator:
+    """``store``, then every layer beneath it, depth first in node
+    order: a wrapper, its inner store, a sharded facade, each replica
+    group, each group's members. The one walk over the store tree."""
+    yield store
+    for node in _beneath(store):
+        yield from layers(node)
+
+
+def leaves(store) -> Iterator:
+    """The leaf nodes under ``store`` (the ``KVStore``\\ s holding the
+    tables, clocks and capacity queues), in :func:`layers` order."""
+    for layer in layers(store):
+        if not _beneath(layer):
+            yield layer
+
+
 # -- routing ---------------------------------------------------------------------------
 def partition_value(schema: KeySchema, key: Any) -> Any:
     """The component of ``key`` that routes it.
@@ -495,6 +531,6 @@ __all__ = [
     "MAX_BATCH_WRITE_ITEMS", "OPS", "PUT", "QUERY", "QUERY_INDEX", "SCAN",
     "StoreOp", "TABLE_READ", "TRANSACT", "TRANSACT_WRITE", "TransactDelete",
     "TransactOp", "TransactPut", "TransactUpdate", "UPDATE", "batch_result",
-    "batch_rows", "fan_out_batch", "partition_value", "route_token",
-    "store_layer", "validate_batch_write",
+    "batch_rows", "fan_out_batch", "layers", "leaves", "partition_value",
+    "route_token", "store_layer", "validate_batch_write",
 ]

@@ -3,7 +3,7 @@
 One :class:`Observability` instance serves a whole simulation — runtimes
 sharing a kernel (and possibly a store) share it, so the exported trace
 interleaves every participant on the one virtual clock.  Everything is
-gated on ``BeldiConfig.observability``: with the flag off no instance is
+gated on ``BeldiRuntime(observability=...)``: with it off no instance is
 built and every hook site stays on its pre-observability code path,
 bit for bit.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.kvstore.surface import layers, leaves
 from repro.obs.tracer import Tracer, validate_chrome_trace
 
 __all__ = ["Observability", "Tracer", "validate_chrome_trace"]
@@ -28,11 +29,8 @@ class Observability:
     # -- wiring ----------------------------------------------------------------
     def attach_store(self, store) -> None:
         """Point every store layer (facades, groups, leaves) at us."""
-        if store is None:
-            return
-        store.obs = self
-        for node in getattr(store, "nodes", ()):
-            self.attach_store(node)
+        for layer in layers(store):
+            layer.obs = self
 
     def export(self, runtime=None) -> dict:
         """Chrome trace + snapshot in one JSON-ready dict — the payload
@@ -73,7 +71,7 @@ class Observability:
                 "requests": [row["requests"] for row in rows],
             }
         queues = {}
-        for index, node in enumerate(_leaf_nodes(store)):
+        for index, node in enumerate(leaves(store)):
             queue = getattr(node, "queue", None)
             if queue is not None:
                 queues[f"node{index}"] = {
@@ -109,13 +107,3 @@ class Observability:
             }
         return snap
 
-
-def _leaf_nodes(store) -> list:
-    """Every leaf ``KVStore`` under a (possibly nested) facade."""
-    nodes = getattr(store, "nodes", None)
-    if nodes is None:
-        return [store]
-    leaves: list = []
-    for node in nodes:
-        leaves.extend(_leaf_nodes(node))
-    return leaves

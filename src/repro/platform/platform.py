@@ -26,6 +26,10 @@ from repro.sim.randsrc import RandomSource
 
 Handler = Callable[[InvocationContext, Any], Any]
 
+#: Linear backoff step (virtual ms) of an SSF-to-SSF invocation retrying
+#: for a concurrency slot: attempt ``n`` waits ``n`` steps.
+INTERNAL_RETRY_BACKOFF_MS = 25.0
+
 
 @dataclass
 class PlatformConfig:
@@ -40,9 +44,10 @@ class PlatformConfig:
         its GC synchrony bound.
     warm_keepalive:
         How long an idle container stays warm.
-    internal_retry_limit / internal_retry_backoff:
-        SSF-to-SSF invocations over the cap retry with backoff instead of
-        failing outright (the SDK behaviour).
+    internal_retry_limit:
+        SSF-to-SSF invocations over the cap retry, backing off
+        :data:`INTERNAL_RETRY_BACKOFF_MS` times the attempt, up to this
+        many times instead of failing outright (the SDK behaviour).
     entry_admission_fraction:
         The gateway admits a new *client* request only while active
         instances are below this fraction of the cap, reserving headroom
@@ -56,7 +61,6 @@ class PlatformConfig:
     default_timeout: float = 60_000.0
     warm_keepalive: float = 600_000.0
     internal_retry_limit: int = 40
-    internal_retry_backoff: float = 25.0
     entry_admission_fraction: float = 0.5
 
 
@@ -138,7 +142,7 @@ class ServerlessPlatform:
                 self.stats.rejected += 1
                 raise TooManyRequests(
                     "concurrency limit reached after retries")
-            self.kernel.sleep(self.config.internal_retry_backoff * attempts)
+            self.kernel.sleep(INTERNAL_RETRY_BACKOFF_MS * attempts)
         self._grab_slot()
 
     def _grab_slot(self) -> None:

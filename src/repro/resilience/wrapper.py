@@ -31,7 +31,8 @@ from typing import Optional
 from repro.core.errors import DeadlineExceeded
 from repro.kvstore.asyncio import in_scope
 from repro.kvstore.errors import ThrottledError, UnavailableError
-from repro.kvstore.surface import KEYED_READ, KEYED_WRITE, StoreOp, store_layer
+from repro.kvstore.surface import (KEYED_READ, KEYED_WRITE, StoreOp, leaves,
+                                   store_layer)
 from repro.resilience.state import ResilienceState
 
 #: Table-name suffixes of Beldi's protocol tables. Degraded (stale)
@@ -49,11 +50,13 @@ class ResilientStore:
     def __init__(self, inner, state: ResilienceState) -> None:
         self._inner = inner
         self._state = state
-        self._time = inner.time_sources()[0]
+        self._time = next(leaves(inner)).time
         self._sharded = hasattr(inner, "shard_for")
 
-    # Everything not intercepted (table management, metering, seeding,
-    # elasticity hooks, ...) is the inner store's business.
+    # Everything not intercepted (table management, metering, placement,
+    # elasticity hooks, ...) is the inner store's business. A walk of the
+    # store tree must not come through here: a forwarded ``nodes`` skips
+    # the inner layer, so ``surface.layers`` steps through ``inner``.
     def __getattr__(self, name: str):
         return getattr(self._inner, name)
 

@@ -28,6 +28,10 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
+import select
+import signal
+import time
 import traceback
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
@@ -133,14 +137,126 @@ def failure_line(exc: BaseException) -> str:
 
 class ScheduleFailure(AssertionError):
     """An invariant broke under an explored schedule; carries the
-    ``(seed, trace)`` pair that replays it deterministically."""
+    ``(seed, trace)`` pair that replays it deterministically, and the
+    failure artifact of the run (see :func:`explore`)."""
 
-    def __init__(self, seed: int, trace: list, original: BaseException):
+    def __init__(self, seed: int, trace: list, original: BaseException,
+                 artifact: Optional[dict] = None):
         self.seed = seed
         self.trace = list(trace)
         self.original = original
+        self.artifact = artifact
         super().__init__(
             f"{original}\nreplay with: {format_failure(seed, self.trace)}")
+
+    def __reduce__(self):
+        # Raised in a forked worker, re-raised here (map_forked).
+        return (ScheduleFailure,
+                (self.seed, self.trace, self.original, self.artifact))
+
+
+#: The least a :func:`map_forked` parent waits for its child's half
+#: after finishing its own (it waits three times its own half's time
+#: when that is longer).
+FORK_WAIT_S = 300.0
+
+
+def map_forked(fn: Callable[[Any], Any], items,
+               wait_s: float = FORK_WAIT_S) -> list:
+    """``[fn(item) for item in items]``, run by this process and one
+    forked child, each taking every other item in order.
+
+    For sweeps over independent runs: each item builds its own kernel
+    and runtimes, and every draw is seeded, so where an item runs
+    changes nothing it computes — with a second CPU the two halves of a
+    CPU-bound sweep take half the wall time. The first exception in item
+    order is re-raised, as the plain loop would raise it (results and
+    exceptions cross the pipe pickled; a failure's traceback comes as a
+    note, or as the cause where exceptions take no notes). A child that
+    has not answered by the deadline (``wait_s``) is killed and its
+    items are named in a ``RuntimeError``. Without ``os.fork`` or with
+    fewer than two items it is the plain loop.
+    """
+    items = list(items)
+    if len(items) < 2 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: the odd items; it never returns
+        try:
+            os.close(read_fd)
+            try:
+                data = pickle.dumps(_run_share(fn, items, 1))
+            except BaseException:  # noqa: BLE001 - reported, not hidden
+                data = pickle.dumps(([], 1, RuntimeError(
+                    "a forked sweep worker failed:\n"
+                    + traceback.format_exc()), ""))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        started = time.monotonic()
+        evens = _run_share(fn, items, 0)
+        data = _read_by(read_fd, time.monotonic() + max(
+            wait_s, 3 * (time.monotonic() - started)))
+        if data is None:
+            raise RuntimeError(
+                f"a forked sweep worker gave no answer in time; it held "
+                f"items {items[1::2]!r}")
+    except BaseException:
+        # Interrupted or out of time here: do not wait out the child.
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    finally:
+        os.close(read_fd)
+    os.waitpid(pid, 0)
+    odds = (pickle.loads(data) if data else
+            ([], 1, RuntimeError("a forked worker died"), ""))
+    failed = [share for share in (evens, odds) if share[2] is not None]
+    if failed:
+        _results, _index, exc, note = min(failed, key=lambda sh: sh[1])
+        if not note:
+            raise exc
+        if hasattr(exc, "add_note"):  # Python >= 3.11
+            exc.add_note(note)
+            raise exc
+        raise exc from RuntimeError(note)
+    results: list = [None] * len(items)
+    results[0::2] = evens[0]
+    results[1::2] = odds[0]
+    return results
+
+
+def _read_by(fd: int, deadline: float) -> Optional[bytes]:
+    """Everything written to the pipe ``fd`` until its writer closes it,
+    or ``None`` if that has not happened by ``deadline`` (monotonic)."""
+    chunks = []
+    while True:
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([fd], [], [], left)[0]:
+            return None
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def _run_share(fn, items: list, start: int) -> tuple:
+    """``(results, index, exception, traceback text)`` of ``fn`` over
+    ``items[start::2]``, stopping at the first exception (index and
+    exception are ``None`` when there was none)."""
+    results = []
+    for index in range(start, len(items), 2):
+        try:
+            results.append(fn(items[index]))
+        except Exception as exc:  # noqa: BLE001 - re-raised by the caller
+            return (results, index, exc,
+                    "in a forked sweep worker:\n" + traceback.format_exc()
+                    if start else "")
+    return results, None, None, ""
 
 
 @dataclass
@@ -183,13 +299,14 @@ def build_harness(flags: dict, schedule=None,
     # Nemesis windows join the travel runtime's timeline, which the
     # movie runtime shares with its store — both apps ride them out.
     timeline = flags.pop("timeline", None)
+    observability = flags.pop("observability", False)
     kernel = SimKernel(seed=seed, schedule=schedule)
     config = BeldiConfig(ic_restart_delay=200.0, gc_t=GC_T,
                          lock_retry_backoff=5.0, lock_retry_limit=500,
                          **flags)
     travel = BeldiRuntime(kernel=kernel, seed=seed, config=config,
                           shards=shards, replicas=replicas,
-                          latency_scale=0.0)
+                          latency_scale=0.0, observability=observability)
     if leader_crash:
         travel.fault_timeline.leader_crash(rate=leader_crash)
     # The movie runtime rides on the travel runtime's store (whose one
@@ -197,7 +314,8 @@ def build_harness(flags: dict, schedule=None,
     # same-named envs do not adopt each other's tables.
     movie = BeldiRuntime(kernel=kernel, seed=seed + MOVIE_SEED_OFFSET,
                          config=config, store=travel.store,
-                         latency_scale=0.0, env_prefix="mv.")
+                         latency_scale=0.0, env_prefix="mv.",
+                         observability=observability)
     travel_app = TravelReservationApp(seed=seed, n_hotels=2, n_flights=2,
                                       rooms_per_hotel=2,
                                       seats_per_flight=2, n_users=2)
@@ -456,10 +574,10 @@ def explore(seeds, flags: dict = LIGHT_FLAGS,
     invariant failure raises :class:`ScheduleFailure` whose message
     contains the replayable ``DST-REPLAY seed=... trace=...`` line (and,
     when ``$DST_FAILURE_FILE`` is set, writes the pair there as JSON for
-    CI artifact upload).
+    CI artifact upload). The seeds are independent runs, shared by two
+    processes (:func:`map_forked`); the first failing seed is reported.
     """
-    traces: set = set()
-    for seed in seeds:
+    def run(seed: int) -> tuple:
         schedule = schedule_factory(seed)
         h = build_harness(flags, schedule=schedule)
         try:
@@ -469,22 +587,35 @@ def explore(seeds, flags: dict = LIGHT_FLAGS,
             check_effects(h)
             run_gc_passes(*h.runtimes.values())
             assert_store_clean(h.travel.store, h.runtimes.values())
-            traces.add(tuple(h.kernel.schedule_trace))
+            return tuple(h.kernel.schedule_trace)
         except AssertionError as exc:
             trace = list(h.kernel.schedule_trace)
-            _write_failure_artifact(seed, trace, exc, h)
-            raise ScheduleFailure(seed, trace, exc) from exc
+            raise ScheduleFailure(
+                seed, trace, exc,
+                _failure_artifact(seed, trace, exc, h)) from exc
         finally:
             h.shutdown()
-    return traces
+
+    try:
+        return set(map_forked(run, seeds))
+    except ScheduleFailure as failure:
+        # Written here, for the first failing seed only.
+        _dump_artifact(failure.artifact)
+        raise
 
 
 def _write_failure_artifact(seed: int, trace: list,
                             exc: BaseException,
                             h: Optional[Harness] = None) -> None:
-    path = os.environ.get("DST_FAILURE_FILE")
-    if not path:
-        return
+    _dump_artifact(_failure_artifact(seed, trace, exc, h))
+
+
+def _failure_artifact(seed: int, trace: list, exc: BaseException,
+                      h: Optional[Harness] = None) -> Optional[dict]:
+    """The failing run's artifact, when ``$DST_FAILURE_FILE`` asks for
+    one."""
+    if not os.environ.get("DST_FAILURE_FILE"):
+        return None
     artifact = {"seed": seed, "trace": trace,
                 "replay": format_failure(seed, trace),
                 "error": str(exc)}
@@ -498,6 +629,13 @@ def _write_failure_artifact(seed: int, trace: list,
         # chrome_trace value into chrome://tracing / Perfetto.
         artifact["chrome_trace"] = obs.tracer.to_chrome()
         artifact["metrics"] = obs.snapshot(h.travel)
+    return artifact
+
+
+def _dump_artifact(artifact: Optional[dict]) -> None:
+    path = os.environ.get("DST_FAILURE_FILE")
+    if not path or artifact is None:
+        return
     try:
         with open(path, "w") as fh:
             json.dump(artifact, fh, indent=2)

@@ -108,13 +108,15 @@ def test_concurrent_crash_sweep(mix, group):
     selected = [p for p in points
                 if p[0].startswith(dst.MOVIE_PREFIX) == (group == "movie")]
     assert selected, f"no {group} points recorded"
-    failures = []
-    total_failovers = 0
-    total_migrations = 0
-    for function, index, tag in selected:
+
+    def sweep_point(point):
+        """One swept run: ``(failure line or None, failovers,
+        migrations)``."""
+        function, index, tag = point
         h = dst.build_harness(dst.DEEP_FLAGS)
         h.set_crash_policy(CrashOnce(function, tag,
                                      invocation_index=index))
+        failure = None
         try:
             dst.run_requests(h, MIXES[mix])
             dst.check_effects(h)
@@ -123,18 +125,25 @@ def test_concurrent_crash_sweep(mix, group):
             dst.run_gc_passes(*h.runtimes.values())
             dst.assert_store_clean(h.travel.store, h.runtimes.values())
         except AssertionError as exc:  # collect, report all at once
-            failures.append((function, index, tag,
-                             dst.failure_line(exc)))
+            failure = dst.failure_line(exc)
         finally:
+            failovers = migrations = 0
             if hasattr(h.travel.store, "replication_stats"):
-                total_failovers += (
-                    h.travel.store.replication_stats.failovers)
+                failovers = h.travel.store.replication_stats.failovers
             if h.travel.elasticity is not None:
                 stats = h.travel.elasticity.migrator.stats
-                total_migrations += (stats.migrations
-                                     + stats.rolled_forward
-                                     + stats.rolled_back)
+                migrations = (stats.migrations + stats.rolled_forward
+                              + stats.rolled_back)
             h.shutdown()
+        return failure, failovers, migrations
+
+    # The points are independent runs: two processes share them.
+    runs = dst.map_forked(sweep_point, selected)
+    failures = [(function, index, tag, failure)
+                for (function, index, tag), (failure, _f, _m)
+                in zip(selected, runs) if failure is not None]
+    total_failovers = sum(failovers for _l, failovers, _m in runs)
+    total_migrations = sum(migrations for _l, _f, migrations in runs)
     assert not failures, (
         f"{len(failures)}/{len(selected)} crash points violated "
         f"exactly-once/cleanliness:\n" + "\n".join(

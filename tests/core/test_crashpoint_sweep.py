@@ -309,7 +309,8 @@ class CrashOnceThen(CrashOnce):
 # ---------------------------------------------------------------------------
 
 def record_crash_space(scenario, flags: dict):
-    """Crash-free run under a recording policy -> the full crash space."""
+    """Crash-free run under a recording policy -> the full crash space,
+    the run's result and the configuration every swept run shares."""
     runtime, app = scenario.build(flags)
     recording = RecordingPolicy()
     runtime.platform.crash_policy = recording
@@ -317,7 +318,7 @@ def record_crash_space(scenario, flags: dict):
     runtime.kernel.shutdown()
     points = recording.unique_points()
     assert len(points) > 40, "suspiciously small crash space"
-    return points, result
+    return points, result, runtime.config
 
 
 def run_until_recovered(runtime, scenario):
@@ -357,14 +358,15 @@ def run_until_recovered(runtime, scenario):
 def sweep(scenario_name: str, flags_name: str) -> None:
     scenario = SCENARIOS[scenario_name]
     flags = SETTINGS[flags_name]
-    points, baseline_result = record_crash_space(scenario, flags)
+    points, baseline_result, config = record_crash_space(scenario, flags)
     assert scenario.ok(baseline_result), "crash-free run must succeed"
-    failures = []
-    total_failovers = 0
-    total_migrations = 0
     migration_points = sum(1 for _f, _i, tag in points
                            if tag.startswith("migrate:"))
-    for function, index, tag in points:
+
+    def sweep_point(point):
+        """One swept run: ``(failure line or None, failovers,
+        migrations)``."""
+        function, index, tag = point
         runtime, app = scenario.build(flags)
         policy = CrashOnce(function, tag, invocation_index=index)
         if scenario.mutate is not None:
@@ -375,6 +377,7 @@ def sweep(scenario_name: str, flags_name: str) -> None:
                 then=lambda: runtime.kernel.spawn(
                     scenario.mutate, runtime, app))
         runtime.platform.crash_policy = policy
+        failure = None
         try:
             result = run_until_recovered(runtime, scenario)
             scenario.check_effects(runtime, app, result)
@@ -384,22 +387,29 @@ def sweep(scenario_name: str, flags_name: str) -> None:
             dst.run_gc_passes(runtime)
             dst.assert_store_clean(runtime.store, [runtime])
         except AssertionError as exc:  # collect, report all at once
-            failures.append((function, index, tag,
-                             dst.failure_line(exc)))
+            failure = dst.failure_line(exc)
         finally:
+            failovers = migrations = 0
             if hasattr(runtime.store, "replication_stats"):
-                total_failovers += (
-                    runtime.store.replication_stats.failovers)
+                failovers = runtime.store.replication_stats.failovers
             if runtime.elasticity is not None:
                 stats = runtime.elasticity.migrator.stats
-                total_migrations += (stats.migrations
-                                     + stats.rolled_forward
-                                     + stats.rolled_back)
+                migrations = (stats.migrations + stats.rolled_forward
+                              + stats.rolled_back)
             runtime.kernel.shutdown()
-    _check_reply_points(points, runtime.config.has_async_io)
-    _check_open_points(points, runtime.config.has_async_io)
+        return failure, failovers, migrations
+
+    # The points are independent runs: two processes share them.
+    runs = dst.map_forked(sweep_point, points)
+    failures = [(function, index, tag, failure)
+                for (function, index, tag), (failure, _f, _m)
+                in zip(points, runs) if failure is not None]
+    total_failovers = sum(failovers for _l, failovers, _m in runs)
+    total_migrations = sum(migrations for _l, _f, migrations in runs)
+    _check_reply_points(points, config.has_async_io)
+    _check_open_points(points, config.has_async_io)
     if scenario.mutate is not None:
-        _check_read_log_points(points, runtime.config.has_async_io)
+        _check_read_log_points(points, config.has_async_io)
     if flags.get("row_log_capacity") == 1:
         _check_extension_points(points)
     assert not failures, (

@@ -123,7 +123,7 @@ class TestChainCollection:
         assert after_disconnect <= 2             # head + tail
         advance(runtime, 1_000.0)
         run_gc_now(runtime, env)                 # delete dangled rows
-        total_rows = env.store.table(table).item_count()
+        total_rows = env.store.item_count(table)
         assert total_rows <= 2
         # The value must survive collection.
         assert env.peek("kv", "hot") == 39
@@ -241,13 +241,13 @@ class TestShadowCollection:
         runtime.run_workflow("txw", 7)
         env = ssf.env
         shadow = env.shadow_table("kv")
-        assert env.store.table(shadow).item_count() > 0
+        assert env.store.item_count(shadow) > 0
         run_gc_now(runtime, env)       # finish-stamp the instance
         advance(runtime, 1_000.0)
         run_gc_now(runtime, env)       # writers recyclable: stamp chain
         advance(runtime, 1_000.0)
         run_gc_now(runtime, env)       # delete after a full T dangling
-        assert env.store.table(shadow).item_count() == 0
+        assert env.store.item_count(shadow) == 0
         assert env.peek("kv", "a") == 7
 
     def test_lockset_rows_collected(self, runtime):
@@ -288,12 +288,12 @@ class TestShadowCollection:
         runtime.kernel.run()
         env = ssf.env
         shadow = env.shadow_table("kv")
-        rows_before = env.store.table(shadow).item_count()
+        rows_before = env.store.item_count(shadow)
         assert rows_before > 0
         for _ in range(3):
             advance(runtime, 1_000.0)
             run_gc_now(runtime, env)
-        assert env.store.table(shadow).item_count() == rows_before
+        assert env.store.item_count(shadow) == rows_before
 
 
 class TestGCConcurrency:
@@ -337,5 +337,5 @@ class TestGCConcurrency:
         advance(runtime, 1_000.0)
         run_gc_now(runtime, env, times=2)
         table = env.data_table("kv")
-        assert env.store.table(table).item_count() <= 2
+        assert env.store.item_count(table) <= 2
         assert env.peek("kv", "hot") == 29

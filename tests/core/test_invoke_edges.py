@@ -412,12 +412,13 @@ class TestPipelinedOpen:
     _assert_settled = staticmethod(TestReplyBeforeCallback._assert_settled)
 
     def _runtime(self, platform_config=None, fault_timeline=None,
-                 **config):
+                 observability=False, **config):
         config.setdefault("ic_restart_delay", 50.0)
         config.setdefault("gc_t", self.GC_T)
         return BeldiRuntime(seed=31, latency_scale=1.0,
                             platform_config=platform_config,
                             fault_timeline=fault_timeline,
+                            observability=observability,
                             config=BeldiConfig(**config))
 
     def test_caller_dying_before_its_claim_orphans_nothing(self):

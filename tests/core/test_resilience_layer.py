@@ -13,6 +13,7 @@ import pytest
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.core.errors import DeadlineExceeded
 from repro.kvstore import ThrottledError, UnavailableError
+from repro.kvstore.surface import leaves
 from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.sim import RandomSource
 
@@ -242,8 +243,8 @@ class TestDegradedReads:
         box = {}
 
         def probe():
-            for source in store.time_sources():
-                source.sleep(5_000.0)  # let the write ship
+            for leaf in leaves(store):
+                leaf.time.sleep(5_000.0)  # let the write ship
             runtime.fault_timeline.outage(5_000.0, role="leader")
             box["value"] = wrapped.get("app.data", "a")
 
@@ -263,8 +264,8 @@ class TestDegradedReads:
         store.put("app.intent", {"Key": "a", "V": 1})
 
         def probe():
-            for source in store.time_sources():
-                source.sleep(5_000.0)
+            for leaf in leaves(store):
+                leaf.time.sleep(5_000.0)
             runtime.fault_timeline.outage(5_000.0, role="leader")
             wrapped.get("app.intent", "a")
 

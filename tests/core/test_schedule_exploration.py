@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -129,6 +130,61 @@ def test_failure_prints_replayable_seed_trace(monkeypatch, tmp_path):
     assert "injected invariant failure" in str(replay_info.value)
 
 
+def test_the_first_failing_seed_is_reported_from_either_process(
+        monkeypatch):
+    """``explore`` shares its seeds with a forked child (every other
+    one): a failure there still surfaces, and as in a plain loop the
+    earliest failing seed is the one reported."""
+    real_check = dst.check_effects
+
+    def breaking_check(h):
+        real_check(h)
+        seed = h.kernel.schedule.seed
+        if seed in (1, 2):
+            raise AssertionError(f"injected at seed {seed}")
+
+    monkeypatch.setattr(dst, "check_effects", breaking_check)
+    with pytest.raises(dst.ScheduleFailure) as excinfo:
+        dst.explore(range(4))
+    # Seed 1 ran in the child, seed 2 here.
+    assert excinfo.value.seed == 1
+    assert "injected at seed 1" in str(excinfo.value)
+    assert "DST-REPLAY seed=1 trace=" in str(excinfo.value)
+
+
+class _NoNotes(AssertionError):
+    """An exception without ``add_note``, as on Python 3.10."""
+
+    @property
+    def add_note(self):
+        raise AttributeError("add_note")
+
+
+def _fail_odd_items(item: int) -> int:
+    if item % 2:
+        raise _NoNotes(f"item {item}")
+    return item
+
+
+def _hang_on_odd_items(item: int) -> int:
+    if item % 2:
+        time.sleep(60)
+    return item
+
+
+def test_a_childs_failure_keeps_its_type_where_exceptions_take_no_notes():
+    with pytest.raises(_NoNotes, match="item 1") as excinfo:
+        dst.map_forked(_fail_odd_items, range(4))
+    assert "in a forked sweep worker" in str(excinfo.value.__cause__)
+
+
+def test_a_child_that_never_answers_is_killed_and_named():
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"held items \[1, 3\]"):
+        dst.map_forked(_hang_on_odd_items, range(4), wait_s=0.5)
+    assert time.monotonic() - started < 30
+
+
 # ---------------------------------------------------------------------------
 # Two live duplicates of one multi-read instance racing the group flush
 # ---------------------------------------------------------------------------
@@ -144,8 +200,9 @@ def _race_the_flush(seed: int) -> dict:
     rows at those instants too, and both reach the flush together — the
     explored schedule decides every order."""
     kernel = SimKernel(seed=seed, schedule=RandomSchedule(seed))
-    runtime = BeldiRuntime(kernel=kernel, seed=seed, config=BeldiConfig(
-        ic_restart_delay=1e9, gc_t=1e12, observability=True))
+    runtime = BeldiRuntime(kernel=kernel, seed=seed, observability=True,
+                           config=BeldiConfig(ic_restart_delay=1e9,
+                                              gc_t=1e12))
     observed = []
 
     def reader(ctx, payload):
@@ -237,8 +294,9 @@ def _race_tail_against_commit(seed: int) -> dict:
     delivering its callback and marking ``Done`` — the explored schedule
     decides every order."""
     kernel = SimKernel(seed=seed, schedule=RandomSchedule(seed))
-    runtime = BeldiRuntime(kernel=kernel, seed=seed, config=BeldiConfig(
-        ic_restart_delay=1e9, gc_t=1e12, observability=True))
+    runtime = BeldiRuntime(kernel=kernel, seed=seed, observability=True,
+                           config=BeldiConfig(ic_restart_delay=1e9,
+                                              gc_t=1e12))
 
     def hotel(ctx, payload):
         left = ctx.read("rooms", "H1")["left"]

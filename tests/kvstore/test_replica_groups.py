@@ -15,6 +15,7 @@ from repro.kvstore import (
 )
 from repro.kvstore.metering import normalize_consistency
 from repro.kvstore.store import NullTimeSource
+from repro.kvstore.surface import leaves
 from repro.sim import LatencyModel, RandomSource
 
 EVENTUAL = "eventual"
@@ -145,12 +146,12 @@ class TestLagModel:
         assert group.get("data", "a", consistency=EVENTUAL)["V"] == "A"
         assert group.get("data", "b", consistency=EVENTUAL)["V"] == "B"
 
-    def test_direct_view_writes_replicate_immediately(self):
-        group, _clock = make_group()
-        view = group.table("data")
-        view.put({"Key": "seeded", "V": 9})
+    def test_zero_lag_writes_replicate_immediately(self):
+        group, _clock = make_group(lag_scale=0.0)
+        group.put("data", {"Key": "seeded", "V": 9})
+        group.replication_lag()  # drains every follower
         for node in group.followers:
-            assert node._tables["data"].get(("seeded",))["V"] == 9
+            assert node.table("data").get("seeded")["V"] == 9
 
 
 class TestMetering:
@@ -201,7 +202,8 @@ class TestFailover:
         def failovers_after(only_op, call):
             group, _clock = make_group(
                 timeline=FaultTimeline().leader_crash(ops=only_op))
-            group.table("data").add_index("by_v", "V")
+            for node in group.nodes:
+                node.table("data").add_index("by_v", "V")
             call(group)
             return group.stats.failovers
 
@@ -308,7 +310,8 @@ class TestReplicatedStoreFacade:
 
     def test_eventual_scan_and_query_index_fan_out(self):
         store, clock = self.make_store()
-        store.table("data").add_index("by_flag", "Flag")
+        for leaf in leaves(store):
+            leaf.table("data").add_index("by_flag", "Flag")
         for i in range(20):
             store.put("data", {"Key": f"k{i}", "V": i,
                                "Flag": "on" if i % 2 else "off"})
@@ -347,13 +350,16 @@ class TestReplicatedStoreFacade:
         assert store.replication_stats.shipped == 10
         assert set(store.replication_lag()) == {0, 1}
 
-    def test_seeding_through_view_reaches_followers(self):
-        store, _clock = self.make_store()
-        view = store.table("data")
-        view.put({"Key": "seeded", "V": 42})
+    def test_seeding_through_the_store_reaches_followers(self):
+        """There is no out-of-band seeding path: a seeded row ships like
+        any write and is on every follower once the lag has passed."""
+        store, clock = self.make_store()
+        store.put("data", {"Key": "seeded", "V": 42})
         group = store.nodes[store.shard_for("data", "seeded")]
+        clock.sleep(SHIP_LAG + 1)
+        group.replication_lag()  # drains every follower
         for node in group.followers:
-            assert node._tables["data"].get(("seeded",))["V"] == 42
+            assert node.table("data").get("seeded")["V"] == 42
 
 
 class TestRuntimeIntegration:

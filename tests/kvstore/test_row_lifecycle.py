@@ -21,6 +21,7 @@ from repro.kvstore import (
     ItemTooLarge,
     KVStore,
     ReplicaGroup,
+    ReplicatedStore,
     Set,
     ShardedStore,
     TransactPut,
@@ -38,6 +39,7 @@ from repro.kvstore.item import (
     walk_value,
 )
 from repro.kvstore.store import NullTimeSource
+from repro.kvstore.surface import leaves
 from repro.sim import LatencyModel, RandomSource
 
 EVENTUAL = "eventual"
@@ -58,7 +60,8 @@ def make_group(max_item_bytes=None):
         latency=LatencyModel(RandomSource(7, "repl-lat")))
     group.create_table("data", hash_key="Key",
                        max_item_bytes=max_item_bytes)
-    group.table("data").add_index("by_ix", "Ix")
+    for node in group.nodes:
+        node.table("data").add_index("by_ix", "Ix")
     return group, clock
 
 
@@ -136,6 +139,40 @@ class TestRejectedRequestsWriteNothing:
         assert store.get("data", "a") is None
         assert store.get("data", "gone") == {"Key": "gone", "V": 0}
         assert "batch_write" not in store.metering.ops
+
+    @pytest.mark.parametrize("bad, error", [(OVERSIZED, ItemTooLarge),
+                                            (UNSUPPORTED, ValidationError)],
+                             ids=["oversized", "unsupported"])
+    @pytest.mark.parametrize("stack", ["sharded", "replicated"])
+    def test_a_sharded_batch_write_with_a_rejected_item_on_a_later_shard(
+            self, stack, bad, error):
+        """Shards apply in index order, and each checks only its own
+        puts: shard 0's row used to land before shard 1 refused."""
+        clock = NullTimeSource()
+        if stack == "sharded":
+            store = ShardedStore([KVStore(time_source=clock, shard_id=i)
+                                  for i in range(4)])
+        else:
+            store = ReplicatedStore([
+                ReplicaGroup(KVStore(time_source=clock, shard_id=i),
+                             [KVStore(time_source=clock, shard_id=i)],
+                             rand=RandomSource(i, "repl"),
+                             latency=LatencyModel(RandomSource(i, "ship")))
+                for i in range(4)])
+        store.create_table("data", hash_key="Key", max_item_bytes=CAP)
+        keys = [f"k{i}" for i in range(32)]
+        first = next(k for k in keys if store.shard_for("data", k) == 0)
+        other = next(k for k in keys if store.shard_for("data", k) == 1)
+        with pytest.raises(error):
+            store.batch_write("data", puts=[{"Key": first, "V": 1},
+                                            {**bad, "Key": other}])
+        clock.sleep(SHIP_LAG + 1)
+        if stack == "replicated":
+            store.replication_lag()  # drains every follower
+            assert store.replication_stats.shipped == 0
+        for leaf in leaves(store):
+            assert leaf.item_count("data") == 0
+            assert "batch_write" not in leaf.metering.ops
 
     @pytest.mark.parametrize("request_kind",
                              ["transact_write", "batch_write"])

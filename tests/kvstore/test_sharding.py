@@ -20,6 +20,7 @@ from repro.kvstore import (
     TransactionCanceled,
     batch_get_all,
 )
+from repro.kvstore.surface import layers, leaves
 from repro.sim import LatencyModel, RandomSource, SimKernel
 
 
@@ -327,30 +328,38 @@ class TestPlanRebalance:
             ring.plan_rebalance({"data|'a'": -1.0})
 
 
-class TestTableViews:
+class TestLeafTables:
     def test_tables_exist_on_every_node(self, store):
         for node in store.nodes:
             assert node.table_names() == ["chains", "data"]
 
-    def test_add_index_fans_out(self, store):
-        view = store.table("data")
-        view.add_index("by_flag", "Flag")
-        for node in store.nodes:
-            assert "by_flag" in node.table("data")._indexes
+    def test_no_direct_access_on_the_facade(self, store):
+        assert not hasattr(store, "table")
+        assert [type(layer) for layer in layers(store)] == [
+            ShardedStore] + [KVStore] * store.n_shards
+        assert list(leaves(store)) == store.nodes
+
+    def test_an_index_on_every_leaf_answers_the_fan_out(self, store):
+        for leaf in leaves(store):
+            leaf.table("data").add_index("by_flag", "Flag")
         store.put("data", {"Key": "a", "Flag": "on"})
         store.put("data", {"Key": "b", "Flag": "on"})
         store.put("data", {"Key": "c"})
         hits = store.query_index("data", "by_flag", "on")
         assert sorted(item["Key"] for item in hits) == ["a", "b"]
 
-    def test_direct_view_ops_route(self, store):
-        view = store.table("data")
-        view.put({"Key": "x", "V": 1})
-        assert view.get("x")["V"] == 1
-        view.update("x", [Set("V", 2)])
-        assert store.get("data", "x")["V"] == 2
-        assert view.delete("x")["V"] == 2
+    def test_the_owners_leaf_table_holds_the_row(self, store):
+        owner = store.node_for("data", "x").table("data")
+        owner.put({"Key": "x", "V": 1})
+        assert store.get("data", "x")["V"] == 1
+        store.update("data", "x", [Set("V", 2)])
+        assert owner.get("x")["V"] == 2
+        assert owner.delete("x")["V"] == 2
         assert store.get("data", "x") is None
+        others = [node for node in store.nodes
+                  if node is not store.node_for("data", "x")]
+        store.put("data", {"Key": "x", "V": 3})
+        assert all(node.table("data").get("x") is None for node in others)
 
 
 class TestQueriesAndScans:

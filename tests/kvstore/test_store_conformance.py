@@ -47,6 +47,7 @@ from repro.kvstore.surface import (
     OPS,
     TABLE_READ,
     TRANSACT,
+    leaves,
 )
 from repro.resilience import ResilienceState, ResilientStore, RetryPolicy
 from repro.sim import LatencyModel, RandomSource
@@ -162,7 +163,8 @@ def run_script(store):
     store.create_table("data", hash_key="K")
     store.create_table("ranged", hash_key="H", range_key="R")
     store.create_table("empty", hash_key="K")
-    store.table("ranged").add_index("by_tag", "Tag")
+    for leaf in leaves(store):
+        leaf.table("ranged").add_index("by_tag", "Tag")
     only_v = Projection.of("V")
 
     # keyed reads and writes: hits, misses, failed conditions
@@ -282,7 +284,7 @@ def run_script(store):
         step(f"unknown table {name}", call)
         assert out[-1][1:] == ("raised", "TableNotFound"), out[-1]
 
-    books = (store.metering.snapshot(), store.time_sources()[0].now())
+    books = (store.metering.snapshot(), next(leaves(store)).time.now())
     contents = {name: sorted(_all_rows(store, name), key=repr)
                 for name in ("data", "ranged", "empty")}
     return out, books, contents

@@ -8,6 +8,7 @@ two drift the instrumentation is lying about what the layer did.
 
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.kvstore import AttrNotExists, TableNotFound, UnavailableError
+from repro.kvstore.surface import leaves
 
 import pytest
 
@@ -23,8 +24,7 @@ def run_counter(runtime):
 
 
 def make_runtime(**kwargs):
-    return BeldiRuntime(seed=11,
-                        config=BeldiConfig(observability=True), **kwargs)
+    return BeldiRuntime(seed=11, observability=True, **kwargs)
 
 
 def throttled_runtime(until):
@@ -65,7 +65,8 @@ class TestRetryParity:
         try:
             store = runtime._resilient_store
             store.create_table("t", hash_key="K")
-            store.table("t").add_index("by_v", "V")
+            for leaf in leaves(store):
+                leaf.table("t").add_index("by_v", "V")
             calls = {
                 "db.cond_write": lambda: store.put(
                     "t", {"K": "a", "V": 1}, AttrNotExists("K")),
@@ -126,9 +127,8 @@ class TestRetryParity:
 
 class TestBreakerParity:
     def test_breaker_state_and_open_events(self):
-        config = BeldiConfig(observability=True, breaker_threshold=2,
-                             retry_max_attempts=6)
-        runtime = BeldiRuntime(seed=11, config=config)
+        config = BeldiConfig(breaker_threshold=2, retry_max_attempts=6)
+        runtime = BeldiRuntime(seed=11, config=config, observability=True)
         runtime.fault_timeline.outage(0.0, 1e12)
         try:
             with pytest.raises(UnavailableError):

@@ -275,8 +275,8 @@ def _traced_travel_reservation():
     from repro.apps.travel import TravelReservationApp
     from repro.core import BeldiConfig, BeldiRuntime
 
-    runtime = BeldiRuntime(seed=5, latency_scale=1.0, config=BeldiConfig(
-        gc_t=1e12, observability=True))
+    runtime = BeldiRuntime(seed=5, latency_scale=1.0, observability=True,
+                           config=BeldiConfig(gc_t=1e12))
     app = TravelReservationApp(seed=5, n_hotels=2, n_flights=2,
                                rooms_per_hotel=2, seats_per_flight=2,
                                n_users=1)

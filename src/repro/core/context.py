@@ -332,6 +332,9 @@ class BeldiContext:
             txn_id=f"{self.instance_id}{txn_mod.TXN_ID_SEPARATOR}{seq}",
             start_time=self.start_time,
             owner=True)
+        obs = self.obs
+        if obs is not None:
+            obs.tracer.event("txn:begin", cat="txn", txn=self.txn.txn_id)
         return self.txn
 
     def end_tx(self, commit: bool = True) -> str:

@@ -395,6 +395,10 @@ def append_row(store: KVStore, table: str, key: Any, prev_row: dict,
                 [Set("NextRow", new_row_id)],
                 condition=And(AttrNotExists("NextRow"),
                               Eq("Version", prev_row.get("Version", 0))))
+            obs = store.obs
+            if obs is not None:
+                obs.tracer.event("row:append", cat="daal", table=table,
+                                 key=key, prev=prev_id, row=new_row_id)
             if cache is not None:
                 cache.remember_tail(table, key, new_row_id, 0)
             return new_row_id
@@ -472,12 +476,17 @@ def flush_value(store: KVStore, table: str, key: Any, value: Any,
                 cache.forget(table, key)
             continue  # stale tail; rebuild the skeleton
         try:
-            store.update(
+            row = store.update(
                 table, (key, tail_id),
                 [Set("Value", value), Remove("LockOwner"),
                  bump_version()],
                 condition=And(Eq(path("LockOwner", "Id"), txn_id),
                               AttrNotExists(path("NextRow"))))
+            obs = store.obs
+            if obs is not None:
+                obs.tracer.event("txn:flush", cat="txn", table=table,
+                                 key=key, txn=txn_id,
+                                 version=[tail_id, row["Version"]])
             return True
         except ConditionFailed:
             refreshed = read_row(store, table, key, tail_id)
@@ -516,6 +525,10 @@ def release_lock(store: KVStore, table: str, key: Any,
                 [Remove("LockOwner"), bump_version()],
                 condition=And(Eq(path("LockOwner", "Id"), owner_id),
                               AttrNotExists(path("NextRow"))))
+            obs = store.obs
+            if obs is not None:
+                obs.tracer.event("txn:release", cat="txn", table=table,
+                                 key=key, txn=owner_id)
             return True
         except ConditionFailed:
             row = read_row(store, table, key, tail_id)

@@ -242,6 +242,19 @@ def flush_read_log(ctx) -> None:
         ctx.crash_point(f"readlog:{first}:after-flush")
 
 
+def _note(ctx, **facts) -> None:
+    """Say on the open ``op.*`` span what its body just learned — the
+    ``[RowId, Version]`` a read fetched or an update landed — and, in a
+    transaction's Execute mode, whose op it is. The client-visible
+    history of a traced run is read off these (``docs/testing.md``,
+    "Checked histories")."""
+    obs = ctx.obs
+    if obs is not None:
+        if ctx.in_txn_execute():
+            facts["txn"] = ctx.txn.txn_id
+        obs.tracer.annotate(**facts)
+
+
 # ---------------------------------------------------------------------------
 # read (Fig. 5)
 # ---------------------------------------------------------------------------
@@ -258,16 +271,25 @@ def read_op(ctx, table: str, key: Any, attribute: str = "Value") -> Any:
     cached tail with one ``get`` — sound regardless of replays, because
     a read's exactly-once outcome lives in the read log, not the chain,
     and the tail row itself is always re-read fresh.
+
+    In a transaction's Execute mode the read holds the item's lock, so
+    it asks for ``"strong"`` explicitly: a stale follower must never
+    stand in for a dark leader (``ResilientStore``), or the transaction
+    acts on a value from before the previous commit's flush.
     """
     step = ctx.next_step()
+    consistency = "strong" if ctx.in_txn_execute() else None
 
     def observe() -> Any:
         ctx.crash_point(f"read:{step}:start")
-        row = daal.tail_row(ctx.store, table, key, ctx.tail_cache)
+        row = daal.tail_row(ctx.store, table, key, ctx.tail_cache,
+                            consistency=consistency)
+        if attribute == "Value":
+            _note(ctx, read=row and [row["RowId"], row.get("Version", 0)])
         return row.get(attribute, daal.MISSING) if row else daal.MISSING
 
     with ctx.trace("op.read", span_id=f"{ctx.instance_id}#{step}",
-                   step=step, table=table):
+                   step=step, table=table, key=key):
         return log_read(ctx, step, observe, tag=f"read:{step}")
 
 
@@ -583,6 +605,7 @@ def _logged_write(ctx, tag: str, table: str, key: Any, log_key: str,
                                        condition=condition)
                 except ConditionFailed:
                     continue
+                _note(ctx, landed=[row["RowId"], row["Version"]])
                 _landed(ctx, tag, table, key, row, log_key)
                 return outcome  # case B (B1 / B2)
             moved = _await_extension(ctx, table, key, row_id, log_key)
@@ -619,7 +642,7 @@ def write_op(ctx, table: str, key: Any, value: Any,
     flush_read_log(ctx)
     step = ctx.next_step()
     with ctx.trace("op.write", span_id=f"{ctx.instance_id}#{step}",
-                   step=step, table=table):
+                   step=step, table=table, key=key):
         log_key = encode(ctx.instance_id, step)
         case_b = daal.case_b_condition(log_key, ctx.config.row_log_capacity)
         _logged_write(
@@ -650,7 +673,7 @@ def cond_write_op(ctx, table: str, key: Any,
     flush_read_log(ctx)
     step = ctx.next_step()
     with ctx.trace("op.cond_write", span_id=f"{ctx.instance_id}#{step}",
-                   step=step, table=table):
+                   step=step, table=table, key=key):
         log_key = encode(ctx.instance_id, step)
         case_b = daal.case_b_condition(log_key, ctx.config.row_log_capacity)
         success_updates: list[UpdateAction] = []

@@ -31,9 +31,9 @@ from typing import Any, Optional
 
 from repro.core import daal, ops
 from repro.core.env import SHADOW_TXN_INDEX, BeldiEnv
-from repro.core.errors import MisusedApi, TxnAborted
+from repro.core.errors import DeadlineExceeded, MisusedApi, TxnAborted
 from repro.core.invoke import NO_RESULT, at_least_once
-from repro.kvstore import Set, overlap
+from repro.kvstore import Set, ThrottledError, UnavailableError, overlap
 from repro.kvstore.asyncio import NULL_SCOPE
 from repro.kvstore.expressions import Condition, path
 
@@ -468,13 +468,16 @@ class TransactionHandle:
             mode = finish_transaction(self._ctx, commit=False)
             self.outcome = "aborted" if mode == ABORT else mode
             return True
-        if not isinstance(exc, Exception):
+        if not isinstance(exc, Exception) or isinstance(
+                exc, (DeadlineExceeded, ThrottledError, UnavailableError)):
             # A BaseException — the platform killing this worker (crash
-            # injection, execution timeout). The crash is NOT a
-            # transaction outcome: leave every lock and shadow in place
-            # and let the intent collector's re-execution replay to a
-            # deterministic decision. Aborting here would release locks
-            # that the replayed commit still needs (lost update).
+            # injection, execution timeout) — or an injected-environment
+            # error the resilience layer gave up on (a dark store, an
+            # expired deadline). Neither is a transaction outcome: the
+            # replay will not meet it again. Leave every lock and shadow
+            # in place and let the intent collector's re-execution replay
+            # to a deterministic decision. Aborting here would release
+            # locks that the replayed commit still needs (lost update).
             return False
         # Deterministic application exception: abort, then re-raise (the
         # replay will raise it again and abort again — idempotent).

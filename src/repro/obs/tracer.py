@@ -138,6 +138,15 @@ class Tracer:
         if failed:
             record["args"]["failed"] = True
 
+    def annotate(self, **args: Any) -> None:
+        """Add ``args`` to the innermost open span of the running
+        process: a fact its body learned after the span opened (the
+        version a DAAL op read or landed, a read served degraded)."""
+        record = self._open()
+        if record is not None:
+            for key, value in args.items():
+                record["args"][str(key)] = _sanitize(value)
+
     def record_span(self, name: str, cat: str, start: float, end: float,
                     **args: Any) -> None:
         """Record an already-finished span with explicit bounds.

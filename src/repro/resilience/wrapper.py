@@ -16,8 +16,10 @@ tests exercise:
   half-open probe closes it after the cooldown),
 - per-request deadlines (a retry never sleeps past the deadline — it
   raises ``DeadlineExceeded`` instead, leaving the intent for the IC),
-- degraded reads (a strong ``get`` of a *data* table that finds the
-  leader dark falls back to an eventual read of a live follower).
+- degraded reads (a default-consistency ``get`` of a *data* table that
+  finds the leader dark falls back to an eventual read of a live
+  follower; one that asks for ``"strong"`` explicitly — a locked read
+  inside a transaction — never does).
 
 Inside an async-I/O overlap scope the wrapper is inert (scope bodies
 may not yield, so no retry sleeps): the operation runs directly and
@@ -97,7 +99,7 @@ class ResilientStore:
         if op.kind in (KEYED_READ, KEYED_WRITE):
             breaker_key = (inner.shard_for(args[0], args[1])
                            if self._sharded else "store")
-        degradable = (op.degradable and args[-1] in (None, "strong")
+        degradable = (op.degradable and args[-1] is None
                       and not args[0].endswith(_PROTOCOL_SUFFIXES))
         attempt = 0
         while True:
@@ -131,6 +133,10 @@ class ResilientStore:
                     pass
                 else:
                     stats.degraded_reads += 1
+                    if state.obs is not None:
+                        # Said on the DAAL op this get serves: a stale
+                        # read is no evidence against linearizability.
+                        state.obs.tracer.annotate(degraded=True)
                     return result
             attempt += 1
             if attempt >= policy.max_attempts:

@@ -36,7 +36,7 @@ import traceback
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
-import lifecycle
+import history
 from repro.apps.movie import MovieReviewApp
 from repro.apps.travel import TravelReservationApp
 from repro.core import BeldiConfig, BeldiRuntime
@@ -340,8 +340,8 @@ def run_requests(h: Harness, requests=REQUESTS,
                  horizon: float = RECOVERY_HORIZON) -> dict:
     """Issue every request concurrently; drive until all clients have a
     result and no intent is pending anywhere — with the lifecycle orders
-    checked over every execution of a traced run. Returns name ->
-    result."""
+    and both isolation checkers run over the history of a traced run.
+    Returns name -> result."""
     results: dict = {}
 
     def client(req: Request) -> None:
@@ -399,11 +399,12 @@ def run_requests(h: Harness, requests=REQUESTS,
         assert all(not intents.pending_intents(env)
                    for env in runtime.envs.values()), (
             "unfinished intents survived recovery")
-    # Orders no final store shows (flush < reply, callback < Done, ...),
-    # read off the run's trace; a dark run (the dark-parity tests, the
-    # kernel goldens) recorded none and is checked as its traced twin.
+    # Orders and isolation no final store shows (flush < reply, callback
+    # < Done, linearizable keys, serializable transactions), read off the
+    # run's trace; a dark run (the dark-parity tests, the kernel goldens)
+    # recorded none and is checked as its traced twin.
     if h.travel.obs is not None:
-        lifecycle.check(h.travel.obs.tracer.records)
+        history.check(h.travel.obs.tracer.records)
     h.results = results
     return results
 
@@ -621,6 +622,10 @@ def _failure_artifact(seed: int, trace: list, exc: BaseException,
                 "error": str(exc)}
     if h is not None and h.travel.fault_timeline:
         artifact["fault_timeline"] = h.travel.fault_timeline.describe()
+    if isinstance(exc, history.HistoryViolation):
+        # The checker's smallest witness: the ops of the cycle, or the
+        # item's ops around the read that is not linearizable.
+        artifact["history"] = exc.witness
     obs = h.travel.obs if h is not None else None
     if obs is not None:
         # Attach the virtual-time trace and the unified metrics snapshot

@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 import dst
+import history
 from repro.platform import CrashOnce, CrashScript, RecordingPolicy
 from repro.platform.crashes import PrefixedPolicy
 
@@ -59,8 +60,8 @@ def test_concurrent_mix_actually_conflicts(mix, commits, event):
                      for name in ("travel-a", "travel-b"))
         assert oks == commits, results
         assert results["movie-c"].get("ok"), results
-        settled = {name: sum(1 for record in h.travel.obs.tracer.records
-                             if record["name"] == name)
+        ledger = history.of(h.travel.obs.tracer.records)
+        settled = {name: ledger.count(name)
                    for name in ("lock:wait", "lock:die")}
         assert settled[event] >= 1, settled
         assert not any(count for name, count in settled.items()

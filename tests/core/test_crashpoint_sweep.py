@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import pytest
 
 import dst
-import lifecycle
+import history
 from repro.apps.movie import MovieReviewApp
 from repro.apps.travel import TravelReservationApp
 from repro.core import BeldiConfig, BeldiRuntime
@@ -383,7 +383,7 @@ def sweep(scenario_name: str, flags_name: str) -> None:
             scenario.check_effects(runtime, app, result)
             assert runtime.platform.stats.injected_crashes == 1, (
                 "crash point was not reached on the re-run")
-            lifecycle.check(runtime.obs.tracer.records)
+            history.check(runtime.obs.tracer.records)
             dst.run_gc_passes(runtime)
             dst.assert_store_clean(runtime.store, [runtime])
         except AssertionError as exc:  # collect, report all at once
@@ -625,7 +625,7 @@ def test_crashed_filler_releases_its_waiters(point):
             assert stats.lazy_appends >= 1
             assert len(skeleton.orphans) == (point == "put")
         assert stats.append_races_lost == 0
-        lifecycle.check(runtime.obs.tracer.records)
+        history.check(runtime.obs.tracer.records)
         dst.run_gc_passes(runtime)
         dst.assert_store_clean(runtime.store, [runtime])
         assert daal.load_skeleton(env.store, table, "hot").orphans == []

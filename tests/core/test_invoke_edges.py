@@ -4,7 +4,7 @@ and the window between a callee's reply and its callback."""
 import pytest
 
 import dst
-import lifecycle
+import history
 from repro.core import BeldiConfig, BeldiRuntime, intents
 from repro.core.invoke import (ASYNC_ACK, _derived_callee_id,
                                record_callback)
@@ -617,9 +617,9 @@ class TestPipelinedOpen:
         runtime.platform._start_instance = start
         assert runtime.run_workflow("frontend") == "committed"
         trace = runtime.obs.tracer.records
-        lifecycle.check(trace)
+        history.check(trace)
         assert seen == {"claims": 1}
-        assert len(lifecycle.kinds(trace, "txn-start")) == 1
+        assert len(history.of(trace).kinds("txn-start")) == 1
         opened = {c["function"]: "claimed" in c for c in calls
                   if c["kind"] == "call"}
         assert opened == {"reserve": True, "hotel": False}
@@ -726,25 +726,25 @@ BROKEN_ORDERS = {
 
 
 class TestLedgerCatchesTheNewOrders:
-    """``lifecycle.check`` runs inside every sweep. A checker that cannot
+    """``history.check`` runs inside every sweep. A checker that cannot
     fail checks nothing: each order it asserts is broken once in a
     literal event list, and three of them once more in the
     implementation, and it has to say so."""
 
     def test_a_clean_list_passes(self):
-        lifecycle.check(CLEAN)
-        assert [row[0] for row in lifecycle.rows(CLEAN)] == [
+        history.check(CLEAN)
+        assert [row[0] for row in history.of(CLEAN).rows] == [
             "start", "claim", "flush", "reply", "consumed", "callback",
             "done"]
         # Inside a transaction the same events are in order only with
         # the claim ahead of the start.
-        lifecycle.check(_moved(IN_TXN, 2, before=1))
+        history.check(_moved(IN_TXN, 2, before=1))
 
     @pytest.mark.parametrize("name", sorted(BROKEN_ORDERS))
     def test_each_order_broken_in_a_literal_list(self, name):
         records, message, seq = BROKEN_ORDERS[name]
         with pytest.raises(AssertionError, match=message) as caught:
-            lifecycle.check(records)
+            history.check(records)
         assert str(caught.value).startswith(f"seq {seq}: ")
 
     @pytest.fixture
@@ -786,12 +786,12 @@ class TestLedgerCatchesTheNewOrders:
         trace = traced.obs.tracer.records
         assert traced.run_workflow("reserve") == "committed"
         # In-transaction opens never had a ``meanwhile``.
-        lifecycle.check(trace)
+        history.check(trace)
         traced.register_ssf(
             "frontend", lambda ctx, p: ctx.sync_invoke("reserve", None))
         assert traced.run_workflow("frontend") == "committed"
         with pytest.raises(AssertionError, match="consumed before"):
-            lifecycle.check(trace)
+            history.check(trace)
 
     def test_a_callee_speculated_inside_a_transaction(self, traced,
                                                       monkeypatch):
@@ -803,7 +803,7 @@ class TestLedgerCatchesTheNewOrders:
         assert traced.run_workflow("reserve") == "committed"
         with pytest.raises(AssertionError,
                            match="inside a transaction before"):
-            lifecycle.check(traced.obs.tracer.records)
+            history.check(traced.obs.tracer.records)
 
     def test_done_marked_ahead_of_the_callback(self, traced, monkeypatch):
         """``mark_done`` moved ahead of ``_deliver``: a ``Done`` callee
@@ -826,7 +826,7 @@ class TestLedgerCatchesTheNewOrders:
         assert traced.run_workflow("caller") == "v"
         with pytest.raises(AssertionError,
                            match="Done before any callback"):
-            lifecycle.check(traced.obs.tracer.records)
+            history.check(traced.obs.tracer.records)
 
     def test_a_parallel_branch_books_events_under_its_owner(self, traced):
         """A lone parallel invoke opens pipelined, so its claim is
@@ -837,11 +837,12 @@ class TestLedgerCatchesTheNewOrders:
             "caller", lambda ctx, p: ctx.parallel_invoke([("leaf", None)]))
         assert traced.run_workflow("caller") == ["v"]
         trace = traced.obs.tracer.records
-        lifecycle.check(trace)
-        (claim,) = lifecycle.kinds(trace, "claim")
+        history.check(trace)
+        ledger = history.of(trace)
+        (claim,) = ledger.kinds("claim")
         assert claim[1][:2] == ("caller", 0)
         # ... which nesting would not have told: the branch is a root.
-        (event,) = [r for r in trace if r["name"] == "claim"]
+        (event,) = ledger.named("claim")
         (owner,) = [r for r in trace if r["name"] == "request:caller"]
         assert event["track"] != owner["track"]
 

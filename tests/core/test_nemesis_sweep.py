@@ -211,6 +211,28 @@ def test_failure_artifact_embeds_timeline(tmp_path, monkeypatch):
     assert "resilience" in artifact["metrics"]
 
 
+def test_failure_artifact_embeds_the_failing_history(tmp_path,
+                                                    monkeypatch):
+    """An isolation checker's failure puts its witness in the artifact:
+    here a commit flush that installed after its lock was released."""
+    import json
+
+    from repro.core import daal
+    from test_history import flush_after_release
+
+    path = tmp_path / "failure.json"
+    monkeypatch.setenv("DST_FAILURE_FILE", str(path))
+    monkeypatch.setattr(daal, "flush_value", flush_after_release)
+    with pytest.raises(dst.ScheduleFailure):
+        dst.explore([dst.SEED])
+    artifact = json.loads(path.read_text())
+    assert "released its lock" in artifact["error"]
+    witness = artifact["history"]
+    assert witness["checker"] == "serializable"
+    assert witness["release"] < witness["flush"]
+    assert "chrome_trace" in artifact
+
+
 def test_deep_failure_artifact_lists_its_leader_crashes(tmp_path,
                                                         monkeypatch):
     """The deep topology's background leader crashes are a window like

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-import lifecycle
+import history
 
 from repro.apps.travel import TravelReservationApp
 from repro.core import BeldiConfig, BeldiRuntime
@@ -172,18 +172,17 @@ def test_without_async_io_a_callee_replies_at_worker_exit(name):
     early reply."""
     config_args, answered_at, digest = REPLY_AT_EXIT[name]
     got_at, got_digest, trace = _one_reservation(**config_args)
-    assert not lifecycle.kinds(trace, "reply")
+    assert not history.of(trace).kinds("reply")
     # reserve, hotel, flight
-    assert len(lifecycle.kinds(trace, "callback")) == 3
+    assert len(history.of(trace).kinds("callback")) == 3
     assert got_at == answered_at
     assert got_digest.startswith(digest)
 
 
 def test_current_replies_before_the_callback_and_answers_sooner():
     current_at, _digest, trace = _one_reservation()
-    assert (len(lifecycle.kinds(trace, "reply"))
-            == len(lifecycle.kinds(trace, "callback")) == 3)
-    lifecycle.check(trace)
+    ledger = history.check(trace)
+    assert len(ledger.kinds("reply")) == len(ledger.kinds("callback")) == 3
     assert current_at < 0.8 * REPLY_AT_EXIT["without-async_io"][1]
 
 
@@ -211,7 +210,7 @@ def test_without_async_io_read_many_and_invoke_are_the_parents(name):
     assert got_at == answered_at
     assert got_digest.startswith(digest)
     assert "batch_get" not in runtime.store.metering.ops
-    starts = [row[0] for row in lifecycle.rows(trace)
+    starts = [row[0] for row in history.of(trace).rows
               if row[0] in ("claim", "start")]
     assert starts == ["claim", "start"] * 4
 
@@ -219,8 +218,7 @@ def test_without_async_io_read_many_and_invoke_are_the_parents(name):
 def test_current_opens_invokes_pipelined_and_batches_read_many():
     current_at, _digest, trace, (runtime, result) = _one_request(
         SEARCH, n_hotels=30)
-    lifecycle.check(trace)
-    starts = [row[0] for row in lifecycle.rows(trace)
+    starts = [row[0] for row in history.check(trace).rows
               if row[0] in ("claim", "start")]
     assert starts == ["start", "claim"] * 4
     assert current_at < 0.5 * SEARCH_AT_PARENT["without-async_io"][1]

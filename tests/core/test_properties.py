@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import lifecycle
+import history
 from dst import gc_pass
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.core import daal, intents
@@ -263,8 +263,7 @@ class TestReplyOrderProperty:
         for name, handler in (("root", root), ("mid", mid), ("leaf", leaf)):
             runtime.register_ssf(name, handler, tables=["kv"])
         run_with_recovery(runtime, "root", [None], horizon=5_000.0)
-        lifecycle.check(runtime.obs.tracer.records)
-        return lifecycle.rows(runtime.obs.tracer.records)
+        return history.check(runtime.obs.tracer.records).rows
 
     @staticmethod
     def _callee_orders(rows) -> list:

@@ -11,6 +11,8 @@ the paper's row, the paper's round trips. See ``core/ops.py`` and
 
 import pytest
 
+import history
+
 from repro.core import BeldiConfig, BeldiRuntime, daal
 from repro.kvstore import Eq, Set
 from repro.kvstore.expressions import path
@@ -197,8 +199,7 @@ def test_fresh_execution_records_without_probing(config, round_trips):
 
 def _rollbacks(runtime) -> int:
     """``readlog:rollback`` events of a traced run."""
-    return sum(1 for record in runtime.obs.tracer.records
-               if record["name"] == "readlog:rollback")
+    return history.of(runtime.obs.tracer.records).count("readlog:rollback")
 
 
 def test_an_identical_duplicate_run_is_not_a_lost_flush():

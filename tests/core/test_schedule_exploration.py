@@ -18,7 +18,7 @@ import time
 import pytest
 
 import dst
-import lifecycle
+import history
 from repro.core import BeldiConfig, BeldiRuntime, daal
 from repro.kvstore import Set
 from repro.platform import CrashAtOccurrence
@@ -251,8 +251,8 @@ def _race_the_flush(seed: int) -> dict:
         kernel.spawn(body, name=body.__name__)
     kernel.run()
     out["observed"] = observed
-    out["rollbacks"] = sum(1 for record in runtime.obs.tracer.records
-                           if record["name"] == "readlog:rollback")
+    out["rollbacks"] = history.of(runtime.obs.tracer.records).count(
+        "readlog:rollback")
     out["rows"] = leaf.env.store.scan(leaf.env.read_log).items
     out["returned"] = [intent["Ret"] for intent in
                        leaf.env.store.scan(leaf.env.intent_table).items]
@@ -323,13 +323,15 @@ def _race_tail_against_commit(seed: int) -> dict:
     runtime._handle_txn_signal = signal
     outcome = runtime.run_workflow("reserve")
     trace = runtime.obs.tracer.records
-    lifecycle.check(trace)
+    ledger = history.check(trace)
     (claim,) = top.env.store.scan(top.env.invoke_log).items
+    callee = claim["CalleeId"]
+    marks = [(r["seq"], "signal") for r in trace if r["name"] == "signal"
+             and r["args"]["instance"] == callee]
+    marks += [(seq, kind) for kind, _who, subject, seq in ledger.rows
+              if kind in ("callback", "done") and subject == callee]
     out = {"outcome": outcome,
-           "order": [r["name"] for r in trace
-                     if r["name"] in ("signal", "callback", "done")
-                     and claim["CalleeId"] in (r["args"].get("instance"),
-                                               r["args"].get("callee"))],
+           "order": [kind for _seq, kind in sorted(marks)],
            "left": leaf.env.peek("rooms", "H1"),
            "rows": leaf.env.store.query(leaf.env.data_table("rooms"),
                                         "H1").items,

@@ -634,8 +634,8 @@ class TestCommitFanOut:
             finish, = _spans(runtime, "txn.finish:commit")
             counts[name] = {
                 fn: [r["name"] for r in runtime.obs.tracer.records
-                     if r["ts"] >= finish["ts"] and r["args"].get("table")
-                     == envs[fn].data_table("kv")]
+                     if r["ts"] >= finish["ts"] and r["cat"] == "store"
+                     and r["args"]["table"] == envs[fn].data_table("kv")]
                 for fn in ("owner", "side")}
             assert _no_lock_left(envs)
         # owner wrote its one locked item: tail read + update resolve it;

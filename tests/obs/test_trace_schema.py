@@ -30,6 +30,7 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
                        / "core"))
 import dst  # noqa: E402
+import history  # noqa: E402
 
 from repro.kvstore import (  # noqa: E402
     KernelTimeSource,
@@ -182,8 +183,10 @@ def test_unified_snapshot_sections(traced):
                          "resilience", "elasticity"}
     # The concurrent mix commits transactions, takes locks and runs GC
     # passes — facts that live in the trace.
-    names = {record["name"] for record in traced.travel.obs.tracer.records}
-    assert {"txn.finish:commit", "lock:acquired", "gc:collected"} <= names
+    records = traced.travel.obs.tracer.records
+    names = {record["name"] for record in records}
+    assert {"txn.finish:commit", "gc:collected"} <= names
+    assert history.of(records).count("lock:acquired")
     assert snap["metering"]["totals"]["requests"] > 0
     assert snap["metering"]["totals"]["dollars"] > 0
     assert len(snap["metering"]["per_shard"]) == 2  # LIGHT_FLAGS shards
@@ -310,8 +313,8 @@ def test_traced_travel_request_at_real_latency_nests_and_splits_tails():
                if record["cat"] == "request" and record["parent_id"]
                and record["phase"] == 0]
     assert len(tails) == len(callees) == 3  # reserve, hotel, flight
-    replies = {record["parent_id"]: record for record in tracer.records
-               if record["name"] == "reply"}
+    replies = {record["parent_id"]: record
+               for record in history.of(tracer.records).named("reply")}
     outlived = 0
     for tail in tails:
         request = by_id[tail["span_id"].removesuffix("#tail")]
@@ -349,9 +352,8 @@ REPO = pathlib.Path(__file__).resolve().parents[2]
 def test_lifecycle_events_are_the_ones_checked_and_documented(traced):
     """An event renamed, dropped or added moves the checker and the docs
     with it: the ``cat="lifecycle"`` names traced runs emit, the names
-    ``lifecycle.check`` reads and the lifecycle row of the span-model
+    ``history.check`` reads and the lifecycle row of the span-model
     table are one set, and every such event names its execution."""
-    import lifecycle
     events = [record
               for records in (traced.travel.obs.tracer.records,
                               _traced_travel_reservation().records)
@@ -359,22 +361,22 @@ def test_lifecycle_events_are_the_ones_checked_and_documented(traced):
     (row,) = [line for line in (REPO / "docs" / "observability.md")
               .read_text().splitlines() if line.startswith("| lifecycle |")]
     documented = set(re.findall(r"`([^`]+)`", row.split("|")[2]))
-    assert {event["name"] for event in events} == lifecycle.EVENTS
-    assert documented == lifecycle.EVENTS
+    assert {event["name"] for event in events} == history.EVENTS
+    assert documented == history.EVENTS
     for event in events:
         assert event["phase"] == 1  # instant: its seq is happen order
         assert {"function", "invocation"} <= set(event["args"]), event
     # Read by the checker, not merely declared: the concurrent mix puts
     # every kind of row in the ledger.
-    ledger = lifecycle.rows(traced.travel.obs.tracer.records)
-    assert {row[0] for row in ledger} == lifecycle.EVENTS | {"txn-start"}
+    ledger = history.of(traced.travel.obs.tracer.records).rows
+    assert {row[0] for row in ledger} == history.EVENTS | {"txn-start"}
 
 
 def test_the_ledger_is_functions_over_records_and_nothing_else():
-    """The recorder does not come back: ``tests/core/lifecycle.py``
+    """The recorder does not come back: ``tests/core/history.py``
     imports no mocking, no threading and nothing of the system under
     test."""
-    tree = ast.parse((REPO / "tests" / "core" / "lifecycle.py").read_text())
+    tree = ast.parse((REPO / "tests" / "core" / "history.py").read_text())
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module or "" for node in ast.walk(tree)
@@ -389,8 +391,18 @@ def test_the_ledger_is_functions_over_records_and_nothing_else():
 # ---------------------------------------------------------------------------
 
 SRC = REPO / "src" / "repro"
+
+
+def _doc_rows(heading: str) -> list:
+    """The table rows (``| `...``) of one section of the observability
+    page, up to the next heading of any level."""
+    lines = (REPO / "docs" / "observability.md").read_text().splitlines()
+    section = lines[lines.index(heading) + 1:]
+    section = section[:next(i for i, line in enumerate(section)
+                            if line.startswith("#"))]
+    return [line for line in section if line.startswith("| `")]
 #: Categories whose instant events the "Protocol events" table documents.
-PROTOCOL_CATS = ("txn", "readlog", "gc")
+PROTOCOL_CATS = ("txn", "readlog", "gc", "daal")
 
 
 def _emitted_events(tree) -> set:
@@ -449,16 +461,25 @@ def test_protocol_events_are_the_ones_documented(traced):
     assert obs_imports and "threading" not in obs_imports
 
     emitted = set().union(*map(_emitted_events, trees.values()))
-    lines = (REPO / "docs" / "observability.md").read_text().splitlines()
-    section = lines[lines.index("## Protocol events") + 1:]
-    section = section[:next(i for i, line in enumerate(section)
-                            if line.startswith("## "))]
     documented = {tuple(re.findall(r"`([^`]+)`", "|".join(
-        line.split("|")[1:3])))
-        for line in section if line.startswith("| `")}
+        line.split("|")[1:3]))) for line in _doc_rows("## Protocol events")}
     assert emitted == documented
+    assert history.PROTOCOL <= {name for name, _cat in documented}
     traced_events = {(record["name"], record["cat"])
                      for record in traced.travel.obs.tracer.records
                      if record["cat"] in PROTOCOL_CATS
                      and record["phase"] == 1}
     assert traced_events and traced_events <= documented
+
+
+def test_op_span_args_are_the_ones_documented(traced):
+    """The version facts ride on the ``op.*`` spans: the args a traced
+    run puts on the spans ``history.py`` reads are the ones the docs
+    list, and the concurrent mix says every fact the checkers need."""
+    documented = {re.findall(r"`([^`]+)`", line)[0]
+                  for line in _doc_rows("### `op.*` span args")}
+    emitted = {arg for record in traced.travel.obs.tracer.records
+               if record["name"] in history.OPS
+               for arg in record["args"]}
+    assert emitted <= documented
+    assert {"key", "read", "landed", "txn"} <= emitted

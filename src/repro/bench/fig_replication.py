@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from repro.bench.reporting import format_table
 from repro.core import BeldiConfig, BeldiRuntime
+from repro.core.env import PROTOCOL_SUFFIXES
 from repro.platform import PlatformConfig
 from repro.workload import run_closed_loop
 
@@ -44,12 +45,6 @@ CONFIGS = {
     "strong-r3": dict(replicas=REPLICAS, read_consistency="strong"),
     "eventual-r3": dict(replicas=REPLICAS, read_consistency="eventual"),
 }
-
-#: Tables Beldi's correctness rests on: any eventual read here means a
-#: protocol read escaped the leader. The gate asserts this set stays
-#: disjoint from the eventual-read books.
-PROTOCOL_TABLE_MARKERS = (".intent", ".readlog", ".invokelog",
-                          ".writelog", ".locksets", ".shadow")
 
 
 def _article_key(index: int) -> str:
@@ -127,10 +122,10 @@ def run_replication(configs=CONFIGS, **kwargs) -> list[dict]:
 
 
 def protocol_tables_served_eventual(point: dict) -> list[str]:
-    """Protocol tables that served eventual reads (must be empty)."""
-    return sorted(
-        table for table in point["eventual_tables"]
-        if any(marker in table for marker in PROTOCOL_TABLE_MARKERS))
+    """Protocol tables that served eventual reads (must be empty): any
+    here means a protocol read escaped the leader."""
+    return sorted(table for table in point["eventual_tables"]
+                  if table.endswith(PROTOCOL_SUFFIXES))
 
 
 def replication_table(points: list[dict]) -> str:

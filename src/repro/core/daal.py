@@ -204,8 +204,7 @@ def load_skeleton_by_pointer(store: KVStore, table: str,
     cursor: Optional[str] = HEAD_ROW_ID
     seen = set()
     while cursor is not None and cursor not in seen:
-        row = store.get(table, (key, cursor),
-                        projection=None)
+        row = store.get(table, (key, cursor))
         if row is None:
             break
         seen.add(cursor)
@@ -459,10 +458,13 @@ def flush_value(store: KVStore, table: str, key: Any, value: Any,
     The tail resolves through :func:`tail_row` (with a cache, one
     ``get`` on the hot path); the conditional update's own
     ``AttrNotExists(NextRow)`` guard makes a stale cached tail fail
-    safely, after which the skeleton traversal repairs the cache.
+    safely, after which the skeleton traversal repairs the cache. Both
+    reads that can answer "already flushed" ask for ``"strong"``: a
+    follower that lags the lock acquisition shows no ``LockOwner``, so
+    a degraded read would leave the value uninstalled and the lock held.
     """
     while True:
-        row = tail_row(store, table, key, cache)
+        row = tail_row(store, table, key, cache, consistency="strong")
         if row is None:
             # No chain — nothing holds the lock. (The GC deletes only
             # rows a data table's chain no longer reaches, never a tail.)
@@ -489,7 +491,8 @@ def flush_value(store: KVStore, table: str, key: Any, value: Any,
                                  version=[tail_id, row["Version"]])
             return True
         except ConditionFailed:
-            refreshed = read_row(store, table, key, tail_id)
+            refreshed = read_row(store, table, key, tail_id,
+                                 consistency="strong")
             if refreshed is None:
                 if cache is not None:
                     cache.forget(table, key)

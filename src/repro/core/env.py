@@ -22,6 +22,15 @@ from repro.kvstore.surface import leaves
 PENDING_INDEX = "pending"
 SHADOW_TXN_INDEX = "by_txn"
 
+#: Name suffixes of the tables an env keeps for the protocol: its logs
+#: (:meth:`BeldiEnv.log_table_names`) and its data tables' shadow twins.
+#: Protocol state must read strong — a degraded read never serves these
+#: (``repro.resilience``). Only data and shadow chains migrate:
+#: ``repro.kvstore.rebalance`` keeps its own list of the log suffixes,
+#: since the store may not import the protocol.
+PROTOCOL_SUFFIXES = (".intent", ".readlog", ".invokelog", ".writelog",
+                     ".locksets", ".shadow")
+
 
 class BeldiEnv:
     """One sovereignty domain's storage layout."""

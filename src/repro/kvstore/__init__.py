@@ -8,7 +8,8 @@ implements exactly that feature set, in-memory, with:
 - tables keyed by a hash key and an optional range (sort) key,
 - a condition/update expression language (attribute_not_exists, comparisons,
   SET/REMOVE/ADD over nested attribute paths),
-- queries and scans with filter, projection, limit, and pagination,
+- partition queries with projection and limit, and table scans with
+  filter, projection and limit (the limit bounds the rows walked),
 - sparse global secondary indexes,
 - per-item size limits (DynamoDB's 400 KB row cap is what motivates the
   linked DAAL in the first place),

@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.kvstore.errors import ValidationError
-from repro.kvstore.item import (
-    compare_values,
-    copy_value,
-    validate_value,
-    walk_value,
-)
+from repro.kvstore.item import compare_values, walk_value
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +364,7 @@ class PathRef(Operand):
         present, value = self.ref.get(item)
         if not present:
             raise ValidationError(f"path {self.ref} missing during update")
-        return copy_value(value)
+        return walk_value(value)[0]
 
 
 @dataclass(frozen=True)
@@ -380,7 +375,7 @@ class IfNotExists(Operand):
     def resolve(self, item: dict) -> Any:
         present, value = self.ref.get(item)
         if present:
-            return copy_value(value)
+            return walk_value(value)[0]
         return self.default.resolve(item)
 
 
@@ -440,12 +435,9 @@ class Set(UpdateAction):
         self.operand = _as_operand(value)
 
     def apply(self, item: dict) -> None:
-        operand = self.operand
-        resolved = operand.resolve(item)
-        if operand.__class__ is not Value:
-            # A Value resolved through its validating walk already.
-            validate_value(resolved)
-        self.path.set(item, resolved)
+        # Every operand resolves through the validating walk, and
+        # arithmetic on walked values yields values the store models.
+        self.path.set(item, self.operand.resolve(item))
 
 
 class Remove(UpdateAction):
@@ -508,10 +500,17 @@ def apply_updates(item: dict, updates: Sequence[UpdateAction]) -> None:
 
 @dataclass
 class Projection:
-    """Selects which top-level/nested attributes an op returns.
+    """Selects which top-level/nested attributes a read hands out.
 
     Beldi's traversal projects just ``RowId`` and ``NextRow`` so a scan of a
     linked DAAL downloads ~32 bytes per row rather than the whole row.
+
+    The paths compile once, into a tree of the selected attributes in the
+    order the paths first name them; :meth:`walk` then copies and sizes a
+    row's selection in one pass. A path inside a value an earlier path
+    selects whole adds nothing. A list index is honoured only there: the
+    projection builds maps, not lists, so a row that holds any other
+    indexed path is rejected.
     """
 
     paths: list[Path] = field(default_factory=list)
@@ -520,10 +519,64 @@ class Projection:
     def of(cls, *targets: Union[str, Path]) -> "Projection":
         return cls([_as_path(t) for t in targets])
 
-    def apply(self, item: dict) -> dict:
-        out: dict = {}
+    def __post_init__(self) -> None:
+        # name -> None for a value selected whole, else its members' tree.
+        tree: dict = {}
+        self._rejected: list[tuple[Path, int]] = []
         for target in self.paths:
-            present, value = target.get(item)
-            if present:
-                target.set(out, copy_value(value))
-        return out
+            node = tree
+            depth = len(target.segments)
+            for segment in target.segments:
+                depth -= 1
+                if isinstance(segment, int):
+                    self._rejected.append((target, segment))
+                    break
+                if not depth:
+                    node[segment] = None
+                    break
+                node = node.setdefault(segment, {})
+                if node is None:
+                    break  # inside a value an earlier path selects whole
+        self._selected = _freeze(tree)
+
+    def walk(self, row: dict) -> tuple[dict, int]:
+        """``(the row's selected attributes, their bytes)``: a copy
+        sharing nothing with ``row``, sized as a stored item would be."""
+        for target, index in self._rejected:
+            if target.get(row)[0]:
+                raise ValidationError(f"list index {index} out of range")
+        return _walk_selected(row, self._selected)
+
+
+def _freeze(tree: dict) -> tuple:
+    """A compiled selection: ``(name, its UTF-8 length, members)`` per
+    attribute, ``members`` being ``None`` for a value selected whole."""
+    return tuple((name, len(name.encode("utf-8")),
+                  None if members is None else _freeze(members))
+                 for name, members in tree.items())
+
+
+def _walk_selected(row: dict, selected: tuple) -> tuple[dict, int]:
+    out = {}
+    size = 0
+    for name, name_bytes, members in selected:
+        if name not in row:
+            continue
+        value = row[name]
+        if members is None:
+            if value.__class__ is str:  # RowId, NextRow: the common case
+                out[name] = value
+                size += name_bytes + len(value.encode("utf-8"))
+                continue
+            out[name], value_bytes = walk_value(value)
+        elif isinstance(value, dict):
+            picked, value_bytes = _walk_selected(value, members)
+            if not picked:
+                continue
+            out[name] = picked
+            # A map's own overhead, plus one byte per member.
+            value_bytes += 3 + len(picked)
+        else:
+            continue
+        size += name_bytes + value_bytes
+    return out, size

@@ -4,11 +4,14 @@ Items are plain ``dict``s mapping attribute names to values. Supported
 value types mirror DynamoDB's: ``None``, ``bool``, ``int``, ``float``,
 ``str``, ``bytes``, ``list``, ``dict`` (map), and ``set``.
 
-The store walks a row once per round trip: :func:`walk_item` /
-:func:`walk_value` validate, deep-copy and size in one pass, with
-exactly the errors of :func:`validate_value`, the copy of
-:func:`copy_value` and the size of :func:`value_size`. The three single
-walks remain for callers that need only one of them.
+One walk family. :func:`walk_item` / :func:`walk_value` validate,
+deep-copy and size a row in one pass: every row a round trip writes or
+hands out, and every value an update action copies, goes through them
+(a projected read walks only the attributes it selects, through
+:meth:`~repro.kvstore.expressions.Projection.walk`). :func:`item_size` /
+:func:`value_size` size a row without copying it, for rows that are
+measured where they lie: storage totals, migration metering and a
+transaction's planned rows.
 """
 
 from __future__ import annotations
@@ -16,51 +19,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.kvstore.errors import ValidationError
-
-_SCALARS = (type(None), bool, int, float, str, bytes)
-
-
-def validate_value(value: Any) -> None:
-    """Reject value types the store does not model."""
-    if isinstance(value, _SCALARS):
-        return
-    if isinstance(value, (list, tuple)):
-        for element in value:
-            validate_value(element)
-        return
-    if isinstance(value, dict):
-        for key, element in value.items():
-            if not isinstance(key, str):
-                raise ValidationError(f"map keys must be str, got {key!r}")
-            validate_value(element)
-        return
-    if isinstance(value, (set, frozenset)):
-        for element in value:
-            if not isinstance(element, (int, float, str, bytes)):
-                raise ValidationError(
-                    f"set elements must be scalar, got {element!r}")
-        return
-    raise ValidationError(f"unsupported attribute value: {value!r}")
-
-
-def copy_value(value: Any) -> Any:
-    """Deep-copy a value so callers can never alias stored state."""
-    if isinstance(value, _SCALARS):
-        return value
-    if isinstance(value, tuple):
-        return [copy_value(v) for v in value]
-    if isinstance(value, list):
-        return [copy_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: copy_value(v) for k, v in value.items()}
-    if isinstance(value, (set, frozenset)):
-        return set(value)
-    raise ValidationError(f"unsupported attribute value: {value!r}")
-
-
-def copy_item(item: dict[str, Any]) -> dict[str, Any]:
-    return {name: copy_value(value) for name, value in item.items()}
-
 
 def value_size(value: Any) -> int:
     """Approximate DynamoDB on-disk size of a single value, in bytes."""
@@ -91,8 +49,11 @@ def item_size(item: dict[str, Any]) -> int:
 
 
 def walk_value(value: Any) -> tuple[Any, int]:
-    """``(copy_value(value), value_size(value))`` in one pass, raising
-    what :func:`validate_value` raises for a value the store rejects."""
+    """``(deep copy of value, value_size(value))`` in one pass, raising
+    :class:`ValidationError` for a value the store does not model: a
+    type outside the model, a map key that is not a ``str``, a set
+    element that is not a scalar. The copy shares no container with
+    ``value``; tuples come back as lists, frozensets as sets."""
     cls = value.__class__
     if cls is str:
         return value, len(value.encode("utf-8"))
@@ -122,7 +83,7 @@ def walk_value(value: Any) -> tuple[Any, int]:
 
 def _walk_other(value: Any) -> tuple[Any, int]:
     """:func:`walk_value` for bytes, sets and subclasses of the
-    supported types, by ``isinstance`` like the single walks."""
+    supported types, by ``isinstance`` like :func:`value_size`."""
     if value is None or isinstance(value, bool):
         return value, 1
     if isinstance(value, (int, float)):
@@ -147,8 +108,9 @@ def _walk_other(value: Any) -> tuple[Any, int]:
 
 
 def walk_item(item: dict[str, Any]) -> tuple[dict[str, Any], int]:
-    """``(copy_item(item), item_size(item))`` in one pass, raising what
-    validating every value raises; the store's one walk per row."""
+    """``(deep copy of item, item_size(item))`` in one pass, raising
+    what :func:`walk_value` raises for any value (and for a name that is
+    not a ``str``); the store's one walk per row."""
     out = {}
     size = 0
     for name, value in item.items():

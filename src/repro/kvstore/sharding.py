@@ -24,9 +24,9 @@ nodes via rendezvous hashing, so
 Fan-out operations:
 
 ``scan``
-    Walks the nodes in shard order; ``last_evaluated_key`` is a tagged
-    ``(_SHARD_TOKEN, shard index, node key)`` tuple so paged scans (the
-    GC's Appendix-A refinement) resume where they stopped.
+    Walks the nodes in shard order; a ``limit`` (the GC's page, the
+    Appendix-A refinement) counts the rows walked across all of them, so
+    the page ends on the shard where it fills.
 ``query_index``
     Queries every node and merge-sorts by ``(index value, primary key)``
     so the global order matches single-node semantics exactly,
@@ -96,7 +96,6 @@ from typing import Any, Optional, Sequence
 
 from repro.kvstore.asyncio import in_scope, overlap
 from repro.kvstore.errors import TableExists, TableNotFound
-from repro.kvstore.expressions import Projection, path
 from repro.kvstore.metering import Metering
 from repro.kvstore.store import KVStore
 from repro.kvstore.surface import (
@@ -118,8 +117,6 @@ from repro.kvstore.table import (
     _sort_token,
     _sort_token_tuple,
 )
-
-_SHARD_TOKEN = "__shard__"
 
 #: Backoff while an operation waits out a live chain migration (virtual
 #: ms). Small against any store round trip; the stall an operation can
@@ -576,44 +573,22 @@ class ShardedStore:
                 or self.shard_for(table, row[hash_key]) == shard]
 
     def _scan_nodes(self, args: tuple) -> ScanResult:
-        """Shard-ordered scan with cross-shard paging.
-
-        ``last_evaluated_key`` from a truncated sharded scan is a tagged
-        tuple ``(_SHARD_TOKEN, shard, node_key)``; pass it back as
-        ``exclusive_start`` to resume. Plain (untagged) start keys are
-        not meaningful across shards and are rejected.
-        """
-        # Only the paging pair is rewritten per node; the rest passes.
-        table, *passed, limit, exclusive_start, consistency = args
-        start_shard, node_start = 0, None
-        if exclusive_start is not None:
-            if not (isinstance(exclusive_start, tuple)
-                    and len(exclusive_start) == 3
-                    and exclusive_start[0] == _SHARD_TOKEN):
-                raise ValueError(
-                    "sharded scan resumes only from a last_evaluated_key "
-                    "it produced")
-            _, start_shard, node_start = exclusive_start
+        """Shard-ordered scan: each node walks what is left of the
+        ``limit``, and none is asked once it is spent."""
+        table, filter_condition, projection, limit, consistency = args
         items: list[dict] = []
         scanned = 0
         consumed = 0
-        for shard in range(start_shard, self.n_shards):
+        for shard, node in enumerate(self.nodes):
             remaining = None if limit is None else limit - scanned
             if remaining is not None and remaining <= 0:
-                return ScanResult(items, (_SHARD_TOKEN, shard, None),
-                                  scanned, consumed)
-            result = self.nodes[shard].scan(
-                table, *passed, remaining,
-                node_start if shard == start_shard else None, consistency)
+                break
+            result = node.scan(table, filter_condition, projection,
+                               remaining, consistency)
             items.extend(self._placed(table, shard, result.items))
             scanned += result.scanned_count
             consumed += result.consumed_bytes
-            if result.last_evaluated_key is not None:
-                return ScanResult(
-                    items,
-                    (_SHARD_TOKEN, shard, result.last_evaluated_key),
-                    scanned, consumed)
-        return ScanResult(items, None, scanned, consumed)
+        return ScanResult(items, scanned, consumed)
 
     def _query_index_nodes(self, args: tuple) -> list[dict]:
         """Index lookup fan-out, merge-sorted to single-node order.
@@ -625,34 +600,19 @@ class ShardedStore:
         result is byte-identical to the same data on one node — callers
         (the IC's pending sweep, the commit path's shadow resolution)
         see deterministic, placement-independent ordering.
-
-        With a ``projection`` the sort keys may be projected away, so
-        the per-node fetch transparently widens the projection with the
-        key attributes (+ the indexed attribute) and strips them after
-        sorting; the widened rows are what each node meters.
         """
-        table, index_name, value, projection, consistency = args
+        table, index_name, value, consistency = args
         schema = self._schemas[table]
         # Every leaf carries the same index definitions; the first speaks.
         index = next(leaves(self)).table(table)._indexes.get(index_name)
         index_attr = index.attribute if index is not None else None
-        fetch_projection = projection
-        if projection is not None:
-            extra = [path(schema.hash_key)]
-            if schema.range_key is not None:
-                extra.append(path(schema.range_key))
-            if index_attr is not None:
-                extra.append(path(index_attr))
-            fetch_projection = Projection(list(projection.paths) + extra)
         items: list[dict] = []
         for shard, node in enumerate(self.nodes):
             items.extend(self._placed(table, shard, node.query_index(
-                table, index_name, value, fetch_projection, consistency)))
+                table, index_name, value, consistency)))
         items.sort(key=lambda item: (
             _sort_token(item.get(index_attr) if index_attr else None),
             _sort_token_tuple(schema.extract(item))))
-        if projection is not None:
-            items = [projection.apply(item) for item in items]
         return items
 
     # -- cross-shard transactions ------------------------------------------------

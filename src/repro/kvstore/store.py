@@ -35,7 +35,6 @@ from repro.kvstore.errors import (
     UnavailableError,
     ValidationError,
 )
-from repro.kvstore.expressions import Projection
 from repro.kvstore.faults import FaultTimeline
 from repro.kvstore.item import item_size
 from repro.kvstore.metering import Metering
@@ -331,11 +330,11 @@ class KVStore:
         if op is BATCH_GET:
             nbytes = 0
             for key in rows[:served]:
-                item, size, _rows = tbl._get(key, args[2])
+                item, size, _rows = tbl._get(key)
                 items.append(item)
                 nbytes += size
             self.metering.record_read(op.meter, table, nbytes,
-                                      items=served, consistency=args[3])
+                                      items=served, consistency=args[2])
             items.extend([None] * (len(rows) - served))
         else:
             prepared = [tbl.prepare_put(row) for row in rows[:n_puts]]
@@ -436,7 +435,6 @@ class KVStore:
 
 
 def batch_get_all(store, table: str, keys: Sequence[Any],
-                  projection: Optional[Projection] = None,
                   attempts: int = 4,
                   consistency: Optional[str] = None
                   ) -> list[Optional[dict]]:
@@ -460,7 +458,6 @@ def batch_get_all(store, table: str, keys: Sequence[Any],
             return results
         try:
             got = store.batch_get(table, [keys[i] for i in pending],
-                                  projection=projection,
                                   consistency=consistency)
         except ThrottledError:
             continue  # nothing served this round; retry the same set
@@ -474,7 +471,6 @@ def batch_get_all(store, table: str, keys: Sequence[Any],
         pending = still_pending
     for index in pending:
         results[index] = store.get(table, keys[index],
-                                   projection=projection,
                                    consistency=consistency)
     return results
 

@@ -1,8 +1,10 @@
 """The store surface, declared once.
 
 Beldi needs only a narrow storage API (§2.2, §4.1): strongly consistent
-reads, a row-scoped atomic conditional update, query/scan with filter
-and projection. This module is the one place that API is written down.
+reads, a row-scoped atomic conditional update, a projected partition
+query and a filtered, projected scan. This module is the one place that
+API is written down, and an operation takes only the parameters some
+caller passes.
 It holds
 
 - the **ten operations** as plain functions — each operation's one
@@ -136,7 +138,6 @@ class BatchGetResult(list):
 
 # -- the ten operations ----------------------------------------------------------
 def get(self, table: str, key: Any,
-        projection: Optional[Projection] = None,
         consistency: Optional[str] = None) -> Optional[dict]:
     """Point read.
 
@@ -147,7 +148,7 @@ def get(self, table: str, key: Any,
     :class:`~repro.kvstore.replication.ReplicaGroup` additionally
     routes eventual reads to a possibly-lagging follower.
     """
-    return self._keyed_read(GET, (table, key, projection, consistency))
+    return self._keyed_read(GET, (table, key, consistency))
 
 
 def put(self, table: str, item: dict,
@@ -170,50 +171,43 @@ def delete(self, table: str, key: Any,
 
 
 def query(self, table: str, hash_value: Any,
-          range_condition: Optional[Condition] = None,
-          filter_condition: Optional[Condition] = None,
           projection: Optional[Projection] = None,
           limit: Optional[int] = None,
-          exclusive_start: Optional[Any] = None,
-          reverse: bool = False,
           consistency: Optional[str] = None) -> QueryResult:
-    """All rows of one partition, ordered by range key, paged.
+    """The first ``limit`` rows of one partition, ordered by range key,
+    each cut down to ``projection``.
 
     One partition lives on exactly one shard, so this — the DAAL's
     skeleton traversal — never fans out.
     """
     return self._keyed_read(QUERY, (
-        table, hash_value, range_condition, filter_condition, projection,
-        limit, exclusive_start, reverse, consistency))
+        table, hash_value, projection, limit, consistency))
 
 
 def scan(self, table: str,
          filter_condition: Optional[Condition] = None,
          projection: Optional[Projection] = None,
          limit: Optional[int] = None,
-         exclusive_start: Optional[Any] = None,
          consistency: Optional[str] = None) -> ScanResult:
-    """Whole-table scan in deterministic order with paging.
-
-    ``last_evaluated_key`` of a truncated scan is an opaque cursor:
-    pass it back as ``exclusive_start`` to resume.
+    """The first ``limit`` rows of the whole table in deterministic
+    order, those ``filter_condition`` keeps, each cut down to
+    ``projection``. As in DynamoDB the limit bounds the rows walked, so
+    a filtered page may hold fewer. There is no cursor: a caller that
+    wants more rows than one page rescans.
     """
     return self._table_read(SCAN, (
-        table, filter_condition, projection, limit, exclusive_start,
-        consistency))
+        table, filter_condition, projection, limit, consistency))
 
 
 def query_index(self, table: str, index_name: str, value: Any,
-                projection: Optional[Projection] = None,
                 consistency: Optional[str] = None) -> list[dict]:
     """All rows whose indexed attribute equals ``value``, ordered by
     primary key — the same order however the table is placed."""
     return self._table_read(QUERY_INDEX, (
-        table, index_name, value, projection, consistency))
+        table, index_name, value, consistency))
 
 
 def batch_get(self, table: str, keys: Sequence[Any],
-              projection: Optional[Projection] = None,
               consistency: Optional[str] = None) -> BatchGetResult:
     """Read many rows of one table in a single round trip.
 
@@ -232,7 +226,7 @@ def batch_get(self, table: str, keys: Sequence[Any],
     """
     if not keys:
         return BatchGetResult()
-    return self._batch(BATCH_GET, (table, keys, projection, consistency))
+    return self._batch(BATCH_GET, (table, keys, consistency))
 
 
 def batch_write(self, table: str, puts: Sequence[dict] = (),

@@ -11,16 +11,18 @@ A stored row is never mutated in place: ``put`` stores a fresh copy,
 hands out a copy. So a stored row may be shared — a replica group's
 followers install the leader's row objects (:meth:`Table.install`) — and
 every operation walks a row once (:func:`~repro.kvstore.item.walk_item`:
-validate, copy and size together). The ``_``-prefixed twins of the
-operations return the bytes they moved beside their result, which is
-what a :class:`~repro.kvstore.store.KVStore` meters.
+validate, copy and size together; a projected read walks just its
+selection, :meth:`~repro.kvstore.expressions.Projection.walk`). The
+``_``-prefixed twins of the operations return the bytes they moved
+beside their result, which is what a
+:class:`~repro.kvstore.store.KVStore` meters.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.kvstore.errors import (
     ConditionFailed,
@@ -33,11 +35,7 @@ from repro.kvstore.expressions import (
     UpdateAction,
     apply_updates,
 )
-from repro.kvstore.item import (
-    copy_item,
-    item_size,
-    walk_item,
-)
+from repro.kvstore.item import item_size, walk_item
 
 DEFAULT_MAX_ITEM_BYTES = 400 * 1024  # DynamoDB's row cap
 
@@ -84,7 +82,6 @@ class KeySchema:
 @dataclass
 class QueryResult:
     items: list[dict]
-    last_evaluated_key: Optional[tuple] = None
     scanned_count: int = 0
     consumed_bytes: int = 0
 
@@ -245,7 +242,8 @@ class Table:
         """The new row ``updates`` make of ``existing`` (``None``: a row
         of just the key), sharing nothing with it or with ``updates``."""
         key_dict = self.schema.key_dict(key)
-        draft = dict(key_dict) if existing is None else copy_item(existing)
+        draft = (dict(key_dict) if existing is None
+                 else walk_item(existing)[0])
         apply_updates(draft, updates)
         for name in (self.schema.hash_key, self.schema.range_key):
             if name is not None and draft.get(name) != key_dict.get(name):
@@ -262,19 +260,17 @@ class Table:
             self._replace(key, self._get_raw(key), row)
 
     # -- point operations ------------------------------------------------------
-    def get(self, key: Any,
-            projection: Optional[Projection] = None) -> Optional[dict]:
-        return self._get(key, projection)[0]
+    def get(self, key: Any) -> Optional[dict]:
+        return self._get(key)[0]
 
-    def _get(self, key: Any, projection: Optional[Projection] = None
-             ) -> tuple[Optional[dict], int, int]:
+    def _get(self, key: Any) -> tuple[Optional[dict], int, int]:
         """``(copy of the row or None, bytes read, rows walked)``."""
         key = self.schema.normalize(key)
         with self._lock:
             item = self._get_raw(key)
         if item is None:
             return None, 0, 1
-        return (*_handed_out(item, projection), 1)
+        return (*walk_item(item), 1)
 
     def put(self, item: dict, condition: Optional[Condition] = None) -> None:
         self._put(item, condition)
@@ -337,81 +333,49 @@ class Table:
 
     # -- queries and scans -------------------------------------------------------
     def query(self, hash_value: Any,
-              range_condition: Optional[Condition] = None,
-              filter_condition: Optional[Condition] = None,
               projection: Optional[Projection] = None,
-              limit: Optional[int] = None,
-              exclusive_start: Optional[Any] = None,
-              reverse: bool = False) -> QueryResult:
-        """All items in one partition, ordered by range key."""
+              limit: Optional[int] = None) -> QueryResult:
+        """The first ``limit`` rows of one partition, by range key."""
         with self._lock:
             partition = self._partitions.get(hash_value, {})
             if self.schema.range_key is None:
                 ordered = list(partition.values())
             else:
-                range_keys = self._sorted_range_keys(hash_value)
-                if reverse:
-                    range_keys = list(reversed(range_keys))
-                ordered = [partition[rk] for rk in range_keys]
-            return self._page(ordered, range_condition, filter_condition,
-                              projection, limit, exclusive_start,
-                              key_of=lambda it: self.schema.extract(it))
+                ordered = [partition[rk] for rk in
+                           self._sorted_range_keys(hash_value)]
+            return self._page(ordered, None, projection, limit)
 
     def scan(self, filter_condition: Optional[Condition] = None,
              projection: Optional[Projection] = None,
-             limit: Optional[int] = None,
-             exclusive_start: Optional[Any] = None) -> ScanResult:
-        """Full-table scan in deterministic key order with paging.
+             limit: Optional[int] = None) -> ScanResult:
+        """The first ``limit`` rows of the table in key order, filtered.
 
-        DynamoDB applies ``limit`` *before* the filter; the GC's paging
-        (Appendix A, ``LastEvaluatedKey``) depends on that, so we mimic it.
+        DynamoDB applies ``limit`` *before* the filter (it bounds the
+        rows walked, not the rows returned), and so does this.
         """
         with self._lock:
             ordered = [item for _key, item in
                        sorted(self._iter_raw(),
                               key=lambda kv: _sort_token_tuple(kv[0]))]
-            return self._page(ordered, None, filter_condition, projection,
-                              limit, exclusive_start,
-                              key_of=lambda it: self.schema.extract(it))
+            return self._page(ordered, filter_condition, projection, limit)
 
-    def _page(self, ordered: list, range_condition: Optional[Condition],
-              filter_condition: Optional[Condition],
-              projection: Optional[Projection], limit: Optional[int],
-              exclusive_start: Optional[Any],
-              key_of: Callable[[dict], tuple]) -> QueryResult:
-        start_index = 0
-        if exclusive_start is not None:
-            for i, item in enumerate(ordered):
-                if key_of(item) == tuple(exclusive_start):
-                    start_index = i + 1
-                    break
-            else:
-                start_index = len(ordered)
+    @staticmethod
+    def _page(ordered: list, filter_condition: Optional[Condition],
+              projection: Optional[Projection],
+              limit: Optional[int]) -> QueryResult:
+        walked = ordered if limit is None else ordered[:limit]
+        # One walk per row: the copy handed out and the bytes it moves.
+        walk = walk_item if projection is None else projection.walk
         items: list[dict] = []
-        scanned = 0
         consumed = 0
-        last_key: Optional[tuple] = None
-        for item in ordered[start_index:]:
-            if limit is not None and scanned >= limit:
-                break
-            scanned += 1
-            last_key = key_of(item)
-            if range_condition is not None and not range_condition.evaluate(
-                    item):
-                continue
+        for item in walked:
             if filter_condition is not None and not filter_condition.evaluate(
                     item):
                 continue
-            out, size = _handed_out(item, projection)
+            out, size = walk(item)
             consumed += size
             items.append(out)
-        exhausted = (limit is None or scanned < limit
-                     or start_index + scanned >= len(ordered))
-        return QueryResult(
-            items=items,
-            last_evaluated_key=None if exhausted else last_key,
-            scanned_count=scanned,
-            consumed_bytes=consumed)
+        return QueryResult(items, len(walked), consumed)
 
     def _query(self, *args) -> tuple[QueryResult, int, int]:
         """``(page, bytes read, rows walked)`` of :meth:`query`."""
@@ -423,13 +387,11 @@ class Table:
         result = self.scan(*args)
         return result, result.consumed_bytes, result.scanned_count
 
-    def query_index(self, index_name: str, value: Any,
-                    projection: Optional[Projection] = None) -> list[dict]:
+    def query_index(self, index_name: str, value: Any) -> list[dict]:
         """All items whose indexed attribute equals ``value``."""
-        return self._query_index(index_name, value, projection)[0]
+        return self._query_index(index_name, value)[0]
 
-    def _query_index(self, index_name: str, value: Any,
-                     projection: Optional[Projection] = None
+    def _query_index(self, index_name: str, value: Any
                      ) -> tuple[list[dict], int, int]:
         """``(copies of the rows, bytes read, rows walked)``."""
         with self._lock:
@@ -443,7 +405,7 @@ class Table:
                 item = self._get_raw(key)
                 if item is None:
                     continue
-                out, size = _handed_out(item, projection)
+                out, size = walk_item(item)
                 consumed += size
                 results.append(out)
             return results, consumed, len(results)
@@ -456,16 +418,6 @@ class Table:
     def storage_bytes(self) -> int:
         with self._lock:
             return sum(item_size(item) for _k, item in self._iter_raw())
-
-
-def _handed_out(row: dict, projection: Optional[Projection]
-                ) -> tuple[dict, int]:
-    """What a read hands out for a stored row — its copy, or the
-    projected copy — and the bytes that moves."""
-    if projection is None:
-        return walk_item(row)
-    out = projection.apply(row)
-    return out, item_size(out)
 
 
 def _sort_token(value: Any) -> tuple:

@@ -30,20 +30,13 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.env import PROTOCOL_SUFFIXES
 from repro.core.errors import DeadlineExceeded
 from repro.kvstore.asyncio import in_scope
 from repro.kvstore.errors import ThrottledError, UnavailableError
 from repro.kvstore.surface import (KEYED_READ, KEYED_WRITE, StoreOp, leaves,
                                    store_layer)
 from repro.resilience.state import ResilienceState
-
-#: Table-name suffixes of Beldi's protocol tables. Degraded (stale)
-#: reads are only ever served for plain data tables: the DAAL's
-#: serialization points are conditional *writes*, so a stale data read
-#: is pinned by the read log, but protocol state must stay strong.
-_PROTOCOL_SUFFIXES = (".intent", ".readlog", ".invokelog", ".locksets",
-                      ".shadow")
-
 
 @store_layer
 class ResilientStore:
@@ -99,8 +92,11 @@ class ResilientStore:
         if op.kind in (KEYED_READ, KEYED_WRITE):
             breaker_key = (inner.shard_for(args[0], args[1])
                            if self._sharded else "store")
+        # Only plain data tables degrade: the DAAL's serialization points
+        # are conditional *writes*, so a stale data read is pinned by the
+        # read log, but protocol state must stay strong.
         degradable = (op.degradable and args[-1] is None
-                      and not args[0].endswith(_PROTOCOL_SUFFIXES))
+                      and not args[0].endswith(PROTOCOL_SUFFIXES))
         attempt = 0
         while True:
             breaker = (state.breaker_for(breaker_key)

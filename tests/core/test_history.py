@@ -9,7 +9,8 @@ fail (``tests/core/history.py``, ``docs/testing.md``).
   money and check clean.
 - One mutation per checker: the tree with the mutation fails its
   checker, the tree without it passes.
-- A transaction's locked read is never served stale by a degraded read.
+- A transaction's locked read, and its commit's flush, are never served
+  stale by a degraded read.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def _transfer(ctx, payload):
 
 
 def bank(seed: int, latency_scale: float = 1.0, schedule=None,
-         deadline=None, **runtime_args) -> tuple:
+         deadline=None, without=None, **runtime_args) -> tuple:
     """A traced runtime with the three account SSFs and the coordinator,
     every account opened with ``OPENING``."""
     runtime = BeldiRuntime(
@@ -197,7 +198,7 @@ def bank(seed: int, latency_scale: float = 1.0, schedule=None,
         latency_scale=latency_scale, observability=True,
         config=BeldiConfig(ic_restart_delay=200.0, gc_t=1e12,
                            lock_retry_backoff=5.0, lock_retry_limit=500,
-                           request_deadline=deadline),
+                           request_deadline=deadline, without=without),
         **runtime_args)
     envs = {}
     for account, name in NODES.items():
@@ -403,7 +404,7 @@ def test_checker_a_catches_a_waiter_that_skips_case_a(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# a locked read served degraded
+# a locked read, or a commit's flush, served degraded
 # ---------------------------------------------------------------------------
 
 def test_a_locked_read_is_never_served_degraded(monkeypatch):
@@ -435,6 +436,39 @@ def test_a_locked_read_is_never_served_degraded(monkeypatch):
         assert outcomes == ["committed"] * 2
         assert envs["A"].peek("acct", "A") == OPENING - 20
         assert len(taken) == 2
+    finally:
+        runtime.kernel.shutdown()
+
+
+def test_a_commit_flush_is_never_served_degraded(monkeypatch):
+    """A's leader goes dark for reads as the commit starts flushing A,
+    and A's follower lags A's lock acquisition. A flush that resolved
+    the tail on that follower saw no ``LockOwner``, answered "already
+    flushed", and left A undebited and locked. (Sequential commit: an
+    overlapped one runs its flushes where the retry layer is inert.)"""
+    runtime, envs = bank(seed=0, without="async_io", shards=1, replicas=2)
+    runtime.fault_timeline.partition(0.0, 20_000.0)
+    real_flush = daal.flush_value
+    darkened = []
+
+    def dark_leader_then_flush(store, table, key, *args, **kwargs):
+        if key == "A" and not darkened:
+            now = runtime.kernel.now
+            darkened.append(now)
+            runtime.fault_timeline.outage(now, now + 1.0, role="leader",
+                                          ops="db.read")
+        return real_flush(store, table, key, *args, **kwargs)
+
+    monkeypatch.setattr(daal, "flush_value", dark_leader_then_flush)
+    try:
+        outcomes = run_transfers(runtime, envs, [("A", "B", 10)])
+        assert outcomes == ["committed"]
+        assert darkened
+        assert runtime.resilience.stats.degraded_reads == 0
+        assert envs["A"].peek("acct", "A") == OPENING - 10
+        tail = daal.tail_row(runtime.store, envs["A"].data_table("acct"),
+                             "A", None)
+        assert "LockOwner" not in tail
     finally:
         runtime.kernel.shutdown()
 

@@ -13,6 +13,7 @@ import pytest
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.core.errors import DeadlineExceeded
 from repro.kvstore import ThrottledError, UnavailableError
+from repro.kvstore.rebalance import ElasticityController
 from repro.kvstore.surface import leaves
 from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.sim import RandomSource
@@ -274,6 +275,39 @@ class TestDegradedReads:
             runtime.kernel.run()
             assert isinstance(proc.error, UnavailableError)
             assert runtime.resilience.stats.degraded_reads == 0
+        finally:
+            runtime.kernel.shutdown()
+
+
+    @pytest.mark.parametrize("storage_mode", ["daal", "crosstable"])
+    def test_every_log_table_reads_strong_and_stays_put(self,
+                                                        storage_mode):
+        """One list of protocol tables: each log a mode keeps neither
+        degrades nor migrates (the write log once did degrade)."""
+        runtime = BeldiRuntime(seed=11, shards=1, replicas=2)
+        store = runtime.store
+        wrapped = runtime._resilient_store
+        env = runtime.create_env("app", ["kv"], storage_mode=storage_mode)
+        names = env.log_table_names()
+        assert (env.write_log in names) == (storage_mode == "crosstable")
+        outcomes = {}
+
+        def probe():
+            runtime.fault_timeline.outage(0.0, role="leader")
+            for name in names:
+                try:
+                    wrapped.get(name, "missing" if name == env.intent_table
+                                else ("missing", 0))
+                except UnavailableError:
+                    outcomes[name] = "unavailable"
+
+        try:
+            runtime.kernel.spawn(probe)
+            runtime.kernel.run()
+            assert outcomes == dict.fromkeys(names, "unavailable")
+            assert runtime.resilience.stats.degraded_reads == 0
+            assert not any(ElasticityController._migratable(name)
+                           for name in names)
         finally:
             runtime.kernel.shutdown()
 

@@ -245,19 +245,19 @@ class TestUpdates:
 class TestProjection:
     def test_projects_top_level(self):
         proj = Projection.of("a", "c")
-        assert proj.apply({"a": 1, "b": 2, "c": 3}) == {"a": 1, "c": 3}
+        assert proj.walk({"a": 1, "b": 2, "c": 3})[0] == {"a": 1, "c": 3}
 
     def test_projects_nested(self):
         proj = Projection.of(path("m", "x"))
-        assert proj.apply({"m": {"x": 1, "y": 2}}) == {"m": {"x": 1}}
+        assert proj.walk({"m": {"x": 1, "y": 2}})[0] == {"m": {"x": 1}}
 
     def test_missing_paths_skipped(self):
         proj = Projection.of("a", "zzz")
-        assert proj.apply({"a": 1}) == {"a": 1}
+        assert proj.walk({"a": 1})[0] == {"a": 1}
 
     def test_daal_traversal_projection(self):
         """The RowId+NextRow projection used to build DAAL skeletons."""
         row = {"RowId": "HEAD", "Key": "k", "Value": "big" * 100,
                "RecentWrites": {"a": True}, "NextRow": "r2"}
-        skeleton = Projection.of("RowId", "NextRow").apply(row)
+        skeleton, _size = Projection.of("RowId", "NextRow").walk(row)
         assert skeleton == {"RowId": "HEAD", "NextRow": "r2"}

@@ -9,9 +9,15 @@ Three contracts, one test group each:
   returns, not what it was handed — although a replica group's followers
   share the leader's row objects;
 - the fused walk (:func:`walk_value` / :func:`walk_item`) is exactly the
-  three single walks: the same copy, the same size, the same errors, and
-  the bytes the store meters are the row's ``item_size``.
+  three single walks it replaced — kept below as references — the same
+  copy, the same size, the same errors; a projected read
+  (:meth:`Projection.walk`) hands out exactly what copying the selected
+  paths into a fresh row and sizing that did; and the bytes the store
+  meters are the row's ``item_size``.
 """
+
+import pathlib
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,15 +35,10 @@ from repro.kvstore import (
     item_size,
     path,
 )
+from repro.kvstore import item as item_model
 from repro.kvstore.errors import ValidationError
-from repro.kvstore.item import (
-    copy_item,
-    copy_value,
-    validate_value,
-    value_size,
-    walk_item,
-    walk_value,
-)
+from repro.kvstore.expressions import Projection
+from repro.kvstore.item import value_size, walk_item, walk_value
 from repro.kvstore.store import NullTimeSource
 from repro.kvstore.surface import leaves
 from repro.sim import LatencyModel, RandomSource
@@ -75,6 +76,63 @@ def stored(node) -> dict:
     """A deep snapshot of one node's ``data`` table."""
     return {key: copy_item(row)
             for key, row in node._tables["data"]._iter_raw()}
+
+
+# -- the single walks the store used before its walks were fused ------------------
+_SCALARS = (type(None), bool, int, float, str, bytes)
+
+
+def validate_value(value) -> None:
+    """Reject value types the store does not model."""
+    if isinstance(value, _SCALARS):
+        return
+    if isinstance(value, (list, tuple)):
+        for element in value:
+            validate_value(element)
+        return
+    if isinstance(value, dict):
+        for key, element in value.items():
+            if not isinstance(key, str):
+                raise ValidationError(f"map keys must be str, got {key!r}")
+            validate_value(element)
+        return
+    if isinstance(value, (set, frozenset)):
+        for element in value:
+            if not isinstance(element, (int, float, str, bytes)):
+                raise ValidationError(
+                    f"set elements must be scalar, got {element!r}")
+        return
+    raise ValidationError(f"unsupported attribute value: {value!r}")
+
+
+def copy_value(value):
+    """Deep-copy a value so callers can never alias stored state."""
+    if isinstance(value, _SCALARS):
+        return value
+    if isinstance(value, tuple):
+        return [copy_value(v) for v in value]
+    if isinstance(value, list):
+        return [copy_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: copy_value(v) for k, v in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return set(value)
+    raise ValidationError(f"unsupported attribute value: {value!r}")
+
+
+def copy_item(item: dict) -> dict:
+    return {name: copy_value(value) for name, value in item.items()}
+
+
+def project(projection: Projection, item: dict) -> tuple[dict, int]:
+    """A projected read as two walks: copy each selected path into a
+    fresh row (creating the maps above it), then size that row."""
+    out: dict = {}
+    for target in projection.paths:
+        present, value = target.get(item)
+        if present:
+            target.set(out, copy_value(value))
+    return out, item_size(out)
 
 
 def scribble(value) -> None:
@@ -198,7 +256,12 @@ RETURNED = {
     "update": lambda g: g.update("data", ("a",), [Set("V", [1, {"x": 2}])]),
     "delete": lambda g: g.delete("data", "a"),
     "query": lambda g: g.query("data", "a").items,
+    "projected query": lambda g: g.query("data", "a", projection=(
+        Projection.of("List", path("Map", "inner"), "Set"))).items,
     "scan": lambda g: g.scan("data").items,
+    "projected scan": lambda g: g.scan("data", projection=(
+        Projection.of("List", path("List", 1), path("Map", "inner",
+                                                   "deep")))).items,
     "query_index": lambda g: g.query_index("data", "by_ix", "i"),
     "batch_get": lambda g: list(g.batch_get("data", ["a", "b"])),
     "eventual get": lambda g: g.get("data", "a", consistency=EVENTUAL),
@@ -416,6 +479,14 @@ class TestFusedWalk:
             "transact_write"].bytes_written == item_size(
                 store.get("data", "a"))
 
+    def test_the_store_keeps_no_single_purpose_copy_or_check(self):
+        """The references above live here only: under ``src/`` a copy or
+        a check is a walk, so it cannot drift from the size it meters."""
+        src = pathlib.Path(item_model.__file__).resolve().parents[2]
+        for module in src.rglob("*.py"):
+            assert not re.search(r"\b(copy_value|copy_item|validate_value)\b",
+                                 module.read_text()), module
+
     @pytest.mark.parametrize("operation", sorted(FILL))
     def test_item_too_large_fires_at_exactly_one_byte_over(self,
                                                            operation):
@@ -427,3 +498,85 @@ class TestFusedWalk:
         with pytest.raises(ItemTooLarge):
             FILL[operation](store, "y" * (CAP - 4))
         assert store.get("data", "a")["B"] == "x" * (CAP - 5)
+
+
+# -- a projected read is the two walks it replaced -----------------------------------
+class Name(str):
+    pass
+
+
+class Map(dict):
+    pass
+
+
+class Seq(list):
+    pass
+
+
+# Few names, so paths hit and two paths often share a top attribute.
+NAMES = st.sampled_from(["a", "b", "c"])
+PROJECTED_LEAVES = st.one_of(
+    SCALARS, NAMES.map(Name), st.sets(SET_ELEMENTS, max_size=3),
+    st.binary(max_size=4))
+PROJECTED_VALUES = st.recursive(PROJECTED_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=3),
+    st.lists(children, max_size=3).map(Seq),
+    st.dictionaries(NAMES, children, max_size=3),
+    st.dictionaries(NAMES, children, max_size=3).map(Map)),
+    max_leaves=16)
+PROJECTED_ROWS = st.dictionaries(NAMES, PROJECTED_VALUES, max_size=3)
+PATHS = st.builds(
+    lambda top, rest: path(top, *rest), NAMES,
+    st.lists(NAMES | st.integers(min_value=0, max_value=2), max_size=3))
+PROJECTIONS = st.lists(PATHS, min_size=1, max_size=4).map(
+    lambda paths: Projection(paths))
+
+
+class TestProjectedWalk:
+    @settings(**FAST)
+    @given(PROJECTED_ROWS, PROJECTIONS)
+    def test_one_pass_equals_copy_then_size(self, row, projection):
+        snapshot = copy_item(row)
+        try:
+            expected = project(projection, row)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                projection.walk(row)
+            assert str(raised.value) == str(exc)
+            return
+        out, size = projection.walk(row)
+        assert (out, size) == expected
+        tops = [target.top for target in projection.paths]
+        if len(set(tops)) == len(tops):
+            # Key order follows the paths; it can differ from the two
+            # walks' only where two paths share a top attribute.
+            assert repr(out) == repr(expected[0])
+        scribble(out)
+        assert row == snapshot
+
+    @pytest.mark.parametrize("targets, row, expected", [
+        # The skeleton probe: a map member under its parent, nothing
+        # when the member is missing.
+        (["RowId", path("RecentWrites", "k")],
+         {"RowId": "r", "RecentWrites": {"k": True, "j": False}},
+         {"RowId": "r", "RecentWrites": {"k": True}}),
+        (["RowId", path("RecentWrites", "k")],
+         {"RowId": "r", "RecentWrites": {"j": False}}, {"RowId": "r"}),
+        # Two members of one map; a whole value covers a deeper path.
+        ([path("M", "x"), path("M", "y")], {"M": {"x": 1, "y": 2, "z": 3}},
+         {"M": {"x": 1, "y": 2}}),
+        ([path("M", "x"), "M"], {"M": {"x": 1, "y": 2}},
+         {"M": {"x": 1, "y": 2}}),
+        # A list index lands only inside a list selected whole.
+        (["L", path("L", 1)], {"L": [1, 2]}, {"L": [1, 2]}),
+        ([path("L", 5)], {"L": [1, 2]}, {}),
+    ])
+    def test_worked_examples(self, targets, row, expected):
+        projection = Projection.of(*targets)
+        assert projection.walk(row) == (expected, item_size(expected))
+        assert project(projection, row) == (expected, item_size(expected))
+
+    def test_an_index_into_a_fresh_map_is_rejected_as_before(self):
+        projection = Projection.of(path("L", 1), "L")
+        with pytest.raises(ValidationError, match="list index 1 out of range"):
+            projection.walk({"L": [1, 2]})

@@ -379,26 +379,25 @@ class TestQueriesAndScans:
             store.put("data", {"Key": key})
         result = store.scan("data")
         assert {item["Key"] for item in result.items} == keys
-        assert result.last_evaluated_key is None
+        assert result.scanned_count == len(keys)
 
-    def test_paged_scan_visits_everything_once(self, store):
-        keys = {f"k{i}" for i in range(23)}
-        for key in keys:
-            store.put("data", {"Key": key})
-        seen = []
-        cursor = None
-        for _ in range(40):
-            page = store.scan("data", limit=4, exclusive_start=cursor)
-            seen.extend(item["Key"] for item in page.items)
-            cursor = page.last_evaluated_key
-            if cursor is None:
-                break
-        assert sorted(seen) == sorted(keys)
-        assert len(seen) == len(keys)
-
-    def test_foreign_start_key_rejected(self, store):
-        with pytest.raises(ValueError):
-            store.scan("data", exclusive_start=("k1",))
+    def test_a_limit_spans_shards_in_shard_order(self, store):
+        """The GC's page: the limit counts rows walked on every shard,
+        and no shard is asked once it is spent."""
+        for i in range(23):
+            store.put("data", {"Key": f"k{i}"})
+        per_shard = store.items_per_shard("data")
+        limit = per_shard[0] + 1
+        result = store.scan("data", limit=limit)
+        assert result.scanned_count == limit
+        expected = ([key for key in sorted(f"k{i}" for i in range(23))
+                     if store.shard_for("data", key) == 0]
+                    + [min(f"k{i}" for i in range(23)
+                           if store.shard_for("data", f"k{i}") == 1)])
+        assert [item["Key"] for item in result.items] == expected
+        asked = [shard for shard, node in enumerate(store.nodes)
+                 if "scan" in node.metering.ops]
+        assert asked == [0, 1]
 
 
 class TestBatchGet:

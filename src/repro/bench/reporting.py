@@ -7,6 +7,10 @@ import pathlib
 import subprocess
 from typing import Any, Iterable, Optional, Sequence
 
+# Placement facts are observability's; benches and perfbench keep
+# importing them from here.
+from repro.obs import load_imbalance, per_shard_rows  # noqa: F401
+
 #: Repo root (three levels above ``src/repro/bench``): where the
 #: ``BENCH_<name>.json`` trajectory files accumulate.
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
@@ -95,59 +99,6 @@ def format_series(title: str, series: dict) -> str:
         points = ", ".join(f"({x:g}, {y:.1f})" for x, y in series[label])
         lines.append(f"{label:24s} {points}")
     return "\n".join(lines)
-
-
-def per_shard_rows(store, table: Optional[str] = None) -> list[dict]:
-    """One row of placement + metering facts per shard node.
-
-    Works on anything with a ``nodes`` list whose members carry a
-    ``metering`` book (a plain :class:`~repro.kvstore.ShardedStore`
-    node, or a :class:`~repro.kvstore.ReplicaGroup`, whose book merges
-    leader and followers). ``table`` adds that table's per-shard item
-    count; without it the items column is omitted (``None``).
-    """
-    rows = []
-    for shard, node in enumerate(getattr(store, "nodes", [store])):
-        meter = node.metering
-        rows.append({
-            "shard": shard,
-            "items": node.item_count(table) if table else None,
-            "requests": sum(rec.count for rec in meter.ops.values()),
-            "read_units": sum(rec.read_units
-                              for rec in meter.ops.values()),
-            "write_units": sum(rec.write_units
-                               for rec in meter.ops.values()),
-            "eventual": sum(rec.eventual_count
-                            for rec in meter.ops.values()),
-            "dollars": meter.dollar_cost(),
-        })
-    total_requests = sum(row["requests"] for row in rows)
-    for row in rows:
-        row["share"] = (row["requests"] / total_requests
-                        if total_requests else 0.0)
-    return rows
-
-
-def load_imbalance(rows: Iterable[dict]) -> dict:
-    """Skew summary over :func:`per_shard_rows` output.
-
-    ``max_mean`` is the hottest shard's request count over the mean
-    (1.0 = perfectly balanced; the hot-shard detector's trigger
-    statistic), ``gini`` the Gini coefficient of the per-shard request
-    distribution (0 = equal, -> 1 = one shard serves everything).
-    """
-    counts = sorted(row["requests"] for row in rows)
-    n = len(counts)
-    total = sum(counts)
-    if n == 0 or total == 0:
-        return {"max_mean": 0.0, "gini": 0.0}
-    mean = total / n
-    # Gini via the sorted-rank identity: G = (2*sum(i*x_i)/ (n*sum x))
-    # - (n+1)/n, with i = 1-based rank in ascending order.
-    weighted = sum(rank * count
-                   for rank, count in enumerate(counts, start=1))
-    gini = (2.0 * weighted) / (n * total) - (n + 1.0) / n
-    return {"max_mean": max(counts) / mean, "gini": max(0.0, gini)}
 
 
 def per_shard_table(title: str, rows: Iterable[dict]) -> str:

@@ -260,7 +260,11 @@ class BeldiContext:
 
     # -- invocation API -----------------------------------------------------------
     def sync_invoke(self, callee: str, payload: Any = None) -> Any:
-        """Call another SSF and wait for its result (exactly-once)."""
+        """Call another SSF and wait for its result (exactly-once).
+
+        The result is read-only (its maps and lists refuse mutation):
+        it is the one object the callee's intent and this invoke log
+        store. Copy it to change it."""
         return invoke.sync_invoke_op(self, callee, payload)
 
     def async_invoke(self, callee: str, payload: Any = None) -> None:
@@ -271,9 +275,10 @@ class BeldiContext:
         """Invoke several SSFs concurrently and join their results.
 
         ``calls`` is a list of ``(callee, payload)`` pairs; results come
-        back in call order. Safe inside transactions (§6.2 permits
-        threads issuing syncInvoke that are then joined); step numbers
-        are pre-allocated sequentially so replays are deterministic.
+        back in call order, read-only as :meth:`sync_invoke`'s. Safe
+        inside transactions (§6.2 permits threads issuing syncInvoke
+        that are then joined); step numbers are pre-allocated
+        sequentially so replays are deterministic.
         """
         return invoke.parallel_invoke_op(self, calls)
 

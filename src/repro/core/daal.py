@@ -483,7 +483,8 @@ def flush_value(store: KVStore, table: str, key: Any, value: Any,
                 [Set("Value", value), Remove("LockOwner"),
                  bump_version()],
                 condition=And(Eq(path("LockOwner", "Id"), txn_id),
-                              AttrNotExists(path("NextRow"))))
+                              AttrNotExists(path("NextRow"))),
+                return_new=True)
             obs = store.obs
             if obs is not None:
                 obs.tracer.event("txn:flush", cat="txn", table=table,

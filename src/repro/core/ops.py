@@ -89,7 +89,7 @@ from repro.kvstore import (
     Value,
 )
 from repro.kvstore.expressions import Condition, UpdateAction, path
-from repro.kvstore.item import walk_value
+from repro.kvstore.item import freeze_value
 from repro.kvstore.table import DEFAULT_MAX_ITEM_BYTES
 from repro.sim.kernel import ProcessCrashed
 
@@ -201,8 +201,9 @@ def log_read(ctx, step: int, observe, tag: Optional[str] = None) -> Any:
 def _join_pending_run(ctx, step: int, value: Any) -> None:
     """Buffer the value just observed for ``step`` until the frontier."""
     # A snapshot, taken now: the handler owns ``value`` and may mutate it
-    # before the frontier; the log records what was *observed*.
-    snapshot, size = walk_value(value)
+    # before the frontier; the log records what was *observed*. Frozen,
+    # so the flush stores it by reference instead of walking it again.
+    snapshot, size = freeze_value(value)
     if ctx.pending_reads and (
             ctx.pending_first + len(ctx.pending_reads) != step
             or ctx.pending_bytes + size > _MAX_RUN_BYTES):
@@ -602,7 +603,7 @@ def _logged_write(ctx, tag: str, table: str, key: Any, log_key: str,
             for outcome, updates, condition in attempts:
                 try:
                     row = store.update(table, (key, row_id), updates,
-                                       condition=condition)
+                                       condition=condition, return_new=True)
                 except ConditionFailed:
                     continue
                 _note(ctx, landed=[row["RowId"], row["Version"]])

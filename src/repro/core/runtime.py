@@ -58,6 +58,7 @@ from repro.kvstore import (
     ShardedStore,
 )
 from repro.kvstore.faults import FaultTimeline
+from repro.kvstore.item import freeze_value
 from repro.kvstore.surface import layers
 from repro.platform import PlatformConfig, ServerlessPlatform
 from repro.platform.context import InvocationContext
@@ -508,7 +509,10 @@ class BeldiRuntime:
                 # (and may have mutated in place).
                 intent = intents.get_intent(env, instance_id) or intent
         # The read log is flushed: any replay is now bound to this value.
-        result = invoke.wrap_result(ret, aborted)
+        # Frozen once: the same object becomes the reply, the caller's
+        # invoke-log ``Result`` and this intent's ``Ret``, so a callee's
+        # result is read-only to its caller.
+        result = freeze_value(invoke.wrap_result(ret, aborted))[0]
         effective_caller = intent.get("Caller") or caller
         if effective_caller and not is_async:
             self._deliver(platform_ctx, reply, effective_caller,

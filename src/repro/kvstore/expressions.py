@@ -7,7 +7,11 @@ A structured (AST-based) equivalent of DynamoDB's expression strings:
   scan filters;
 - **updates** mutate an item in place — ``SET`` (with arithmetic,
   ``if_not_exists`` and ``list_append`` operands), ``REMOVE``, ``ADD`` and
-  ``DELETE``.
+  ``DELETE``. The item is a table's draft: a shallow copy of a stored
+  row, whose values are frozen (:mod:`repro.kvstore.item`). A path swaps
+  each frozen container it changes for a mutable copy on the way down,
+  and every operand resolves to a frozen value, so an update copies only
+  what it changes and never touches the stored row.
 
 Paths address nested attributes: ``path("RecentWrites", log_key)`` is the
 map member ``RecentWrites.<log_key>``. Beldi's linked DAAL relies on exactly
@@ -22,7 +26,13 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.kvstore.errors import ValidationError
-from repro.kvstore.item import compare_values, walk_value
+from repro.kvstore.item import (
+    FrozenList,
+    FrozenMap,
+    compare_values,
+    freeze_value,
+    walk_value,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +73,8 @@ class Path:
         return True, node
 
     def set(self, item: dict, value: Any) -> None:
-        """Set the path in ``item``, creating intermediate maps as needed."""
+        """Set the path in ``item``, creating intermediate maps as needed
+        (and thawing frozen ones, :func:`_thawed`)."""
         node: Any = item
         for segment in self.segments[:-1]:
             if isinstance(segment, str):
@@ -73,13 +84,10 @@ class Path:
                 if segment not in node or not isinstance(
                         node[segment], (dict, list)):
                     node[segment] = {}
-                node = node[segment]
-            else:
-                if not isinstance(node, list) or not (
-                        0 <= segment < len(node)):
-                    raise ValidationError(
-                        f"list index {segment} out of range")
-                node = node[segment]
+            elif not isinstance(node, list) or not (
+                    0 <= segment < len(node)):
+                raise ValidationError(f"list index {segment} out of range")
+            node = _thawed(node, segment)
         last = self.segments[-1]
         if isinstance(last, str):
             if not isinstance(node, dict):
@@ -92,26 +100,28 @@ class Path:
 
     def remove(self, item: dict) -> None:
         """Remove the path from ``item``; missing paths are a no-op."""
+        if not self.get(item)[0]:
+            return
         node: Any = item
         for segment in self.segments[:-1]:
-            if isinstance(segment, str):
-                if not isinstance(node, dict) or segment not in node:
-                    return
-                node = node[segment]
-            else:
-                if not isinstance(node, list) or not (
-                        0 <= segment < len(node)):
-                    return
-                node = node[segment]
-        last = self.segments[-1]
-        if isinstance(last, str) and isinstance(node, dict):
-            node.pop(last, None)
-        elif isinstance(last, int) and isinstance(node, list):
-            if 0 <= last < len(node):
-                node.pop(last)
+            node = _thawed(node, segment)
+        node.pop(self.segments[-1])
 
     def __str__(self) -> str:
         return ".".join(str(s) for s in self.segments)
+
+
+def _thawed(node: Any, segment: Union[str, int]) -> Any:
+    """``node[segment]``, which an update is about to change: a frozen
+    container there is first replaced by a mutable shallow copy. ``node``
+    itself is already mutable — the draft, or a copy made on the way."""
+    child = node[segment]
+    cls = child.__class__
+    if cls is FrozenMap:
+        child = node[segment] = dict(child)
+    elif cls is FrozenList:
+        child = node[segment] = list(child)
+    return child
 
 
 def path(*segments: Union[str, int]) -> Path:
@@ -353,7 +363,7 @@ class Value(Operand):
     value: Any
 
     def resolve(self, item: dict) -> Any:
-        return walk_value(self.value)[0]
+        return freeze_value(self.value)[0]
 
 
 @dataclass(frozen=True)
@@ -364,7 +374,7 @@ class PathRef(Operand):
         present, value = self.ref.get(item)
         if not present:
             raise ValidationError(f"path {self.ref} missing during update")
-        return walk_value(value)[0]
+        return freeze_value(value)[0]
 
 
 @dataclass(frozen=True)
@@ -375,7 +385,7 @@ class IfNotExists(Operand):
     def resolve(self, item: dict) -> Any:
         present, value = self.ref.get(item)
         if present:
-            return walk_value(value)[0]
+            return freeze_value(value)[0]
         return self.default.resolve(item)
 
 
@@ -436,7 +446,9 @@ class Set(UpdateAction):
 
     def apply(self, item: dict) -> None:
         # Every operand resolves through the validating walk, and
-        # arithmetic on walked values yields values the store models.
+        # arithmetic on frozen values yields values the store models
+        # (a concatenation is a plain list of frozen elements, frozen
+        # when the table freezes the draft).
         self.path.set(item, self.operand.resolve(item))
 
 

@@ -4,14 +4,23 @@ Items are plain ``dict``s mapping attribute names to values. Supported
 value types mirror DynamoDB's: ``None``, ``bool``, ``int``, ``float``,
 ``str``, ``bytes``, ``list``, ``dict`` (map), and ``set``.
 
+A value the store keeps is **frozen**: its maps and lists are
+:class:`FrozenMap` / :class:`FrozenList` (a set is a ``frozenset``),
+which refuse mutation and carry their byte size. A frozen value is
+never copied again: every row, replica and log entry that holds it
+shares the one object, and writing it once more takes it by reference.
+
 One walk family. :func:`walk_item` / :func:`walk_value` validate,
-deep-copy and size a row in one pass: every row a round trip writes or
-hands out, and every value an update action copies, goes through them
-(a projected read walks only the attributes it selects, through
-:meth:`~repro.kvstore.expressions.Projection.walk`). :func:`item_size` /
-:func:`value_size` size a row without copying it, for rows that are
+deep-copy and size a row in one pass, handing out plain mutable copies:
+every row a read hands out goes through them (a projected read walks
+only the attributes it selects, through
+:meth:`~repro.kvstore.expressions.Projection.walk`). Their twins
+:func:`freeze_item` / :func:`freeze_value` validate, size and build the
+frozen copy the store keeps, taking frozen parts by reference.
+:func:`item_size` / :func:`value_size` size a row without copying it
+(reading a frozen container's recorded size), for rows that are
 measured where they lie: storage totals, migration metering and a
-transaction's planned rows.
+removed row.
 """
 
 from __future__ import annotations
@@ -20,8 +29,42 @@ from typing import Any
 
 from repro.kvstore.errors import ValidationError
 
+
+def _refuse(self, *args: Any, **kwargs: Any) -> None:
+    raise TypeError("a stored value is read-only; copy it to change it")
+
+
+class FrozenMap(dict):
+    """A map the store owns: read-only, sized once (``size``)."""
+
+    __slots__ = ("size",)
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        # A copy (``copy``, ``deepcopy``, pickle) is a plain map.
+        return dict, (dict(self),)
+
+
+class FrozenList(list):
+    """A list the store owns: read-only, sized once (``size``)."""
+
+    __slots__ = ("size",)
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = reverse = sort = clear = \
+        _refuse
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
 def value_size(value: Any) -> int:
     """Approximate DynamoDB on-disk size of a single value, in bytes."""
+    cls = value.__class__
+    if cls is FrozenMap or cls is FrozenList:
+        return value.size
     if value is None or isinstance(value, bool):
         return 1
     if isinstance(value, (int, float)):
@@ -61,7 +104,7 @@ def walk_value(value: Any) -> tuple[Any, int]:
         return value, len(str(value)) // 2 + 1
     if cls is bool or value is None:
         return value, 1
-    if cls is dict:
+    if cls is dict or cls is FrozenMap:
         out = {}
         size = 3
         for key, element in value.items():
@@ -70,7 +113,7 @@ def walk_value(value: Any) -> tuple[Any, int]:
             out[key], element_size = walk_value(element)
             size += len(key.encode("utf-8")) + element_size + 1
         return out, size
-    if cls is list or cls is tuple:
+    if cls is list or cls is tuple or cls is FrozenList:
         out = []
         size = 3
         for element in value:
@@ -97,14 +140,20 @@ def _walk_other(value: Any) -> tuple[Any, int]:
     if isinstance(value, dict):
         return walk_value(dict(value))
     if isinstance(value, (set, frozenset)):
-        size = 3
-        for element in value:
-            if not isinstance(element, (int, float, str, bytes)):
-                raise ValidationError(
-                    f"set elements must be scalar, got {element!r}")
-            size += value_size(element)
-        return set(value), size
+        return set(value), _set_size(value)
     raise ValidationError(f"unsupported attribute value: {value!r}")
+
+
+def _set_size(value: Any) -> int:
+    """``value_size`` of a set, raising for an element that is not a
+    scalar."""
+    size = 3
+    for element in value:
+        if not isinstance(element, (int, float, str, bytes)):
+            raise ValidationError(
+                f"set elements must be scalar, got {element!r}")
+        size += value_size(element)
+    return size
 
 
 def walk_item(item: dict[str, Any]) -> tuple[dict[str, Any], int]:
@@ -123,6 +172,69 @@ def walk_item(item: dict[str, Any]) -> tuple[dict[str, Any], int]:
             size += len(name.encode("utf-8")) + len(value.encode("utf-8"))
             continue
         out[name], value_bytes = walk_value(value)
+        size += len(name.encode("utf-8")) + value_bytes
+    return out, size
+
+
+def freeze_value(value: Any) -> tuple[Any, int]:
+    """``(frozen copy of value, value_size(value))`` in one pass, raising
+    what :func:`walk_value` raises. A frozen part of ``value`` is taken
+    by reference with its recorded size; a mutable part is copied into
+    a new frozen one (tuples and lists into a :class:`FrozenList`, sets
+    into a ``frozenset``). Nothing the copy holds is mutable, so the
+    caller may keep mutating ``value``."""
+    cls = value.__class__
+    if cls is str:
+        return value, len(value.encode("utf-8"))
+    if cls is int or cls is float:
+        return value, len(str(value)) // 2 + 1
+    if cls is FrozenMap or cls is FrozenList:
+        return value, value.size
+    if cls is dict:
+        out = {}
+        size = 3
+        for key, element in value.items():
+            if not isinstance(key, str):
+                raise ValidationError(f"map keys must be str, got {key!r}")
+            out[key], element_size = freeze_value(element)
+            size += len(key.encode("utf-8")) + element_size + 1
+        out = FrozenMap(out)
+    elif cls is list or cls is tuple:
+        out = []
+        size = 3
+        for element in value:
+            element, element_size = freeze_value(element)
+            out.append(element)
+            size += 1 + element_size
+        out = FrozenList(out)
+    elif cls is bool or value is None:
+        return value, 1
+    elif isinstance(value, (set, frozenset)):
+        size = _set_size(value)
+        return (value if cls is frozenset else frozenset(value)), size
+    elif isinstance(value, dict):
+        return freeze_value(dict(value))
+    elif isinstance(value, (list, tuple)):
+        return freeze_value(list(value))
+    else:
+        # Scalars (and their subclasses) are immutable: shared as they
+        # are.
+        return _walk_other(value)
+    out.size = size
+    return out, size
+
+
+def freeze_item(item: dict[str, Any]) -> tuple[dict[str, Any], int]:
+    """``(row of frozen values, item_size(item))``: the row the store
+    keeps. The row itself is a new plain ``dict``; the store never
+    mutates it in place (:mod:`repro.kvstore.table`)."""
+    out = {}
+    size = 0
+    for name, value in item.items():
+        if not isinstance(name, str):
+            raise ValidationError(
+                f"attribute names must be str, got {name!r}")
+        out[name], value_bytes = freeze_value(value)
         size += len(name.encode("utf-8")) + value_bytes
     return out, size
 

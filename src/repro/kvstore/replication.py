@@ -538,7 +538,7 @@ class ReplicaGroup:
         self._maybe_failover(op.labels(args)[0])
         result = op.call(self.leader, args)
         rows = op.keys(args)
-        if op is DELETE and result is None:
+        if op is DELETE and not result:
             rows = []
         elif op.kind == BATCH:
             n_puts = len(args[1])

@@ -36,7 +36,6 @@ from repro.kvstore.errors import (
     ValidationError,
 )
 from repro.kvstore.faults import FaultTimeline
-from repro.kvstore.item import item_size
 from repro.kvstore.metering import Metering
 from repro.kvstore.surface import (
     BATCH,
@@ -405,9 +404,7 @@ class KVStore:
             if isinstance(op, TransactPut):
                 _key, row, size = tbl.prepare_put(op.item)
             elif isinstance(op, TransactUpdate):
-                row = tbl.draft(key, existing, op.updates)
-                size = item_size(row)
-                tbl._check_size(size)
+                row, size = tbl.draft(key, existing, op.updates)
             else:
                 row, size = None, 0
             plan.append((tbl, key, row, size))

@@ -43,9 +43,10 @@ The positional conventions every handler relies on (pinned by
 for every kind but ``transact``; a keyed operation's routing key (a key,
 an item for ``put``, a hash value for ``query``) is ``args[1]``; every
 read ends with ``consistency``; every keyed write ends with
-``condition``; and after the table a keyed or whole-table operation's
-arguments are exactly the same-named :class:`~repro.kvstore.table.Table`
-method's, in order.
+``condition`` — ``update`` with ``condition, return_new``
+(:attr:`StoreOp.returns_new`); and after the table a keyed or
+whole-table operation's arguments are exactly the same-named
+:class:`~repro.kvstore.table.Table` method's, in order.
 """
 
 from __future__ import annotations
@@ -158,15 +159,19 @@ def put(self, table: str, item: dict,
 
 
 def update(self, table: str, key: Any, updates: Sequence[UpdateAction],
-           condition: Optional[Condition] = None) -> dict:
+           condition: Optional[Condition] = None,
+           return_new: bool = False) -> Optional[dict]:
     """Atomically check ``condition`` and apply ``updates`` to one row
-    (created when absent); returns the new row."""
-    return self._keyed_write(UPDATE, (table, key, updates, condition))
+    (created when absent). A write hands back only what its caller
+    reads: a copy of the new row when ``return_new`` asks for it
+    (DynamoDB's ``ReturnValues``, default ``NONE``), else ``None``."""
+    return self._keyed_write(UPDATE, (table, key, updates, condition,
+                                      return_new))
 
 
 def delete(self, table: str, key: Any,
-           condition: Optional[Condition] = None) -> Optional[dict]:
-    """Remove one row; returns it, or ``None`` when it was absent."""
+           condition: Optional[Condition] = None) -> bool:
+    """Remove one row; returns whether there was one."""
     return self._keyed_write(DELETE, (table, key, condition))
 
 
@@ -291,6 +296,9 @@ class StoreOp:
     conditional:
         A present ``condition`` re-prices the write as
         ``db.cond_write``/``cond_write`` (``put``, ``update``).
+    returns_new:
+        The call ends with a ``return_new`` flag after its condition
+        (``update``).
     ranged:
         The cost scales with the rows the effect walks, so a node runs
         the effect *before* charging for it (``query``, ``scan``,
@@ -308,12 +316,14 @@ class StoreOp:
     latency: str
     meter: str
     conditional: bool = False
+    returns_new: bool = False
     ranged: bool = False
     degradable: bool = False
 
     def labels(self, args: tuple) -> tuple[str, str]:
         """``(latency op, metering/span key)`` of this particular call."""
-        if self.conditional and args[-1] is not None:
+        condition = args[-2] if self.returns_new else args[-1]
+        if self.conditional and condition is not None:
             return "db.cond_write", "cond_write"
         return self.latency, self.meter
 
@@ -340,7 +350,7 @@ GET = StoreOp("get", get, KEYED_READ, "db.read", "read", degradable=True)
 PUT = StoreOp("put", put, KEYED_WRITE, "db.write", "write",
               conditional=True)
 UPDATE = StoreOp("update", update, KEYED_WRITE, "db.write", "write",
-                 conditional=True)
+                 conditional=True, returns_new=True)
 DELETE = StoreOp("delete", delete, KEYED_WRITE, "db.delete", "delete")
 QUERY = StoreOp("query", query, KEYED_READ, "db.query", "query",
                 ranged=True)

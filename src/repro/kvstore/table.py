@@ -6,16 +6,24 @@ granularity — this is the "atomicity scope" Beldi's linked DAAL is built
 around. Conditions are checked and updates applied inside one critical
 section, so concurrent simulated writers observe linearizable rows.
 
-A stored row is never mutated in place: ``put`` stores a fresh copy,
-``update`` replaces the row with a freshly built draft, and every read
-hands out a copy. So a stored row may be shared — a replica group's
-followers install the leader's row objects (:meth:`Table.install`) — and
-every operation walks a row once (:func:`~repro.kvstore.item.walk_item`:
-validate, copy and size together; a projected read walks just its
-selection, :meth:`~repro.kvstore.expressions.Projection.walk`). The
-``_``-prefixed twins of the operations return the bytes they moved
-beside their result, which is what a
+A stored row is never mutated in place, and neither is any value in
+it: ``put`` stores a frozen copy (:func:`~repro.kvstore.item.freeze_item`,
+which takes already-frozen values by reference), ``update`` replaces the
+row with a copy-on-write draft that shares every value it leaves alone,
+and every read hands out a plain copy. So a stored row and its values
+may be shared — a replica group's followers install the leader's row
+objects (:meth:`Table.install`), and one value may sit in many rows —
+and every operation walks a row once (:func:`~repro.kvstore.item.walk_item`
+for what a read hands out; a projected read walks just its selection,
+:meth:`~repro.kvstore.expressions.Projection.walk`). A write hands back
+only what its caller reads: ``update`` the new row only when asked
+(``return_new``, DynamoDB's ``ReturnValues``), ``delete`` whether it
+removed a row. The ``_``-prefixed twins of the operations return the
+bytes they moved beside their result, which is what a
 :class:`~repro.kvstore.store.KVStore` meters.
+
+A table without a range key keeps ``{hash value: row}``; a table with
+one keeps ``{hash value: {range value: row}}``.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from repro.kvstore.expressions import (
     UpdateAction,
     apply_updates,
 )
-from repro.kvstore.item import item_size, walk_item
+from repro.kvstore.item import freeze_item, item_size, walk_item
 
 DEFAULT_MAX_ITEM_BYTES = 400 * 1024  # DynamoDB's row cap
 
@@ -118,7 +126,7 @@ class _SecondaryIndex:
 
 
 def _hashable_index_value(value: Any) -> Any:
-    if isinstance(value, (list, dict, set)):
+    if isinstance(value, (list, dict, set, frozenset)):
         raise ValidationError("index attributes must be scalar")
     return value
 
@@ -136,7 +144,8 @@ class Table:
         self.name = name
         self.schema = schema
         self.max_item_bytes = max_item_bytes
-        self._partitions: dict[Any, dict[Any, dict]] = {}
+        #: ``{hash: row}``, or ``{hash: {range: row}}`` with a range key.
+        self._partitions: dict[Any, Any] = {}
         self._indexes: dict[str, _SecondaryIndex] = {}
         self._lock = threading.RLock()
         # Range-key order per partition, maintained incrementally so hot
@@ -172,35 +181,43 @@ class Table:
 
     # -- raw storage helpers --------------------------------------------------
     def _iter_raw(self) -> Iterable[tuple[tuple, dict]]:
+        if self.schema.range_key is None:
+            for hash_value, item in self._partitions.items():
+                yield (hash_value,), item
+            return
         for hash_value, partition in self._partitions.items():
             for range_value, item in partition.items():
-                if self.schema.range_key is None:
-                    yield (hash_value,), item
-                else:
-                    yield (hash_value, range_value), item
+                yield (hash_value, range_value), item
 
     def _get_raw(self, key: tuple) -> Optional[dict]:
+        if self.schema.range_key is None:
+            return self._partitions.get(key[0])
         partition = self._partitions.get(key[0])
         if partition is None:
             return None
-        range_value = key[1] if self.schema.range_key is not None else None
-        return partition.get(range_value)
+        return partition.get(key[1])
 
     def _put_raw(self, key: tuple, item: dict) -> None:
-        partition = self._partitions.setdefault(key[0], {})
-        range_value = key[1] if self.schema.range_key is not None else None
-        if range_value not in partition:
+        if self.schema.range_key is None:
+            self._partitions[key[0]] = item
+            return
+        partition = self._partitions.get(key[0])
+        if partition is None:
+            partition = self._partitions[key[0]] = {}
+        if key[1] not in partition:
             self._sorted_cache.pop(key[0], None)
-        partition[range_value] = item
+        partition[key[1]] = item
 
     def _delete_raw(self, key: tuple) -> None:
+        if self.schema.range_key is None:
+            self._partitions.pop(key[0], None)
+            return
         partition = self._partitions.get(key[0])
         if partition is None:
             return
-        range_value = key[1] if self.schema.range_key is not None else None
-        if range_value in partition:
+        if key[1] in partition:
             self._sorted_cache.pop(key[0], None)
-        partition.pop(range_value, None)
+            del partition[key[1]]
         if not partition:
             del self._partitions[key[0]]
 
@@ -231,25 +248,33 @@ class Table:
     # -- building rows before any effect ------------------------------------------
     def prepare_put(self, item: dict) -> tuple[tuple, dict, int]:
         """``(key, row, size)`` of ``item`` as a put would store it: the
-        validated copy and its size, rejected here when oversized."""
-        row, size = walk_item(item)
+        validated frozen copy and its size, rejected here when
+        oversized."""
+        row, size = freeze_item(item)
         key = self.schema.extract(item)
         self._check_size(size)
         return key, row, size
 
     def draft(self, key: tuple, existing: Optional[dict],
-              updates: Sequence[UpdateAction]) -> dict:
-        """The new row ``updates`` make of ``existing`` (``None``: a row
-        of just the key), sharing nothing with it or with ``updates``."""
+              updates: Sequence[UpdateAction]) -> tuple[dict, int]:
+        """``(row, size)``: the new row ``updates`` make of ``existing``
+        (``None``: a row of just the key), rejected here when oversized.
+
+        Copy-on-write: the draft starts as a shallow copy of
+        ``existing``, the actions copy a frozen container only along a
+        path they change, and the frozen row shares every value they
+        leave alone with ``existing`` — so building it costs what the
+        update touches, not the row."""
         key_dict = self.schema.key_dict(key)
-        draft = (dict(key_dict) if existing is None
-                 else walk_item(existing)[0])
+        draft = dict(key_dict) if existing is None else dict(existing)
         apply_updates(draft, updates)
         for name in (self.schema.hash_key, self.schema.range_key):
             if name is not None and draft.get(name) != key_dict.get(name):
                 raise ValidationError(
                     f"update may not modify key attribute {name!r}")
-        return draft
+        row, size = freeze_item(draft)
+        self._check_size(size)
+        return row, size
 
     def install(self, key: tuple, row: Optional[dict]) -> None:
         """Store ``row`` under ``key`` as it is (``None`` removes the
@@ -278,7 +303,7 @@ class Table:
     def _put(self, item: dict, condition: Optional[Condition] = None
              ) -> tuple[None, int]:
         """``(None, bytes written)``."""
-        row, size = walk_item(item)
+        row, size = freeze_item(item)
         key = self.schema.extract(item)
         with self._lock:
             existing = self._get_raw(key)
@@ -290,36 +315,39 @@ class Table:
         return None, size
 
     def update(self, key: Any, updates: Sequence[UpdateAction],
-               condition: Optional[Condition] = None) -> dict:
+               condition: Optional[Condition] = None,
+               return_new: bool = False) -> Optional[dict]:
         """Atomically check ``condition`` and apply ``updates``.
 
         Creates the item (with just its key attributes) when absent,
-        matching DynamoDB ``UpdateItem`` semantics. Returns the new item.
+        matching DynamoDB ``UpdateItem`` semantics. Returns a copy of
+        the new item when ``return_new`` asks for it (DynamoDB's
+        ``ReturnValues``), else ``None``.
         """
-        return self._update(key, updates, condition)[0]
+        return self._update(key, updates, condition, return_new)[0]
 
     def _update(self, key: Any, updates: Sequence[UpdateAction],
-                condition: Optional[Condition] = None) -> tuple[dict, int]:
-        """``(copy of the new row, bytes written)``."""
+                condition: Optional[Condition] = None,
+                return_new: bool = False) -> tuple[Optional[dict], int]:
+        """``(copy of the new row or None, bytes written)``."""
         key = self.schema.normalize(key)
         with self._lock:
             existing = self._get_raw(key)
             if condition is not None and not condition.evaluate(existing):
                 raise ConditionFailed(
                     f"update condition failed on {self.name}:{key}")
-            draft = self.draft(key, existing, updates)
-            row, size = walk_item(draft)
-            self._check_size(size)
-            self._replace(key, existing, draft)
-        return row, size
+            row, size = self.draft(key, existing, updates)
+            self._replace(key, existing, row)
+        return (walk_item(row)[0] if return_new else None), size
 
     def delete(self, key: Any,
-               condition: Optional[Condition] = None) -> Optional[dict]:
+               condition: Optional[Condition] = None) -> bool:
+        """Remove the row under ``key``; whether there was one."""
         return self._delete(key, condition)[0]
 
     def _delete(self, key: Any, condition: Optional[Condition] = None
-                ) -> tuple[Optional[dict], int]:
-        """``(copy of the removed row or None, its bytes)``."""
+                ) -> tuple[bool, int]:
+        """``(whether a row was removed, its bytes)``."""
         key = self.schema.normalize(key)
         with self._lock:
             existing = self._get_raw(key)
@@ -327,9 +355,9 @@ class Table:
                 raise ConditionFailed(
                     f"delete condition failed on {self.name}:{key}")
             if existing is None:
-                return None, 0
+                return False, 0
             self._replace(key, existing, None)
-        return walk_item(existing)
+        return True, item_size(existing)
 
     # -- queries and scans -------------------------------------------------------
     def query(self, hash_value: Any,
@@ -337,10 +365,11 @@ class Table:
               limit: Optional[int] = None) -> QueryResult:
         """The first ``limit`` rows of one partition, by range key."""
         with self._lock:
-            partition = self._partitions.get(hash_value, {})
             if self.schema.range_key is None:
-                ordered = list(partition.values())
+                row = self._partitions.get(hash_value)
+                ordered = [] if row is None else [row]
             else:
+                partition = self._partitions.get(hash_value, {})
                 ordered = [partition[rk] for rk in
                            self._sorted_range_keys(hash_value)]
             return self._page(ordered, None, projection, limit)
@@ -413,6 +442,8 @@ class Table:
     # -- stats -----------------------------------------------------------------
     def item_count(self) -> int:
         with self._lock:
+            if self.schema.range_key is None:
+                return len(self._partitions)
             return sum(len(p) for p in self._partitions.values())
 
     def storage_bytes(self) -> int:

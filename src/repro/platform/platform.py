@@ -8,6 +8,7 @@ killed when they exceed their execution timeout.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -103,6 +104,13 @@ class ServerlessPlatform:
         self._functions: dict[str, _FunctionEntry] = {}
         self._active = 0
         self._timers: list[dict] = []
+        # The execution-timeout watchdog: the live workers' deadlines
+        # (by watch id, in start order), the instants of its armed
+        # kernel timers, and the latest deadline ever set.
+        self._watched: dict[int, tuple[float, Process]] = {}
+        self._watch_ids = itertools.count()
+        self._alarms: set[float] = set()
+        self._horizon = 0.0
 
     # -- registration -----------------------------------------------------------
     def register(self, name: str, handler: Handler,
@@ -174,10 +182,7 @@ class ServerlessPlatform:
         ctx = InvocationContext(self, entry.name, request_id, index,
                                 deadline, cold)
         ctx.lifecycle("start")
-        #: The timeout timer's only hold on the worker's ``Process``;
-        #: the exiting worker empties it, so a finished invocation is
-        #: not kept alive until its timer fires.
-        running: list = []
+        watch_id = next(self._watch_ids)
 
         def worker() -> Any:
             try:
@@ -203,26 +208,47 @@ class ServerlessPlatform:
                 raise
             finally:
                 self._release_slot()
-                running.clear()
+                # Off the watchdog: nothing keeps a finished invocation.
+                self._watched.pop(watch_id, None)
 
         proc = self.kernel.spawn(worker, name=f"fn:{entry.name}")
         # The event only, not the process: the worker's closure holds the
         # context, and a reference back would make every invocation a
         # cycle for the garbage collector to find.
         ctx.done_event = proc.done_event
-        running.append(proc)
-        self._arm_timeout(running, entry.timeout)
+        self._watched[watch_id] = (deadline, proc)
+        self._horizon = max(self._horizon, deadline)
+        self._arm(deadline)
         return proc, ctx
 
-    def _arm_timeout(self, running: list, timeout: float) -> None:
-        """Kill the worker in ``running`` if it is still there — not yet
-        exited — after ``timeout``."""
-        def enforce() -> None:
-            if running and not running[0].finished:
-                self.stats.timeouts += 1
-                running[0].kill(crash=False)
+    # -- the execution-timeout watchdog ----------------------------------------------
+    def _arm(self, when: float) -> None:
+        """Make sure the watchdog wakes by ``when``: one kernel timer for
+        the earliest deadline, not one per invocation."""
+        if not any(alarm <= when for alarm in self._alarms):
+            self._alarms.add(when)
+            self.kernel.call_at(when, self._alarm)
 
-        self.kernel.call_later(timeout, enforce)
+    def _alarm(self) -> None:
+        """Kill every live worker whose deadline has come — at exactly
+        its start plus its timeout — then re-arm for the next one. With
+        none left the watchdog still ticks once more, at the latest
+        deadline ever set, as a timer per invocation would: a kernel run
+        until its queue drains ends at the same instant."""
+        now = self.kernel.now
+        self._alarms.discard(now)
+        expired = [watch_id for watch_id, (deadline, _proc)
+                   in self._watched.items() if deadline <= now]
+        for watch_id in expired:
+            _deadline, proc = self._watched.pop(watch_id)
+            if not proc.finished:
+                self.stats.timeouts += 1
+                proc.kill(crash=False)
+        if self._watched:
+            self._arm(min(deadline for deadline, _proc
+                          in self._watched.values()))
+        elif self._horizon > now:
+            self._arm(self._horizon)
 
     def _await_result(self, proc: Process, ctx: InvocationContext) -> Any:
         self.kernel.wait(proc.done_event)

@@ -36,9 +36,9 @@ Every entry is a tuple ``(time, phase, seq, label, proc, token, reason)``:
 - a **start** is a wakeup whose token is the ``_START`` sentinel — it
   assigns the process a pooled worker thread and releases it;
 - an **inline callback** has ``proc=None`` and its callable in the token
-  slot (``call_later``); it runs on the dispatching thread, where
-  ``current_process`` is ``None`` — no process runs while the kernel
-  dispatches.
+  slot (``call_later`` / ``call_at``); it runs on the dispatching
+  thread, where ``current_process`` is ``None`` — no process runs while
+  the kernel dispatches.
 
 Labels are either strings or tuples of strings joined with ``":"`` only
 when something actually reads them (trace capture, schedule choice) —
@@ -583,9 +583,17 @@ class SimKernel:
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
+        self.call_at(self.now + delay, fn)
+
+    def call_at(self, when: float, fn: Callable[[], None]) -> None:
+        """:meth:`call_later` at the absolute virtual time ``when`` — for
+        a timer whose instant was fixed earlier, which ``now + (when -
+        now)`` need not reproduce to the last bit."""
+        if when < self.now:
+            raise ValueError(f"time in the past: {when} < {self.now}")
         heapq.heappush(self._queue,
-                       (self.now + delay, 0, next(self._seq), "call_later",
-                        None, fn, None))
+                       (when, 0, next(self._seq), "call_later", None, fn,
+                        None))
 
     def interleave_point(self, tag: str) -> None:
         """Optional scheduling point for schedule exploration.

@@ -1,7 +1,10 @@
 """Re-running a bench must not dirty the tree: ``write_bench_json``
 leaves an unchanged record alone, ``emit`` writes nothing, and no gate
-reads the host clock (a wall-clock number differs on every run)."""
+reads the host clock (a wall-clock number differs on every run). And the
+library does not lean on its benches: nothing outside ``repro.bench``
+imports it."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -63,3 +66,30 @@ def test_no_gate_reads_the_host_clock():
                 path.read_text().splitlines(), 1)
             if host_clock.search(line)]
     assert not hits, "a gate reads the host clock:\n" + "\n".join(hits)
+
+
+def _imports_the_bench(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "repro.bench" or name.startswith("repro.bench.")
+               for name in names):
+            return True
+    return False
+
+
+def test_nothing_outside_the_bench_imports_it():
+    """Measurement code sits on top of the library, never under it:
+    what ``repro.obs`` reports (per-shard rows, load imbalance) lives in
+    ``repro.obs``, and ``repro.bench.reporting`` re-imports it."""
+    src = reporting.REPO_ROOT / "src" / "repro"
+    modules = [path for path in sorted(src.rglob("*.py"))
+               if src / "bench" not in path.parents]
+    assert len(modules) > 40, "the scan found almost nothing"
+    hits = [str(path.relative_to(src)) for path in modules
+            if _imports_the_bench(ast.parse(path.read_text()))]
+    assert not hits, f"modules outside repro.bench import it: {hits}"

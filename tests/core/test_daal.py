@@ -177,7 +177,7 @@ class TestAppendRow:
         daal.ensure_head(store, "t", "k", value="v")
         filled = store.update("t", ("k", daal.HEAD_ROW_ID),
                               [Set("RecentWrites", {"i#0": True}),
-                               daal.bump_version()])
+                               daal.bump_version()], return_new=True)
         before = store.metering.copy()
         between = []
         daal.append_row(

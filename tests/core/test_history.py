@@ -308,7 +308,8 @@ def flush_after_release(store, table, key, value, txn_id, cache=None):
         try:
             row = store.update(table, (key, row["RowId"]),
                                [Set("Value", value), daal.bump_version()],
-                               condition=AttrNotExists("NextRow"))
+                               condition=AttrNotExists("NextRow"),
+                               return_new=True)
         except ConditionFailed:
             continue
         store.obs.tracer.event("txn:flush", cat="txn", table=table,

@@ -13,10 +13,18 @@ Three contracts, one test group each:
   copy, the same size, the same errors; a projected read
   (:meth:`Projection.walk`) hands out exactly what copying the selected
   paths into a fresh row and sizing that did; and the bytes the store
-  meters are the row's ``item_size``.
+  meters are the row's ``item_size``;
+- a stored value is frozen and shared: :func:`freeze_value` is
+  :func:`walk_value` with a frozen copy, a copy-on-write update builds
+  what deep-copying the whole row and walking it again built (that
+  path is kept below as the reference), every container inside a stored
+  row refuses mutation, no read hands one out, and one frozen value
+  written to many rows on many replicas stays one object.
 """
 
+import copy
 import pathlib
+import pickle
 import re
 
 import pytest
@@ -24,21 +32,36 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.kvstore import (
+    Add,
+    ChainMigrator,
+    IfNotExists,
     ItemTooLarge,
+    KeySchema,
     KVStore,
+    ListAppend,
+    Remove,
     ReplicaGroup,
     ReplicatedStore,
     Set,
     ShardedStore,
+    Table,
     TransactPut,
     TransactUpdate,
+    Value,
     item_size,
     path,
 )
 from repro.kvstore import item as item_model
 from repro.kvstore.errors import ValidationError
-from repro.kvstore.expressions import Projection
-from repro.kvstore.item import value_size, walk_item, walk_value
+from repro.kvstore.expressions import Projection, apply_updates
+from repro.kvstore.item import (
+    FrozenList,
+    FrozenMap,
+    freeze_value,
+    value_size,
+    walk_item,
+    walk_value,
+)
 from repro.kvstore.store import NullTimeSource
 from repro.kvstore.surface import leaves
 from repro.sim import LatencyModel, RandomSource
@@ -253,8 +276,8 @@ class TestRejectedRequestsWriteNothing:
 
 # -- nothing a caller holds aliases a stored row ----------------------------------
 RETURNED = {
-    "update": lambda g: g.update("data", ("a",), [Set("V", [1, {"x": 2}])]),
-    "delete": lambda g: g.delete("data", "a"),
+    "update": lambda g: g.update("data", ("a",), [Set("V", [1, {"x": 2}])],
+                                 return_new=True),
     "query": lambda g: g.query("data", "a").items,
     "projected query": lambda g: g.query("data", "a", projection=(
         Projection.of("List", path("Map", "inner"), "Set"))).items,
@@ -291,6 +314,17 @@ class TestNothingAliasesAStoredRow:
         settle(group, clock)
         follower_states = [stored(node) for node in group.followers]
         assert follower_states == [stored(group.leader)] * 2
+
+    def test_writes_hand_back_only_what_was_asked_for(self):
+        """``update`` returns the new row only on request, ``delete``
+        only whether it removed one: no copy of a row goes out unread."""
+        group, clock = make_group()
+        group.put("data", nested_row("a"))
+        assert group.update("data", ("a",), [Set("V", 1)]) is None
+        assert group.delete("data", "a") is True
+        assert group.delete("data", "a") is False
+        settle(group, clock)
+        assert [stored(node) for node in group.nodes] == [{}, {}, {}]
 
     @pytest.mark.parametrize("operation", sorted(HANDED))
     def test_mutating_an_item_after_writing_it(self, operation):
@@ -469,7 +503,8 @@ class TestFusedWalk:
         store = fresh_store()
         store.put("data", row)
         before = store.metering.copy()
-        new_row = store.update("data", ("a",), [Set("N", 1)])
+        new_row = store.update("data", ("a",), [Set("N", 1)],
+                               return_new=True)
         assert store.metering.diff(before)["write"].bytes_written == (
             item_size(new_row))
         before = store.metering.copy()
@@ -580,3 +615,189 @@ class TestProjectedWalk:
         projection = Projection.of(path("L", 1), "L")
         with pytest.raises(ValidationError, match="list index 1 out of range"):
             projection.walk({"L": [1, 2]})
+
+
+# -- stored values are frozen and shared ------------------------------------------
+def reference_update(existing, updates) -> tuple[dict, int]:
+    """The update path before stored values were frozen: deep-copy the
+    whole stored row, apply the actions to the copy, walk it again."""
+    draft = {"Key": "a"} if existing is None else copy_item(existing)
+    apply_updates(draft, updates)
+    return walk_item(draft)
+
+
+def all_frozen(value) -> bool:
+    return all(isinstance(c, (FrozenMap, FrozenList, frozenset))
+               for c in containers(value))
+
+
+def all_frozen_row(row: dict) -> bool:
+    """Every value of a stored row is frozen (the row is a plain dict
+    the store never mutates in place)."""
+    return all(all_frozen(value) for value in row.values())
+
+
+def all_plain(value) -> bool:
+    return all(type(c) in (dict, list, set) for c in containers(value))
+
+
+UPDATE_ROWS = st.dictionaries(NAMES, VALUES, max_size=3).map(
+    lambda attrs: {"Key": "a", **attrs})
+ACTIONS = st.one_of(
+    st.builds(Set, PATHS, VALUES),
+    st.builds(Set, PATHS, PATHS),  # a path operand: SET x = y
+    st.builds(Remove, PATHS),
+    st.builds(lambda target, value: Set(target, ListAppend(
+        IfNotExists(target, Value([])), Value([value]))), PATHS, VALUES),
+    st.builds(lambda target: Add(target, 1), PATHS))
+UPDATES = st.lists(ACTIONS, min_size=1, max_size=4)
+WRITES = {
+    "put": lambda s, row: s.put("data", row),
+    "update": lambda s, row: s.update("data", "a", [
+        Set(name, value) for name, value in row.items() if name != "Key"]),
+    "batch_write": lambda s, row: s.batch_write("data", puts=[row]),
+    "TransactPut": lambda s, row: s.transact_write(
+        [TransactPut("data", row)]),
+    "TransactUpdate": lambda s, row: s.transact_write([TransactUpdate(
+        "data", "a", [Set(name, value) for name, value in row.items()
+                      if name != "Key"])]),
+}
+READS = {
+    "get": lambda s: [s.get("data", "a")],
+    "query": lambda s: s.query("data", "a").items,
+    "projected query": lambda s: s.query("data", "a", projection=(
+        Projection.of("List", path("Map", "inner"), "Set"))).items,
+    "scan": lambda s: s.scan("data").items,
+    "query_index": lambda s: s.query_index("data", "by_ix", "i"),
+    "batch_get": lambda s: list(s.batch_get("data", ["a"])),
+}
+
+
+def refuses_mutation(container) -> bool:
+    mutate = {FrozenMap: lambda c: c.update(x=1),
+              FrozenList: lambda c: c.append(1)}.get(type(container))
+    if mutate is None:
+        return isinstance(container, frozenset)
+    with pytest.raises(TypeError, match="read-only"):
+        mutate(container)
+    return True
+
+
+class TestFrozenValues:
+    @settings(**FAST)
+    @given(VALUES)
+    def test_freeze_value_is_walk_value_frozen(self, value):
+        frozen, size = freeze_value(value)
+        assert (frozen, size) == walk_value(value)
+        assert all_frozen(frozen)
+        # Frozen once: writing it again takes it by reference.
+        again = freeze_value(frozen)
+        assert again == (frozen, size) and (
+            again[0] is frozen or not containers(frozen))
+        mutable = {id(c) for c in containers(value)
+                   if not isinstance(c, (tuple, frozenset))}
+        assert not mutable & {id(c) for c in containers(frozen)}
+
+    def test_a_copy_of_a_frozen_value_is_plain(self):
+        """"Copy it to change it": a copy of a callee's result is the
+        app's own, mutable all the way down."""
+        value = {"List": [1, {"m": [2]}], "Map": {"n": 3}}
+        frozen = freeze_value(value)[0]
+        for copied in (copy.deepcopy(frozen),
+                       pickle.loads(pickle.dumps(frozen))):
+            assert copied == value and all_plain(copied)
+        assert type(copy.copy(frozen)) is dict
+        assert type(copy.copy(frozen["List"])) is list
+
+    @settings(**FAST)
+    @given(MAYBE_REJECTED)
+    def test_freeze_raises_what_walk_raises(self, value):
+        try:
+            expected = walk_value(value)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                freeze_value(value)
+            assert str(raised.value) == str(exc)
+        else:
+            assert freeze_value(value) == expected
+
+    @settings(**FAST)
+    @given(UPDATE_ROWS, UPDATES)
+    def test_copy_on_write_update_is_the_deep_copy_update(self, row,
+                                                          updates):
+        table = Table("data", KeySchema("Key"))
+        table.put(row)
+        existing = table._get_raw(("a",))
+        snapshot = copy_item(existing)
+        try:
+            expected = reference_update(existing, updates)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                table.draft(("a",), existing, updates)
+            assert str(raised.value) == str(exc)
+        else:
+            new, size = table.draft(("a",), existing, updates)
+            assert (new, size) == expected
+            assert all_frozen_row(new)
+        # The stored row and every value in it are as they were.
+        assert existing == snapshot and all_frozen_row(existing)
+
+    @pytest.mark.parametrize("operation", sorted(WRITES))
+    def test_every_container_inside_a_stored_row_is_frozen(self,
+                                                           operation):
+        store = fresh_store()
+        row = nested_row("a")
+        WRITES[operation](store, row)
+        stored_row = store.table("data")._get_raw(("a",))
+        assert copy_item(stored_row) == nested_row("a")
+        found = containers(list(stored_row.values()))[1:]
+        assert len(found) == 7  # three lists, three maps, a set
+        assert all(refuses_mutation(c) for c in found)
+        assert row == nested_row("a")  # the caller's item is its own
+
+    @pytest.mark.parametrize("operation", sorted(READS))
+    def test_a_read_hands_out_no_frozen_container(self, operation):
+        store = fresh_store()
+        store.put("data", nested_row("a"))
+        rows = READS[operation](store)
+        assert rows and all(row for row in rows)
+        assert all_plain(rows)
+
+    def test_a_written_frozen_value_is_shared_not_copied(self):
+        """One frozen value in two rows on both replicas is one object,
+        across a failover too. A chain migration re-writes the rows it
+        read (a read hands out copies), so the moved rows hold equal
+        frozen values; the original is untouched either way."""
+        clock = NullTimeSource()
+        groups = [ReplicaGroup(
+            KVStore(time_source=clock, shard_id=shard),
+            [KVStore(time_source=clock, shard_id=shard)],
+            rand=RandomSource(7, "repl"), lag_scale=0.0)
+            for shard in range(2)]
+        store = ReplicatedStore(groups)
+        store.create_table("data", hash_key="Key", range_key="RowId")
+        shared, _size = freeze_value({"List": [1, {"m": 2}], "Set": {3}})
+        store.put("data", {"Key": "k", "RowId": "r1", "V": shared})
+        store.put("data", {"Key": "k", "RowId": "r2"})
+        store.update("data", ("k", "r2"), [Set("V", shared)])
+        owner = store.shard_for("data", "k")
+
+        def values(node) -> list:
+            return [node.table("data")._get_raw(("k", row_id))["V"]
+                    for row_id in ("r1", "r2")]
+
+        def held(shard) -> list:
+            return [value for node in groups[shard].nodes
+                    for value in values(node)]
+
+        assert all(value is shared for value in held(owner))
+        groups[owner].fail_leader()
+        assert all(value is shared for value in held(owner))
+        target = 1 - owner
+        assert ChainMigrator(store).migrate([("data", "k", target)]) == 1
+        moved = held(target)
+        assert all(value == shared and all_frozen(value) for value in moved)
+        # Followers share the rows the target's leader stored.
+        assert moved[0] is moved[2] and moved[1] is moved[3]
+        assert shared == {"List": [1, {"m": 2}], "Set": {3}}
+        assert type(shared) is FrozenMap

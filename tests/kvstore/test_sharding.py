@@ -354,7 +354,7 @@ class TestLeafTables:
         assert store.get("data", "x")["V"] == 1
         store.update("data", "x", [Set("V", 2)])
         assert owner.get("x")["V"] == 2
-        assert owner.delete("x")["V"] == 2
+        assert owner.delete("x") is True
         assert store.get("data", "x") is None
         others = [node for node in store.nodes
                   if node is not store.node_for("data", "x")]

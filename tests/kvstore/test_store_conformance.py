@@ -50,6 +50,7 @@ from repro.kvstore.surface import (
     OPS,
     TABLE_READ,
     TRANSACT,
+    UPDATE,
     leaves,
 )
 from repro.resilience import ResilienceState, ResilientStore, RetryPolicy
@@ -88,6 +89,14 @@ class TestDeclaredOnce:
             assert callable(getattr(cls, f"_{op.kind}")), (
                 f"{cls.__name__} has no handler for kind {op.kind!r}")
 
+    def test_labels_find_the_condition_before_return_new(self):
+        for return_new in (False, True):
+            assert UPDATE.labels(("data", "c", [], Eq("V", 1),
+                                  return_new)) == ("db.cond_write",
+                                                   "cond_write")
+            assert UPDATE.labels(("data", "c", [], None, return_new)) == (
+                "db.write", "write")
+
     def test_reads_take_only_the_parameters_their_callers_pass(self):
         assert {name: list(inspect.signature(
             getattr(KVStore, name)).parameters)[2:] for name in READS} == {
@@ -111,7 +120,10 @@ class TestDeclaredOnce:
             if op.name in READS:
                 assert params[-1] == "consistency", op.name
             if op.kind == KEYED_WRITE:
-                assert params[-1] == "condition", op.name
+                # The condition ends the call, or comes just before
+                # update's return_new flag (StoreOp.labels reads it).
+                assert params[-1 - op.returns_new] == "condition", op.name
+                assert op.returns_new == (params[-1] == "return_new")
             if op.kind in (KEYED_READ, KEYED_WRITE, TABLE_READ):
                 # After the table, the arguments are the Table method's.
                 passed = params[2:-1] if op.name in READS else params[2:]
@@ -197,6 +209,10 @@ def run_script(store):
         "data", "c", [Add("V", 2)], Eq("V", 1)))
     step("update if fails", lambda: store.update(
         "data", "c", [Add("V", 2)], condition=Eq("V", 1)))
+    step("update returning the new row", lambda: store.update(
+        "data", "c", [Add("V", 1)], Eq("V", 3), return_new=True))
+    step("update if fails returning", lambda: store.update(
+        "data", "c", [Add("V", 2)], Eq("V", 1), True))
     step("delete hit", lambda: store.delete("data", "a"))
     step("delete miss", lambda: store.delete("data", "a"))
     step("delete if fails", lambda: store.delete(

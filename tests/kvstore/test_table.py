@@ -96,8 +96,11 @@ class TestConditionalOps:
 
     def test_update_returns_new_item(self, simple):
         simple.put({"Key": "a", "N": 1})
-        result = simple.update("a", [Set("N", 2)])
+        result = simple.update("a", [Set("N", 2)], return_new=True)
         assert result == {"Key": "a", "N": 2}
+        # Unasked, a write hands back nothing (DynamoDB's ReturnValues).
+        assert simple.update("a", [Set("N", 3)]) is None
+        assert simple.get("a") == {"Key": "a", "N": 3}
 
     def test_update_cannot_change_key(self, simple):
         simple.put({"Key": "a", "N": 1})
@@ -108,12 +111,11 @@ class TestConditionalOps:
         simple.put({"Key": "a", "N": 1})
         with pytest.raises(ConditionFailed):
             simple.delete("a", condition=Eq("N", 99))
-        removed = simple.delete("a", condition=Eq("N", 1))
-        assert removed["N"] == 1
+        assert simple.delete("a", condition=Eq("N", 1)) is True
         assert simple.get("a") is None
 
-    def test_delete_missing_is_none(self, simple):
-        assert simple.delete("ghost") is None
+    def test_delete_missing_is_false(self, simple):
+        assert simple.delete("ghost") is False
 
     def test_failed_condition_leaves_item_unchanged(self, simple):
         simple.put({"Key": "a", "N": 1})

@@ -235,25 +235,26 @@ class TestTimeout:
         assert platform.stats.timeouts == 0
 
     def test_armed_timer_does_not_keep_a_finished_worker(self):
-        """The timer holds the worker's ``Process`` through a cell the
-        exiting worker empties: what a finished invocation retains
-        (semaphore, context, payload, result) goes when it ends, not
-        when its timeout would have fired.
+        """The watchdog holds a worker's ``Process`` only while it runs:
+        the exiting worker leaves it, so what a finished invocation
+        retains (semaphore, context, payload, result) goes when it ends,
+        not when its timeout would have fired.
 
         ``Process`` has ``__slots__`` without ``__weakref__`` and the
         kernel's pooled thread keeps its last process in a local until
         its next job, so "collectable" is checked as: nothing the armed
-        timer can reach is that process or its payload."""
+        timer can reach (the watchdog, its platform and kernel) is that
+        process or its payload."""
         kernel, platform = make_platform(default_timeout=50.0)
         platform.register("fast", lambda ctx, p: "ok")
         timers = []
-        call_later = kernel.call_later
+        call_at = kernel.call_at
 
-        def spy(delay, callback):
-            timers.append(callback)
-            return call_later(delay, callback)
+        def spy(when, callback):
+            timers.append((when, callback))
+            return call_at(when, callback)
 
-        kernel.call_later = spy
+        kernel.call_at = spy
 
         class Payload:
             pass
@@ -277,14 +278,15 @@ class TestTimeout:
         def client():
             platform.sync_invoke("fast", Payload())
             kernel.sleep(1.0)
-            seen.append((kernel.now, held_by(timers[0])))
+            seen.append((kernel.now, held_by(timers[0][1])))
 
         kernel.spawn(client)
         kernel.run()
-        assert seen == [(pytest.approx(1.0), [])]  # the timer is due at 50
+        assert seen == [(pytest.approx(1.0), [])]
+        assert [when for when, _callback in timers] == [50.0]  # one timer
         assert platform.stats.timeouts == 0
 
-    def test_overrunning_worker_is_killed_through_the_cell(self):
+    def test_overrunning_worker_is_killed_by_the_watchdog(self):
         kernel, platform = make_platform(default_timeout=50.0)
         died = []
 

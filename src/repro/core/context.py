@@ -166,7 +166,12 @@ class BeldiContext:
 
     # -- key-value API (Fig. 2) ------------------------------------------------
     def read(self, table: str, key: Any) -> Any:
-        """Exactly-once read; ``None`` if the item does not exist."""
+        """Exactly-once read; ``None`` if the item does not exist.
+
+        The value is read-only (its maps and lists refuse mutation, a
+        set is a ``frozenset``): it is the one object the data row and
+        the read log store, on a first execution and on a replay alike.
+        Copy it to change it."""
         if self.in_txn_execute():
             value = txn_mod.tx_read(self, table, key)
         elif self.env.storage_mode == "crosstable":
@@ -190,7 +195,8 @@ class BeldiContext:
         read log, so replays after a crash return the same value —
         determinism does not depend on the consistency mode. Inside a
         transaction's Execute mode this falls back to the strong
-        transactional read: a locked read-set must not be stale.
+        transactional read: a locked read-set must not be stale. The
+        value is read-only, as :meth:`read`'s is.
         """
         if self.in_txn_execute():
             return self.read(table, key)
@@ -216,7 +222,9 @@ class BeldiContext:
         (:func:`repro.core.ops.read_many_op`) and join the pending read
         run together. Without the feature, in a transaction's Execute
         mode (locked reads) and in cross-table storage it *is* the
-        per-key loop: same rows, same crash points.
+        per-key loop: same rows, same crash points. The list is the
+        caller's own; each value in it is read-only, as :meth:`read`'s
+        is.
         """
         if (self.read_log is None or self.in_txn_execute()
                 or self.env.storage_mode == "crosstable"):
@@ -362,7 +370,12 @@ class BeldiContext:
 
     # -- logged non-determinism (§3.1's determinism requirement) ----------------------------
     def record(self, compute: Callable[[], Any]) -> Any:
-        """Run ``compute()`` once; replays return the logged result."""
+        """Run ``compute()`` once; replays return the logged result.
+
+        Either way the result is the frozen value the read log holds —
+        read-only, even on the first execution that computed it — so a
+        handler that works once works under replay. Copy it to change
+        it."""
         return ops.record_op(self, compute)
 
     def fresh_id(self) -> str:

@@ -48,8 +48,8 @@ step, immediately before the next write, lock, invoke-log claim,
 transaction begin/end, callback or ``mark_done``. One put is atomic, so
 no prefix of a run can land without the rest — which is why the run is
 one row and not N overlapped puts: step 3's key may depend on step 2's
-value. What is buffered is a snapshot: the handler may mutate the value
-it was handed before the frontier. A replay (an execution that did not
+value. What is buffered is a frozen snapshot, and it is what the handler
+is handed: nothing the handler does reaches the log. A replay (an execution that did not
 create its intent; for an async stub, one the IC relaunched) starts from
 the logged runs (:func:`logged_reads`) and answers those steps from
 memory; one whose flush loses to an execution that logged *different*
@@ -181,10 +181,14 @@ def log_read(ctx, step: int, observe, tag: Optional[str] = None) -> Any:
     frontier is right here: a run of one, put before the value is handed
     out (between the ``<tag>:before-log``/``after-log`` crash points),
     so a lost condition simply adopts the winner's value.
+
+    Either way the handler is handed the frozen value the log holds, on
+    a first execution as on a replay: what works once works under
+    recovery, and nothing the handler does to it reaches the log.
     """
     logged = ctx.read_log
     if logged is None:
-        value = observe()
+        value = freeze_value(observe())[0]
         if tag:
             ctx.crash_point(f"{tag}:before-log")
         winner = _put_run(ctx, step, [value])
@@ -193,16 +197,15 @@ def log_read(ctx, step: int, observe, tag: Optional[str] = None) -> Any:
         return value if winner is None else winner[0]
     if step in logged:
         return logged[step]
-    value = observe()
-    _join_pending_run(ctx, step, value)
-    return value
+    return _join_pending_run(ctx, step, observe())
 
 
-def _join_pending_run(ctx, step: int, value: Any) -> None:
-    """Buffer the value just observed for ``step`` until the frontier."""
-    # A snapshot, taken now: the handler owns ``value`` and may mutate it
-    # before the frontier; the log records what was *observed*. Frozen,
-    # so the flush stores it by reference instead of walking it again.
+def _join_pending_run(ctx, step: int, value: Any) -> Any:
+    """Buffer the value just observed for ``step`` until the frontier;
+    returns the frozen snapshot it buffered."""
+    # A snapshot, taken now: the log records what was *observed*.
+    # Frozen, so the flush stores it by reference instead of walking it
+    # again (a value read from the store is frozen already).
     snapshot, size = freeze_value(value)
     if ctx.pending_reads and (
             ctx.pending_first + len(ctx.pending_reads) != step
@@ -215,6 +218,7 @@ def _join_pending_run(ctx, step: int, value: Any) -> None:
         ctx.pending_bytes = 0
     ctx.pending_reads.append(snapshot)
     ctx.pending_bytes += size
+    return snapshot
 
 
 def flush_read_log(ctx) -> None:
@@ -352,8 +356,7 @@ def read_many_op(ctx, table: str, keys: list,
                 ctx.tail_cache, consistency=consistency, overlapped=True)
             ctx.crash_point(f"readmany:{first}:fetched")
             for index, value in zip(fetch, fetched):
-                _join_pending_run(ctx, steps[index], value)
-                values[index] = value
+                values[index] = _join_pending_run(ctx, steps[index], value)
     return values
 
 

@@ -31,7 +31,7 @@ from repro.kvstore.item import (
     FrozenMap,
     compare_values,
     freeze_value,
-    walk_value,
+    value_size,
 )
 
 
@@ -478,9 +478,9 @@ class Add(UpdateAction):
                 raise ValidationError(f"ADD to non-number at {self.path}")
             self.path.set(item, base + self.value)
         elif isinstance(self.value, (set, frozenset)):
-            base = set(current) if present else set()
             if present and not isinstance(current, (set, frozenset)):
                 raise ValidationError(f"ADD set to non-set at {self.path}")
+            base = set(current) if present else set()
             self.path.set(item, base | set(self.value))
         else:
             raise ValidationError("ADD needs a number or a set")
@@ -518,8 +518,9 @@ class Projection:
     linked DAAL downloads ~32 bytes per row rather than the whole row.
 
     The paths compile once, into a tree of the selected attributes in the
-    order the paths first name them; :meth:`walk` then copies and sizes a
-    row's selection in one pass. A path inside a value an earlier path
+    order the paths first name them; :meth:`walk` then selects and sizes
+    a row's selection in one pass, taking each selected value by
+    reference. A path inside a value an earlier path
     selects whole adds nothing. A list index is honoured only there: the
     projection builds maps, not lists, so a row that holds any other
     indexed path is rejected.
@@ -552,8 +553,9 @@ class Projection:
         self._selected = _freeze(tree)
 
     def walk(self, row: dict) -> tuple[dict, int]:
-        """``(the row's selected attributes, their bytes)``: a copy
-        sharing nothing with ``row``, sized as a stored item would be."""
+        """``(the row's selected attributes, their bytes)``: fresh maps
+        down to each selected value, which is ``row``'s own (a stored
+        row's values are frozen), sized as a stored item would be."""
         for target, index in self._rejected:
             if target.get(row)[0]:
                 raise ValidationError(f"list index {index} out of range")
@@ -580,7 +582,8 @@ def _walk_selected(row: dict, selected: tuple) -> tuple[dict, int]:
                 out[name] = value
                 size += name_bytes + len(value.encode("utf-8"))
                 continue
-            out[name], value_bytes = walk_value(value)
+            out[name] = value
+            value_bytes = value_size(value)
         elif isinstance(value, dict):
             picked, value_bytes = _walk_selected(value, members)
             if not picked:

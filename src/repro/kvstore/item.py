@@ -1,4 +1,4 @@
-"""Item model: attribute values, deep copies, and size accounting.
+"""Item model: attribute values, frozen copies, and size accounting.
 
 Items are plain ``dict``s mapping attribute names to values. Supported
 value types mirror DynamoDB's: ``None``, ``bool``, ``int``, ``float``,
@@ -8,24 +8,22 @@ A value the store keeps is **frozen**: its maps and lists are
 :class:`FrozenMap` / :class:`FrozenList` (a set is a ``frozenset``),
 which refuse mutation and carry their byte size. A frozen value is
 never copied again: every row, replica and log entry that holds it
-shares the one object, and writing it once more takes it by reference.
+shares the one object, writing it once more takes it by reference, and
+a read hands it out as it is — nothing a reader holds can change a
+stored row, because every container in it raises on mutation.
 
-One walk family. :func:`walk_item` / :func:`walk_value` validate,
-deep-copy and size a row in one pass, handing out plain mutable copies:
-every row a read hands out goes through them (a projected read walks
-only the attributes it selects, through
-:meth:`~repro.kvstore.expressions.Projection.walk`). Their twins
-:func:`freeze_item` / :func:`freeze_value` validate, size and build the
-frozen copy the store keeps, taking frozen parts by reference.
-:func:`item_size` / :func:`value_size` size a row without copying it
-(reading a frozen container's recorded size), for rows that are
-measured where they lie: storage totals, migration metering and a
-removed row.
+One walk family. :func:`freeze_item` / :func:`freeze_value` validate,
+size and build the frozen copy the store keeps, taking frozen parts by
+reference; the row itself is a :class:`FrozenRow`, which records its
+size, so metering never walks a stored row again. :func:`freeze_update`
+re-freezes and re-sizes only the attributes an update touched.
+:func:`item_size` / :func:`value_size` size what is not frozen yet
+(reading a frozen container's recorded size).
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
 from repro.kvstore.errors import ValidationError
 
@@ -45,6 +43,13 @@ class FrozenMap(dict):
     def __reduce__(self):
         # A copy (``copy``, ``deepcopy``, pickle) is a plain map.
         return dict, (dict(self),)
+
+
+class FrozenRow(FrozenMap):
+    """A row the store keeps: read-only, its ``size`` the row's
+    :func:`item_size` (names and values, without a map's overhead)."""
+
+    __slots__ = ()
 
 
 class FrozenList(list):
@@ -86,62 +91,12 @@ def value_size(value: Any) -> int:
 
 
 def item_size(item: dict[str, Any]) -> int:
-    """Approximate stored size of an item (names + values), in bytes."""
+    """Approximate stored size of an item (names + values), in bytes: a
+    stored row's recorded size."""
+    if item.__class__ is FrozenRow:
+        return item.size
     return sum(len(name.encode("utf-8")) + value_size(value)
                for name, value in item.items())
-
-
-def walk_value(value: Any) -> tuple[Any, int]:
-    """``(deep copy of value, value_size(value))`` in one pass, raising
-    :class:`ValidationError` for a value the store does not model: a
-    type outside the model, a map key that is not a ``str``, a set
-    element that is not a scalar. The copy shares no container with
-    ``value``; tuples come back as lists, frozensets as sets."""
-    cls = value.__class__
-    if cls is str:
-        return value, len(value.encode("utf-8"))
-    if cls is int or cls is float:
-        return value, len(str(value)) // 2 + 1
-    if cls is bool or value is None:
-        return value, 1
-    if cls is dict or cls is FrozenMap:
-        out = {}
-        size = 3
-        for key, element in value.items():
-            if not isinstance(key, str):
-                raise ValidationError(f"map keys must be str, got {key!r}")
-            out[key], element_size = walk_value(element)
-            size += len(key.encode("utf-8")) + element_size + 1
-        return out, size
-    if cls is list or cls is tuple or cls is FrozenList:
-        out = []
-        size = 3
-        for element in value:
-            copied, element_size = walk_value(element)
-            out.append(copied)
-            size += 1 + element_size
-        return out, size
-    return _walk_other(value)
-
-
-def _walk_other(value: Any) -> tuple[Any, int]:
-    """:func:`walk_value` for bytes, sets and subclasses of the
-    supported types, by ``isinstance`` like :func:`value_size`."""
-    if value is None or isinstance(value, bool):
-        return value, 1
-    if isinstance(value, (int, float)):
-        return value, len(str(value)) // 2 + 1
-    if isinstance(value, str):
-        return value, len(value.encode("utf-8"))
-    if isinstance(value, bytes):
-        return value, len(value)
-    if isinstance(value, (list, tuple)):
-        return walk_value(list(value))
-    if isinstance(value, dict):
-        return walk_value(dict(value))
-    if isinstance(value, (set, frozenset)):
-        return set(value), _set_size(value)
-    raise ValidationError(f"unsupported attribute value: {value!r}")
 
 
 def _set_size(value: Any) -> int:
@@ -156,33 +111,15 @@ def _set_size(value: Any) -> int:
     return size
 
 
-def walk_item(item: dict[str, Any]) -> tuple[dict[str, Any], int]:
-    """``(deep copy of item, item_size(item))`` in one pass, raising
-    what :func:`walk_value` raises for any value (and for a name that is
-    not a ``str``); the store's one walk per row."""
-    out = {}
-    size = 0
-    for name, value in item.items():
-        if not isinstance(name, str):
-            raise ValidationError(
-                f"attribute names must be str, got {name!r}")
-        cls = value.__class__
-        if cls is str:
-            out[name] = value
-            size += len(name.encode("utf-8")) + len(value.encode("utf-8"))
-            continue
-        out[name], value_bytes = walk_value(value)
-        size += len(name.encode("utf-8")) + value_bytes
-    return out, size
-
-
 def freeze_value(value: Any) -> tuple[Any, int]:
     """``(frozen copy of value, value_size(value))`` in one pass, raising
-    what :func:`walk_value` raises. A frozen part of ``value`` is taken
+    :class:`ValidationError` for a value the store does not model: a
+    type outside the model, a map key that is not a ``str``, a set
+    element that is not a scalar. A frozen part of ``value`` is taken
     by reference with its recorded size; a mutable part is copied into
-    a new frozen one (tuples and lists into a :class:`FrozenList`, sets
-    into a ``frozenset``). Nothing the copy holds is mutable, so the
-    caller may keep mutating ``value``."""
+    a new frozen one (tuples and lists into a :class:`FrozenList`, maps
+    into a :class:`FrozenMap`, sets into a ``frozenset``). Nothing the
+    copy holds is mutable, so the caller may keep mutating ``value``."""
     cls = value.__class__
     if cls is str:
         return value, len(value.encode("utf-8"))
@@ -218,16 +155,16 @@ def freeze_value(value: Any) -> tuple[Any, int]:
         return freeze_value(list(value))
     else:
         # Scalars (and their subclasses) are immutable: shared as they
-        # are.
-        return _walk_other(value)
+        # are. Anything else is outside the model, and raises here.
+        return value, value_size(value)
     out.size = size
     return out, size
 
 
-def freeze_item(item: dict[str, Any]) -> tuple[dict[str, Any], int]:
-    """``(row of frozen values, item_size(item))``: the row the store
-    keeps. The row itself is a new plain ``dict``; the store never
-    mutates it in place (:mod:`repro.kvstore.table`)."""
+def freeze_item(item: dict[str, Any]) -> FrozenRow:
+    """The row the store keeps for ``item``: its values frozen, its
+    size recorded, raising what :func:`freeze_value` raises for any
+    value (and for a name that is not a ``str``)."""
     out = {}
     size = 0
     for name, value in item.items():
@@ -236,7 +173,28 @@ def freeze_item(item: dict[str, Any]) -> tuple[dict[str, Any], int]:
                 f"attribute names must be str, got {name!r}")
         out[name], value_bytes = freeze_value(value)
         size += len(name.encode("utf-8")) + value_bytes
-    return out, size
+    row = FrozenRow(out)
+    row.size = size
+    return row
+
+
+def freeze_update(existing: FrozenRow, draft: dict[str, Any],
+                  touched: Iterable[str]) -> FrozenRow:
+    """:func:`freeze_item` of ``draft`` — a shallow copy of ``existing``
+    that an update changed only in the top-level attributes ``touched``
+    — freezing and sizing just those: every other value is
+    ``existing``'s, frozen and sized already."""
+    size = existing.size
+    for name in touched:
+        name_bytes = len(name.encode("utf-8"))
+        if name in existing:
+            size -= name_bytes + value_size(existing[name])
+        if name in draft:
+            draft[name], value_bytes = freeze_value(draft[name])
+            size += name_bytes + value_bytes
+    row = FrozenRow(draft)
+    row.size = size
+    return row
 
 
 def compare_values(left: Any, right: Any) -> int:

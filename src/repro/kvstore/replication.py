@@ -564,7 +564,7 @@ class ReplicaGroup:
 
     def _transact_apply(self, plan: list, start: float) -> None:
         self.leader._transact_apply(plan, start)
-        self._ship([(tbl.name, key) for tbl, key, _row, _size in plan])
+        self._ship([(tbl.name, key) for tbl, key, _row in plan])
 
     # -- stats -----------------------------------------------------------------
     def storage_bytes(self, table: Optional[str] = None) -> int:

@@ -340,8 +340,9 @@ class KVStore:
             sizes: list[int] = []
             for position, row in enumerate(rows[:served]):
                 if position < n_puts:
-                    key, stored, size = prepared[position]
+                    key, stored = prepared[position]
                     tbl.install(key, stored)
+                    size = stored.size
                 else:
                     size = tbl._delete(row)[1]
                 sizes.append(size)
@@ -375,7 +376,7 @@ class KVStore:
         sized and under the cap — before anything changes.
 
         Returns the plan :meth:`_transact_apply` installs:
-        ``(table, key, row or None for a delete, bytes)`` per op. Callers
+        ``(table, key, row or None for a delete)`` per op. Callers
         must hold every involved table's lock until the plan is applied
         (this store's ``transact_write`` does; a ``ShardedStore`` holds
         the locks across all involved nodes before checking any of
@@ -402,23 +403,24 @@ class KVStore:
         plan = []
         for op, (tbl, key, existing) in zip(ops, targets):
             if isinstance(op, TransactPut):
-                _key, row, size = tbl.prepare_put(op.item)
+                row = tbl.prepare_put(op.item)[1]
             elif isinstance(op, TransactUpdate):
-                row, size = tbl.draft(key, existing, op.updates)
+                row = tbl.draft(key, existing, op.updates)
             else:
-                row, size = None, 0
-            plan.append((tbl, key, row, size))
+                row = None
+            plan.append((tbl, key, row))
         return plan
 
     def _transact_apply(self, plan: list, start: float) -> None:
         """Phase 2: install the rows :meth:`_transact_check` built; no
         check can fail here. ``start`` is when the transaction began
         paying, so the span covers its rounds."""
-        for tbl, key, row, _size in plan:
+        for tbl, key, row in plan:
             tbl.install(key, row)
         table = plan[0][0].name
         self.metering.record_write(
-            "transact_write", table, sum(entry[3] for entry in plan))
+            "transact_write", table,
+            sum(row.size for _tbl, _key, row in plan if row is not None))
         self._span("transact_write", table, start, items=len(plan))
 
     # -- stats ---------------------------------------------------------------------------

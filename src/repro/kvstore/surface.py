@@ -163,7 +163,7 @@ def update(self, table: str, key: Any, updates: Sequence[UpdateAction],
            return_new: bool = False) -> Optional[dict]:
     """Atomically check ``condition`` and apply ``updates`` to one row
     (created when absent). A write hands back only what its caller
-    reads: a copy of the new row when ``return_new`` asks for it
+    reads: the new row when ``return_new`` asks for it
     (DynamoDB's ``ReturnValues``, default ``NONE``), else ``None``."""
     return self._keyed_write(UPDATE, (table, key, updates, condition,
                                       return_new))

@@ -8,19 +8,23 @@ section, so concurrent simulated writers observe linearizable rows.
 
 A stored row is never mutated in place, and neither is any value in
 it: ``put`` stores a frozen copy (:func:`~repro.kvstore.item.freeze_item`,
-which takes already-frozen values by reference), ``update`` replaces the
-row with a copy-on-write draft that shares every value it leaves alone,
-and every read hands out a plain copy. So a stored row and its values
-may be shared — a replica group's followers install the leader's row
-objects (:meth:`Table.install`), and one value may sit in many rows —
-and every operation walks a row once (:func:`~repro.kvstore.item.walk_item`
-for what a read hands out; a projected read walks just its selection,
-:meth:`~repro.kvstore.expressions.Projection.walk`). A write hands back
-only what its caller reads: ``update`` the new row only when asked
-(``return_new``, DynamoDB's ``ReturnValues``), ``delete`` whether it
-removed a row. The ``_``-prefixed twins of the operations return the
-bytes they moved beside their result, which is what a
-:class:`~repro.kvstore.store.KVStore` meters.
+which takes already-frozen values by reference and records the row's
+size), and ``update`` replaces the row with a copy-on-write draft that
+shares every value it leaves alone and re-sizes only the attributes it
+touched (:func:`~repro.kvstore.item.freeze_update`). A read hands out a
+fresh top-level ``dict`` per row holding the stored frozen values by
+reference (a projected read just its selection,
+:meth:`~repro.kvstore.expressions.Projection.walk`): nothing a reader
+holds can change a stored row, because every container in it refuses
+mutation. So a stored row and its values may be shared — a replica
+group's followers install the leader's row objects
+(:meth:`Table.install`), and one value may sit in many rows — and the
+bytes an operation moves are the size the row recorded when it was
+built. A write hands back only what its caller reads: ``update`` the
+new row only when asked (``return_new``, DynamoDB's ``ReturnValues``),
+``delete`` whether it removed a row. The ``_``-prefixed twins of the
+operations return the bytes they moved beside their result, which is
+what a :class:`~repro.kvstore.store.KVStore` meters.
 
 A table without a range key keeps ``{hash value: row}``; a table with
 one keeps ``{hash value: {range value: row}}``.
@@ -43,7 +47,7 @@ from repro.kvstore.expressions import (
     UpdateAction,
     apply_updates,
 )
-from repro.kvstore.item import freeze_item, item_size, walk_item
+from repro.kvstore.item import FrozenRow, freeze_item, freeze_update
 
 DEFAULT_MAX_ITEM_BYTES = 400 * 1024  # DynamoDB's row cap
 
@@ -246,25 +250,25 @@ class Table:
             self._index_insert(key, row)
 
     # -- building rows before any effect ------------------------------------------
-    def prepare_put(self, item: dict) -> tuple[tuple, dict, int]:
-        """``(key, row, size)`` of ``item`` as a put would store it: the
-        validated frozen copy and its size, rejected here when
-        oversized."""
-        row, size = freeze_item(item)
+    def prepare_put(self, item: dict) -> tuple[tuple, FrozenRow]:
+        """``(key, row)`` of ``item`` as a put would store it: the
+        validated frozen copy, rejected here when oversized."""
+        row = freeze_item(item)
         key = self.schema.extract(item)
-        self._check_size(size)
-        return key, row, size
+        self._check_size(row.size)
+        return key, row
 
-    def draft(self, key: tuple, existing: Optional[dict],
-              updates: Sequence[UpdateAction]) -> tuple[dict, int]:
-        """``(row, size)``: the new row ``updates`` make of ``existing``
-        (``None``: a row of just the key), rejected here when oversized.
+    def draft(self, key: tuple, existing: Optional[FrozenRow],
+              updates: Sequence[UpdateAction]) -> FrozenRow:
+        """The new row ``updates`` make of ``existing`` (``None``: a row
+        of just the key), rejected here when oversized.
 
         Copy-on-write: the draft starts as a shallow copy of
         ``existing``, the actions copy a frozen container only along a
-        path they change, and the frozen row shares every value they
-        leave alone with ``existing`` — so building it costs what the
-        update touches, not the row."""
+        path they change, and only the top-level attributes they name
+        are frozen and sized again; the row shares every other value
+        with ``existing`` — so building it costs what the update
+        touches, not the row."""
         key_dict = self.schema.key_dict(key)
         draft = dict(key_dict) if existing is None else dict(existing)
         apply_updates(draft, updates)
@@ -272,9 +276,13 @@ class Table:
             if name is not None and draft.get(name) != key_dict.get(name):
                 raise ValidationError(
                     f"update may not modify key attribute {name!r}")
-        row, size = freeze_item(draft)
-        self._check_size(size)
-        return row, size
+        if existing is None:
+            row = freeze_item(draft)
+        else:
+            row = freeze_update(existing, draft,
+                                {action.path.top for action in updates})
+        self._check_size(row.size)
+        return row
 
     def install(self, key: tuple, row: Optional[dict]) -> None:
         """Store ``row`` under ``key`` as it is (``None`` removes the
@@ -289,13 +297,13 @@ class Table:
         return self._get(key)[0]
 
     def _get(self, key: Any) -> tuple[Optional[dict], int, int]:
-        """``(copy of the row or None, bytes read, rows walked)``."""
+        """``(the row or None, bytes read, rows walked)``."""
         key = self.schema.normalize(key)
         with self._lock:
             item = self._get_raw(key)
         if item is None:
             return None, 0, 1
-        return (*walk_item(item), 1)
+        return dict(item), item.size, 1
 
     def put(self, item: dict, condition: Optional[Condition] = None) -> None:
         self._put(item, condition)
@@ -303,16 +311,16 @@ class Table:
     def _put(self, item: dict, condition: Optional[Condition] = None
              ) -> tuple[None, int]:
         """``(None, bytes written)``."""
-        row, size = freeze_item(item)
+        row = freeze_item(item)
         key = self.schema.extract(item)
         with self._lock:
             existing = self._get_raw(key)
             if condition is not None and not condition.evaluate(existing):
                 raise ConditionFailed(
                     f"put condition failed on {self.name}:{key}")
-            self._check_size(size)
+            self._check_size(row.size)
             self._replace(key, existing, row)
-        return None, size
+        return None, row.size
 
     def update(self, key: Any, updates: Sequence[UpdateAction],
                condition: Optional[Condition] = None,
@@ -320,8 +328,8 @@ class Table:
         """Atomically check ``condition`` and apply ``updates``.
 
         Creates the item (with just its key attributes) when absent,
-        matching DynamoDB ``UpdateItem`` semantics. Returns a copy of
-        the new item when ``return_new`` asks for it (DynamoDB's
+        matching DynamoDB ``UpdateItem`` semantics. Returns the new
+        item when ``return_new`` asks for it (DynamoDB's
         ``ReturnValues``), else ``None``.
         """
         return self._update(key, updates, condition, return_new)[0]
@@ -329,16 +337,16 @@ class Table:
     def _update(self, key: Any, updates: Sequence[UpdateAction],
                 condition: Optional[Condition] = None,
                 return_new: bool = False) -> tuple[Optional[dict], int]:
-        """``(copy of the new row or None, bytes written)``."""
+        """``(the new row or None, bytes written)``."""
         key = self.schema.normalize(key)
         with self._lock:
             existing = self._get_raw(key)
             if condition is not None and not condition.evaluate(existing):
                 raise ConditionFailed(
                     f"update condition failed on {self.name}:{key}")
-            row, size = self.draft(key, existing, updates)
+            row = self.draft(key, existing, updates)
             self._replace(key, existing, row)
-        return (walk_item(row)[0] if return_new else None), size
+        return (dict(row) if return_new else None), row.size
 
     def delete(self, key: Any,
                condition: Optional[Condition] = None) -> bool:
@@ -357,7 +365,7 @@ class Table:
             if existing is None:
                 return False, 0
             self._replace(key, existing, None)
-        return True, item_size(existing)
+        return True, existing.size
 
     # -- queries and scans -------------------------------------------------------
     def query(self, hash_value: Any,
@@ -393,15 +401,16 @@ class Table:
               projection: Optional[Projection],
               limit: Optional[int]) -> QueryResult:
         walked = ordered if limit is None else ordered[:limit]
-        # One walk per row: the copy handed out and the bytes it moves.
-        walk = walk_item if projection is None else projection.walk
         items: list[dict] = []
         consumed = 0
         for item in walked:
             if filter_condition is not None and not filter_condition.evaluate(
                     item):
                 continue
-            out, size = walk(item)
+            if projection is None:
+                out, size = dict(item), item.size
+            else:
+                out, size = projection.walk(item)
             consumed += size
             items.append(out)
         return QueryResult(items, len(walked), consumed)
@@ -422,7 +431,7 @@ class Table:
 
     def _query_index(self, index_name: str, value: Any
                      ) -> tuple[list[dict], int, int]:
-        """``(copies of the rows, bytes read, rows walked)``."""
+        """``(the rows, bytes read, rows walked)``."""
         with self._lock:
             index = self._indexes.get(index_name)
             if index is None:
@@ -434,9 +443,8 @@ class Table:
                 item = self._get_raw(key)
                 if item is None:
                     continue
-                out, size = walk_item(item)
-                consumed += size
-                results.append(out)
+                consumed += item.size
+                results.append(dict(item))
             return results, consumed, len(results)
 
     # -- stats -----------------------------------------------------------------
@@ -448,7 +456,7 @@ class Table:
 
     def storage_bytes(self) -> int:
         with self._lock:
-            return sum(item_size(item) for _k, item in self._iter_raw())
+            return sum(item.size for _k, item in self._iter_raw())
 
 
 def _sort_token(value: Any) -> tuple:

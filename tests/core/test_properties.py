@@ -173,12 +173,12 @@ class TestReadLogFrontierProperty:
                     ctx.write("kv", key, {"at": index, "seen": len(seen),
                                           "last": seen[-1:]})
                 elif kind == "grow":
-                    # Read-modify-write *in place*: the handler owns the
-                    # values it is handed, the log keeps what was there.
+                    # Read-modify-write: what a step observed is
+                    # read-only, so the handler grows copies; the log
+                    # keeps what was there.
                     held = ctx.read("kv", key)
-                    drawn = ctx.record(lambda: [f"rec-{index}"])
-                    if not isinstance(held, list):
-                        held = [held]
+                    drawn = [*ctx.record(lambda: [f"rec-{index}"])]
+                    held = [*held] if isinstance(held, list) else [held]
                     held.append(len(seen))
                     drawn.append(len(held))
                     ctx.write("kv", key, held)

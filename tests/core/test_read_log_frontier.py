@@ -16,6 +16,7 @@ import history
 from repro.core import BeldiConfig, BeldiRuntime, daal
 from repro.kvstore import Eq, Set
 from repro.kvstore.expressions import path
+from repro.kvstore.item import FrozenList, FrozenMap
 from repro.platform import CrashOnce, FunctionCrashed
 
 PER_READ = [dict(profile="paper"), dict(without="async_io")]
@@ -230,24 +231,32 @@ def test_an_identical_duplicate_run_is_not_a_lost_flush():
     runtime.kernel.shutdown()
 
 
-def mutate_the_read_value_in_place(ctx, payload):
-    cart = ctx.read("kv", "cart")
-    drawn = ctx.record(lambda: ["drawn"])
-    cart.append("item")
-    drawn.append("twice?")
-    ctx.write("kv", "marker", 1)
-    ctx.write("kv", "cart", cart)
-    return cart
+def grow_what_was_read(refused):
+    def handler(ctx, payload):
+        cart = ctx.read("kv", "cart")
+        drawn = ctx.record(lambda: ["drawn"])
+        for held in (cart, drawn):
+            try:
+                held.append("in place")
+            except TypeError:
+                refused.append(type(held).__name__)
+        cart = [*cart, "item"]
+        ctx.write("kv", "marker", 1)
+        ctx.write("kv", "cart", cart)
+        return cart
+    return handler
 
 
 @pytest.mark.parametrize("config", [{}] + PER_READ,
                          ids=["current", "paper", "no-async-io"])
 def test_the_log_holds_what_was_observed_not_what_the_handler_made_of_it(
         config):
-    """The handler owns the value it was handed; mutating it before the
-    frontier must not reach the log, or a replay appends twice."""
+    """What a step observed is read-only to the handler — on the first
+    execution and on the replay alike — so it grows a copy, and nothing
+    it does reaches the log: a replay does not append twice."""
     runtime = _runtime(**config)
-    env = _register(runtime, mutate_the_read_value_in_place)
+    refused = []
+    env = _register(runtime, grow_what_was_read(refused))
     env.seed("kv", "cart", [])
     runtime.platform.crash_policy = CrashOnce("f", "write:2:done")
     runtime.start_collectors(ic_period=50.0, gc_period=1e12)
@@ -267,6 +276,68 @@ def test_the_log_holds_what_was_observed_not_what_the_handler_made_of_it(
     assert env.peek("kv", "cart") == ["item"]
     (intent,) = env.store.scan(env.intent_table).items
     assert intent["Done"] and intent["Ret"] == ["item"]
+    # Both values, refused on the first execution and on the replay.
+    assert refused == ["FrozenList"] * 4
+    runtime.kernel.shutdown()
+
+
+def frozen_shape(value):
+    """``value``'s classes, container by container: equal for two values
+    only when each is built of the same (frozen) classes."""
+    if isinstance(value, dict):
+        return type(value), {k: frozen_shape(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value), [frozen_shape(v) for v in value]
+    return type(value), value
+
+
+@pytest.mark.parametrize("config", [{}, dict(profile="paper")],
+                         ids=["current", "paper"])
+def test_a_replay_hands_the_handler_what_the_first_execution_saw(config):
+    """Every value a step hands the handler is the frozen value its log
+    holds, so a first execution and an IC replay see equal values built
+    of the same frozen classes: what works once works under recovery."""
+    runtime = _runtime(**config)
+    nested = {"m": [1, {"n": 2}], "s": {3}}
+    runtime.register_ssf("leaf", lambda ctx, p: {"leaf": [1, {"x": p}]})
+    seen = []
+
+    def handler(ctx, payload):
+        seen.append({
+            "read": ctx.read("kv", "nest"),
+            "read_eventual": ctx.read_eventual("kv", "nest"),
+            "read_many": ctx.read_many("kv", ["nest", "a"]),
+            "record": ctx.record(lambda: {"drawn": [1, [2]]}),
+            "sync_invoke": ctx.sync_invoke("leaf", 7)})
+        ctx.write("kv", "marker", 1)
+        return "done"
+
+    env = _register(runtime, handler)
+    env.seed("kv", "nest", nested)
+    # Steps 0-4 are the reads (read_many takes two), 5 the invoke.
+    runtime.platform.crash_policy = CrashOnce("f", "write:6:done")
+    runtime.start_collectors(ic_period=50.0, gc_period=1e12)
+
+    def client():
+        try:
+            runtime.client_call("f")
+        except FunctionCrashed:
+            pass
+
+    runtime.kernel.spawn(client)
+    runtime.kernel.run(until=2_000.0)
+    assert runtime.platform.crash_policy.fired
+    first, replay = seen
+    assert first == replay == {
+        "read": nested, "read_eventual": nested, "read_many": [nested, 0],
+        "record": {"drawn": [1, [2]]}, "sync_invoke": {"leaf": [1, {"x": 7}]}}
+    assert frozen_shape(first) == frozen_shape(replay)
+    values = [first["read"], first["read_eventual"], first["read_many"][0],
+              first["record"], first["sync_invoke"]]
+    for value in values:
+        assert type(value) is FrozenMap
+    assert type(first["record"]["drawn"][1]) is FrozenList
+    assert type(first["read"]["s"]) is frozenset
     runtime.kernel.shutdown()
 
 

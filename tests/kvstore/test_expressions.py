@@ -241,6 +241,11 @@ class TestUpdates:
         with pytest.raises(ValidationError):
             apply_updates({"n": "str"}, [Add("n", 1)])
 
+    @pytest.mark.parametrize("current", [None, 1, "str"])
+    def test_add_set_to_non_set_rejected(self, current):
+        with pytest.raises(ValidationError, match="ADD set to non-set"):
+            apply_updates({"s": current}, [Add("s", {"a"})])
+
 
 class TestProjection:
     def test_projects_top_level(self):

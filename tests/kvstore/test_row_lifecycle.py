@@ -1,25 +1,33 @@
 """A row's life in the store: walked once, never mutated in place, shared.
 
-Three contracts, one test group each:
+The contracts, one test group each:
 
 - a rejected item rejects its whole request — a ``transact_write`` or a
   ``batch_write`` builds and checks every row before the first one lands,
   on one node, across shards and on a replica group alike;
-- nothing a caller holds aliases a stored row — not what an operation
-  returns, not what it was handed — although a replica group's followers
-  share the leader's row objects;
-- the fused walk (:func:`walk_value` / :func:`walk_item`) is exactly the
-  three single walks it replaced — kept below as references — the same
-  copy, the same size, the same errors; a projected read
-  (:meth:`Projection.walk`) hands out exactly what copying the selected
-  paths into a fresh row and sizing that did; and the bytes the store
-  meters are the row's ``item_size``;
+- nothing a caller holds can change a stored row — not what an
+  operation returns, not what it was handed — although a replica
+  group's followers share the leader's row objects and a read hands out
+  the stored values themselves: the top level of each row it returns is
+  fresh, and every container below it refuses mutation;
+- the fused walk (:func:`walk_value` / :func:`walk_item`, the deep copy
+  and size the store once handed out, kept below as the reference the
+  frozen walk is checked against) is exactly the three single walks it
+  replaced — the same copy, the same size, the same errors; a projected
+  read (:meth:`Projection.walk`) hands out exactly what copying the
+  selected paths into a fresh row and sizing that did; and the bytes the
+  store meters are the row's ``item_size``;
 - a stored value is frozen and shared: :func:`freeze_value` is
   :func:`walk_value` with a frozen copy, a copy-on-write update builds
   what deep-copying the whole row and walking it again built (that
   path is kept below as the reference), every container inside a stored
-  row refuses mutation, no read hands one out, and one frozen value
-  written to many rows on many replicas stays one object.
+  row refuses mutation, a read hands out the stored values by
+  reference, and one frozen value written to many rows on many replicas
+  stays one object;
+- every stored row records its size when it is built — by a put, an
+  update that re-sizes only what it touched, a batch, a transaction, a
+  replica install or a chain migration — and it is the size a walk of
+  the row measures.
 """
 
 import copy
@@ -34,6 +42,7 @@ from hypothesis import strategies as st
 from repro.kvstore import (
     Add,
     ChainMigrator,
+    Delete,
     IfNotExists,
     ItemTooLarge,
     KeySchema,
@@ -57,10 +66,10 @@ from repro.kvstore.expressions import Projection, apply_updates
 from repro.kvstore.item import (
     FrozenList,
     FrozenMap,
+    FrozenRow,
+    freeze_item,
     freeze_value,
     value_size,
-    walk_item,
-    walk_value,
 )
 from repro.kvstore.store import NullTimeSource
 from repro.kvstore.surface import leaves
@@ -147,6 +156,49 @@ def copy_item(item: dict) -> dict:
     return {name: copy_value(value) for name, value in item.items()}
 
 
+def walk_value(value) -> tuple:
+    """``(deep copy of value, value_size(value))`` in one pass, raising
+    what :func:`validate_value` raises: the walk every read once handed
+    out its rows through. The copy shares no container with ``value``;
+    tuples come back as lists, frozensets as sets."""
+    cls = value.__class__
+    if cls is bool or value is None:
+        return value, 1
+    if isinstance(value, (dict, list, tuple)):
+        if isinstance(value, dict):
+            out, size = {}, 3
+            for key, element in value.items():
+                if not isinstance(key, str):
+                    raise ValidationError(
+                        f"map keys must be str, got {key!r}")
+                out[key], element_size = walk_value(element)
+                size += len(key.encode("utf-8")) + element_size + 1
+            return out, size
+        out, size = [], 3
+        for element in value:
+            copied, element_size = walk_value(element)
+            out.append(copied)
+            size += 1 + element_size
+        return out, size
+    if isinstance(value, (set, frozenset)):
+        validate_value(value)
+        return set(value), value_size(value)
+    validate_value(value)
+    return value, value_size(value)
+
+
+def walk_item(item: dict) -> tuple[dict, int]:
+    """``(deep copy of item, item_size(item))`` in one pass."""
+    out, size = {}, 0
+    for name, value in item.items():
+        if not isinstance(name, str):
+            raise ValidationError(
+                f"attribute names must be str, got {name!r}")
+        out[name], value_bytes = walk_value(value)
+        size += len(name.encode("utf-8")) + value_bytes
+    return out, size
+
+
 def project(projection: Projection, item: dict) -> tuple[dict, int]:
     """A projected read as two walks: copy each selected path into a
     fresh row (creating the maps above it), then size that row."""
@@ -159,15 +211,20 @@ def project(projection: Projection, item: dict) -> tuple[dict, int]:
 
 
 def scribble(value) -> None:
-    """Mutate every container reachable from ``value``."""
+    """Mutate every container reachable from ``value``: a plain one
+    takes the change, a frozen one (a stored value) must refuse it."""
+    if isinstance(value, (FrozenMap, FrozenList, frozenset)):
+        assert refuses_mutation(value)
     if isinstance(value, dict):
         for element in list(value.values()):
             scribble(element)
-        value["Scribbled"] = True
+        if type(value) is not FrozenMap:
+            value["Scribbled"] = True
     elif isinstance(value, list):
-        for element in value:
+        for element in list(value):
             scribble(element)
-        value.append("scribbled")
+        if type(value) is not FrozenList:
+            value.append("scribbled")
     elif isinstance(value, set):
         value.add("scribbled")
 
@@ -302,6 +359,9 @@ HANDED = {
 class TestNothingAliasesAStoredRow:
     @pytest.mark.parametrize("operation", sorted(RETURNED))
     def test_mutating_what_an_operation_returns(self, operation):
+        """A read hands out the stored values themselves: the reader may
+        change each row's top level, which is its own, and every
+        container below it refuses (:func:`scribble` asserts so)."""
         group, clock = make_group()
         group.put("data", nested_row("a"))
         group.put("data", nested_row("b"))
@@ -480,7 +540,7 @@ class TestFusedWalk:
         ({"a": [Ellipsis]}, "unsupported attribute value: Ellipsis"),
     ])
     def test_each_rejection_has_validations_message(self, value, message):
-        for walk in (validate_value, walk_value):
+        for walk in (validate_value, walk_value, freeze_value):
             with pytest.raises(ValidationError) as raised:
                 walk(value)
             assert str(raised.value) == message
@@ -515,12 +575,23 @@ class TestFusedWalk:
                 store.get("data", "a"))
 
     def test_the_store_keeps_no_single_purpose_copy_or_check(self):
-        """The references above live here only: under ``src/`` a copy or
-        a check is a walk, so it cannot drift from the size it meters."""
+        """The references above live here only: under ``src/`` a check
+        is the frozen walk, so it cannot drift from the size it meters,
+        and no walk deep-copies a value to hand it out."""
         src = pathlib.Path(item_model.__file__).resolve().parents[2]
         for module in src.rglob("*.py"):
-            assert not re.search(r"\b(copy_value|copy_item|validate_value)\b",
-                                 module.read_text()), module
+            assert not re.search(
+                r"\b(copy_value|copy_item|validate_value|walk_value"
+                r"|walk_item)\b|\bdeepcopy\(", module.read_text()), module
+        # One walk family: the frozen walks and the size of what is not
+        # frozen yet.
+        functions = {name for name, value in vars(item_model).items()
+                     if callable(value) and getattr(
+                         value, "__module__", None) == item_model.__name__}
+        assert functions == {
+            "FrozenMap", "FrozenRow", "FrozenList", "_refuse", "_set_size",
+            "value_size", "item_size", "freeze_value", "freeze_item",
+            "freeze_update", "compare_values"}
 
     @pytest.mark.parametrize("operation", sorted(FILL))
     def test_item_too_large_fires_at_exactly_one_byte_over(self,
@@ -571,23 +642,31 @@ class TestProjectedWalk:
     @settings(**FAST)
     @given(PROJECTED_ROWS, PROJECTIONS)
     def test_one_pass_equals_copy_then_size(self, row, projection):
-        snapshot = copy_item(row)
+        """Over a stored (frozen) row: the selection by reference is what
+        copying the paths out and sizing them handed out, each value
+        selected whole is the stored object, and changing what it
+        hands out cannot change the row."""
+        stored_row = freeze_item(row)
+        snapshot = copy_item(stored_row)
         try:
             expected = project(projection, row)
         except ValidationError as exc:
             with pytest.raises(ValidationError) as raised:
-                projection.walk(row)
+                projection.walk(stored_row)
             assert str(raised.value) == str(exc)
             return
-        out, size = projection.walk(row)
+        out, size = projection.walk(stored_row)
         assert (out, size) == expected
         tops = [target.top for target in projection.paths]
         if len(set(tops)) == len(tops):
             # Key order follows the paths; it can differ from the two
             # walks' only where two paths share a top attribute.
-            assert repr(out) == repr(expected[0])
+            assert repr(copy_item(out)) == repr(expected[0])
+        for target in projection.paths:
+            if len(target.segments) == 1 and target.top in out:
+                assert out[target.top] is stored_row[target.top]
         scribble(out)
-        assert row == snapshot
+        assert stored_row == snapshot
 
     @pytest.mark.parametrize("targets, row, expected", [
         # The skeleton probe: a map member under its parent, nothing
@@ -626,14 +705,20 @@ def reference_update(existing, updates) -> tuple[dict, int]:
     return walk_item(draft)
 
 
+def measured_size(row: dict) -> int:
+    """A row's size as a walk of a plain copy measures it — what the
+    size a stored row records must equal."""
+    return item_size(copy_item(row))
+
+
 def all_frozen(value) -> bool:
     return all(isinstance(c, (FrozenMap, FrozenList, frozenset))
                for c in containers(value))
 
 
 def all_frozen_row(row: dict) -> bool:
-    """Every value of a stored row is frozen (the row is a plain dict
-    the store never mutates in place)."""
+    """Every value of a stored row is frozen (the row itself is a
+    :class:`FrozenRow`, read-only too)."""
     return all(all_frozen(value) for value in row.values())
 
 
@@ -736,9 +821,9 @@ class TestFrozenValues:
                 table.draft(("a",), existing, updates)
             assert str(raised.value) == str(exc)
         else:
-            new, size = table.draft(("a",), existing, updates)
-            assert (new, size) == expected
-            assert all_frozen_row(new)
+            new = table.draft(("a",), existing, updates)
+            assert (new, new.size) == expected
+            assert type(new) is FrozenRow and all_frozen_row(new)
         # The stored row and every value in it are as they were.
         assert existing == snapshot and all_frozen_row(existing)
 
@@ -756,18 +841,31 @@ class TestFrozenValues:
         assert row == nested_row("a")  # the caller's item is its own
 
     @pytest.mark.parametrize("operation", sorted(READS))
-    def test_a_read_hands_out_no_frozen_container(self, operation):
+    def test_a_read_hands_out_the_stored_values(self, operation):
+        """Each row a read returns is a fresh plain ``dict`` holding the
+        stored frozen values by reference (a projection builds fresh
+        maps down to what it selects): no value is copied on the way
+        out, and none can be changed."""
         store = fresh_store()
         store.put("data", nested_row("a"))
+        stored_row = store.table("data")._get_raw(("a",))
         rows = READS[operation](store)
         assert rows and all(row for row in rows)
-        assert all_plain(rows)
+        for row in rows:
+            assert type(row) is dict and row is not stored_row
+            picked = dict(row)
+            if operation == "projected query":
+                # A projection builds a fresh map down to a member.
+                assert type(row["Map"]) is dict
+                assert row["Map"]["inner"] is stored_row["Map"]["inner"]
+                del picked["Map"]
+            assert all(value is stored_row[name]
+                       for name, value in picked.items())
 
     def test_a_written_frozen_value_is_shared_not_copied(self):
         """One frozen value in two rows on both replicas is one object,
-        across a failover too. A chain migration re-writes the rows it
-        read (a read hands out copies), so the moved rows hold equal
-        frozen values; the original is untouched either way."""
+        across a failover too, and after a chain migration: it re-writes
+        the rows it read, and a read hands out the stored values."""
         clock = NullTimeSource()
         groups = [ReplicaGroup(
             KVStore(time_source=clock, shard_id=shard),
@@ -796,8 +894,91 @@ class TestFrozenValues:
         target = 1 - owner
         assert ChainMigrator(store).migrate([("data", "k", target)]) == 1
         moved = held(target)
-        assert all(value == shared and all_frozen(value) for value in moved)
+        assert all(value is shared for value in moved)
         # Followers share the rows the target's leader stored.
         assert moved[0] is moved[2] and moved[1] is moved[3]
         assert shared == {"List": [1, {"m": 2}], "Set": {3}}
         assert type(shared) is FrozenMap
+
+
+# -- every stored row records its size ----------------------------------------------
+SIZE_ACTIONS = ACTIONS | st.builds(
+    Add, PATHS, st.sets(SET_ELEMENTS, min_size=1, max_size=3)) | st.builds(
+    Delete, PATHS, st.sets(SET_ELEMENTS, min_size=1, max_size=3)) | st.builds(
+    Set, NAMES, VALUES) | st.builds(Remove, NAMES)  # whole attributes
+SIZE_UPDATES = st.lists(SIZE_ACTIONS, min_size=1, max_size=4)
+
+
+def replicated_pair() -> tuple:
+    """Two shards of a leader and a follower each, shipping at once."""
+    clock = NullTimeSource()
+    store = ReplicatedStore([ReplicaGroup(
+        KVStore(time_source=clock, shard_id=shard),
+        [KVStore(time_source=clock, shard_id=shard)],
+        rand=RandomSource(7, "repl"), lag_scale=0.0)
+        for shard in range(2)])
+    store.create_table("data", hash_key="Key")
+    return store, clock
+
+
+def attempt(write) -> None:
+    """Run a write that the drawn actions may make invalid."""
+    try:
+        write()
+    except ValidationError:
+        pass
+
+
+def assert_sizes_recorded(store, clock) -> None:
+    """Every row on every node — once every follower has installed what
+    shipped — records the size a walk of it measures."""
+    clock.sleep(SHIP_LAG + 1)
+    store.replication_lag()
+    rows = [stored_row for leaf in leaves(store)
+            for _key, stored_row in leaf.table("data")._iter_raw()]
+    assert len(rows) >= 2 * 2  # a and b, on a leader and a follower
+    for stored_row in rows:
+        assert type(stored_row) is FrozenRow
+        assert stored_row.size == measured_size(stored_row)
+        assert item_size(stored_row) == stored_row.size
+
+
+class TestRecordedRowSize:
+    @settings(**dict(FAST, max_examples=100))
+    @given(UPDATE_ROWS, SIZE_UPDATES, SIZE_UPDATES)
+    def test_every_stored_row_records_the_size_a_walk_measures(
+            self, row, updates, more):
+        store, clock = replicated_pair()
+        store.put("data", row)
+        # One update per action, so one invalid action does not void
+        # the rest; the first on "created" makes a row of just the key.
+        for key, actions in (("a", updates), ("created", more)):
+            for action in actions:
+                attempt(lambda: store.update("data", key, [action]))
+        store.batch_write("data", puts=[{**row, "Key": "b"}])
+        attempt(lambda: store.transact_write([
+            TransactPut("data", {**row, "Key": "c"}),
+            TransactUpdate("data", "b", more)]))
+        assert_sizes_recorded(store, clock)
+        # A chain migration re-writes the rows it moves.
+        source = store.shard_for("data", "a")
+        assert ChainMigrator(store).migrate([("data", "a", 1 - source)]) == 1
+        assert_sizes_recorded(store, clock)
+
+    def test_an_update_lands_exactly_on_the_cap_and_not_a_byte_over(self):
+        store = KVStore()
+        store.create_table("data", hash_key="Key", max_item_bytes=CAP)
+        store.put("data", {"Key": "a", "B": "x", "M": {"n": [1, {2}]}})
+        table = store.table("data")
+        # Re-sizing only "B" must land where a walk of the whole row does.
+        room = CAP - table._get_raw(("a",)).size + 1
+        store.update("data", ("a",), [Set("B", "y" * room)])
+        at_cap = table._get_raw(("a",))
+        assert at_cap.size == measured_size(at_cap) == CAP
+        before = store.metering.copy()
+        with pytest.raises(ItemTooLarge):
+            store.update("data", ("a",), [Set("B", "z" * (room + 1))])
+        with pytest.raises(ItemTooLarge):
+            store.update("data", ("a",), [Set(path("M", "o"), "")])
+        assert table._get_raw(("a",)) is at_cap
+        assert not store.metering.diff(before)

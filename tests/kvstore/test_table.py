@@ -42,10 +42,15 @@ class TestPutGet:
         assert simple.get("a") == {"Key": "a", "Value": 2}
 
     def test_get_returns_copy(self, simple):
+        """The top level is the reader's own copy; the values in it are
+        the stored frozen ones, which refuse mutation."""
         simple.put({"Key": "a", "List": [1]})
         fetched = simple.get("a")
-        fetched["List"].append(2)
-        assert simple.get("a")["List"] == [1]
+        with pytest.raises(TypeError, match="read-only"):
+            fetched["List"].append(2)
+        fetched["List"] = [1, 2]
+        del fetched["Key"]
+        assert simple.get("a") == {"Key": "a", "List": [1]}
 
     def test_put_stores_copy(self, simple):
         item = {"Key": "a", "List": [1]}

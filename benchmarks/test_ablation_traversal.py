@@ -9,7 +9,7 @@ length — this is why the linked DAAL stays cheap even before GC trims it.
 from conftest import emit, emit_json
 
 from repro.bench.fig13_ops import traversal_ablation
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 
 LENGTHS = (2, 10, 25, 50)
 

@@ -11,7 +11,7 @@ pricing charges $2.5e-7 per read and $1.25e-6 per write unit.
 from conftest import emit, emit_json
 
 from repro.bench.costs import measure_costs
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 
 
 def test_costs_overhead(benchmark):

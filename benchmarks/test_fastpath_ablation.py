@@ -29,8 +29,8 @@ from __future__ import annotations
 from conftest import emit, emit_json
 
 from repro.bench.fig13_ops import KEY, VALUE, _pre_grow_chain
-from repro.bench.reporting import format_table
 from repro.core import BeldiConfig, BeldiRuntime
+from repro.obs.report import format_table
 from repro.workload.recorder import LatencyRecorder
 
 ROWS = 20

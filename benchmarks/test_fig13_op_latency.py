@@ -8,7 +8,7 @@ on writes but *less* than Beldi on reads (no chain scan).
 from conftest import emit, emit_json
 
 from repro.bench.fig13_ops import OPS, measure_primitive_ops
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 
 ROWS = 20
 

@@ -10,7 +10,7 @@ Scaled ~10x down from the paper's 100-800 req/s @ 1,000-Lambda setup
 from conftest import emit, emit_json
 
 from repro.bench.fig1415_apps import app_sweep
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 
 RATES = (10.0, 20.0, 30.0, 40.0, 60.0, 80.0, 110.0)
 APP_KWARGS = {"n_movies": 40, "n_users": 40}

@@ -11,7 +11,7 @@ and flight) — quantified here by the capacity-mismatch count.
 from conftest import emit, emit_json
 
 from repro.bench.fig1415_apps import _build, app_sweep
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.workload import run_constant_load
 
 RATES = (10.0, 20.0, 30.0, 40.0, 60.0, 80.0)

@@ -13,7 +13,7 @@ and its 1/10/30-minute triggers become 6/60/180 virtual seconds.
 from conftest import emit, emit_json
 
 from repro.bench.fig16_gc import gc_timeseries
-from repro.bench.reporting import format_series
+from repro.obs.report import format_series
 
 DURATION = 360_000.0
 BUCKET = 30_000.0

@@ -7,7 +7,7 @@ reads/writes, same qualitative ordering.
 from conftest import emit, emit_json
 
 from repro.bench.fig13_ops import OPS, measure_primitive_ops
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 
 ROWS = 5
 

@@ -7,7 +7,7 @@ asynchronous fan-out to follower home timelines.
 from conftest import emit, emit_json
 
 from repro.bench.fig1415_apps import app_sweep
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 
 RATES = (10.0, 20.0, 30.0, 40.0, 60.0, 80.0)
 APP_KWARGS = {"n_users": 40, "followers_per_user": 5}

@@ -21,8 +21,8 @@ optimizations change round-trip counts and timing, never billed units.
 
 from __future__ import annotations
 
-from repro.bench.reporting import format_table
 from repro.core import BeldiConfig, BeldiRuntime
+from repro.obs.report import format_table
 from repro.workload import run_closed_loop
 
 SHARDS = 2

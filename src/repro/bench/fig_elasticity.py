@@ -23,13 +23,9 @@ per-shard dashboard and its load-imbalance summary before/after.
 
 from __future__ import annotations
 
-from repro.bench.reporting import (
-    format_table,
-    load_imbalance,
-    per_shard_rows,
-    per_shard_table,
-)
 from repro.core import BeldiConfig, BeldiRuntime
+from repro.obs import load_imbalance, per_shard_rows
+from repro.obs.report import format_table, per_shard_table
 from repro.platform import PlatformConfig
 from repro.sim.randsrc import RandomSource
 from repro.workload import skewed_keys

@@ -27,9 +27,9 @@ tables must never appear), and the replica groups' shipping counters.
 
 from __future__ import annotations
 
-from repro.bench.reporting import format_table
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.core.env import PROTOCOL_SUFFIXES
+from repro.obs.report import format_table
 from repro.platform import PlatformConfig
 from repro.workload import run_closed_loop
 

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.bench.reporting import format_table
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.kvstore import FaultTimeline
+from repro.obs.report import format_table
 from repro.platform import PlatformConfig
 from repro.sim.randsrc import RandomSource
 from repro.workload import (

@@ -19,13 +19,9 @@ request metering, same books as the §7.3 cost analysis.
 
 from __future__ import annotations
 
-from repro.bench.reporting import (
-    format_table,
-    load_imbalance,
-    per_shard_rows,
-    per_shard_table,
-)
 from repro.core import BeldiConfig, BeldiRuntime
+from repro.obs import load_imbalance, per_shard_rows
+from repro.obs.report import format_table, per_shard_table
 from repro.platform import PlatformConfig
 from repro.workload import run_closed_loop
 

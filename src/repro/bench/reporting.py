@@ -1,11 +1,12 @@
-"""Paper-style table and series printing for bench output."""
+"""Bench output files: ``BENCH_<name>.json`` and the git revision it was
+written at. Tables render in :mod:`repro.obs.report`."""
 
 from __future__ import annotations
 
 import json
 import pathlib
 import subprocess
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional
 
 # Placement facts are observability's; benches and perfbench keep
 # importing them from here.
@@ -73,67 +74,3 @@ def _same_but_for_rev(path: pathlib.Path, body: dict) -> bool:
         return False
     return ({k: v for k, v in old.items() if k != "git_rev"}
             == {k: v for k, v in body.items() if k != "git_rev"})
-
-
-def format_table(title: str, columns: Sequence[str],
-                 rows: Iterable[Sequence[Any]]) -> str:
-    rows = [[_fmt(cell) for cell in row] for row in rows]
-    widths = [len(c) for c in columns]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [title, "-" * len(title)]
-    header = "  ".join(c.ljust(widths[i]) for i, c in enumerate(columns))
-    lines.append(header)
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i])
-                               for i, cell in enumerate(row)))
-    return "\n".join(lines)
-
-
-def format_series(title: str, series: dict) -> str:
-    """``{label: [(x, y), ...]}`` -> aligned multi-series listing."""
-    lines = [title, "-" * len(title)]
-    for label in sorted(series):
-        points = ", ".join(f"({x:g}, {y:.1f})" for x, y in series[label])
-        lines.append(f"{label:24s} {points}")
-    return "\n".join(lines)
-
-
-def per_shard_table(title: str, rows: Iterable[dict]) -> str:
-    """Render :func:`per_shard_rows` output as a metering dashboard.
-
-    The ``share`` column is each shard's fraction of all requests, and
-    the footer line summarizes the skew (:func:`load_imbalance`):
-    max/mean request share and the Gini coefficient.
-    """
-    rows = list(rows)
-    with_items = any(row.get("items") is not None for row in rows)
-    columns = ["shard"] + (["items"] if with_items else []) + [
-        "requests", "share", "read units", "write units", "eventual",
-        "$"]
-    table_rows = []
-    for row in rows:
-        cells = [row["shard"]]
-        if with_items:
-            cells.append(row["items"])
-        cells.extend([
-            row["requests"],
-            f"{row.get('share', 0.0):.2f}",
-            round(row["read_units"], 1),
-            round(row["write_units"], 1),
-            row["eventual"],
-            f"{row['dollars']:.2e}",
-        ])
-        table_rows.append(cells)
-    skew = load_imbalance(rows)
-    return (format_table(title, columns, table_rows)
-            + f"\nimbalance: max/mean={skew['max_mean']:.2f}  "
-              f"gini={skew['gini']:.2f}")
-
-
-def _fmt(cell: Any) -> str:
-    if isinstance(cell, float):
-        return f"{cell:.1f}"
-    return str(cell)

@@ -81,9 +81,10 @@ class Metering:
 
     def record_read(self, op: str, table: str, nbytes: int,
                     items: int = 1,
-                    consistency: Optional[str] = None) -> None:
+                    consistency: Optional[str] = None) -> float:
+        """Book one read round trip; returns the dollars it booked."""
         if not self.enabled:
-            return
+            return 0.0
         rec = self.ops.setdefault(op, OpRecord())
         rec.count += 1
         rec.items += max(items, 1)
@@ -96,36 +97,42 @@ class Metering:
             self.per_table_eventual[table] += 1
         rec.read_units += units
         self.per_table[table] += 1
+        return units * DOLLARS_PER_READ_UNIT
 
-    def record_write(self, op: str, table: str, nbytes: int) -> None:
+    def record_write(self, op: str, table: str, nbytes: int) -> float:
+        """Book one write round trip; returns the dollars it booked."""
         if not self.enabled:
-            return
+            return 0.0
         rec = self.ops.setdefault(op, OpRecord())
         rec.count += 1
         rec.items += 1
         rec.bytes_written += nbytes
-        rec.write_units += max(1.0, nbytes / WRITE_UNIT_BYTES)
+        units = max(1.0, nbytes / WRITE_UNIT_BYTES)
+        rec.write_units += units
         self.per_table[table] += 1
+        return units * DOLLARS_PER_WRITE_UNIT
 
     def record_batch_write(self, op: str, table: str,
-                           sizes: Sequence[int]) -> None:
+                           sizes: Sequence[int]) -> float:
         """One batched round trip covering ``len(sizes)`` written rows.
 
         Write units are billed per item exactly as the sequential path
         would (``max(1, bytes/1KB)`` each — DynamoDB prices
         ``BatchWriteItem`` identically to the individual writes); only
         the request ``count`` drops to one, which is precisely the
-        batching win the fast-path gates measure.
+        batching win the fast-path gates measure. Returns the dollars it
+        booked.
         """
         if not self.enabled:
-            return
+            return 0.0
         rec = self.ops.setdefault(op, OpRecord())
         rec.count += 1
         rec.items += max(len(sizes), 1)
         rec.bytes_written += sum(sizes)
-        rec.write_units += sum(
-            max(1.0, nbytes / WRITE_UNIT_BYTES) for nbytes in sizes)
+        units = sum(max(1.0, nbytes / WRITE_UNIT_BYTES) for nbytes in sizes)
+        rec.write_units += units
         self.per_table[table] += 1
+        return units * DOLLARS_PER_WRITE_UNIT
 
     # -- rollups --------------------------------------------------------------
     def total(self, field_name: str) -> float:

@@ -257,19 +257,21 @@ class KVStore:
                 self.time.now() + self.time.pending_offset(), service)
         self.time.pay(service)
 
-    def _span(self, op: str, table: str, start: float, **args) -> None:
+    def _span(self, op: str, table: str, start: float, dollars: float,
+              **args) -> None:
         """Record one store round-trip span (no-op without a tracer).
 
         Span names mirror the metering op keys exactly, so every
         metered request has exactly one ``store.<op>`` span — the
-        parity the observability tests pin.
+        parity the observability tests pin — and it carries the
+        ``dollars`` its metering record booked.
         """
         obs = self.obs
         if obs is not None:
             obs.tracer.record_span(
                 f"store.{op}", cat="store", start=start,
                 end=self.time.now(), shard=self.shard_id, table=table,
-                **args)
+                dollars=dollars, **args)
 
     def _pay(self, op: str, units: float = 0.0) -> None:
         if self._check_faults(op):
@@ -288,9 +290,10 @@ class KVStore:
         if op.ranged:
             # The charge scales with the rows walked, so it follows them.
             self._pay(op.latency, units=rows)
-        self.metering.record_read(op.meter, table, nbytes, items=rows,
-                                  consistency=args[-1])
-        self._span(op.meter, table, start)
+        dollars = self.metering.record_read(op.meter, table, nbytes,
+                                            items=rows,
+                                            consistency=args[-1])
+        self._span(op.meter, table, start, dollars)
         return result
 
     _keyed_read = _table_read = _read
@@ -304,8 +307,8 @@ class KVStore:
         self._pay(latency)
         # Bytes written: the item put, the row as updated, the row removed.
         result, nbytes = effect(*args[1:])
-        self.metering.record_write(meter, table, nbytes)
-        self._span(meter, table, start)
+        dollars = self.metering.record_write(meter, table, nbytes)
+        self._span(meter, table, start, dollars)
         return result
 
     def _batch(self, op: StoreOp, args: tuple):
@@ -332,8 +335,9 @@ class KVStore:
                 item, size, _rows = tbl._get(key)
                 items.append(item)
                 nbytes += size
-            self.metering.record_read(op.meter, table, nbytes,
-                                      items=served, consistency=args[2])
+            dollars = self.metering.record_read(
+                op.meter, table, nbytes, items=served,
+                consistency=args[2])
             items.extend([None] * (len(rows) - served))
         else:
             prepared = [tbl.prepare_put(row) for row in rows[:n_puts]]
@@ -346,8 +350,9 @@ class KVStore:
                 else:
                     size = tbl._delete(row)[1]
                 sizes.append(size)
-            self.metering.record_batch_write(op.meter, table, sizes)
-        self._span(op.meter, table, start, items=served)
+            dollars = self.metering.record_batch_write(op.meter, table,
+                                                       sizes)
+        self._span(op.meter, table, start, dollars, items=served)
         return batch_result(op, rows, n_puts, items,
                             range(served, len(rows)))
 
@@ -418,10 +423,11 @@ class KVStore:
         for tbl, key, row in plan:
             tbl.install(key, row)
         table = plan[0][0].name
-        self.metering.record_write(
+        dollars = self.metering.record_write(
             "transact_write", table,
             sum(row.size for _tbl, _key, row in plan if row is not None))
-        self._span("transact_write", table, start, items=len(plan))
+        self._span("transact_write", table, start, dollars,
+                   items=len(plan))
 
     # -- stats ---------------------------------------------------------------------------
     def storage_bytes(self, table: Optional[str] = None) -> int:

@@ -35,10 +35,11 @@ class Observability:
             layer.obs = self
 
     def export(self, runtime=None) -> dict:
-        """Chrome trace + snapshot in one JSON-ready dict — the payload
-        DST failure artifacts embed."""
+        """The trace's rows (what ``to_jsonl`` writes) + the snapshot in
+        one JSON-ready dict — the payload DST failure artifacts embed,
+        and a file ``repro.obs.report`` reads like a JSONL trace."""
         return {
-            "chrome_trace": self.tracer.to_chrome(),
+            "records": self.tracer.rows(),
             "metrics": self.snapshot(runtime),
         }
 
@@ -61,10 +62,10 @@ class Observability:
         }}
         shards = getattr(store, "nodes", None)
         if shards:
-            snap["metering"]["per_shard"] = {
-                str(node.shard_id): round(node.metering.dollar_cost(), 9)
-                for node in shards}
             rows = per_shard_rows(store)
+            snap["metering"]["per_shard"] = {
+                str(node.shard_id): round(row["dollars"], 9)
+                for node, row in zip(shards, rows)}
             snap["placement"] = {
                 "max_over_mean": round(load_imbalance(rows)["max_mean"], 6),
                 "requests": [row["requests"] for row in rows],

@@ -194,58 +194,76 @@ class Tracer:
         return sorted(self.records,
                       key=lambda r: (r["ts"], r["phase"], r["seq"]))
 
+    def rows(self) -> list[dict]:
+        """The records as ``to_jsonl`` writes them: deterministic order,
+        no ``phase`` (a row whose ``dur`` is ``None`` is an instant)."""
+        return [{k: v for k, v in record.items() if k != "phase"}
+                for record in self.sorted_records()]
+
     def to_jsonl(self) -> str:
         """One JSON object per line, deterministic order and key order."""
-        lines = []
-        for record in self.sorted_records():
-            row = {k: v for k, v in record.items() if k != "phase"}
-            lines.append(json.dumps(row, sort_keys=True))
+        lines = [json.dumps(row, sort_keys=True) for row in self.rows()]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_chrome(self) -> dict:
-        """Chrome trace-event JSON (load in Perfetto / chrome://tracing).
-
-        Virtual milliseconds map to trace microseconds.  Tracks (one per
-        root span, i.e. per request/timer/process) become ``tid`` rows,
-        numbered by first appearance in the sorted record order so the
-        numbering is deterministic.
-        """
-        ordered = self.sorted_records()
-        tids: dict[str, int] = {}
-        events: list[dict] = []
-        for record in ordered:
-            track = record["track"]
-            if track not in tids:
-                tids[track] = len(tids)
-                events.append({
-                    "ph": "M", "pid": 0, "tid": tids[track],
-                    "name": "thread_name", "ts": 0,
-                    "args": {"name": track},
-                })
-        for record in ordered:
-            args = dict(record["args"])
-            args["span_id"] = record["span_id"]
-            if record["parent_id"] is not None:
-                args["parent_id"] = record["parent_id"]
-            event = {
-                "name": record["name"],
-                "cat": record["cat"],
-                "pid": 0,
-                "tid": tids[record["track"]],
-                "ts": round(record["ts"] * 1000.0, 3),
-                "args": args,
-            }
-            if record["phase"] == _PHASE_SPAN:
-                event["ph"] = "X"
-                event["dur"] = round((record["dur"] or 0.0) * 1000.0, 3)
-            else:
-                event["ph"] = "i"
-                event["s"] = "t"
-            events.append(event)
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+        """Chrome trace-event JSON (load in Perfetto / chrome://tracing)."""
+        return chrome(self.records)
 
     def chrome_json(self) -> str:
         return json.dumps(self.to_chrome(), sort_keys=True)
+
+
+def _phase(record: dict) -> int:
+    """A record's phase; a row re-read from JSONL has none, and there an
+    instant is a ``dur`` of ``None``."""
+    phase = record.get("phase")
+    if phase is None:
+        return _PHASE_EVENT if record["dur"] is None else _PHASE_SPAN
+    return phase
+
+
+def chrome(records) -> dict:
+    """Chrome trace-event JSON of tracer records or their JSONL rows.
+
+    Virtual milliseconds map to trace microseconds.  Tracks (one per
+    root span, i.e. per request/timer/process) become ``tid`` rows,
+    numbered by first appearance in the ``(ts, phase, seq)`` order so
+    the numbering is deterministic.
+    """
+    ordered = sorted(records,
+                     key=lambda r: (r["ts"], _phase(r), r["seq"]))
+    tids: dict[str, int] = {}
+    events: list[dict] = []
+    for record in ordered:
+        track = record["track"]
+        if track not in tids:
+            tids[track] = len(tids)
+            events.append({
+                "ph": "M", "pid": 0, "tid": tids[track],
+                "name": "thread_name", "ts": 0,
+                "args": {"name": track},
+            })
+    for record in ordered:
+        args = dict(record["args"])
+        args["span_id"] = record["span_id"]
+        if record["parent_id"] is not None:
+            args["parent_id"] = record["parent_id"]
+        event = {
+            "name": record["name"],
+            "cat": record["cat"],
+            "pid": 0,
+            "tid": tids[record["track"]],
+            "ts": round(record["ts"] * 1000.0, 3),
+            "args": args,
+        }
+        if _phase(record) == _PHASE_SPAN:
+            event["ph"] = "X"
+            event["dur"] = round((record["dur"] or 0.0) * 1000.0, 3)
+        else:
+            event["ph"] = "i"
+            event["s"] = "t"
+        events.append(event)
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def validate_chrome_trace(data: dict) -> list[str]:

@@ -628,12 +628,11 @@ def _failure_artifact(seed: int, trace: list, exc: BaseException,
         artifact["history"] = exc.witness
     obs = h.travel.obs if h is not None else None
     if obs is not None:
-        # Attach the virtual-time trace and the unified metrics snapshot
-        # of the failing run, so the artifact alone explains *what the
-        # system was doing* when the invariant broke — load the
-        # chrome_trace value into chrome://tracing / Perfetto.
-        artifact["chrome_trace"] = obs.tracer.to_chrome()
-        artifact["metrics"] = obs.snapshot(h.travel)
+        # The failing run's trace rows and metrics snapshot, so the
+        # artifact alone explains *what the system was doing* when the
+        # invariant broke: ``python -m repro.obs.report incident`` reads
+        # it, ``report chrome`` renders it for Perfetto.
+        artifact.update(obs.export(h.travel))
     return artifact
 
 

@@ -1,26 +1,10 @@
-"""The client-visible history of a traced run, and the checkers that
-read it — the one reader of a run's trace.
+"""The checkers over a traced run's history.
 
-One pass over ``tracer.records`` builds two things:
-
-- the **history**: every logical DAAL op (``op.read`` / ``op.write`` /
-  ``op.cond_write``, id ``"<instance>#<step>"``) with the executions
-  that ran it — each one's virtual interval, whether it completed
-  (``ok``) or died not knowing (``info``), and the version it read or
-  landed — plus every transaction: its begin, its decision (commit is
-  ``ok``, abort is ``fail``, none yet is ``info``), the versions its
-  locked reads returned and its commit flushes installed;
-- the **lifecycle ledger**: claim → start → flush → reply → consumed,
-  callback → ``Done`` (``docs/async_io.md``).
-
-A version is the stamp the protocol already holds: the ``[RowId,
-Version]`` of the tail row a read fetched or an update returned. Rows
-of one item are ordered by their ``row:append`` events (``HEAD``
-first), versions within a row by ``Version``, so an item's versions are
-totally ordered (``docs/testing.md``, "Checked histories").
-
-:func:`check` runs three checks over the one history, each a pure
-function, each failure naming the ``seq`` of the records that broke it:
+``repro.obs.history`` reads a run's trace in one pass into the
+client-visible history and the lifecycle ledger (``History``, ``of``);
+this module checks it. :func:`check` runs three checks over the one
+history, each a pure function, each failure naming the ``seq`` of the
+records that broke it:
 
 - the lifecycle orders (:func:`check_lifecycle`);
 - checker (a), per-key linearizability of strong reads and writes
@@ -39,26 +23,8 @@ failure artifact embeds it). Build the runtime with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
-
-#: The lifecycle events the ledger reads; ``tests/obs/test_trace_schema.py``
-#: holds them equal to what a traced run emits and to the docs' row.
-EVENTS = frozenset({"claim", "start", "consumed", "flush", "reply",
-                    "callback", "done"})
-
-#: The protocol events the history reads (``docs/observability.md``,
-#: "Protocol events"), and the op spans whose args carry versions.
-PROTOCOL = frozenset({"txn:begin", "txn:flush", "txn:release",
-                      "row:append", "lock:acquired", "lock:wait",
-                      "lock:die", "readlog:rollback"})
-OPS = frozenset({"op.read", "op.write", "op.cond_write"})
-#: Read ops whose API promises only bounded staleness: checker (b)'s.
-EVENTUAL_OPS = frozenset({"op.roread", "op.read_many"})
-
-#: Protocol scratch tables: never an item a client reads.
-_SHADOW = ".shadow"
-_HEAD = "HEAD"
+# The reader, and the vocabulary the tests hold equal to the docs.
+from repro.obs.history import EVENTS, OPS, PROTOCOL, History, of  # noqa: F401
 
 
 class HistoryViolation(AssertionError):
@@ -70,235 +36,6 @@ class HistoryViolation(AssertionError):
 
     def __reduce__(self):
         return type(self), (str(self), self.witness)
-
-
-@dataclass
-class Call:
-    """One execution of one logical op: what a client-side history
-    calls an invoke and its completion."""
-
-    op: str
-    name: str
-    seq: int
-    start: float
-    end: float
-    ok: bool
-    txn: Optional[str]
-    #: ``[RowId, Version]`` read (``None``: no item yet), absent when
-    #: the call read nothing (a replay answered from the read log).
-    read: Any = None
-    has_read: bool = False
-    #: ``[RowId, Version]`` the call's conditional update returned.
-    landed: Any = None
-    degraded: bool = False
-
-    def json(self) -> dict:
-        out = {"op": self.op, "name": self.name, "seq": self.seq,
-               "start": self.start, "end": self.end,
-               "type": "ok" if self.ok else "info"}
-        if self.txn is not None:
-            out["txn"] = self.txn
-        if self.has_read:
-            out["read"] = self.read
-        if self.landed is not None:
-            out["landed"] = self.landed
-        if self.degraded:
-            out["degraded"] = True
-        return out
-
-
-@dataclass
-class Txn:
-    """One transaction as its participants' records tell it."""
-
-    txn: str
-    begin: Optional[float] = None
-    begin_seq: Optional[int] = None
-    #: End of its last completed ``txn.finish`` span.
-    end: Optional[float] = None
-    modes: set = field(default_factory=set)
-    #: ``(item, version, seq)`` of every locked data read.
-    reads: list = field(default_factory=list)
-    #: ``(item, version, seq)`` of every commit flush.
-    installs: list = field(default_factory=list)
-    #: ``item -> seq`` of the first lock release without an install.
-    releases: dict = field(default_factory=dict)
-
-    @property
-    def status(self) -> str:
-        if "commit" in self.modes:
-            return "ok"
-        return "fail" if "abort" in self.modes else "info"
-
-
-def _execution(args: dict) -> tuple:
-    """``(function, invocation)`` names a worker on one platform, its
-    ``request`` id keeps two platforms that share a tracer apart."""
-    return args["function"], args["invocation"], args.get("request")
-
-
-def _item(args: dict) -> tuple:
-    key = args["key"]
-    return args["table"], tuple(key) if isinstance(key, list) else key
-
-
-class History:
-    """The history and ledger of one run's records (one pass)."""
-
-    def __init__(self, records: list) -> None:
-        self.events: dict = {}
-        self.calls: dict = {}        # op id -> [Call]
-        self.txns: dict = {}         # txn id -> Txn
-        self._next_row: dict = {}    # item -> {row -> successor}
-        #: Reads checker (a) leaves to checker (b), by why.
-        self.excluded = {"degraded": 0, "eventual": 0}
-        serving = {}
-        lifecycle = []
-        for record in records:
-            cat, name, args = record["cat"], record["name"], record["args"]
-            if cat == "lifecycle":
-                if name in EVENTS:
-                    lifecycle.append(record)
-                    self.events.setdefault(name, []).append(record)
-                continue
-            if cat == "request":
-                if record["parent_id"] is not None:
-                    serving[_execution(args)] = (record["parent_id"],
-                                                 args.get("txn"))
-                continue
-            if name in OPS:
-                self._op(record)
-            elif name in EVENTUAL_OPS:
-                self.excluded["eventual"] += 1
-            elif name in PROTOCOL:
-                self.events.setdefault(name, []).append(record)
-                self._protocol(record)
-            elif cat == "txn" and name.startswith(("txn.finish:",
-                                                   "txn.resolve")):
-                self._decision(record)
-        self.rows = _ledger(lifecycle, serving)
-
-    # -- the one pass ------------------------------------------------------------
-    def _txn(self, txn_id: str) -> Txn:
-        txn = self.txns.get(txn_id)
-        if txn is None:
-            txn = self.txns[txn_id] = Txn(txn_id)
-        return txn
-
-    def _op(self, record: dict) -> None:
-        args = record["args"]
-        if args["table"].endswith(_SHADOW):
-            return
-        start = record.get("ts", 0.0)
-        call = Call(
-            op=record["span_id"], name=record["name"], seq=record["seq"],
-            start=start, end=start + (record.get("dur") or 0.0),
-            ok=not args.get("failed"), txn=args.get("txn"),
-            read=args.get("read"), has_read="read" in args,
-            landed=args.get("landed"),
-            degraded=bool(args.get("degraded")))
-        self.calls.setdefault(call.op, []).append((_item(args), call))
-        if call.degraded and call.txn is None:
-            self.excluded["degraded"] += 1
-        if call.txn is not None and call.has_read:
-            self._txn(call.txn).reads.append(
-                (_item(args), call.read, call.seq))
-
-    def _protocol(self, record: dict) -> None:
-        name, args = record["name"], record["args"]
-        if name == "row:append":
-            self._next_row.setdefault(_item(args), {})[
-                args["prev"]] = args["row"]
-        elif name == "txn:begin":
-            txn = self._txn(args["txn"])
-            if txn.begin is None:
-                txn.begin, txn.begin_seq = record["ts"], record["seq"]
-        elif name == "txn:flush":
-            self._txn(args["txn"]).installs.append(
-                (_item(args), args["version"], record["seq"]))
-        elif name == "txn:release":
-            self._txn(args["txn"]).releases.setdefault(
-                _item(args), record["seq"])
-
-    def _decision(self, record: dict) -> None:
-        args = record["args"]
-        txn = self._txn(args["txn"])
-        txn.modes.add(args.get("mode") or record["name"].split(":")[1])
-        if record["name"].startswith("txn.finish:") and not args.get(
-                "failed"):
-            end = record["ts"] + (record["dur"] or 0.0)
-            txn.end = end if txn.end is None else max(txn.end, end)
-
-    # -- accessors -------------------------------------------------------------------
-    def count(self, name: str) -> int:
-        """How many ``name`` events (lifecycle or protocol) the run said."""
-        return len(self.events.get(name, ()))
-
-    def named(self, name: str) -> list:
-        """The ``name`` records, in happen order."""
-        return list(self.events.get(name, ()))
-
-    def kinds(self, kind: str) -> list:
-        """The ledger rows of one kind (``"txn-start"`` included)."""
-        return [row for row in self.rows if row[0] == kind]
-
-    def ranker(self):
-        """``(item, [RowId, Version] | None) -> sortable rank`` (``None``
-        when the item's row order is unknown): the total order of an
-        item's versions."""
-        orders: dict = {}
-
-        def order(item) -> dict:
-            if item not in orders:
-                next_row = self._next_row.get(item, {})
-                ranks, row = {}, _HEAD
-                while row is not None and row not in ranks:
-                    ranks[row] = len(ranks)
-                    row = next_row.get(row)
-                orders[item] = ranks
-            return orders[item]
-
-        def rank(item, version) -> Optional[tuple]:
-            if version is None:
-                return (-1, 0)
-            row = order(item).get(version[0])
-            return None if row is None else (row, version[1])
-
-        return rank
-
-
-def of(records: list) -> History:
-    return History(records)
-
-
-def _ledger(lifecycle: list, serving: dict) -> list[tuple]:
-    """``(kind, execution, subject, seq)`` per lifecycle event, in happen
-    order (instant events are appended as they happen). The subject of a
-    flush, reply or ``Done`` is the instance id, of a callback the callee
-    it reports (whoever ran the handler), and of ``claim`` / ``start`` /
-    ``txn-start`` / ``consumed`` the step ``"<caller instance>#<step>"``.
-    The platform stamps ``start`` and ``consumed`` with the callee's
-    execution only; that execution's ``request:<ssf>`` span, whose parent
-    is the caller's step, says which step it serves and whether inside a
-    transaction (``txn-start``). Invocations that serve no sync step —
-    clients, callbacks, timers, a worker dead before its span — get none.
-    """
-    out = []
-    for record in lifecycle:
-        kind, args = record["name"], record["args"]
-        execution = _execution(args)
-        if kind in ("start", "consumed"):
-            if execution not in serving:
-                continue
-            subject, in_txn = serving[execution]
-            if kind == "start" and in_txn:
-                kind = "txn-start"
-        elif kind == "claim":
-            subject = f"{args['instance']}#{args['step']}"
-        else:
-            subject = args["callee" if kind == "callback" else "instance"]
-        out.append((kind, execution, subject, record["seq"]))
-    return out
 
 
 # ---------------------------------------------------------------------------

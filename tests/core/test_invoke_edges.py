@@ -843,7 +843,7 @@ class TestLedgerCatchesTheNewOrders:
         assert claim[1][:2] == ("caller", 0)
         # ... which nesting would not have told: the branch is a root.
         (event,) = ledger.named("claim")
-        (owner,) = [r for r in trace if r["name"] == "request:caller"]
+        (owner,) = ledger.named("request:caller")
         assert event["track"] != owner["track"]
 
 

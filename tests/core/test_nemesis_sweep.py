@@ -207,7 +207,7 @@ def test_failure_artifact_embeds_timeline(tmp_path, monkeypatch):
     artifact = json.loads(path.read_text())
     assert artifact["fault_timeline"][0]["kind"] == "outage"
     assert "replay" in artifact
-    assert "chrome_trace" in artifact  # obs is on in LIGHT_FLAGS
+    assert "records" in artifact  # obs is on in LIGHT_FLAGS
     assert "resilience" in artifact["metrics"]
 
 
@@ -230,7 +230,7 @@ def test_failure_artifact_embeds_the_failing_history(tmp_path,
     witness = artifact["history"]
     assert witness["checker"] == "serializable"
     assert witness["release"] < witness["flush"]
-    assert "chrome_trace" in artifact
+    assert "records" in artifact
 
 
 def test_deep_failure_artifact_lists_its_leader_crashes(tmp_path,

@@ -326,8 +326,8 @@ def _race_tail_against_commit(seed: int) -> dict:
     ledger = history.check(trace)
     (claim,) = top.env.store.scan(top.env.invoke_log).items
     callee = claim["CalleeId"]
-    marks = [(r["seq"], "signal") for r in trace if r["name"] == "signal"
-             and r["args"]["instance"] == callee]
+    marks = [(r["seq"], "signal") for r in ledger.named("signal")
+             if r["args"]["instance"] == callee]
     marks += [(seq, kind) for kind, _who, subject, seq in ledger.rows
               if kind in ("callback", "done") and subject == callee]
     out = {"outcome": outcome,

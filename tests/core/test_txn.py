@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import BeldiConfig, BeldiRuntime, TxnAborted, daal
+from repro.obs import history
 from repro.platform import FunctionCrashed
 from repro.platform.crashes import CrashOnce
 
@@ -561,9 +562,8 @@ def _no_lock_left(envs) -> bool:
 
 
 def _spans(runtime, name, **args) -> list:
-    return [r for r in runtime.obs.tracer.records
-            if r["name"] == name
-            and all(r["args"].get(k) == v for k, v in args.items())]
+    return [r for r in history.of(runtime.obs.tracer.records).named(name)
+            if all(r["args"].get(k) == v for k, v in args.items())]
 
 
 class TestCommitFanOut:
@@ -632,9 +632,9 @@ class TestCommitFanOut:
             assert runtime.run_workflow("owner", "v") == "committed"
             runtime.kernel.shutdown()
             finish, = _spans(runtime, "txn.finish:commit")
+            stores = history.of(runtime.obs.tracer.records).in_cat("store")
             counts[name] = {
-                fn: [r["name"] for r in runtime.obs.tracer.records
-                     if r["ts"] >= finish["ts"] and r["cat"] == "store"
+                fn: [r["name"] for r in stores if r["ts"] >= finish["ts"]
                      and r["args"]["table"] == envs[fn].data_table("kv")]
                 for fn in ("owner", "side")}
             assert _no_lock_left(envs)

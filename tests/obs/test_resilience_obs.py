@@ -9,6 +9,7 @@ two drift the instrumentation is lying about what the layer did.
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.kvstore import AttrNotExists, TableNotFound, UnavailableError
 from repro.kvstore.surface import leaves
+from repro.obs import history
 
 import pytest
 
@@ -44,8 +45,8 @@ class TestRetryParity:
             stats = runtime.resilience.stats
             assert stats.retries == 3
 
-            spans = [r for r in runtime.obs.tracer.sorted_records()
-                     if r.get("name") == "resilience.backoff"]
+            spans = history.of(runtime.obs.tracer.records).named(
+                "resilience.backoff")
             assert len(spans) == stats.retries
             # The spans *are* the backoff sleeps: their summed duration
             # is the backoff the stats booked.
@@ -88,8 +89,8 @@ class TestRetryParity:
             runtime.kernel.spawn(client)
             runtime.kernel.run()
             assert labels == list(calls)
-            spans = [r for r in runtime.obs.tracer.sorted_records()
-                     if r.get("name") == "resilience.backoff"]
+            spans = history.of(runtime.obs.tracer.records).prefixed(
+                "resilience.backoff")
             assert [span["args"]["op"] for span in spans] == labels
             assert runtime.resilience.stats.retries == len(labels)
         finally:
@@ -137,8 +138,8 @@ class TestBreakerParity:
             assert stats.breaker_opens >= 1
             breakers = runtime.obs.snapshot(runtime)["resilience"]["breakers"]
             assert "open" in breakers.values()
-            events = [r for r in runtime.obs.tracer.sorted_records()
-                      if str(r.get("name", "")).startswith("breaker:open")]
+            events = history.of(runtime.obs.tracer.records).prefixed(
+                "breaker:open")
             assert len(events) == stats.breaker_opens
         finally:
             runtime.kernel.shutdown()
@@ -150,8 +151,7 @@ class TestFaultEdgeEvents:
         runtime.fault_timeline.outage(0.0, 30.0)
         try:
             run_counter(runtime)
-            names = [r.get("name") for r in
-                     runtime.obs.tracer.sorted_records()]
-            assert "fault:outage:start:0" in names
+            trace = history.of(runtime.obs.tracer.records)
+            assert trace.count("fault:outage:start:0")
         finally:
             runtime.kernel.shutdown()

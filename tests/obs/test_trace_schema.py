@@ -12,8 +12,9 @@ Runs the three-request concurrent mix (``tests/core/dst.py``) with
 - with the flag off nothing is built and the run's outcome is
   bit-for-bit identical to the traced one.
 
-When ``$OBS_TRACE_FILE`` is set the schema test also writes the Chrome
-trace there — the CI ``obs-smoke`` job uploads it as an artifact.
+When ``$OBS_TRACE_FILE`` is set the schema test also writes the trace
+there as JSONL — the CI ``obs-smoke`` job runs ``repro.obs.report`` over
+it and uploads its Chrome rendering as an artifact.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ def traced():
     return dst.run_one(dst.LIGHT_FLAGS)
 
 
+@pytest.fixture(scope="module")
+def trace(traced):
+    """That run's trace, read once."""
+    return history.of(traced.travel.obs.tracer.records)
+
+
 def test_exported_trace_is_schema_valid(traced):
     obs = traced.travel.obs
     assert obs is not None
@@ -60,76 +67,62 @@ def test_exported_trace_is_schema_valid(traced):
     artifact = os.environ.get("OBS_TRACE_FILE")
     if artifact:
         with open(artifact, "w") as fh:
-            json.dump(trace, fh, indent=2, sort_keys=True)
+            fh.write(obs.tracer.to_jsonl())
 
 
-def test_spans_nest_request_step_op_store(traced):
-    records = traced.travel.obs.tracer.records
-    cats_by_id: dict = {}
-    for record in records:
-        cats_by_id.setdefault(record["span_id"], set()).add(record["cat"])
-
+def test_spans_nest_request_step_op_store(trace):
     def parent_cats(record):
-        return cats_by_id.get(record["parent_id"], set())
+        return {parent["cat"] for parent in trace.spans(record["parent_id"])}
 
     # Store round trips hang off DAAL op spans...
-    store_edges = {record["name"] for record in records
-                   if record["cat"] == "store"
-                   and "op" in parent_cats(record)}
+    store_edges = {record["name"] for record in trace.in_cat("store")
+                   if "op" in parent_cats(record)}
     assert "store.cond_write" in store_edges  # the logged write path
     assert "store.query" in store_edges       # the chain traversal
     # ...op spans hang off request spans...
-    assert any(record["cat"] == "op" and "request" in parent_cats(record)
-               for record in records)
+    assert any("request" in parent_cats(record)
+               for record in trace.in_cat("op"))
     # ...and invoke steps hang off requests, with their callee's request
     # span hanging off the step in turn.
-    steps = [record for record in records if record["cat"] == "step"]
+    steps = trace.in_cat("step")
     assert any("request" in parent_cats(record) for record in steps)
-    step_ids = {record["span_id"] for record in steps}
     assert any(record["cat"] == "request"
-               and record["parent_id"] in step_ids
-               for record in records)
+               for step in steps for record in trace.children(step["span_id"]))
     # Transactions appear as their own layer under the request.
-    assert any(record["cat"] == "txn" and record["name"].startswith(
-        "txn.finish") for record in records)
-    assert any(record["cat"] == "gc" for record in records)
+    assert any(record["cat"] == "txn"
+               for record in trace.prefixed("txn.finish"))
+    assert trace.in_cat("gc")
 
 
-def test_read_log_flush_is_its_own_op_span(traced):
+def test_read_log_flush_is_its_own_op_span(trace):
     """The group flush runs between operations, so it carries its own
     ``op.read_flush`` span: request -> op -> the one conditional put."""
-    records = traced.travel.obs.tracer.records
-    by_id = {record["span_id"]: record for record in records}
-    flushes = [record for record in records
-               if record["name"] == "op.read_flush"]
+    flushes = trace.named("op.read_flush")
     assert flushes
     for flush in flushes:
         assert flush["cat"] == "op"
-        assert by_id[flush["parent_id"]]["cat"] == "request"
-        puts = [record for record in records
-                if record["parent_id"] == flush["span_id"]
-                and record["cat"] == "store"]
+        assert trace.spans(flush["parent_id"])[-1]["cat"] == "request"
+        puts = [record for record in trace.children(flush["span_id"])
+                if record["cat"] == "store"]
         assert [put["name"] for put in puts][:1] == ["store.cond_write"]
         assert flush["args"]["steps"] >= 1
     # Every read-log write of the run is one of those puts: no read op
     # span has a store *write* under it any more.
-    read_ops = {record["span_id"] for record in records
-                if record["name"] in ("op.read", "op.roread", "op.record")}
-    assert not [record for record in records
-                if record["parent_id"] in read_ops
-                and record["name"] == "store.cond_write"]
+    read_ops = {record["span_id"]
+                for name in ("op.read", "op.roread", "op.record")
+                for record in trace.named(name)}
+    assert not [record for span_id in read_ops
+                for record in trace.children(span_id)
+                if record["name"] == "store.cond_write"]
 
 
-def test_every_store_round_trip_has_exactly_one_span(traced):
+def test_every_store_round_trip_has_exactly_one_span(traced, trace):
     """Span/metering parity, op by op — in particular every logged
     store write (cond_write on the DAAL) has exactly one span."""
     metering = traced.travel.store.metering
-    records = traced.travel.obs.tracer.records
     span_counts: dict = {}
-    for record in records:
-        if record["cat"] == "store":
-            span_counts[record["name"]] = span_counts.get(
-                record["name"], 0) + 1
+    for record in trace.in_cat("store"):
+        span_counts[record["name"]] = span_counts.get(record["name"], 0) + 1
     assert metering.ops, "metered run expected"
     for op, rec in sorted(metering.ops.items()):
         assert span_counts.get(f"store.{op}", 0) == rec.count, op
@@ -176,17 +169,15 @@ def test_tracing_is_free_on_the_paper_profile_too():
             == traced.travel.store.metering.dollar_cost())
 
 
-def test_unified_snapshot_sections(traced):
+def test_unified_snapshot_sections(traced, trace):
     snap = traced.travel.obs.snapshot(traced.travel)
     # Only the stack's native stats: each count in its one home.
     assert set(snap) == {"metering", "placement", "tail_cache",
                          "resilience", "elasticity"}
     # The concurrent mix commits transactions, takes locks and runs GC
     # passes — facts that live in the trace.
-    records = traced.travel.obs.tracer.records
-    names = {record["name"] for record in records}
-    assert {"txn.finish:commit", "gc:collected"} <= names
-    assert history.of(records).count("lock:acquired")
+    assert trace.count("txn.finish:commit") and trace.count("gc:collected")
+    assert trace.count("lock:acquired")
     assert snap["metering"]["totals"]["requests"] > 0
     assert snap["metering"]["totals"]["dollars"] > 0
     assert len(snap["metering"]["per_shard"]) == 2  # LIGHT_FLAGS shards
@@ -248,8 +239,7 @@ def _traced_transaction(n_shards):
     kernel.spawn(client)
     kernel.run()
     kernel.shutdown()
-    spans = [record for record in obs.tracer.records
-             if record["name"] == "store.transact_write"]
+    spans = history.of(obs.tracer.records).named("store.transact_write")
     return elapsed[0], spans, store.metering.ops["transact_write"].count
 
 
@@ -303,22 +293,19 @@ def test_traced_travel_request_at_real_latency_nests_and_splits_tails():
     tracer = _traced_travel_reservation()
     trace = tracer.to_chrome()
     assert validate_chrome_trace(trace) == []
-    assert sum(1 for record in tracer.records
+    read = history.of(tracer.records)
+    assert sum(1 for record in read.records
                if record["phase"] == 0 and record["dur"] > 0) > 50
 
-    by_id = {record["span_id"]: record for record in tracer.records}
-    tails = [record for record in tracer.records
-             if record["name"].startswith("tail:")]
-    callees = [record for record in tracer.records
-               if record["cat"] == "request" and record["parent_id"]
-               and record["phase"] == 0]
+    tails = read.prefixed("tail:")
+    callees = [record for record in read.in_cat("request")
+               if record["parent_id"] and record["phase"] == 0]
     assert len(tails) == len(callees) == 3  # reserve, hotel, flight
-    replies = {record["parent_id"]: record
-               for record in history.of(tracer.records).named("reply")}
+    replies = {record["parent_id"]: record for record in read.named("reply")}
     outlived = 0
     for tail in tails:
-        request = by_id[tail["span_id"].removesuffix("#tail")]
-        step = by_id[request["parent_id"]]
+        request = read.spans(tail["span_id"].removesuffix("#tail"))[-1]
+        step = read.spans(request["parent_id"])[-1]
         # Off the critical path: no parent, a row of its own, starting
         # where the request span ended — at the reply.
         assert tail["parent_id"] is None
@@ -357,7 +344,7 @@ def test_lifecycle_events_are_the_ones_checked_and_documented(traced):
     events = [record
               for records in (traced.travel.obs.tracer.records,
                               _traced_travel_reservation().records)
-              for record in records if record["cat"] == "lifecycle"]
+              for record in history.of(records).in_cat("lifecycle")]
     (row,) = [line for line in (REPO / "docs" / "observability.md")
               .read_text().splitlines() if line.startswith("| lifecycle |")]
     documented = set(re.findall(r"`([^`]+)`", row.split("|")[2]))
@@ -373,10 +360,11 @@ def test_lifecycle_events_are_the_ones_checked_and_documented(traced):
 
 
 def test_the_ledger_is_functions_over_records_and_nothing_else():
-    """The recorder does not come back: ``tests/core/history.py``
-    imports no mocking, no threading and nothing of the system under
-    test."""
-    tree = ast.parse((REPO / "tests" / "core" / "history.py").read_text())
+    """The recorder does not come back: the reader of the trace
+    (``repro.obs.history``) imports no mocking, no threading and nothing
+    of the system under test."""
+    tree = ast.parse(
+        (REPO / "src" / "repro" / "obs" / "history.py").read_text())
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module or "" for node in ast.walk(tree)
@@ -438,7 +426,7 @@ def _emitted_events(tree) -> set:
     return found
 
 
-def test_protocol_events_are_the_ones_documented(traced):
+def test_protocol_events_are_the_ones_documented(trace):
     """Every count has one home. No metrics registry comes back, the
     tracer keys nothing on OS threads, and the ``cat="txn"`` /
     ``"readlog"`` / ``"gc"`` events ``src/`` emits are the rows of the
@@ -466,20 +454,19 @@ def test_protocol_events_are_the_ones_documented(traced):
     assert emitted == documented
     assert history.PROTOCOL <= {name for name, _cat in documented}
     traced_events = {(record["name"], record["cat"])
-                     for record in traced.travel.obs.tracer.records
-                     if record["cat"] in PROTOCOL_CATS
-                     and record["phase"] == 1}
+                     for cat in PROTOCOL_CATS
+                     for record in trace.in_cat(cat)
+                     if record["phase"] == 1}
     assert traced_events and traced_events <= documented
 
 
-def test_op_span_args_are_the_ones_documented(traced):
+def test_op_span_args_are_the_ones_documented(trace):
     """The version facts ride on the ``op.*`` spans: the args a traced
     run puts on the spans ``history.py`` reads are the ones the docs
     list, and the concurrent mix says every fact the checkers need."""
     documented = {re.findall(r"`([^`]+)`", line)[0]
                   for line in _doc_rows("### `op.*` span args")}
-    emitted = {arg for record in traced.travel.obs.tracer.records
-               if record["name"] in history.OPS
+    emitted = {arg for name in history.OPS for record in trace.named(name)
                for arg in record["args"]}
     assert emitted <= documented
     assert {"key", "read", "landed", "txn"} <= emitted

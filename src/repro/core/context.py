@@ -27,9 +27,18 @@ from repro.kvstore import KVStore
 from repro.kvstore.expressions import Condition
 from repro.platform.context import InvocationContext
 
-#: Shared no-op scope returned by :meth:`BeldiContext.trace` when the
-#: observability flag is off — stateless, so one instance serves all.
+#: Shared no-op scope returned by :func:`trace` when the observability
+#: flag is off — stateless, so one instance serves all.
 _NULL_SPAN = contextlib.nullcontext()
+
+
+def trace(obs, name: str, cat: str = "op", **args: Any):
+    """Open a span on ``obs``'s tracer, or a no-op scope when ``obs`` is
+    ``None`` (tracing off). ``args`` go to the tracer as they are
+    (``span_id``, ``parent_id``, the span's own arguments)."""
+    if obs is None:
+        return _NULL_SPAN
+    return obs.tracer.span(name, cat=cat, **args)
 
 
 class BeldiContext:
@@ -99,13 +108,11 @@ class BeldiContext:
             return None
         return resilience.current_deadline()
 
-    def trace(self, name: str, cat: str = "op",
-              span_id: Optional[str] = None, **args: Any):
-        """Open a tracer span, or a no-op scope when tracing is off."""
+    def trace(self, name: str, cat: str = "op", **args: Any):
+        """:func:`trace` on this runtime's tracer (``span_id`` and the
+        span's arguments in ``args``); off, it passes nothing on."""
         obs = self.obs
-        if obs is None:
-            return _NULL_SPAN
-        return obs.tracer.span(name, cat=cat, span_id=span_id, **args)
+        return _NULL_SPAN if obs is None else trace(obs, name, cat, **args)
 
     def lifecycle(self, name: str, **args: Any) -> None:
         """Emit a lifecycle event of this instance under *this*

@@ -19,6 +19,7 @@ from repro.kvstore import (
     Remove,
     Set,
 )
+from repro.kvstore.item import freeze_value
 
 
 def ensure_intent(env: BeldiEnv, instance_id: str, function: str,
@@ -42,7 +43,9 @@ def ensure_intent(env: BeldiEnv, instance_id: str, function: str,
         "LastLaunched": now,
     }
     if caller is not None:
-        record["Caller"] = caller
+        # Unique to one call (it names the caller's instance and step):
+        # frozen here without a lookup, and the store takes it as it is.
+        record["Caller"] = freeze_value(caller, lookup=False)[0]
     if txn is not None:
         record["Txn"] = txn
     try:

@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from repro.core import intents, invoke, ops
 from repro.core.config import BeldiConfig
-from repro.core.context import BeldiContext
+from repro.core.context import BeldiContext, trace
 from repro.core.env import BeldiEnv
 from repro.core.errors import TxnAborted
 from repro.core.tailcache import TailCache
@@ -271,11 +271,11 @@ class BeldiRuntime:
         self.envs: dict[str, BeldiEnv] = {}
         self.ssfs: dict[str, SSFDefinition] = {}
         self.collector_handles: list[dict] = []
-        #: Locally resolved intents: instance id -> {"ret", "caller"}.
+        #: Locally resolved intents: instance id -> ``(ret, caller)``.
         #: Lets re-delivered/duplicate invocations skip the intent-table
         #: read entirely. Only ever populated *after* mark_done succeeds,
         #: so a cache hit implies the store agrees the work is complete.
-        self._intent_cache: dict[str, dict] = {}
+        self._intent_cache: dict[str, tuple] = {}
         self._intent_cache_limit = 4096
 
     # -- identities ----------------------------------------------------------
@@ -384,7 +384,7 @@ class BeldiRuntime:
             for stale in list(self._intent_cache)[
                     :self._intent_cache_limit // 2]:
                 del self._intent_cache[stale]
-        self._intent_cache[instance_id] = {"ret": ret, "caller": caller}
+        self._intent_cache[instance_id] = (ret, caller)
 
     def _handle_call(self, ssf: SSFDefinition,
                      platform_ctx: InvocationContext, payload: dict) -> Any:
@@ -457,9 +457,10 @@ class BeldiRuntime:
             self.tail_cache.stats.intent_hits += 1
             if is_async:
                 return None
-            self._deliver(platform_ctx, reply, cached["caller"],
-                          instance_id, cached["ret"])
-            return cached["ret"]
+            ret, done_caller = cached
+            self._deliver(platform_ctx, reply, done_caller, instance_id,
+                          ret)
+            return ret
         if is_async:
             # Fig. 20 stub: run only if registered and unfinished.
             intent = intents.get_intent(env, instance_id)
@@ -595,11 +596,25 @@ class BeldiRuntime:
     def _handle_callback(self, ssf: SSFDefinition,
                          platform_ctx: InvocationContext, payload: dict,
                          result: Any) -> str:
-        recorded = invoke.record_callback(
-            ssf.env, ssf.env.store, payload["log_instance"],
-            payload["log_step"], payload["callee_id"], result)
-        # Recorded or ignored: either way the callee may finish (§4.5).
-        platform_ctx.lifecycle("callback", callee=payload["callee_id"])
+        # The second half of the caller's invoke step. A sync callee
+        # sends it from its ``tail:`` span (after its reply, so after the
+        # caller's step span closed) or, replying at exit, from its
+        # ``request:`` span; an async callee's registration sends its
+        # ack inside the caller's ``step.async_invoke`` span.
+        callee = payload["callee_id"]
+        if payload["kind"] == "async_callback":
+            parent = f"{payload['log_instance']}#{payload['log_step']}"
+        elif self.config.has_async_io:
+            parent = f"{callee}#tail"
+        else:
+            parent = callee
+        with trace(self.obs, f"step.callback:{ssf.name}", "step",
+                   parent_id=parent, step=payload["log_step"], callee=callee):
+            recorded = invoke.record_callback(
+                ssf.env, ssf.env.store, payload["log_instance"],
+                payload["log_step"], callee, result)
+            # Recorded or ignored: either way the callee may finish (§4.5).
+            platform_ctx.lifecycle("callback", callee=callee)
         return "recorded" if recorded else "ignored"
 
     def _handle_async_register(self, ssf: SSFDefinition,
@@ -609,18 +624,21 @@ class BeldiRuntime:
         env = ssf.env
         instance_id = payload["instance_id"]
         caller = payload.get("caller")
-        intents.ensure_intent(env, instance_id, ssf.name,
-                              payload.get("input"), self.kernel.now,
-                              True, caller, None)
-        platform_ctx.crash_point("async-register:intent")
-        if caller:
-            ack = {
-                "kind": "async_callback",
-                "log_instance": caller["instance_id"],
-                "log_step": caller["step"],
-                "callee_id": instance_id,
-            }
-            self._retry_invoke(platform_ctx, caller["ssf"], ack)
+        step = f"{caller['instance_id']}#{caller['step']}" if caller else None
+        with trace(self.obs, f"step.register:{ssf.name}", "step",
+                   parent_id=step, instance=instance_id):
+            intents.ensure_intent(env, instance_id, ssf.name,
+                                  payload.get("input"), self.kernel.now,
+                                  True, caller, None)
+            platform_ctx.crash_point("async-register:intent")
+            if caller:
+                ack = {
+                    "kind": "async_callback",
+                    "log_instance": caller["instance_id"],
+                    "log_step": caller["step"],
+                    "callee_id": instance_id,
+                }
+                self._retry_invoke(platform_ctx, caller["ssf"], ack)
         return "registered"
 
     def _handle_txn_signal(self, ssf: SSFDefinition,
@@ -648,6 +666,9 @@ class BeldiRuntime:
         def load_intent() -> None:
             ctx.intent = intents.get_intent(env, instance_id) or ctx.intent
 
-        resolve_and_propagate(ctx, instance_id, txn_payload,
-                              after_local=load_intent)
+        # Its sender's span has no id a handler can name: a root.
+        with trace(self.obs, f"txn.signal:{mode}", "txn",
+                   txn=txn_payload["id"], instance=instance_id):
+            resolve_and_propagate(ctx, instance_id, txn_payload,
+                                  after_local=load_intent)
         return "resolved"

@@ -12,6 +12,20 @@ shares the one object, writing it once more takes it by reference, and
 a read hands it out as it is — nothing a reader holds can change a
 stored row, because every container in it raises on mutation.
 
+One object per distinct value: a map or list :func:`freeze_value`
+builds is looked up in one module-level table (:data:`_canonical`) by
+its structure — member names in order, each member's exact class and
+value, a float to its sign, a nested container by its own canonical
+object — and an alike value already frozen is handed out instead, with
+its recorded size. So values that separate requests compute alike (two
+intents' ``Args``, two searches' ``Ret``) are one object too. The table
+is dropped wholesale at :data:`CANONICAL_LIMIT` entries; a stored value
+keeps its object. Not looked up: sets, a container holding a set or a
+scalar's subclass, and a value whose like never comes again, frozen
+with ``lookup=False``: a map an update grew by members (a row's
+``RecentWrites``, whose keys never repeat; :func:`freeze_update`) and
+an intent's ``Caller`` (it names one call).
+
 One walk family. :func:`freeze_item` / :func:`freeze_value` validate,
 size and build the frozen copy the store keeps, taking frozen parts by
 reference; the row itself is a :class:`FrozenRow`, which records its
@@ -111,7 +125,23 @@ def _set_size(value: Any) -> int:
     return size
 
 
-def freeze_value(value: Any) -> tuple[Any, int]:
+#: The canonical frozen containers, by structural key: the container's
+#: tag, a map's member names in order, then each member — a ``str``,
+#: ``int``, ``bytes`` or ``None`` as it is (no two of those classes hold
+#: equal values), a ``bool``, a ``float`` or a frozen container as a
+#: tagged pair: a float as itself, or by ``hex()`` when zero
+#: (``0.0 == -0.0``), a container by ``id`` (the entry's object holds
+#: it, so the id stays its own). A container with any other member (a
+#: set, a scalar's subclass) has no key.
+_canonical: dict[tuple, Any] = {}
+#: Entries ``_canonical`` holds before it is dropped wholesale: a stored
+#: value keeps its object, and a later equal value starts a new one.
+CANONICAL_LIMIT = 4_096
+_MAP, _LIST, _FLOAT, _NESTED = range(4)
+_TRUE, _FALSE = ("bool", True), ("bool", False)
+
+
+def freeze_value(value: Any, lookup: bool = True) -> tuple[Any, int]:
     """``(frozen copy of value, value_size(value))`` in one pass, raising
     :class:`ValidationError` for a value the store does not model: a
     type outside the model, a map key that is not a ``str``, a set
@@ -119,7 +149,16 @@ def freeze_value(value: Any) -> tuple[Any, int]:
     by reference with its recorded size; a mutable part is copied into
     a new frozen one (tuples and lists into a :class:`FrozenList`, maps
     into a :class:`FrozenMap`, sets into a ``frozenset``). Nothing the
-    copy holds is mutable, so the caller may keep mutating ``value``."""
+    copy holds is mutable, so the caller may keep mutating ``value``.
+
+    A map or list built here is the one canonical object of its value:
+    freezing an equal value — same member names in the same order, same
+    member classes, same floats to the sign — hands out the object the
+    first freeze built (see :data:`_canonical`). ``lookup=False`` copies
+    a mutable ``value`` into a new object of its own and leaves the
+    table alone (its members are still looked up): for a value no other
+    is ever alike, whose lookup could only miss and whose entry would
+    only keep it alive."""
     cls = value.__class__
     if cls is str:
         return value, len(value.encode("utf-8"))
@@ -130,12 +169,13 @@ def freeze_value(value: Any) -> tuple[Any, int]:
     if cls is dict:
         out = {}
         size = 3
-        for key, element in value.items():
-            if not isinstance(key, str):
-                raise ValidationError(f"map keys must be str, got {key!r}")
-            out[key], element_size = freeze_value(element)
-            size += len(key.encode("utf-8")) + element_size + 1
-        out = FrozenMap(out)
+        for name, element in value.items():
+            if not isinstance(name, str):
+                raise ValidationError(f"map keys must be str, got {name!r}")
+            out[name], element_size = freeze_value(element)
+            size += len(name.encode("utf-8")) + element_size + 1
+        kind, members = FrozenMap, out.values()
+        key = [_MAP, *out] if lookup else None
     elif cls is list or cls is tuple:
         out = []
         size = 3
@@ -143,21 +183,47 @@ def freeze_value(value: Any) -> tuple[Any, int]:
             element, element_size = freeze_value(element)
             out.append(element)
             size += 1 + element_size
-        out = FrozenList(out)
+        kind, members = FrozenList, out
+        key = [_LIST] if lookup else None
     elif cls is bool or value is None:
         return value, 1
     elif isinstance(value, (set, frozenset)):
         size = _set_size(value)
         return (value if cls is frozenset else frozenset(value)), size
     elif isinstance(value, dict):
-        return freeze_value(dict(value))
+        return freeze_value(dict(value), lookup)
     elif isinstance(value, (list, tuple)):
-        return freeze_value(list(value))
+        return freeze_value(list(value), lookup)
     else:
         # Scalars (and their subclasses) are immutable: shared as they
         # are. Anything else is outside the model, and raises here.
         return value, value_size(value)
+    if key is not None:
+        for member in members:
+            member_cls = member.__class__
+            if (member_cls is str or member_cls is int or member is None
+                    or member_cls is bytes):
+                key.append(member)
+            elif member_cls is float:
+                key.append((_FLOAT, member or member.hex()))
+            elif member_cls is FrozenMap or member_cls is FrozenList:
+                key.append((_NESTED, id(member)))
+            elif member_cls is bool:
+                key.append(_TRUE if member else _FALSE)
+            else:  # a set, a scalar's subclass: never looked up
+                key = None
+                break
+    if key is not None:
+        key = tuple(key)
+        canonical = _canonical.get(key)
+        if canonical is not None:
+            return canonical, size
+    out = kind(out)
     out.size = size
+    if key is not None:
+        if len(_canonical) >= CANONICAL_LIMIT:
+            _canonical.clear()
+        _canonical[key] = out
     return out, size
 
 
@@ -183,14 +249,22 @@ def freeze_update(existing: FrozenRow, draft: dict[str, Any],
     """:func:`freeze_item` of ``draft`` — a shallow copy of ``existing``
     that an update changed only in the top-level attributes ``touched``
     — freezing and sizing just those: every other value is
-    ``existing``'s, frozen and sized already."""
+    ``existing``'s, frozen and sized already.
+
+    A touched map the update grew by members is a log (a row's
+    ``RecentWrites``): its keys never repeat, so no other map is ever
+    alike, and it is frozen without a lookup."""
     size = existing.size
     for name in touched:
         name_bytes = len(name.encode("utf-8"))
+        old = existing.get(name)
         if name in existing:
-            size -= name_bytes + value_size(existing[name])
+            size -= name_bytes + value_size(old)
         if name in draft:
-            draft[name], value_bytes = freeze_value(draft[name])
+            value = draft[name]
+            grown = (value.__class__ is dict and old.__class__ is FrozenMap
+                     and len(value) > len(old))
+            draft[name], value_bytes = freeze_value(value, lookup=not grown)
             size += name_bytes + value_bytes
     row = FrozenRow(draft)
     row.size = size

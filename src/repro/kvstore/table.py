@@ -26,8 +26,12 @@ new row only when asked (``return_new``, DynamoDB's ``ReturnValues``),
 operations return the bytes they moved beside their result, which is
 what a :class:`~repro.kvstore.store.KVStore` meters.
 
-A table without a range key keeps ``{hash value: row}``; a table with
-one keeps ``{hash value: {range value: row}}``.
+A table without a range key keeps ``{hash value: row}``. A table with
+one keeps a partition of one row bare too, ``{hash value: row}`` (its
+range value is in the row), and one of two or more rows as
+``{hash value: {range value: row}}``; a partition changes shape only
+behind the raw seams (``_get_raw`` / ``_put_raw`` / ``_delete_raw`` /
+``_iter_raw`` / ``_sorted_range_keys``), ``query`` and ``item_count``.
 """
 
 from __future__ import annotations
@@ -148,7 +152,8 @@ class Table:
         self.name = name
         self.schema = schema
         self.max_item_bytes = max_item_bytes
-        #: ``{hash: row}``, or ``{hash: {range: row}}`` with a range key.
+        #: ``{hash: row}``; with a range key, ``{hash: row}`` for a
+        #: partition of one row and ``{hash: {range: row}}`` for more.
         self._partitions: dict[Any, Any] = {}
         self._indexes: dict[str, _SecondaryIndex] = {}
         self._lock = threading.RLock()
@@ -184,51 +189,72 @@ class Table:
                     item[index.attribute]))
 
     # -- raw storage helpers --------------------------------------------------
+    # With a range key, a partition of one row is the row itself (its
+    # range value is in it); a second row makes it a ``{range: row}``
+    # map, and the last but one leaving makes it bare again. Stored rows
+    # are ``FrozenRow``s, so a plain ``dict`` is always such a map.
     def _iter_raw(self) -> Iterable[tuple[tuple, dict]]:
-        if self.schema.range_key is None:
+        range_key = self.schema.range_key
+        if range_key is None:
             for hash_value, item in self._partitions.items():
                 yield (hash_value,), item
             return
         for hash_value, partition in self._partitions.items():
-            for range_value, item in partition.items():
-                yield (hash_value, range_value), item
+            if partition.__class__ is dict:
+                for range_value, item in partition.items():
+                    yield (hash_value, range_value), item
+            else:
+                yield (hash_value, partition[range_key]), partition
 
     def _get_raw(self, key: tuple) -> Optional[dict]:
-        if self.schema.range_key is None:
-            return self._partitions.get(key[0])
         partition = self._partitions.get(key[0])
-        if partition is None:
-            return None
-        return partition.get(key[1])
+        if partition is None or self.schema.range_key is None:
+            return partition
+        if partition.__class__ is dict:
+            return partition.get(key[1])
+        if partition[self.schema.range_key] == key[1]:
+            return partition
+        return None
 
     def _put_raw(self, key: tuple, item: dict) -> None:
-        if self.schema.range_key is None:
+        range_key = self.schema.range_key
+        partition = self._partitions.get(key[0])
+        if partition is None or range_key is None:
             self._partitions[key[0]] = item
             return
-        partition = self._partitions.get(key[0])
-        if partition is None:
-            partition = self._partitions[key[0]] = {}
+        if partition.__class__ is not dict:
+            if partition[range_key] == key[1]:
+                self._partitions[key[0]] = item
+                return
+            partition = self._partitions[key[0]] = {
+                partition[range_key]: partition}
         if key[1] not in partition:
             self._sorted_cache.pop(key[0], None)
         partition[key[1]] = item
 
     def _delete_raw(self, key: tuple) -> None:
-        if self.schema.range_key is None:
-            self._partitions.pop(key[0], None)
-            return
         partition = self._partitions.get(key[0])
         if partition is None:
+            return
+        if partition.__class__ is not dict:  # a row
+            if self._get_raw(key) is partition:
+                del self._partitions[key[0]]
             return
         if key[1] in partition:
             self._sorted_cache.pop(key[0], None)
             del partition[key[1]]
-        if not partition:
-            del self._partitions[key[0]]
+            if len(partition) == 1:
+                (row,) = partition.values()
+                self._partitions[key[0]] = row
 
     def _sorted_range_keys(self, hash_value: Any) -> list:
+        partition = self._partitions.get(hash_value)
+        if partition is None:
+            return []
+        if partition.__class__ is not dict:
+            return [partition[self.schema.range_key]]
         cached = self._sorted_cache.get(hash_value)
         if cached is None:
-            partition = self._partitions.get(hash_value, {})
             cached = sorted(partition.keys(), key=_sort_token)
             self._sorted_cache[hash_value] = cached
         return cached
@@ -373,13 +399,14 @@ class Table:
               limit: Optional[int] = None) -> QueryResult:
         """The first ``limit`` rows of one partition, by range key."""
         with self._lock:
-            if self.schema.range_key is None:
-                row = self._partitions.get(hash_value)
-                ordered = [] if row is None else [row]
-            else:
-                partition = self._partitions.get(hash_value, {})
+            partition = self._partitions.get(hash_value)
+            if partition is None:
+                ordered = []
+            elif partition.__class__ is dict:
                 ordered = [partition[rk] for rk in
                            self._sorted_range_keys(hash_value)]
+            else:
+                ordered = [partition]
             return self._page(ordered, None, projection, limit)
 
     def scan(self, filter_condition: Optional[Condition] = None,
@@ -452,7 +479,8 @@ class Table:
         with self._lock:
             if self.schema.range_key is None:
                 return len(self._partitions)
-            return sum(len(p) for p in self._partitions.values())
+            return sum(len(p) if p.__class__ is dict else 1
+                       for p in self._partitions.values())
 
     def storage_bytes(self) -> int:
         with self._lock:

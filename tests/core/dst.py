@@ -436,6 +436,37 @@ def run_gc_passes(*runtimes: BeldiRuntime, passes: int = 3) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Protocol mutations the lifecycle checker must catch
+# ---------------------------------------------------------------------------
+
+DELIVER = BeldiRuntime._deliver
+
+
+def done_then_deliver(runtime, platform_ctx, reply, caller, callee_id,
+                      result):
+    """``BeldiRuntime._deliver`` with ``mark_done`` moved ahead of it:
+    a ``Done`` callee may be collected before its caller holds the
+    result (§4.5). The moved statement takes the event that says it
+    along."""
+    intents.mark_done(runtime.ssfs[platform_ctx.function].env, callee_id,
+                      result)
+    platform_ctx.lifecycle("done", instance=callee_id)
+    DELIVER(runtime, platform_ctx, reply, caller, callee_id, result)
+
+
+def await_then_claim(platform, name, payload, meanwhile=None):
+    """``ServerlessPlatform.sync_invoke`` that runs ``meanwhile`` — a
+    pipelined open's claim — only after the reply was consumed."""
+    entry = platform._entry(name)
+    platform._acquire_slot_with_retry()
+    proc, ctx = platform._start_instance(entry, payload)
+    result = platform._await_result(proc, ctx)
+    if meanwhile is not None:
+        meanwhile()
+    return result
+
+
+# ---------------------------------------------------------------------------
 # Invariants
 # ---------------------------------------------------------------------------
 

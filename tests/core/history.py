@@ -14,8 +14,8 @@ records that broke it:
   victims included, plus rigorous two-phase locking of every commit
   flush (:func:`check_serializable`).
 
-A failing (a) or (c) raises :class:`HistoryViolation`, whose
-``witness`` is the smallest history that shows it (JSON-ready; the DST
+A failing check raises :class:`HistoryViolation`, whose ``witness``
+is the smallest history that shows it (JSON-ready; the DST
 failure artifact embeds it). Build the runtime with
 ``observability=True``, run anything, then
 ``history.check(runtime.obs.tracer.records)``.
@@ -57,35 +57,53 @@ def check_lifecycle(history: History) -> None:
     recorded or ignored (if any ever is: a workflow root has none to
     wait for), no reply consumed before its step's claim is durable and
     no callee started inside a transaction before it. A failure names
-    the ``seq`` of the event that broke the order."""
+    the ``seq`` of the event that broke the order; its witness holds
+    that ledger row and the row on the order's other side (a claim or a
+    callback that came too late, if it came at all)."""
     ledger = history.rows
     called_back = {row[2] for row in ledger if row[0] == "callback"}
-    replied, finished, landed, claimed = set(), set(), set(), set()
-    for kind, who, subject, seq in ledger:
+    replied, finished, landed, claimed = {}, {}, set(), set()
+
+    def later(row, kind: str):
+        """The first ``kind`` row for ``row``'s subject after it."""
+        return next((other for other in ledger if other[3] > row[3]
+                     and other[0] == kind and other[2] == row[2]), None)
+
+    def broken(row, message: str, rule: str, other) -> None:
+        raise HistoryViolation(
+            f"seq {row[3]}: {message}",
+            {"checker": "lifecycle", "rule": rule,
+             "rows": [row] + ([other] if other else [])})
+
+    for row in ledger:
+        kind, who, subject, _seq = row
         if kind == "claim":
             claimed.add(subject)
-        elif kind == "txn-start":
-            assert subject in claimed, (
-                f"seq {seq}: callee of {subject} started inside a "
-                f"transaction before its claim was durable")
-        elif kind == "consumed":
-            assert subject in claimed, (
-                f"seq {seq}: the reply of {subject} was consumed before "
-                f"its claim was durable")
+        elif kind == "txn-start" and subject not in claimed:
+            broken(row, f"callee of {subject} started inside a "
+                        f"transaction before its claim was durable",
+                   "claim < txn-start", later(row, "claim"))
+        elif kind == "consumed" and subject not in claimed:
+            broken(row, f"the reply of {subject} was consumed before its "
+                        f"claim was durable",
+                   "claim < consumed", later(row, "claim"))
         elif kind == "reply":
-            assert who not in finished, (
-                f"seq {seq}: {who} replied after marking Done")
-            replied.add(who)
+            if who in finished:
+                broken(row, f"{who} replied after marking Done",
+                       "reply < done", finished[who])
+            replied.setdefault(who, row)
         elif kind == "flush":
-            assert who not in replied, (
-                f"seq {seq}: {who} flushed its read log after replying")
+            if who in replied:
+                broken(row, f"{who} flushed its read log after replying",
+                       "flush < reply", replied[who])
         elif kind == "callback":
             landed.add(subject)
         elif kind == "done":
-            finished.add(who)
-            assert subject not in called_back or subject in landed, (
-                f"seq {seq}: {who} marked {subject} Done before any "
-                f"callback for it was recorded or ignored")
+            finished.setdefault(who, row)
+            if subject in called_back and subject not in landed:
+                broken(row, f"{who} marked {subject} Done before any "
+                            f"callback for it was recorded or ignored",
+                       "callback < done", later(row, "callback"))
 
 
 def check_linearizable(history: History) -> None:

@@ -7,8 +7,10 @@ fail (``tests/core/history.py``, ``docs/testing.md``).
   two-phase-commit demo: two transfers conflicting on one account, a
   three-transfer cycle, and the coordinator killed mid-commit) keep the
   money and check clean.
-- One mutation per checker: the tree with the mutation fails its
-  checker, the tree without it passes.
+- One mutation per checker, and one per lifecycle order a reordering
+  could break (``mark_done`` ahead of ``_deliver``, a reply consumed
+  before its claim is durable): the tree with the mutation fails, naming
+  its witness, the tree without it passes.
 - A transaction's locked read, and its commit's flush, are never served
   stale by a degraded read.
 """
@@ -17,14 +19,16 @@ from __future__ import annotations
 
 import pytest
 
+import dst
 import history
-from repro.core import BeldiConfig, BeldiRuntime, daal, ops
+from repro.apps import build_app
+from repro.core import BeldiConfig, BeldiRuntime, daal, intents, ops
 from repro.core.errors import DeadlineExceeded
 from repro.kvstore import (AttrNotExists, ConditionFailed, Set,
                            ThrottledError, UnavailableError)
-from repro.platform import CrashPolicy
+from repro.platform import CrashPolicy, ServerlessPlatform
 from repro.platform.errors import FunctionCrashed
-from repro.sim import RandomSchedule, SimKernel
+from repro.sim import RandomSchedule, RandomSource, SimKernel
 
 # ---------------------------------------------------------------------------
 # literal histories
@@ -402,6 +406,51 @@ def test_checker_a_catches_a_waiter_that_skips_case_a(monkeypatch):
             failures.append(str(exc))
     assert failures and all("dup#0 took effect twice" in failure
                             for failure in failures), failures
+
+
+def _travel_records() -> list:
+    """Six travel requests, one at a time, traced."""
+    runtime = BeldiRuntime(seed=5, observability=True,
+                           config=BeldiConfig(gc_t=1e12))
+    app = build_app("travel", seed=5)
+    app.install(runtime)
+    mix = RandomSource(5, "history/travel")
+    try:
+        for _ in range(6):
+            runtime.run_workflow(app.entry, app.sample_request(mix))
+    finally:
+        runtime.kernel.shutdown()
+    return runtime.obs.tracer.records
+
+
+#: name -> (patched owner, attribute, mutation, the broken order).
+LIFECYCLE_MUTATIONS = {
+    "mark_done ahead of _deliver": (
+        BeldiRuntime, "_deliver", dst.done_then_deliver, "callback < done"),
+    "reply consumed before its claim": (
+        ServerlessPlatform, "sync_invoke", dst.await_then_claim,
+        "claim < consumed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFECYCLE_MUTATIONS))
+def test_the_lifecycle_orders_catch_their_mutation_on_travel(name,
+                                                            monkeypatch):
+    """The ledger's orders on the travel app: clean without the
+    mutation; with it, a violation whose witness is the event that came
+    too early and the one it had to wait for."""
+    history.check(_travel_records())
+    owner, attribute, mutation, rule = LIFECYCLE_MUTATIONS[name]
+    monkeypatch.setattr(owner, attribute, mutation)
+    with pytest.raises(history.HistoryViolation) as caught:
+        history.check(_travel_records())
+    witness = caught.value.witness
+    assert witness["checker"] == "lifecycle" and witness["rule"] == rule
+    early, late = witness["rows"]
+    first, then = rule.split(" < ")
+    assert (early[0], late[0]) == (then, first)
+    assert early[2] == late[2] and early[3] < late[3]
+    assert str(caught.value).startswith(f"seq {early[3]}: ")
 
 
 # ---------------------------------------------------------------------------

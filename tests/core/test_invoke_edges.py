@@ -771,17 +771,8 @@ class TestLedgerCatchesTheNewOrders:
     def test_a_reply_consumed_before_the_claim(self, traced, monkeypatch):
         from repro.platform import ServerlessPlatform
 
-        def await_then_claim(platform, name, payload, meanwhile=None):
-            entry = platform._entry(name)
-            platform._acquire_slot_with_retry()
-            proc, ctx = platform._start_instance(entry, payload)
-            result = platform._await_result(proc, ctx)
-            if meanwhile is not None:
-                meanwhile()
-            return result
-
         monkeypatch.setattr(ServerlessPlatform, "sync_invoke",
-                            await_then_claim)
+                            dst.await_then_claim)
         self._reserve(traced)
         trace = traced.obs.tracer.records
         assert traced.run_workflow("reserve") == "committed"
@@ -808,18 +799,7 @@ class TestLedgerCatchesTheNewOrders:
     def test_done_marked_ahead_of_the_callback(self, traced, monkeypatch):
         """``mark_done`` moved ahead of ``_deliver``: a ``Done`` callee
         may be collected before its caller holds the result (§4.5)."""
-        deliver = BeldiRuntime._deliver
-
-        def done_then_deliver(runtime, platform_ctx, reply, caller,
-                              callee_id, result):
-            # The moved statement takes the event that says it along.
-            intents.mark_done(runtime.ssfs[platform_ctx.function].env,
-                              callee_id, result)
-            platform_ctx.lifecycle("done", instance=callee_id)
-            deliver(runtime, platform_ctx, reply, caller, callee_id,
-                    result)
-
-        monkeypatch.setattr(BeldiRuntime, "_deliver", done_then_deliver)
+        monkeypatch.setattr(BeldiRuntime, "_deliver", dst.done_then_deliver)
         traced.register_ssf("leaf", lambda ctx, p: "v")
         traced.register_ssf(
             "caller", lambda ctx, p: ctx.sync_invoke("leaf", None))

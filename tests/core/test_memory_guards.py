@@ -10,6 +10,9 @@ decides it is countable, and these tests bound the counts:
   invoke-log ``Result``), and a read hands out the stored value itself,
   so a workload's stored values are not copied once per row: a value a
   step reads is one object in the data row and in the read-log run;
+  and values that separate requests compute alike are one object too
+  (``item.freeze_value`` hands out one object per distinct value): two
+  searches of one cell store one ``Ret``;
 - the kernel's queue — one execution-timeout watchdog arms one timer
   for the earliest live deadline, instead of one timer per invocation
   that outlives its worker by the whole timeout;
@@ -19,18 +22,21 @@ decides it is countable, and these tests bound the counts:
 
 from repro.apps import build_app
 from repro.core import BeldiConfig, BeldiRuntime
+from repro.kvstore import item as item_model
+from repro.kvstore.item import FrozenMap
 from repro.kvstore.surface import leaves
 from repro.platform import FunctionTimeout, PlatformConfig, ServerlessPlatform
 from repro.sim import LatencyModel, RandomSource, SimKernel
 from repro.workload.runner import run_closed_loop
 
 USERS, PER_USER = 8, 25
-#: Distinct containers the store may hold per travel request. Frozen,
-#: shared values that reads hand out by reference measure 24.5 here;
-#: with reads handing out copies, each logged or re-written copy was
-#: frozen anew (35.5); copying each value into every row that holds it
-#: measured 67.5.
-MAX_CONTAINERS_PER_REQUEST = 28
+#: Distinct containers the store may hold per travel request. One object
+#: per distinct frozen value measures 6.6 here; frozen, shared values
+#: that reads hand out by reference, but one object per freeze, measured
+#: 24.5; with reads handing out copies, each logged or re-written copy
+#: was frozen anew (35.5); copying each value into every row that holds
+#: it measured 67.5.
+MAX_CONTAINERS_PER_REQUEST = 10
 #: Queue entries beyond one per live worker: the watchdog's timer(s) and
 #: the driving client.
 QUEUE_SLACK = 4
@@ -97,6 +103,50 @@ def test_a_value_a_step_reads_is_one_object_in_every_row_that_holds_it():
     finally:
         runtime.kernel.shutdown()
 
+
+def test_two_searches_of_one_cell_store_one_ret():
+    """Two requests that compute the same answer store it once: the
+    ``search`` intents' ``Ret`` is one object, and so is the ``Result``
+    the frontend's invoke log holds for it."""
+    runtime = BeldiRuntime(seed=11, config=BeldiConfig(gc_t=1e12))
+    app = build_app("travel", seed=11)
+    app.install(runtime)
+    try:
+        first, second = [
+            runtime.run_workflow(app.entry, {"action": "search", "cell": 3})
+            for _ in range(2)]
+        assert first == second and first["hotels"]
+        search = app.envs["search"]
+        rets = [intent["Ret"] for intent in
+                search.store.scan(search.intent_table).items]
+        assert len(rets) == 2 and rets[0] is rets[1]
+        frontend = app.envs["frontend"]
+        results = [row["Result"] for row in
+                   frontend.store.scan(frontend.invoke_log).items]
+        assert len(results) == 2 and results[0] is results[1]
+    finally:
+        runtime.kernel.shutdown()
+
+
+
+def test_an_intents_caller_is_stored_without_a_lookup():
+    """A ``Caller`` names one call (the caller's instance and step), so
+    no other value is ever alike: it is frozen without entering the
+    table of canonical values, where it could only be missed and kept
+    alive."""
+    runtime = BeldiRuntime(seed=11, config=BeldiConfig(gc_t=1e12))
+    app = build_app("travel", seed=11)
+    app.install(runtime)
+    try:
+        runtime.run_workflow(app.entry, {"action": "search", "cell": 3})
+        search = app.envs["search"]
+        (intent,) = search.store.scan(search.intent_table).items
+        caller = intent["Caller"]
+        assert caller["ssf"] == "frontend" and isinstance(caller, FrozenMap)
+        assert all(value is not caller
+                   for value in item_model._canonical.values())
+    finally:
+        runtime.kernel.shutdown()
 
 def make_platform(timeout: float = 60_000.0):
     kernel = SimKernel(seed=1)

@@ -27,7 +27,16 @@ The contracts, one test group each:
 - every stored row records its size when it is built — by a put, an
   update that re-sizes only what it touched, a batch, a transaction, a
   replica install or a chain migration — and it is the size a walk of
-  the row measures.
+  the row measures;
+- one distinct value is one object: two freezes return one object
+  exactly when the values are alike — equal, with equal member classes,
+  member order and float signs — at the size a walk measures, and
+  dropping the table of canonical objects mid-run changes no stored
+  value;
+- a partition of one row is the row itself: a range-keyed table driven
+  through every kind of write and read, a replica install, a chain
+  migration and a failover answers as a dict-of-dicts model, with
+  partitions growing from one row to two and shrinking back.
 """
 
 import copy
@@ -73,6 +82,7 @@ from repro.kvstore.item import (
 )
 from repro.kvstore.store import NullTimeSource
 from repro.kvstore.surface import leaves
+from repro.kvstore.table import _sort_token
 from repro.sim import LatencyModel, RandomSource
 
 EVENTUAL = "eventual"
@@ -982,3 +992,244 @@ class TestRecordedRowSize:
             store.update("data", ("a",), [Set(path("M", "o"), "")])
         assert table._get_raw(("a",)) is at_cap
         assert not store.metering.diff(before)
+
+
+# -- one object per distinct value ------------------------------------------------
+#: Few scalars, so equal values (and equal-but-unlike ones) are common.
+ALIKE_SCALARS = st.sampled_from(
+    [0, 1, True, False, 1.0, 0.0, -0.0, 2.5, "a", "1", b"a", None])
+ALIKE_VALUES = st.recursive(ALIKE_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=3),
+    st.lists(children, max_size=3).map(tuple),
+    st.dictionaries(st.sampled_from("ab"), children, max_size=2)),
+    max_leaves=8)
+ALIKE_CONTAINERS = st.one_of(
+    st.lists(ALIKE_VALUES, max_size=3),
+    st.dictionaries(st.sampled_from("abc"), ALIKE_VALUES, max_size=3))
+#: A container and a second one: a deep copy of it, the same members
+#: in another order, or another draw.
+ALIKE_PAIRS = ALIKE_CONTAINERS.flatmap(lambda value: st.tuples(
+    st.just(value), st.one_of(
+        st.just(copy.deepcopy(value)),
+        st.just(dict(reversed(list(value.items()))) if isinstance(
+            value, dict) else list(reversed(value))),
+        ALIKE_CONTAINERS)))
+
+
+def signature(value):
+    """What makes two values one stored object: the same structure (a
+    tuple is a list), the same member names in the same order, the same
+    exact member classes, and a float's every bit (its sign too)."""
+    if isinstance(value, dict):
+        return ("map", tuple((name, signature(member))
+                             for name, member in value.items()))
+    if isinstance(value, (list, tuple)):
+        return ("list", tuple(signature(member) for member in value))
+    if value.__class__ is float:
+        return (float, value.hex())
+    return (value.__class__, value)
+
+
+class TestCanonicalValues:
+    @settings(**FAST)
+    @given(ALIKE_PAIRS)
+    def test_one_object_exactly_when_the_values_are_alike(self, pair):
+        first, second = pair
+        item_model._canonical.clear()
+        frozen, size = freeze_value(first)
+        again, again_size = freeze_value(second)
+        assert (again is frozen) == (signature(first) == signature(second))
+        assert size == walk_value(first)[1]
+        assert again_size == walk_value(second)[1]
+        if again is frozen:
+            assert frozen.size == size == again_size
+        assert (frozen, again) == (walk_value(first)[0],
+                                   walk_value(second)[0])
+
+    @pytest.mark.parametrize("first, second", [
+        ([1], [True]), ([1], [1.0]), ([True], [1.0]), ([0.0], [-0.0]),
+        ({"a": 1, "b": 2}, {"b": 2, "a": 1}), (["1"], [1]),
+        ([b"a"], ["a"]), ([Name("a")], ["a"])])
+    def test_equal_but_unlike_values_never_share(self, first, second):
+        assert freeze_value(second)[0] is not freeze_value(first)[0]
+
+    @pytest.mark.parametrize("value", [[{1}], {"s": frozenset({1})},
+                                       [Name("a")], [[{1}]]])
+    def test_a_set_or_a_subclass_inside_is_never_looked_up(self, value):
+        assert freeze_value(copy.deepcopy(value))[0] is not (
+            freeze_value(value)[0])
+
+    def test_a_value_frozen_without_a_lookup_is_its_own(self):
+        value = {"n": "x", "List": [1, 2.5]}
+        item_model._canonical.clear()
+        shared = freeze_value(copy.deepcopy(value))[0]
+        entries = dict(item_model._canonical)
+        own, size = freeze_value(value, lookup=False)
+        assert own is not shared and own == shared
+        assert size == own.size == walk_value(value)[1]
+        # Its members are looked up as ever; the table gained nothing.
+        assert own["List"] is shared["List"]
+        assert item_model._canonical == entries
+
+    def test_a_map_an_update_grew_is_not_looked_up(self):
+        store = fresh_store()
+        store.put("data", {"Key": "a", "Log": {"k0": True}})
+        item_model._canonical.clear()
+        store.update("data", "a", [Set(path("Log", "k1"), False)])
+        assert not item_model._canonical
+        row = store.table("data")._get_raw(("a",))
+        assert row["Log"] == {"k0": True, "k1": False} and all_frozen_row(row)
+        assert row.size == measured_size(row)
+        # A map an update shrank, or wrote whole, is looked up.
+        store.update("data", "a", [Remove(path("Log", "k0"))])
+        assert freeze_value({"k1": False})[0] is (
+            store.table("data")._get_raw(("a",))["Log"])
+
+    def test_alike_values_share_all_the_way_down(self):
+        value = {"List": [1, {"m": [2.5, None]}], "Map": {"n": "x"}}
+        frozen = freeze_value(value)[0]
+        again = freeze_value(copy.deepcopy(value))[0]
+        assert again is frozen
+        assert freeze_value([copy.deepcopy(value["List"])])[0][0] is (
+            frozen["List"])
+        # A tuple freezes as the list it stands for.
+        assert freeze_value((1, {"m": [2.5, None]}))[0] is frozen["List"]
+
+    @settings(**dict(FAST, max_examples=50))
+    @given(st.lists(ALIKE_CONTAINERS, min_size=1, max_size=12),
+           st.integers(min_value=1, max_value=6))
+    def test_clearing_the_table_mid_run_changes_no_stored_value(
+            self, values, limit):
+        """With a table of ``limit`` entries it is dropped wholesale
+        again and again while rows are written: every stored value is
+        still the value written, sized as a walk of it."""
+        saved = item_model.CANONICAL_LIMIT
+        item_model.CANONICAL_LIMIT = limit
+        item_model._canonical.clear()
+        try:
+            store = fresh_store()
+            for index, value in enumerate(values):
+                store.put("data", {"Key": f"k{index}", "V": value})
+                store.update("data", f"u{index}", [Set("V", value)])
+                assert len(item_model._canonical) <= limit
+            for index, value in enumerate(values):
+                for key in (f"k{index}", f"u{index}"):
+                    row = store.table("data")._get_raw((key,))
+                    assert row["V"] == walk_value(value)[0]
+                    assert row.size == measured_size(row)
+                    assert all_frozen(row["V"])
+        finally:
+            item_model.CANONICAL_LIMIT = saved
+
+
+# -- a partition of one row is the row ----------------------------------------------
+HASHES = st.sampled_from(["h0", "h1", "h2"])
+RANGES = st.sampled_from(["r0", "r1", 0, 1])
+RANGE_OPS = st.one_of(
+    st.tuples(st.just("put"), HASHES, RANGES, st.integers(0, 3)),
+    st.tuples(st.just("update"), HASHES, RANGES, st.integers(0, 3)),
+    st.tuples(st.just("delete"), HASHES, RANGES),
+    st.tuples(st.just("migrate"), HASHES),
+    st.tuples(st.just("failover"), st.integers(0, 1)))
+
+
+def ranged_pair() -> tuple:
+    """Two shards of a leader and a follower each, a range-keyed table
+    indexed on ``Ix``, shipping at once."""
+    clock = NullTimeSource()
+    groups = [ReplicaGroup(
+        KVStore(time_source=clock, shard_id=shard),
+        [KVStore(time_source=clock, shard_id=shard)],
+        rand=RandomSource(7, "repl"), lag_scale=0.0) for shard in range(2)]
+    store = ReplicatedStore(groups)
+    store.create_table("data", hash_key="H", range_key="R")
+    for node in (node for group in groups for node in group.nodes):
+        node.table("data").add_index("by_ix", "Ix")
+    return store, groups
+
+
+def model_order(rows: list) -> list:
+    return sorted(rows, key=lambda row: (_sort_token(row["H"]),
+                                         _sort_token(row["R"])))
+
+
+def assert_answers_as(store, model: dict) -> None:
+    """Every read, on the store and on each leaf's table, answers what
+    the dict-of-dicts reference holds (a whole-store scan or index
+    query merges the shards in no particular order; a leaf's is in key
+    order)."""
+    every = model_order([row for part in model.values()
+                         for row in part.values()])
+    assert model_order(store.scan("data").items) == every
+    for hash_value in ("h0", "h1", "h2"):
+        assert store.query("data", hash_value).items == model_order(
+            list(model.get(hash_value, {}).values()))
+        for range_value in ("r0", "r1", 0, 1):
+            assert store.get("data", (hash_value, range_value)) == (
+                model.get(hash_value, {}).get(range_value))
+    for ix in range(4):
+        assert model_order(store.query_index("data", "by_ix", ix)) == [
+            row for row in every if row["Ix"] == ix]
+    for leaf in leaves(store):
+        table = leaf.table("data")
+        held = {key: dict(row) for key, row in table._iter_raw()}
+        assert table.item_count() == len(held)
+        assert table.scan().items == model_order(list(held.values()))
+        for (hash_value, range_value), row in held.items():
+            assert table._get_raw((hash_value, range_value)) == row
+            assert (row["H"], row["R"]) == (hash_value, range_value)
+        # A partition of one row is the row itself; two or more, a map.
+        for hash_value, partition in table._partitions.items():
+            rows = [key for key in held if key[0] == hash_value]
+            assert (type(partition) is FrozenRow) == (len(rows) == 1)
+
+
+class TestBarePartitions:
+    @settings(**dict(FAST, max_examples=100))
+    @given(st.lists(RANGE_OPS, min_size=1, max_size=25))
+    def test_answers_as_a_dict_of_dicts(self, operations):
+        store, groups = ranged_pair()
+        model: dict = {}
+        for operation in operations:
+            kind, *args = operation
+            if kind in ("put", "update"):
+                hash_value, range_value, ix = args
+                if kind == "put":
+                    row = {"H": hash_value, "R": range_value, "Ix": ix}
+                    store.put("data", row)
+                else:
+                    row = dict(model.get(hash_value, {}).get(
+                        range_value, {"H": hash_value, "R": range_value}))
+                    row["Ix"] = ix
+                    store.update("data", (hash_value, range_value),
+                                 [Set("Ix", ix)])
+                model.setdefault(hash_value, {})[range_value] = row
+            elif kind == "delete":
+                hash_value, range_value = args
+                part = model.get(hash_value, {})
+                assert store.delete("data", (hash_value, range_value)) == (
+                    part.pop(range_value, None) is not None)
+                if not part:
+                    model.pop(hash_value, None)
+            elif kind == "migrate":
+                (hash_value,) = args
+                target = 1 - store.shard_for("data", hash_value)
+                ChainMigrator(store).migrate([("data", hash_value, target)])
+            else:
+                groups[args[0]].fail_leader()
+            assert_answers_as(store, model)
+
+    def test_a_partition_grows_to_a_map_and_shrinks_back_to_the_row(self):
+        table = Table("data", KeySchema("H", "R"))
+        table.put({"H": "h", "R": "b", "V": 1})
+        only = table._get_raw(("h", "b"))
+        assert table._partitions["h"] is only
+        table.put({"H": "h", "R": "a", "V": 2})
+        assert type(table._partitions["h"]) is dict
+        assert [row["R"] for row in table.query("h").items] == ["a", "b"]
+        assert table.delete(("h", "a")) and not table.delete(("h", "a"))
+        assert table._partitions["h"] is only
+        assert table.query("h").items == [{"H": "h", "R": "b", "V": 1}]
+        assert table._get_raw(("h", "a")) is None
+        assert not table.delete(("h", "a")) and table.item_count() == 1
+        assert table.delete(("h", "b")) and table._partitions == {}

@@ -20,6 +20,7 @@ from repro.kvstore import (
     TransactionCanceled,
     batch_get_all,
 )
+from repro.kvstore.sharding import MEMO_TOKENS
 from repro.kvstore.surface import layers, leaves
 from repro.sim import LatencyModel, RandomSource, SimKernel
 
@@ -162,14 +163,15 @@ class TestHashRingProperties:
             assert 0.85 * fair <= moved <= 1.15 * fair, (n_shards, moved)
 
     def test_dropping_the_memo_changes_no_answer(self):
-        """The memo is emptied wholesale once it holds 65 536 tokens;
-        placement is a pure function of the token, so nothing moves."""
+        """The memo is emptied wholesale once it holds ``MEMO_TOKENS``
+        tokens; placement is a pure function of the token, so nothing
+        moves."""
         ring = HashRing(4)
         probes = _instance_tokens(64)
         first = [ring.shard_of(token) for token in probes]
-        for i in range(65_536):
+        for i in range(MEMO_TOKENS):
             ring.hash_shard_of(f"filler|{i}")
-        assert len(ring._memo) < 65_536, "the memo never emptied"
+        assert len(ring._memo) < MEMO_TOKENS, "the memo never emptied"
         assert [ring.shard_of(token) for token in probes] == first
         assert first == [HashRing(4).shard_of(token) for token in probes]
 

@@ -18,6 +18,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -153,6 +154,34 @@ def test_cost_on_shards_and_replicas_sums_to_the_bill(profile):
     assert attributed + spent["unattributed"] == pytest.approx(bill,
                                                                rel=1e-9)
     assert spent["unattributed"] >= 0
+
+
+@pytest.mark.parametrize("run", ["travel", "profile"])
+def test_past_set_up_every_store_round_trip_sits_in_a_span(run, request):
+    """A callback, a transaction signal and an async registration each
+    run in a span of their own, so no store span after set-up (the rows
+    seeded before the first request) is parentless, and ``cost``'s
+    ``background`` row holds the seeded rows and nothing else. A
+    callback is booked to the step layer, inside its callee's tail."""
+    history = _read(request.getfixturevalue(run))
+    set_up = min(span["seq"] for span in history.prefixed("request:"))
+    seeded = [span for span in history.in_cat("store")
+              if span["seq"] < set_up]
+    assert seeded
+    assert not [span for span in history.in_cat("store")
+                if span["seq"] > set_up and span["parent_id"] is None]
+    background = {op: count for (layer, op), (count, _dollars)
+                  in report.cost(history)["rows"].items()
+                  if layer == "background"}
+    assert background == dict(Counter(span["name"] for span in seeded))
+    if run == "travel":
+        callbacks = history.prefixed("step.callback:")
+        assert callbacks and {history.parent(callback)["name"].split(":")[0]
+                              for callback in callbacks} == {"tail"}
+        assert all([store["name"] for store in history.children(
+            callback["span_id"]) if store["cat"] == "store"]
+            == ["store.cond_write"] for callback in callbacks)
+        assert history.prefixed("txn.signal:")
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,9 @@ from repro.kvstore.item import (
 # Paths
 # ---------------------------------------------------------------------------
 
+_ABSENT = object()  # what a row's ``get`` answers for a missing name
+
+
 @dataclass(frozen=True)
 class Path:
     """An attribute path: top-level name plus nested map keys/list indexes."""
@@ -56,11 +59,14 @@ class Path:
         return self.segments[0]  # type: ignore[return-value]
 
     def get(self, item: Optional[dict]) -> tuple[bool, Any]:
-        """Return ``(present, value)`` for this path in ``item``."""
+        """Return ``(present, value)`` for this path in ``item`` (a
+        ``dict``, or a stored :class:`~repro.kvstore.item.FrozenRow`)."""
         if item is None:
             return False, None
-        node: Any = item
-        for segment in self.segments:
+        node: Any = item.get(self.segments[0], _ABSENT)
+        if node is _ABSENT:
+            return False, None
+        for segment in self.segments[1:]:
             if isinstance(segment, str):
                 if not isinstance(node, dict) or segment not in node:
                     return False, None
@@ -574,9 +580,9 @@ def _walk_selected(row: dict, selected: tuple) -> tuple[dict, int]:
     out = {}
     size = 0
     for name, name_bytes, members in selected:
-        if name not in row:
+        value = row.get(name, _ABSENT)
+        if value is _ABSENT:
             continue
-        value = row[name]
         if members is None:
             if value.__class__ is str:  # RowId, NextRow: the common case
                 out[name] = value

@@ -26,17 +26,26 @@ with ``lookup=False``: a map an update grew by members (a row's
 ``RecentWrites``, whose keys never repeat; :func:`freeze_update`) and
 an intent's ``Caller`` (it names one call).
 
+One row, one tuple. The row itself is not a map but a
+:class:`FrozenRow`: its values, its recorded size (so metering never
+walks a stored row again) and its names, which are one tuple per
+distinct row shape (:data:`_shapes`) shared by every row of that shape
+— a workload's thousands of rows come in a handful of shapes. It
+answers the read-only mapping protocol, and builds the fresh ``dict``
+a read hands out in one step (:meth:`FrozenRow.as_dict`).
+
 One walk family. :func:`freeze_item` / :func:`freeze_value` validate,
 size and build the frozen copy the store keeps, taking frozen parts by
-reference; the row itself is a :class:`FrozenRow`, which records its
-size, so metering never walks a stored row again. :func:`freeze_update`
-re-freezes and re-sizes only the attributes an update touched.
-:func:`item_size` / :func:`value_size` size what is not frozen yet
-(reading a frozen container's recorded size).
+reference; a container's structural key is built in the same walk, one
+member at a time. :func:`freeze_update` re-freezes and re-sizes only
+the attributes an update touched. :func:`item_size` /
+:func:`value_size` size what is not frozen yet (reading a frozen
+container's recorded size).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Any, Iterable
 
 from repro.kvstore.errors import ValidationError
@@ -59,11 +68,97 @@ class FrozenMap(dict):
         return dict, (dict(self),)
 
 
-class FrozenRow(FrozenMap):
-    """A row the store keeps: read-only, its ``size`` the row's
-    :func:`item_size` (names and values, without a map's overhead)."""
+_item = tuple.__getitem__
+_VALUES = slice(2, None)
+
+
+class FrozenRow(tuple):
+    """A row the store keeps: its names — one tuple per distinct shape
+    (:data:`_shapes`), shared by every row of that shape — then its
+    ``size`` (the row's :func:`item_size`: names and values, without a
+    map's overhead), then its values in the order of its names.
+
+    Read-only, it answers the mapping protocol the store's code uses on
+    a stored row: ``row[name]``, ``get``, ``in``, ``len``, iteration
+    over the names, ``keys`` / ``values`` / ``items`` (sequences in the
+    row's order), ``==`` against a ``dict`` or another row, and
+    :meth:`as_dict`, the fresh top-level ``dict`` a read hands out. A
+    copy (``copy``, ``deepcopy``, pickle) is a plain ``dict``."""
 
     __slots__ = ()
+    # The two fixed places, read in C (a namedtuple's field readers):
+    # ``__getitem__`` is the lookup by name.
+    _head = namedtuple("_head", "shape size")
+    _shape, size = _head.shape, _head.size
+    del _head
+
+    @staticmethod
+    def build(names: tuple, values: Iterable, size: int) -> "FrozenRow":
+        """The row of ``values`` under ``names``, recording ``size``;
+        ``names`` is swapped for the one shared tuple of its shape."""
+        shape = _shapes.get(names)
+        if shape is None:
+            if len(_shapes) >= SHAPE_LIMIT:
+                _shapes.clear()
+            shape = _shapes[names] = names
+        return FrozenRow((shape, size, *values))
+
+    def keys(self) -> tuple:
+        return self._shape
+
+    def values(self) -> tuple:
+        return _item(self, _VALUES)
+
+    def items(self) -> tuple:
+        return tuple(zip(self._shape, _item(self, _VALUES)))
+
+    def as_dict(self) -> dict:
+        return dict(zip(self._shape, _item(self, _VALUES)))
+
+    def __getitem__(self, name: str) -> Any:
+        try:
+            return _item(self, self._shape.index(name) + 2)
+        except ValueError:
+            raise KeyError(name) from None
+
+    def get(self, name: str, default: Any = None) -> Any:
+        names = self._shape
+        if name in names:
+            return _item(self, names.index(name) + 2)
+        return default
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._shape
+
+    def __iter__(self):
+        return iter(self._shape)
+
+    def __len__(self) -> int:
+        return len(self._shape)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is FrozenRow:
+            other = other.as_dict()
+        elif not isinstance(other, dict):
+            return NotImplemented
+        return self.as_dict() == other
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __lt__(self, other: object) -> bool:
+        return NotImplemented  # rows, like maps, have no order
+
+    __le__ = __gt__ = __ge__ = __lt__
+    __hash__ = None  # type: ignore[assignment]
+    __setitem__ = __delitem__ = _refuse
+
+    def __repr__(self) -> str:
+        return f"FrozenRow({self.as_dict()!r})"
+
+    def __reduce__(self):
+        return dict, (self.as_dict(),)
 
 
 class FrozenList(list):
@@ -126,19 +221,25 @@ def _set_size(value: Any) -> int:
 
 
 #: The canonical frozen containers, by structural key: the container's
-#: tag, a map's member names in order, then each member — a ``str``,
-#: ``int``, ``bytes`` or ``None`` as it is (no two of those classes hold
-#: equal values), a ``bool``, a ``float`` or a frozen container as a
-#: tagged pair: a float as itself, or by ``hex()`` when zero
-#: (``0.0 == -0.0``), a container by ``id`` (the entry's object holds
-#: it, so the id stays its own). A container with any other member (a
-#: set, a scalar's subclass) has no key.
+#: class, then per member — a map's member name first — the member: a
+#: ``str``, ``int``, ``bytes`` or ``None`` as it is (no two of those
+#: classes hold equal values), a ``bool``, a ``float`` or a frozen
+#: container as a tagged pair: a float as itself, or by ``hex()`` when
+#: zero (``0.0 == -0.0``), a container by ``id`` (the entry's object
+#: holds it, so the id stays its own). A container with any other
+#: member (a set, a scalar's subclass) has no key.
 _canonical: dict[tuple, Any] = {}
 #: Entries ``_canonical`` holds before it is dropped wholesale: a stored
 #: value keeps its object, and a later equal value starts a new one.
 CANONICAL_LIMIT = 4_096
-_MAP, _LIST, _FLOAT, _NESTED = range(4)
+_FLOAT, _NESTED = range(2)
 _TRUE, _FALSE = ("bool", True), ("bool", False)
+#: The one names tuple of each row shape, by itself: every
+#: :class:`FrozenRow` with these names in this order holds this tuple.
+#: Dropped wholesale at :data:`SHAPE_LIMIT` entries; a row keeps its
+#: tuple, and a later row of its shape starts a new one.
+_shapes: dict[tuple, tuple] = {}
+SHAPE_LIMIT = 4_096
 
 
 def freeze_value(value: Any, lookup: bool = True) -> tuple[Any, int]:
@@ -154,11 +255,12 @@ def freeze_value(value: Any, lookup: bool = True) -> tuple[Any, int]:
     A map or list built here is the one canonical object of its value:
     freezing an equal value — same member names in the same order, same
     member classes, same floats to the sign — hands out the object the
-    first freeze built (see :data:`_canonical`). ``lookup=False`` copies
-    a mutable ``value`` into a new object of its own and leaves the
-    table alone (its members are still looked up): for a value no other
-    is ever alike, whose lookup could only miss and whose entry would
-    only keep it alive."""
+    first freeze built (see :data:`_canonical`); the walk that freezes
+    each member also adds it to the key. ``lookup=False`` copies a
+    mutable ``value`` into a new object of its own and leaves the table
+    alone (its members are still looked up): for a value no other is
+    ever alike, whose lookup could only miss and whose entry would only
+    keep it alive."""
     cls = value.__class__
     if cls is str:
         return value, len(value.encode("utf-8"))
@@ -167,24 +269,9 @@ def freeze_value(value: Any, lookup: bool = True) -> tuple[Any, int]:
     if cls is FrozenMap or cls is FrozenList:
         return value, value.size
     if cls is dict:
-        out = {}
-        size = 3
-        for name, element in value.items():
-            if not isinstance(name, str):
-                raise ValidationError(f"map keys must be str, got {name!r}")
-            out[name], element_size = freeze_value(element)
-            size += len(name.encode("utf-8")) + element_size + 1
-        kind, members = FrozenMap, out.values()
-        key = [_MAP, *out] if lookup else None
+        kind, out, members = FrozenMap, {}, value.items()
     elif cls is list or cls is tuple:
-        out = []
-        size = 3
-        for element in value:
-            element, element_size = freeze_value(element)
-            out.append(element)
-            size += 1 + element_size
-        kind, members = FrozenList, out
-        key = [_LIST] if lookup else None
+        kind, out, members = FrozenList, [None] * len(value), enumerate(value)
     elif cls is bool or value is None:
         return value, 1
     elif isinstance(value, (set, frozenset)):
@@ -198,8 +285,19 @@ def freeze_value(value: Any, lookup: bool = True) -> tuple[Any, int]:
         # Scalars (and their subclasses) are immutable: shared as they
         # are. Anything else is outside the model, and raises here.
         return value, value_size(value)
-    if key is not None:
-        for member in members:
+    size = 3
+    key = [kind] if lookup else None
+    for name, member in members:
+        if kind is FrozenMap:
+            if not isinstance(name, str):
+                raise ValidationError(f"map keys must be str, got {name!r}")
+            size += len(name.encode("utf-8"))
+            if key is not None:
+                key.append(name)
+        member, member_size = freeze_value(member)
+        out[name] = member
+        size += member_size + 1
+        if key is not None:
             member_cls = member.__class__
             if (member_cls is str or member_cls is int or member is None
                     or member_cls is bytes):
@@ -212,7 +310,6 @@ def freeze_value(value: Any, lookup: bool = True) -> tuple[Any, int]:
                 key.append(_TRUE if member else _FALSE)
             else:  # a set, a scalar's subclass: never looked up
                 key = None
-                break
     if key is not None:
         key = tuple(key)
         canonical = _canonical.get(key)
@@ -231,34 +328,35 @@ def freeze_item(item: dict[str, Any]) -> FrozenRow:
     """The row the store keeps for ``item``: its values frozen, its
     size recorded, raising what :func:`freeze_value` raises for any
     value (and for a name that is not a ``str``)."""
-    out = {}
+    values = []
     size = 0
     for name, value in item.items():
         if not isinstance(name, str):
             raise ValidationError(
                 f"attribute names must be str, got {name!r}")
-        out[name], value_bytes = freeze_value(value)
+        value, value_bytes = freeze_value(value)
+        values.append(value)
         size += len(name.encode("utf-8")) + value_bytes
-    row = FrozenRow(out)
-    row.size = size
-    return row
+    return FrozenRow.build(tuple(item), values, size)
 
 
 def freeze_update(existing: FrozenRow, draft: dict[str, Any],
                   touched: Iterable[str]) -> FrozenRow:
-    """:func:`freeze_item` of ``draft`` — a shallow copy of ``existing``
-    that an update changed only in the top-level attributes ``touched``
-    — freezing and sizing just those: every other value is
+    """:func:`freeze_item` of ``draft`` — ``existing.as_dict()`` that an
+    update changed only in the top-level attributes ``touched`` —
+    freezing and sizing just those: every other value is
     ``existing``'s, frozen and sized already.
 
     A touched map the update grew by members is a log (a row's
     ``RecentWrites``): its keys never repeat, so no other map is ever
     alike, and it is frozen without a lookup."""
     size = existing.size
+    names = existing._shape
     for name in touched:
         name_bytes = len(name.encode("utf-8"))
-        old = existing.get(name)
-        if name in existing:
+        old = None
+        if name in names:
+            old = _item(existing, names.index(name) + 2)
             size -= name_bytes + value_size(old)
         if name in draft:
             value = draft[name]
@@ -266,9 +364,7 @@ def freeze_update(existing: FrozenRow, draft: dict[str, Any],
                      and len(value) > len(old))
             draft[name], value_bytes = freeze_value(value, lookup=not grown)
             size += name_bytes + value_bytes
-    row = FrozenRow(draft)
-    row.size = size
-    return row
+    return FrozenRow.build(tuple(draft), draft.values(), size)
 
 
 def compare_values(left: Any, right: Any) -> int:

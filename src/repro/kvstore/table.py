@@ -11,9 +11,12 @@ it: ``put`` stores a frozen copy (:func:`~repro.kvstore.item.freeze_item`,
 which takes already-frozen values by reference and records the row's
 size), and ``update`` replaces the row with a copy-on-write draft that
 shares every value it leaves alone and re-sizes only the attributes it
-touched (:func:`~repro.kvstore.item.freeze_update`). A read hands out a
-fresh top-level ``dict`` per row holding the stored frozen values by
-reference (a projected read just its selection,
+touched (:func:`~repro.kvstore.item.freeze_update`). A stored row is a
+:class:`~repro.kvstore.item.FrozenRow` record — its values over one
+names tuple per row shape — not a ``dict``. A read hands out a fresh
+top-level ``dict`` per row (:meth:`~repro.kvstore.item.FrozenRow.as_dict`,
+which an update's draft starts from too) holding the stored frozen
+values by reference (a projected read just its selection,
 :meth:`~repro.kvstore.expressions.Projection.walk`): nothing a reader
 holds can change a stored row, because every container in it refuses
 mutation. So a stored row and its values may be shared — a replica
@@ -29,9 +32,10 @@ what a :class:`~repro.kvstore.store.KVStore` meters.
 A table without a range key keeps ``{hash value: row}``. A table with
 one keeps a partition of one row bare too, ``{hash value: row}`` (its
 range value is in the row), and one of two or more rows as
-``{hash value: {range value: row}}``; a partition changes shape only
-behind the raw seams (``_get_raw`` / ``_put_raw`` / ``_delete_raw`` /
-``_iter_raw`` / ``_sorted_range_keys``), ``query`` and ``item_count``.
+``{hash value: {range value: row}}`` — a plain ``dict``, which a row
+never is; a partition changes layout only behind the raw seams
+(``_get_raw`` / ``_put_raw`` / ``_delete_raw`` / ``_iter_raw`` /
+``_sorted_range_keys``), ``query`` and ``item_count``.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from repro.kvstore.errors import (
     ValidationError,
 )
 from repro.kvstore.expressions import (
+    _ABSENT,
     Condition,
     Projection,
     UpdateAction,
@@ -176,17 +181,17 @@ class Table:
         if item is None:
             return
         for index in self._indexes.values():
-            if index.attribute in item:
-                index.remove(key, _hashable_index_value(
-                    item[index.attribute]))
+            value = item.get(index.attribute, _ABSENT)
+            if value is not _ABSENT:
+                index.remove(key, _hashable_index_value(value))
 
     def _index_insert(self, key: tuple, item: Optional[dict]) -> None:
         if item is None:
             return
         for index in self._indexes.values():
-            if index.attribute in item:
-                index.insert(key, _hashable_index_value(
-                    item[index.attribute]))
+            value = item.get(index.attribute, _ABSENT)
+            if value is not _ABSENT:
+                index.insert(key, _hashable_index_value(value))
 
     # -- raw storage helpers --------------------------------------------------
     # With a range key, a partition of one row is the row itself (its
@@ -296,7 +301,7 @@ class Table:
         with ``existing`` — so building it costs what the update
         touches, not the row."""
         key_dict = self.schema.key_dict(key)
-        draft = dict(key_dict) if existing is None else dict(existing)
+        draft = dict(key_dict) if existing is None else existing.as_dict()
         apply_updates(draft, updates)
         for name in (self.schema.hash_key, self.schema.range_key):
             if name is not None and draft.get(name) != key_dict.get(name):
@@ -329,7 +334,7 @@ class Table:
             item = self._get_raw(key)
         if item is None:
             return None, 0, 1
-        return dict(item), item.size, 1
+        return item.as_dict(), item.size, 1
 
     def put(self, item: dict, condition: Optional[Condition] = None) -> None:
         self._put(item, condition)
@@ -372,7 +377,7 @@ class Table:
                     f"update condition failed on {self.name}:{key}")
             row = self.draft(key, existing, updates)
             self._replace(key, existing, row)
-        return (dict(row) if return_new else None), row.size
+        return (row.as_dict() if return_new else None), row.size
 
     def delete(self, key: Any,
                condition: Optional[Condition] = None) -> bool:
@@ -435,7 +440,7 @@ class Table:
                     item):
                 continue
             if projection is None:
-                out, size = dict(item), item.size
+                out, size = item.as_dict(), item.size
             else:
                 out, size = projection.walk(item)
             consumed += size
@@ -471,7 +476,7 @@ class Table:
                 if item is None:
                     continue
                 consumed += item.size
-                results.append(dict(item))
+                results.append(item.as_dict())
             return results, consumed, len(results)
 
     # -- stats -----------------------------------------------------------------

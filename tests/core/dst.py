@@ -43,8 +43,9 @@ from repro.core import BeldiConfig, BeldiRuntime
 from repro.core import daal, intents
 from repro.core.gc import make_garbage_collector
 from repro.core.errors import DeadlineExceeded
+from repro.kvstore import AttrNotExists, ConditionFailed, FaultTimeline, Set
 from repro.kvstore.errors import ThrottledError, UnavailableError
-from repro.platform import CrashPolicy, PrefixedPolicy
+from repro.platform import CrashPolicy, PrefixedPolicy, RecordingPolicy
 from repro.platform.errors import FunctionCrashed, TooManyRequests
 from repro.sim import RandomSchedule, SimKernel
 from repro.sim.schedule import format_failure
@@ -435,6 +436,24 @@ def run_gc_passes(*runtimes: BeldiRuntime, passes: int = 3) -> None:
         kernel.run()
 
 
+def run_gc_now(runtime, env, times=1):
+    """Invoke the env's GC directly (no timers) from a client process."""
+    results = []
+
+    def client():
+        for _ in range(times):
+            results.extend(gc_pass(runtime, env))
+
+    runtime.kernel.spawn(client)
+    runtime.kernel.run()
+    return results
+
+
+def advance(runtime, ms):
+    runtime.kernel.spawn(lambda: runtime.kernel.sleep(ms))
+    runtime.kernel.run()
+
+
 # ---------------------------------------------------------------------------
 # Protocol mutations the lifecycle checker must catch
 # ---------------------------------------------------------------------------
@@ -464,6 +483,26 @@ def await_then_claim(platform, name, payload, meanwhile=None):
     if meanwhile is not None:
         meanwhile()
     return result
+
+
+def flush_after_release(store, table, key, value, txn_id, cache=None):
+    """``daal.flush_value`` with its one update split in two, the lock
+    released first: another transaction may read the item between."""
+    if not daal.release_lock(store, table, key, txn_id, cache=cache):
+        return False
+    while True:
+        row = daal.tail_row(store, table, key, None)
+        try:
+            row = store.update(table, (key, row["RowId"]),
+                               [Set("Value", value), daal.bump_version()],
+                               condition=AttrNotExists("NextRow"),
+                               return_new=True)
+        except ConditionFailed:
+            continue
+        store.obs.tracer.event("txn:flush", cat="txn", table=table,
+                               key=key, txn=txn_id,
+                               version=[row["RowId"], row["Version"]])
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +606,197 @@ def final_state(h: Harness) -> list:
                         repr(sorted(row.items(), key=lambda kv: kv[0]))
                         for row in rows)))
     return state
+
+
+# ---------------------------------------------------------------------------
+# Fault timelines (the nemesis sweep's, and the trace tests' outage)
+# ---------------------------------------------------------------------------
+
+# Retry/breaker knobs matched to the incident scale of the DST mix
+# (tens-to-hundreds of virtual ms): enough budget to ride out the
+# survivable windows, cooldowns short enough to re-probe before the
+# retry budget drains against fast-fails.
+TUNED = dict(retry_max_attempts=10, breaker_cooldown=60.0)
+
+
+def scenario_flags(base, timeline, **extra):
+    flags = dict(base, timeline=timeline, **TUNED)
+    flags.update(extra)
+    return flags
+
+
+DEEP_SCENARIOS = {
+    "leader-outage": FaultTimeline().outage(0.0, 100.0, shards=0,
+                                            role="leader"),
+    "partition": FaultTimeline().partition(0.0, 300.0, shards=0),
+}
+
+
+# ---------------------------------------------------------------------------
+# Single-request crash sweeps (``test_crashpoint_sweep``; the trace tests
+# re-run one of its points)
+# ---------------------------------------------------------------------------
+
+SWEEP_SEED = 5
+SWEEP_RECOVERY_HORIZON = 40_000.0
+
+# ``shards``/``replicas``/``leader_crash``/``latency_scale`` are runtime
+# knobs, not BeldiConfig fields. The sharded sweep proves the commit
+# protocol's shadow writes stay atomic when they span shard boundaries;
+# the replicated sweep additionally crashes shard *leaders* out from
+# under the workflow (a ``leader_crash`` window over every leader-routed
+# store op). Store latency stays at scale 0 (deterministic recording),
+# but the replica groups' own latency model always runs at scale 1, so
+# replication lag — and the failover's unacked-suffix replay — is
+# nonzero anyway. ``read_consistency`` rides along to exercise the GC's
+# eventual first-pass scan under crash + failover recovery.
+#
+# ``paper`` sweeps the seed protocol, ``current`` everything on top of it
+# (tail cache, batched reads, overlapped commit fan-outs, batched GC
+# deletions and parallel-invoke claims); both must be just as
+# exactly-once, atomic, and residue-free at every point.
+#
+# ``current-repl3`` is the deepest topology, and additionally gives the
+# elasticity detector hair-trigger thresholds (any 8-op window over a
+# 1.01 load ratio), which forces live chain migrations *mid-request* —
+# the recording run captures the migration protocol's own crash points
+# (``migrate:start/prepared/committed/done``) inside whatever SSF
+# invocation tripped the detector, and the sweep then crashes each of
+# them. Recovery is the durable migration record: the GC (or the next
+# attempt) rolls the move forward or back, and ``assert_store_clean``
+# additionally demands zero placement residue and no mid-phase records.
+#
+# ``current-cap1`` gives every row room for one log entry, so every
+# logged write and every lock acquisition *fills* its row and its writer
+# extends the chain itself (fill-and-extend, ``ops._extend_filled_row``).
+# Every ``write`` / ``condwrite`` of the recording run then passes its
+# ``:done`` point announced and with the tail full, an ``:extend:put``
+# point between the candidate put and the CAS, and its next point with
+# an empty successor linked — and a filler killed at each must leave
+# only what a crashed lazy appender always could: a full tail without a
+# successor, an orphan candidate, an empty successor carrying ``Value``
+# / ``LockOwner`` forward.
+SWEEP_SETTINGS = {
+    "paper": dict(profile="paper"),
+    "current": dict(),
+    "current-cap1": dict(row_log_capacity=1),
+    "current-shards2": dict(shards=2),
+    "current-repl3": dict(elastic_check_every=2, elastic_min_window=8,
+                          elastic_load_ratio=1.01, elastic_max_moves=4,
+                          elastic_tolerance=0.0,
+                          shards=2, replicas=3, leader_crash=0.02,
+                          read_consistency="eventual"),
+}
+
+
+def sweep_runtime(flags: dict) -> BeldiRuntime:
+    flags = dict(flags)
+    shards = flags.pop("shards", 1)
+    replicas = flags.pop("replicas", 1)
+    leader_crash = flags.pop("leader_crash", 0.0)
+    latency_scale = flags.pop("latency_scale", 0.0)
+    config = BeldiConfig(ic_restart_delay=200.0, gc_t=GC_T,
+                         lock_retry_backoff=5.0, lock_retry_limit=500,
+                         **flags)
+    runtime = BeldiRuntime(seed=SWEEP_SEED, config=config, shards=shards,
+                           replicas=replicas, latency_scale=latency_scale,
+                           observability=True)
+    if leader_crash:
+        runtime.fault_timeline.leader_crash(rate=leader_crash)
+    return runtime
+
+
+class Scenario:
+    #: Rewrites seeded data at the instant of the swept crash (or None).
+    mutate: Optional[Callable] = None
+
+    def ok(self, result) -> bool:
+        """Did the client get the workflow's success reply?"""
+        return isinstance(result, dict) and bool(result.get("ok"))
+
+
+class TravelReserveScenario(Scenario):
+    """One cross-SSF reservation transaction (hotel + flight + booking)."""
+
+    entry = "frontend"
+    # flight-0001 (not -0000) so that at shards=2 the hotel and flight
+    # rows live on different shards — asserted by
+    # ``test_crashpoint_sweep.py::test_sharded_sweep_actually_crosses_shards``.
+    payload = {"action": "reserve", "user": "user-0000",
+               "hotel": "hotel-0000", "flight": "flight-0001"}
+
+    def build(self, flags: dict):
+        runtime = sweep_runtime(flags)
+        app = TravelReservationApp(seed=SWEEP_SEED, n_hotels=2, n_flights=2,
+                                   rooms_per_hotel=2, seats_per_flight=2,
+                                   n_users=1)
+        app.register(runtime)
+        app.seed_data(runtime)
+        return runtime, app
+
+    def check_effects(self, runtime, app, result) -> None:
+        rooms, seats = app.capacity_remaining()
+        rooms_used = 2 * 2 - rooms
+        seats_used = 2 * 2 - seats
+        env = app.envs["reserve"]
+        bookings = len(daal.all_keys(env.store,
+                                     env.data_table("bookings")))
+        # Atomicity: the three effects move together...
+        assert rooms_used == seats_used == bookings, (
+            f"partial reservation: rooms={rooms_used} "
+            f"seats={seats_used} bookings={bookings}")
+        # ...exactly once or not at all; and a success reply to the
+        # client implies the effects landed.
+        assert bookings in (0, 1)
+        if self.ok(result):
+            assert bookings == 1
+
+
+def record_crash_space(scenario, flags: dict):
+    """Crash-free run under a recording policy -> the full crash space,
+    the run's result and the configuration every swept run shares."""
+    runtime, app = scenario.build(flags)
+    recording = RecordingPolicy()
+    runtime.platform.crash_policy = recording
+    result = runtime.run_workflow(scenario.entry, dict(scenario.payload))
+    runtime.kernel.shutdown()
+    points = recording.unique_points()
+    assert len(points) > 40, "suspiciously small crash space"
+    return points, result, runtime.config
+
+
+def run_until_recovered(runtime, scenario):
+    """Issue the client request; drive until the client finished and no
+    intent is pending. Returns what the client saw (``"crashed"`` when
+    its invocation failed)."""
+    box = {}
+
+    def client():
+        try:
+            box["result"] = runtime.client_call(scenario.entry,
+                                                dict(scenario.payload))
+        except (FunctionCrashed, TooManyRequests):
+            box["result"] = "crashed"
+
+    runtime.start_collectors(ic_period=100.0, gc_period=1e12)
+    runtime.kernel.spawn(client)
+    deadline = SWEEP_RECOVERY_HORIZON
+    elapsed = 0.0
+    while elapsed < deadline:
+        elapsed += RECOVERY_SLICE
+        runtime.kernel.run(until=elapsed)
+        if "result" not in box:
+            continue
+        if all(not intents.pending_intents(env)
+               for env in runtime.envs.values()):
+            break
+    runtime.stop_collectors()
+    runtime.kernel.run(until=elapsed + RECOVERY_SLICE)
+    assert "result" in box, "client never completed"
+    assert all(not intents.pending_intents(env)
+               for env in runtime.envs.values()), (
+        "unfinished intents survived recovery")
+    return box["result"]
 
 
 # ---------------------------------------------------------------------------

@@ -31,145 +31,41 @@ shows up as a return that disagrees with the log.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import pytest
 
 import dst
 import history
+from dst import (
+    GC_T,
+    RECOVERY_SLICE,
+    SWEEP_SEED,
+    SWEEP_SETTINGS,
+    Scenario,
+    TravelReserveScenario,
+    record_crash_space,
+    run_until_recovered,
+    sweep_runtime,
+)
 from repro.apps.movie import MovieReviewApp
 from repro.apps.travel import TravelReservationApp
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.core import daal, intents, ops
 from repro.kvstore import Set
-from repro.platform import CrashOnce, CrashPolicy, RecordingPolicy
-from repro.platform.errors import FunctionCrashed, TooManyRequests
+from repro.platform import CrashOnce, CrashPolicy
+from repro.platform.errors import FunctionCrashed
 
-SEED = 5
-GC_T = 400.0
-RECOVERY_SLICE = 500.0
-RECOVERY_HORIZON = 40_000.0
-
-# ``shards``/``replicas``/``leader_crash``/``latency_scale`` are runtime
-# knobs, not BeldiConfig fields. The sharded sweep proves the commit
-# protocol's shadow writes stay atomic when they span shard boundaries;
-# the replicated sweep additionally crashes shard *leaders* out from
-# under the workflow (a ``leader_crash`` window over every leader-routed
-# store op). Store latency stays at scale 0 (deterministic recording),
-# but the replica groups' own latency model always runs at scale 1, so
-# replication lag — and the failover's unacked-suffix replay — is
-# nonzero anyway. ``read_consistency`` rides along to exercise the GC's
-# eventual first-pass scan under crash + failover recovery.
-#
-# ``paper`` sweeps the seed protocol, ``current`` everything on top of it
-# (tail cache, batched reads, overlapped commit fan-outs, batched GC
-# deletions and parallel-invoke claims); both must be just as
-# exactly-once, atomic, and residue-free at every point.
-#
-# ``current-repl3`` is the deepest topology, and additionally gives the
-# elasticity detector hair-trigger thresholds (any 8-op window over a
-# 1.01 load ratio), which forces live chain migrations *mid-request* —
-# the recording run captures the migration protocol's own crash points
-# (``migrate:start/prepared/committed/done``) inside whatever SSF
-# invocation tripped the detector, and the sweep then crashes each of
-# them. Recovery is the durable migration record: the GC (or the next
-# attempt) rolls the move forward or back, and ``assert_store_clean``
-# additionally demands zero placement residue and no mid-phase records.
-#
-# ``current-cap1`` gives every row room for one log entry, so every
-# logged write and every lock acquisition *fills* its row and its writer
-# extends the chain itself (fill-and-extend, ``ops._extend_filled_row``).
-# Every ``write`` / ``condwrite`` of the recording run then passes its
-# ``:done`` point announced and with the tail full, an ``:extend:put``
-# point between the candidate put and the CAS, and its next point with
-# an empty successor linked — and a filler killed at each must leave
-# only what a crashed lazy appender always could: a full tail without a
-# successor, an orphan candidate, an empty successor carrying ``Value``
-# / ``LockOwner`` forward.
-SETTINGS = {
-    "paper": dict(profile="paper"),
-    "current": dict(),
-    "current-cap1": dict(row_log_capacity=1),
-    "current-shards2": dict(shards=2),
-    "current-repl3": dict(elastic_check_every=2, elastic_min_window=8,
-                          elastic_load_ratio=1.01, elastic_max_moves=4,
-                          elastic_tolerance=0.0,
-                          shards=2, replicas=3, leader_crash=0.02,
-                          read_consistency="eventual"),
-}
-UNSHARDED_SETTINGS = [name for name, flags in SETTINGS.items()
+UNSHARDED_SETTINGS = [name for name, flags in SWEEP_SETTINGS.items()
                       if "shards" not in flags]
 #: The search workflow writes nothing: no row of it can fill.
 SEARCH_SETTINGS = [name for name in UNSHARDED_SETTINGS
-                   if "row_log_capacity" not in SETTINGS[name]]
-
-
-def _runtime(flags: dict) -> BeldiRuntime:
-    flags = dict(flags)
-    shards = flags.pop("shards", 1)
-    replicas = flags.pop("replicas", 1)
-    leader_crash = flags.pop("leader_crash", 0.0)
-    latency_scale = flags.pop("latency_scale", 0.0)
-    config = BeldiConfig(ic_restart_delay=200.0, gc_t=GC_T,
-                         lock_retry_backoff=5.0, lock_retry_limit=500,
-                         **flags)
-    runtime = BeldiRuntime(seed=SEED, config=config, shards=shards,
-                           replicas=replicas, latency_scale=latency_scale,
-                           observability=True)
-    if leader_crash:
-        runtime.fault_timeline.leader_crash(rate=leader_crash)
-    return runtime
+                   if "row_log_capacity" not in SWEEP_SETTINGS[name]]
 
 
 # ---------------------------------------------------------------------------
 # Scenarios
 # ---------------------------------------------------------------------------
-
-class Scenario:
-    #: Rewrites seeded data at the instant of the swept crash (or None).
-    mutate: Optional[Callable] = None
-
-    def ok(self, result) -> bool:
-        """Did the client get the workflow's success reply?"""
-        return isinstance(result, dict) and bool(result.get("ok"))
-
-
-class TravelReserveScenario(Scenario):
-    """One cross-SSF reservation transaction (hotel + flight + booking)."""
-
-    entry = "frontend"
-    # flight-0001 (not -0000) so that at shards=2 the hotel and flight
-    # rows live on different shards — asserted by
-    # test_sharded_sweep_actually_crosses_shards below.
-    payload = {"action": "reserve", "user": "user-0000",
-               "hotel": "hotel-0000", "flight": "flight-0001"}
-
-    def build(self, flags: dict):
-        runtime = _runtime(flags)
-        app = TravelReservationApp(seed=SEED, n_hotels=2, n_flights=2,
-                                   rooms_per_hotel=2, seats_per_flight=2,
-                                   n_users=1)
-        app.register(runtime)
-        app.seed_data(runtime)
-        return runtime, app
-
-    def check_effects(self, runtime, app, result) -> None:
-        rooms, seats = app.capacity_remaining()
-        rooms_used = 2 * 2 - rooms
-        seats_used = 2 * 2 - seats
-        env = app.envs["reserve"]
-        bookings = len(daal.all_keys(env.store,
-                                     env.data_table("bookings")))
-        # Atomicity: the three effects move together...
-        assert rooms_used == seats_used == bookings, (
-            f"partial reservation: rooms={rooms_used} "
-            f"seats={seats_used} bookings={bookings}")
-        # ...exactly once or not at all; and a success reply to the
-        # client implies the effects landed.
-        assert bookings in (0, 1)
-        if self.ok(result):
-            assert bookings == 1
-
 
 class MovieComposeScenario(Scenario):
     """The compose-review workflow: store + two index appends."""
@@ -180,8 +76,8 @@ class MovieComposeScenario(Scenario):
                "rating": 8}
 
     def build(self, flags: dict):
-        runtime = _runtime(flags)
-        app = MovieReviewApp(seed=SEED, n_movies=2, n_users=1)
+        runtime = sweep_runtime(flags)
+        app = MovieReviewApp(seed=SWEEP_SEED, n_movies=2, n_users=1)
         app.register(runtime)
         app.seed_data(runtime)
         return runtime, app
@@ -223,9 +119,9 @@ class TravelSearchScenario(Scenario):
     }
 
     def build(self, flags: dict):
-        runtime = _runtime(flags)
+        runtime = sweep_runtime(flags)
         # 30 hotels over 10 cells: cell 0 holds three of them.
-        app = TravelReservationApp(seed=SEED, n_hotels=30, n_flights=1,
+        app = TravelReservationApp(seed=SWEEP_SEED, n_hotels=30, n_flights=1,
                                    n_users=1)
         app.register(runtime)
         app.seed_data(runtime)
@@ -308,56 +204,9 @@ class CrashOnceThen(CrashOnce):
 # Harness
 # ---------------------------------------------------------------------------
 
-def record_crash_space(scenario, flags: dict):
-    """Crash-free run under a recording policy -> the full crash space,
-    the run's result and the configuration every swept run shares."""
-    runtime, app = scenario.build(flags)
-    recording = RecordingPolicy()
-    runtime.platform.crash_policy = recording
-    result = runtime.run_workflow(scenario.entry, dict(scenario.payload))
-    runtime.kernel.shutdown()
-    points = recording.unique_points()
-    assert len(points) > 40, "suspiciously small crash space"
-    return points, result, runtime.config
-
-
-def run_until_recovered(runtime, scenario):
-    """Issue the client request; drive until the client finished and no
-    intent is pending. Returns what the client saw (``"crashed"`` when
-    its invocation failed)."""
-    box = {}
-
-    def client():
-        try:
-            box["result"] = runtime.client_call(scenario.entry,
-                                                dict(scenario.payload))
-        except (FunctionCrashed, TooManyRequests):
-            box["result"] = "crashed"
-
-    runtime.start_collectors(ic_period=100.0, gc_period=1e12)
-    runtime.kernel.spawn(client)
-    deadline = RECOVERY_HORIZON
-    elapsed = 0.0
-    while elapsed < deadline:
-        elapsed += RECOVERY_SLICE
-        runtime.kernel.run(until=elapsed)
-        if "result" not in box:
-            continue
-        if all(not intents.pending_intents(env)
-               for env in runtime.envs.values()):
-            break
-    runtime.stop_collectors()
-    runtime.kernel.run(until=elapsed + RECOVERY_SLICE)
-    assert "result" in box, "client never completed"
-    assert all(not intents.pending_intents(env)
-               for env in runtime.envs.values()), (
-        "unfinished intents survived recovery")
-    return box["result"]
-
-
 def sweep(scenario_name: str, flags_name: str) -> None:
     scenario = SCENARIOS[scenario_name]
-    flags = SETTINGS[flags_name]
+    flags = SWEEP_SETTINGS[flags_name]
     points, baseline_result, config = record_crash_space(scenario, flags)
     assert scenario.ok(baseline_result), "crash-free run must succeed"
     migration_points = sum(1 for _f, _i, tag in points
@@ -493,7 +342,7 @@ def _check_extension_points(points) -> None:
         assert extended == landed, (op, sorted(landed - extended))
 
 
-@pytest.mark.parametrize("flags_name", sorted(SETTINGS))
+@pytest.mark.parametrize("flags_name", sorted(SWEEP_SETTINGS))
 def test_travel_reserve_crash_sweep(flags_name):
     sweep("travel-reserve", flags_name)
 
@@ -514,7 +363,7 @@ def test_sharded_sweep_actually_crosses_shards():
     co-locate on one shard — pin that property so a routing change
     cannot silently turn the sharded sweep into a single-shard one."""
     scenario = SCENARIOS["travel-reserve"]
-    runtime, app = scenario.build(SETTINGS["current-shards2"])
+    runtime, app = scenario.build(SWEEP_SETTINGS["current-shards2"])
     store = runtime.store
     touched = {
         store.shard_for(app.envs["reserve_hotel"].data_table("inventory"),
@@ -566,7 +415,7 @@ def _crash_the_filler(point: str):
     killed at ``point`` while the others are about to write."""
     config = BeldiConfig(row_log_capacity=2, ic_restart_delay=200.0,
                          gc_t=GC_T)
-    runtime = BeldiRuntime(seed=SEED, config=config, latency_scale=1.0,
+    runtime = BeldiRuntime(seed=SWEEP_SEED, config=config, latency_scale=1.0,
                            observability=True)
 
     def writer(ctx, payload):

@@ -105,7 +105,7 @@ class TestCrossTableExactlyOnce:
         assert ssf.env.peek("kv", "n") == 1
 
     def test_gc_prunes_write_log(self, runtime):
-        from tests.core.test_gc import advance, run_gc_now
+        from dst import advance, run_gc_now
 
         def handler(ctx, payload):
             ctx.write("kv", "k", payload)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.core import daal
-from dst import gc_pass
+from dst import advance, gc_pass, run_gc_now
 
 
 @pytest.fixture
@@ -13,24 +13,6 @@ def runtime():
         ic_restart_delay=50.0, gc_t=500.0))
     yield rt
     rt.kernel.shutdown()
-
-
-def run_gc_now(runtime, env, times=1):
-    """Invoke the env's GC directly (no timers) from a client process."""
-    results = []
-
-    def client():
-        for _ in range(times):
-            results.extend(gc_pass(runtime, env))
-
-    runtime.kernel.spawn(client)
-    runtime.kernel.run()
-    return results
-
-
-def advance(runtime, ms):
-    runtime.kernel.spawn(lambda: runtime.kernel.sleep(ms))
-    runtime.kernel.run()
 
 
 class TestLogPruning:

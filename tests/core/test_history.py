@@ -24,8 +24,7 @@ import history
 from repro.apps import build_app
 from repro.core import BeldiConfig, BeldiRuntime, daal, intents, ops
 from repro.core.errors import DeadlineExceeded
-from repro.kvstore import (AttrNotExists, ConditionFailed, Set,
-                           ThrottledError, UnavailableError)
+from repro.kvstore import ThrottledError, UnavailableError
 from repro.platform import CrashPolicy, ServerlessPlatform
 from repro.platform.errors import FunctionCrashed
 from repro.sim import RandomSchedule, RandomSource, SimKernel
@@ -302,33 +301,13 @@ def test_a_coordinator_killed_mid_commit_still_commits_once(seed):
 # mutations: each checker fails under one
 # ---------------------------------------------------------------------------
 
-def flush_after_release(store, table, key, value, txn_id, cache=None):
-    """``daal.flush_value`` with its one update split in two, the lock
-    released first: another transaction may read the item between."""
-    if not daal.release_lock(store, table, key, txn_id, cache=cache):
-        return False
-    while True:
-        row = daal.tail_row(store, table, key, None)
-        try:
-            row = store.update(table, (key, row["RowId"]),
-                               [Set("Value", value), daal.bump_version()],
-                               condition=AttrNotExists("NextRow"),
-                               return_new=True)
-        except ConditionFailed:
-            continue
-        store.obs.tracer.event("txn:flush", cat="txn", table=table,
-                               key=key, txn=txn_id,
-                               version=[row["RowId"], row["Version"]])
-        return True
-
-
 def test_checker_c_catches_locks_released_before_the_flush(monkeypatch):
     runtime, envs = bank(seed=0)
     try:
         run_transfers(runtime, envs, SCENARIOS["three-transfer-cycle"])
     finally:
         runtime.kernel.shutdown()
-    monkeypatch.setattr(daal, "flush_value", flush_after_release)
+    monkeypatch.setattr(daal, "flush_value", dst.flush_after_release)
     runtime, envs = bank(seed=0)
     try:
         with pytest.raises(history.HistoryViolation,

@@ -891,7 +891,7 @@ class TestAsyncAck:
 
 class TestGCPaging:
     def test_page_limit_still_recycles_everything_eventually(self):
-        from tests.core.test_gc import advance, run_gc_now
+        from dst import advance, run_gc_now
         runtime = BeldiRuntime(seed=37, config=BeldiConfig(
             gc_t=500.0, gc_page_limit=2))
         ssf = runtime.register_ssf(
@@ -912,7 +912,7 @@ class TestGCPaging:
         runtime.kernel.shutdown()
 
     def test_paged_gc_never_prunes_live_entries(self):
-        from tests.core.test_gc import advance, run_gc_now
+        from dst import advance, run_gc_now
         from repro.platform.crashes import CrashOnce
         from repro.platform import FunctionCrashed
         runtime = BeldiRuntime(seed=38, config=BeldiConfig(

@@ -13,6 +13,9 @@ decides it is countable, and these tests bound the counts:
   and values that separate requests compute alike are one object too
   (``item.freeze_value`` hands out one object per distinct value): two
   searches of one cell store one ``Ret``;
+- the stored rows themselves — each is a record of its values over one
+  names tuple per row shape (``item.FrozenRow``), never a ``dict``, so
+  the travel app's thousands of rows hold a handful of names tuples;
 - the kernel's queue — one execution-timeout watchdog arms one timer
   for the earliest live deadline, instead of one timer per invocation
   that outlives its worker by the whole timeout;
@@ -20,10 +23,12 @@ decides it is countable, and these tests bound the counts:
   at exactly its start plus its timeout.
 """
 
+import pytest
+
 from repro.apps import build_app
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.kvstore import item as item_model
-from repro.kvstore.item import FrozenMap
+from repro.kvstore.item import FrozenMap, FrozenRow
 from repro.kvstore.surface import leaves
 from repro.platform import FunctionTimeout, PlatformConfig, ServerlessPlatform
 from repro.sim import LatencyModel, RandomSource, SimKernel
@@ -37,6 +42,11 @@ USERS, PER_USER = 8, 25
 #: was frozen anew (35.5); copying each value into every row that holds
 #: it measured 67.5.
 MAX_CONTAINERS_PER_REQUEST = 10
+#: Distinct names tuples the travel app's stored rows hold, one per row
+#: shape: 9 measured here (intents with and without a caller or a
+#: transaction, read- and invoke-log rows, DAAL rows, lock records);
+#: one per row would be the 2 695 rows.
+MAX_ROW_SHAPES = 12
 #: Queue entries beyond one per live worker: the watchdog's timer(s) and
 #: the driving client.
 QUEUE_SLACK = 4
@@ -46,10 +56,8 @@ def stored_containers(store) -> int:
     """Distinct container objects inside every row of every leaf."""
     seen: set = set()
     stack = []
-    for leaf in leaves(store):
-        for name in leaf.table_names():
-            for _key, row in leaf.table(name)._iter_raw():
-                stack.extend(row.values())
+    for row in stored_rows(store):
+        stack.extend(row.values())
     while stack:
         value = stack.pop()
         if isinstance(value, (dict, list, set, frozenset)) and (
@@ -60,7 +68,16 @@ def stored_containers(store) -> int:
     return len(seen)
 
 
-def test_stored_containers_per_travel_request_stay_bounded():
+def stored_rows(store) -> list:
+    """Every stored row of every leaf."""
+    return [row for leaf in leaves(store) for name in leaf.table_names()
+            for _key, row in leaf.table(name)._iter_raw()]
+
+
+@pytest.fixture(scope="module")
+def travel_store():
+    """The store after ``USERS`` closed-loop travel users ran
+    ``PER_USER`` requests each."""
     runtime = BeldiRuntime(
         seed=11, latency_scale=1.0, config=BeldiConfig(),
         platform_config=PlatformConfig(concurrency_limit=400))
@@ -71,12 +88,26 @@ def test_stored_containers_per_travel_request_stay_bounded():
              for _ in range(USERS)]
     try:
         result = run_closed_loop(runtime, app.entry, users)
-        requests = USERS * PER_USER
         assert result.failures == 0
-        per_request = stored_containers(runtime.store) / requests
-        assert per_request <= MAX_CONTAINERS_PER_REQUEST, per_request
+        yield runtime.store
     finally:
         runtime.kernel.shutdown()
+
+
+def test_stored_containers_per_travel_request_stay_bounded(travel_store):
+    per_request = stored_containers(travel_store) / (USERS * PER_USER)
+    assert per_request <= MAX_CONTAINERS_PER_REQUEST, per_request
+
+
+def test_stored_rows_share_a_few_shapes(travel_store):
+    """A stored row is its values over one names tuple per shape: the
+    travel app's rows come in a few shapes, and no row is a ``dict``."""
+    rows = stored_rows(travel_store)
+    assert len(rows) > 10 * MAX_ROW_SHAPES
+    assert not [row for row in rows if isinstance(row, dict)]
+    assert all(type(row) is FrozenRow for row in rows)
+    shapes = {id(row.keys()) for row in rows}
+    assert len(shapes) <= MAX_ROW_SHAPES, len(shapes)
 
 
 def test_a_value_a_step_reads_is_one_object_in_every_row_that_holds_it():

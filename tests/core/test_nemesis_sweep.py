@@ -24,19 +24,6 @@ from repro.kvstore import FaultTimeline
 
 WRITE_OPS = ("db.write", "db.cond_write", "db.batch_write")
 
-# Retry/breaker knobs matched to the incident scale of the DST mix
-# (tens-to-hundreds of virtual ms): enough budget to ride out the
-# survivable windows, cooldowns short enough to re-probe before the
-# retry budget drains against fast-fails.
-TUNED = dict(retry_max_attempts=10, breaker_cooldown=60.0)
-
-
-def scenario_flags(base, timeline, **extra):
-    flags = dict(base, timeline=timeline, **TUNED)
-    flags.update(extra)
-    return flags
-
-
 def outcomes(results):
     return {name: (value.get("ok") if isinstance(value, dict) else value)
             for name, value in sorted(results.items())}
@@ -54,12 +41,6 @@ LIGHT_SCENARIOS = {
                        .outage(60.0, 120.0, shards=1)),
 }
 
-DEEP_SCENARIOS = {
-    "leader-outage": FaultTimeline().outage(0.0, 100.0, shards=0,
-                                            role="leader"),
-    "partition": FaultTimeline().partition(0.0, 300.0, shards=0),
-}
-
 # The kitchen-sink incident: a client is *allowed* to fail cleanly (an
 # overlap-scope fan-out has nowhere to sleep a backoff, so a burst
 # throttle inside one propagates raw) — the invariant triple must hold
@@ -73,7 +54,7 @@ COMBINED_INCIDENT = (FaultTimeline().outage(0.0, 80.0, shards=0)
 @pytest.mark.parametrize("name", sorted(LIGHT_SCENARIOS))
 def test_light_scenarios_hold_invariants(name):
     timeline = LIGHT_SCENARIOS[name]
-    h = dst.run_one(scenario_flags(dst.LIGHT_FLAGS, timeline))
+    h = dst.run_one(dst.scenario_flags(dst.LIGHT_FLAGS, timeline))
     # The scripted windows sit inside the retry budget: clients must
     # *survive* these incidents, not merely fail cleanly.
     assert all(isinstance(r, dict) for r in h.results.values()), (
@@ -81,10 +62,10 @@ def test_light_scenarios_hold_invariants(name):
         f"{outcomes(h.results)}")
 
 
-@pytest.mark.parametrize("name", sorted(DEEP_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(dst.DEEP_SCENARIOS))
 def test_deep_scenarios_hold_invariants(name):
-    timeline = DEEP_SCENARIOS[name]
-    h = dst.run_one(scenario_flags(dst.DEEP_FLAGS, timeline))
+    timeline = dst.DEEP_SCENARIOS[name]
+    h = dst.run_one(dst.scenario_flags(dst.DEEP_FLAGS, timeline))
     assert all(isinstance(r, dict) for r in h.results.values()), (
         f"{name}: client lost to a survivable incident: "
         f"{outcomes(h.results)}")
@@ -93,7 +74,7 @@ def test_deep_scenarios_hold_invariants(name):
 def test_combined_incident_holds_invariants():
     """Outage + partition + gray + burst at once. ``run_one`` asserts
     the triple; client survival is not promised here."""
-    h = dst.run_one(scenario_flags(dst.DEEP_FLAGS, COMBINED_INCIDENT))
+    h = dst.run_one(dst.scenario_flags(dst.DEEP_FLAGS, COMBINED_INCIDENT))
     assert any(isinstance(r, dict) for r in h.results.values()), (
         f"every client died — incident should be partial: "
         f"{outcomes(h.results)}")
@@ -108,7 +89,7 @@ def test_outage_onset_grid(start, duration):
     (budget exhausted: clean abort, IC finishes); invariants never
     bend either way."""
     timeline = FaultTimeline().outage(start, start + duration, shards=0)
-    dst.run_one(scenario_flags(dst.LIGHT_FLAGS, timeline))
+    dst.run_one(dst.scenario_flags(dst.LIGHT_FLAGS, timeline))
 
 
 def test_unsurvivable_outage_fails_clients_cleanly():
@@ -116,7 +97,7 @@ def test_unsurvivable_outage_fails_clients_cleanly():
     failure, the IC completes the pending work after the heal, and the
     final state is exactly-once anyway."""
     timeline = FaultTimeline().outage(0.0, 5_000.0)
-    h = dst.run_one(scenario_flags(dst.LIGHT_FLAGS, timeline))
+    h = dst.run_one(dst.scenario_flags(dst.LIGHT_FLAGS, timeline))
     stats = h.travel.resilience.stats
     assert stats.unavailable_errors > 0
     assert h.travel.resilience.snapshot()["breakers"]  # breakers engaged
@@ -126,7 +107,7 @@ def test_deadline_bounded_run_stays_exactly_once():
     """Request deadlines + an outage: aborted attempts leave pending
     intents for the collector; the triple still holds."""
     timeline = FaultTimeline().outage(0.0, 200.0, shards=0)
-    h = dst.run_one(scenario_flags(dst.LIGHT_FLAGS, timeline,
+    h = dst.run_one(dst.scenario_flags(dst.LIGHT_FLAGS, timeline,
                                    request_deadline=150.0))
     total_aborts = (h.travel.resilience.stats.deadline_aborts
                     + h.movie.resilience.stats.deadline_aborts)
@@ -146,7 +127,7 @@ def test_nemesis_run_is_deterministic():
     """Same seed + same timeline ⇒ bit-identical final state."""
     def run():
         timeline = FaultTimeline().outage(0.0, 100.0, shards=0)
-        h = dst.run_one(scenario_flags(dst.LIGHT_FLAGS, timeline))
+        h = dst.run_one(dst.scenario_flags(dst.LIGHT_FLAGS, timeline))
         return dst.final_state(h), outcomes(h.results)
 
     assert run() == run()
@@ -160,7 +141,7 @@ def test_fault_edges_reach_the_schedule():
     from repro.sim.schedule import RandomSchedule
 
     timeline = FaultTimeline().outage(0.0, 100.0, shards=0)
-    flags = scenario_flags(dst.LIGHT_FLAGS, timeline)
+    flags = dst.scenario_flags(dst.LIGHT_FLAGS, timeline)
     h = dst.build_harness(flags, schedule=RandomSchedule(0))
     h.kernel.capture_trace = True
     try:
@@ -182,7 +163,7 @@ def test_schedule_exploration_under_nemesis():
     interleaving must keep the triple; any failure is replayable from
     its (seed, trace) pair."""
     timeline = FaultTimeline().outage(0.0, 100.0, shards=0)
-    flags = scenario_flags(dst.LIGHT_FLAGS, timeline)
+    flags = dst.scenario_flags(dst.LIGHT_FLAGS, timeline)
     traces = dst.explore(range(EXPLORE_SEEDS), flags=flags)
     assert len(traces) >= EXPLORE_SEEDS // 2, (
         f"exploration degenerated: {len(traces)} distinct traces")
@@ -196,7 +177,7 @@ def test_failure_artifact_embeds_timeline(tmp_path, monkeypatch):
     path = tmp_path / "failure.json"
     monkeypatch.setenv("DST_FAILURE_FILE", str(path))
     timeline = FaultTimeline().outage(0.0, 100.0, shards=0)
-    h = dst.build_harness(scenario_flags(dst.LIGHT_FLAGS, timeline))
+    h = dst.build_harness(dst.scenario_flags(dst.LIGHT_FLAGS, timeline))
     try:
         dst.run_requests(h)
         dst._write_failure_artifact(
@@ -218,11 +199,10 @@ def test_failure_artifact_embeds_the_failing_history(tmp_path,
     import json
 
     from repro.core import daal
-    from test_history import flush_after_release
 
     path = tmp_path / "failure.json"
     monkeypatch.setenv("DST_FAILURE_FILE", str(path))
-    monkeypatch.setattr(daal, "flush_value", flush_after_release)
+    monkeypatch.setattr(daal, "flush_value", dst.flush_after_release)
     with pytest.raises(dst.ScheduleFailure):
         dst.explore([dst.SEED])
     artifact = json.loads(path.read_text())

@@ -23,7 +23,7 @@ from repro.core import daal
 from repro.kvstore import UnavailableError
 from repro.kvstore.errors import ValidationError
 from repro.sim import RandomSchedule, SimKernel
-from test_gc import advance, run_gc_now
+from dst import advance, run_gc_now
 
 
 def build_runtime(**config):

@@ -36,7 +36,14 @@ The contracts, one test group each:
 - a partition of one row is the row itself: a range-keyed table driven
   through every kind of write and read, a replica install, a chain
   migration and a failover answers as a dict-of-dicts model, with
-  partitions growing from one row to two and shrinking back.
+  partitions growing from one row to two and shrinking back;
+- a stored row is a read-only record of its values over one names
+  tuple per shape: through every kind of write, replica installs,
+  chain migrations, failovers and a table of shapes dropped mid-run,
+  every mapping method of every stored row, and the ``dict`` a read
+  hands out, answers as a dict-of-dicts model in attribute order; every
+  assignment or deletion raises, and two rows whose names differ only
+  in order are two shapes that compare equal.
 """
 
 import copy
@@ -45,7 +52,7 @@ import pickle
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.kvstore import (
@@ -416,6 +423,7 @@ class TestNothingAliasesAStoredRow:
         group.put("data", {"Key": "a", "V": [1, {"n": 1}]})
         settle(group, clock)
         old = group.leader._tables["data"]._get_raw(("a",))
+        assert type(old) is FrozenRow and not isinstance(old, dict)
         assert all(node._tables["data"]._get_raw(("a",)) is old
                    for node in group.followers)
         group.update("data", ("a",), [Set(path("V", 1, "n"), 2)])
@@ -726,10 +734,11 @@ def all_frozen(value) -> bool:
                for c in containers(value))
 
 
-def all_frozen_row(row: dict) -> bool:
-    """Every value of a stored row is frozen (the row itself is a
-    :class:`FrozenRow`, read-only too)."""
-    return all(all_frozen(value) for value in row.values())
+def all_frozen_row(row: FrozenRow) -> bool:
+    """A stored row is a :class:`FrozenRow` record — read-only, not a
+    ``dict`` — and every value in it is frozen."""
+    return type(row) is FrozenRow and not isinstance(row, dict) and all(
+        all_frozen(value) for value in row.values())
 
 
 def all_plain(value) -> bool:
@@ -770,7 +779,8 @@ READS = {
 
 def refuses_mutation(container) -> bool:
     mutate = {FrozenMap: lambda c: c.update(x=1),
-              FrozenList: lambda c: c.append(1)}.get(type(container))
+              FrozenList: lambda c: c.append(1),
+              FrozenRow: lambda c: c.__setitem__("x", 1)}.get(type(container))
     if mutate is None:
         return isinstance(container, frozenset)
     with pytest.raises(TypeError, match="read-only"):
@@ -848,6 +858,8 @@ class TestFrozenValues:
         found = containers(list(stored_row.values()))[1:]
         assert len(found) == 7  # three lists, three maps, a set
         assert all(refuses_mutation(c) for c in found)
+        # The row itself is a read-only record, not a map.
+        assert all_frozen_row(stored_row) and refuses_mutation(stored_row)
         assert row == nested_row("a")  # the caller's item is its own
 
     @pytest.mark.parametrize("operation", sorted(READS))
@@ -1178,10 +1190,12 @@ def assert_answers_as(store, model: dict) -> None:
         for (hash_value, range_value), row in held.items():
             assert table._get_raw((hash_value, range_value)) == row
             assert (row["H"], row["R"]) == (hash_value, range_value)
-        # A partition of one row is the row itself; two or more, a map.
+        # A partition of one row is the row itself, a FrozenRow record;
+        # two or more, a plain map of them.
         for hash_value, partition in table._partitions.items():
             rows = [key for key in held if key[0] == hash_value]
-            assert (type(partition) is FrozenRow) == (len(rows) == 1)
+            assert type(partition) is (FrozenRow if len(rows) == 1
+                                       else dict)
 
 
 class TestBarePartitions:
@@ -1233,3 +1247,212 @@ class TestBarePartitions:
         assert table._get_raw(("h", "a")) is None
         assert not table.delete(("h", "a")) and table.item_count() == 1
         assert table.delete(("h", "b")) and table._partitions == {}
+
+
+# -- a stored row is its values over one shared shape --------------------------------
+RECORD_KEYS = ["k0", "k1", "k2"]
+RECORD_NAMES = st.sampled_from(["A", "B", "C"])
+RECORD_VALUES = st.one_of(
+    st.integers(0, 3), st.text(max_size=2),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.sampled_from("xy"), st.integers(0, 2), max_size=2))
+RECORD_ATTRS = st.dictionaries(RECORD_NAMES, RECORD_VALUES, max_size=4)
+RECORD_ACTIONS = st.lists(st.one_of(
+    st.builds(Set, RECORD_NAMES, RECORD_VALUES),  # adds a name if absent
+    st.builds(Remove, RECORD_NAMES),
+    st.builds(lambda name: Add(name, 1), RECORD_NAMES),
+    st.builds(lambda name, value: Set(name, ListAppend(
+        IfNotExists(path(name), Value([])), Value([value]))),
+        RECORD_NAMES, RECORD_VALUES)), min_size=1, max_size=3)
+RECORD_KEY = st.sampled_from(RECORD_KEYS)
+RECORD_OPS = st.one_of(
+    st.tuples(st.just("put"), RECORD_KEY, RECORD_ATTRS),
+    st.tuples(st.just("update"), RECORD_KEY, RECORD_ACTIONS),
+    st.tuples(st.just("batch"), st.lists(st.tuples(RECORD_KEY, RECORD_ATTRS),
+                                         max_size=3, unique_by=lambda p: p[0])),
+    st.tuples(st.just("transact"), st.permutations(RECORD_KEYS),
+              RECORD_ATTRS, RECORD_ACTIONS),
+    st.tuples(st.just("delete"), RECORD_KEY),
+    st.tuples(st.just("migrate"), RECORD_KEY),
+    st.tuples(st.just("failover"), st.integers(0, 1)),
+    st.tuples(st.just("clear shapes")))
+
+
+def updated(model: dict, key: str, actions: list) -> dict:
+    """The reference update: the actions applied to a plain copy of the
+    model's row (a row of just the key when there is none)."""
+    draft = dict(model.get(key, {"Key": key}))
+    apply_updates(draft, actions)
+    return draft
+
+
+def assert_record_is(row, expected: dict) -> None:
+    """Every mapping method of a stored row answers what the plain
+    ``dict`` ``expected`` does, in the same attribute order."""
+    assert type(row) is FrozenRow
+    assert list(row) == list(row.keys()) == list(expected)
+    assert list(row.values()) == list(expected.values())
+    assert list(row.items()) == list(expected.items())
+    assert len(row) == len(expected)
+    for name, value in expected.items():
+        assert name in row and row[name] == value
+        assert row.get(name) == value and row.get(name, 7) == value
+    assert "Absent" not in row and row.get("Absent") is None
+    assert row.get("Absent", 7) == 7
+    with pytest.raises(KeyError):
+        row["Absent"]
+    assert row == expected and expected == row and not row != expected
+    fresh = row.as_dict()
+    assert type(fresh) is dict and list(fresh.items()) == list(
+        expected.items())
+    assert all(fresh[name] is row[name] for name in fresh)
+    for plain in (dict(row), copy.copy(row), copy.deepcopy(row),
+                  pickle.loads(pickle.dumps(row))):
+        assert type(plain) is dict and plain == expected
+    assert row.size == measured_size(row)
+
+
+class TestRowRecords:
+    @settings(**dict(FAST, max_examples=100))
+    @given(st.lists(RECORD_OPS, min_size=1, max_size=12),
+           st.integers(min_value=1, max_value=4))
+    # Removing a name and setting it again moves it to the end: the
+    # same names, another shape.
+    @example([("put", "k0", {"A": 1, "B": 2}),
+              ("update", "k0", [Remove("A"), Set("A", 3)])], 4)
+    def test_every_stored_row_answers_as_a_dict_of_dicts(self, operations,
+                                                         limit):
+        """Through puts, updates that add and remove attributes, batches,
+        transactions, replica installs, chain migrations, failovers and
+        a shape table dropped again and again (it holds ``limit``
+        shapes), every row on every node and every row a read hands out
+        is the reference model's."""
+        saved = item_model.SHAPE_LIMIT
+        item_model.SHAPE_LIMIT = limit
+        item_model._shapes.clear()
+        try:
+            store, clock = replicated_pair()
+            groups = list(store.groups)
+            model: dict = {}
+            for kind, *args in operations:
+                self.apply(store, groups, model, kind, args)
+                assert len(item_model._shapes) <= limit
+                self.assert_answers_as(store, clock, model)
+        finally:
+            item_model.SHAPE_LIMIT = saved
+
+    @staticmethod
+    def apply(store, groups, model, kind, args) -> None:
+        if kind == "put":
+            key, attrs = args
+            store.put("data", {"Key": key, **attrs})
+            model[key] = {"Key": key, **attrs}
+        elif kind == "update":
+            key, actions = args
+            try:
+                row = updated(model, key, actions)
+            except ValidationError:
+                with pytest.raises(ValidationError):
+                    store.update("data", key, actions)
+            else:
+                store.update("data", key, actions)
+                model[key] = row
+        elif kind == "batch":
+            (puts,) = args
+            store.batch_write("data", puts=[{"Key": key, **attrs}
+                                            for key, attrs in puts])
+            model.update((key, {"Key": key, **attrs}) for key, attrs in puts)
+        elif kind == "transact":
+            (put_key, update_key, _other), attrs, actions = args
+            try:
+                row = updated(model, update_key, actions)
+            except ValidationError:
+                return attempt(lambda: store.transact_write([
+                    TransactUpdate("data", update_key, actions)]))
+            store.transact_write([
+                TransactPut("data", {"Key": put_key, **attrs}),
+                TransactUpdate("data", update_key, actions)])
+            model[put_key] = {"Key": put_key, **attrs}
+            model[update_key] = row
+        elif kind == "delete":
+            (key,) = args
+            assert store.delete("data", key) == (
+                model.pop(key, None) is not None)
+        elif kind == "migrate":
+            (key,) = args
+            target = 1 - store.shard_for("data", key)
+            ChainMigrator(store).migrate([("data", key, target)])
+        elif kind == "failover":
+            groups[args[0]].fail_leader()
+        else:
+            item_model._shapes.clear()
+
+    @staticmethod
+    def assert_answers_as(store, clock, model) -> None:
+        clock.sleep(SHIP_LAG + 1)
+        store.replication_lag()  # every follower installs what shipped
+        for key in RECORD_KEYS:
+            read = store.get("data", key)
+            assert read == model.get(key)
+            if read is not None:
+                assert type(read) is dict
+                assert list(read.items()) == list(model[key].items())
+        for read in store.scan("data").items:
+            assert list(read.items()) == list(model[read["Key"]].items())
+        for leaf in leaves(store):
+            for (key,), row in leaf.table("data")._iter_raw():
+                assert_record_is(row, model[key])
+
+    def test_every_assignment_or_deletion_raises(self):
+        row = freeze_item({"Key": "a", "V": [1], "W": 2})
+        attempts = [
+            lambda: row.__setitem__("V", 2),
+            lambda: row.__setitem__("New", 1),
+            lambda: row.__delitem__("V"),
+            lambda: setattr(row, "size", 3),
+            lambda: delattr(row, "size"),
+            lambda: setattr(row, "extra", 1),
+            lambda: row.update(V=2),
+            lambda: row.pop("V"),
+            lambda: row.clear(),
+            lambda: row.setdefault("New", 1),
+            lambda: row["V"].append(2),
+        ]
+        for mutate in attempts:
+            with pytest.raises((TypeError, AttributeError)):
+                mutate()
+        assert_record_is(row, {"Key": "a", "V": [1], "W": 2})
+        with pytest.raises(TypeError):
+            hash(row)
+        with pytest.raises(TypeError):
+            row < row  # noqa: B015 - a map has no order
+
+    def test_names_in_another_order_are_another_shape_but_equal(self):
+        first = freeze_item({"Key": "a", "V": 1, "W": [2]})
+        again = freeze_item({"Key": "b", "V": 3, "W": 4})
+        turned = freeze_item({"Key": "a", "W": [2], "V": 1})
+        assert again.keys() is first.keys()  # one tuple per shape
+        assert turned.keys() is not first.keys()
+        assert list(turned) != list(first)
+        assert turned == first and not turned != first
+        assert turned.as_dict() == first.as_dict()
+        assert first != again and first != {"Key": "a", "V": 1}
+
+    def test_clearing_the_shape_table_changes_no_stored_row(self):
+        store = fresh_store()
+        store.put("data", {"Key": "a", "Ix": "i", "V": 1})
+        held = store.table("data")._get_raw(("a",))
+        item_model._shapes.clear()
+        store.put("data", {"Key": "b", "Ix": "i", "V": 2})
+        store.update("data", "a", [Set("W", 3)])
+        store.update("data", "a", [Remove("W")])
+        assert_record_is(held, {"Key": "a", "Ix": "i", "V": 1})
+        rows = {key: row for (key,), row in
+                store.table("data")._iter_raw()}
+        # A row keeps the tuple it was built with; later rows of its
+        # shape share the table's new one.
+        assert rows["b"].keys() is not held.keys()
+        assert rows["a"].keys() is rows["b"].keys()
+        assert_record_is(rows["a"], {"Key": "a", "Ix": "i", "V": 1})
+        assert store.query_index("data", "by_ix", "i") == [
+            {"Key": "a", "Ix": "i", "V": 1}, {"Key": "b", "Ix": "i", "V": 2}]

@@ -26,13 +26,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
                        / "core"))
 import dst  # noqa: E402
 import history as checkers  # noqa: E402
-from test_crashpoint_sweep import (  # noqa: E402
-    SETTINGS,
-    TravelReserveScenario,
-    record_crash_space,
-    run_until_recovered,
-)
-from test_nemesis_sweep import DEEP_SCENARIOS, scenario_flags  # noqa: E402
 
 from repro.apps import build_app  # noqa: E402
 from repro.core import BeldiConfig, BeldiRuntime  # noqa: E402
@@ -100,8 +93,8 @@ def profile():
 @pytest.fixture(scope="module")
 def outage():
     """The nemesis sweep's leader outage on the deep topology."""
-    return dst.run_one(scenario_flags(
-        dst.DEEP_FLAGS, DEEP_SCENARIOS["leader-outage"])).travel
+    return dst.run_one(dst.scenario_flags(
+        dst.DEEP_FLAGS, dst.DEEP_SCENARIOS["leader-outage"])).travel
 
 
 def _read(runtime) -> History:
@@ -234,14 +227,14 @@ def test_phase_lines_run_in_protocol_order(outage):
 def _crash_point_run():
     """One run of the travel reservation's crash-point sweep: a crash
     mid-request, recovered by the intent collector."""
-    scenario = TravelReserveScenario()
-    flags = SETTINGS["current"]
-    points, _result, _config = record_crash_space(scenario, flags)
+    scenario = dst.TravelReserveScenario()
+    flags = dst.SWEEP_SETTINGS["current"]
+    points, _result, _config = dst.record_crash_space(scenario, flags)
     function, index, tag = points[len(points) // 2]
     runtime, _app = scenario.build(flags)
     runtime.platform.crash_policy = CrashOnce(function, tag,
                                               invocation_index=index)
-    run_until_recovered(runtime, scenario)
+    dst.run_until_recovered(runtime, scenario)
     runtime.kernel.shutdown()
     assert runtime.platform.stats.injected_crashes == 1
     return runtime
@@ -295,11 +288,10 @@ def _report(*argv: str) -> subprocess.CompletedProcess:
 def test_a_failing_history_s_artifact_reads_like_a_trace(tmp_path,
                                                          monkeypatch):
     from repro.core import daal
-    from test_history import flush_after_release
 
     path = tmp_path / "failure.json"
     monkeypatch.setenv("DST_FAILURE_FILE", str(path))
-    monkeypatch.setattr(daal, "flush_value", flush_after_release)
+    monkeypatch.setattr(daal, "flush_value", dst.flush_after_release)
     with pytest.raises(dst.ScheduleFailure):
         dst.explore([dst.SEED])
     artifact = json.loads(path.read_text())

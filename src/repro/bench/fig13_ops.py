@@ -107,7 +107,9 @@ def measure_primitive_ops(mode: str, rows: int = 20, samples: int = 120,
             elif mode == "crosstable":
                 env.seed("kv", KEY, VALUE)
             else:
-                env.store.table(table)._partitions.clear()
+                data = env.store.table(table)
+                for row in data.scan().items:
+                    data.delete(data.schema.extract(row))
                 _pre_grow_chain(env.store, table, KEY, rows,
                                 runtime.config.row_log_capacity)
 

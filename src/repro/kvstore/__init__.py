@@ -6,8 +6,9 @@ atomicity scope, and scans with filters and projections. This package
 implements exactly that feature set, in-memory, with:
 
 - tables keyed by a hash key and an optional range (sort) key,
-- a condition/update expression language (attribute_not_exists, comparisons,
-  SET/REMOVE/ADD over nested attribute paths),
+- a condition/update expression language cut to what Beldi writes
+  (attribute_[not_]exists, =, >, size <, AND, OR; SET with + and
+  if_not_exists, REMOVE; over nested map member paths),
 - partition queries with projection and limit, and table scans with
   filter, projection and limit (the limit bounds the rows walked),
 - sparse global secondary indexes,
@@ -37,35 +38,17 @@ from repro.kvstore.errors import (
 )
 from repro.kvstore.faults import FaultTimeline, FaultWindow
 from repro.kvstore.expressions import (
-    Add,
     And,
     AttrExists,
     AttrNotExists,
-    BeginsWith,
-    Between,
-    Contains,
-    Delete,
     Eq,
-    Ge,
     Gt,
     IfNotExists,
-    In,
-    Le,
-    ListAppend,
-    Lt,
-    Minus,
-    Ne,
-    Not,
     Or,
     Path,
-    PathRef,
     Plus,
     Remove,
     Set,
-    SizeEq,
-    SizeGe,
-    SizeGt,
-    SizeLe,
     SizeLt,
     Value,
     path,
@@ -97,32 +80,23 @@ from repro.kvstore.surface import (
     BatchGetResult,
     BatchWriteResult,
     MAX_BATCH_WRITE_ITEMS,
-    TransactDelete,
     TransactPut,
     TransactUpdate,
 )
 from repro.kvstore.table import KeySchema, QueryResult, ScanResult, Table
 
 __all__ = [
-    "Add", "And", "AttrExists", "AttrNotExists", "BatchGetResult",
-    "BatchWriteResult", "BeginsWith", "Between",
-    "ChainMigrator",
-    "ConditionFailed", "Contains", "Delete", "ElasticityController",
-    "Eq", "FaultTimeline", "FaultWindow",
-    "Ge", "Gt", "HashRing",
-    "IfNotExists",
-    "In", "ItemTooLarge", "KVStore", "KVStoreError", "KernelTimeSource",
-    "KeySchema", "Le", "ListAppend", "Lt", "MAX_BATCH_WRITE_ITEMS",
-    "Metering", "MigrationStats", "Minus", "Ne", "Not",
-    "NullTimeSource", "Or", "OverlapScope", "Path", "PathRef", "Plus",
-    "QueryResult",
-    "Remove", "ReplicaGroup", "ReplicatedStore",
-    "ReplicationStats",
-    "ScanResult", "Set", "ShardedStore",
-    "SizeEq", "SizeGe", "SizeGt", "SizeLe",
-    "SizeLt", "Table", "TableExists", "TableNotFound", "ThrottledError",
-    "TransactDelete", "TransactPut", "TransactUpdate", "TransactionCanceled",
-    "UnavailableError",
-    "Value", "batch_get_all", "batch_write_all", "item_size", "overlap",
-    "path", "placement_residue", "recover_stale_migrations",
+    "And", "AttrExists", "AttrNotExists", "BatchGetResult",
+    "BatchWriteResult", "ChainMigrator", "ConditionFailed",
+    "ElasticityController", "Eq", "FaultTimeline", "FaultWindow", "Gt",
+    "HashRing", "IfNotExists", "ItemTooLarge", "KVStore", "KVStoreError",
+    "KernelTimeSource", "KeySchema", "MAX_BATCH_WRITE_ITEMS", "Metering",
+    "MigrationStats", "NullTimeSource", "Or", "OverlapScope", "Path",
+    "Plus", "QueryResult", "Remove", "ReplicaGroup", "ReplicatedStore",
+    "ReplicationStats", "ScanResult", "Set", "ShardedStore", "SizeLt",
+    "Table", "TableExists", "TableNotFound", "ThrottledError",
+    "TransactPut", "TransactUpdate", "TransactionCanceled",
+    "UnavailableError", "Value", "batch_get_all", "batch_write_all",
+    "item_size", "overlap", "path", "placement_residue",
+    "recover_stale_migrations",
 ]

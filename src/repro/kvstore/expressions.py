@@ -1,33 +1,36 @@
 """Condition and update expression language.
 
-A structured (AST-based) equivalent of DynamoDB's expression strings:
+A structured (AST-based) equivalent of the part of DynamoDB's expression
+strings that Beldi writes, and nothing more — a form comes back together
+with its first caller:
 
 - **conditions** evaluate against an item (possibly ``None`` for a missing
   item) and return a bool — used for conditional writes, query filters, and
-  scan filters;
-- **updates** mutate an item in place — ``SET`` (with arithmetic,
-  ``if_not_exists`` and ``list_append`` operands), ``REMOVE``, ``ADD`` and
-  ``DELETE``. The item is a table's draft: a shallow copy of a stored
-  row, whose values are frozen (:mod:`repro.kvstore.item`). A path swaps
-  each frozen container it changes for a mutable copy on the way down,
-  and every operand resolves to a frozen value, so an update copies only
-  what it changes and never touches the stored row.
+  scan filters: ``attribute_exists``, ``attribute_not_exists``, ``=``,
+  ``>``, ``size(...) <``, ``AND`` and ``OR`` (also written ``a | b``);
+- **updates** mutate an item in place — ``SET`` (with ``+`` and
+  ``if_not_exists`` operands) and ``REMOVE``. The item is a table's draft:
+  a shallow copy of a stored row, whose values are frozen
+  (:mod:`repro.kvstore.item`). A path swaps each frozen map it changes
+  for a mutable copy on the way down, and every operand resolves to a
+  frozen value, so an update copies only what it changes and never
+  touches the stored row.
 
-Paths address nested attributes: ``path("RecentWrites", log_key)`` is the
-map member ``RecentWrites.<log_key>``. Beldi's linked DAAL relies on exactly
-this: a single conditional update can test ``attribute_not_exists(
-RecentWrites.k) AND LogSize < N AND attribute_not_exists(NextRow)`` and
-apply ``SET Value=v, LogSize=LogSize+1, RecentWrites.k=True`` atomically.
+Paths address nested map members: ``path("RecentWrites", log_key)`` is
+the member ``RecentWrites.<log_key>``. Beldi's linked DAAL relies on
+exactly this: a single conditional update can test
+``attribute_not_exists(RecentWrites.k) AND size(RecentWrites) < N AND
+attribute_not_exists(NextRow)`` and apply ``SET Value=v,
+LogSize=LogSize+1, RecentWrites.k=True`` atomically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.kvstore.errors import ValidationError
 from repro.kvstore.item import (
-    FrozenList,
     FrozenMap,
     compare_values,
     freeze_value,
@@ -44,19 +47,21 @@ _ABSENT = object()  # what a row's ``get`` answers for a missing name
 
 @dataclass(frozen=True)
 class Path:
-    """An attribute path: top-level name plus nested map keys/list indexes."""
+    """An attribute path: a top-level name, then nested map member names."""
 
-    segments: tuple[Union[str, int], ...]
+    segments: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValidationError("empty attribute path")
-        if not isinstance(self.segments[0], str):
-            raise ValidationError("path must start with an attribute name")
+        for segment in self.segments:
+            if not isinstance(segment, str):
+                raise ValidationError(
+                    f"a path names attributes only, not {segment!r}")
 
     @property
     def top(self) -> str:
-        return self.segments[0]  # type: ignore[return-value]
+        return self.segments[0]
 
     def get(self, item: Optional[dict]) -> tuple[bool, Any]:
         """Return ``(present, value)`` for this path in ``item`` (a
@@ -67,42 +72,28 @@ class Path:
         if node is _ABSENT:
             return False, None
         for segment in self.segments[1:]:
-            if isinstance(segment, str):
-                if not isinstance(node, dict) or segment not in node:
-                    return False, None
-                node = node[segment]
-            else:
-                if not isinstance(node, list) or not (
-                        0 <= segment < len(node)):
-                    return False, None
-                node = node[segment]
+            if not isinstance(node, dict) or segment not in node:
+                return False, None
+            node = node[segment]
         return True, node
 
     def set(self, item: dict, value: Any) -> None:
         """Set the path in ``item``, creating intermediate maps as needed
-        (and thawing frozen ones, :func:`_thawed`)."""
+        (and thawing frozen ones, :func:`_thawed`). A list on the way is
+        kept, so the path meets it and raises."""
         node: Any = item
         for segment in self.segments[:-1]:
-            if isinstance(segment, str):
-                if not isinstance(node, dict):
-                    raise ValidationError(
-                        f"cannot descend into non-map at {segment!r}")
-                if segment not in node or not isinstance(
-                        node[segment], (dict, list)):
-                    node[segment] = {}
-            elif not isinstance(node, list) or not (
-                    0 <= segment < len(node)):
-                raise ValidationError(f"list index {segment} out of range")
+            if not isinstance(node, dict):
+                raise ValidationError(
+                    f"cannot descend into non-map at {segment!r}")
+            if segment not in node or not isinstance(
+                    node[segment], (dict, list)):
+                node[segment] = {}
             node = _thawed(node, segment)
         last = self.segments[-1]
-        if isinstance(last, str):
-            if not isinstance(node, dict):
-                raise ValidationError(f"cannot set {last!r} on non-map")
-            node[last] = value
-        else:
-            if not isinstance(node, list) or not (0 <= last < len(node)):
-                raise ValidationError(f"list index {last} out of range")
-            node[last] = value
+        if not isinstance(node, dict):
+            raise ValidationError(f"cannot set {last!r} on non-map")
+        node[last] = value
 
     def remove(self, item: dict) -> None:
         """Remove the path from ``item``; missing paths are a no-op."""
@@ -114,23 +105,20 @@ class Path:
         node.pop(self.segments[-1])
 
     def __str__(self) -> str:
-        return ".".join(str(s) for s in self.segments)
+        return ".".join(self.segments)
 
 
-def _thawed(node: Any, segment: Union[str, int]) -> Any:
-    """``node[segment]``, which an update is about to change: a frozen
-    container there is first replaced by a mutable shallow copy. ``node``
-    itself is already mutable — the draft, or a copy made on the way."""
-    child = node[segment]
-    cls = child.__class__
-    if cls is FrozenMap:
-        child = node[segment] = dict(child)
-    elif cls is FrozenList:
-        child = node[segment] = list(child)
+def _thawed(node: dict, name: str) -> Any:
+    """``node[name]``, which an update is about to change: a frozen map
+    there is first replaced by a mutable shallow copy. ``node`` itself
+    is already mutable — the draft, or a copy made on the way."""
+    child = node[name]
+    if child.__class__ is FrozenMap:
+        child = node[name] = dict(child)
     return child
 
 
-def path(*segments: Union[str, int]) -> Path:
+def path(*segments: str) -> Path:
     """Convenience constructor: ``path("RecentWrites", key)``."""
     return Path(tuple(segments))
 
@@ -151,14 +139,8 @@ class Condition:
     def evaluate(self, item: Optional[dict]) -> bool:
         raise NotImplementedError
 
-    def __and__(self, other: "Condition") -> "And":
-        return And(self, other)
-
     def __or__(self, other: "Condition") -> "Or":
         return Or(self, other)
-
-    def __invert__(self) -> "Not":
-        return Not(self)
 
 
 class _PathCondition(Condition):
@@ -185,146 +167,29 @@ class _Comparison(Condition):
         self.path = _as_path(target)
         self.value = value
 
-    def _compare(self, lhs: Any) -> int:
-        return compare_values(lhs, self.value)
-
-    def evaluate(self, item: Optional[dict]) -> bool:
-        present, lhs = self.path.get(item)
-        if not present:
-            return False
-        return self._test(lhs)
-
-    def _test(self, lhs: Any) -> bool:
-        raise NotImplementedError
-
 
 class Eq(_Comparison):
-    def _test(self, lhs: Any) -> bool:
-        return lhs == self.value
-
-
-class Ne(_Comparison):
-    def _test(self, lhs: Any) -> bool:
-        return lhs != self.value
-
-
-class Lt(_Comparison):
-    def _test(self, lhs: Any) -> bool:
-        return self._compare(lhs) < 0
-
-
-class Le(_Comparison):
-    def _test(self, lhs: Any) -> bool:
-        return self._compare(lhs) <= 0
+    def evaluate(self, item: Optional[dict]) -> bool:
+        present, lhs = self.path.get(item)
+        return present and lhs == self.value
 
 
 class Gt(_Comparison):
-    def _test(self, lhs: Any) -> bool:
-        return self._compare(lhs) > 0
+    def evaluate(self, item: Optional[dict]) -> bool:
+        present, lhs = self.path.get(item)
+        return present and compare_values(lhs, self.value) > 0
 
 
-class Ge(_Comparison):
-    def _test(self, lhs: Any) -> bool:
-        return self._compare(lhs) >= 0
+_SIZED = (str, bytes, list, dict, set, frozenset)
 
 
-class Between(Condition):
-    def __init__(self, target: Union[str, Path], low: Any, high: Any) -> None:
-        self.path = _as_path(target)
-        self.low = low
-        self.high = high
+class SizeLt(_Comparison):
+    """``size(path) < value``; false when the path is missing or holds a
+    value without a size (a number, a bool, ``None``)."""
 
     def evaluate(self, item: Optional[dict]) -> bool:
         present, lhs = self.path.get(item)
-        if not present:
-            return False
-        return (compare_values(lhs, self.low) >= 0
-                and compare_values(lhs, self.high) <= 0)
-
-
-class In(Condition):
-    def __init__(self, target: Union[str, Path],
-                 options: Iterable[Any]) -> None:
-        self.path = _as_path(target)
-        self.options = list(options)
-
-    def evaluate(self, item: Optional[dict]) -> bool:
-        present, lhs = self.path.get(item)
-        return present and lhs in self.options
-
-
-class BeginsWith(Condition):
-    def __init__(self, target: Union[str, Path], prefix: str) -> None:
-        self.path = _as_path(target)
-        self.prefix = prefix
-
-    def evaluate(self, item: Optional[dict]) -> bool:
-        present, lhs = self.path.get(item)
-        return present and isinstance(lhs, str) and lhs.startswith(
-            self.prefix)
-
-
-class Contains(Condition):
-    def __init__(self, target: Union[str, Path], member: Any) -> None:
-        self.path = _as_path(target)
-        self.member = member
-
-    def evaluate(self, item: Optional[dict]) -> bool:
-        present, lhs = self.path.get(item)
-        if not present:
-            return False
-        if isinstance(lhs, (str, list, set, frozenset)):
-            return self.member in lhs
-        return False
-
-
-def _size_of(value: Any) -> Optional[int]:
-    if isinstance(value, (str, bytes, list, dict, set, frozenset)):
-        return len(value)
-    return None
-
-
-class _SizeComparison(Condition):
-    def __init__(self, target: Union[str, Path], bound: int) -> None:
-        self.path = _as_path(target)
-        self.bound = bound
-
-    def evaluate(self, item: Optional[dict]) -> bool:
-        present, lhs = self.path.get(item)
-        if not present:
-            return False
-        size = _size_of(lhs)
-        if size is None:
-            return False
-        return self._test(size)
-
-    def _test(self, size: int) -> bool:
-        raise NotImplementedError
-
-
-class SizeLt(_SizeComparison):
-    def _test(self, size: int) -> bool:
-        return size < self.bound
-
-
-class SizeLe(_SizeComparison):
-    def _test(self, size: int) -> bool:
-        return size <= self.bound
-
-
-class SizeGt(_SizeComparison):
-    def _test(self, size: int) -> bool:
-        return size > self.bound
-
-
-class SizeGe(_SizeComparison):
-    def _test(self, size: int) -> bool:
-        return size >= self.bound
-
-
-class SizeEq(_SizeComparison):
-    def _test(self, size: int) -> bool:
-        return size == self.bound
+        return present and isinstance(lhs, _SIZED) and len(lhs) < self.value
 
 
 class And(Condition):
@@ -347,14 +212,6 @@ class Or(Condition):
         return any(c.evaluate(item) for c in self.conditions)
 
 
-class Not(Condition):
-    def __init__(self, condition: Condition) -> None:
-        self.condition = condition
-
-    def evaluate(self, item: Optional[dict]) -> bool:
-        return not self.condition.evaluate(item)
-
-
 # ---------------------------------------------------------------------------
 # Update operands (right-hand sides of SET)
 # ---------------------------------------------------------------------------
@@ -370,17 +227,6 @@ class Value(Operand):
 
     def resolve(self, item: dict) -> Any:
         return freeze_value(self.value)[0]
-
-
-@dataclass(frozen=True)
-class PathRef(Operand):
-    ref: Path
-
-    def resolve(self, item: dict) -> Any:
-        present, value = self.ref.get(item)
-        if not present:
-            raise ValidationError(f"path {self.ref} missing during update")
-        return freeze_value(value)[0]
 
 
 @dataclass(frozen=True)
@@ -404,36 +250,6 @@ class Plus(Operand):
         return self.left.resolve(item) + self.right.resolve(item)
 
 
-@dataclass(frozen=True)
-class Minus(Operand):
-    left: Operand
-    right: Operand
-
-    def resolve(self, item: dict) -> Any:
-        return self.left.resolve(item) - self.right.resolve(item)
-
-
-@dataclass(frozen=True)
-class ListAppend(Operand):
-    left: Operand
-    right: Operand
-
-    def resolve(self, item: dict) -> Any:
-        left = self.left.resolve(item)
-        right = self.right.resolve(item)
-        if not isinstance(left, list) or not isinstance(right, list):
-            raise ValidationError("list_append needs two lists")
-        return left + right
-
-
-def _as_operand(value: Any) -> Operand:
-    if isinstance(value, Operand):
-        return value
-    if isinstance(value, Path):
-        return PathRef(value)
-    return Value(value)
-
-
 # ---------------------------------------------------------------------------
 # Update actions
 # ---------------------------------------------------------------------------
@@ -444,17 +260,16 @@ class UpdateAction:
 
 
 class Set(UpdateAction):
-    """``SET path = operand`` (operand may reference other paths)."""
+    """``SET path = operand`` (a plain value is a :class:`Value`)."""
 
     def __init__(self, target: Union[str, Path], value: Any) -> None:
         self.path = _as_path(target)
-        self.operand = _as_operand(value)
+        self.operand = value if isinstance(value, Operand) else Value(value)
 
     def apply(self, item: dict) -> None:
-        # Every operand resolves through the validating walk, and
-        # arithmetic on frozen values yields values the store models
-        # (a concatenation is a plain list of frozen elements, frozen
-        # when the table freezes the draft).
+        # Every operand resolves through the validating walk, and a sum
+        # of frozen values is a value the store models (frozen when the
+        # table freezes the draft).
         self.path.set(item, self.operand.resolve(item))
 
 
@@ -466,48 +281,6 @@ class Remove(UpdateAction):
 
     def apply(self, item: dict) -> None:
         self.path.remove(item)
-
-
-class Add(UpdateAction):
-    """``ADD path value`` — numeric increment or set union."""
-
-    def __init__(self, target: Union[str, Path], value: Any) -> None:
-        self.path = _as_path(target)
-        self.value = value
-
-    def apply(self, item: dict) -> None:
-        present, current = self.path.get(item)
-        if isinstance(self.value, (int, float)) and not isinstance(
-                self.value, bool):
-            base = current if present else 0
-            if not isinstance(base, (int, float)) or isinstance(base, bool):
-                raise ValidationError(f"ADD to non-number at {self.path}")
-            self.path.set(item, base + self.value)
-        elif isinstance(self.value, (set, frozenset)):
-            if present and not isinstance(current, (set, frozenset)):
-                raise ValidationError(f"ADD set to non-set at {self.path}")
-            base = set(current) if present else set()
-            self.path.set(item, base | set(self.value))
-        else:
-            raise ValidationError("ADD needs a number or a set")
-
-
-class Delete(UpdateAction):
-    """``DELETE path value`` — set difference."""
-
-    def __init__(self, target: Union[str, Path], value: Any) -> None:
-        self.path = _as_path(target)
-        if not isinstance(value, (set, frozenset)):
-            raise ValidationError("DELETE needs a set")
-        self.value = set(value)
-
-    def apply(self, item: dict) -> None:
-        present, current = self.path.get(item)
-        if not present:
-            return
-        if not isinstance(current, (set, frozenset)):
-            raise ValidationError(f"DELETE from non-set at {self.path}")
-        self.path.set(item, set(current) - self.value)
 
 
 def apply_updates(item: dict, updates: Sequence[UpdateAction]) -> None:
@@ -526,10 +299,8 @@ class Projection:
     The paths compile once, into a tree of the selected attributes in the
     order the paths first name them; :meth:`walk` then selects and sizes
     a row's selection in one pass, taking each selected value by
-    reference. A path inside a value an earlier path
-    selects whole adds nothing. A list index is honoured only there: the
-    projection builds maps, not lists, so a row that holds any other
-    indexed path is rejected.
+    reference. A path inside a value an earlier path selects whole adds
+    nothing.
     """
 
     paths: list[Path] = field(default_factory=list)
@@ -541,30 +312,21 @@ class Projection:
     def __post_init__(self) -> None:
         # name -> None for a value selected whole, else its members' tree.
         tree: dict = {}
-        self._rejected: list[tuple[Path, int]] = []
         for target in self.paths:
             node = tree
-            depth = len(target.segments)
-            for segment in target.segments:
-                depth -= 1
-                if isinstance(segment, int):
-                    self._rejected.append((target, segment))
-                    break
-                if not depth:
-                    node[segment] = None
-                    break
+            *parents, last = target.segments
+            for segment in parents:
                 node = node.setdefault(segment, {})
                 if node is None:
                     break  # inside a value an earlier path selects whole
+            else:
+                node[last] = None
         self._selected = _freeze(tree)
 
     def walk(self, row: dict) -> tuple[dict, int]:
         """``(the row's selected attributes, their bytes)``: fresh maps
         down to each selected value, which is ``row``'s own (a stored
         row's values are frozen), sized as a stored item would be."""
-        for target, index in self._rejected:
-            if target.get(row)[0]:
-                raise ValidationError(f"list index {index} out of range")
         return _walk_selected(row, self._selected)
 
 

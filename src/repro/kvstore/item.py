@@ -27,10 +27,11 @@ with ``lookup=False``: a map an update grew by members (a row's
 an intent's ``Caller`` (it names one call).
 
 One row, one tuple. The row itself is not a map but a
-:class:`FrozenRow`: its values, its recorded size (so metering never
-walks a stored row again) and its names, which are one tuple per
-distinct row shape (:data:`_shapes`) shared by every row of that shape
-— a workload's thousands of rows come in a handful of shapes. It
+:class:`FrozenRow`, the tuple ``(names, size, *values)``: its names,
+which are one tuple per distinct row shape (:data:`_shapes`) shared by
+every row of that shape — a workload's thousands of rows come in a
+handful of shapes — then its recorded size (so metering never walks a
+stored row again), then its values in the order of its names. It
 answers the read-only mapping protocol, and builds the fresh ``dict``
 a read hands out in one step (:meth:`FrozenRow.as_dict`).
 

@@ -46,7 +46,6 @@ from repro.kvstore.surface import (
     StoreOp,
     TransactOp,
     TransactPut,
-    TransactUpdate,
     batch_result,
     batch_rows,
     store_layer,
@@ -381,11 +380,11 @@ class KVStore:
         sized and under the cap — before anything changes.
 
         Returns the plan :meth:`_transact_apply` installs:
-        ``(table, key, row or None for a delete)`` per op. Callers
-        must hold every involved table's lock until the plan is applied
-        (this store's ``transact_write`` does; a ``ShardedStore`` holds
-        the locks across all involved nodes before checking any of
-        them). DynamoDB rejects a transaction that names one item twice,
+        ``(table, key, row)`` per op. Callers must hold every involved
+        table's lock until the plan is applied (this store's
+        ``transact_write`` does; a ``ShardedStore`` holds the locks
+        across all involved nodes before checking any of them).
+        DynamoDB rejects a transaction that names one item twice,
         and so does this: its second write would be planned against a
         state the first one has replaced."""
         targets = []
@@ -409,10 +408,8 @@ class KVStore:
         for op, (tbl, key, existing) in zip(ops, targets):
             if isinstance(op, TransactPut):
                 row = tbl.prepare_put(op.item)[1]
-            elif isinstance(op, TransactUpdate):
-                row = tbl.draft(key, existing, op.updates)
             else:
-                row = None
+                row = tbl.draft(key, existing, op.updates)
             plan.append((tbl, key, row))
         return plan
 

@@ -77,14 +77,7 @@ class TransactUpdate:
     condition: Optional[Condition] = None
 
 
-@dataclass(frozen=True)
-class TransactDelete:
-    table: str
-    key: Any
-    condition: Optional[Condition] = None
-
-
-TransactOp = Union[TransactPut, TransactUpdate, TransactDelete]
+TransactOp = Union[TransactPut, TransactUpdate]
 
 
 #: DynamoDB ``BatchWriteItem`` caps one request at 25 put/delete items.
@@ -533,8 +526,8 @@ __all__ = [
     "BATCH", "BATCH_GET", "BATCH_WRITE", "BatchGetResult",
     "BatchWriteResult", "DELETE", "GET", "KEYED_READ", "KEYED_WRITE",
     "MAX_BATCH_WRITE_ITEMS", "OPS", "PUT", "QUERY", "QUERY_INDEX", "SCAN",
-    "StoreOp", "TABLE_READ", "TRANSACT", "TRANSACT_WRITE", "TransactDelete",
-    "TransactOp", "TransactPut", "TransactUpdate", "UPDATE", "batch_result",
-    "batch_rows", "fan_out_batch", "layers", "leaves", "partition_value",
-    "route_token", "store_layer", "validate_batch_write",
+    "StoreOp", "TABLE_READ", "TRANSACT", "TRANSACT_WRITE", "TransactOp",
+    "TransactPut", "TransactUpdate", "UPDATE", "batch_result", "batch_rows",
+    "fan_out_batch", "layers", "leaves", "partition_value", "route_token",
+    "store_layer", "validate_batch_write",
 ]

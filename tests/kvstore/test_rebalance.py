@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.env import PROTOCOL_SUFFIXES
 from repro.kvstore import (
     ChainMigrator,
     ElasticityController,
@@ -402,10 +403,13 @@ class TestController:
         assert migrator.stats.migrations == 0
 
     def test_protocol_tables_are_not_migratable(self):
-        assert not ElasticityController._migratable("env.intent")
-        assert not ElasticityController._migratable("env.readlog")
-        assert not ElasticityController._migratable("env.invokelog")
-        assert not ElasticityController._migratable("env.locksets")
+        # The store keeps its own list of the protocol's log suffixes
+        # (it may not import the protocol); this pins it to the
+        # protocol's, so neither list can change alone.
+        logs = [s for s in PROTOCOL_SUFFIXES if s != ".shadow"]
+        assert len(logs) == len(PROTOCOL_SUFFIXES) - 1
+        for suffix in logs:
+            assert not ElasticityController._migratable(f"env{suffix}")
         assert not ElasticityController._migratable(MIGRATIONS_TABLE)
         assert ElasticityController._migratable("env.profiles")
         assert ElasticityController._migratable("env.profiles.shadow")

@@ -24,21 +24,23 @@ import inspect
 import pytest
 
 from repro.kvstore import (
-    Add,
     AttrNotExists,
     Eq,
-    Ge,
+    Gt,
+    IfNotExists,
     KVStore,
     ReplicaGroup,
     ReplicatedStore,
+    Plus,
     Set,
     ShardedStore,
     Table,
-    TransactDelete,
     TransactPut,
     TransactUpdate,
+    Value,
     batch_get_all,
     batch_write_all,
+    path,
 )
 from repro.kvstore.expressions import Projection
 from repro.kvstore.store import NullTimeSource
@@ -60,6 +62,11 @@ LAYERS = (KVStore, ShardedStore, ReplicaGroup, ResilientStore)
 OP_NAMES = ("get", "put", "update", "delete", "query", "scan",
             "query_index", "batch_get", "batch_write", "transact_write")
 READS = ("get", "query", "scan", "query_index", "batch_get")
+
+
+def add(name: str, amount: int) -> Set:
+    """``SET name = if_not_exists(name, 0) + amount``."""
+    return Set(name, Plus(IfNotExists(path(name), Value(0)), Value(amount)))
 
 
 # -- (a) the static seam ---------------------------------------------------------
@@ -206,13 +213,13 @@ def run_script(store):
     step("update creates", lambda: store.update(
         "data", "c", [Set("V", 1)]))
     step("update if", lambda: store.update(
-        "data", "c", [Add("V", 2)], Eq("V", 1)))
+        "data", "c", [add("V", 2)], Eq("V", 1)))
     step("update if fails", lambda: store.update(
-        "data", "c", [Add("V", 2)], condition=Eq("V", 1)))
+        "data", "c", [add("V", 2)], condition=Eq("V", 1)))
     step("update returning the new row", lambda: store.update(
-        "data", "c", [Add("V", 1)], Eq("V", 3), return_new=True))
+        "data", "c", [add("V", 1)], Eq("V", 3), return_new=True))
     step("update if fails returning", lambda: store.update(
-        "data", "c", [Add("V", 2)], Eq("V", 1), True))
+        "data", "c", [add("V", 2)], Eq("V", 1), True))
     step("delete hit", lambda: store.delete("data", "a"))
     step("delete miss", lambda: store.delete("data", "a"))
     step("delete if fails", lambda: store.delete(
@@ -237,7 +244,7 @@ def run_script(store):
         "ranged", Eq("Tag", "even")),
         lambda r: (sorted(r.items, key=repr), r.scanned_count))
     step("scan filter+projection", lambda: store.scan(
-        "ranged", Ge("R", 4), projection=only_v),
+        "ranged", Gt("R", 3), projection=only_v),
         lambda r: (sorted(r.items, key=repr), r.scanned_count))
     # Which rows a limit leaves depends on placement; how many does not.
     step("scan limit", lambda: store.scan("ranged", limit=3),
@@ -272,7 +279,7 @@ def run_script(store):
     step("transact", lambda: store.transact_write([
         TransactPut("data", {"K": "t1", "V": 1}, AttrNotExists("K")),
         TransactUpdate("ranged", ("h1", 0), [Set("V", 100)]),
-        TransactDelete("data", "w0")]))
+        TransactUpdate("data", "w0", [Set("V", -1)], Eq("V", 0))]))
     step("transact cancelled", lambda: store.transact_write([
         TransactPut("data", {"K": "t2", "V": 2}),
         TransactPut("data", {"K": "t1", "V": 9}, AttrNotExists("K"))]))

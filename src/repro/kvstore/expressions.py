@@ -247,7 +247,13 @@ class Plus(Operand):
     right: Operand
 
     def resolve(self, item: dict) -> Any:
-        return self.left.resolve(item) + self.right.resolve(item)
+        left, right = self.left.resolve(item), self.right.resolve(item)
+        try:
+            return left + right
+        except TypeError:
+            raise ValidationError(
+                f"cannot add {type(right).__name__} to "
+                f"{type(left).__name__}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,10 @@ class TestPaths:
             with pytest.raises(ValidationError, match="non-map"):
                 Set(target, 1).apply(dict(row))
 
+    def test_a_projection_names_attributes_only(self):
+        with pytest.raises(ValidationError, match="names attributes only"):
+            Projection.of("l", 1)
+
     def test_set_creates_intermediate_maps(self):
         item = {}
         path("a", "b", "c").set(item, 7)
@@ -77,6 +81,15 @@ class TestConditions:
         assert not Eq("a", 5).evaluate({})
         assert not Eq("a", 5).evaluate(None)
 
+    def test_eq_on_nested_path(self):
+        item = {"m": {"x": 1}}
+        assert Eq(path("m", "x"), 1).evaluate(item)
+        assert not Eq(path("m", "y"), 1).evaluate(item)
+
+    def test_eq_across_types_is_false(self):
+        assert not Eq("a", "5").evaluate({"a": 5})
+        assert not Eq("a", 5).evaluate({"a": "5"})
+
     def test_ordering_comparisons(self):
         item = {"n": 10}
         assert Gt("n", 9).evaluate(item)
@@ -90,6 +103,9 @@ class TestConditions:
     def test_mixed_type_comparison_rejected(self):
         with pytest.raises(ValidationError):
             Gt("s", 5).evaluate({"s": "a"})
+
+    def test_gt_on_missing_item_is_false(self):
+        assert not Gt("n", 0).evaluate(None)
 
     def test_attr_exists_on_missing_item(self):
         assert not AttrExists("a").evaluate(None)
@@ -106,6 +122,12 @@ class TestConditions:
         assert not SizeLt("log", 2).evaluate(item)
         assert SizeLt("s", 4).evaluate({"s": "abc"})
 
+    def test_size_counts_list_set_and_bytes_members(self):
+        item = {"l": [1, 2], "st": {"x", "y"}, "b": b"ab"}
+        for name in ("l", "st", "b"):
+            assert SizeLt(name, 3).evaluate(item)
+            assert not SizeLt(name, 2).evaluate(item)
+
     def test_size_of_missing_attr_is_false(self):
         assert not SizeLt("log", 3).evaluate({})
 
@@ -119,10 +141,25 @@ class TestConditions:
         assert Or(Eq("a", 99), Eq("b", 2)).evaluate(item)
         assert not Or(Eq("a", 99), Eq("b", 99)).evaluate(item)
 
+    def test_and_or_need_a_condition(self):
+        for combinator in (And, Or):
+            with pytest.raises(ValidationError, match="at least one"):
+                combinator()
+
+    def test_and_or_nest(self):
+        item = {"a": 1, "b": 2}
+        assert And(Eq("a", 1), Eq("b", 9) | Eq("b", 2)).evaluate(item)
+        assert not And(Eq("a", 9), Eq("b", 9) | Eq("b", 2)).evaluate(item)
+
     def test_operator_overloads(self):
         item = {"a": 1, "b": 2}
         assert (Eq("a", 9) | Eq("b", 2)).evaluate(item)
         assert not (Eq("a", 9) | Eq("b", 9)).evaluate(item)
+
+    def test_chained_or(self):
+        item = {"c": 3}
+        assert (Eq("a", 1) | Eq("b", 2) | Eq("c", 3)).evaluate(item)
+        assert not (Eq("a", 1) | Eq("b", 2) | Eq("c", 9)).evaluate(item)
 
     def test_beldi_write_condition_shape(self):
         """The exact condition shape used by the write wrapper (Fig. 6)."""
@@ -166,10 +203,47 @@ class TestUpdates:
         apply_updates(item, [update])
         assert item["n"] == 2
 
+    def test_if_not_exists_reads_a_present_value(self):
+        item = {"a": 5}
+        apply_updates(item, [Set("b", IfNotExists(path("a"), Value(None)))])
+        assert item["b"] == 5
+
+    def test_counter_adds_negative_amounts(self):
+        item = {}
+        for amount in (5, -2):
+            apply_updates(item, [Set("n", Plus(
+                IfNotExists(path("n"), Value(0)), Value(amount)))])
+        assert item["n"] == 3
+
+    def test_plus_concatenates_lists(self):
+        item = {"l": [1]}
+        apply_updates(item, [Set("l", Plus(
+            IfNotExists(path("l"), Value([])), Value([2, 3])))])
+        assert list(item["l"]) == [1, 2, 3]
+
+    @pytest.mark.parametrize("current, amount", [
+        ("str", 1), ([1], 1), ({"a"}, {"b"})])
+    def test_plus_of_mismatched_types_rejected(self, current, amount):
+        item = freeze_item({"Key": "k", "V": current}).as_dict()
+        with pytest.raises(ValidationError, match="cannot add"):
+            apply_updates(dict(item), [Set("V", Plus(
+                IfNotExists(path("V"), Value(0)), Value(amount)))])
+
+    def test_a_path_is_not_a_set_value(self):
+        with pytest.raises(ValidationError, match="unsupported"):
+            apply_updates({"a": 5}, [Set("b", path("a"))])
+
     def test_remove(self):
         item = {"a": 1, "b": 2}
         apply_updates(item, [Remove("a")])
         assert item == {"b": 2}
+
+    def test_updates_apply_in_order(self):
+        item = {"a": 1}
+        apply_updates(item, [Remove("a"), Set("a", 2)])
+        assert item == {"a": 2}
+        apply_updates(item, [Set("a", 3), Remove("a")])
+        assert item == {}
 
     def test_set_value_is_deep_copied(self):
         payload = {"inner": [1]}

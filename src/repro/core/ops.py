@@ -242,6 +242,13 @@ def flush_read_log(ctx) -> None:
         # next frontier cannot pass without it.
         ctx.pending_reads = []
         if winner is not None and winner != values:
+            if ctx.obs is not None:
+                # Which execution must now roll back, named as its
+                # lifecycle events name it (the early-reply rule's fact).
+                platform = ctx.platform_ctx
+                ctx.obs.tracer.annotate(lost=[
+                    platform.function, platform.invocation_index,
+                    platform.request_id])
             raise ReadLogLost()
         ctx.lifecycle("flush")
         ctx.crash_point(f"readlog:{first}:after-flush")

@@ -78,16 +78,16 @@ class Path:
         return True, node
 
     def set(self, item: dict, value: Any) -> None:
-        """Set the path in ``item``, creating intermediate maps as needed
-        (and thawing frozen ones, :func:`_thawed`). A list on the way is
-        kept, so the path meets it and raises."""
+        """Set the path in ``item``, creating missing intermediate maps
+        (and thawing frozen ones, :func:`_thawed`). A scalar or a list on
+        the way is kept, so the path meets it and raises
+        :class:`ValidationError`."""
         node: Any = item
         for segment in self.segments[:-1]:
             if not isinstance(node, dict):
                 raise ValidationError(
                     f"cannot descend into non-map at {segment!r}")
-            if segment not in node or not isinstance(
-                    node[segment], (dict, list)):
+            if segment not in node:
                 node[segment] = {}
             node = _thawed(node, segment)
         last = self.segments[-1]

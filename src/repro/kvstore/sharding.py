@@ -114,7 +114,6 @@ from repro.kvstore.table import (
     KeySchema,
     ScanResult,
     Table,
-    _sort_token,
     _sort_token_tuple,
 )
 
@@ -601,23 +600,18 @@ class ShardedStore:
         One node sorts its matches by primary key (see
         :meth:`Table.query_index`); concatenating per-shard results in
         shard order would interleave that global order. The fan-out is
-        therefore re-sorted by ``(index value, primary key)`` so the
-        result is byte-identical to the same data on one node — callers
-        (the IC's pending sweep, the commit path's shadow resolution)
-        see deterministic, placement-independent ordering.
+        therefore re-sorted by primary key so the result is
+        byte-identical to the same data on one node — callers (the IC's
+        pending sweep, the commit path's shadow resolution) see
+        deterministic, placement-independent ordering.
         """
         table, index_name, value, consistency = args
         schema = self._schemas[table]
-        # Every leaf carries the same index definitions; the first speaks.
-        index = next(leaves(self)).table(table)._indexes.get(index_name)
-        index_attr = index.attribute if index is not None else None
         items: list[dict] = []
         for shard, node in enumerate(self.nodes):
             items.extend(self._placed(table, shard, node.query_index(
                 table, index_name, value, consistency)))
-        items.sort(key=lambda item: (
-            _sort_token(item.get(index_attr) if index_attr else None),
-            _sort_token_tuple(schema.extract(item))))
+        items.sort(key=lambda item: _sort_token_tuple(schema.extract(item)))
         return items
 
     # -- cross-shard transactions ------------------------------------------------

@@ -264,10 +264,16 @@ class Table:
             self._sorted_cache[hash_value] = cached
         return cached
 
-    def _check_size(self, size: int) -> None:
-        if size > self.max_item_bytes:
+    def _check_row(self, row: FrozenRow) -> None:
+        """Reject a row before it lands: an indexed attribute that is not
+        a scalar, or a row over the item cap."""
+        for index in self._indexes.values():
+            value = row.get(index.attribute, _ABSENT)
+            if value is not _ABSENT:
+                _hashable_index_value(value)
+        if row.size > self.max_item_bytes:
             raise ItemTooLarge(
-                f"item of {size} bytes exceeds {self.max_item_bytes} "
+                f"item of {row.size} bytes exceeds {self.max_item_bytes} "
                 f"byte cap in table {self.name!r}")
 
     def _replace(self, key: tuple, existing: Optional[dict],
@@ -283,16 +289,17 @@ class Table:
     # -- building rows before any effect ------------------------------------------
     def prepare_put(self, item: dict) -> tuple[tuple, FrozenRow]:
         """``(key, row)`` of ``item`` as a put would store it: the
-        validated frozen copy, rejected here when oversized."""
+        validated frozen copy, rejected here when the table may not hold
+        it (:meth:`_check_row`)."""
         row = freeze_item(item)
         key = self.schema.extract(item)
-        self._check_size(row.size)
+        self._check_row(row)
         return key, row
 
     def draft(self, key: tuple, existing: Optional[FrozenRow],
               updates: Sequence[UpdateAction]) -> FrozenRow:
         """The new row ``updates`` make of ``existing`` (``None``: a row
-        of just the key), rejected here when oversized.
+        of just the key), rejected here when the table may not hold it.
 
         Copy-on-write: the draft starts as a shallow copy of
         ``existing``, the actions copy a frozen container only along a
@@ -312,7 +319,7 @@ class Table:
         else:
             row = freeze_update(existing, draft,
                                 {action.path.top for action in updates})
-        self._check_size(row.size)
+        self._check_row(row)
         return row
 
     def install(self, key: tuple, row: Optional[dict]) -> None:
@@ -349,7 +356,7 @@ class Table:
             if condition is not None and not condition.evaluate(existing):
                 raise ConditionFailed(
                     f"put condition failed on {self.name}:{key}")
-            self._check_size(row.size)
+            self._check_row(row)
             self._replace(key, existing, row)
         return None, row.size
 

@@ -40,7 +40,7 @@ import history
 from repro.apps.movie import MovieReviewApp
 from repro.apps.travel import TravelReservationApp
 from repro.core import BeldiConfig, BeldiRuntime
-from repro.core import daal, intents
+from repro.core import daal, intents, ops
 from repro.core.gc import make_garbage_collector
 from repro.core.errors import DeadlineExceeded
 from repro.kvstore import AttrNotExists, ConditionFailed, FaultTimeline, Set
@@ -483,6 +483,20 @@ def await_then_claim(platform, name, payload, meanwhile=None):
     if meanwhile is not None:
         meanwhile()
     return result
+
+
+FLUSH_READ_LOG = ops.flush_read_log
+
+
+def flush_without_rollback(ctx) -> None:
+    """``ops.flush_read_log`` without its ``raise ReadLogLost()``: an
+    execution whose flush lost to a duplicate that logged other values
+    goes on as if it had landed — to reply, call back and finish with
+    values no log holds."""
+    try:
+        FLUSH_READ_LOG(ctx)
+    except ops.ReadLogLost:
+        ctx.lifecycle("flush")
 
 
 def flush_after_release(store, table, key, value, txn_id, cache=None):

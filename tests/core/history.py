@@ -12,7 +12,9 @@ records that broke it:
 - checker (c), serializability + opacity of transactions by cycle
   detection on a ww / wr / rw / real-time dependency graph, wait-die
   victims included, plus rigorous two-phase locking of every commit
-  flush (:func:`check_serializable`).
+  flush (:func:`check_serializable`) and the early-reply rule: no
+  execution shows a value a later ``readlog:rollback`` would change
+  (:func:`check_no_early_reply`).
 
 A failing check raises :class:`HistoryViolation`, whose ``witness``
 is the smallest history that shows it (JSON-ready; the DST
@@ -176,8 +178,10 @@ def check_serializable(history: History) -> None:
     version order, a locked read draws wr from the flush it saw and rw to
     the next one, and a transaction that ended before another began
     precedes it. Any cycle fails, naming its ops by ``seq``. Also: no
-    transaction is both committed and aborted, and none releases an
-    item's lock before its flush installed the item (rigorous 2PL)."""
+    transaction is both committed and aborted, none releases an item's
+    lock before its flush installed the item (rigorous 2PL), and no
+    execution replies early (:func:`check_no_early_reply`)."""
+    check_no_early_reply(history)
     rank = history.ranker()
     installs: dict = {}
     for txn in history.txns.values():
@@ -241,6 +245,35 @@ def check_serializable(history: History) -> None:
                 f"{step['seq'][0]}->{step['seq'][1]})->"
                 for step in steps) + f" {cycle[0]}",
             {"checker": "serializable", "cycle": steps})
+
+
+def check_no_early_reply(history: History) -> None:
+    """No execution exposes a value a later ``readlog:rollback`` would
+    change: one whose read-log flush lost to a duplicate that logged
+    other values (``lost`` on its ``op.read_flush`` span) shows a
+    ``readlog:rollback`` of its instance before its next lifecycle event
+    (a flush, claim, reply or ``Done``, which any callback or further
+    effect of it follows). A failure names that event's and the flush's
+    ``seq``."""
+    rollbacks = [(record["seq"], record["args"]["instance"])
+                 for record in history.named("readlog:rollback")]
+    for flush in history.named("op.read_flush"):
+        lost = flush["args"].get("lost")
+        if lost is None:
+            continue
+        exposed = next((row for row in history.rows if row[3] > flush["seq"]
+                        and row[1] == tuple(lost)), None)
+        if exposed is None:
+            continue
+        instance = exposed[2].split("#")[0]
+        if not any(flush["seq"] < seq < exposed[3] and rolled == instance
+                   for seq, rolled in rollbacks):
+            raise HistoryViolation(
+                f"seq {exposed[3]}: {lost[0]} showed its {exposed[0]} of "
+                f"{instance} after its read-log flush lost (seq "
+                f"{flush['seq']}) without rolling back",
+                {"checker": "serializable", "rule": "rollback < exposure",
+                 "flush": flush["seq"], "exposed": list(exposed)})
 
 
 def _cycle(edges: dict) -> list:

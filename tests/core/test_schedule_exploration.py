@@ -19,7 +19,7 @@ import pytest
 
 import dst
 import history
-from repro.core import BeldiConfig, BeldiRuntime, daal
+from repro.core import BeldiConfig, BeldiRuntime, daal, ops
 from repro.kvstore import Set
 from repro.platform import CrashAtOccurrence
 from repro.sim import (
@@ -249,14 +249,16 @@ def _race_the_flush(seed: int) -> dict:
 
     for body in (client, duplicate, writer):
         kernel.spawn(body, name=body.__name__)
-    kernel.run()
-    out["observed"] = observed
-    out["rollbacks"] = history.of(runtime.obs.tracer.records).count(
-        "readlog:rollback")
+    try:
+        kernel.run()
+        out["observed"] = observed
+        out["rollbacks"] = history.check(runtime.obs.tracer.records).count(
+            "readlog:rollback")
+    finally:
+        kernel.shutdown()
     out["rows"] = leaf.env.store.scan(leaf.env.read_log).items
     out["returned"] = [intent["Ret"] for intent in
                        leaf.env.store.scan(leaf.env.intent_table).items]
-    kernel.shutdown()
     return out
 
 
@@ -280,6 +282,25 @@ def test_live_duplicates_racing_the_flush_leave_one_run_and_one_result():
         assert run["returned"] == [logged], seed
         assert run["result"] == run["duplicate"] == logged, seed
     assert lost >= 10, f"only {lost}/40 schedules made the values differ"
+
+
+def test_the_early_reply_rule_catches_a_skipped_rollback(monkeypatch):
+    """Without its rollback, the execution whose flush lost replies,
+    calls back and finishes with values the log does not hold: checker
+    (c) names the lost flush and the first event that showed them, on
+    every schedule where the two executions' values differ."""
+    monkeypatch.setattr(ops, "flush_read_log", dst.flush_without_rollback)
+    caught = []
+    for seed in range(40):
+        try:
+            _race_the_flush(seed)
+        except history.HistoryViolation as exc:
+            flush, exposed = exc.witness["flush"], exc.witness["exposed"]
+            assert exc.witness["rule"] == "rollback < exposure"
+            assert flush < exposed[3] and str(exc).startswith(
+                f"seq {exposed[3]}: ") and f"(seq {flush})" in str(exc)
+            caught.append(seed)
+    assert len(caught) >= 10, f"only seeds {caught} of 40 caught it"
 
 
 # ---------------------------------------------------------------------------

@@ -2,32 +2,23 @@
 
 The contracts, one test group each:
 
-- a rejected item rejects its whole request — a ``transact_write`` or a
-  ``batch_write`` builds and checks every row before the first one lands,
-  on one node, across shards and on a replica group alike;
 - nothing a caller holds can change a stored row — not what an
   operation returns, not what it was handed — although a replica
   group's followers share the leader's row objects and a read hands out
   the stored values themselves: the top level of each row it returns is
   fresh, and every container below it refuses mutation;
-- the fused walk (:func:`walk_value` / :func:`walk_item`, the deep copy
-  and size the store once handed out, kept below as the reference the
-  frozen walk is checked against) is exactly the three single walks it
-  replaced — the same copy, the same size, the same errors; a projected
-  read (:meth:`Projection.walk`) hands out exactly what copying the
-  selected paths into a fresh row and sizing that did; and the bytes the
-  store meters are the row's ``item_size``;
-- a stored value is frozen and shared: :func:`freeze_value` is
-  :func:`walk_value` with a frozen copy, a copy-on-write update builds
-  what deep-copying the whole row and walking it again built (that
-  path is kept below as the reference), every container inside a stored
-  row refuses mutation, a read hands out the stored values by
-  reference, and one frozen value written to many rows on many replicas
-  stays one object;
-- every stored row records its size when it is built — by a put, an
-  update that re-sizes only what it touched, a batch, a transaction, a
-  replica install or a chain migration — and it is the size a walk of
-  the row measures;
+- the store's one walk is the spec's (``store_spec``: its copy, size
+  and error rules are the reference): a projected read
+  (:meth:`Projection.walk`) hands out what the spec selects, at its
+  size, and the bytes the store meters are the spec's size of the row;
+- a stored value is frozen and shared: :func:`freeze_value` is the
+  spec's copy and size, frozen; a copy-on-write update builds the
+  spec's row; every container inside a stored row refuses mutation, a
+  read hands out the stored values by reference, and one frozen value
+  written to many rows on many replicas stays one object;
+- an update that re-sizes only what it touched lands exactly on the
+  item cap and not a byte over (every stored row's recorded size is
+  the spec's: ``test_store_conformance.py``, and the record model);
 - one distinct value is one object: two freezes return one object
   exactly when the values are alike — equal, with equal member classes,
   member order and float signs — at the size a walk measures, and
@@ -35,16 +26,18 @@ The contracts, one test group each:
   value;
 - a partition of one row is the row itself: a range-keyed table driven
   through every kind of write and read, a replica install, a chain
-  migration and a failover answers as a dict-of-dicts model, with
-  partitions growing from one row to two and shrinking back;
+  migration and a failover answers as the spec does, with partitions
+  growing from one row to two and shrinking back;
 - a stored row is a read-only record of its values over one names
   tuple per shape: through every kind of write, replica installs,
   chain migrations, failovers and a table of shapes dropped mid-run,
   every mapping method of every stored row, and the ``dict`` a read
-  hands out, answers as a dict-of-dicts model in attribute order; every
+  hands out, answers as the spec's row in attribute order; every
   assignment or deletion raises, and two rows whose names differ only
   in order are two shapes that compare equal.
-"""
+
+What an operation means is the spec's (``store_spec``); this module
+checks how the store holds its rows."""
 
 import copy
 import pathlib
@@ -54,6 +47,8 @@ import re
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+
+import store_spec
 
 from repro.kvstore import (
     ChainMigrator,
@@ -66,7 +61,6 @@ from repro.kvstore import (
     ReplicaGroup,
     ReplicatedStore,
     Set,
-    ShardedStore,
     Table,
     TransactPut,
     TransactUpdate,
@@ -76,7 +70,7 @@ from repro.kvstore import (
 )
 from repro.kvstore import item as item_model
 from repro.kvstore.errors import ValidationError
-from repro.kvstore.expressions import Projection, apply_updates
+from repro.kvstore.expressions import Projection
 from repro.kvstore.item import (
     FrozenList,
     FrozenMap,
@@ -87,7 +81,6 @@ from repro.kvstore.item import (
 )
 from repro.kvstore.store import NullTimeSource
 from repro.kvstore.surface import leaves
-from repro.kvstore.table import _sort_token
 from repro.sim import LatencyModel, RandomSource
 
 EVENTUAL = "eventual"
@@ -97,7 +90,7 @@ FAST = dict(deadline=None, max_examples=200,
             suppress_health_check=[HealthCheck.too_slow])
 
 
-def make_group(max_item_bytes=None):
+def make_group():
     """One leader + two lagging followers on a manual clock."""
     clock = NullTimeSource()
     nodes = [KVStore(time_source=clock, rand=RandomSource(7 + i, "n"),
@@ -106,8 +99,7 @@ def make_group(max_item_bytes=None):
     group = ReplicaGroup(
         nodes[0], nodes[1:], rand=RandomSource(7, "repl"),
         latency=LatencyModel(RandomSource(7, "repl-lat")))
-    group.create_table("data", hash_key="Key",
-                       max_item_bytes=max_item_bytes)
+    group.create_table("data", hash_key="Key")
     for node in group.nodes:
         node.table("data").add_index("by_ix", "Ix")
     return group, clock
@@ -121,108 +113,12 @@ def settle(group, clock) -> None:
 
 def stored(node) -> dict:
     """A deep snapshot of one node's ``data`` table."""
-    return {key: copy_item(row)
+    return {key: plain(row.as_dict())
             for key, row in node._tables["data"]._iter_raw()}
 
 
-# -- the single walks the store used before its walks were fused ------------------
-_SCALARS = (type(None), bool, int, float, str, bytes)
-
-
-def validate_value(value) -> None:
-    """Reject value types the store does not model."""
-    if isinstance(value, _SCALARS):
-        return
-    if isinstance(value, (list, tuple)):
-        for element in value:
-            validate_value(element)
-        return
-    if isinstance(value, dict):
-        for key, element in value.items():
-            if not isinstance(key, str):
-                raise ValidationError(f"map keys must be str, got {key!r}")
-            validate_value(element)
-        return
-    if isinstance(value, (set, frozenset)):
-        for element in value:
-            if not isinstance(element, (int, float, str, bytes)):
-                raise ValidationError(
-                    f"set elements must be scalar, got {element!r}")
-        return
-    raise ValidationError(f"unsupported attribute value: {value!r}")
-
-
-def copy_value(value):
-    """Deep-copy a value so callers can never alias stored state."""
-    if isinstance(value, _SCALARS):
-        return value
-    if isinstance(value, tuple):
-        return [copy_value(v) for v in value]
-    if isinstance(value, list):
-        return [copy_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: copy_value(v) for k, v in value.items()}
-    if isinstance(value, (set, frozenset)):
-        return set(value)
-    raise ValidationError(f"unsupported attribute value: {value!r}")
-
-
-def copy_item(item: dict) -> dict:
-    return {name: copy_value(value) for name, value in item.items()}
-
-
-def walk_value(value) -> tuple:
-    """``(deep copy of value, value_size(value))`` in one pass, raising
-    what :func:`validate_value` raises: the walk every read once handed
-    out its rows through. The copy shares no container with ``value``;
-    tuples come back as lists, frozensets as sets."""
-    cls = value.__class__
-    if cls is bool or value is None:
-        return value, 1
-    if isinstance(value, (dict, list, tuple)):
-        if isinstance(value, dict):
-            out, size = {}, 3
-            for key, element in value.items():
-                if not isinstance(key, str):
-                    raise ValidationError(
-                        f"map keys must be str, got {key!r}")
-                out[key], element_size = walk_value(element)
-                size += len(key.encode("utf-8")) + element_size + 1
-            return out, size
-        out, size = [], 3
-        for element in value:
-            copied, element_size = walk_value(element)
-            out.append(copied)
-            size += 1 + element_size
-        return out, size
-    if isinstance(value, (set, frozenset)):
-        validate_value(value)
-        return set(value), value_size(value)
-    validate_value(value)
-    return value, value_size(value)
-
-
-def walk_item(item: dict) -> tuple[dict, int]:
-    """``(deep copy of item, item_size(item))`` in one pass."""
-    out, size = {}, 0
-    for name, value in item.items():
-        if not isinstance(name, str):
-            raise ValidationError(
-                f"attribute names must be str, got {name!r}")
-        out[name], value_bytes = walk_value(value)
-        size += len(name.encode("utf-8")) + value_bytes
-    return out, size
-
-
-def project(projection: Projection, item: dict) -> tuple[dict, int]:
-    """A projected read as two walks: copy each selected path into a
-    fresh row (creating the maps above it), then size that row."""
-    out: dict = {}
-    for target in projection.paths:
-        present, value = target.get(item)
-        if present:
-            target.set(out, copy_value(value))
-    return out, item_size(out)
+plain, spec_size, spec_item_size = (
+    store_spec.plain, store_spec.size, store_spec.item_size)
 
 
 def scribble(value) -> None:
@@ -247,103 +143,6 @@ def scribble(value) -> None:
 def nested_row(key: str) -> dict:
     return {"Key": key, "Ix": "i", "List": [1, [2, {"m": 3}]],
             "Map": {"inner": {"deep": [4]}}, "Set": {5, 6}}
-
-
-# -- a rejected item rejects the whole request ---------------------------------
-OVERSIZED = {"Key": "b", "Blob": "x" * (2 * CAP)}
-UNSUPPORTED = {"Key": "b", "Blob": object()}
-
-
-class TestRejectedRequestsWriteNothing:
-    def test_transact_write_with_an_oversized_second_put(self):
-        store = KVStore()
-        store.create_table("data", hash_key="Key", max_item_bytes=CAP)
-        with pytest.raises(ItemTooLarge):
-            store.transact_write([
-                TransactPut("data", {"Key": "a", "V": 1}),
-                TransactPut("data", OVERSIZED)])
-        assert store.get("data", "a") is None
-        assert "transact_write" not in store.metering.ops
-
-    def test_a_cross_shard_transaction_with_an_oversized_put(self):
-        store = ShardedStore([KVStore(shard_id=i) for i in range(2)])
-        store.create_table("data", hash_key="Key", max_item_bytes=CAP)
-        # Shards apply in index order: the oversized put is on the last.
-        keys = [f"k{i}" for i in range(16)]
-        first = next(k for k in keys if store.shard_for("data", k) == 0)
-        other = next(k for k in keys if store.shard_for("data", k) == 1)
-        with pytest.raises(ItemTooLarge):
-            store.transact_write([
-                TransactPut("data", {"Key": first, "V": 1}),
-                TransactPut("data", {**OVERSIZED, "Key": other})])
-        assert store.item_count("data") == 0
-
-    @pytest.mark.parametrize("bad, error", [(OVERSIZED, ItemTooLarge),
-                                            (UNSUPPORTED, ValidationError)],
-                             ids=["oversized", "unsupported"])
-    def test_batch_write_with_a_rejected_item_after_the_first(self, bad,
-                                                              error):
-        store = KVStore()
-        store.create_table("data", hash_key="Key", max_item_bytes=CAP)
-        store.put("data", {"Key": "gone", "V": 0})
-        with pytest.raises(error):
-            store.batch_write("data", puts=[{"Key": "a", "V": 1}, bad],
-                              deletes=["gone"])
-        assert store.get("data", "a") is None
-        assert store.get("data", "gone") == {"Key": "gone", "V": 0}
-        assert "batch_write" not in store.metering.ops
-
-    @pytest.mark.parametrize("bad, error", [(OVERSIZED, ItemTooLarge),
-                                            (UNSUPPORTED, ValidationError)],
-                             ids=["oversized", "unsupported"])
-    @pytest.mark.parametrize("stack", ["sharded", "replicated"])
-    def test_a_sharded_batch_write_with_a_rejected_item_on_a_later_shard(
-            self, stack, bad, error):
-        """Shards apply in index order, and each checks only its own
-        puts: shard 0's row used to land before shard 1 refused."""
-        clock = NullTimeSource()
-        if stack == "sharded":
-            store = ShardedStore([KVStore(time_source=clock, shard_id=i)
-                                  for i in range(4)])
-        else:
-            store = ReplicatedStore([
-                ReplicaGroup(KVStore(time_source=clock, shard_id=i),
-                             [KVStore(time_source=clock, shard_id=i)],
-                             rand=RandomSource(i, "repl"),
-                             latency=LatencyModel(RandomSource(i, "ship")))
-                for i in range(4)])
-        store.create_table("data", hash_key="Key", max_item_bytes=CAP)
-        keys = [f"k{i}" for i in range(32)]
-        first = next(k for k in keys if store.shard_for("data", k) == 0)
-        other = next(k for k in keys if store.shard_for("data", k) == 1)
-        with pytest.raises(error):
-            store.batch_write("data", puts=[{"Key": first, "V": 1},
-                                            {**bad, "Key": other}])
-        clock.sleep(SHIP_LAG + 1)
-        if stack == "replicated":
-            store.replication_lag()  # drains every follower
-            assert store.replication_stats.shipped == 0
-        for leaf in leaves(store):
-            assert leaf.item_count("data") == 0
-            assert "batch_write" not in leaf.metering.ops
-
-    @pytest.mark.parametrize("request_kind",
-                             ["transact_write", "batch_write"])
-    def test_a_replica_group_stays_alike(self, request_kind):
-        """The leader used to keep the partial row while no record
-        shipped: a follower that never receives it diverges for good."""
-        group, clock = make_group(max_item_bytes=CAP)
-        with pytest.raises(ItemTooLarge):
-            if request_kind == "transact_write":
-                group.transact_write([
-                    TransactUpdate("data", ("a",), [Set("V", 1)]),
-                    TransactPut("data", OVERSIZED)])
-            else:
-                group.batch_write("data", puts=[{"Key": "a", "V": 1},
-                                                OVERSIZED])
-        settle(group, clock)
-        assert group.stats.shipped == 0
-        assert [stored(node) for node in group.nodes] == [{}, {}, {}]
 
 
 # -- nothing a caller holds aliases a stored row ----------------------------------
@@ -388,17 +187,6 @@ class TestNothingAliasesAStoredRow:
         settle(group, clock)
         follower_states = [stored(node) for node in group.followers]
         assert follower_states == [stored(group.leader)] * 2
-
-    def test_writes_hand_back_only_what_was_asked_for(self):
-        """``update`` returns the new row only on request, ``delete``
-        only whether it removed one: no copy of a row goes out unread."""
-        group, clock = make_group()
-        group.put("data", nested_row("a"))
-        assert group.update("data", ("a",), [Set("V", 1)]) is None
-        assert group.delete("data", "a") is True
-        assert group.delete("data", "a") is False
-        settle(group, clock)
-        assert [stored(node) for node in group.nodes] == [{}, {}, {}]
 
     @pytest.mark.parametrize("operation", sorted(HANDED))
     def test_mutating_an_item_after_writing_it(self, operation):
@@ -518,34 +306,6 @@ def fresh_store() -> KVStore:
 
 
 class TestFusedWalk:
-    @settings(**FAST)
-    @given(VALUES)
-    def test_walk_value_is_the_copy_and_the_size(self, value):
-        copied, size = walk_value(value)
-        assert copied == copy_value(value)
-        assert size == value_size(value)
-        shared = {id(c) for c in containers(value)} & {
-            id(c) for c in containers(copied)}
-        assert not shared
-
-    @settings(**FAST)
-    @given(st.dictionaries(st.text(max_size=5), VALUES, max_size=5))
-    def test_walk_item_is_the_copy_and_the_size(self, item):
-        assert walk_item(item) == (copy_item(item), item_size(item))
-
-    @settings(**FAST)
-    @given(MAYBE_REJECTED)
-    def test_walk_raises_what_validation_raises(self, value):
-        try:
-            validate_value(value)
-        except ValidationError as exc:
-            with pytest.raises(ValidationError) as raised:
-                walk_value(value)
-            assert str(raised.value) == str(exc)
-        else:
-            assert walk_value(value) == (copy_value(value),
-                                         value_size(value))
-
     @pytest.mark.parametrize("value, message", [
         ({1: "v"}, "map keys must be str, got 1"),
         ({"ok": [{None: 1}]}, "map keys must be str, got None"),
@@ -555,7 +315,7 @@ class TestFusedWalk:
         ({"a": [Ellipsis]}, "unsupported attribute value: Ellipsis"),
     ])
     def test_each_rejection_has_validations_message(self, value, message):
-        for walk in (validate_value, walk_value, freeze_value):
+        for walk in (plain, freeze_value):
             with pytest.raises(ValidationError) as raised:
                 walk(value)
             assert str(raised.value) == message
@@ -563,7 +323,8 @@ class TestFusedWalk:
     @settings(**FAST)
     @given(ROWS)
     def test_every_operation_meters_the_rows_item_size(self, row):
-        size = item_size(row)
+        size = spec_item_size(row)
+        assert item_size(row) == size
         for call, meter in PUTS.values():
             store = fresh_store()
             call(store, row)
@@ -581,18 +342,18 @@ class TestFusedWalk:
         new_row = store.update("data", ("a",), [Set("N", 1)],
                                return_new=True)
         assert store.metering.diff(before)["write"].bytes_written == (
-            item_size(new_row))
+            spec_item_size(new_row))
         before = store.metering.copy()
         store.transact_write([TransactUpdate("data", ("a",),
                                              [Set("N", 2)])])
         assert store.metering.diff(before)[
-            "transact_write"].bytes_written == item_size(
+            "transact_write"].bytes_written == spec_item_size(
                 store.get("data", "a"))
 
     def test_the_store_keeps_no_single_purpose_copy_or_check(self):
-        """The references above live here only: under ``src/`` a check
-        is the frozen walk, so it cannot drift from the size it meters,
-        and no walk deep-copies a value to hand it out."""
+        """Under ``src/`` a check is the frozen walk, so it cannot drift
+        from the size it meters, and no walk deep-copies a value to hand
+        it out."""
         src = pathlib.Path(item_model.__file__).resolve().parents[2]
         for module in src.rglob("*.py"):
             assert not re.search(
@@ -615,13 +376,13 @@ class TestFusedWalk:
         store.create_table("data", hash_key="Key", max_item_bytes=CAP)
         # "Key" + "a" + "B" = 5 bytes of names and key around the blob.
         FILL[operation](store, "x" * (CAP - 5))
-        assert item_size(store.get("data", "a")) == CAP
+        assert spec_item_size(store.get("data", "a")) == CAP
         with pytest.raises(ItemTooLarge):
             FILL[operation](store, "y" * (CAP - 4))
         assert store.get("data", "a")["B"] == "x" * (CAP - 5)
 
 
-# -- a projected read is the two walks it replaced -----------------------------------
+# -- a projected read is the spec's selection ----------------------------------------
 class Name(str):
     pass
 
@@ -655,21 +416,21 @@ PROJECTIONS = st.lists(PATHS, min_size=1, max_size=4).map(
 class TestProjectedWalk:
     @settings(**FAST)
     @given(PROJECTED_ROWS, PROJECTIONS)
-    def test_one_pass_equals_copy_then_size(self, row, projection):
+    def test_one_pass_is_the_specs_selection(self, row, projection):
         """Over a stored (frozen) row: the selection by reference is what
-        copying the paths out and sizing them handed out, each value
-        selected whole is the stored object, and changing what it
-        hands out cannot change the row."""
+        the spec selects, at its size, each value selected whole is the
+        stored object, and changing what it hands out cannot change the
+        row."""
         stored_row = freeze_item(row)
-        snapshot = copy_item(stored_row)
-        expected = project(projection, row)
+        snapshot = plain(stored_row.as_dict())
+        expected = store_spec.project(row, projection)
         out, size = projection.walk(stored_row)
-        assert (out, size) == expected
+        assert (out, size) == (expected, spec_item_size(expected))
         tops = [target.top for target in projection.paths]
         if len(set(tops)) == len(tops):
             # Key order follows the paths; it can differ from the two
             # walks' only where two paths share a top attribute.
-            assert repr(copy_item(out)) == repr(expected[0])
+            assert repr(plain(out)) == repr(expected)
         for target in projection.paths:
             if len(target.segments) == 1 and target.top in out:
                 assert out[target.top] is stored_row[target.top]
@@ -692,28 +453,22 @@ class TestProjectedWalk:
         # A member path that meets a list selects nothing of its own.
         (["L", path("L", "x")], {"L": [1, 2]}, {"L": [1, 2]}),
         ([path("L", "x")], {"L": [1, 2]}, {}),
+        # Top-level names, a nested one, a missing one; the DAAL's
+        # traversal projection.
+        (["a", "c"], {"a": 1, "b": 2, "c": 3}, {"a": 1, "c": 3}),
+        ([path("m", "x")], {"m": {"x": 1, "y": 2}}, {"m": {"x": 1}}),
+        (["a", "zzz"], {"a": 1}, {"a": 1}),
+        (["RowId", "NextRow"], {"RowId": "HEAD", "Key": "k", "Value": "big",
+                                "RecentWrites": {"a": True}, "NextRow": "r2"},
+         {"RowId": "HEAD", "NextRow": "r2"}),
     ])
     def test_worked_examples(self, targets, row, expected):
         projection = Projection.of(*targets)
-        assert projection.walk(row) == (expected, item_size(expected))
-        assert project(projection, row) == (expected, item_size(expected))
+        assert projection.walk(row) == (expected, spec_item_size(expected))
+        assert store_spec.project(row, projection) == expected
 
 
 # -- stored values are frozen and shared ------------------------------------------
-def reference_update(existing, updates) -> tuple[dict, int]:
-    """The update path before stored values were frozen: deep-copy the
-    whole stored row, apply the actions to the copy, walk it again."""
-    draft = {"Key": "a"} if existing is None else copy_item(existing)
-    apply_updates(draft, updates)
-    return walk_item(draft)
-
-
-def measured_size(row: dict) -> int:
-    """A row's size as a walk of a plain copy measures it — what the
-    size a stored row records must equal."""
-    return item_size(copy_item(row))
-
-
 def all_frozen(value) -> bool:
     return all(isinstance(c, (FrozenMap, FrozenList, frozenset))
                for c in containers(value))
@@ -787,9 +542,10 @@ def refuses_mutation(container) -> bool:
 class TestFrozenValues:
     @settings(**FAST)
     @given(VALUES)
-    def test_freeze_value_is_walk_value_frozen(self, value):
+    def test_freeze_value_is_the_specs_copy_frozen(self, value):
         frozen, size = freeze_value(value)
-        assert (frozen, size) == walk_value(value)
+        assert (frozen, size) == (plain(value), spec_size(value))
+        assert value_size(value) == size
         assert all_frozen(frozen)
         # Frozen once: writing it again takes it by reference.
         again = freeze_value(frozen)
@@ -812,9 +568,9 @@ class TestFrozenValues:
 
     @settings(**FAST)
     @given(MAYBE_REJECTED)
-    def test_freeze_raises_what_walk_raises(self, value):
+    def test_freeze_raises_what_the_spec_raises(self, value):
         try:
-            expected = walk_value(value)
+            expected = plain(value), spec_size(value)
         except ValidationError as exc:
             with pytest.raises(ValidationError) as raised:
                 freeze_value(value)
@@ -824,21 +580,22 @@ class TestFrozenValues:
 
     @settings(**FAST)
     @given(UPDATE_ROWS, UPDATES)
-    def test_copy_on_write_update_is_the_deep_copy_update(self, row,
-                                                          updates):
+    def test_copy_on_write_update_is_the_specs_update(self, row, updates):
         table = Table("data", KeySchema("Key"))
         table.put(row)
         existing = table._get_raw(("a",))
-        snapshot = copy_item(existing)
+        snapshot = plain(existing.as_dict())
         try:
-            expected = reference_update(existing, updates)
-        except ValidationError as exc:
-            with pytest.raises(ValidationError) as raised:
+            expected = store_spec.update_row(snapshot, {"Key": "a"},
+                                             updates)
+        except ValidationError:
+            with pytest.raises(ValidationError):
                 table.draft(("a",), existing, updates)
-            assert str(raised.value) == str(exc)
         else:
             new = table.draft(("a",), existing, updates)
-            assert (new, new.size) == expected
+            assert store_spec.exact(new.as_dict()) == store_spec.exact(
+                expected)
+            assert new.size == spec_item_size(expected)
             assert type(new) is FrozenRow and all_frozen_row(new)
         # The stored row and every value in it are as they were.
         assert existing == snapshot and all_frozen_row(existing)
@@ -850,7 +607,7 @@ class TestFrozenValues:
         row = nested_row("a")
         WRITES[operation](store, row)
         stored_row = store.table("data")._get_raw(("a",))
-        assert copy_item(stored_row) == nested_row("a")
+        assert plain(stored_row.as_dict()) == nested_row("a")
         found = containers(list(stored_row.values()))[1:]
         assert len(found) == 7  # three lists, three maps, a set
         assert all(refuses_mutation(c) for c in found)
@@ -919,12 +676,6 @@ class TestFrozenValues:
         assert type(shared) is FrozenMap
 
 
-# -- every stored row records its size ----------------------------------------------
-SIZE_ACTIONS = ACTIONS | st.builds(
-    Set, NAMES, VALUES) | st.builds(Remove, NAMES)  # whole attributes
-SIZE_UPDATES = st.lists(SIZE_ACTIONS, min_size=1, max_size=4)
-
-
 def replicated_pair() -> tuple:
     """Two shards of a leader and a follower each, shipping at once."""
     clock = NullTimeSource()
@@ -937,49 +688,8 @@ def replicated_pair() -> tuple:
     return store, clock
 
 
-def attempt(write) -> None:
-    """Run a write that the drawn actions may make invalid."""
-    try:
-        write()
-    except ValidationError:
-        pass
-
-
-def assert_sizes_recorded(store, clock) -> None:
-    """Every row on every node — once every follower has installed what
-    shipped — records the size a walk of it measures."""
-    clock.sleep(SHIP_LAG + 1)
-    store.replication_lag()
-    rows = [stored_row for leaf in leaves(store)
-            for _key, stored_row in leaf.table("data")._iter_raw()]
-    assert len(rows) >= 2 * 2  # a and b, on a leader and a follower
-    for stored_row in rows:
-        assert type(stored_row) is FrozenRow
-        assert stored_row.size == measured_size(stored_row)
-        assert item_size(stored_row) == stored_row.size
-
-
 class TestRecordedRowSize:
-    @settings(**dict(FAST, max_examples=100))
-    @given(UPDATE_ROWS, SIZE_UPDATES, SIZE_UPDATES)
-    def test_every_stored_row_records_the_size_a_walk_measures(
-            self, row, updates, more):
-        store, clock = replicated_pair()
-        store.put("data", row)
-        # One update per action, so one invalid action does not void
-        # the rest; the first on "created" makes a row of just the key.
-        for key, actions in (("a", updates), ("created", more)):
-            for action in actions:
-                attempt(lambda: store.update("data", key, [action]))
-        store.batch_write("data", puts=[{**row, "Key": "b"}])
-        attempt(lambda: store.transact_write([
-            TransactPut("data", {**row, "Key": "c"}),
-            TransactUpdate("data", "b", more)]))
-        assert_sizes_recorded(store, clock)
-        # A chain migration re-writes the rows it moves.
-        source = store.shard_for("data", "a")
-        assert ChainMigrator(store).migrate([("data", "a", 1 - source)]) == 1
-        assert_sizes_recorded(store, clock)
+    """An update re-sizes only what it touched."""
 
     def test_an_update_lands_exactly_on_the_cap_and_not_a_byte_over(self):
         store = KVStore()
@@ -990,7 +700,7 @@ class TestRecordedRowSize:
         room = CAP - table._get_raw(("a",)).size + 1
         store.update("data", ("a",), [Set("B", "y" * room)])
         at_cap = table._get_raw(("a",))
-        assert at_cap.size == measured_size(at_cap) == CAP
+        assert at_cap.size == spec_item_size(at_cap) == CAP
         before = store.metering.copy()
         with pytest.raises(ItemTooLarge):
             store.update("data", ("a",), [Set("B", "z" * (room + 1))])
@@ -1045,12 +755,11 @@ class TestCanonicalValues:
         frozen, size = freeze_value(first)
         again, again_size = freeze_value(second)
         assert (again is frozen) == (signature(first) == signature(second))
-        assert size == walk_value(first)[1]
-        assert again_size == walk_value(second)[1]
+        assert size == spec_size(first)
+        assert again_size == spec_size(second)
         if again is frozen:
             assert frozen.size == size == again_size
-        assert (frozen, again) == (walk_value(first)[0],
-                                   walk_value(second)[0])
+        assert (frozen, again) == (plain(first), plain(second))
 
     @pytest.mark.parametrize("first, second", [
         ([1], [True]), ([1], [1.0]), ([True], [1.0]), ([0.0], [-0.0]),
@@ -1072,7 +781,7 @@ class TestCanonicalValues:
         entries = dict(item_model._canonical)
         own, size = freeze_value(value, lookup=False)
         assert own is not shared and own == shared
-        assert size == own.size == walk_value(value)[1]
+        assert size == own.size == spec_size(value)
         # Its members are looked up as ever; the table gained nothing.
         assert own["List"] is shared["List"]
         assert item_model._canonical == entries
@@ -1085,7 +794,7 @@ class TestCanonicalValues:
         assert not item_model._canonical
         row = store.table("data")._get_raw(("a",))
         assert row["Log"] == {"k0": True, "k1": False} and all_frozen_row(row)
-        assert row.size == measured_size(row)
+        assert row.size == spec_item_size(row)
         # A map an update shrank, or wrote whole, is looked up.
         store.update("data", "a", [Remove(path("Log", "k0"))])
         assert freeze_value({"k1": False})[0] is (
@@ -1121,8 +830,8 @@ class TestCanonicalValues:
             for index, value in enumerate(values):
                 for key in (f"k{index}", f"u{index}"):
                     row = store.table("data")._get_raw((key,))
-                    assert row["V"] == walk_value(value)[0]
-                    assert row.size == measured_size(row)
+                    assert row["V"] == plain(value)
+                    assert row.size == spec_item_size(row)
                     assert all_frozen(row["V"])
         finally:
             item_model.CANONICAL_LIMIT = saved
@@ -1154,33 +863,30 @@ def ranged_pair() -> tuple:
     return store, groups
 
 
-def model_order(rows: list) -> list:
-    return sorted(rows, key=lambda row: (_sort_token(row["H"]),
-                                         _sort_token(row["R"])))
+def in_key_order(rows: list) -> list:
+    return sorted(rows, key=lambda row: store_spec.key_order(
+        (row["H"], row["R"])))
 
 
-def assert_answers_as(store, model: dict) -> None:
+def assert_answers_as(store, spec) -> None:
     """Every read, on the store and on each leaf's table, answers what
-    the dict-of-dicts reference holds (a whole-store scan or index
-    query merges the shards in no particular order; a leaf's is in key
-    order)."""
-    every = model_order([row for part in model.values()
-                         for row in part.values()])
-    assert model_order(store.scan("data").items) == every
+    the spec does (a whole-store scan merges the shards in an order of
+    its own; a leaf's is in key order)."""
+    assert in_key_order(store.scan("data").items) == spec.scan("data").items
     for hash_value in ("h0", "h1", "h2"):
-        assert store.query("data", hash_value).items == model_order(
-            list(model.get(hash_value, {}).values()))
+        assert store.query("data", hash_value).items == spec.query(
+            "data", hash_value).items
         for range_value in ("r0", "r1", 0, 1):
-            assert store.get("data", (hash_value, range_value)) == (
-                model.get(hash_value, {}).get(range_value))
+            key = (hash_value, range_value)
+            assert store.get("data", key) == spec.get("data", key)
     for ix in range(4):
-        assert model_order(store.query_index("data", "by_ix", ix)) == [
-            row for row in every if row["Ix"] == ix]
+        assert store.query_index("data", "by_ix", ix) == spec.query_index(
+            "data", "by_ix", ix)
     for leaf in leaves(store):
         table = leaf.table("data")
         held = {key: dict(row) for key, row in table._iter_raw()}
         assert table.item_count() == len(held)
-        assert table.scan().items == model_order(list(held.values()))
+        assert table.scan().items == in_key_order(list(held.values()))
         for (hash_value, range_value), row in held.items():
             assert table._get_raw((hash_value, range_value)) == row
             assert (row["H"], row["R"]) == (hash_value, range_value)
@@ -1195,37 +901,27 @@ def assert_answers_as(store, model: dict) -> None:
 class TestBarePartitions:
     @settings(**dict(FAST, max_examples=100))
     @given(st.lists(RANGE_OPS, min_size=1, max_size=25))
-    def test_answers_as_a_dict_of_dicts(self, operations):
+    def test_answers_as_the_spec(self, operations):
         store, groups = ranged_pair()
-        model: dict = {}
-        for operation in operations:
-            kind, *args = operation
-            if kind in ("put", "update"):
-                hash_value, range_value, ix = args
-                if kind == "put":
-                    row = {"H": hash_value, "R": range_value, "Ix": ix}
-                    store.put("data", row)
-                else:
-                    row = dict(model.get(hash_value, {}).get(
-                        range_value, {"H": hash_value, "R": range_value}))
-                    row["Ix"] = ix
-                    store.update("data", (hash_value, range_value),
-                                 [Set("Ix", ix)])
-                model.setdefault(hash_value, {})[range_value] = row
-            elif kind == "delete":
-                hash_value, range_value = args
-                part = model.get(hash_value, {})
-                assert store.delete("data", (hash_value, range_value)) == (
-                    part.pop(range_value, None) is not None)
-                if not part:
-                    model.pop(hash_value, None)
-            elif kind == "migrate":
-                (hash_value,) = args
-                target = 1 - store.shard_for("data", hash_value)
-                ChainMigrator(store).migrate([("data", hash_value, target)])
-            else:
+        spec = store_spec.StoreSpec()
+        spec.create_table("data", "H", "R").add_index("by_ix", "Ix")
+        for kind, *args in operations:
+            if kind == "migrate":
+                target = 1 - store.shard_for("data", args[0])
+                ChainMigrator(store).migrate([("data", args[0], target)])
+            elif kind == "failover":
                 groups[args[0]].fail_leader()
-            assert_answers_as(store, model)
+            else:
+                name, call = {
+                    "put": lambda h, r, ix: ("put", (
+                        "data", {"H": h, "R": r, "Ix": ix})),
+                    "update": lambda h, r, ix: ("update", (
+                        "data", (h, r), [Set("Ix", ix)])),
+                    "delete": lambda h, r: ("delete", ("data", (h, r))),
+                }[kind](*args)
+                assert getattr(store, name)(*call) == getattr(spec, name)(
+                    *call)
+            assert_answers_as(store, spec)
 
     def test_a_partition_grows_to_a_map_and_shrinks_back_to_the_row(self):
         table = Table("data", KeySchema("H", "R"))
@@ -1272,14 +968,6 @@ RECORD_OPS = st.one_of(
     st.tuples(st.just("clear shapes")))
 
 
-def updated(model: dict, key: str, actions: list) -> dict:
-    """The reference update: the actions applied to a plain copy of the
-    model's row (a row of just the key when there is none)."""
-    draft = dict(model.get(key, {"Key": key}))
-    apply_updates(draft, actions)
-    return draft
-
-
 def assert_record_is(row, expected: dict) -> None:
     """Every mapping method of a stored row answers what the plain
     ``dict`` ``expected`` does, in the same attribute order."""
@@ -1303,7 +991,7 @@ def assert_record_is(row, expected: dict) -> None:
     for plain in (dict(row), copy.copy(row), copy.deepcopy(row),
                   pickle.loads(pickle.dumps(row))):
         assert type(plain) is dict and plain == expected
-    assert row.size == measured_size(row)
+    assert row.size == spec_item_size(row)
 
 
 class TestRowRecords:
@@ -1314,64 +1002,51 @@ class TestRowRecords:
     # same names, another shape.
     @example([("put", "k0", {"A": 1, "B": 2}),
               ("update", "k0", [Remove("A"), Set("A", 3)])], 4)
-    def test_every_stored_row_answers_as_a_dict_of_dicts(self, operations,
-                                                         limit):
+    def test_every_stored_row_answers_as_the_spec(self, operations, limit):
         """Through puts, updates that add and remove attributes, batches,
         transactions, replica installs, chain migrations, failovers and
         a shape table dropped again and again (it holds ``limit``
         shapes), every row on every node and every row a read hands out
-        is the reference model's."""
+        is the spec's."""
         saved = item_model.SHAPE_LIMIT
         item_model.SHAPE_LIMIT = limit
         item_model._shapes.clear()
         try:
             store, clock = replicated_pair()
             groups = list(store.groups)
-            model: dict = {}
+            spec = store_spec.StoreSpec()
+            spec.create_table("data", "Key")
             for kind, *args in operations:
-                self.apply(store, groups, model, kind, args)
+                self.apply(store, groups, spec, kind, args)
                 assert len(item_model._shapes) <= limit
-                self.assert_answers_as(store, clock, model)
+                self.assert_answers_as(store, clock, spec.tables["data"].rows)
         finally:
             item_model.SHAPE_LIMIT = saved
 
-    @staticmethod
-    def apply(store, groups, model, kind, args) -> None:
-        if kind == "put":
-            key, attrs = args
-            store.put("data", {"Key": key, **attrs})
-            model[key] = {"Key": key, **attrs}
-        elif kind == "update":
-            key, actions = args
-            try:
-                row = updated(model, key, actions)
-            except ValidationError:
-                with pytest.raises(ValidationError):
-                    store.update("data", key, actions)
-            else:
-                store.update("data", key, actions)
-                model[key] = row
-        elif kind == "batch":
-            (puts,) = args
-            store.batch_write("data", puts=[{"Key": key, **attrs}
-                                            for key, attrs in puts])
-            model.update((key, {"Key": key, **attrs}) for key, attrs in puts)
-        elif kind == "transact":
-            (put_key, update_key, _other), attrs, actions = args
-            try:
-                row = updated(model, update_key, actions)
-            except ValidationError:
-                return attempt(lambda: store.transact_write([
-                    TransactUpdate("data", update_key, actions)]))
-            store.transact_write([
-                TransactPut("data", {"Key": put_key, **attrs}),
-                TransactUpdate("data", update_key, actions)])
-            model[put_key] = {"Key": put_key, **attrs}
-            model[update_key] = row
-        elif kind == "delete":
-            (key,) = args
-            assert store.delete("data", key) == (
-                model.pop(key, None) is not None)
+    #: ``kind -> (operation, its arguments)`` of the drawn writes.
+    WRITES = {
+        "put": lambda key, attrs: ("put", ("data", {"Key": key, **attrs})),
+        "update": lambda key, actions: ("update", ("data", key, actions)),
+        "batch": lambda puts: ("batch_write", ("data", [
+            {"Key": key, **attrs} for key, attrs in puts])),
+        "transact": lambda keys, attrs, actions: ("transact_write", ([
+            TransactPut("data", {"Key": keys[0], **attrs}),
+            TransactUpdate("data", keys[1], actions)],)),
+        "delete": lambda key: ("delete", ("data", key)),
+    }
+
+    @classmethod
+    def apply(cls, store, groups, spec, kind, args) -> None:
+        if kind in cls.WRITES:
+            name, call = cls.WRITES[kind](*args)
+            outcomes = []
+            for target in (store, spec):
+                try:
+                    result = getattr(target, name)(*call)
+                    outcomes.append(getattr(result, "complete", result))
+                except ValidationError as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1], (kind, outcomes)
         elif kind == "migrate":
             (key,) = args
             target = 1 - store.shard_for("data", key)
@@ -1382,20 +1057,20 @@ class TestRowRecords:
             item_model._shapes.clear()
 
     @staticmethod
-    def assert_answers_as(store, clock, model) -> None:
+    def assert_answers_as(store, clock, rows: dict) -> None:
         clock.sleep(SHIP_LAG + 1)
         store.replication_lag()  # every follower installs what shipped
         for key in RECORD_KEYS:
             read = store.get("data", key)
-            assert read == model.get(key)
+            assert read == rows.get((key,))
             if read is not None:
                 assert type(read) is dict
-                assert list(read.items()) == list(model[key].items())
+                assert list(read.items()) == list(rows[(key,)].items())
         for read in store.scan("data").items:
-            assert list(read.items()) == list(model[read["Key"]].items())
+            assert list(read.items()) == list(rows[(read["Key"],)].items())
         for leaf in leaves(store):
-            for (key,), row in leaf.table("data")._iter_raw():
-                assert_record_is(row, model[key])
+            for key, row in leaf.table("data")._iter_raw():
+                assert_record_is(row, rows[key])
 
     def test_every_assignment_or_deletion_raises(self):
         row = freeze_item({"Key": "a", "V": [1], "W": 2})

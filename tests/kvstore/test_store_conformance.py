@@ -1,8 +1,10 @@
-"""The store surface is one declaration: every layer conforms to it.
+"""The store surface is one declaration: every layer conforms to it,
+and every stack of layers answers what the store's spec answers.
 
 ``repro.kvstore.surface`` writes the ten operations once; ``KVStore``,
 ``ShardedStore``, ``ReplicaGroup`` and ``ResilientStore`` each handle
-them *by kind*. These tests pin the seam:
+them *by kind*. ``store_spec.StoreSpec`` is the one model of what they
+mean. These tests pin the seam:
 
 (a) statically — the ten public names sit in each class's own
     ``__dict__`` (``perfbench/probes.py`` attaches there) with one
@@ -12,17 +14,25 @@ them *by kind*. These tests pin the seam:
     (hits, misses, failed conditions, empty and paged batches, limited
     and projected queries and scans,
     positional and keyword arguments, a cancelled transaction, an
-    unknown table) gives the same answers on every stack of layers:
-    identical return values, exception types, metering totals and final
-    virtual clock on the single-placement stacks; identical return
-    values, exceptions and final contents on the multi-shard ones.
+    unknown table) answers and ends as the spec does on every stack,
+    and the single-placement stacks book the bare node's metering
+    totals and final virtual clock;
+(c) by property — random sequences of the ten operations over the 14
+    expression forms give every stack, bare and resilient, the spec's
+    return values, exception types and contents: every leaf's rows,
+    followers drained, each at the size it records. A rejected write (a
+    failed condition, an oversized or unsupported item anywhere in a
+    batch or a transaction) leaves every leaf as it was, books nothing.
 """
 
 import dataclasses
 import inspect
 
 import pytest
+from hypothesis import HealthCheck, note, settings
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
+import store_spec
 from repro.kvstore import (
     AttrNotExists,
     Eq,
@@ -183,8 +193,8 @@ def page(result):
 
 
 def run_script(store):
-    """Drive all ten operations; return ``(outcomes, books, contents)``
-    — books being the merged metering totals and the final clock."""
+    """Drive all ten operations (on a stack of layers or on the spec);
+    return ``(outcomes, contents)``."""
     out = []
 
     def step(label, fn, shape=lambda value: value):
@@ -305,15 +315,23 @@ def run_script(store):
         step(f"unknown table {name}", call)
         assert out[-1][1:] == ("raised", "TableNotFound"), out[-1]
 
-    books = (store.metering.snapshot(), next(leaves(store)).time.now())
     contents = {name: sorted(store.scan(name).items, key=repr)
                 for name in ("data", "ranged", "empty")}
-    return out, books, contents
+    return out, contents
+
+
+def books(store) -> tuple:
+    """The merged metering totals and the final virtual clock."""
+    return store.metering.snapshot(), next(leaves(store)).time.now()
 
 
 @pytest.fixture(scope="module")
 def reference():
-    outcomes, books, contents = run_script(node())
+    """The spec's answers and contents, and the bare node's books."""
+    outcomes, contents = run_script(store_spec.StoreSpec())
+    bare = node()
+    run_script(bare)
+    books_ = books(bare)
     # The script must really exercise what it claims to.
     kinds = {outcome for _label, outcome, _value in outcomes}
     assert kinds == {"ok", "raised"}
@@ -321,11 +339,11 @@ def reference():
               if outcome == "raised"}
     assert {"ConditionFailed", "TransactionCanceled", "TableNotFound",
             "ValueError", "ValidationError"} <= raised
-    assert set(books[0]) >= {"read", "write", "cond_write", "delete",
-                             "query", "scan", "query_index", "batch_get",
-                             "batch_write", "transact_write"}
-    assert books[1] > 0, "the reference run must consume virtual time"
-    return outcomes, books, contents
+    assert set(books_[0]) >= {"read", "write", "cond_write", "delete",
+                              "query", "scan", "query_index", "batch_get",
+                              "batch_write", "transact_write"}
+    assert books_[1] > 0, "the reference run must consume virtual time"
+    return outcomes, books_, contents
 
 
 @pytest.mark.parametrize("wrapped", [False, True],
@@ -336,10 +354,9 @@ def test_single_placement_stacks_are_indistinguishable(
     store = SINGLE[stack]()
     if wrapped:
         store = resilient(store)
-    outcomes, books, contents = run_script(store)
-    assert outcomes == reference[0]
-    assert books == reference[1], "metering totals / final virtual clock"
-    assert contents == reference[2]
+    assert run_script(store) == (reference[0], reference[2])
+    assert books(store) == reference[1], (
+        "metering totals / final virtual clock")
 
 
 @pytest.mark.parametrize("wrapped", [False, True],
@@ -349,6 +366,134 @@ def test_spread_stacks_answer_and_end_alike(reference, stack, wrapped):
     store = SPREAD[stack]()
     if wrapped:
         store = resilient(store)
-    outcomes, _books, contents = run_script(store)
-    assert outcomes == reference[0]
-    assert contents == reference[2]
+    assert run_script(store) == (reference[0], reference[2])
+
+
+# -- (c) random sequences against the spec ------------------------------------------
+#: The property's one budget: examples, and calls per example.
+SPEC_BUDGET = settings(max_examples=50, stateful_step_count=40,
+                       deadline=None,
+                       suppress_health_check=[HealthCheck.too_slow])
+WRITES = ("put", "update", "delete", "batch_write", "transact_write")
+STACKS = {f"{name} {wrap}": (build, wrap)
+          for name, build in {**SINGLE, **SPREAD}.items()
+          for wrap in ("bare", "resilient")}
+
+
+def prepared(store):
+    for name, (hash_key, range_key, cap) in store_spec.TABLES.items():
+        store.create_table(name, hash_key, range_key, cap)
+        for leaf in leaves(store):
+            leaf.table(name).add_index(*store_spec.INDEX)
+    return store
+
+
+def outcome(target, name: str, args: tuple):
+    try:
+        return "ok", getattr(target, name)(*args)
+    except Exception as exc:  # noqa: BLE001 — the type *is* the outcome
+        return "raised", exc
+
+
+def answer(name: str, args: tuple, result, spread: bool):
+    """What the contract fixes of one result: a projected row is a map
+    (its member order is the store's), and a spread stack's whole-table
+    scan merges its shards in an order of its own."""
+    if name in ("query", "scan"):
+        rows = [store_spec.exact(row, args[2] is None)
+                for row in result.items]
+        if spread and name == "scan":
+            rows.sort(key=repr)
+        return rows, result.scanned_count, result.consumed_bytes
+    if name == "batch_get":
+        return store_spec.exact(list(result)), result.unprocessed_indexes
+    if name == "batch_write":
+        return result.unprocessed_puts, result.unprocessed_deletes
+    return store_spec.exact(result)
+
+
+def agrees(spec, name: str, args: tuple, got, expected, spread: bool):
+    if (spread and name == "scan" and args[3] is not None
+            and args[3] < len(spec.table(args[0]).rows)):
+        # Which rows a limit leaves is placement's: some of the spec's.
+        every = outcome(spec, "scan", args[:3] + (None,) + args[4:])
+        if got[0] == "raised":
+            return every[0] == "raised" and type(got[1]) is type(every[1])
+        rows, scanned, _bytes = answer(name, args, got[1], spread)
+        return scanned == args[3] and (every[0] == "raised" or set(
+            rows) <= set(answer(name, args, every[1], spread)[0]))
+    if expected[0] == "raised":
+        kinds = getattr(expected[1], "faults", ()) if spread else ()
+        return got[0] == "raised" and (
+            type(got[1]) is type(expected[1])
+            or type(got[1]).__name__ in kinds)
+    return got[0] == "ok" and (answer(name, args, got[1], spread)
+                               == answer(name, args, expected[1], spread))
+
+
+def held(spec) -> dict:
+    """``table -> {key: (row, size)}`` a leaf may hold, as ``exact``
+    compares rows."""
+    return {name: {key: (store_spec.exact(row), store_spec.item_size(row))
+                   for key, row in table.rows.items()}
+            for name, table in spec.tables.items()}
+
+
+def assert_holds(store, want: dict) -> None:
+    """Every leaf holds the spec's rows (``held``), each at the size it
+    records, every row sits on as many leaves as every other, and the
+    store counts the spec's rows."""
+    if hasattr(store, "replication_lag"):
+        store.replication_lag()  # drains every follower
+    for name, rows in want.items():
+        copies: dict = {}
+        for leaf in leaves(store):
+            for key, row in leaf.table(name)._iter_raw():
+                assert (store_spec.exact(row.as_dict()), row.size) == (
+                    rows.get(key)), (name, key, row, rows.get(key))
+                copies[key] = copies.get(key, 0) + 1
+        assert copies.keys() == rows.keys(), name
+        assert len(set(copies.values())) <= 1, copies
+        assert store.item_count(name) == len(rows), name
+
+
+class StoreAgainstSpec(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.spec = prepared(store_spec.StoreSpec())
+        self.stores = {label: prepared(resilient(build()) if wrap ==
+                                       "resilient" else build())
+                       for label, (build, wrap) in STACKS.items()}
+
+    @initialize(puts=store_spec.SEED_PUTS)
+    def seed(self, puts) -> None:
+        """A row under every key first, so that the calls meet values of
+        every kind."""
+        for call in puts:
+            self.call(call)
+
+    @rule(call=store_spec.STEPS)
+    def call(self, call) -> None:
+        name, args = call
+        note(name + store_spec.show(args))
+        expected = outcome(self.spec, name, args)
+        # A rejected write writes, ships and books nothing.
+        rejected = expected[0] == "raised" and name in WRITES
+        want = rejected and held(self.spec)
+        for label, store in self.stores.items():
+            booked = rejected and store.metering.snapshot()
+            got = outcome(store, name, args)
+            assert agrees(self.spec, name, args, got, expected,
+                          label.rsplit(" ", 1)[0] in SPREAD), (
+                label, got, expected)
+            if rejected:
+                assert store.metering.snapshot() == booked, label
+                assert_holds(store, want)
+
+    def teardown(self) -> None:
+        want = held(self.spec)
+        for store in self.stores.values():
+            assert_holds(store, want)
+
+
+TestStoreAgainstSpec = SPEC_BUDGET(StoreAgainstSpec).TestCase

@@ -12,8 +12,12 @@ and comes back together with its first caller.
 import ast
 import inspect
 import pathlib
+import re
+
+from hypothesis import given, settings
 
 import repro.kvstore
+import store_spec
 from repro.kvstore import expressions, surface
 from repro.kvstore.expressions import Condition, Operand, UpdateAction
 
@@ -89,3 +93,19 @@ def test_every_form_is_built_in_src():
     assert not orphans, (
         f"{orphans}: built nowhere in src/ outside {DEFINING}; delete "
         f"the form, or bring it back together with its first caller")
+
+
+def test_the_specs_strategies_draw_every_exported_form():
+    """So a form that comes back must come back with a spec rule (the
+    property draws it and the spec must answer it)."""
+    seen: set = set()
+
+    @settings(max_examples=300, database=None, derandomize=True)
+    @given(store_spec.CALLS)
+    def draw(call):
+        # ``show`` writes every form it meets as ``Name(...)``.
+        seen.update(re.findall(r"\b(\w+)\(", store_spec.show(call)))
+
+    draw()
+    missing = sorted(set(vocabulary()) - seen)
+    assert not missing, f"{missing}: the store spec's strategies never draw it"

@@ -466,7 +466,10 @@ def test_op_span_args_are_the_ones_documented(trace):
     list, and the concurrent mix says every fact the checkers need."""
     documented = {re.findall(r"`([^`]+)`", line)[0]
                   for line in _doc_rows("### `op.*` span args")}
-    emitted = {arg for name in history.OPS for record in trace.named(name)
-               for arg in record["args"]}
+    emitted = {arg for name in (*history.OPS, "op.read_flush")
+               for record in trace.named(name) for arg in record["args"]}
     assert emitted <= documented
-    assert {"key", "read", "landed", "txn"} <= emitted
+    assert {"key", "read", "landed", "txn", "first", "steps"} <= emitted
+    # A lost flush's fact, which only a race shows
+    # (test_schedule_exploration.py), is documented too.
+    assert "lost" in documented

@@ -163,7 +163,7 @@ def _token(value) -> tuple:
     return (5, str(value))
 
 
-# -- paths, conditions, operands, actions ---------------------------------------
+# -- paths, conditions, operands, actions -------------------------------------
 def lookup(row, segments) -> tuple:
     """``(present, value)`` of a path in ``row`` (``None``: no row)."""
     node = row
@@ -231,8 +231,7 @@ def put_at(row: dict, segments, value) -> None:
     for segment in segments[:-1]:
         node = node.setdefault(segment, {})
         if not isinstance(node, dict):
-            raise ValidationError(f"cannot set {segments[-1]!r} under "
-                                  f"{node!r}")
+            raise ValidationError(f"cannot set {segments[-1]!r} in {node!r}")
     node[segments[-1]] = value
 
 
@@ -271,8 +270,7 @@ def project(row: dict, projection) -> dict:
 # -- the model ----------------------------------------------------------------
 class SpecTable:
     def __init__(self, hash_key: str, range_key, cap: int) -> None:
-        self.names = (hash_key,) if range_key is None else (hash_key,
-                                                            range_key)
+        self.names = tuple(name for name in (hash_key, range_key) if name)
         self.cap = cap
         self.rows: dict = {}
         self.indexes: dict = {}  # index name -> attribute
@@ -472,12 +470,15 @@ SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
                     st.binary(max_size=3))
 LEAVES = SCALARS | st.sets(st.integers(0, 2) | st.text("ab", max_size=2),
                            max_size=3)
-VALUES = st.recursive(LEAVES, lambda children: st.one_of(
-    st.lists(children, max_size=3), st.lists(children, max_size=2).map(tuple),
-    st.dictionaries(MEMBERS, children, max_size=2)), max_leaves=5)
+#: Two maps deep at most: a recursive strategy draws several times slower.
+LISTS = st.lists(LEAVES, max_size=3)
+VALUES = st.one_of(LEAVES, LISTS, LISTS.map(tuple), st.dictionaries(
+    MEMBERS, LEAVES | LISTS | st.dictionaries(MEMBERS, LEAVES, max_size=2),
+    max_size=2))
 #: One value in ten is one the store does not model.
-ANY_VALUE = st.integers(0, 9).flatmap(lambda n: VALUES if n else st.sampled_from(
-    [object(), {1: "v"}, {None}, 1j, path("A")]))
+ANY_VALUE = st.integers(0, 9).flatmap(
+    lambda n: VALUES if n else st.sampled_from(
+        [object(), {1: "v"}, {None}, 1j, path("A")]))
 PATHS = st.builds(lambda top, rest: path(top, *rest), NAMES,
                   st.lists(MEMBERS, max_size=2))
 ATOMS = st.one_of(

@@ -101,7 +101,8 @@ def test_the_specs_strategies_draw_every_exported_form():
     seen: set = set()
 
     @settings(max_examples=300, database=None, derandomize=True)
-    @given(store_spec.CALLS)
+    @given(store_spec.CONDITIONS | store_spec.UPDATES
+           | store_spec.TRANSACT_OPS)
     def draw(call):
         # ``show`` writes every form it meets as ``Name(...)``.
         seen.update(re.findall(r"\b(\w+)\(", store_spec.show(call)))

@@ -18,16 +18,36 @@ def store():
     return s
 
 
-class TestMetering:
-    """(What a batch answers — aligned rows, misses, composite and
-    repeated keys — is checked against the store's spec on every stack,
-    by ``test_store_conformance.py``.)"""
+class TestSemantics:
+    def test_results_align_with_keys(self, store):
+        items = store.batch_get("data", ["k3", "k0", "k4"])
+        assert [item["V"] for item in items] == [3, 0, 4]
+
+    def test_missing_keys_come_back_as_none(self, store):
+        items = store.batch_get("data", ["k1", "nope", "k2", "gone"])
+        assert items[0]["V"] == 1
+        assert items[1] is None
+        assert items[2]["V"] == 2
+        assert items[3] is None
 
     def test_empty_batch_is_free(self, store):
         before = store.metering.copy()
         assert store.batch_get("data", []) == []
         assert store.metering.diff(before) == {}
 
+    def test_composite_keys(self, store):
+        items = store.batch_get(
+            "ranged", [("item", "r2"), ("item", "r9"), ("item", "r0")])
+        assert items[0]["V"] == 2
+        assert items[1] is None
+        assert items[2]["V"] == 0
+
+    def test_duplicate_keys_allowed(self, store):
+        items = store.batch_get("data", ["k1", "k1"])
+        assert [item["V"] for item in items] == [1, 1]
+
+
+class TestMetering:
     def test_one_round_trip_for_n_rows(self, store):
         before = store.metering.copy()
         store.batch_get("data", [f"k{i}" for i in range(5)])

@@ -55,6 +55,22 @@ def test_oversized_batch_rejected():
         store.batch_write("t", puts=items(MAX_BATCH_WRITE_ITEMS + 1))
 
 
+def test_put_and_delete_of_same_key_rejected():
+    store = make_store()
+    with pytest.raises(ValueError):
+        store.batch_write("t", puts=[{"K": "x"}], deletes=["x"])
+
+
+def test_duplicate_keys_in_one_batch_rejected():
+    # DynamoDB fails the whole request on any repeated key.
+    store = make_store()
+    with pytest.raises(ValueError):
+        store.batch_write("t", puts=[{"K": "x", "V": 1},
+                                     {"K": "x", "V": 2}])
+    with pytest.raises(ValueError):
+        store.batch_write("t", deletes=["x", "x"])
+
+
 def test_generator_arguments_are_materialized():
     # A replicated batch fed from generators must still ship every
     # applied row to the followers.

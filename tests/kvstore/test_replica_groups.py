@@ -10,9 +10,12 @@ from repro.kvstore import (
     ReplicatedStore,
     Set,
     ShardedStore,
+    TransactPut,
+    TransactUpdate,
 )
 from repro.kvstore.metering import normalize_consistency
 from repro.kvstore.store import NullTimeSource
+from repro.kvstore.surface import leaves
 from repro.sim import LatencyModel, RandomSource
 
 EVENTUAL = "eventual"
@@ -71,6 +74,13 @@ class TestLagModel:
         assert caught_up == {"Key": "a", "V": "new"}
         assert all(lag == 0 for lag in group.replication_lag().values())
 
+    def test_lag_zero_follower_is_always_current(self):
+        group, _clock = make_group(lag_scale=0.0)
+        for i in range(10):
+            group.put("data", {"Key": f"k{i}", "V": i})
+            assert group.get("data", f"k{i}",
+                             consistency=EVENTUAL)["V"] == i
+
     def test_application_preserves_write_order(self):
         group, clock = make_group()
         for version in range(5):
@@ -78,6 +88,15 @@ class TestLagModel:
             clock.sleep(3.0)
         clock.sleep(SHIP_LAG)
         assert group.get("data", "a", consistency=EVENTUAL)["V"] == 4
+
+    def test_delete_ships_a_tombstone(self):
+        group, clock = make_group()
+        group.put("data", {"Key": "a", "V": 1})
+        clock.sleep(SHIP_LAG + 1)
+        assert group.get("data", "a", consistency=EVENTUAL) is not None
+        group.delete("data", "a")
+        clock.sleep(SHIP_LAG + 1)
+        assert group.get("data", "a", consistency=EVENTUAL) is None
 
     def test_eventual_reads_have_item_affinity(self):
         """The same item's eventual reads always land on one follower,
@@ -114,6 +133,25 @@ class TestLagModel:
         served_after_points = {id(n) for n in group.followers
                                if n.metering.ops.get("read")}
         assert served_after_points == served_after_batch
+
+    def test_transact_write_ships_all_rows(self):
+        group, clock = make_group()
+        group.put("data", {"Key": "b", "V": 0})
+        clock.sleep(SHIP_LAG + 1)
+        group.transact_write([
+            TransactPut("data", {"Key": "a", "V": "A"}),
+            TransactUpdate("data", ("b",), [Set("V", "B")]),
+        ])
+        clock.sleep(SHIP_LAG + 1)
+        assert group.get("data", "a", consistency=EVENTUAL)["V"] == "A"
+        assert group.get("data", "b", consistency=EVENTUAL)["V"] == "B"
+
+    def test_zero_lag_writes_replicate_immediately(self):
+        group, _clock = make_group(lag_scale=0.0)
+        group.put("data", {"Key": "seeded", "V": 9})
+        group.replication_lag()  # drains every follower
+        for node in group.followers:
+            assert node.table("data").get("seeded")["V"] == 9
 
 
 class TestMetering:
@@ -260,6 +298,50 @@ class TestReplicatedStoreFacade:
         store = ReplicatedStore(groups)
         store.create_table("data", hash_key="Key")
         return store, clock
+
+    def test_facade_routes_and_reads_back(self):
+        store, _clock = self.make_store()
+        for i in range(30):
+            store.put("data", {"Key": f"k{i}", "V": i})
+        for i in range(30):
+            assert store.get("data", f"k{i}")["V"] == i
+        assert store.item_count("data") == 30
+        assert sum(store.items_per_shard("data")) == 30
+
+    def test_eventual_scan_and_query_index_fan_out(self):
+        store, clock = self.make_store()
+        for leaf in leaves(store):
+            leaf.table("data").add_index("by_flag", "Flag")
+        for i in range(20):
+            store.put("data", {"Key": f"k{i}", "V": i,
+                               "Flag": "on" if i % 2 else "off"})
+        clock.sleep(SHIP_LAG + 1)
+        result = store.scan("data", consistency=EVENTUAL)
+        assert {item["Key"] for item in result.items} == {
+            f"k{i}" for i in range(20)}
+        hits = store.query_index("data", "by_flag", "on",
+                                 consistency=EVENTUAL)
+        assert sorted(h["V"] for h in hits) == list(range(1, 20, 2))
+
+    def test_cross_shard_transaction_replicates_everywhere(self):
+        store, clock = self.make_store()
+        keys, shards_seen = [], set()
+        for i in range(100):
+            shard = store.shard_for("data", f"t{i}")
+            if shard not in shards_seen:
+                shards_seen.add(shard)
+                keys.append(f"t{i}")
+            if len(keys) == 2:
+                break
+        store.transact_write([
+            TransactPut("data", {"Key": keys[0], "V": "A"}),
+            TransactPut("data", {"Key": keys[1], "V": "B"}),
+        ])
+        clock.sleep(SHIP_LAG + 1)
+        assert store.get("data", keys[0],
+                         consistency=EVENTUAL)["V"] == "A"
+        assert store.get("data", keys[1],
+                         consistency=EVENTUAL)["V"] == "B"
 
     def test_replication_stats_aggregate(self):
         store, _clock = self.make_store()

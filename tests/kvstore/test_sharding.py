@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.kvstore import (
+    AttrNotExists,
     Eq,
     FaultTimeline,
     HashRing,
@@ -12,8 +13,11 @@ from repro.kvstore import (
     KernelTimeSource,
     Set,
     ShardedStore,
+    TableNotFound,
     ThrottledError,
     TransactPut,
+    TransactUpdate,
+    TransactionCanceled,
     batch_get_all,
 )
 from repro.kvstore.sharding import MEMO_TOKENS
@@ -60,9 +64,22 @@ class TestRouting:
         counts = store.items_per_shard("chains")
         assert sorted(counts) == [0, 0, 0, 3]
 
+    def test_facade_reads_what_it_writes(self, store):
+        for i in range(40):
+            store.put("data", {"Key": f"k{i}", "V": i})
+        for i in range(40):
+            assert store.get("data", f"k{i}")["V"] == i
+        assert store.item_count("data") == 40
+
     def test_ring_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ShardedStore([KVStore(), KVStore()], ring=HashRing(3))
+
+    def test_unknown_table_rejected(self, store):
+        with pytest.raises(TableNotFound):
+            store.get("ghost", "a")
+        with pytest.raises(TableNotFound):
+            store.scan("ghost")
 
 
 FAST = dict(deadline=None, max_examples=25,
@@ -324,6 +341,15 @@ class TestLeafTables:
             ShardedStore] + [KVStore] * store.n_shards
         assert list(leaves(store)) == store.nodes
 
+    def test_an_index_on_every_leaf_answers_the_fan_out(self, store):
+        for leaf in leaves(store):
+            leaf.table("data").add_index("by_flag", "Flag")
+        store.put("data", {"Key": "a", "Flag": "on"})
+        store.put("data", {"Key": "b", "Flag": "on"})
+        store.put("data", {"Key": "c"})
+        hits = store.query_index("data", "by_flag", "on")
+        assert sorted(item["Key"] for item in hits) == ["a", "b"]
+
     def test_the_owners_leaf_table_holds_the_row(self, store):
         owner = store.node_for("data", "x").table("data")
         owner.put({"Key": "x", "V": 1})
@@ -348,6 +374,14 @@ class TestQueriesAndScans:
         queried = [n for n in store.nodes
                    if "query" in n.metering.ops]
         assert len(queried) == 1
+
+    def test_scan_merges_all_shards(self, store):
+        keys = {f"k{i}" for i in range(30)}
+        for key in keys:
+            store.put("data", {"Key": key})
+        result = store.scan("data")
+        assert {item["Key"] for item in result.items} == keys
+        assert result.scanned_count == len(keys)
 
     def test_a_limit_spans_shards_in_shard_order(self, store):
         """The GC's page: the limit counts rows walked on every shard,
@@ -486,6 +520,37 @@ class TestCrossShardTransactions:
             if len(by_shard) >= want:
                 break
         return list(by_shard.values())
+
+    def test_single_shard_group_delegates(self, store):
+        store.put("data", {"Key": "solo", "V": 0})
+        store.transact_write([
+            TransactUpdate("data", ("solo",), [Set("V", 1)]),
+        ])
+        assert store.get("data", "solo")["V"] == 1
+
+    def test_cross_shard_commit_is_atomic(self, store):
+        a, b = self._spread_keys(store, "data")
+        store.transact_write([
+            TransactPut("data", {"Key": a, "V": "A"},
+                        condition=AttrNotExists("Key")),
+            TransactPut("data", {"Key": b, "V": "B"},
+                        condition=AttrNotExists("Key")),
+        ])
+        assert store.get("data", a)["V"] == "A"
+        assert store.get("data", b)["V"] == "B"
+
+    def test_cross_shard_condition_failure_applies_nothing(self, store):
+        a, b = self._spread_keys(store, "data")
+        store.put("data", {"Key": b, "V": "old"})
+        with pytest.raises(TransactionCanceled):
+            store.transact_write([
+                TransactPut("data", {"Key": a, "V": "A"},
+                            condition=AttrNotExists("Key")),
+                TransactPut("data", {"Key": b, "V": "B"},
+                            condition=AttrNotExists("Key")),
+            ])
+        assert store.get("data", a) is None, "partial transaction applied"
+        assert store.get("data", b)["V"] == "old"
 
     def test_cross_shard_pays_two_rounds_per_shard(self):
         kernel = SimKernel(seed=9)

@@ -1,17 +1,21 @@
-"""Unit tests for the KVStore facade: latency, metering, storage.
-
-What its operations answer, transactions included, is checked against
-the store's spec by ``test_store_conformance.py``."""
+"""Unit tests for the KVStore facade: latency, metering, transactions."""
 
 import pytest
 
 from repro.kvstore import (
+    AttrNotExists,
+    ConditionFailed,
+    Eq,
     FaultTimeline,
     KVStore,
     KernelTimeSource,
+    Set,
     TableExists,
     TableNotFound,
     ThrottledError,
+    TransactPut,
+    TransactUpdate,
+    TransactionCanceled,
 )
 from repro.sim import LatencyModel, RandomSource, SimKernel
 
@@ -36,6 +40,10 @@ class TestTableManagement:
         t1 = store.ensure_table("data", hash_key="Key")
         t2 = store.ensure_table("data", hash_key="Key")
         assert t1 is t2
+
+    def test_unknown_table_rejected(self, store):
+        with pytest.raises(TableNotFound):
+            store.get("ghost", "a")
 
     def test_drop_table(self, store):
         store.drop_table("data")
@@ -71,6 +79,38 @@ class TestMetering:
         store.get("data", "a")
         delta = store.metering.diff(baseline)
         assert "read" in delta and "write" not in delta
+
+
+class TestTransactWrite:
+    def test_cross_table_atomic_commit(self, store):
+        store.create_table("log", hash_key="LogKey")
+        store.transact_write([
+            TransactUpdate("data", ("a",), [Set("V", 1)]),
+            TransactPut("log", {"LogKey": "op1", "Done": True}),
+        ])
+        assert store.get("data", "a")["V"] == 1
+        assert store.get("log", "op1")["Done"] is True
+
+    def test_failing_condition_cancels_everything(self, store):
+        store.create_table("log", hash_key="LogKey")
+        store.put("log", {"LogKey": "op1"})
+        with pytest.raises(TransactionCanceled):
+            store.transact_write([
+                TransactUpdate("data", ("a",), [Set("V", 1)]),
+                TransactPut("log", {"LogKey": "op1"},
+                            condition=AttrNotExists("LogKey")),
+            ])
+        assert store.get("data", "a") is None
+
+    def test_empty_transaction_is_noop(self, store):
+        store.transact_write([])
+
+    def test_same_table_twice(self, store):
+        store.transact_write([
+            TransactUpdate("data", ("a",), [Set("V", 1)]),
+            TransactUpdate("data", ("b",), [Set("V", 2)]),
+        ])
+        assert store.get("data", "b")["V"] == 2
 
 
 class TestFaultInjection:
@@ -223,7 +263,12 @@ class TestServiceCapacity:
             KVStore(capacity=0)
 
 
-class TestStorage:
+class TestConditionFailures:
+    def test_condition_failed_propagates(self, store):
+        store.put("data", {"Key": "a", "N": 1})
+        with pytest.raises(ConditionFailed):
+            store.update("data", "a", [Set("N", 2)], condition=Eq("N", 9))
+
     def test_storage_bytes_rollup(self, store):
         store.create_table("other", hash_key="K")
         store.put("data", {"Key": "a", "Blob": "x" * 100})

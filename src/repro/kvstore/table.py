@@ -183,7 +183,7 @@ class Table:
         for index in self._indexes.values():
             value = item.get(index.attribute, _ABSENT)
             if value is not _ABSENT:
-                index.remove(key, _hashable_index_value(value))
+                index.remove(key, value)
 
     def _index_insert(self, key: tuple, item: Optional[dict]) -> None:
         if item is None:
@@ -191,7 +191,7 @@ class Table:
         for index in self._indexes.values():
             value = item.get(index.attribute, _ABSENT)
             if value is not _ABSENT:
-                index.insert(key, _hashable_index_value(value))
+                index.insert(key, value)
 
     # -- raw storage helpers --------------------------------------------------
     # With a range key, a partition of one row is the row itself (its

@@ -532,6 +532,12 @@ def _update(t: str):
         st.just(t), st.sampled_from(KEYS[t]), UPDATES, MAYBE, st.booleans()))
 
 
+def _batch_write(t: str):
+    return st.tuples(st.just("batch_write"), st.tuples(
+        st.just(t), st.lists(_item(t), max_size=3),
+        st.lists(st.sampled_from(KEYS[t]), max_size=2)))
+
+
 def _calls(t: str):
     key, item, table = st.sampled_from(KEYS[t]), _item(t), st.just(t)
     return st.one_of(
@@ -549,8 +555,7 @@ def _calls(t: str):
             READ_AS)),
         st.tuples(st.just("batch_get"), st.tuples(
             table, st.lists(key, max_size=4), READ_AS)),
-        st.tuples(st.just("batch_write"), st.tuples(
-            table, st.lists(item, max_size=3), st.lists(key, max_size=2))))
+        _batch_write(t))
 
 
 #: A condition on one transaction op in four, so that most transactions
@@ -569,10 +574,13 @@ TRANSACT_CALLS = st.tuples(st.just("transact_write"), st.tuples(
 #: (a ``one_of`` weighs its flattened branches alike, so an update or a
 #: transaction one time in twenty).
 CALLS = st.one_of(_calls("data"), _calls("ranged"), TRANSACT_CALLS)
-#: What the property draws next: any call, an update or a transaction,
-#: one time in three each — the two carry most of the vocabulary.
-STEPS = st.sampled_from([CALLS, _update("data") | _update("ranged"),
-                         TRANSACT_CALLS]).flatmap(lambda calls: calls)
+#: What the property draws next: any call, an update, a transaction or
+#: a batch write, one time in four each — the updates carry most of the
+#: vocabulary, and a batch or a transaction is what may half-apply.
+STEPS = st.sampled_from([
+    CALLS, _update("data") | _update("ranged"), TRANSACT_CALLS,
+    _batch_write("data") | _batch_write("ranged")]).flatmap(
+        lambda calls: calls)
 #: One unconditional put per key of both tables, of a row whose ``A`` is
 #: a scalar, a list or a map and whose ``Ix`` is a scalar: what a nested
 #: path meets on the way.

@@ -2,7 +2,8 @@
 
 Each row is one rule of ``store_spec`` for a condition or an update: the
 spec must give its answer, and the store (a condition on a stored row,
-a table's draft of an update) the spec's. Projections' examples sit with
+a table's draft of an update) the spec's — a refusal by the spec's
+error type, and with the store's own words in its message. Projections' examples sit with
 the projected walk (``test_row_lifecycle.py``). Also: what a form
 refuses to be built from, which the spec cannot state."""
 
@@ -37,7 +38,14 @@ BELDI_WRITE = And(AttrNotExists(path("RecentWrites", LOG)),
 AB = {"a": 1, "b": 2}
 SIZED = {"l": [1, 2], "st": {"x", "y"}, "b": b"ab"}
 
-#: ``(condition, row — None: no row —, whether it holds)``.
+
+def refused(fragment: str) -> tuple:
+    """The store raises ``ValidationError`` with ``fragment`` in its
+    message; the spec must raise the same type (its words are its own)."""
+    return ValidationError, fragment
+
+
+#: ``(condition, row — None: no row —, whether it holds or its refusal)``.
 CONDITIONS = [
     (Eq("a", 5), {"a": 5}, True),
     (Eq("a", 5), {"a": 6}, False),
@@ -53,7 +61,7 @@ CONDITIONS = [
     (Gt("n", 9), {}, False),
     (Gt("n", 0), None, False),
     (Gt("s", "a"), {"s": "b"}, True),
-    (Gt("s", 5), {"s": "a"}, ValidationError),
+    (Gt("s", 5), {"s": "a"}, refused("cannot compare")),
     (AttrExists("a"), None, False),
     (AttrNotExists("a"), None, True),
     (AttrExists(path("m", "k")), {"m": {"k": None}}, True),
@@ -90,19 +98,19 @@ def counter(amount) -> Set:
 
 def sum_of(current, amount) -> tuple:
     return ([Set("V", Plus(IfNotExists(path("V"), Value(0)), Value(amount)))],
-            {"V": current}, ValidationError)
+            {"V": current}, refused("cannot add"))
 
 
-#: ``(updates, row, the row they make — or the error they raise)``.
+#: ``(updates, row, the row they make — or their refusal)``.
 UPDATES = [
     ([Set("a", 2), Set("b", "x")], {"a": 1}, {"a": 2, "b": "x"}),
     ([Set(path("m", "k"), True)], {}, {"m": {"k": True}}),
     ([Set(path("a", "b", "c"), 7)], {}, {"a": {"b": {"c": 7}}}),
     # A path through a scalar or a list raises.
-    ([Set(path("W", "x"), 1)], {"W": 5}, ValidationError),
-    ([Set(path("W", "x", "y"), 1)], {"W": {"x": "s"}}, ValidationError),
-    ([Set(path("l", "x"), 1)], {"l": [10, 20]}, ValidationError),
-    ([Set(path("l", "x", "y"), 1)], {"l": [10, 20]}, ValidationError),
+    ([Set(path("W", "x"), 1)], {"W": 5}, refused("non-map")),
+    ([Set(path("W", "x", "y"), 1)], {"W": {"x": "s"}}, refused("non-map")),
+    ([Set(path("l", "x"), 1)], {"l": [10, 20]}, refused("non-map")),
+    ([Set(path("l", "x", "y"), 1)], {"l": [10, 20]}, refused("non-map")),
     ([counter(1)], {"n": 10}, {"n": 11}),
     ([counter(1), counter(1)], {}, {"n": 2}),
     ([counter(5), counter(-2)], {}, {"n": 3}),
@@ -111,7 +119,7 @@ UPDATES = [
     ([Set("l", Plus(IfNotExists(path("l"), Value([])), Value([2, 3])))],
      {"l": [1]}, {"l": [1, 2, 3]}),
     sum_of("str", 1), sum_of([1], 1), sum_of({"a"}, {"b"}),
-    ([Set("b", path("a"))], {"a": 5}, ValidationError),
+    ([Set("b", path("a"))], {"a": 5}, refused("unsupported")),
     ([Remove("a")], AB, {"b": 2}),
     ([Remove(path("m", "x"))], {"m": {"x": 1, "y": 2}}, {"m": {"y": 2}}),
     ([Remove(path("zzz", "x"))], {"a": 1}, {"a": 1}),
@@ -130,29 +138,35 @@ def answer(compute):
         return ValidationError
 
 
-def expect(value):
-    return value if value is ValidationError else store_spec.exact(value)
+def check(spec, store, expected) -> None:
+    """The spec answers ``expected`` — a refusal by its error's type —
+    and the store the spec's answer, a refusal with its message."""
+    if isinstance(expected, tuple):
+        error, fragment = expected
+        assert answer(spec) is error
+        with pytest.raises(error, match=fragment):
+            store()
+    else:
+        assert answer(spec) == store_spec.exact(expected)
+        assert answer(store) == store_spec.exact(expected)
 
 
 @pytest.mark.parametrize("condition, row, expected", CONDITIONS)
 def test_a_condition_holds_where_the_spec_says(condition, row, expected):
     row = None if row is None else {**KEY, **row}
-    spec = answer(lambda: store_spec.holds(condition, row))
-    assert spec == expect(expected)
     stored = None if row is None else freeze_item(row)
-    assert answer(lambda: condition.evaluate(stored)) == spec
+    check(lambda: store_spec.holds(condition, row),
+          lambda: condition.evaluate(stored), expected)
 
 
 @pytest.mark.parametrize("updates, row, expected", UPDATES)
 def test_an_update_makes_the_row_the_spec_says(updates, row, expected):
-    spec = answer(lambda: store_spec.update_row({**KEY, **row}, KEY,
-                                                updates))
-    assert spec == expect(expected if expected is ValidationError
-                          else {**KEY, **expected})
     table = Table("t", KeySchema("Key"))
     table.put({**KEY, **row})
-    assert answer(lambda: table.draft(("k",), table._get_raw(("k",)),
-                                      updates).as_dict()) == spec
+    check(lambda: store_spec.update_row({**KEY, **row}, KEY, updates),
+          lambda: table.draft(("k",), table._get_raw(("k",)),
+                              updates).as_dict(),
+          expected if isinstance(expected, tuple) else {**KEY, **expected})
 
 
 def test_a_set_value_is_copied():

@@ -2,6 +2,9 @@
 
 The contracts, one test group each:
 
+- a rejected item rejects its whole request — a ``transact_write`` or a
+  ``batch_write`` builds and checks every row before the first one lands,
+  on one node, across shards and on a replica group alike;
 - nothing a caller holds can change a stored row — not what an
   operation returns, not what it was handed — although a replica
   group's followers share the leader's row objects and a read hands out
@@ -61,6 +64,7 @@ from repro.kvstore import (
     ReplicaGroup,
     ReplicatedStore,
     Set,
+    ShardedStore,
     Table,
     TransactPut,
     TransactUpdate,
@@ -90,7 +94,7 @@ FAST = dict(deadline=None, max_examples=200,
             suppress_health_check=[HealthCheck.too_slow])
 
 
-def make_group():
+def make_group(max_item_bytes=None):
     """One leader + two lagging followers on a manual clock."""
     clock = NullTimeSource()
     nodes = [KVStore(time_source=clock, rand=RandomSource(7 + i, "n"),
@@ -99,7 +103,8 @@ def make_group():
     group = ReplicaGroup(
         nodes[0], nodes[1:], rand=RandomSource(7, "repl"),
         latency=LatencyModel(RandomSource(7, "repl-lat")))
-    group.create_table("data", hash_key="Key")
+    group.create_table("data", hash_key="Key",
+                       max_item_bytes=max_item_bytes)
     for node in group.nodes:
         node.table("data").add_index("by_ix", "Ix")
     return group, clock
@@ -145,6 +150,103 @@ def nested_row(key: str) -> dict:
             "Map": {"inner": {"deep": [4]}}, "Set": {5, 6}}
 
 
+# -- a rejected item rejects the whole request ---------------------------------
+OVERSIZED = {"Key": "b", "Blob": "x" * (2 * CAP)}
+UNSUPPORTED = {"Key": "b", "Blob": object()}
+
+
+class TestRejectedRequestsWriteNothing:
+    def test_transact_write_with_an_oversized_second_put(self):
+        store = KVStore()
+        store.create_table("data", hash_key="Key", max_item_bytes=CAP)
+        with pytest.raises(ItemTooLarge):
+            store.transact_write([
+                TransactPut("data", {"Key": "a", "V": 1}),
+                TransactPut("data", OVERSIZED)])
+        assert store.get("data", "a") is None
+        assert "transact_write" not in store.metering.ops
+
+    def test_a_cross_shard_transaction_with_an_oversized_put(self):
+        store = ShardedStore([KVStore(shard_id=i) for i in range(2)])
+        store.create_table("data", hash_key="Key", max_item_bytes=CAP)
+        # Shards apply in index order: the oversized put is on the last.
+        keys = [f"k{i}" for i in range(16)]
+        first = next(k for k in keys if store.shard_for("data", k) == 0)
+        other = next(k for k in keys if store.shard_for("data", k) == 1)
+        with pytest.raises(ItemTooLarge):
+            store.transact_write([
+                TransactPut("data", {"Key": first, "V": 1}),
+                TransactPut("data", {**OVERSIZED, "Key": other})])
+        assert store.item_count("data") == 0
+
+    @pytest.mark.parametrize("bad, error", [(OVERSIZED, ItemTooLarge),
+                                            (UNSUPPORTED, ValidationError)],
+                             ids=["oversized", "unsupported"])
+    def test_batch_write_with_a_rejected_item_after_the_first(self, bad,
+                                                              error):
+        store = KVStore()
+        store.create_table("data", hash_key="Key", max_item_bytes=CAP)
+        store.put("data", {"Key": "gone", "V": 0})
+        with pytest.raises(error):
+            store.batch_write("data", puts=[{"Key": "a", "V": 1}, bad],
+                              deletes=["gone"])
+        assert store.get("data", "a") is None
+        assert store.get("data", "gone") == {"Key": "gone", "V": 0}
+        assert "batch_write" not in store.metering.ops
+
+    @pytest.mark.parametrize("bad, error", [(OVERSIZED, ItemTooLarge),
+                                            (UNSUPPORTED, ValidationError)],
+                             ids=["oversized", "unsupported"])
+    @pytest.mark.parametrize("stack", ["sharded", "replicated"])
+    def test_a_sharded_batch_write_with_a_rejected_item_on_a_later_shard(
+            self, stack, bad, error):
+        """Shards apply in index order, and each checks only its own
+        puts: shard 0's row used to land before shard 1 refused."""
+        clock = NullTimeSource()
+        if stack == "sharded":
+            store = ShardedStore([KVStore(time_source=clock, shard_id=i)
+                                  for i in range(4)])
+        else:
+            store = ReplicatedStore([
+                ReplicaGroup(KVStore(time_source=clock, shard_id=i),
+                             [KVStore(time_source=clock, shard_id=i)],
+                             rand=RandomSource(i, "repl"),
+                             latency=LatencyModel(RandomSource(i, "ship")))
+                for i in range(4)])
+        store.create_table("data", hash_key="Key", max_item_bytes=CAP)
+        keys = [f"k{i}" for i in range(32)]
+        first = next(k for k in keys if store.shard_for("data", k) == 0)
+        other = next(k for k in keys if store.shard_for("data", k) == 1)
+        with pytest.raises(error):
+            store.batch_write("data", puts=[{"Key": first, "V": 1},
+                                            {**bad, "Key": other}])
+        clock.sleep(SHIP_LAG + 1)
+        if stack == "replicated":
+            store.replication_lag()  # drains every follower
+            assert store.replication_stats.shipped == 0
+        for leaf in leaves(store):
+            assert leaf.item_count("data") == 0
+            assert "batch_write" not in leaf.metering.ops
+
+    @pytest.mark.parametrize("request_kind",
+                             ["transact_write", "batch_write"])
+    def test_a_replica_group_stays_alike(self, request_kind):
+        """The leader used to keep the partial row while no record
+        shipped: a follower that never receives it diverges for good."""
+        group, clock = make_group(max_item_bytes=CAP)
+        with pytest.raises(ItemTooLarge):
+            if request_kind == "transact_write":
+                group.transact_write([
+                    TransactUpdate("data", ("a",), [Set("V", 1)]),
+                    TransactPut("data", OVERSIZED)])
+            else:
+                group.batch_write("data", puts=[{"Key": "a", "V": 1},
+                                                OVERSIZED])
+        settle(group, clock)
+        assert group.stats.shipped == 0
+        assert [stored(node) for node in group.nodes] == [{}, {}, {}]
+
+
 # -- nothing a caller holds aliases a stored row ----------------------------------
 RETURNED = {
     "update": lambda g: g.update("data", ("a",), [Set("V", [1, {"x": 2}])],
@@ -187,6 +289,17 @@ class TestNothingAliasesAStoredRow:
         settle(group, clock)
         follower_states = [stored(node) for node in group.followers]
         assert follower_states == [stored(group.leader)] * 2
+
+    def test_writes_hand_back_only_what_was_asked_for(self):
+        """``update`` returns the new row only on request, ``delete``
+        only whether it removed one: no copy of a row goes out unread."""
+        group, clock = make_group()
+        group.put("data", nested_row("a"))
+        assert group.update("data", ("a",), [Set("V", 1)]) is None
+        assert group.delete("data", "a") is True
+        assert group.delete("data", "a") is False
+        settle(group, clock)
+        assert [stored(node) for node in group.nodes] == [{}, {}, {}]
 
     @pytest.mark.parametrize("operation", sorted(HANDED))
     def test_mutating_an_item_after_writing_it(self, operation):
@@ -589,7 +702,9 @@ class TestFrozenValues:
             expected = store_spec.update_row(snapshot, {"Key": "a"},
                                              updates)
         except ValidationError:
-            with pytest.raises(ValidationError):
+            # The only refusal these actions can meet: a path through a
+            # scalar, a list or a set on the way.
+            with pytest.raises(ValidationError, match="non-map"):
                 table.draft(("a",), existing, updates)
         else:
             new = table.draft(("a",), existing, updates)

@@ -350,6 +350,26 @@ class TestLeafTables:
         hits = store.query_index("data", "by_flag", "on")
         assert sorted(item["Key"] for item in hits) == ["a", "b"]
 
+    def test_an_index_fan_out_answers_in_one_nodes_order(self, store):
+        """``1`` and ``True`` are one index value; one node orders the
+        rows that hold either by primary key alone, and so must the
+        fan-out."""
+        one = KVStore()
+        one.create_table("data", hash_key="Key")
+        for leaf in [one, *leaves(store)]:
+            leaf.table("data").add_index("by_ix", "Ix")
+        for i in range(8):
+            row = {"Key": f"k{i}", "Ix": True if i % 2 else 1}
+            store.put("data", row)
+            one.put("data", row)
+        assert len({store.shard_for("data", f"k{i}") for i in range(8)}) > 1
+        expected = [(f"k{i}", bool if i % 2 else int) for i in range(8)]
+        for value in (1, True):
+            for target in (one, store):
+                assert [(row["Key"], type(row["Ix"])) for row in
+                        target.query_index("data", "by_ix", value)
+                        ] == expected
+
     def test_the_owners_leaf_table_holds_the_row(self, store):
         owner = store.node_for("data", "x").table("data")
         owner.put({"Key": "x", "V": 1})

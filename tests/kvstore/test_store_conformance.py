@@ -431,6 +431,14 @@ def agrees(spec, name: str, args: tuple, got, expected, spread: bool):
                                == answer(name, args, expected[1], spread))
 
 
+def booked_and_shipped(store) -> tuple:
+    """What a call may book: the metering and the records shipped to
+    followers (``ShardedStore`` and ``KVStore`` ship none)."""
+    stats = (getattr(store, "replication_stats", None)
+             or getattr(store, "stats", None))
+    return store.metering.snapshot(), getattr(stats, "shipped", 0)
+
+
 def held(spec) -> dict:
     """``table -> {key: (row, size)}`` a leaf may hold, as ``exact``
     compares rows."""
@@ -480,13 +488,13 @@ class StoreAgainstSpec(RuleBasedStateMachine):
         rejected = expected[0] == "raised" and name in WRITES
         want = rejected and held(self.spec)
         for label, store in self.stores.items():
-            booked = rejected and store.metering.snapshot()
+            booked = rejected and booked_and_shipped(store)
             got = outcome(store, name, args)
             assert agrees(self.spec, name, args, got, expected,
                           label.rsplit(" ", 1)[0] in SPREAD), (
                 label, got, expected)
             if rejected:
-                assert store.metering.snapshot() == booked, label
+                assert booked_and_shipped(store) == booked, label
                 assert_holds(store, want)
 
     def teardown(self) -> None:

@@ -9,8 +9,11 @@ from repro.kvstore import (
     Gt,
     ItemTooLarge,
     KeySchema,
+    KVStore,
     Set,
     Table,
+    TransactPut,
+    TransactUpdate,
 )
 from repro.kvstore.errors import ValidationError
 from repro.kvstore.expressions import Projection, path
@@ -249,6 +252,36 @@ class TestSecondaryIndex:
     def test_unknown_index_rejected(self, simple):
         with pytest.raises(ValidationError):
             simple.query_index("nope", 1)
+
+    @pytest.mark.parametrize("value", [{"m": 1}, [1], {1}],
+                             ids=["map", "list", "set"])
+    @pytest.mark.parametrize("write", [
+        "put", "update", "batch_write", "transact_write"])
+    def test_a_container_in_an_indexed_attribute_writes_nothing(self, write,
+                                                               value):
+        """The row is refused before it lands: the old row and its index
+        entry stay, and no other row of the request is written."""
+        store = KVStore()
+        store.create_table("data", hash_key="Key")
+        store.table("data").add_index("status", "Status")
+        store.put("data", {"Key": "a", "Status": "open"})
+        other = {"Key": "b", "Status": "open"}
+        writes = {
+            "put": lambda: store.put("data", {"Key": "a", "Status": value}),
+            "update": lambda: store.update("data", "a",
+                                           [Set("Status", value)]),
+            "batch_write": lambda: store.batch_write("data", puts=[
+                other, {"Key": "a", "Status": value}]),
+            "transact_write": lambda: store.transact_write([
+                TransactPut("data", other),
+                TransactUpdate("data", "a", [Set("Status", value)])]),
+        }
+        with pytest.raises(ValidationError, match="must be scalar"):
+            writes[write]()
+        assert store.get("data", "a") == {"Key": "a", "Status": "open"}
+        assert store.get("data", "b") is None
+        assert store.table("data")._indexes["status"].entries == {
+            "open": {("a",)}}
 
 
 class TestStats:

@@ -22,7 +22,8 @@ mean. These tests pin the seam:
     return values, exception types and contents: every leaf's rows,
     followers drained, each at the size it records. A rejected write (a
     failed condition, an oversized or unsupported item anywhere in a
-    batch or a transaction) leaves every leaf as it was, books nothing.
+    batch or a transaction) leaves every leaf as it was, books and ships
+    nothing.
 """
 
 import dataclasses

@@ -141,7 +141,7 @@ class ChainMigrator:
 
     # -- bookkeeping helpers ---------------------------------------------------
     def _token(self, table: str, key: Any) -> str:
-        return self.store._token_for(table, key)
+        return self.store._route(table, key)[1]
 
     def _meter_write(self, op: str, nbytes: int) -> None:
         self.stats.metering.record_write(op, MIGRATIONS_TABLE, nbytes)

@@ -81,10 +81,10 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from repro.kvstore.metering import Metering, normalize_consistency
-from repro.kvstore.sharding import HashRing, ShardedStore
+from repro.kvstore.sharding import ShardedStore
 from repro.kvstore.store import KVStore
 from repro.kvstore.surface import (
     BATCH,
@@ -109,8 +109,7 @@ from repro.sim.randsrc import RandomSource
 DEFAULT_MAX_LAG_MS = 250.0
 
 
-@dataclass(frozen=True)
-class _LogRecord:
+class _LogRecord(NamedTuple):
     """One shipped state change: the *final* row (or its tombstone)."""
 
     seq: int
@@ -171,10 +170,10 @@ class ReplicaGroup:
         #: per-record shipping and sequential fan-outs, bit-for-bit.
         self.async_io = async_io
         self.nodes: list[KVStore] = [leader, *followers]
-        self.leader_index = 0
         # Roles are endpoint-static: failover swaps table *contents*
         # into the leader endpoint, never the nodes themselves, so the
         # labels (which scope role-targeted fault windows) never move.
+        self.leader = leader
         leader.replica_role = "leader"
         for node in followers:
             node.replica_role = "follower"
@@ -207,13 +206,8 @@ class ReplicaGroup:
 
     # -- roles -----------------------------------------------------------------
     @property
-    def leader(self) -> KVStore:
-        return self.nodes[self.leader_index]
-
-    @property
     def followers(self) -> list[KVStore]:
-        return [node for index, node in enumerate(self.nodes)
-                if index != self.leader_index]
+        return self.nodes[1:]
 
     @property
     def n_replicas(self) -> int:
@@ -286,8 +280,7 @@ class ReplicaGroup:
         """Stable per-item follower affinity (process-independent)."""
         token = route_token(table, partition_value(
             self.leader.table(table).schema, key))
-        indexes = [index for index in self._followers
-                   if index != self.leader_index]
+        indexes = list(self._followers)
         digest = int.from_bytes(
             hashlib.md5(token.encode("utf-8")).digest()[:8], "big")
         return indexes[digest % len(indexes)]
@@ -303,23 +296,20 @@ class ReplicaGroup:
         in-order visibility (and therefore prefix consistency) is
         preserved by ``last_visible``.
         """
+        leader_tables = self.leader._tables
         records = []
         for table, key in rows:
-            leader_table = self.leader._tables[table]
+            leader_table = leader_tables[table]
             normalized = leader_table.schema.normalize(key)
+            self._next_seq += 1
             # The stored row object itself: it is never mutated in place,
             # so the record and every follower can share it.
-            row = leader_table._get_raw(normalized)
-            self._next_seq += 1
             records.append(_LogRecord(self._next_seq, table, normalized,
-                                      row))
-            self.stats.shipped += 1
+                                      leader_table._get_raw(normalized)))
         if not records:
             return
+        self.stats.shipped += len(records)
         now = self.time.now()
-        follower_items = [(index, follower)
-                          for index, follower in self._followers.items()
-                          if index != self.leader_index]
         # A scheduled leader↔follower partition stalls the shipping
         # channel: records committed during the window leave the leader
         # only once it heals, so follower lag grows unboundedly (past
@@ -331,20 +321,16 @@ class ReplicaGroup:
             heal = self.timeline.partition_heal_time(now, self.shard_id)
             if heal is not None:
                 ship_base = max(ship_base, heal)
-
-        def ship_delay() -> float:
-            if self.lag_scale == 0.0:
-                return 0.0
-            return min(self.latency.sample("repl.ship") * self.lag_scale,
-                       self.max_lag)
-
+        # Looked up per call: a probe may rebind it between runs.
+        sample = self.latency.sample
         # Record-major, follower-minor: the per-record draw order. A boat
         # draws on its first record only, once per follower.
         delays: dict[int, float] = {}
         for record in records:
-            for index, follower in follower_items:
+            for index, follower in self._followers.items():
                 if index not in delays or not self.async_io:
-                    delays[index] = ship_delay()
+                    delays[index] = (0.0 if self.lag_scale == 0.0 else min(
+                        sample("repl.ship") * self.lag_scale, self.max_lag))
                 visible = max(follower.last_visible,
                               ship_base + delays[index])
                 follower.last_visible = visible
@@ -353,7 +339,7 @@ class ReplicaGroup:
         # a write-only stretch cannot grow the pending queues unboundedly
         # (a record visible at ``t`` applies no later than the next
         # append — or the next read/failover, whichever drains first).
-        for index, _follower in follower_items:
+        for index in self._followers:
             self._drain(index, now)
 
     def _apply_record(self, node: KVStore, record: _LogRecord) -> None:
@@ -381,12 +367,10 @@ class ReplicaGroup:
         answer is how far behind a follower read would actually be.
         """
         now = self.time.now()
-        for index in list(self._followers):
-            if index != self.leader_index:
-                self._drain(index, now)
+        for index in self._followers:
+            self._drain(index, now)
         return {index: self._next_seq - follower.applied_seq
-                for index, follower in self._followers.items()
-                if index != self.leader_index}
+                for index, follower in self._followers.items()}
 
     # -- failover --------------------------------------------------------------
     def _maybe_failover(self, op: str) -> None:
@@ -433,7 +417,7 @@ class ReplicaGroup:
                                  self._followers[index].applied_seq,
                                  -index))
         promoted = self._followers[promoted_index]
-        leader = self.nodes[self.leader_index]
+        leader = self.leader
         # Swap storage *contents*: the winner's state becomes the leader
         # endpoint's; the crashed leader's (fully caught-up, durable)
         # state re-joins as the winner's follower storage. Contents, not
@@ -505,15 +489,15 @@ class ReplicaGroup:
         if op.kind == BATCH:
             return fan_out_batch(
                 op, args,
-                owner_of=lambda key: self._follower_index_for(table, key),
+                owners=[self._follower_index_for(table, key)
+                        for key in args[1]],
                 call=lambda index, sub_args: op.call(
                     self._serving_follower(index), sub_args),
                 store=self, async_io=self.async_io)
         if op.kind == KEYED_READ:
             index = self._follower_index_for(table, args[1])
         else:
-            indexes = sorted(index for index in self._followers
-                             if index != self.leader_index)
+            indexes = sorted(self._followers)
             index = indexes[self.rand.randint(0, len(indexes) - 1)]
         return op.call(self._serving_follower(index), args)
 
@@ -584,11 +568,6 @@ class ReplicatedStore(ShardedStore):
     bounded-lag eventual reads, and leader failover without a line of
     the layers above changing.
     """
-
-    def __init__(self, groups: Sequence[ReplicaGroup],
-                 ring: Optional[HashRing] = None,
-                 async_io: bool = False) -> None:
-        super().__init__(groups, ring=ring, async_io=async_io)
 
     @property
     def groups(self) -> list[ReplicaGroup]:

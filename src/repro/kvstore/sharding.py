@@ -156,10 +156,7 @@ class HashRing:
         #: token -> shard overrides (committed migrations).
         self._forwards: dict[str, int] = {}
         #: token -> hash owner memo; placement is a pure function of
-        #: the token, so it never invalidates. It also keeps the
-        #: elasticity hooks cheap: heat tracking and the op's own
-        #: routing resolve the same token back-to-back, and the second
-        #: lookup must not pay the digests again.
+        #: the token, so it never invalidates.
         self._memo: dict[str, int] = {}
         #: One MD5 state per shard, already fed the shard's label; a
         #: score is a copy of it fed the token.
@@ -208,10 +205,12 @@ class HashRing:
 
     def shard_of(self, token: str) -> int:
         """The shard owning ``token`` (forwards first, then the hash)."""
-        forwarded = self._forwards.get(token)
-        if forwarded is not None:
-            return forwarded
-        return self.hash_shard_of(token)
+        owner = self._forwards.get(token)
+        if owner is None:
+            owner = self._memo.get(token)
+            if owner is None:
+                owner = self.hash_shard_of(token)
+        return owner
 
     # -- rebalancing -----------------------------------------------------------
     def plan_rebalance(self, loads, tolerance: float = 0.2,
@@ -355,20 +354,18 @@ class ShardedStore:
         return schema
 
     def _route(self, table: str, key: Any) -> tuple:
-        """``(table, partition value, route token)`` of one key — see
+        """``(partition value, route token, shard)`` of one key — see
         :func:`partition_value` and :func:`route_token`."""
         value = partition_value(self._schema(table), key)
-        return table, value, route_token(table, value)
-
-    def _token_for(self, table: str, key: Any) -> str:
-        return self._route(table, key)[2]
+        token = route_token(table, value)
+        return value, token, self.ring.shard_of(token)
 
     def shard_for(self, table: str, key: Any) -> int:
         """The shard index owning ``(table, key)``; key may be a scalar
         partition value (even for a ranged table), a (hash, range)
         tuple, or an item dict — only the partition component routes, so
         one item's whole chain co-locates."""
-        return self.ring.shard_of(self._token_for(table, key))
+        return self._route(table, key)[2]
 
     def node_for(self, table: str, key: Any) -> KVStore:
         return self.nodes[self.shard_for(table, key)]
@@ -415,48 +412,49 @@ class ShardedStore:
         if kernel is not None:
             kernel.interleave_point(tag)
 
-    def _enter_routes(self, routes) -> Optional[tuple]:
-        """Register inline in-flight operations on the routes' tokens.
+    def _enter_rows(self, pairs: list) -> tuple[list, Optional[tuple]]:
+        """Route every ``(table, key)`` of a batch or transaction once;
+        return the rows' shards and the guard for ``_release``.
 
-        ``routes`` is ``_route`` triples — one call covers every
-        token an operation touches (all tables of a transact group), so
-        there is never a wait while already holding a registration.
-        Waits out any live migration latch on the involved tokens first
-        (re-checking all of them after every wait, since a new latch can
-        appear while sleeping), then registers every token with no
-        intervening yield. Returns the guard for ``_release``, or
-        ``None`` when elasticity is off or the caller sits inside an
-        overlap scope (whose body is atomic in virtual time — it cannot
-        straddle a migration's copy instant).
+        With elasticity on, count each row's heat, wait out any live
+        migration latch on the tokens (re-checking all of them after
+        every wait, then re-routing: the wait may have outlived a move)
+        and register every token with no intervening yield, so there is
+        never a wait while holding a registration. No guard when
+        elasticity is off or inside an overlap scope (whose body is
+        atomic in virtual time: it cannot straddle a copy instant).
         """
+        routes = [self._route(table, key) for table, key in pairs]
+        shards = [shard for _value, _token, shard in routes]
         if self.heat is None:
-            return None
-        tokens: list[str] = []
-        for table, value, token in routes:
-            self._note_heat(table, value, self.ring.shard_of(token))
-            if token not in tokens:
-                tokens.append(token)
-        return self._register(self._inflight, tokens, self._latched)
+            return shards, None
+        for (table, _key), (value, _token, shard) in zip(pairs, routes):
+            self._note_heat(table, value, shard)
+        tokens = list(dict.fromkeys(token for _v, token, _s in routes))
+        if in_scope(self.nodes[0].time):
+            return shards, None
+        latched = self._latched
+        if any(token in latched for token in tokens):
+            self._await(lambda: not any(token in latched
+                                        for token in tokens))
+            ring = self.ring
+            shards = [ring.shard_of(token) for _value, token, _s in routes]
+        return shards, self._register(self._inflight, tokens)
 
     def _enter_table(self, table: str) -> Optional[tuple]:
-        """The whole-table twin of ``_enter_routes`` for scans/index
+        """The whole-table twin of ``_enter_rows`` for scans/index
         fan-outs: waits out migrations touching ``table``, then counts
         the fan-out in flight so a migration drains it before copying."""
-        if self.heat is None:
+        if self.heat is None or in_scope(self.nodes[0].time):
             return None
-        return self._register(self._table_inflight, [table],
-                              self._migrating_tables)
+        migrating = self._migrating_tables
+        if migrating:
+            self._await(lambda: table not in migrating)
+        return self._register(self._table_inflight, (table,))
 
-    def _register(self, inflight: dict, names: list,
-                  latches) -> Optional[tuple]:
-        """Wait until no name is in ``latches``, then count every name
-        in ``inflight``. Operations issued inside an overlap scope are
-        exempt (see the ``_inflight`` attribute)."""
-        if in_scope(self.nodes[0].time):
-            return None
-        if latches:
-            self._await(lambda: not any(name in latches
-                                        for name in names))
+    @staticmethod
+    def _register(inflight: dict, names) -> tuple:
+        """Count every name in ``inflight``; the guard for ``_release``."""
         for name in names:
             inflight[name] = inflight.get(name, 0) + 1
         return inflight, names
@@ -467,11 +465,9 @@ class ShardedStore:
             return
         inflight, names = guard
         for name in names:
-            remaining = inflight.get(name, 0) - 1
+            remaining = inflight.pop(name, 0) - 1
             if remaining > 0:
                 inflight[name] = remaining
-            else:
-                inflight.pop(name, None)
 
     # -- table management ------------------------------------------------------
     def create_table(self, name: str, hash_key: str,
@@ -500,15 +496,31 @@ class ShardedStore:
     # -- keyed ops (route to the owner) -----------------------------------------
     def _keyed(self, op: StoreOp, args: tuple):
         """``get`` / ``put`` / ``update`` / ``delete`` / ``query``: one
-        partition lives on exactly one shard — wait out a live migration
-        of the key, then route to its owner. No fan-out."""
-        route = self._route(args[0], args[1])
-        guard = self._enter_routes((route,))
+        partition lives on exactly one shard — route the key once and
+        call its owner. No fan-out. With elasticity on, also count the
+        key's heat, wait out a live migration of it (then re-route) and
+        count the op in flight for the whole call: a migration's drain
+        reads that count, and it must see an op already parked in a
+        node's service time. One token, so plain dict arithmetic.
+        """
+        table = args[0]
+        value, token, shard = self._route(table, args[1])
+        if self.heat is not None:
+            self._note_heat(table, value, shard)
+        if self.heat is None or in_scope(self.nodes[0].time):
+            return op.call(self.nodes[shard], args)
+        latched = self._latched
+        if token in latched:
+            self._await(lambda: token not in latched)
+            shard = self.ring.shard_of(token)
+        inflight = self._inflight
+        inflight[token] = inflight.get(token, 0) + 1
         try:
-            # Resolved only now: the wait may have outlived a migration.
-            return op.call(self.nodes[self.ring.shard_of(route[2])], args)
+            return op.call(self.nodes[shard], args)
         finally:
-            self._release(guard)
+            remaining = inflight.pop(token) - 1
+            if remaining:
+                inflight[token] = remaining
 
     _keyed_read = _keyed_write = _keyed
 
@@ -526,20 +538,17 @@ class ShardedStore:
         table's cap) — is rejected here, before any shard is touched.
         """
         table = args[0]
-        schema = self._schema(table)
-        rows = batch_rows(op, args)[0]
         if op is not BATCH_GET:
-            validate_batch_write(schema, rows)
+            validate_batch_write(self._schema(table), batch_rows(op, args)[0])
             # Each owner checks only its own puts, and an earlier owner
             # has already applied by then; the leaves share one cap.
             leaf_table = next(leaves(self)).table(table)
             for item in args[1]:
                 leaf_table.prepare_put(item)
-        guard = self._enter_routes(self._route(table, row) for row in rows)
+        shards, guard = self._enter_rows(op.keys(args))
         try:
             return fan_out_batch(
-                op, args,
-                owner_of=lambda row: self.shard_for(table, row),
+                op, args, owners=shards,
                 call=lambda shard, sub_args: op.call(self.nodes[shard],
                                                      sub_args),
                 store=self, async_io=self.async_io)
@@ -629,13 +638,11 @@ class ShardedStore:
         between rounds; its observable cost is the doubled per-shard
         latency, its observable guarantee atomicity.
         """
-        pairs = op.keys(args)
-        guard = self._enter_routes(self._route(*pair) for pair in pairs)
+        shards, guard = self._enter_rows(op.keys(args))
         try:
             groups: dict[int, list] = {}
-            for (table, key), write in zip(pairs, args[0]):
-                groups.setdefault(self.shard_for(table, key),
-                                  []).append(write)
+            for shard, write in zip(shards, args[0]):
+                groups.setdefault(shard, []).append(write)
             if len(groups) == 1:
                 shard, writes = next(iter(groups.items()))
                 self.nodes[shard].transact_write(writes)

@@ -411,10 +411,15 @@ def partition_value(schema: KeySchema, key: Any) -> Any:
     ``key`` may be a scalar partition value (even for a ranged table), a
     (hash, range) tuple, or an item dict — only the partition component
     routes, so one item's whole chain co-locates."""
-    if isinstance(key, dict):
-        return key[schema.hash_key]
-    if isinstance(key, tuple):
-        return key[0]
+    try:
+        if isinstance(key, dict):
+            return key[schema.hash_key]
+        if isinstance(key, tuple):
+            return key[0]
+    except (KeyError, IndexError):
+        # A malformed key: raise what one node raises for it.
+        schema.normalize(key)
+        raise
     return key
 
 
@@ -466,11 +471,12 @@ def validate_batch_write(schema: KeySchema, rows: list) -> None:
         touched.add(token)
 
 
-def fan_out_batch(op: StoreOp, args: tuple, owner_of: Callable,
+def fan_out_batch(op: StoreOp, args: tuple, owners: Sequence,
                   call: Callable, store, async_io: bool):
     """Split one batch by owner, re-merge in request order.
 
-    ``owner_of(row)`` names the owner of one row (an orderable id);
+    ``owners`` names the owner of each row of :func:`batch_rows` (an
+    orderable id), resolved by the caller once per row;
     ``call(owner, sub_args)`` performs that owner's single round trip —
     overlapped under ``async_io``, via an
     :func:`~repro.kvstore.asyncio.overlap` scope over ``store``. An
@@ -480,8 +486,8 @@ def fan_out_batch(op: StoreOp, args: tuple, owner_of: Callable,
     """
     rows, n_puts = batch_rows(op, args)
     by_owner: dict = {}
-    for position, row in enumerate(rows):
-        by_owner.setdefault(owner_of(row), []).append(position)
+    for position, owner in enumerate(owners):
+        by_owner.setdefault(owner, []).append(position)
     items: list = [None] * len(rows)
     unprocessed: list[int] = []
     served_any = dark = False

@@ -47,31 +47,37 @@ class ResilienceState:
         self.breaker_cooldown = breaker_cooldown
         self.obs = obs
         self.stats = ResilienceStats()
+        #: Endpoint -> breaker, made on the endpoint's first failure
+        #: (closed and unfailed, a breaker allows every call).
         self.breakers: Dict[object, CircuitBreaker] = {}
+        #: Endpoints whose breaker is not closed and unfailed: the only
+        #: ones a call's outcome can change.
+        self.failing: set = set()
         self._deadlines: Dict[object, float] = {}
 
     # -- breakers --------------------------------------------------------
 
-    def breaker_for(self, key) -> CircuitBreaker:
+    def note_breaker_failure(self, key, now: float) -> None:
         breaker = self.breakers.get(key)
         if breaker is None:
             breaker = self.breakers[key] = CircuitBreaker(
                 self.breaker_threshold, self.breaker_cooldown)
-        return breaker
-
-    def note_breaker_failure(self, key, breaker: CircuitBreaker,
-                             now: float) -> None:
         before = breaker.state
         breaker.record_failure(now)
+        self.failing.add(key)
         if breaker.state != before:
             self.stats.breaker_opens += 1
             if self.obs is not None:
                 self.obs.tracer.event(f"breaker:open:{key}",
                                       cat="resilience", endpoint=str(key))
 
-    def note_breaker_success(self, key, breaker: CircuitBreaker) -> None:
+    def note_breaker_success(self, key) -> None:
+        breaker = self.breakers.get(key)
+        if breaker is None:
+            return
         before = breaker.state
         breaker.record_success()
+        self.failing.discard(key)
         if before != CLOSED:
             self.stats.breaker_closes += 1
             if self.obs is not None:

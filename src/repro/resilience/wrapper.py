@@ -59,15 +59,21 @@ class ResilientStore:
     def inner(self):
         return self._inner
 
+    def _endpoint(self, args: tuple):
+        """A keyed call's breaker endpoint: its shard, or ``"store"``."""
+        return (self._inner.shard_for(args[0], args[1]) if self._sharded
+                else "store")
+
     def _call(self, op: StoreOp, args: tuple):
         """Every operation, whatever its kind: the retry loop.
 
         From the declaration come the label errors and backoff spans
-        carry (the latency op the call pays), the breaker
-        endpoint (a keyed operation's owning shard — or the one
-        ``"store"`` behind an unsharded facade; fan-outs and transactions
-        touch many endpoints and get no breaker) and whether a stale
-        follower read may stand in for a dark leader.
+        carry (the latency op the call pays), whether the call has a
+        breaker endpoint (keyed operations do; fan-outs and transactions
+        touch many endpoints) and whether a stale follower read may
+        stand in for a dark leader. A breaker closed and unfailed allows
+        every call and a success leaves it so, so the endpoint is
+        resolved only while some breaker is not (or on a failure).
 
         Batches and transactions raise Throttled/Unavailable only when
         *nothing* was served or applied (partial results surface as
@@ -82,16 +88,15 @@ class ResilientStore:
             # scope handles partial failures itself.
             return op.call(inner, args)
         stats = state.stats
-        label = op.labels(args)[0]
         deadline = state.current_deadline()
         if deadline is not None and self._time.now() > deadline:
             stats.deadline_aborts += 1
-            raise DeadlineExceeded(f"{label}: deadline already expired")
+            raise DeadlineExceeded(
+                f"{op.labels(args)[0]}: deadline already expired")
         policy = state.policy
-        breaker_key = None
-        if op.kind in (KEYED_READ, KEYED_WRITE):
-            breaker_key = (inner.shard_for(args[0], args[1])
-                           if self._sharded else "store")
+        breakers, failing = state.breakers, state.failing
+        keyed = op.kind in (KEYED_READ, KEYED_WRITE)
+        endpoint = None
         # Only plain data tables degrade: the DAAL's serialization points
         # are conditional *writes*, so a stale data read is pinned by the
         # read log, but protocol state must stay strong.
@@ -99,19 +104,22 @@ class ResilientStore:
                       and not args[0].endswith(PROTOCOL_SUFFIXES))
         attempt = 0
         while True:
-            breaker = (state.breaker_for(breaker_key)
-                       if breaker_key is not None else None)
+            if keyed and endpoint is None and failing:
+                endpoint = self._endpoint(args)
+            breaker = breakers.get(endpoint)
             err: Optional[Exception] = None
             if breaker is not None and not breaker.allow(self._time.now()):
                 stats.fast_fails += 1
-                err = UnavailableError(
-                    f"{label}: circuit open for endpoint {breaker_key}")
+                err = UnavailableError(f"{op.labels(args)[0]}: circuit "
+                                       f"open for endpoint {endpoint}")
             else:
                 try:
                     result = op.call(inner, args)
                 except UnavailableError as exc:
-                    if breaker is not None:
-                        state.note_breaker_failure(breaker_key, breaker,
+                    if keyed:
+                        if endpoint is None:
+                            endpoint = self._endpoint(args)
+                        state.note_breaker_failure(endpoint,
                                                    self._time.now())
                     state.note_error(exc)
                     err = exc
@@ -119,8 +127,11 @@ class ResilientStore:
                     state.note_error(exc)
                     err = exc
                 else:
-                    if breaker is not None:
-                        state.note_breaker_success(breaker_key, breaker)
+                    if keyed and failing:
+                        # A breaker may have failed since the call began.
+                        state.note_breaker_success(
+                            self._endpoint(args) if endpoint is None
+                            else endpoint)
                     return result
             if degradable and isinstance(err, UnavailableError):
                 try:
@@ -137,6 +148,7 @@ class ResilientStore:
             attempt += 1
             if attempt >= policy.max_attempts:
                 raise err
+            label = op.labels(args)[0]
             backoff = policy.backoff(attempt, state.rand)
             now = self._time.now()
             if deadline is not None and now + backoff > deadline:

@@ -39,6 +39,10 @@ from typing import Dict, Optional
 
 from repro.sim.randsrc import RandomSource
 
+_exp, _log = math.exp, math.log
+#: ``random.NV_MAGICCONST``, the normal sampler's constant.
+_NV_MAGICCONST = 4 * _exp(-0.5) / math.sqrt(2.0)
+
 
 def lognormal_from_median(median: float, p99: float) -> tuple[float, float]:
     """Return ``(mu, sigma)`` of a lognormal with the given median and p99.
@@ -116,23 +120,15 @@ class LatencyModel:
     def __init__(self, rand: RandomSource,
                  specs: Optional[Dict[str, LatencySpec]] = None,
                  scale: float = 1.0) -> None:
-        self._rand = rand
-        self._specs = dict(DEFAULT_SPECS)
-        if specs:
-            self._specs.update(specs)
+        specs = {**DEFAULT_SPECS, **(specs or {})}
         self.scale = scale
-        self._params = {name: spec.params()
-                        for name, spec in self._specs.items()}
         # Compiled draw table: one dict hit resolves everything sample()
         # needs — (mu, sigma, per_unit, median) — instead of two lookups
         # plus attribute chases per draw (the hottest non-kernel path).
         self._compiled = {
-            name: (*self._params[name], spec.per_unit, spec.median)
-            for name, spec in self._specs.items()}
-        self._lognormvariate = rand.lognormvariate
-
-    def spec(self, name: str) -> LatencySpec:
-        return self._specs[name]
+            name: (*spec.params(), spec.per_unit, spec.median)
+            for name, spec in specs.items()}
+        self._random = rand.stream.random
 
     def sample(self, name: str, units: float = 0.0) -> float:
         """Draw a latency for primitive ``name`` plus ``units`` of work."""
@@ -146,7 +142,17 @@ class LatencyModel:
         if sigma == 0.0:
             body = median
         else:
-            body = self._lognormvariate(mu, sigma)
+            # ``random.lognormvariate`` in one frame: CPython's (3.11-3.13)
+            # Kinderman-Monahan loop, the same draws and arithmetic
+            # (tests/sim/test_latency_and_rand.py::TestInlineDraw).
+            random = self._random
+            while True:
+                u1 = random()
+                u2 = 1.0 - random()
+                z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -_log(u2):
+                    break
+            body = _exp(mu + z * sigma)
         # ``body + per_unit * 0.0 == body`` exactly (body > 0), so the
         # no-units fast path is bit-identical to the full expression.
         if units:

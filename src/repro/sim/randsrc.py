@@ -26,6 +26,12 @@ class RandomSource:
         """Derive an independent stream; same (seed, path) => same draws."""
         return RandomSource(self.seed, f"{self.path}/{name}")
 
+    @property
+    def stream(self) -> random.Random:
+        """The ``random.Random`` behind every draw, for a hot loop that
+        binds one of its methods (``LatencyModel.sample``)."""
+        return self._rng
+
     # -- draws ---------------------------------------------------------------
     def random(self) -> float:
         return self._rng.random()
@@ -35,9 +41,6 @@ class RandomSource:
 
     def randint(self, lo: int, hi: int) -> int:
         return self._rng.randint(lo, hi)
-
-    def lognormvariate(self, mu: float, sigma: float) -> float:
-        return self._rng.lognormvariate(mu, sigma)
 
     def expovariate(self, rate: float) -> float:
         return self._rng.expovariate(rate)

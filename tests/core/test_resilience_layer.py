@@ -12,11 +12,24 @@ import pytest
 
 from repro.core import BeldiConfig, BeldiRuntime
 from repro.core.errors import DeadlineExceeded
-from repro.kvstore import ThrottledError, UnavailableError
+from repro.kvstore import (
+    FaultTimeline,
+    KVStore,
+    KernelTimeSource,
+    NullTimeSource,
+    ShardedStore,
+    ThrottledError,
+    UnavailableError,
+)
 from repro.kvstore.rebalance import ElasticityController
 from repro.kvstore.surface import leaves
-from repro.resilience import CircuitBreaker, RetryPolicy
-from repro.sim import RandomSource
+from repro.resilience import (
+    CircuitBreaker,
+    ResilienceState,
+    ResilientStore,
+    RetryPolicy,
+)
+from repro.sim import LatencyModel, RandomSource, SimKernel
 
 
 class TestRetryPolicy:
@@ -179,6 +192,111 @@ class TestOutageRecovery:
             assert stats.fast_fails >= 1
         finally:
             runtime.kernel.shutdown()
+
+
+class TestBreakerRegistry:
+    """A breaker closed with no failures allows every call, so the
+    layer resolves no endpoint while every breaker is so: the registry
+    (and the snapshot's ``breakers``) lists only endpoints that have
+    failed."""
+
+    def test_a_fault_free_sharded_run_resolves_no_endpoint(
+            self, monkeypatch):
+        resolved = []
+        endpoint = ResilientStore._endpoint
+
+        def counted(self, args):
+            resolved.append(args)
+            return endpoint(self, args)
+
+        monkeypatch.setattr(ResilientStore, "_endpoint", counted)
+        runtime = BeldiRuntime(seed=11, shards=4)
+        try:
+            result, _ = run_counter(runtime)
+            assert result == 1
+            assert resolved == []
+            assert runtime.resilience.breakers == {}
+            assert runtime.resilience.snapshot()["breakers"] == {}
+        finally:
+            runtime.kernel.shutdown()
+
+    def test_the_failing_shards_breaker_opens_fast_fails_and_closes(self):
+        clock = NullTimeSource()
+        timeline = FaultTimeline()
+        nodes = [KVStore(time_source=clock, rand=RandomSource(i, "node"),
+                         shard_id=i) for i in range(4)]
+        for node in nodes:
+            node.timeline = timeline
+        store = ShardedStore(nodes)
+        store.create_table("data", hash_key="Key")
+        sick = store.shard_for("data", "sick")
+        healthy = next(key for key in (f"k{i}" for i in range(40))
+                       if store.shard_for("data", key) != sick)
+        timeline.outage(0.0, 100.0, shards=sick)
+        state = ResilienceState(None, RandomSource(7, "resilience"),
+                                RetryPolicy(max_attempts=1),
+                                breaker_threshold=3, breaker_cooldown=500.0)
+        top = ResilientStore(store, state)
+        top.put("data", {"Key": healthy, "V": 1})
+        assert state.breakers == {}
+        for _ in range(3):
+            with pytest.raises(UnavailableError, match="outage"):
+                top.get("data", "sick")
+        assert list(state.breakers) == [sick]
+        assert state.failing == {sick}
+        assert state.breakers[sick].state == "open"
+        assert state.stats.breaker_opens == 1
+        # Open: the call fast-fails without reaching the store.
+        with pytest.raises(UnavailableError, match="circuit open"):
+            top.get("data", "sick")
+        assert state.stats.fast_fails == 1
+        assert state.stats.unavailable_errors == 3
+        # A healthy shard neither fails nor gains a breaker.
+        assert top.get("data", healthy)["V"] == 1
+        assert list(state.breakers) == [sick]
+        # Past the outage and the cooldown a half-open probe closes it.
+        clock.sleep(500.0)
+        assert top.get("data", "sick") is None
+        assert state.breakers[sick].state == "closed"
+        assert state.stats.breaker_closes == 1
+        assert state.snapshot()["breakers"] == {str(sick): "closed"}
+        # Closed with no failures again: calls resolve no endpoint.
+        assert state.failing == set()
+
+
+    def test_a_call_in_flight_resets_a_streak_begun_during_it(self):
+        """A success resets its endpoint's streak even when the breaker
+        came into the registry while the call was in flight, as if it
+        had been there from the start."""
+        kernel = SimKernel(seed=3)
+        timeline = FaultTimeline()
+        nodes = [KVStore(time_source=KernelTimeSource(kernel),
+                         latency=LatencyModel(RandomSource(i, "lat")),
+                         rand=RandomSource(i, "node"), shard_id=i)
+                 for i in range(2)]
+        for node in nodes:
+            node.timeline = timeline
+        store = ShardedStore(nodes)
+        store.create_table("data", hash_key="Key")
+        shard = store.shard_for("data", "k")
+        timeline.outage(1.0, 2.0, shards=shard)
+        state = ResilienceState(kernel, RandomSource(7, "resilience"),
+                                RetryPolicy(max_attempts=1))
+        top = ResilientStore(store, state)
+        failed = []
+
+        def fail_during_the_first():
+            try:
+                top.get("data", "k")
+            except UnavailableError:
+                failed.append(kernel.now)
+
+        kernel.spawn(lambda: top.get("data", "k"))  # in service past t=1
+        kernel.spawn(fail_during_the_first, delay=1.5)
+        kernel.run()
+        kernel.shutdown()
+        assert failed == [1.5]
+        assert state.breakers[shard].consecutive_failures == 0
 
 
 class TestDeadlines:

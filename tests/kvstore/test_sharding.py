@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 
 from repro.kvstore import (
     AttrNotExists,
+    ChainMigrator,
     Eq,
     FaultTimeline,
     HashRing,
     KVStore,
     KernelTimeSource,
+    ReplicaGroup,
+    ReplicatedStore,
     Set,
     ShardedStore,
     TableNotFound,
@@ -20,8 +23,10 @@ from repro.kvstore import (
     TransactionCanceled,
     batch_get_all,
 )
+from repro.kvstore.errors import ValidationError
 from repro.kvstore.sharding import MEMO_TOKENS
 from repro.kvstore.surface import layers, leaves
+from repro.resilience import ResilienceState, ResilientStore, RetryPolicy
 from repro.sim import LatencyModel, RandomSource, SimKernel
 
 
@@ -623,3 +628,135 @@ class TestMergedStats:
         assert store.storage_bytes("data") == sum(
             n.storage_bytes("data") for n in store.nodes)
         assert store.item_count("data") == 10
+
+
+#: Requests whose key cannot route: a put's item or an update's key
+#: without the hash key, an empty key tuple.
+MALFORMED = {
+    "put without a hash key": lambda s: s.put("data", {"V": 1}),
+    "get of an empty tuple": lambda s: s.get("data", ()),
+    "update without a hash key": lambda s: s.update(
+        "data", {"V": 1}, [Set("V", 2)]),
+    "delete of an empty tuple": lambda s: s.delete("data", ()),
+    "transaction put without a hash key": lambda s: s.transact_write(
+        [TransactPut("data", {"V": 1})]),
+    "transaction update of an empty tuple": lambda s: s.transact_write(
+        [TransactUpdate("data", (), [Set("V", 2)])]),
+    "batch_get of an empty tuple": lambda s: s.batch_get("data", [()]),
+}
+
+
+class TestMalformedKeys:
+    """A key that cannot route raises what one node raises for it."""
+
+    @staticmethod
+    def _raised(store, call) -> str:
+        with pytest.raises(ValidationError) as raised:
+            call(store)
+        return str(raised.value)
+
+    @pytest.mark.parametrize("elastic", [False, True])
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_a_sharded_store_raises_the_leafs_error(self, name, elastic):
+        leaf = KVStore()
+        leaf.create_table("data", hash_key="Key")
+        store = make_store(4)
+        store.create_table("data", hash_key="Key")
+        if elastic:
+            store.enable_elasticity()
+        call = MALFORMED[name]
+        assert self._raised(store, call) == self._raised(leaf, call)
+        assert store.item_count("data") == 0
+
+
+def _resilient_replicated(kernel):
+    """``ResilientStore`` over a 4 x 2 ``ReplicatedStore``, elasticity on,
+    no fault windows."""
+    groups = []
+    for shard in range(4):
+        clock = KernelTimeSource(kernel)
+        members = [KVStore(time_source=clock,
+                           latency=LatencyModel(
+                               RandomSource(10 * shard + i, "lat")),
+                           rand=RandomSource(10 * shard + i, "node"),
+                           shard_id=shard)
+                   for i in range(2)]
+        groups.append(ReplicaGroup(members[0], members[1:],
+                                   rand=RandomSource(shard, "repl"),
+                                   latency=LatencyModel(
+                                       RandomSource(shard, "ship"))))
+    store = ReplicatedStore(groups)
+    store.create_table("data", hash_key="Key")
+    store.enable_elasticity()
+    state = ResilienceState(kernel, RandomSource(7, "resilience"),
+                            RetryPolicy())
+    return ResilientStore(store, state), store
+
+
+class TestOneRoutePerKey:
+    """Every layer of the deepest stack shares one resolution per key:
+    ``HashRing.shard_of`` runs once per keyed op and once per row of a
+    batch or transaction."""
+
+    @pytest.fixture
+    def stack(self):
+        kernel = SimKernel(seed=5)
+        top, store = _resilient_replicated(kernel)
+        routed = []
+        shard_of = store.ring.shard_of
+
+        def counted(token):
+            routed.append(token)
+            return shard_of(token)
+
+        store.ring.shard_of = counted
+
+        def run(call):
+            routed.clear()
+            kernel.spawn(lambda: call(top))
+            kernel.run()
+            return list(routed)
+
+        yield run, top, store, kernel
+        kernel.shutdown()
+
+    def test_a_keyed_op_routes_once(self, stack):
+        run, top, store, _kernel = stack
+        assert len(run(lambda s: s.put("data", {"Key": "a", "V": 1}))) == 1
+        assert len(run(lambda s: s.get("data", "a"))) == 1
+        assert len(run(lambda s: s.update("data", "a", [Set("V", 2)]))) == 1
+        assert len(run(lambda s: s.query("data", "a"))) == 1
+        assert len(run(lambda s: s.delete("data", "a"))) == 1
+        # A fault-free run makes no breaker.
+        assert top._state.breakers == {}
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_a_batch_or_transaction_routes_once_per_row(self, stack, n):
+        run, _top, store, _kernel = stack
+        keys = [f"k{i}" for i in range(n)]
+        assert len(run(lambda s: s.batch_write(
+            "data", puts=[{"Key": key, "V": 0} for key in keys]))) == n
+        assert len(run(lambda s: s.batch_get("data", keys))) == n
+        assert len(run(lambda s: s.transact_write(
+            [TransactUpdate("data", key, [Set("V", 1)])
+             for key in keys]))) == n
+        assert len(run(lambda s: s.batch_write(
+            "data", deletes=keys))) == n
+        assert store.item_count("data") == 0
+
+    def test_a_keyed_op_that_waits_out_a_latch_lands_on_the_target(
+            self, stack):
+        run, top, store, kernel = stack
+        run(lambda s: s.put("data", {"Key": "item", "V": 0}))
+        source = store.shard_for("data", "item")
+        target = (source + 1) % store.n_shards
+        migrator = ChainMigrator(store)
+        kernel.spawn(lambda: migrator.migrate([("data", "item", target)]))
+        # Issued strictly after the migration latched the key.
+        kernel.spawn(lambda: top.put("data", {"Key": "item", "V": 7}),
+                     delay=0.1)
+        kernel.run()
+        assert migrator.stats.migrations == 1
+        assert store.shard_for("data", "item") == target
+        assert store.groups[target].leader.get("data", "item")["V"] == 7
+        assert store.groups[source].leader.item_count("data") == 0

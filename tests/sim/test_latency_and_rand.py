@@ -70,6 +70,32 @@ class TestLatencyModel:
         assert half.sample("x") == pytest.approx(5.0)
 
 
+class TestInlineDraw:
+    """``LatencyModel.sample`` inlines ``random.lognormvariate``; it must
+    draw the very stream the library call would, so a Python whose
+    ``normalvariate`` changed fails here instead of moving every virtual
+    number."""
+
+    @staticmethod
+    def reference(rng, spec: LatencySpec, units: float) -> float:
+        """One draw the library's way, as the model drew before."""
+        mu, sigma = spec.params()
+        body = rng.lognormvariate(mu, sigma) if sigma else spec.median
+        return body + spec.per_unit * units if units else body
+
+    @pytest.mark.parametrize("units", [0.0, 3.0])
+    def test_draws_equal_the_library_bit_for_bit(self, units):
+        model_rand = RandomSource(5, "lat")
+        model = LatencyModel(model_rand)
+        reference = RandomSource(5, "lat").stream
+        names = sorted(DEFAULT_SPECS)
+        for i in range(10_000 + len(names)):
+            name = names[i % len(names)]
+            expected = self.reference(reference, DEFAULT_SPECS[name], units)
+            assert model.sample(name, units) == expected, (i, name)
+        assert model_rand.stream.getstate() == reference.getstate()
+
+
 class TestRandomSource:
     def test_same_seed_same_stream(self):
         a = [RandomSource(7).random() for _ in range(5)]

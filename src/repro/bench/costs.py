@@ -43,19 +43,11 @@ def measure_costs(rows: int = 20, seed: int = 12) -> dict:
     # -- per-op store operations and bytes, baseline vs Beldi ----------------
     for mode in ("baseline", "beldi"):
         rt = _build_runtime(mode, seed)
-        if mode == "baseline":
-            ssf = rt.register_ssf("bench", _one_of_each, tables=["kv"])
-        else:
-            ssf = rt.register_ssf("bench", _one_of_each, tables=["kv"])
+        ssf = rt.register_ssf("bench", _one_of_each, tables=["kv"])
         rt.register_ssf("leaf", lambda ctx, p: "ok")
         ssf.env.seed("kv", KEY, VALUE)
         before = rt.store.metering.copy()
-
-        def client():
-            rt.client_call("bench", None)
-
-        rt.kernel.spawn(client)
-        rt.kernel.run()
+        rt.run_workflow("bench")
         delta = rt.store.metering.diff(before)
         ops = {name: rec.count for name, rec in delta.items()}
         out[f"{mode}_ops"] = ops

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from repro.apps import build_app
 from repro.core import BaselineRuntime, BeldiConfig, BeldiRuntime
 from repro.platform import PlatformConfig
-from repro.workload import run_sweep
+from repro.workload import OpenLoopResult, run_sweep
 
 DEFAULT_RATES = (10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0)
 
@@ -56,8 +56,18 @@ def app_sweep(app_name: str, mode: str,
               seed: int = 71,
               app_kwargs: Optional[dict] = None) -> list[dict]:
     """One mode's latency-vs-throughput curve; a list of report rows."""
-    points = run_sweep(
+    results = run_sweep(
         lambda: _build(app_name, mode, seed, concurrency, app_kwargs),
         rates=rates, duration_ms=duration_ms, warmup_ms=warmup_ms,
         seed=seed)
-    return [point.row() for point in points]
+    return [figure_row(result) for result in results]
+
+
+def figure_row(result: OpenLoopResult) -> dict:
+    """A figure's report row: the open loop's row, its goodput named
+    ``achieved_rps`` and without the admission counts (nothing is shed
+    when the window holds every arrival)."""
+    row = result.row()
+    row["achieved_rps"] = row.pop("goodput_rps")
+    del row["offered"], row["shed"]
+    return row

@@ -58,8 +58,7 @@ def gc_timeseries(gc_period_ms: Optional[float],
                                  envs=[ssf.env])
     result = run_constant_load(
         runtime, "writer", lambda rand: rand.randint(0, 1_000_000),
-        rate_rps=rate_rps, duration_ms=duration_ms,
-        seed=seed, bucket_width=bucket_ms)
+        rate_rps=rate_rps, duration_ms=duration_ms, seed=seed)
     from repro.core import daal
     if mode == "daal":
         final_chain = daal.chain_length(
@@ -69,7 +68,7 @@ def gc_timeseries(gc_period_ms: Optional[float],
     runtime.stop_collectors()
     runtime.kernel.shutdown()
     return {
-        "series": result.recorder.series(q=50.0),
+        "series": result.recorder.series(bucket_ms, q=50.0),
         "final_chain_rows": final_chain,
         "completed": result.completed,
         "p50": result.recorder.p50,

@@ -28,7 +28,7 @@ from repro.obs import load_imbalance, per_shard_rows
 from repro.obs.report import format_table, per_shard_table
 from repro.platform import PlatformConfig
 from repro.sim.randsrc import RandomSource
-from repro.workload import skewed_keys
+from repro.workload import run_closed_loop, skewed_keys
 
 SHARDS = 4
 N_USERS = 24
@@ -109,80 +109,16 @@ def zipf_payloads(seed: int = SEED, n_users: int = N_USERS,
             for u in range(n_users)]
 
 
-def _gc_driver(runtime, done: dict, period_ms: float):
-    """Periodic GC inside the measured run (the deployed configuration:
-    chains stay short, orphans are reclaimed — without it a no-GC hot
-    key grows a several-hundred-row chain whose per-op cost swamps any
-    placement decision). Runs as a kernel process and exits once the
-    closed loop finishes, so ``kernel.run()`` still quiesces."""
-    from repro.core.gc import make_garbage_collector
-
-    class _Ctx:
-        request_id = "bench-gc"
-        invocation_index = 0
-
-        def crash_point(self, tag):
-            pass
-
-    handlers = [make_garbage_collector(runtime, env)
-                for env in runtime.envs.values()]
-
-    def driver():
-        while not done["flag"]:
-            runtime.kernel.sleep(period_ms)
-            for handler in handlers:
-                handler(_Ctx(), {})
-
-    runtime.kernel.spawn(driver, name="gc-driver")
-
-
-def _run_closed_loop_with_gc(runtime, entry: str,
-                             user_payloads) -> "ClosedLoopResult":
-    """The :func:`run_closed_loop` shape plus a periodic GC driver.
-
-    The driver must live *inside* the same ``kernel.run()`` as the
-    users (its wake-sleep loop would otherwise keep the kernel from
-    quiescing), so the last user to finish raises the done flag the
-    driver exits on.
-    """
-    from repro.platform.errors import (FunctionCrashed, FunctionTimeout,
-                                       TooManyRequests)
-    from repro.workload.runner import ClosedLoopResult
-
-    result = ClosedLoopResult(makespan_ms=0.0, failures=0)
-    finished_at = [0.0]
-    remaining = [len(user_payloads)]
-    done = {"flag": False}
-    _gc_driver(runtime, done, GC_PERIOD_MS)
-
-    def user(payloads) -> None:
-        for payload in payloads:
-            start = runtime.kernel.now
-            try:
-                runtime.client_call(entry, payload)
-            except (FunctionCrashed, FunctionTimeout, TooManyRequests):
-                result.failures += 1
-                continue
-            result.recorder.record(start, runtime.kernel.now)
-        finished_at[0] = max(finished_at[0], runtime.kernel.now)
-        remaining[0] -= 1
-        if remaining[0] == 0:
-            done["flag"] = True
-
-    start = runtime.kernel.now
-    for index, payloads in enumerate(user_payloads):
-        runtime.kernel.spawn(user, list(payloads), name=f"user-{index}")
-    runtime.kernel.run()
-    result.makespan_ms = finished_at[0] - start
-    return result
-
-
 def run_point(elastic: bool, seed: int = SEED, **kwargs) -> dict:
     runtime = build_runtime(elastic, seed=seed, **kwargs)
     store = runtime.store
     cost_before = store.metering.dollar_cost()
-    result = _run_closed_loop_with_gc(runtime, "profile",
-                                      zipf_payloads(seed))
+    # Periodic GC inside the measured run, on the platform's timer as
+    # deployed: chains stay short and orphans are reclaimed (a no-GC hot
+    # key grows a several-hundred-row chain whose per-op cost swamps any
+    # placement decision). The last user out stops the timers.
+    runtime.start_collectors(ic_period=1e12, gc_period=GC_PERIOD_MS)
+    result = run_closed_loop(runtime, "profile", zipf_payloads(seed))
     per_shard = per_shard_rows(store, "profile.profiles")
     migration_dollars = 0.0
     migrations = rows_moved = 0

@@ -495,7 +495,7 @@ class ReplicaGroup:
                     self._serving_follower(index), sub_args),
                 store=self, async_io=self.async_io)
         if op.kind == KEYED_READ:
-            index = self._follower_index_for(table, args[1])
+            index = self._follower_index_for(*op.keys(args)[0])
         else:
             indexes = sorted(self._followers)
             index = indexes[self.rand.randint(0, len(indexes) - 1)]

@@ -100,6 +100,7 @@ from repro.kvstore.metering import Metering
 from repro.kvstore.store import KVStore
 from repro.kvstore.surface import (
     BATCH_GET,
+    QUERY,
     SCAN,
     StoreOp,
     batch_rows,
@@ -503,8 +504,11 @@ class ShardedStore:
         reads that count, and it must see an op already parked in a
         node's service time. One token, so plain dict arithmetic.
         """
-        table = args[0]
-        value, token, shard = self._route(table, args[1])
+        table, key = args[0], args[1]
+        # ``op.keys(args)[0]``, inline: a query routes its hash value as
+        # the one-part key ``(hash_value,)``, so a tuple is never unpacked.
+        value, token, shard = self._route(
+            table, (key,) if op is QUERY else key)
         if self.heat is not None:
             self._note_heat(table, value, shard)
         if self.heat is None or in_scope(self.nodes[0].time):

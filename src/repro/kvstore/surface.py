@@ -41,7 +41,9 @@ with :meth:`StoreOp.call`.
 The positional conventions every handler relies on (pinned by
 ``tests/kvstore/test_store_conformance.py``): ``args[0]`` is the table
 for every kind but ``transact``; a keyed operation's routing key (a key,
-an item for ``put``, a hash value for ``query``) is ``args[1]``; every
+an item for ``put``, a hash value for ``query``) is ``args[1]`` — a
+query's routes as the one-part key ``(hash_value,)``, so a tuple hash
+value is never unpacked as a key; every
 read ends with ``consistency``; every keyed write ends with
 ``condition`` — ``update`` with ``condition, return_new``
 (:attr:`StoreOp.returns_new`); and after the table a keyed or
@@ -328,7 +330,8 @@ class StoreOp:
         """Every ``(table, routing key)`` the request touches.
 
         A routing key is whatever :func:`partition_value` accepts: a key,
-        an item, a bare hash value. Whole-table reads touch no single key.
+        an item, a bare hash value — a query's wrapped as the one-part key
+        ``(hash_value,)``. Whole-table reads touch no single key.
         """
         if self.kind == BATCH:
             return [(args[0], row) for row in batch_rows(self, args)[0]]
@@ -336,6 +339,8 @@ class StoreOp:
             return [(op.table,
                      op.item if isinstance(op, TransactPut) else op.key)
                     for op in args[0]]
+        if self is QUERY:
+            return [(args[0], (args[1],))]
         return [] if self.kind == TABLE_READ else [args[:2]]
 
 

@@ -59,9 +59,9 @@ class ResilientStore:
     def inner(self):
         return self._inner
 
-    def _endpoint(self, args: tuple):
+    def _endpoint(self, op: StoreOp, args: tuple):
         """A keyed call's breaker endpoint: its shard, or ``"store"``."""
-        return (self._inner.shard_for(args[0], args[1]) if self._sharded
+        return (self._inner.shard_for(*op.keys(args)[0]) if self._sharded
                 else "store")
 
     def _call(self, op: StoreOp, args: tuple):
@@ -105,7 +105,7 @@ class ResilientStore:
         attempt = 0
         while True:
             if keyed and endpoint is None and failing:
-                endpoint = self._endpoint(args)
+                endpoint = self._endpoint(op, args)
             breaker = breakers.get(endpoint)
             err: Optional[Exception] = None
             if breaker is not None and not breaker.allow(self._time.now()):
@@ -118,7 +118,7 @@ class ResilientStore:
                 except UnavailableError as exc:
                     if keyed:
                         if endpoint is None:
-                            endpoint = self._endpoint(args)
+                            endpoint = self._endpoint(op, args)
                         state.note_breaker_failure(endpoint,
                                                    self._time.now())
                     state.note_error(exc)
@@ -130,7 +130,7 @@ class ResilientStore:
                     if keyed and failing:
                         # A breaker may have failed since the call began.
                         state.note_breaker_success(
-                            self._endpoint(args) if endpoint is None
+                            self._endpoint(op, args) if endpoint is None
                             else endpoint)
                     return result
             if degradable and isinstance(err, UnavailableError):

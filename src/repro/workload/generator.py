@@ -1,20 +1,11 @@
-"""Open-loop constant-rate load generation (wrk2-style, §7.2) and
-key-popularity distributions (uniform / Zipf hot-key skew)."""
+"""Key-popularity distributions: uniform and Zipf hot-key skew."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Sequence
 
-from repro.platform.errors import (
-    FunctionCrashed,
-    FunctionTimeout,
-    TooManyRequests,
-)
-from repro.sim.kernel import SimKernel
 from repro.sim.randsrc import RandomSource
-from repro.workload.recorder import LatencyRecorder
 
 
 def zipf_weights(n_keys: int, s: float) -> list[float]:
@@ -73,112 +64,3 @@ def skewed_keys(keys: Sequence[Any], count: int, s: float,
     """
     sampler = ZipfSampler(len(keys), s, rand)
     return [keys[rank] for rank in sampler.sequence(count)]
-
-
-@dataclass
-class LoadResult:
-    """Outcome of one constant-rate run."""
-
-    offered_rate: float            # requests per virtual second
-    duration: float                # virtual ms
-    recorder: LatencyRecorder = field(default_factory=LatencyRecorder)
-
-    @property
-    def completed(self) -> int:
-        return self.recorder.count
-
-    @property
-    def achieved_rate(self) -> float:
-        return self.completed / (self.duration / 1000.0)
-
-    @property
-    def rejected(self) -> int:
-        return self.recorder.total("rejected")
-
-    @property
-    def errors(self) -> int:
-        return (self.recorder.total("crashed")
-                + self.recorder.total("timeout"))
-
-    def row(self) -> dict:
-        return {
-            "offered_rps": self.offered_rate,
-            "achieved_rps": round(self.achieved_rate, 1),
-            "p50_ms": round(self.recorder.p50, 1)
-            if self.recorder.samples else None,
-            "p95_ms": round(self.recorder.percentile(95.0), 1)
-            if self.recorder.samples else None,
-            "p99_ms": round(self.recorder.p99, 1)
-            if self.recorder.samples else None,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "errors": self.errors,
-        }
-
-
-class LoadGenerator:
-    """Spawns one client process per scheduled arrival.
-
-    Open loop: arrival times are fixed up front (uniform spacing plus a
-    small deterministic jitter), so a slow system cannot slow the arrival
-    process down — the same property wrk2 provides, and the reason the
-    paper's saturation knees are visible.
-    """
-
-    def __init__(self, kernel: SimKernel,
-                 submit: Callable[[Any], Any],
-                 sample: Callable[[RandomSource], Any],
-                 rand: RandomSource,
-                 bucket_width: Optional[float] = None) -> None:
-        self.kernel = kernel
-        self.submit = submit
-        self.sample = sample
-        self.rand = rand
-        self.bucket_width = bucket_width
-
-    def run(self, rate_rps: float, duration_ms: float,
-            warmup_ms: float = 0.0) -> LoadResult:
-        """Schedule arrivals and drive the kernel through them.
-
-        Requests arriving during ``warmup_ms`` execute but are not
-        recorded. Must be called from the driving (non-process) thread.
-        """
-        result = LoadResult(offered_rate=rate_rps, duration=duration_ms,
-                            recorder=LatencyRecorder(self.bucket_width))
-        interval = 1000.0 / rate_rps
-        total = int((warmup_ms + duration_ms) / interval)
-        jitter = self.rand.child("jitter")
-        request_rand = self.rand.child("requests")
-        base = self.kernel.now
-
-        def client(payload: Any, recorded: bool) -> None:
-            start = self.kernel.now
-            try:
-                self.submit(payload)
-                if recorded:
-                    # Bucket by time-since-measurement-start; the latency
-                    # itself is wall-to-wall for this request.
-                    relative_start = start - base - warmup_ms
-                    latency = self.kernel.now - start
-                    result.recorder.record(relative_start,
-                                           relative_start + latency, "ok")
-            except TooManyRequests:
-                if recorded:
-                    result.recorder.record_failure("rejected")
-            except FunctionCrashed:
-                if recorded:
-                    result.recorder.record_failure("crashed")
-            except FunctionTimeout:
-                if recorded:
-                    result.recorder.record_failure("timeout")
-
-        for i in range(total):
-            at = i * interval + jitter.uniform(0.0, interval * 0.1)
-            recorded = at >= warmup_ms
-            payload = self.sample(request_rand)
-            self.kernel.spawn(client, payload, recorded,
-                              name="load-client", delay=at)
-        self.kernel.run(until=base + warmup_ms + duration_ms)
-        # Let in-flight requests finish (bounded drain).
-        self.kernel.run(until=base + warmup_ms + duration_ms + 30_000.0)
-        return result

@@ -6,9 +6,10 @@ The closed-loop runners (:mod:`repro.workload.runner`) measure *capacity*
 or not earlier ones completed (wrk2's model, and the reason saturation
 knees are visible at all). This module provides:
 
-- a deterministic **Poisson** arrival generator — a pure function of
-  ``(seed, rate, horizon)``, so the same seed always produces the same
-  arrival sequence;
+- two deterministic arrival processes, each a pure function of
+  ``(seed, rate, horizon)``: **Poisson** (:func:`poisson_arrivals`) and
+  wrk2's **uniform** schedule with a small jitter
+  (:func:`uniform_arrivals`, the paper figures' constant-rate load);
 - :func:`merge_streams` for multi-class mixes (every class keeps its own
   generator stream; the merge is stable and sorted);
 - an **admission window** (:class:`AdmissionWindow`) bounding requests
@@ -71,6 +72,19 @@ def poisson_arrivals(rate_rps: float, duration_ms: float,
         out.append(t)
         t += expovariate(rate_per_ms)
     return out
+
+
+def uniform_arrivals(rate_rps: float, duration_ms: float,
+                     rand: RandomSource) -> list[float]:
+    """wrk2's constant-rate schedule: one arrival per ``1000 / rate_rps``
+    ms over the horizon, each delayed by a jitter drawn from ``rand`` in
+    the first tenth of its interval. Same stream, same arrivals."""
+    if rate_rps <= 0:
+        raise ValueError(f"rate must be positive, got {rate_rps}")
+    interval = 1000.0 / rate_rps
+    uniform = rand.uniform
+    return [i * interval + uniform(0.0, interval * 0.1)
+            for i in range(int(duration_ms / interval))]
 
 
 def merge_streams(

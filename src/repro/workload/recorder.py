@@ -9,11 +9,9 @@ from typing import Optional
 class LatencyRecorder:
     """Collects completion latencies (virtual ms) with outcome labels."""
 
-    def __init__(self, bucket_width: Optional[float] = None) -> None:
+    def __init__(self) -> None:
         self.samples: list[float] = []
         self.outcomes: dict[str, int] = {}
-        self.bucket_width = bucket_width
-        self._buckets: dict[int, list[float]] = {}
         #: Timestamped event log: ``(start, outcome, latency-or-None)``.
         #: Completions always land here; failures only when the caller
         #: passes their arrival time — phase-sliced analyses (goodput
@@ -25,12 +23,8 @@ class LatencyRecorder:
         latency = end - start
         self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
         self.events.append((start, outcome, latency))
-        if outcome != "ok":
-            return
-        self.samples.append(latency)
-        if self.bucket_width:
-            self._buckets.setdefault(
-                int(start // self.bucket_width), []).append(latency)
+        if outcome == "ok":
+            self.samples.append(latency)
 
     def record_failure(self, outcome: str,
                        at: Optional[float] = None) -> None:
@@ -82,15 +76,19 @@ class LatencyRecorder:
         return sum(self.samples) / len(self.samples)
 
     # -- time series (Fig. 16 uses median-per-interval) ------------------------
-    def series(self, q: float = 50.0) -> list[tuple[float, float]]:
-        """``(bucket start time, percentile)`` pairs, in time order."""
-        if not self.bucket_width:
-            raise ValueError("recorder built without bucket_width")
+    def series(self, width: float,
+               q: float = 50.0) -> list[tuple[float, float]]:
+        """``(bucket start time, percentile)`` pairs, in time order: the
+        completions bucketed by start time into ``width``-ms buckets."""
+        buckets: dict[int, list[float]] = {}
+        for start, outcome, latency in self.events:
+            if outcome == "ok":
+                buckets.setdefault(int(start // width), []).append(latency)
         points = []
-        for index in sorted(self._buckets):
-            samples = sorted(self._buckets[index])
+        for index in sorted(buckets):
+            samples = sorted(buckets[index])
             rank = max(1, math.ceil(q / 100.0 * len(samples)))
-            points.append((index * self.bucket_width, samples[rank - 1]))
+            points.append((index * width, samples[rank - 1]))
         return points
 
     def summary(self) -> dict:

@@ -3,20 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.sim.randsrc import RandomSource
-from repro.workload.generator import LoadGenerator, LoadResult
+from repro.workload.openloop import (OpenLoopConfig, OpenLoopResult,
+                                     run_open_loop, uniform_arrivals)
 from repro.workload.recorder import LatencyRecorder
-
-
-@dataclass
-class SweepPoint:
-    rate: float
-    result: LoadResult
-
-    def row(self) -> dict:
-        return self.result.row()
 
 
 @dataclass
@@ -109,35 +101,45 @@ def run_constant_load(runtime: Any, entry: str,
                       sample: Callable[[RandomSource], Any],
                       rate_rps: float, duration_ms: float,
                       warmup_ms: float = 0.0,
-                      seed: int = 0,
-                      bucket_width: Optional[float] = None) -> LoadResult:
-    """One constant-rate measurement against a runtime's gateway."""
-    generator = LoadGenerator(
-        runtime.kernel,
-        submit=lambda payload: runtime.client_call(entry, payload),
-        sample=sample,
-        rand=RandomSource(seed, "load"),
-        bucket_width=bucket_width)
-    return generator.run(rate_rps, duration_ms, warmup_ms=warmup_ms)
+                      seed: int = 0) -> OpenLoopResult:
+    """One constant-rate measurement against a runtime's gateway: wrk2's
+    uniform schedule through :func:`run_open_loop`.
+
+    Arrivals and payloads come from the ``RandomSource(seed, "load")``
+    streams the paper figures were recorded with (``jitter`` and
+    ``requests``). The admission window holds every arrival, so nothing
+    is shed: the platform's concurrency limit is the cap measured.
+    """
+    rand = RandomSource(seed, "load")
+    arrivals = uniform_arrivals(rate_rps, warmup_ms + duration_ms,
+                                rand.child("jitter"))
+    request_rand = rand.child("requests")
+    payloads = [sample(request_rand) for _ in arrivals]
+    return run_open_loop(
+        runtime, entry, lambda _rand, i: payloads[i],
+        list(zip(arrivals, range(len(arrivals)))),
+        config=OpenLoopConfig(max_in_flight=max(1, len(arrivals)),
+                              warmup_ms=warmup_ms),
+        offered_rps=rate_rps, duration_ms=duration_ms)
 
 
 def run_sweep(build: Callable[[], tuple[Any, str,
                                         Callable[[RandomSource], Any]]],
               rates: Iterable[float], duration_ms: float,
-              warmup_ms: float = 0.0, seed: int = 0) -> list[SweepPoint]:
+              warmup_ms: float = 0.0,
+              seed: int = 0) -> list[OpenLoopResult]:
     """Latency-vs-throughput sweep (Figures 14/15/26 shape).
 
     ``build`` constructs a **fresh** runtime+app per rate point — matching
     the paper's methodology of measuring each offered load from a clean
     system rather than reusing a warmed, possibly saturated one.
     """
-    points = []
+    results = []
     for rate in rates:
         runtime, entry, sample = build()
-        result = run_constant_load(runtime, entry, sample, rate,
-                                   duration_ms, warmup_ms=warmup_ms,
-                                   seed=seed)
-        points.append(SweepPoint(rate=rate, result=result))
+        results.append(run_constant_load(runtime, entry, sample, rate,
+                                         duration_ms, warmup_ms=warmup_ms,
+                                         seed=seed))
         runtime.stop_collectors()
         runtime.kernel.shutdown()
-    return points
+    return results

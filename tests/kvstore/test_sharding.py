@@ -25,7 +25,7 @@ from repro.kvstore import (
 )
 from repro.kvstore.errors import ValidationError
 from repro.kvstore.sharding import MEMO_TOKENS
-from repro.kvstore.surface import layers, leaves
+from repro.kvstore.surface import layers, leaves, route_token
 from repro.resilience import ResilienceState, ResilientStore, RetryPolicy
 from repro.sim import LatencyModel, RandomSource, SimKernel
 
@@ -667,6 +667,36 @@ class TestMalformedKeys:
         call = MALFORMED[name]
         assert self._raised(store, call) == self._raised(leaf, call)
         assert store.item_count("data") == 0
+
+
+class TestQueryRoutesItsHashValue:
+    """A query's routing key is its hash value, routed as it is: a tuple
+    hash value is never unpacked as a key tuple."""
+
+    @pytest.mark.parametrize("consistency", [None, "eventual"])
+    # ("a", "c") and "a" live on different shards of two.
+    @pytest.mark.parametrize("hash_value", [(), ("a", "c")])
+    def test_a_tuple_hash_value_answers_as_one_node_does(
+            self, hash_value, consistency):
+        leaf = KVStore()
+        sharded = make_store(2)
+        group = ReplicaGroup(KVStore(rand=RandomSource(0, "node")),
+                             [KVStore(rand=RandomSource(1, "node"))],
+                             rand=RandomSource(0, "repl"))
+        for store in (leaf, sharded, group):
+            store.create_table("t", hash_key="K", range_key="R")
+            store.put("t", {"K": "a", "R": 1})
+            store.put("t", {"K": ("a", "c"), "R": 2})
+        expected = leaf.query("t", hash_value, consistency=consistency)
+        assert expected.items == ([{"K": ["a", "c"], "R": 2}]
+                                  if hash_value else [])
+        for store in (sharded, group):
+            assert store.query("t", hash_value,
+                               consistency=consistency) == expected
+        # The query went to the shard that owns the hash value itself.
+        owner = sharded.ring.shard_of(route_token("t", hash_value))
+        assert [node.metering.ops.get("query") is not None
+                for node in sharded.nodes] == [i == owner for i in range(2)]
 
 
 def _resilient_replicated(kernel):

@@ -13,6 +13,7 @@ from repro.workload import (
     run_constant_load,
     run_sweep,
     skewed_keys,
+    uniform_arrivals,
     zipf_weights,
 )
 
@@ -97,16 +98,58 @@ class TestLatencyRecorder:
         assert rec.total("rejected") == 1
 
     def test_time_series_buckets(self):
-        rec = LatencyRecorder(bucket_width=100.0)
+        rec = LatencyRecorder()
         rec.record(10.0, 15.0)    # bucket 0, latency 5
         rec.record(50.0, 65.0)    # bucket 0, latency 15
         rec.record(150.0, 160.0)  # bucket 1, latency 10
-        series = rec.series(q=50.0)
-        assert series == [(0.0, 5.0), (100.0, 10.0)]
+        rec.record(160.0, 190.0, "error:ValueError")  # not a completion
+        rec.record_failure("rejected", at=170.0)
+        assert rec.series(100.0, q=50.0) == [(0.0, 5.0), (100.0, 10.0)]
+        assert rec.series(50.0, q=100.0) == [(0.0, 5.0), (50.0, 15.0),
+                                             (150.0, 10.0)]
 
-    def test_series_requires_bucket_width(self):
+
+class TestUniformArrivals:
+    """The paper figures' schedule: wrk2's uniform spacing plus a jitter
+    in the first tenth of each interval, from the ``load`` streams."""
+
+    def test_the_figures_schedule_is_pinned(self):
+        arrivals = uniform_arrivals(40.0, 2_000.0,
+                                    RandomSource(5, "load").child("jitter"))
+        assert len(arrivals) == 80
+        assert arrivals[:3] == [0.9790830545077228, 25.804018389279634,
+                                51.46924930044918]
+        assert arrivals[-1] == 1975.9012068069103
+        for i, at in enumerate(arrivals):
+            assert i * 25.0 <= at < i * 25.0 + 2.5
+
+    def test_the_figures_payload_draws_are_pinned(self):
+        requests = RandomSource(5, "load").child("requests")
+        assert [requests.randint(0, 1_000_000) for _ in range(4)] == [
+            924828, 74367, 154274, 130899]
+
+    def test_a_constant_load_sends_the_pinned_requests_on_schedule(self):
+        runtime = BaselineRuntime(seed=2, latency_scale=1.0)
+        seen = []
+
+        def echo(ctx, payload):
+            seen.append(payload)
+            return payload
+
+        runtime.register_ssf("echo", echo)
+        result = run_constant_load(
+            runtime, "echo", lambda rand: rand.randint(0, 1_000_000),
+            rate_rps=40.0, duration_ms=2_000.0, seed=5)
+        runtime.kernel.shutdown()
+        assert result.completed == result.offered == 80
+        assert sorted(start for start, _outcome, _latency
+                      in result.recorder.events) == uniform_arrivals(
+            40.0, 2_000.0, RandomSource(5, "load").child("jitter"))
+        assert {924828, 74367, 154274, 130899} <= set(seen)
+
+    def test_rejects_a_non_positive_rate(self):
         with pytest.raises(ValueError):
-            LatencyRecorder().series()
+            uniform_arrivals(0.0, 1_000.0, RandomSource(1, "load"))
 
 
 class TestConstantLoad:
@@ -183,22 +226,27 @@ class TestSweep:
             built.append(runtime)
             return runtime, "echo", lambda rand: None
 
-        points = run_sweep(build, rates=[10.0, 20.0],
-                           duration_ms=500.0)
-        assert len(points) == 2
+        results = run_sweep(build, rates=[10.0, 20.0],
+                            duration_ms=500.0)
+        assert len(results) == 2
         assert len(built) == 2
-        assert points[1].result.completed > points[0].result.completed
+        assert results[1].completed > results[0].completed
 
-    def test_rows_are_reportable(self):
+    def test_figure_rows_keep_their_eight_keys(self):
+        from repro.bench.fig1415_apps import figure_row
+
         def build():
             runtime = BaselineRuntime(seed=2, latency_scale=1.0)
             runtime.register_ssf("echo", lambda ctx, p: p)
             return runtime, "echo", lambda rand: None
 
-        (point,) = run_sweep(build, rates=[10.0], duration_ms=500.0)
-        row = point.row()
-        assert set(row) >= {"offered_rps", "achieved_rps", "p50_ms",
-                            "p99_ms", "completed", "rejected"}
+        (result,) = run_sweep(build, rates=[10.0], duration_ms=500.0)
+        row = figure_row(result)
+        assert set(row) == {"offered_rps", "achieved_rps", "p50_ms",
+                            "p95_ms", "p99_ms", "completed", "rejected",
+                            "errors"}
+        assert row["achieved_rps"] == round(result.goodput_rps, 1) > 0
+        assert row["offered_rps"] == 10.0
 
 
 class TestClosedLoop:
@@ -275,6 +323,39 @@ class TestClosedLoop:
         assert not hung, "run_closed_loop did not return"
         assert box["result"].completed == 3
         assert box["result"].makespan_ms < 1_000.0
+
+    def test_gc_on_the_platform_timer_collects_inside_the_loop(self):
+        """The elasticity gate's shape: a GC timer whose period is
+        shorter than the makespan collects while the users run, and the
+        last user out still stops it. Side thread, as above."""
+        from repro.obs import history
+        from repro.workload import run_closed_loop
+        runtime, _ssf = self._runtime(observability=True)
+        runtime.start_collectors(ic_period=1e12, gc_period=100.0)
+        start = runtime.kernel.now
+        box = {}
+        worker = threading.Thread(
+            target=lambda: box.update(result=run_closed_loop(
+                runtime, "echo",
+                [[{"key": f"u{u}", "value": k} for k in range(10)]
+                 for u in range(4)])),
+            daemon=True)
+        worker.start()
+        worker.join(timeout=20.0)
+        hung = worker.is_alive()
+        if hung:
+            runtime.stop_collectors()
+            worker.join(timeout=20.0)
+        runtime.kernel.shutdown()
+        assert not hung, "run_closed_loop did not return"
+        result = box["result"]
+        assert result.completed == 40
+        assert result.failures == 0
+        assert result.makespan_ms > 100.0
+        passes = [record["ts"] for record in history.of(
+            runtime.obs.tracer.records).named("gc:collected")]
+        assert any(start < at < start + result.makespan_ms
+                   for at in passes), (passes, result.makespan_ms)
 
     def test_an_ordinary_error_is_counted_and_the_loop_still_returns(self):
         """A request that raises something other than a platform failure

@@ -64,6 +64,8 @@ class BeldiContext:
         self.read_log = read_log
         #: This execution created its intent and has not been rolled
         #: back: no earlier execution can have logged anything for it.
+        #: A speculative open presumes so until its join, which
+        #: raises if it did not.
         self.first_execution = first_execution
         #: Snapshots of the read values observed since the last effect
         #: frontier, not yet durable (``ops.flush_read_log``), the step
@@ -71,6 +73,12 @@ class BeldiContext:
         self.pending_reads: list = []
         self.pending_first = 0
         self.pending_bytes = 0
+        #: A speculative open's intent put, still unjoined: the kernel
+        #: process ``ops.flush_read_log`` waits for before anything of
+        #: this execution can be seen (``docs/async_io.md``, "Speculative
+        #: callee open"). ``None`` once joined, or when the intent was
+        #: put before the handler ran.
+        self.opening = None
 
     # -- plumbing the op wrappers rely on ------------------------------------
     @property

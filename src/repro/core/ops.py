@@ -74,7 +74,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from repro.core import daal
+from repro.core import daal, intents
 from repro.core.errors import BeldiError
 from repro.core.logkeys import encode
 from repro.kvstore import (
@@ -230,7 +230,13 @@ def flush_read_log(ctx) -> None:
     values cannot be repaired in place: nothing since the run began has
     had an effect, and the execution is rolled back (:class:`ReadLogLost`)
     to replay the winner's log.
+
+    A speculative open's intent put is joined here first
+    (:func:`_join_intent`), with or without a run pending: no log row
+    of an instance may land before its intent.
     """
+    if ctx.opening is not None:
+        _join_intent(ctx)
     values = ctx.pending_reads
     if not values:
         return
@@ -252,6 +258,25 @@ def flush_read_log(ctx) -> None:
             raise ReadLogLost()
         ctx.lifecycle("flush")
         ctx.crash_point(f"readlog:{first}:after-flush")
+
+
+def _join_intent(ctx) -> None:
+    """Wait for this execution's speculative intent put
+    (:func:`~repro.core.intents.put_beside`), which ran beside its first
+    reads.
+
+    Until now the execution was a first execution with an empty read
+    log; only a put that created the intent lets it stay one. One that
+    found an earlier execution's intent raises
+    :class:`~repro.core.intents.IntentFound`: nothing the run read has
+    been shown to anyone, so the runtime starts over from that record.
+    """
+    put, ctx.opening = ctx.opening, None
+    stored, created = ctx.runtime.kernel.join(put)
+    ctx.lifecycle("intent")
+    if not created:
+        raise intents.IntentFound(stored)
+    ctx.crash_point("intent:ensured")
 
 
 def _note(ctx, **facts) -> None:

@@ -4,7 +4,10 @@
 and wraps every registered SSF handler with the protocol from §3.3/§4.5:
 
 1. resolve the instance id (caller-assigned, or the platform request id
-   for workflow roots) and ensure the intent record,
+   for workflow roots) and ensure the intent record — with the
+   ``async_io`` feature a sync callee outside a transaction puts it
+   beside its first reads and joins the put at its first effect
+   frontier (``docs/async_io.md``, "Speculative callee open"),
 2. short-circuit if the intent is already done (step 4 with the stored
    result: the caller is answered, then called back again),
 3. run the user handler with a :class:`BeldiContext` — every operation
@@ -62,7 +65,7 @@ from repro.kvstore.item import freeze_value
 from repro.kvstore.surface import layers
 from repro.platform import PlatformConfig, ServerlessPlatform
 from repro.platform.context import InvocationContext
-from repro.sim.kernel import SimKernel
+from repro.sim.kernel import Process, SimKernel
 from repro.sim.latency import LatencyModel
 from repro.sim.randsrc import RandomSource
 
@@ -457,15 +460,18 @@ class BeldiRuntime:
             self.tail_cache.stats.intent_hits += 1
             if is_async:
                 return None
+            platform_ctx.lifecycle("intent", instance=instance_id)
             ret, done_caller = cached
             self._deliver(platform_ctx, reply, done_caller, instance_id,
                           ret)
             return ret
+        opening = None
         if is_async:
             # Fig. 20 stub: run only if registered and unfinished.
             intent = intents.get_intent(env, instance_id)
             if intent is None or intent.get("Done"):
                 return None
+            platform_ctx.lifecycle("intent", instance=instance_id)
             # The intent was written at registration, so "created" says
             # nothing here; an IC relaunch is what marks a replay. A
             # duplicate that slips through this guess (the caller's own
@@ -474,26 +480,42 @@ class BeldiRuntime:
             replay = intents.relaunched(intent)
             created = False
         else:
-            intent, created = intents.ensure_intent(
-                env, instance_id, ssf.name, payload.get("input"),
+            intent = intents.draft_intent(
+                instance_id, ssf.name, payload.get("input"),
                 self.kernel.now, is_async, caller, txn_payload)
-            if intent.get("Done"):
-                # Late duplicate: the work is complete; make sure the
-                # caller has the result.
-                ret = intent.get("Ret")
-                self._remember_done(instance_id, ret, intent.get("Caller"))
-                self._deliver(platform_ctx, reply, intent.get("Caller"),
-                              instance_id, ret)
-                return ret
+            if (caller is not None and txn_payload is None
+                    and self.config.has_async_io):
+                # Speculative open: the put runs beside the handler's
+                # first reads and is joined at its first effect frontier.
+                opening = intents.put_beside(self, env, intent)
+                created = True
+            else:
+                intent, created = intents.put_intent(env, intent)
+                platform_ctx.lifecycle("intent", instance=instance_id)
+                if intent.get("Done"):
+                    return self._answer_done(platform_ctx, reply,
+                                             instance_id, intent)
             replay = not created
-        platform_ctx.crash_point("intent:ensured")
+        if opening is None:
+            platform_ctx.crash_point("intent:ensured")
         rollbacks = 0
         while True:
             try:
                 ret, aborted = self._run_handler(
                     ssf, platform_ctx, instance_id, intent,
-                    replay or rollbacks > 0, created and not rollbacks)
+                    replay or rollbacks > 0, created and not rollbacks,
+                    opening)
                 break
+            except intents.IntentFound as found:
+                # The speculative open lost to an earlier execution's
+                # intent. Only a first run speculates, so this happens
+                # once at most and does not count toward the bound.
+                intent, opening = found.record, None
+                replay, created = True, False
+                if intent.get("Done"):
+                    return self._answer_done(platform_ctx, reply,
+                                             instance_id, intent)
+                self._note_rollback(instance_id)
             except ops.ReadLogLost:
                 # A duplicate logged other values for a run this
                 # execution had not shown anyone yet. Roll back: start
@@ -503,9 +525,7 @@ class BeldiRuntime:
                 rollbacks += 1
                 if rollbacks > _MAX_READ_LOG_ROLLBACKS:
                     raise
-                if self.obs is not None:
-                    self.obs.tracer.event("readlog:rollback", cat="readlog",
-                                          instance=instance_id)
+                self._note_rollback(instance_id)
                 # The stored record, not the one the handler was handed
                 # (and may have mutated in place).
                 intent = intents.get_intent(env, instance_id) or intent
@@ -525,15 +545,33 @@ class BeldiRuntime:
         platform_ctx.crash_point("done:marked")
         return result
 
+    def _answer_done(self, platform_ctx: InvocationContext,
+                     reply: Callable[[Any], None], instance_id: str,
+                     intent: dict) -> Any:
+        """Late duplicate: the work is complete; make sure the caller
+        has the result."""
+        ret = intent.get("Ret")
+        self._remember_done(instance_id, ret, intent.get("Caller"))
+        self._deliver(platform_ctx, reply, intent.get("Caller"),
+                      instance_id, ret)
+        return ret
+
+    def _note_rollback(self, instance_id: str) -> None:
+        if self.obs is not None:
+            self.obs.tracer.event("readlog:rollback", cat="readlog",
+                                  instance=instance_id)
+
     def _run_handler(self, ssf: SSFDefinition,
                      platform_ctx: InvocationContext, instance_id: str,
-                     intent: dict, replay: bool,
-                     first_execution: bool) -> tuple[Any, bool]:
+                     intent: dict, replay: bool, first_execution: bool,
+                     opening: Optional[Process] = None) -> tuple[Any, bool]:
         """One execution of the handler, up to the point where its
         result is about to be observable: ``(return value, aborted)``.
         ``first_execution``: it created the intent and was not rolled
         back, so no earlier execution logged anything (stricter than
-        ``not replay``, which for an async stub is only a guess)."""
+        ``not replay``, which for an async stub is only a guess).
+        ``opening``: the intent put still in flight, presumed to create
+        the intent until the first frontier joins it."""
         stored_txn = intent.get("Txn")
         txn_ctx = (TxnContext.from_payload(stored_txn)
                    if stored_txn else None)
@@ -541,6 +579,7 @@ class BeldiRuntime:
                            instance_id, intent, txn=txn_ctx,
                            read_log={} if self.config.has_async_io else None,
                            first_execution=first_execution)
+        ctx.opening = opening
         if ctx.read_log is not None and replay:
             # Replay loads the log: an earlier execution may have logged
             # reads already, and those steps answer from memory.
@@ -627,9 +666,9 @@ class BeldiRuntime:
         step = f"{caller['instance_id']}#{caller['step']}" if caller else None
         with trace(self.obs, f"step.register:{ssf.name}", "step",
                    parent_id=step, instance=instance_id):
-            intents.ensure_intent(env, instance_id, ssf.name,
-                                  payload.get("input"), self.kernel.now,
-                                  True, caller, None)
+            intents.put_intent(env, intents.draft_intent(
+                instance_id, ssf.name, payload.get("input"),
+                self.kernel.now, True, caller, None))
             platform_ctx.crash_point("async-register:intent")
             if caller:
                 ack = {

@@ -61,6 +61,16 @@ from repro.kvstore.item import FrozenRow, freeze_item, freeze_update
 DEFAULT_MAX_ITEM_BYTES = 400 * 1024  # DynamoDB's row cap
 
 
+#: What a key attribute's value may not be. A key part is a scalar — a
+#: string, number, bytes (DynamoDB's S / N / B) — so it hashes, orders
+#: and routes as itself; a tuple, list, map or set would route by one
+#: rendering and be stored as another.
+_NOT_SCALAR = (tuple, list, dict, set, frozenset)
+#: The classes a key part nearly always has: a set lookup clears them,
+#: where ``isinstance`` over ``_NOT_SCALAR`` costs several times more.
+_SCALARS = frozenset({str, int, float, bytes, bool, type(None)})
+
+
 @dataclass(frozen=True)
 class KeySchema:
     """Hash key plus optional range key, by attribute name."""
@@ -68,36 +78,49 @@ class KeySchema:
     hash_key: str
     range_key: Optional[str] = None
 
-    def extract(self, item: dict) -> tuple:
-        if self.hash_key not in item:
-            raise ValidationError(f"item missing hash key {self.hash_key!r}")
-        hash_value = item[self.hash_key]
-        if self.range_key is None:
-            return (hash_value,)
-        if self.range_key not in item:
-            raise ValidationError(
-                f"item missing range key {self.range_key!r}")
-        return (hash_value, item[self.range_key])
-
     def key_dict(self, key: tuple) -> dict:
         if self.range_key is None:
             return {self.hash_key: key[0]}
         return {self.hash_key: key[0], self.range_key: key[1]}
 
     def normalize(self, key: Any) -> tuple:
-        """Accept a scalar, tuple, or dict and return the canonical tuple."""
+        """The canonical key tuple of a scalar, a tuple, or a dict (an
+        item, or just its key attributes). Every key a table takes is
+        built here, so here it is rejected unless each part is a
+        scalar."""
         if isinstance(key, dict):
-            return self.extract(key)
-        if isinstance(key, tuple):
+            if self.hash_key not in key:
+                raise ValidationError(
+                    f"item missing hash key {self.hash_key!r}")
+            if self.range_key is None:
+                key = (key[self.hash_key],)
+            elif self.range_key not in key:
+                raise ValidationError(
+                    f"item missing range key {self.range_key!r}")
+            else:
+                key = (key[self.hash_key], key[self.range_key])
+        elif isinstance(key, tuple):
             expected = 1 if self.range_key is None else 2
             if len(key) != expected:
                 raise ValidationError(
                     f"key tuple must have {expected} parts, got {len(key)}")
-            return key
-        if self.range_key is not None:
+        elif self.range_key is not None:
             raise ValidationError(
                 "table has a range key; pass a (hash, range) tuple")
-        return (key,)
+        else:
+            key = (key,)
+        # Both parts, or the one part twice.
+        if (key[0].__class__ not in _SCALARS
+                or key[-1].__class__ not in _SCALARS):
+            for part in key:
+                if isinstance(part, _NOT_SCALAR):
+                    raise ValidationError(
+                        f"a key attribute's value must be a scalar, not "
+                        f"{type(part).__name__}")
+        return key
+
+    #: An item's key: the same rule, one site.
+    extract = normalize
 
 
 @dataclass

@@ -10,8 +10,8 @@ every transaction: its begin, its decision (commit is ``ok``, abort is
 ``fail``, none yet is ``info``), the versions its locked reads returned,
 its commit flushes installed, and its protocol events in happen order.
 
-The lifecycle ledger: claim → start → flush → reply → consumed,
-callback → ``Done`` (``docs/async_io.md``).
+The lifecycle ledger: intent → flush / claim → start → reply →
+consumed, callback → ``Done`` (``docs/async_io.md``).
 
 A version is the stamp the protocol already holds: the ``[RowId,
 Version]`` of the tail row a read fetched or an update returned. Rows
@@ -35,8 +35,8 @@ from typing import Any, Optional
 
 #: The lifecycle events the ledger reads; ``tests/obs/test_trace_schema.py``
 #: holds them equal to what a traced run emits and to the docs' row.
-EVENTS = frozenset({"claim", "start", "consumed", "flush", "reply",
-                    "callback", "done"})
+EVENTS = frozenset({"intent", "claim", "start", "consumed", "flush",
+                    "reply", "callback", "done"})
 
 #: The protocol events the history reads (``docs/observability.md``,
 #: "Protocol events"), and the op spans whose args carry versions.
@@ -316,10 +316,11 @@ def load(path) -> tuple:
 
 def _ledger(lifecycle: list, serving: dict) -> list[tuple]:
     """``(kind, execution, subject, seq)`` per lifecycle event, in happen
-    order (instant events are appended as they happen). The subject of a
-    flush, reply or ``Done`` is the instance id, of a callback the callee
-    it reports (whoever ran the handler), and of ``claim`` / ``start`` /
-    ``txn-start`` / ``consumed`` the step ``"<caller instance>#<step>"``.
+    order (instant events are appended as they happen). The subject of
+    an intent, flush, reply or ``Done`` is the instance id, of a callback
+    the callee it reports (whoever ran the handler), and of ``claim`` /
+    ``start`` / ``txn-start`` / ``consumed`` the step
+    ``"<caller instance>#<step>"``.
     The platform stamps ``start`` and ``consumed`` with the callee's
     execution only; that execution's ``request:<ssf>`` span, whose parent
     is the caller's step, says which step it serves and whether inside a

@@ -499,6 +499,19 @@ def flush_without_rollback(ctx) -> None:
         ctx.lifecycle("flush")
 
 
+def join_after_first_flush(ctx) -> None:
+    """``ops.flush_read_log`` that lands a speculative open's first read
+    run *before* joining its intent put: a read-log row may then outlive
+    an intent that never landed (nothing would ever reclaim it), and a
+    run may land for an execution that the join would have rolled back."""
+    opening, ctx.opening = ctx.opening, None
+    try:
+        FLUSH_READ_LOG(ctx)
+    finally:
+        ctx.opening = opening
+    FLUSH_READ_LOG(ctx)  # nothing pending now: only the join
+
+
 def flush_after_release(store, table, key, value, txn_id, cache=None):
     """``daal.flush_value`` with its one update split in two, the lock
     released first: another transaction may read the item between."""
@@ -723,6 +736,11 @@ def sweep_runtime(flags: dict) -> BeldiRuntime:
 class Scenario:
     #: Rewrites seeded data at the instant of the swept crash (or None).
     mutate: Optional[Callable] = None
+    #: The sync callees that read before their first effect, so that on
+    #: ``current`` their intent put runs beside that read (the
+    #: speculative open). The reservation has none: ``reserve`` opens
+    #: with a transaction, its callees run inside it.
+    speculating: frozenset = frozenset()
 
     def ok(self, result) -> bool:
         """Did the client get the workflow's success reply?"""

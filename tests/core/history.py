@@ -53,23 +53,31 @@ def check(records: list) -> History:
     return history
 
 
+#: What an execution may show only once its intent has landed.
+_AFTER_INTENT = frozenset({"flush", "claim", "reply", "done"})
+
+
 def check_lifecycle(history: History) -> None:
-    """No flush after the reply of the same execution, no reply after
-    its ``Done``, no ``Done`` before a callback for the instance was
-    recorded or ignored (if any ever is: a workflow root has none to
+    """No flush, claim, reply or ``Done`` of an execution before its
+    intent, no flush after the reply of the same execution, no reply
+    after its ``Done``, no ``Done`` before a callback for the instance
+    was recorded or ignored (if any ever is: a workflow root has none to
     wait for), no reply consumed before its step's claim is durable and
     no callee started inside a transaction before it. A failure names
     the ``seq`` of the event that broke the order; its witness holds
-    that ledger row and the row on the order's other side (a claim or a
-    callback that came too late, if it came at all)."""
+    that ledger row and the row on the order's other side (an intent, a
+    claim or a callback that came too late, if it came at all)."""
     ledger = history.rows
     called_back = {row[2] for row in ledger if row[0] == "callback"}
     replied, finished, landed, claimed = {}, {}, set(), set()
+    opened = set()
 
-    def later(row, kind: str):
-        """The first ``kind`` row for ``row``'s subject after it."""
+    def later(row, kind: str, by_execution: bool = False):
+        """The first ``kind`` row for ``row``'s subject (or execution)
+        after it."""
+        at = 1 if by_execution else 2
         return next((other for other in ledger if other[3] > row[3]
-                     and other[0] == kind and other[2] == row[2]), None)
+                     and other[0] == kind and other[at] == row[at]), None)
 
     def broken(row, message: str, rule: str, other) -> None:
         raise HistoryViolation(
@@ -79,6 +87,12 @@ def check_lifecycle(history: History) -> None:
 
     for row in ledger:
         kind, who, subject, _seq = row
+        if kind == "intent":
+            opened.add(who)
+        elif kind in _AFTER_INTENT and who not in opened:
+            broken(row, f"{who} showed its {kind} of {subject} before "
+                        f"its intent landed",
+                   f"intent < {kind}", later(row, "intent", True))
         if kind == "claim":
             claimed.add(subject)
         elif kind == "txn-start" and subject not in claimed:

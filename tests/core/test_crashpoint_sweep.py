@@ -71,6 +71,8 @@ class MovieComposeScenario(Scenario):
     """The compose-review workflow: store + two index appends."""
 
     entry = "frontend"
+    speculating = frozenset({"movie_id", "movie_review", "user",
+                             "user_review"})
     payload = {"action": "compose", "username": "user-0000",
                "title": "Title 0", "text": "great movie  indeed",
                "rating": 8}
@@ -106,6 +108,7 @@ class TravelSearchScenario(Scenario):
     logged reads and not a single write."""
 
     entry = "frontend"
+    speculating = frozenset({"geo", "profile", "rate"})
     payload = {"action": "search", "cell": 0}
     #: What each leaf must have returned, given its arguments and the
     #: ``step -> value`` its read log holds.
@@ -257,6 +260,8 @@ def sweep(scenario_name: str, flags_name: str) -> None:
     total_migrations = sum(migrations for _l, _f, migrations in runs)
     _check_reply_points(points, config.has_async_io)
     _check_open_points(points, config.has_async_io)
+    _check_speculation_points(points, scenario.speculating
+                              if config.has_async_io else frozenset())
     if scenario.mutate is not None:
         _check_read_log_points(points, config.has_async_io)
     if flags.get("row_log_capacity") == 1:
@@ -306,6 +311,22 @@ def _check_open_points(points, pipelined: bool) -> None:
     assert ("frontend" in dispatched) == pipelined, sorted(dispatched)
     assert pipelined or not dispatched, sorted(dispatched)
     assert "reserve" not in dispatched
+
+
+def _check_speculation_points(points, speculating: frozenset) -> None:
+    """Every sync callee that reads before its first effect was killed
+    at that read with its intent put in flight beside it — before its
+    ``intent:ensured`` (``current``) — and no other SSF was: a workflow
+    root, a transaction's callee, a callee whose first op is an effect
+    and the paper's order put the intent before any read."""
+    ensured, early = set(), set()
+    for function, index, tag in points:
+        if tag == "intent:ensured":
+            ensured.add((function, index))
+        elif (tag.startswith(("read:", "roread:", "readmany:"))
+              and (function, index) not in ensured):
+            early.add(function)
+    assert early == speculating, (sorted(early), sorted(speculating))
 
 
 def _check_read_log_points(points, grouped: bool) -> None:

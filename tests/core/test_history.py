@@ -409,6 +409,9 @@ LIFECYCLE_MUTATIONS = {
     "reply consumed before its claim": (
         ServerlessPlatform, "sync_invoke", dst.await_then_claim,
         "claim < consumed"),
+    "first flush ahead of the intent join": (
+        ops, "flush_read_log", dst.join_after_first_flush,
+        "intent < flush"),
 }
 
 

@@ -367,7 +367,10 @@ class TestReplyBeforeCallback:
             self, config, replies_first):
         """A delivery of an already finished callee re-issues the
         callback; with ``async_io`` its waiter is answered first, like a
-        first delivery's, and the callee body never runs again."""
+        first delivery's, and the callee body never runs again past its
+        first effect frontier. Without the intent cache an ``async_io``
+        delivery opens speculatively: the body's first reads run before
+        its join finds the ``Done`` intent."""
         runtime = self._runtime(**config)
         leaf, caller, bodies = self._counter_pair(runtime)
         assert runtime.run_workflow("caller") == ["v"]
@@ -387,7 +390,9 @@ class TestReplyBeforeCallback:
 
         runtime.kernel.spawn(duplicate)
         runtime.kernel.run()
-        assert box["result"] == "v" and len(bodies) == 1
+        speculated = (runtime.config.has_async_io
+                      and not runtime.config.has_fastpath)
+        assert box["result"] == "v" and len(bodies) == 1 + speculated
         assert (runtime.tail_cache.stats.intent_hits - hits
                 == runtime.config.has_fastpath)
         (callback,) = [c for c in calls if c["kind"] == "sync_callback"]
@@ -685,14 +690,16 @@ CALLER, LEAF, HANDLER = ("caller", 0), ("leaf", 0), ("caller", 1)
 #: One pipelined sync invoke of ``leaf`` by step 2 of ``caller``, in the
 #: order ``current`` runs it.
 CLEAN = [
+    _event(0, "intent", CALLER, instance="R"),
     _event(1, "start", LEAF),
     _event(2, "claim", CALLER, instance="R", step=2),
     _serves(3, LEAF, "R#2"),
-    _event(4, "flush", LEAF, instance="c-1"),
-    _event(5, "reply", LEAF, instance="c-1"),
-    _event(6, "consumed", LEAF),
-    _event(7, "callback", HANDLER, callee="c-1"),
-    _event(8, "done", LEAF, instance="c-1"),
+    _event(4, "intent", LEAF, instance="c-1"),
+    _event(5, "flush", LEAF, instance="c-1"),
+    _event(6, "reply", LEAF, instance="c-1"),
+    _event(7, "consumed", LEAF),
+    _event(8, "callback", HANDLER, callee="c-1"),
+    _event(9, "done", LEAF, instance="c-1"),
 ]
 
 
@@ -711,15 +718,19 @@ def _moved(records, seq, before):
 
 #: name -> (records, the message, the ``seq`` it must name).
 BROKEN_ORDERS = {
+    "flush before intent": (
+        _moved(CLEAN, 5, before=4), "flush of c-1 before its intent", 5),
+    "claim before intent": (
+        _moved(CLEAN, 2, before=0), "claim of R#2 before its intent", 2),
     "flush after reply": (
-        _moved(CLEAN, 5, before=4), "flushed its read log after", 4),
+        _moved(CLEAN, 6, before=5), "flushed its read log after", 5),
     "reply after Done": (
-        _moved(_moved(CLEAN, 7, before=5), 8, before=5),
-        "replied after marking Done", 5),
+        _moved(_moved(CLEAN, 8, before=6), 9, before=6),
+        "replied after marking Done", 6),
     "Done before any callback": (
-        _moved(CLEAN, 8, before=7), "Done before any callback", 8),
+        _moved(CLEAN, 9, before=8), "Done before any callback", 9),
     "consumed before claim": (
-        _moved(CLEAN, 6, before=2), "consumed before", 6),
+        _moved(CLEAN, 7, before=2), "consumed before", 7),
     "txn-start before claim": (
         IN_TXN, "inside a transaction before", 1),
 }
@@ -734,8 +745,8 @@ class TestLedgerCatchesTheNewOrders:
     def test_a_clean_list_passes(self):
         history.check(CLEAN)
         assert [row[0] for row in history.of(CLEAN).rows] == [
-            "start", "claim", "flush", "reply", "consumed", "callback",
-            "done"]
+            "intent", "start", "claim", "intent", "flush", "reply",
+            "consumed", "callback", "done"]
         # Inside a transaction the same events are in order only with
         # the claim ahead of the start.
         history.check(_moved(IN_TXN, 2, before=1))

@@ -100,8 +100,12 @@ class TestParallelInvoke:
                                                   tag="body:done")
 
         def bump(ctx, payload):
+            # Locked: the three branches run concurrently, and an
+            # unlocked read-modify-write may lose an update to another.
+            ctx.lock("kv", "n")
             n = ctx.read("kv", "n") or 0
             ctx.write("kv", "n", n + 1)
+            ctx.unlock("kv", "n")
             return n + 1
 
         bump_ssf = runtime.register_ssf("bump", bump, tables=["kv"])
@@ -217,8 +221,12 @@ class TestStepFunctions:
         runtime.platform.crash_policy = CrashOnce("wf", tag="body:done")
 
         def bump(ctx, payload):
+            # Locked: the three branches run concurrently, and an
+            # unlocked read-modify-write may lose an update to another.
+            ctx.lock("kv", "n")
             n = ctx.read("kv", "n") or 0
             ctx.write("kv", "n", n + 1)
+            ctx.unlock("kv", "n")
             return n + 1
 
         bump_ssf = runtime.register_ssf("bump", bump, tables=["kv"])

@@ -21,6 +21,8 @@ The rules are DynamoDB's (§2.2; the extended version's §4.1):
   left it, ``if_not_exists(p, d)`` is ``p``'s value or else ``d``'s, and
   a path through a scalar, a list or a set raises ``ValidationError``;
   ``REMOVE`` of a missing path does nothing;
+- a key attribute's value is a scalar: a tuple, list, map or set there
+  raises ``ValidationError``, in an item and in a key alike;
 - an update creates a missing row from its key and may not change a
   key attribute; a row over the table's cap raises ``ItemTooLarge``; a
   failed condition raises ``ConditionFailed`` (``TransactionCanceled``
@@ -283,14 +285,18 @@ class SpecTable:
             for name in self.names:
                 if name not in key:
                     raise ValidationError(f"item missing key {name!r}")
-            return tuple(key[name] for name in self.names)
-        if isinstance(key, tuple):
+            key = tuple(key[name] for name in self.names)
+        elif isinstance(key, tuple):
             if len(key) != len(self.names):
                 raise ValidationError(f"key tuple of {len(key)} parts")
-            return key
-        if len(self.names) > 1:
+        elif len(self.names) > 1:
             raise ValidationError("table has a range key")
-        return (key,)
+        else:
+            key = (key,)
+        if any(isinstance(part, (tuple, list, dict, set, frozenset))
+               for part in key):
+            raise ValidationError("a key attribute's value is a scalar")
+        return key
 
     def get(self, key):
         row = self.rows.get(self.key_of(key))

@@ -109,7 +109,7 @@ def measure_primitive_ops(mode: str, rows: int = 20, samples: int = 120,
             else:
                 data = env.store.table(table)
                 for row in data.scan().items:
-                    data.delete(data.schema.extract(row))
+                    data.delete(data.schema.normalize(row))
                 _pre_grow_chain(env.store, table, KEY, rows,
                                 runtime.config.row_log_capacity)
 

@@ -232,11 +232,11 @@ def flush_read_log(ctx) -> None:
     to replay the winner's log.
 
     A speculative open's intent put is joined here first
-    (:func:`_join_intent`), with or without a run pending: no log row
+    (:func:`join_intent`), with or without a run pending: no log row
     of an instance may land before its intent.
     """
     if ctx.opening is not None:
-        _join_intent(ctx)
+        join_intent(ctx)
     values = ctx.pending_reads
     if not values:
         return
@@ -260,10 +260,11 @@ def flush_read_log(ctx) -> None:
         ctx.crash_point(f"readlog:{first}:after-flush")
 
 
-def _join_intent(ctx) -> None:
+def join_intent(ctx) -> None:
     """Wait for this execution's speculative intent put
     (:func:`~repro.core.intents.put_beside`), which ran beside its first
-    reads.
+    reads: at its first effect frontier, or when its handler raises
+    before one.
 
     Until now the execution was a first execution with an empty read
     log; only a put that created the intent lets it stay one. One that
@@ -271,8 +272,10 @@ def _join_intent(ctx) -> None:
     :class:`~repro.core.intents.IntentFound`: nothing the run read has
     been shown to anyone, so the runtime starts over from that record.
     """
-    put, ctx.opening = ctx.opening, None
-    stored, created = ctx.runtime.kernel.join(put)
+    stored, created = ctx.runtime.kernel.join(ctx.opening)
+    # Only now: a put error above leaves the open unjoined, so the next
+    # frontier cannot pass without it.
+    ctx.opening = None
     ctx.lifecycle("intent")
     if not created:
         raise intents.IntentFound(stored)

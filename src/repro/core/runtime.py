@@ -594,6 +594,13 @@ class BeldiRuntime:
             # rollback.
             aborted = True
             ret = None
+        except Exception:
+            # An error ahead of the first frontier may rest on reads the
+            # intent-first order never made: the open is joined first,
+            # and one that lost starts over from the intent found.
+            if ctx.opening is not None:
+                ops.join_intent(ctx)
+            raise
         platform_ctx.crash_point("body:done")
         # The result is about to be observable (callback, Done): the
         # reads it rests on become durable first, abort outcome included.

@@ -315,7 +315,7 @@ class ChainMigrator:
         store.ring.set_forward(token, target)
         self.stats.rows_moved += len(rows)
         schema = store._schemas[table]
-        return [schema.extract(row) for row in rows]
+        return [schema.normalize(row) for row in rows]
 
     def _cleanup(self, token: str, table: str, source: int,
                  row_keys: list) -> None:
@@ -391,7 +391,7 @@ class ChainMigrator:
             "migrate_read", table, result.consumed_bytes,
             items=max(1, len(result.items)))
         schema = self.store._schemas[table]
-        row_keys = [schema.extract(row) for row in result.items]
+        row_keys = [schema.normalize(row) for row in result.items]
         if row_keys:
             batch_write_all(node, table, deletes=row_keys)
             self.stats.metering.record_batch_write(

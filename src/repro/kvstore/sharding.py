@@ -624,7 +624,7 @@ class ShardedStore:
         for shard, node in enumerate(self.nodes):
             items.extend(self._placed(table, shard, node.query_index(
                 table, index_name, value, consistency)))
-        items.sort(key=lambda item: _sort_token_tuple(schema.extract(item)))
+        items.sort(key=lambda item: _sort_token_tuple(schema.normalize(item)))
         return items
 
     # -- cross-shard transactions ------------------------------------------------

@@ -390,10 +390,8 @@ class KVStore:
         targets = []
         for op in ops:
             tbl = self.table(op.table)
-            if isinstance(op, TransactPut):
-                key = tbl.schema.extract(op.item)
-            else:
-                key = tbl.schema.normalize(op.key)
+            key = tbl.schema.normalize(
+                op.item if isinstance(op, TransactPut) else op.key)
             existing = tbl._get_raw(key)
             if op.condition is not None and not op.condition.evaluate(
                     existing):

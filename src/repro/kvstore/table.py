@@ -66,9 +66,6 @@ DEFAULT_MAX_ITEM_BYTES = 400 * 1024  # DynamoDB's row cap
 #: and routes as itself; a tuple, list, map or set would route by one
 #: rendering and be stored as another.
 _NOT_SCALAR = (tuple, list, dict, set, frozenset)
-#: The classes a key part nearly always has: a set lookup clears them,
-#: where ``isinstance`` over ``_NOT_SCALAR`` costs several times more.
-_SCALARS = frozenset({str, int, float, bytes, bool, type(None)})
 
 
 @dataclass(frozen=True)
@@ -109,18 +106,12 @@ class KeySchema:
                 "table has a range key; pass a (hash, range) tuple")
         else:
             key = (key,)
-        # Both parts, or the one part twice.
-        if (key[0].__class__ not in _SCALARS
-                or key[-1].__class__ not in _SCALARS):
-            for part in key:
-                if isinstance(part, _NOT_SCALAR):
-                    raise ValidationError(
-                        f"a key attribute's value must be a scalar, not "
-                        f"{type(part).__name__}")
+        for part in key:
+            if isinstance(part, _NOT_SCALAR):
+                raise ValidationError(
+                    f"a key attribute's value must be a scalar, not "
+                    f"{type(part).__name__}")
         return key
-
-    #: An item's key: the same rule, one site.
-    extract = normalize
 
 
 @dataclass
@@ -315,7 +306,7 @@ class Table:
         validated frozen copy, rejected here when the table may not hold
         it (:meth:`_check_row`)."""
         row = freeze_item(item)
-        key = self.schema.extract(item)
+        key = self.schema.normalize(item)
         self._check_row(row)
         return key, row
 
@@ -373,7 +364,7 @@ class Table:
              ) -> tuple[None, int]:
         """``(None, bytes written)``."""
         row = freeze_item(item)
-        key = self.schema.extract(item)
+        key = self.schema.normalize(item)
         with self._lock:
             existing = self._get_raw(key)
             if condition is not None and not condition.evaluate(existing):

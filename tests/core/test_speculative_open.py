@@ -108,13 +108,17 @@ class TestTheOpenOverlaps:
 
 class TestALostOpen:
     @staticmethod
-    def _pair(runtime, holds):
+    def _pair(runtime, holds, strict=False):
         """``caller`` invokes ``leaf``, which reads ``k``, records what
-        it saw, then holds for ``holds.pop(0)`` ms (0 once empty)."""
+        it saw, then holds for ``holds.pop(0)`` ms (0 once empty). A
+        ``strict`` leaf raises, ahead of its first frontier, on any
+        ``k`` but 1."""
         runs = []
 
         def leaf(ctx, payload):
             value = ctx.read("kv", "k")
+            if strict and value != 1:
+                raise ValueError(f"k is {value}")
             ctx.write("kv", f"seen-{value}", value)
             runs.append(value)
             ctx.sleep(holds.pop(0) if holds else 0.0)
@@ -143,15 +147,18 @@ class TestALostOpen:
             "caller": {"ssf": "caller", "instance_id": claim["InstanceId"],
                        "step": claim["Step"]}})
 
+    @pytest.mark.parametrize("strict", [False, True])
     def test_two_deliveries_that_read_apart_log_one_run_and_answer_alike(
-            self):
+            self, strict):
         """The first delivery reads ``k`` = 1 and holds; ``k`` becomes 2
         and a second delivery of the same callee reads that. Its join
         finds the first one's unfinished intent: it rolls back, replays
-        the logged run and answers 1, as the first does."""
+        the logged run and answers 1, as the first does — also when the
+        read it made raised, which is joined before it surfaces."""
         runtime = BeldiRuntime(seed=7, observability=True,
                                config=BeldiConfig(gc_t=1e12))
-        leaf, caller, runs = self._pair(runtime, holds=[50.0])
+        leaf, caller, runs = self._pair(runtime, holds=[50.0],
+                                        strict=strict)
         box = {}
 
         def client():
@@ -180,17 +187,20 @@ class TestALostOpen:
         # The root's, the first delivery's and the duplicate's.
         assert len(ledger.kinds("intent")) == 3
 
+    @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("without", [None, "fastpath"])
     def test_a_delivery_that_finds_its_intent_done_answers_its_ret(
-            self, without):
+            self, without, strict):
         """Once the callee is ``Done`` a late delivery answers ``Ret``
         and re-runs no effect. With the intent cache the runtime answers
         before the handler; without it the open speculates, so the
         handler's first reads run and its first frontier finds the
-        ``Done`` intent."""
+        ``Done`` intent. A ``strict`` handler raises on what it read
+        instead: the put is joined before the error surfaces, and the
+        delivery still answers ``Ret``."""
         runtime = BeldiRuntime(seed=7, config=BeldiConfig(
             gc_t=1e12, **({"without": without} if without else {})))
-        leaf, caller, runs = self._pair(runtime, holds=[])
+        leaf, caller, runs = self._pair(runtime, holds=[], strict=strict)
         assert runtime.run_workflow("caller") == 1
         leaf.env.store.update(leaf.env.data_table("kv"),
                               ("k", daal.HEAD_ROW_ID),

@@ -100,18 +100,16 @@ class TestParallelInvoke:
                                                   tag="body:done")
 
         def bump(ctx, payload):
-            # Locked: the three branches run concurrently, and an
-            # unlocked read-modify-write may lose an update to another.
-            ctx.lock("kv", "n")
-            n = ctx.read("kv", "n") or 0
-            ctx.write("kv", "n", n + 1)
-            ctx.unlock("kv", "n")
+            # A key per branch: the branches run concurrently, and two
+            # unlocked read-modify-writes of one key may lose an update.
+            n = ctx.read("kv", f"n-{payload}") or 0
+            ctx.write("kv", f"n-{payload}", n + 1)
             return n + 1
 
         bump_ssf = runtime.register_ssf("bump", bump, tables=["kv"])
 
         def driver(ctx, payload):
-            ctx.parallel_invoke([("bump", None)] * 3)
+            ctx.parallel_invoke([("bump", i) for i in range(3)])
             return "ok"
 
         runtime.register_ssf("driver", driver)
@@ -128,7 +126,9 @@ class TestParallelInvoke:
         runtime.kernel.run(until=3_000.0)
         runtime.stop_collectors()
         runtime.kernel.run(until=5_000.0)
-        assert bump_ssf.env.peek("kv", "n") == 3  # not 6
+        # Each branch ran once: not 2.
+        assert [bump_ssf.env.peek("kv", f"n-{i}") for i in range(3)] == [
+            1, 1, 1]
 
 
 class TestStepFunctions:
@@ -221,12 +221,8 @@ class TestStepFunctions:
         runtime.platform.crash_policy = CrashOnce("wf", tag="body:done")
 
         def bump(ctx, payload):
-            # Locked: the three branches run concurrently, and an
-            # unlocked read-modify-write may lose an update to another.
-            ctx.lock("kv", "n")
             n = ctx.read("kv", "n") or 0
             ctx.write("kv", "n", n + 1)
-            ctx.unlock("kv", "n")
             return n + 1
 
         bump_ssf = runtime.register_ssf("bump", bump, tables=["kv"])
